@@ -80,7 +80,7 @@ pub use matching::{verify_stable, Assignment, MatchPair, StabilityViolation};
 pub use metrics::{AssignmentResult, RunMetrics};
 pub use oracle::oracle;
 pub use problem::{FunctionId, ObjectRecord, PreferenceFunction, Problem, ProblemError};
-pub use sb::{sb, BestPairStrategy, MaintenanceStrategy, SbOptions};
+pub use sb::{sb, sb_with_skyline, BestPairStrategy, MaintenanceStrategy, SbOptions};
 pub use sbalt::{sb_alt, sb_alt_with_threads};
 pub use solver::{all_solvers, BruteForceSolver, ChainSolver, SbAltSolver, SbSolver, Solver};
 pub use view::{AssignedFunctions, AssignedObjects, AssignmentView, ViewError};

@@ -128,6 +128,22 @@ impl SbOptions {
 /// loop. Sorted-list accesses performed by the TA searches are charged to
 /// [`RunMetrics::aux_io`], matching the paper's cost model.
 pub fn sb(problem: &Problem, tree: &mut RTree, options: &SbOptions) -> AssignmentResult {
+    sb_with_skyline(problem, tree, options).0
+}
+
+/// [`sb`], also handing back the skyline it ends with, for callers that keep
+/// going where the solve stopped (the streaming engine adopts it instead of
+/// re-deriving it). Every exhausted object has been removed from it and the
+/// maintenance module has run after the last commit, so it is the skyline of
+/// the objects that still have capacity; under
+/// [`MaintenanceStrategy::UpdateSkyline`] its pruned lists cover every such
+/// object that is off the skyline, ready for further `update_skyline` calls
+/// on the same `tree`.
+pub fn sb_with_skyline(
+    problem: &Problem,
+    tree: &mut RTree,
+    options: &SbOptions,
+) -> (AssignmentResult, Skyline) {
     let start = Instant::now();
     let stats_before = tree.stats();
 
@@ -302,10 +318,11 @@ pub fn sb(problem: &Problem, tree: &mut RTree, options: &SbOptions) -> Assignmen
         loops: state.loops,
         searches,
     };
-    AssignmentResult {
+    let result = AssignmentResult {
         assignment: state.assignment,
         metrics,
-    }
+    };
+    (result, skyline)
 }
 
 #[cfg(test)]

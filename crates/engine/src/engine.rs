@@ -1,16 +1,16 @@
 //! The incremental engine: state, update operations and the repair loop.
 
 use pref_assign::{
-    Assignment, AssignmentView, FunctionId, ObjectRecord, PreferenceFunction, Problem,
+    sb_with_skyline, Assignment, AssignmentView, FunctionId, ObjectRecord, PreferenceFunction,
+    Problem, SbOptions,
 };
 use pref_datagen::UpdateEvent;
-use pref_geom::{Point, ScoreTable, SoaBlock};
+use pref_geom::{kernel, LinearFunction, Point, SoaBlock};
 use pref_rtree::{DataEntry, NodeEntry, RTree, RecordId};
-use pref_skyline::{compute_skyline_bbs, insert_skyline, update_skyline_filtered, Skyline};
+use pref_skyline::{insert_skyline, update_skyline_filtered, Skyline};
 use pref_storage::IoStats;
-use pref_sync::WorkStealingPool;
+use std::cmp::Ordering;
 use std::collections::{HashMap, VecDeque};
-use std::sync::Arc;
 
 /// Configuration of an [`AssignmentEngine`].
 #[derive(Debug, Clone)]
@@ -31,11 +31,12 @@ pub struct EngineOptions {
     /// Maximum number of tombstoned records physically deleted per
     /// compaction batch (bounds the work of a single batch; must be ≥ 1).
     pub compaction_batch: usize,
-    /// Worker threads for the repair loop's candidate scan. `None` resolves
-    /// via [`pref_sync::resolve_threads`] (`PREF_THREADS`, then available
-    /// parallelism; always 1 in model-capable builds); `Some(n)` pins `n`
-    /// (must be ≥ 1). The matching is canonical-identical at any thread
-    /// count — see [`AssignmentEngine::best_candidate`]'s merge contract.
+    /// Worker threads of the one SB solve that [`AssignmentEngine::new`] /
+    /// [`AssignmentEngine::restore`] adopt, passed through as
+    /// [`SbOptions::threads`] (`None` = `PREF_THREADS`, then available
+    /// parallelism; `Some(n)` pins `n`, which must be ≥ 1). Repair after
+    /// construction is serial — a round scores ~10³ candidates — and the
+    /// matching is canonical-identical at any thread count.
     pub threads: Option<usize>,
     /// When `true`, departures never run compaction inline: the writer's
     /// update path only tombstones, and a caller-driven helper (the serving
@@ -114,6 +115,10 @@ pub enum EngineError {
     UnknownObject(RecordId),
     /// No live function carries this id.
     UnknownFunction(FunctionId),
+    /// The arriving object carries capacity 0 (capacities are ≥ 1).
+    ZeroCapacityObject(RecordId),
+    /// The arriving function carries capacity 0 (capacities are ≥ 1).
+    ZeroCapacityFunction(FunctionId),
     /// The live population is empty, so no problem snapshot exists.
     EmptyProblem,
     /// The [`EngineOptions`] are invalid (message describes the problem).
@@ -130,6 +135,8 @@ impl std::fmt::Display for EngineError {
             EngineError::DuplicateFunction(id) => write!(f, "duplicate function id {id}"),
             EngineError::UnknownObject(id) => write!(f, "unknown object id {id}"),
             EngineError::UnknownFunction(id) => write!(f, "unknown function id {id}"),
+            EngineError::ZeroCapacityObject(id) => write!(f, "object {id} has capacity 0"),
+            EngineError::ZeroCapacityFunction(id) => write!(f, "function {id} has capacity 0"),
             EngineError::EmptyProblem => write!(f, "the live population is empty"),
             EngineError::InvalidOptions(msg) => write!(f, "invalid engine options: {msg}"),
         }
@@ -139,8 +146,9 @@ impl std::fmt::Display for EngineError {
 impl std::error::Error for EngineError {}
 
 /// Counters of the engine's lifetime (cumulative) plus a snapshot of its
-/// live state (gauges, filled in by [`AssignmentEngine::stats`]), so the
-/// tombstone ratio driving the compaction trigger is observable.
+/// live state (gauges; the tombstone and index ones are filled in by
+/// [`AssignmentEngine::stats`]), so the tombstone ratio driving the
+/// compaction trigger is observable.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct EngineStats {
     /// Updates applied (all four kinds).
@@ -159,6 +167,10 @@ pub struct EngineStats {
     pub pairs_retracted: u64,
     /// Repair-loop iterations executed (one per established pair).
     pub repair_rounds: u64,
+    /// `(function, object)` scores computed by the repair loop's candidate
+    /// search — the unit of its cost model. An update that dirties nothing
+    /// adds zero.
+    pub candidates_scored: u64,
     /// Compaction batches executed.
     pub compaction_batches: u64,
     /// Tombstoned records physically deleted from the R-tree by compaction.
@@ -302,6 +314,21 @@ struct FunState {
     alive: bool,
 }
 
+/// Stores `state` in a reclaimed slot of `slab` if `free` has one, else
+/// appends it; returns its dense index.
+fn place<T>(slab: &mut Vec<T>, free: &mut Vec<usize>, state: T) -> usize {
+    match free.pop() {
+        Some(slot) => {
+            slab[slot] = state;
+            slot
+        }
+        None => {
+            slab.push(state);
+            slab.len() - 1
+        }
+    }
+}
+
 /// How the repair loop acquires the object slot of a new pair.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum SlotKind {
@@ -325,7 +352,8 @@ impl Candidate {
     /// displacing a pair, then lowest function / object index — mirroring the
     /// oracle's greedy consumption order. Two distinct candidates never tie
     /// (their `(fi, oi, kind)` differ), so this is a strict total order and
-    /// the overall best does not depend on scan (or thread partition) order.
+    /// the best of a candidate set does not depend on the order it is
+    /// scanned in.
     fn beats(&self, other: &Candidate) -> bool {
         if self.score != other.score {
             return self.score > other.score;
@@ -335,103 +363,108 @@ impl Candidate {
         }
         (self.fi, self.oi) < (other.fi, other.oi)
     }
+
+    /// Folds a candidate into a running best.
+    fn offer(best: &mut Option<Candidate>, fi: usize, oi: usize, score: f64, kind: SlotKind) {
+        let cand = Candidate {
+            fi,
+            oi,
+            score,
+            kind,
+        };
+        if best.as_ref().is_none_or(|b| cand.beats(b)) {
+            *best = Some(cand);
+        }
+    }
 }
 
-/// Reusable buffers of the repair loop's candidate scan, rebuilt every round
-/// (thresholds and the free pool change with each established pair) without
-/// reallocating. The columnar mirrors and the scan lists live behind `Arc`s
-/// so the parallel path can hand clones to pool workers without copying; by
-/// the time a batch returns every worker clone is dropped, so the next
-/// round's [`Arc::make_mut`] reuses the allocations in place.
-#[derive(Debug)]
+/// Reusable buffers of the repair loop's candidate search, refilled every
+/// round (thresholds and the saturated set change with each established
+/// pair) without reallocating.
+#[derive(Debug, Default)]
 struct RepairScratch {
-    /// Per-function admission threshold (see `best_candidate`).
+    /// Per-function admission threshold, dense by function index: `-inf`
+    /// with spare capacity, otherwise the function's worst pair score
+    /// (`+inf` for dead slots, which admit nothing).
     f_threshold: Vec<f64>,
-    /// Worst pair score per object, dense by object index
-    /// (`f64::INFINITY` = no pairs). Dense rather than hashed so the
-    /// displacement-target scan below iterates in deterministic ascending
-    /// object order.
-    o_worst: Vec<f64>,
-    /// `(dense function index, threshold)` of the functions worth scanning.
-    active: Vec<(usize, f64)>,
-    /// Columnar mirror of the free-pool skyline points.
-    sky_block: Arc<SoaBlock>,
-    /// Dense object index of each `sky_block` row.
-    sky_ois: Arc<Vec<usize>>,
-    /// Columnar mirror of the saturated displacement targets' points.
-    steal_block: Arc<SoaBlock>,
-    /// `(dense object index, worst pair score)` of each `steal_block` row.
-    steal: Arc<Vec<(usize, f64)>>,
-    /// Score lane for the serial path.
+    /// `(dense object index, worst pair score)` of the saturated objects —
+    /// the displacement targets — in ascending object order.
+    steal: Vec<(usize, f64)>,
+    /// Columnar mirror of the `steal` rows' points.
+    steal_block: SoaBlock,
+    /// Score lane.
     scores: Vec<f64>,
 }
 
 impl RepairScratch {
-    fn new() -> Self {
-        Self {
-            f_threshold: Vec::new(),
-            o_worst: Vec::new(),
-            active: Vec::new(),
-            sky_block: Arc::new(SoaBlock::new()),
-            sky_ois: Arc::new(Vec::new()),
-            steal_block: Arc::new(SoaBlock::new()),
-            steal: Arc::new(Vec::new()),
-            scores: Vec::new(),
+    /// Refills the thresholds and the displacement targets from the current
+    /// pairs.
+    fn prepare(
+        &mut self,
+        functions: &[FunState],
+        objects: &[ObjState],
+        pairs: &[(usize, usize, f64)],
+    ) {
+        self.f_threshold.clear();
+        self.f_threshold.extend(functions.iter().map(|f| {
+            if f.alive && f.remaining > 0 {
+                f64::NEG_INFINITY
+            } else {
+                f64::INFINITY
+            }
+        }));
+        self.steal.clear();
+        for &(fi, oi, score) in pairs {
+            if self.f_threshold[fi] > score {
+                self.f_threshold[fi] = score;
+            }
+            // an object with free capacity is covered by the skyline path
+            // without displacing anyone
+            if objects[oi].remaining == 0 {
+                self.steal.push((oi, score));
+            }
+        }
+        self.steal
+            .sort_unstable_by(|a, b| a.0.cmp(&b.0).then(a.1.total_cmp(&b.1)));
+        self.steal.dedup_by_key(|&mut (oi, _)| oi);
+        self.steal_block.clear();
+        for &(oi, _) in &self.steal {
+            self.steal_block.push_point(&objects[oi].record.point);
         }
     }
-}
 
-/// Candidate-scan work (active functions × scan rows) below which the pool
-/// is not worth waking: a round of dot products at this size costs less than
-/// the batch handshake.
-const PARALLEL_WORK_FLOOR: usize = 4096;
-
-/// Scans one function's admissible candidates — free skyline slots, then
-/// saturated displacement targets — folding the best into `best` under
-/// [`Candidate::beats`]. Shared verbatim by the serial and parallel paths of
-/// `best_candidate`, so they cannot drift.
-#[allow(clippy::too_many_arguments)]
-fn scan_function(
-    fi: usize,
-    threshold: f64,
-    table: &ScoreTable,
-    sky_block: &SoaBlock,
-    sky_ois: &[usize],
-    steal_block: &SoaBlock,
-    steal: &[(usize, f64)],
-    scores: &mut Vec<f64>,
-    best: &mut Option<Candidate>,
-) {
-    // free slots: the free pool's maxima are on the skyline
-    table.score_block(fi, sky_block, scores);
-    for (&oi, &score) in sky_ois.iter().zip(scores.iter()) {
-        if score <= threshold {
-            continue;
+    /// Scans one function's admissible candidates — free skyline slots, then
+    /// saturated displacement targets — folding the best into `best`. The
+    /// repair search and the debug-build post-condition share it, so they
+    /// cannot drift. Free slots are scored straight off the skyline's own
+    /// columnar block; a row's record is resolved to its dense index only
+    /// when its score reaches the running maximum.
+    fn scan_function(
+        &mut self,
+        fi: usize,
+        function: &LinearFunction,
+        skyline: &Skyline,
+        obj_index: &HashMap<RecordId, usize>,
+        best: &mut Option<Candidate>,
+    ) {
+        let threshold = self.f_threshold[fi];
+        let (weights, priority) = (function.weights(), function.priority());
+        // free slots: the free pool's maxima are on the skyline
+        kernel::score_block(weights, priority, skyline.block(), &mut self.scores);
+        for (row, &score) in self.scores.iter().enumerate() {
+            if score <= threshold || best.as_ref().is_some_and(|b| score < b.score) {
+                continue;
+            }
+            // every skyline record is registered
+            let oi = obj_index[&skyline.record_at(row)];
+            Candidate::offer(best, fi, oi, score, SlotKind::Free);
         }
-        let cand = Candidate {
-            fi,
-            oi,
-            score,
-            kind: SlotKind::Free,
-        };
-        if best.as_ref().is_none_or(|b| cand.beats(b)) {
-            *best = Some(cand);
-        }
-    }
-    // saturated slots: displace an object's worst pair
-    table.score_block(fi, steal_block, scores);
-    for (&(oi, worst), &score) in steal.iter().zip(scores.iter()) {
-        if score <= threshold || score <= worst {
-            continue;
-        }
-        let cand = Candidate {
-            fi,
-            oi,
-            score,
-            kind: SlotKind::Steal,
-        };
-        if best.as_ref().is_none_or(|b| cand.beats(b)) {
-            *best = Some(cand);
+        // saturated slots: displace an object's worst pair
+        kernel::score_block(weights, priority, &self.steal_block, &mut self.scores);
+        for (&(oi, worst), &score) in self.steal.iter().zip(self.scores.iter()) {
+            if score > threshold && score > worst {
+                Candidate::offer(best, fi, oi, score, SlotKind::Steal);
+            }
         }
     }
 }
@@ -495,25 +528,40 @@ pub struct AssignmentEngine {
     /// When `true`, departures only tombstone; compaction is caller-driven
     /// (see [`AssignmentEngine::run_compaction_batch`]).
     deferred_compaction: bool,
-    /// Batch-scoring rows aligned with the dense function slab; rebuilt when
-    /// the function set changes (rows of dead slots are never scanned).
-    table: ScoreTable,
-    /// Worker pool for the repair scan (`None` = serial).
-    pool: Option<WorkStealingPool>,
-    /// Reusable per-round scan buffers.
+    /// Functions whose admission threshold may have dropped during the
+    /// current update, and objects that entered the skyline during it (dense
+    /// indices, deduplicated per round; both empty between updates) — see
+    /// [`AssignmentEngine::restabilize`].
+    dirty_f: Vec<usize>,
+    dirty_o: Vec<usize>,
+    /// Reusable per-round search buffers.
     repair: RepairScratch,
 }
 
 impl AssignmentEngine {
-    /// Builds the engine from an initial problem: bulk-loads the R-tree,
-    /// computes the initial skyline with BBS and stabilizes the matching.
+    /// Builds the engine from an initial problem: bulk-loads the R-tree, runs
+    /// **one SB solve** on it and adopts the solver's end state — its
+    /// matching, and its skyline of the unexhausted objects, which *is* the
+    /// free-pool skyline (pruned lists included) that later updates patch.
     /// Index construction is not charged I/O (as in the batch experiments);
-    /// the initial BBS + stable loop is, and is reported separately by
-    /// [`AssignmentEngine::initial_object_io`].
+    /// the solve is, see [`AssignmentEngine::initial_object_io`].
     pub fn new(problem: &Problem, options: &EngineOptions) -> Result<Self, EngineError> {
         options.validate()?;
-        let tree = problem.build_tree(options.fanout, options.buffer_fraction);
-        let objects: Vec<ObjState> = problem
+        if let Some(o) = problem.objects().iter().find(|o| o.capacity == 0) {
+            return Err(EngineError::ZeroCapacityObject(o.id));
+        }
+        if let Some(f) = problem.functions().iter().find(|f| f.capacity == 0) {
+            return Err(EngineError::ZeroCapacityFunction(f.id));
+        }
+        let mut tree = problem.build_tree(options.fanout, options.buffer_fraction);
+        let sb_options = SbOptions {
+            threads: options.threads,
+            ..SbOptions::default()
+        };
+        let (solved, skyline) = sb_with_skyline(problem, &mut tree, &sb_options);
+        let initial_io = tree.stats();
+        // slab order = problem table order
+        let mut objects: Vec<ObjState> = problem
             .objects()
             .iter()
             .map(|o| ObjState {
@@ -527,7 +575,7 @@ impl AssignmentEngine {
             .enumerate()
             .map(|(i, o)| (o.record.id, i))
             .collect();
-        let functions: Vec<FunState> = problem
+        let mut functions: Vec<FunState> = problem
             .functions()
             .iter()
             .map(|f| FunState {
@@ -541,17 +589,43 @@ impl AssignmentEngine {
             .enumerate()
             .map(|(i, f)| (f.pref.id, i))
             .collect();
-        let mut engine = Self {
+        let mut pairs = Vec::with_capacity(solved.assignment.len());
+        for pair in solved.assignment.pairs() {
+            let (fi, oi) = (fun_index[&pair.function], obj_index[&pair.object]);
+            functions[fi].remaining -= 1;
+            objects[oi].remaining -= 1;
+            // SB's lists fold the priority into the weights; thresholds must
+            // carry the bits repair's own scoring produces
+            let score = functions[fi].pref.function.score(&objects[oi].record.point);
+            pairs.push((fi, oi, score));
+        }
+        // The order the greedy trace establishes pairs in from an empty
+        // matching (it never displaces there): `worst_pair_index` breaks
+        // score ties by position, so the order is part of the state.
+        pairs.sort_unstable_by(|a, b| {
+            b.2.partial_cmp(&a.2)
+                .unwrap_or(Ordering::Equal)
+                .then_with(|| (a.0, a.1).cmp(&(b.0, b.1)))
+        });
+        let established = pairs.len() as u64;
+        Ok(Self {
             dims: problem.dims(),
+            stats: EngineStats {
+                // what the round-by-round build from empty would have counted
+                pairs_established: established,
+                repair_rounds: established,
+                live_objects: objects.len() as u64,
+                live_functions: functions.len() as u64,
+                ..EngineStats::default()
+            },
             objects,
             obj_index,
             functions,
             fun_index,
             tree,
-            skyline: Skyline::new(),
-            pairs: Vec::new(),
-            stats: EngineStats::default(),
-            initial_io: IoStats::default(),
+            skyline,
+            pairs,
+            initial_io,
             buffer_fraction: options.buffer_fraction,
             compaction_threshold: options.compaction_threshold,
             compaction_batch: options.compaction_batch,
@@ -559,26 +633,18 @@ impl AssignmentEngine {
             free_obj_slots: Vec::new(),
             free_fun_slots: Vec::new(),
             deferred_compaction: options.deferred_compaction,
-            table: ScoreTable::from_functions(&[]),
-            pool: {
-                let threads = pref_sync::resolve_threads(options.threads);
-                (threads > 1).then(|| WorkStealingPool::with_threads(threads))
-            },
-            repair: RepairScratch::new(),
-        };
-        engine.rebuild_score_table();
-        engine.skyline = compute_skyline_bbs(&mut engine.tree);
-        engine.restabilize();
-        engine.initial_io = engine.tree.stats();
-        Ok(engine)
+            dirty_f: Vec::new(),
+            dirty_o: Vec::new(),
+            repair: RepairScratch::default(),
+        })
     }
 
     /// Rebuilds an engine from an exported checkpoint — the restore half of
     /// [`AssignmentEngine::export_snapshot`], used by the serving tier's
-    /// crash recovery. The live populations are re-indexed and re-solved from
-    /// scratch; by the restart-equivalence guarantee (pinned by the
-    /// `restart_equivalence` test battery) the resulting canonical matching
-    /// is byte-identical to the exporting engine's.
+    /// crash recovery. The live populations are re-indexed and re-solved by
+    /// [`AssignmentEngine::new`]; by the restart-equivalence guarantee (pinned
+    /// by the `restart_equivalence` test battery) the resulting canonical
+    /// matching is byte-identical to the exporting engine's.
     pub fn restore(
         snapshot: &EngineSnapshot,
         options: &EngineOptions,
@@ -595,19 +661,25 @@ impl AssignmentEngine {
 
     /// Number of live objects.
     pub fn num_objects(&self) -> usize {
-        self.objects.iter().filter(|o| o.alive).count()
+        self.stats.live_objects as usize
     }
 
     /// Number of live functions.
     pub fn num_functions(&self) -> usize {
-        self.functions.iter().filter(|f| f.alive).count()
+        self.stats.live_functions as usize
     }
 
     /// Lifetime counters plus the current live/tombstone/index gauges.
     pub fn stats(&self) -> EngineStats {
         let mut stats = self.stats;
-        stats.live_objects = self.num_objects() as u64;
-        stats.live_functions = self.num_functions() as u64;
+        debug_assert_eq!(
+            stats.live_objects as usize,
+            self.objects.iter().filter(|o| o.alive).count()
+        );
+        debug_assert_eq!(
+            stats.live_functions as usize,
+            self.functions.iter().filter(|f| f.alive).count()
+        );
         stats.tombstoned_objects = self.tombstones.len() as u64;
         stats.tree_records = self.tree.len() as u64;
         stats.tree_pages = self.tree.num_pages() as u64;
@@ -674,18 +746,7 @@ impl AssignmentEngine {
     /// thread after each applied batch, never concurrently with updates
     /// (the engine itself is single-writer).
     pub fn export_snapshot(&self) -> EngineSnapshot {
-        let functions: Vec<PreferenceFunction> = self
-            .functions
-            .iter()
-            .filter(|f| f.alive)
-            .map(|f| f.pref.clone())
-            .collect();
-        let objects: Vec<ObjectRecord> = self
-            .objects
-            .iter()
-            .filter(|o| o.alive)
-            .map(|o| o.record.clone())
-            .collect();
+        let (functions, objects) = self.live_populations();
         let pairs: Vec<(FunctionId, RecordId, f64)> = self
             .pairs
             .iter()
@@ -705,21 +766,20 @@ impl AssignmentEngine {
         }
     }
 
+    /// The live functions and objects, in dense slot order.
+    fn live_populations(&self) -> (Vec<PreferenceFunction>, Vec<ObjectRecord>) {
+        let functions = self.functions.iter().filter(|f| f.alive);
+        let objects = self.objects.iter().filter(|o| o.alive);
+        (
+            functions.map(|f| f.pref.clone()).collect(),
+            objects.map(|o| o.record.clone()).collect(),
+        )
+    }
+
     /// A [`Problem`] snapshot of the live population (full capacities), e.g.
     /// for oracle comparison or an index rebuild.
     pub fn snapshot_problem(&self) -> Result<Problem, EngineError> {
-        let functions: Vec<PreferenceFunction> = self
-            .functions
-            .iter()
-            .filter(|f| f.alive)
-            .map(|f| f.pref.clone())
-            .collect();
-        let objects: Vec<ObjectRecord> = self
-            .objects
-            .iter()
-            .filter(|o| o.alive)
-            .map(|o| o.record.clone())
-            .collect();
+        let (functions, objects) = self.live_populations();
         Problem::new(functions, objects).map_err(|_| EngineError::EmptyProblem)
     }
 
@@ -739,6 +799,9 @@ impl AssignmentEngine {
                 expected: self.dims,
                 got: object.point.dims(),
             });
+        }
+        if object.capacity == 0 {
+            return Err(EngineError::ZeroCapacityObject(object.id));
         }
         if self.obj_index.contains_key(&object.id) {
             return Err(EngineError::DuplicateObject(object.id));
@@ -773,20 +836,14 @@ impl AssignmentEngine {
             alive: true,
         };
         let data = DataEntry::new(state.record.id, state.record.point.clone());
-        let oi = match self.free_obj_slots.pop() {
-            Some(oi) => {
-                self.objects[oi] = state;
-                oi
-            }
-            None => {
-                self.objects.push(state);
-                self.objects.len() - 1
-            }
-        };
+        let oi = place(&mut self.objects, &mut self.free_obj_slots, state);
         self.obj_index.insert(data.record, oi);
-        insert_skyline(&mut self.skyline, data);
+        if insert_skyline(&mut self.skyline, data).entered() {
+            self.dirty_o.push(oi);
+        }
         self.stats.updates += 1;
         self.stats.object_inserts += 1;
+        self.stats.live_objects += 1;
         self.restabilize();
         Ok(())
     }
@@ -808,6 +865,7 @@ impl AssignmentEngine {
             if self.pairs[i].1 == oi {
                 let (fi, _, _) = self.pairs.swap_remove(i);
                 self.functions[fi].remaining += 1;
+                self.dirty_f.push(fi);
                 self.stats.pairs_retracted += 1;
             } else {
                 i += 1;
@@ -821,6 +879,7 @@ impl AssignmentEngine {
         }
         self.stats.updates += 1;
         self.stats.object_removes += 1;
+        self.stats.live_objects -= 1;
         self.restabilize();
         if !self.deferred_compaction {
             self.maybe_compact();
@@ -838,6 +897,9 @@ impl AssignmentEngine {
                 got: function.function.dims(),
             });
         }
+        if function.capacity == 0 {
+            return Err(EngineError::ZeroCapacityFunction(function.id));
+        }
         if self.fun_index.contains_key(&function.id) {
             return Err(EngineError::DuplicateFunction(function.id));
         }
@@ -846,35 +908,14 @@ impl AssignmentEngine {
             pref: function,
             alive: true,
         };
-        let fi = match self.free_fun_slots.pop() {
-            Some(fi) => {
-                self.functions[fi] = state;
-                fi
-            }
-            None => {
-                self.functions.push(state);
-                self.functions.len() - 1
-            }
-        };
+        let fi = place(&mut self.functions, &mut self.free_fun_slots, state);
         self.fun_index.insert(self.functions[fi].pref.id, fi);
-        self.rebuild_score_table();
+        self.dirty_f.push(fi);
         self.stats.updates += 1;
         self.stats.function_inserts += 1;
+        self.stats.live_functions += 1;
         self.restabilize();
         Ok(())
-    }
-
-    /// Re-derives the batch-scoring table from the dense function slab. Only
-    /// needed when a slot's weights change (construction and function
-    /// arrivals, including slot reuse): departures leave their row in place,
-    /// and dead rows are filtered out of every scan.
-    fn rebuild_score_table(&mut self) {
-        let rows: Vec<pref_geom::LinearFunction> = self
-            .functions
-            .iter()
-            .map(|f| f.pref.function.clone())
-            .collect();
-        self.table = ScoreTable::from_functions(&rows);
     }
 
     /// A function departs: its pairs are retracted and the freed objects
@@ -902,6 +943,7 @@ impl AssignmentEngine {
         self.free_fun_slots.push(fi);
         self.stats.updates += 1;
         self.stats.function_removes += 1;
+        self.stats.live_functions -= 1;
         self.restabilize();
         Ok(())
     }
@@ -916,12 +958,16 @@ impl AssignmentEngine {
                 self.objects[oi].record.id,
                 self.objects[oi].record.point.clone(),
             );
-            insert_skyline(&mut self.skyline, data);
+            if insert_skyline(&mut self.skyline, data).entered() {
+                self.dirty_o.push(oi);
+            }
         }
     }
 
     /// Replenishes the free-pool skyline after removing skyline objects,
     /// filtering departed and saturated records out of the candidate stream.
+    /// The entrants — the rows past the pre-call length, since the skyline
+    /// only grows inside `update_skyline_filtered` — become dirty.
     fn replenish_skyline(&mut self, removed: Vec<pref_skyline::SkylineObject>) {
         let objects = &self.objects;
         let obj_index = &self.obj_index;
@@ -929,7 +975,12 @@ impl AssignmentEngine {
             Some(&oi) => !objects[oi].alive || objects[oi].remaining == 0,
             None => true,
         };
+        let before = self.skyline.len();
         update_skyline_filtered(&mut self.tree, &mut self.skyline, removed, &drop);
+        // (the drop filter only lets registered records through)
+        let entrants = before..self.skyline.len();
+        self.dirty_o
+            .extend(entrants.map(|row| self.obj_index[&self.skyline.record_at(row)]));
     }
 
     /// `true` when the engine was configured with
@@ -976,20 +1027,14 @@ impl AssignmentEngine {
     /// ratio at or below the threshold, so the R-tree's record count stays
     /// within `1 / (1 - threshold)` of the live population.
     fn maybe_compact(&mut self) {
-        let Some(threshold) = self.compaction_threshold else {
+        if !self.compaction_due() {
             return;
-        };
-        let mut compacted = false;
-        while !self.tombstones.is_empty()
-            && self.tombstones.len() as f64 > threshold * self.tree.len() as f64
-        {
+        }
+        while self.compaction_due() {
             self.compact_batch();
-            compacted = true;
         }
-        if compacted {
-            // the tree shrank: re-derive the LRU buffer from the live pages
-            self.tree.set_buffer_fraction(self.buffer_fraction);
-        }
+        // the tree shrank: re-derive the LRU buffer from the live pages
+        self.tree.set_buffer_fraction(self.buffer_fraction);
     }
 
     /// Physically deletes one batch of tombstoned records (oldest departures
@@ -1030,167 +1075,117 @@ impl AssignmentEngine {
     /// so the loop replays the tail of the greedy trace of Section 3 and
     /// terminates with the matching of the batch solvers.
     ///
-    /// The best free object per function is read off the maintained skyline
-    /// (the free pool's maxima live there); saturated objects are probed
-    /// through the current pairs. Neither probe touches the R-tree — the only
-    /// I/O in the repair path is `UpdateSkyline` replenishment when a free
-    /// object becomes saturated.
+    /// The search follows the change. Invariant: *every admissible candidate
+    /// `(f, o)` has `f ∈ dirty_f` or `o ∈ dirty_o`.* It holds when an update
+    /// starts (both empty, the matching stable) and every step that can lower
+    /// a bar restores it: a function is marked when its threshold can drop
+    /// (it arrives, a departing object retracts one of its pairs, `establish`
+    /// steals one), an object when it enters the skyline (arrival, re-entry
+    /// after a freed slot, `UpdateSkyline` replenishment). Nothing else does:
+    /// a gained pair raises its sides' bars, a newly saturated object trades
+    /// `-inf` for its worst pair score, demotion and compaction only remove
+    /// candidates. Debug builds check the outcome after every update.
+    ///
+    /// Neither probe touches the R-tree — the only I/O in the repair path is
+    /// `UpdateSkyline` replenishment when a free object becomes saturated.
     fn restabilize(&mut self) {
         while let Some(best) = self.best_candidate() {
             self.establish(best);
             self.stats.repair_rounds += 1;
         }
+        self.dirty_f.clear();
+        self.dirty_o.clear();
+        if cfg!(debug_assertions) {
+            self.assert_stable();
+        }
     }
 
     /// Finds the highest-scoring admissible candidate, or `None` when the
-    /// matching is stable.
-    ///
-    /// The scan is columnar: the free-pool skyline and the saturated
-    /// displacement targets are mirrored into [`SoaBlock`]s once per round
-    /// (reusable buffers, no per-round allocation in steady state) and every
-    /// active function batch-scores them through the [`pref_geom::kernel`]
-    /// lane kernels — bit-identical to the scalar
-    /// `f.pref.function.score(point)` path. When a pool is configured and
-    /// the round's work clears [`PARALLEL_WORK_FLOOR`], the active functions
-    /// are partitioned across the workers; [`Candidate::beats`] is a strict
-    /// total order, so the per-partition maxima merge to the same unique
-    /// overall best the serial scan finds, at any thread count.
+    /// matching is stable: the best under [`Candidate::beats`] over
+    /// `dirty_f × (skyline ∪ saturated)` ∪ `live F × dirty_o`. By the
+    /// invariant of [`AssignmentEngine::restabilize`] that set holds the
+    /// overall best, and `beats` is a strict total order, so this is the
+    /// candidate a scan of all live functions would pick (block and scalar
+    /// scores are bit-identical). With nothing dirty, nothing is scored.
     fn best_candidate(&mut self) -> Option<Candidate> {
-        // per-function admission threshold: -inf with spare capacity,
-        // otherwise the function's worst pair score
-        let f_threshold = &mut self.repair.f_threshold;
-        f_threshold.clear();
-        f_threshold.extend(self.functions.iter().map(|f| {
-            if f.alive && f.remaining > 0 {
-                f64::NEG_INFINITY
+        if self.dirty_f.is_empty() && self.dirty_o.is_empty() {
+            return None;
+        }
+        for dirty in [&mut self.dirty_f, &mut self.dirty_o] {
+            dirty.sort_unstable();
+            dirty.dedup();
+        }
+        self.repair
+            .prepare(&self.functions, &self.objects, &self.pairs);
+        let mut best: Option<Candidate> = None;
+        for &fi in &self.dirty_f {
+            let f = &self.functions[fi];
+            if f.alive {
+                self.repair.scan_function(
+                    fi,
+                    &f.pref.function,
+                    &self.skyline,
+                    &self.obj_index,
+                    &mut best,
+                );
+                self.stats.candidates_scored +=
+                    (self.skyline.len() + self.repair.steal.len()) as u64;
+            }
+        }
+        let RepairScratch {
+            f_threshold, steal, ..
+        } = &self.repair;
+        for &oi in &self.dirty_o {
+            let o = &self.objects[oi];
+            // what the object offers now: a free slot while it is still on
+            // the skyline, its worst pair once saturated, nothing once it
+            // departed or was demoted
+            let (kind, bar) = if o.alive && o.remaining > 0 {
+                if !self.skyline.contains(o.record.id) {
+                    continue;
+                }
+                (SlotKind::Free, f64::NEG_INFINITY)
             } else {
-                f64::INFINITY
+                match steal.binary_search_by_key(&oi, |&(oi, _)| oi) {
+                    Ok(at) => (SlotKind::Steal, steal[at].1),
+                    Err(_) => continue,
+                }
+            };
+            for (fi, f) in self.functions.iter().enumerate() {
+                if !f.alive {
+                    continue;
+                }
+                let score = f.pref.function.score(&o.record.point);
+                if score > f_threshold[fi] && score > bar {
+                    Candidate::offer(&mut best, fi, oi, score, kind);
+                }
             }
-        }));
-        // per-object worst pair score (saturated slot displacement targets)
-        let o_worst = &mut self.repair.o_worst;
-        o_worst.clear();
-        o_worst.resize(self.objects.len(), f64::INFINITY);
-        for &(fi, oi, score) in &self.pairs {
-            if f_threshold[fi] > score {
-                f_threshold[fi] = score;
-            }
-            if score < o_worst[oi] {
-                o_worst[oi] = score;
-            }
+            self.stats.candidates_scored += self.stats.live_functions;
         }
-        let sky_block = Arc::make_mut(&mut self.repair.sky_block);
-        sky_block.clear();
-        let sky_ois = Arc::make_mut(&mut self.repair.sky_ois);
-        sky_ois.clear();
-        for (record, point) in self.skyline.entry_views() {
-            sky_block.push_point(point);
-            sky_ois.push(
-                *self
-                    .obj_index
-                    .get(&record)
-                    // lint: allow(no-unwrap) -- internal invariant: the skyline only yields registered records
-                    .expect("skyline records are registered"),
-            );
-        }
-        // Saturated targets only: an object with free capacity is covered by
-        // the skyline path without displacing anyone. Dense ascending object
-        // order keeps the scan deterministic (`beats` already makes the
-        // outcome order-independent — this keeps the build order replayable
-        // too).
-        let steal_block = Arc::make_mut(&mut self.repair.steal_block);
-        steal_block.clear();
-        let steal = Arc::make_mut(&mut self.repair.steal);
-        steal.clear();
-        for (oi, &worst) in o_worst.iter().enumerate() {
-            if worst == f64::INFINITY || self.objects[oi].remaining > 0 {
-                continue;
-            }
-            steal_block.push_point(&self.objects[oi].record.point);
-            steal.push((oi, worst));
-        }
-        // functions worth scanning this round
-        let active = &mut self.repair.active;
-        active.clear();
-        for (fi, f) in self.functions.iter().enumerate() {
-            if !f.alive {
-                continue;
-            }
-            let threshold = f_threshold[fi];
-            if f.remaining == 0 && threshold == f64::INFINITY {
-                // dead weight: saturated with no pairs cannot happen, but a
-                // function with capacity 0 pairs and no remaining is inert
-                continue;
-            }
-            active.push((fi, threshold));
-        }
+        best
+    }
 
-        let rows = self.repair.sky_ois.len() + self.repair.steal.len();
-        let parallel = self.pool.as_ref().filter(|p| {
-            p.threads() > 1
-                && self.repair.active.len() > 1
-                && self.repair.active.len() * rows >= PARALLEL_WORK_FLOOR
-        });
-        match parallel {
-            Some(pool) => {
-                let span = self.repair.active.len().div_ceil(pool.threads());
-                let jobs: Vec<_> = self
-                    .repair
-                    .active
-                    .chunks(span)
-                    .map(|chunk| {
-                        let chunk = chunk.to_vec();
-                        let sky_block = Arc::clone(&self.repair.sky_block);
-                        let sky_ois = Arc::clone(&self.repair.sky_ois);
-                        let steal_block = Arc::clone(&self.repair.steal_block);
-                        let steal = Arc::clone(&self.repair.steal);
-                        let table = self.table.clone();
-                        move || {
-                            let mut scores: Vec<f64> = Vec::new();
-                            let mut best: Option<Candidate> = None;
-                            for &(fi, threshold) in &chunk {
-                                scan_function(
-                                    fi,
-                                    threshold,
-                                    &table,
-                                    &sky_block,
-                                    &sky_ois,
-                                    &steal_block,
-                                    &steal,
-                                    &mut scores,
-                                    &mut best,
-                                );
-                            }
-                            best
-                        }
-                    })
-                    .collect();
-                let mut best: Option<Candidate> = None;
-                for cand in pool.run(jobs).into_iter().flatten() {
-                    if best.as_ref().is_none_or(|b| cand.beats(b)) {
-                        best = Some(cand);
-                    }
-                }
-                best
-            }
-            None => {
-                let mut best: Option<Candidate> = None;
-                for &(fi, threshold) in self.repair.active.iter() {
-                    scan_function(
-                        fi,
-                        threshold,
-                        &self.table,
-                        &self.repair.sky_block,
-                        &self.repair.sky_ois,
-                        &self.repair.steal_block,
-                        &self.repair.steal,
-                        &mut self.repair.scores,
-                        &mut best,
-                    );
-                }
-                best
+    /// Debug-build post-condition of every update: a scan of all live
+    /// functions over `skyline ∪ saturated` finds no admissible candidate.
+    fn assert_stable(&mut self) {
+        self.repair
+            .prepare(&self.functions, &self.objects, &self.pairs);
+        let mut best: Option<Candidate> = None;
+        for (fi, f) in self.functions.iter().enumerate() {
+            if f.alive {
+                self.repair.scan_function(
+                    fi,
+                    &f.pref.function,
+                    &self.skyline,
+                    &self.obj_index,
+                    &mut best,
+                );
             }
         }
+        assert!(
+            best.is_none(),
+            "repair stopped with an admissible candidate left: {best:?}"
+        );
     }
 
     /// Establishes a candidate pair, displacing the necessary worst pairs.
@@ -1214,6 +1209,7 @@ impl AssignmentEngine {
                 .expect("stolen object has pairs");
             let (fi, _, _) = self.pairs.swap_remove(victim);
             self.functions[fi].remaining += 1;
+            self.dirty_f.push(fi);
             self.objects[cand.oi].remaining += 1;
             self.stats.pairs_retracted += 1;
         }

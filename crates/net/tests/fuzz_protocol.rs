@@ -12,7 +12,7 @@ use pref_assign::{ObjectRecord, PreferenceFunction, Problem};
 use pref_geom::{LinearFunction, Point};
 use pref_net::frame::{self, Frame};
 use pref_net::{NetClient, NetError, Server, ServerConfig, TokenBucketConfig};
-use pref_service::{ServiceConfig, ShardedService, UpdateOp};
+use pref_service::{encode_batch, ServiceConfig, ShardedService, UpdateOp};
 use std::io::Write;
 use std::net::TcpStream;
 
@@ -178,6 +178,65 @@ fn bad_payloads_answer_typed_errors_and_keep_serving() {
         frame::read_frame(&mut stream).unwrap().opcode,
         frame::OP_PING | frame::OP_REPLY
     );
+    stop(server);
+}
+
+/// A checksum-valid `OP_UPDATE` whose batch carries a capacity-0 arrival
+/// used to reach the engine, where it panicked the shard writer (debug) or
+/// wrapped a counter and swallowed the matching (release).
+#[test]
+fn zero_capacity_updates_answer_a_typed_error_and_keep_serving() {
+    let server = default_server();
+    let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+    let zero_object = UpdateOp::InsertObject(ObjectRecord {
+        capacity: 0,
+        ..ObjectRecord::new(77, Point::from_slice(&[0.99, 0.99]))
+    });
+    let zero_function = UpdateOp::InsertFunction(PreferenceFunction {
+        capacity: 0,
+        ..PreferenceFunction::new(7, LinearFunction::new(vec![0.5, 0.5]).unwrap())
+    });
+    for op in [zero_object, zero_function] {
+        // a real arrival rides in the same batch: none of it may apply
+        let batch = [
+            UpdateOp::InsertObject(ObjectRecord::new(78, Point::from_slice(&[0.9, 0.9]))),
+            op,
+        ];
+        let bytes = encoded(&Frame::request(
+            frame::OP_UPDATE,
+            TENANT,
+            encode_batch(&batch),
+        ));
+        stream.write_all(&bytes).unwrap();
+        let reply = frame::read_frame(&mut stream).unwrap();
+        assert_eq!(error_code(&reply), frame::ERR_BAD_PAYLOAD);
+        assert!(String::from_utf8_lossy(&reply.payload[1..]).contains("capacity 0"));
+    }
+    // the connection survives
+    let bytes = encoded(&Frame::request(frame::OP_PING, TENANT, Vec::new()));
+    stream.write_all(&bytes).unwrap();
+    assert_eq!(
+        frame::read_frame(&mut stream).unwrap().opcode,
+        frame::OP_PING | frame::OP_REPLY
+    );
+    // and so does the shard: nothing was submitted, and a real update lands
+    let mut client = NetClient::connect(server.local_addr()).unwrap();
+    let stats = client.stats(TENANT).unwrap();
+    assert_eq!(
+        (stats.processed, stats.rejected, stats.live_objects),
+        (0, 0, 6)
+    );
+    client
+        .update(
+            TENANT,
+            &[UpdateOp::InsertObject(ObjectRecord::new(
+                77,
+                Point::from_slice(&[0.99, 0.99]),
+            ))],
+        )
+        .unwrap();
+    client.flush(TENANT).unwrap();
+    assert_eq!(client.functions_of(TENANT, 77).unwrap().pairs.len(), 1);
     stop(server);
 }
 

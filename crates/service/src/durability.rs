@@ -167,6 +167,11 @@ fn encode_object(o: &ObjectRecord, buf: &mut Vec<u8>) {
 fn decode_object(r: &mut Cursor<'_>) -> Result<ObjectRecord, StorageError> {
     let id = r.u64()?;
     let capacity = r.u32()?;
+    if capacity == 0 {
+        return Err(StorageError::Corrupt(format!(
+            "object {id} carries capacity 0"
+        )));
+    }
     let dims = r.u16()? as usize;
     let coords = r.f64s(dims)?;
     Ok(ObjectRecord {
@@ -189,6 +194,11 @@ fn encode_function(f: &PreferenceFunction, buf: &mut Vec<u8>) {
 fn decode_function(r: &mut Cursor<'_>) -> Result<PreferenceFunction, StorageError> {
     let id = r.u64()?;
     let capacity = r.u32()?;
+    if capacity == 0 {
+        return Err(StorageError::Corrupt(format!(
+            "function {id} carries capacity 0"
+        )));
+    }
     let priority = r.f64()?;
     let dims = r.u16()? as usize;
     let weights = r.f64s(dims)?;
@@ -232,7 +242,8 @@ pub fn encode_batch(batch: &[UpdateOp]) -> Vec<u8> {
 }
 
 /// Decodes an [`encode_batch`] payload back into an update batch. Strict:
-/// truncation, unknown op tags and trailing bytes are all errors.
+/// truncation, unknown op tags, trailing bytes and capacity-0 arrivals are
+/// all errors.
 pub fn decode_batch(bytes: &[u8]) -> Result<Vec<UpdateOp>, StorageError> {
     let mut r = Cursor::new(bytes);
     let count = r.u32()? as usize;
@@ -381,8 +392,27 @@ impl ShardDurability {
 
     /// Appends one batch to the WAL (durable per policy only after
     /// [`ShardDurability::sync_for_ack`]). Returns the record's sequence.
+    ///
+    /// Capacity-0 arrivals — which [`decode_batch`] refuses — are left out of
+    /// the record: the engine rejects them whatever its state, so replay is
+    /// unchanged, and a record this program wrote must never fail to decode.
     pub fn log_batch(&mut self, batch: &[UpdateOp]) -> Result<u64, StorageError> {
-        let seq = self.writer.append(&encode_batch(batch))?;
+        let zero_capacity = |op: &UpdateOp| match op {
+            UpdateOp::InsertObject(o) => o.capacity == 0,
+            UpdateOp::InsertFunction(f) => f.capacity == 0,
+            UpdateOp::RemoveObject(_) | UpdateOp::RemoveFunction(_) => false,
+        };
+        let payload = if batch.iter().any(zero_capacity) {
+            let loggable: Vec<UpdateOp> = batch
+                .iter()
+                .filter(|op| !zero_capacity(op))
+                .cloned()
+                .collect();
+            encode_batch(&loggable)
+        } else {
+            encode_batch(batch)
+        };
+        let seq = self.writer.append(&payload)?;
         self.unsynced += 1;
         Ok(seq)
     }
@@ -529,6 +559,45 @@ mod tests {
         let mut bad_tag = bytes;
         bad_tag[4] = 200;
         assert!(decode_batch(&bad_tag).is_err());
+    }
+
+    #[test]
+    fn zero_capacity_is_refused_by_the_decoders_and_never_logged() {
+        let zero_object = ObjectRecord {
+            capacity: 0,
+            ..objects()[0].clone()
+        };
+        let zero_function = PreferenceFunction {
+            capacity: 0,
+            ..functions()[0].clone()
+        };
+        for op in [
+            UpdateOp::InsertObject(zero_object.clone()),
+            UpdateOp::InsertFunction(zero_function.clone()),
+        ] {
+            let err = decode_batch(&encode_batch(&[op])).unwrap_err();
+            assert!(matches!(err, StorageError::Corrupt(_)), "{err:?}");
+        }
+        let payload = encode_checkpoint(std::slice::from_ref(&zero_function), &objects());
+        assert!(decode_checkpoint(&payload).is_err());
+        let payload = encode_checkpoint(&functions(), std::slice::from_ref(&zero_object));
+        assert!(decode_checkpoint(&payload).is_err());
+
+        // an in-process submit of such an op must not poison the WAL: the
+        // record holds the rest of the batch and recovery replays it
+        let dir = temp_dir("zero-capacity");
+        let mut d =
+            ShardDurability::create(&dir, FsyncPolicy::Always, 100, &functions(), &objects())
+                .unwrap();
+        let mut logged = batch();
+        logged.insert(1, UpdateOp::InsertObject(zero_object));
+        logged.push(UpdateOp::InsertFunction(zero_function));
+        d.log_batch(&logged).unwrap();
+        d.sync_for_ack().unwrap();
+        drop(d);
+        let rec = ShardDurability::recover(&dir, FsyncPolicy::Always, 100).unwrap();
+        assert_eq!(rec.batches, vec![batch()]);
+        std::fs::remove_dir_all(&dir).ok(); // lint: allow(no-raw-fs) -- test scaffolding cleanup
     }
 
     #[test]

@@ -819,6 +819,48 @@ mod tests {
         shard.join().unwrap();
     }
 
+    /// A capacity-0 arrival used to reach `remaining -= 1`: a panic that
+    /// killed the writer in debug builds, a wrapped counter that swallowed
+    /// every function in release builds.
+    #[test]
+    fn zero_capacity_arrivals_are_rejected_not_fatal() {
+        let mut shard = start_shard();
+        let before = shard.latest().view().to_assignment().canonical();
+        shard
+            .submit_batch(vec![
+                UpdateOp::InsertObject(ObjectRecord {
+                    id: RecordId(5),
+                    point: Point::from_slice(&[0.99, 0.99]),
+                    capacity: 0,
+                }),
+                UpdateOp::InsertFunction(PreferenceFunction {
+                    id: FunctionId(9),
+                    function: LinearFunction::new(vec![0.5, 0.5]).unwrap(),
+                    capacity: 0,
+                }),
+            ])
+            .unwrap();
+        shard.flush().unwrap();
+        let stats = shard.stats();
+        assert_eq!((stats.processed, stats.rejected), (2, 2));
+        assert!(stats.last_rejection.unwrap().contains("capacity 0"));
+        let snap = shard.latest();
+        assert!(!snap.objects().iter().any(|o| o.id == RecordId(5)));
+        assert_eq!(snap.view().to_assignment().canonical(), before);
+        snap.verify().unwrap();
+        // the writer is alive: the same ids with real capacities go through
+        shard
+            .submit(UpdateOp::InsertObject(ObjectRecord::new(
+                5,
+                Point::from_slice(&[0.99, 0.99]),
+            )))
+            .unwrap();
+        shard.flush().unwrap();
+        assert_eq!(shard.latest().functions_of(RecordId(5)).unwrap().len(), 1);
+        shard.close();
+        shard.join().unwrap();
+    }
+
     #[test]
     fn submits_after_close_fail_fast() {
         let mut shard = start_shard();

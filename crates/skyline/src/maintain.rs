@@ -34,6 +34,10 @@ pub fn update_skyline(tree: &mut RTree, skyline: &mut Skyline, removed: Vec<Skyl
 /// copies of objects the engine already tracks in memory. Batch SB keeps
 /// using the unfiltered wrapper — its candidate stream visits every entry
 /// exactly once (Theorem 1), so no filter is needed there.
+///
+/// The skyline only grows during the call (nothing is removed or reordered),
+/// so afterwards the entrants are exactly the rows from the pre-call
+/// [`Skyline::len`] on.
 pub fn update_skyline_filtered(
     tree: &mut RTree,
     skyline: &mut Skyline,

@@ -85,6 +85,22 @@ impl Skyline {
         self.data_entries().map(|d| (d.record, &d.point))
     }
 
+    /// The maintained columnar mirror of the skyline points, for batch
+    /// scoring without copying them out: row `i` is the point of the object
+    /// [`Skyline::record_at`]`(i)` names. Rows follow skyline order —
+    /// insertions append, removals swap the last row into the gap.
+    pub fn block(&self) -> &SoaBlock {
+        &self.soa
+    }
+
+    /// Record id of the skyline object in row `row` of [`Skyline::block`].
+    ///
+    /// # Panics
+    /// Panics if `row >= self.len()`.
+    pub fn record_at(&self, row: usize) -> RecordId {
+        self.objects[row].data.record
+    }
+
     /// Record ids of the skyline objects.
     pub fn records(&self) -> Vec<RecordId> {
         self.objects.iter().map(|o| o.data.record).collect()
@@ -509,9 +525,16 @@ mod tests {
         s.attach_to_dominator(NodeEntry::Data(data(9, &[0.05, 0.8])))
             .unwrap();
         assert_eq!(s.get(RecordId(3)).unwrap().plist.len(), 1);
+        // the exposed block is that same mirror, row for row
+        for (row, (record, point)) in s.entry_views().enumerate() {
+            assert_eq!(s.record_at(row), record);
+            let coords: Vec<f64> = (0..2).map(|d| s.block().lane(d)[row]).collect();
+            assert_eq!(coords, point.coords());
+        }
         s.remove(RecordId(1)).unwrap();
         s.remove(RecordId(3)).unwrap();
         assert!(!s.dominates_point(&Point::from_slice(&[0.0, 0.0])));
+        assert!(s.block().is_empty());
     }
 
     #[test]
