@@ -172,6 +172,8 @@ pub fn sb_with_skyline(
     // solver-specific per-object search state, indexed by the dense index
     let mut ta_states: Vec<Option<ReverseTopOne>> = vec![None; n_obj];
     let mut excluded: Vec<bool> = vec![false; n_obj];
+    // dense indices of the current loop's skyline, for the memory accounting
+    let mut sky_rows: Vec<usize> = Vec::new();
 
     let mut skyline: Skyline = compute_skyline_bbs(tree);
 
@@ -186,6 +188,8 @@ pub fn sb_with_skyline(
         // --- best function for every skyline object -------------------------
         // Borrowed entry views: (dense index, record, &point), no cloning.
         let sky_views: Vec<(usize, RecordId, &Point)> = state.sky_views(problem, &skyline);
+        sky_rows.clear();
+        sky_rows.extend(sky_views.iter().map(|&(oi, ..)| oi));
         // candidate function set for the two-skyline strategy, sorted so that
         // exact score ties resolve to the lowest function index
         let function_skyline: Option<Vec<usize>> = match options.best_pair {
@@ -296,9 +300,12 @@ pub fn sb_with_skyline(
         }
 
         // --- memory accounting ----------------------------------------------
-        let ta_mem: u64 = ta_states
+        // A state exists only for an object that was on this loop's skyline:
+        // it is dropped when its object is exhausted, and this loop's
+        // entrants have not been searched yet — |S| slots to visit, not |O|.
+        let ta_mem: u64 = sky_rows
             .iter()
-            .flatten()
+            .filter_map(|&oi| ta_states[oi].as_ref())
             .map(ReverseTopOne::memory_bytes)
             .sum();
         gauge.observe(skyline.memory_bytes() + ta_mem);

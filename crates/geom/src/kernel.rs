@@ -261,29 +261,126 @@ fn score_lanes_generic(weights: &[f64], priority: f64, block: &SoaBlock, out: &m
     }
 }
 
+/// Rows per chunk of [`first_dominator`]: one mask byte per row fills two SSE2
+/// or one AVX2 register, and a chunk of `f64`s per lane is four cache lines.
+const DOMINANCE_CHUNK: usize = 32;
+
 /// Returns the index of the first point in `block` that *dominates* `coords`
 /// (component-wise `>=` everywhere, `>` somewhere — the paper's Section 2.2
 /// definition, larger-is-better), or `None`. This is the columnar form of the
 /// skyline pruning scan: the lanes are contiguous, so the scan streams cache
 /// lines instead of chasing per-point heap boxes.
+///
+/// Rows are tested 32 at a time (`DOMINANCE_CHUNK`) without a branch per row or
+/// per dimension — on data where a row fails at an unpredictable dimension
+/// (anti-correlated points) an early exit per row costs more in mispredicted
+/// branches than the comparisons it skips — and the scan stops at the first
+/// chunk holding a dominator, whose first such row is the answer: the same
+/// row a row-by-row scan returns.
+///
+/// # Panics
+/// Panics if `coords.len() != block.dims()` (unless the block is empty).
 pub fn first_dominator(block: &SoaBlock, coords: &[f64]) -> Option<usize> {
     if block.is_empty() {
         return None;
     }
-    debug_assert_eq!(block.dims(), coords.len(), "dimension mismatch");
-    let dims = block.dims();
-    'points: for i in 0..block.len() {
-        let mut strict = false;
-        for (d, &c) in coords.iter().enumerate().take(dims) {
-            let v = block.lane(d)[i];
-            if v < c {
-                continue 'points;
+    assert_eq!(coords.len(), block.dims(), "dimension mismatch");
+    match coords.len() {
+        1 => first_dominator_const::<1>(block, coords),
+        2 => first_dominator_const::<2>(block, coords),
+        3 => first_dominator_const::<3>(block, coords),
+        4 => first_dominator_const::<4>(block, coords),
+        5 => first_dominator_const::<5>(block, coords),
+        6 => first_dominator_const::<6>(block, coords),
+        7 => first_dominator_const::<7>(block, coords),
+        8 => first_dominator_const::<8>(block, coords),
+        _ => first_dominator_generic(block, coords),
+    }
+}
+
+/// `true` iff some byte of a chunk's mask is set: an OR-fold, not a search,
+/// so the common all-clear answer costs no branch per row.
+#[inline]
+fn any_set(mask: &[u8]) -> bool {
+    mask.iter().fold(0u8, |any, &m| any | m) != 0
+}
+
+/// Index of the first non-zero byte of a chunk's dominance mask.
+#[inline]
+fn first_set(mask: &[u8]) -> Option<usize> {
+    if any_set(mask) {
+        mask.iter().position(|&m| m != 0)
+    } else {
+        None
+    }
+}
+
+/// Fixed-dimensionality dominance scan: like [`score_lanes_const`] the
+/// dimension loop has a compile-time trip count and the row loop runs over
+/// lanes pre-cut to a common length, so each chunk is a branch-free
+/// compare-and-combine ladder across the row axis.
+#[inline]
+fn first_dominator_const<const D: usize>(block: &SoaBlock, coords: &[f64]) -> Option<usize> {
+    let n = block.len();
+    let mut c = [0.0f64; D];
+    let mut cols: [&[f64]; D] = [&[]; D];
+    for d in 0..D {
+        c[d] = coords[d];
+        cols[d] = &block.lane(d)[..n];
+    }
+    let dominates = |i: usize| {
+        let mut ge = true;
+        let mut gt = false;
+        for d in 0..D {
+            let v = cols[d][i];
+            ge &= v >= c[d];
+            gt |= v > c[d];
+        }
+        ge & gt
+    };
+    let mut base = 0;
+    while base + DOMINANCE_CHUNK <= n {
+        let mut mask = [0u8; DOMINANCE_CHUNK];
+        for (j, m) in mask.iter_mut().enumerate() {
+            *m = u8::from(dominates(base + j));
+        }
+        if let Some(j) = first_set(&mask) {
+            return Some(base + j);
+        }
+        base += DOMINANCE_CHUNK;
+    }
+    (base..n).find(|&i| dominates(i))
+}
+
+/// Runtime-dimensionality fallback (D > 8), dimension-major within a chunk:
+/// one compare pass per dimension over the chunk's slice of that lane. A
+/// chunk is abandoned as soon as none of its rows is still `>=` in every
+/// dimension tested — with many dimensions that happens after a few passes,
+/// which is what keeps the chunked scan ahead of a per-row early exit.
+fn first_dominator_generic(block: &SoaBlock, coords: &[f64]) -> Option<usize> {
+    let n = block.len();
+    let mut base = 0;
+    while base < n {
+        let len = DOMINANCE_CHUNK.min(n - base);
+        let mut ge = [1u8; DOMINANCE_CHUNK];
+        let mut gt = [0u8; DOMINANCE_CHUNK];
+        for (d, &c) in coords.iter().enumerate() {
+            let lane = &block.lane(d)[base..base + len];
+            for ((ge, gt), &v) in ge.iter_mut().zip(gt.iter_mut()).zip(lane) {
+                *ge &= u8::from(v >= c);
+                *gt |= u8::from(v > c);
             }
-            strict |= v > c;
+            if !any_set(&ge[..len]) {
+                break;
+            }
         }
-        if strict {
-            return Some(i);
+        for (ge, &gt) in ge.iter_mut().zip(gt.iter()) {
+            *ge &= gt;
         }
+        if let Some(j) = first_set(&ge[..len]) {
+            return Some(base + j);
+        }
+        base += len;
     }
     None
 }
@@ -503,6 +600,132 @@ mod tests {
         // dominated by the first point
         assert_eq!(first_dominator(&block, &[0.1, 0.8]), Some(0));
         assert_eq!(first_dominator(&SoaBlock::new(), &[0.1]), None);
+    }
+
+    /// The definition the chunked scan must reproduce: rows in order, each
+    /// abandoned at its first failing dimension.
+    fn first_dominator_scalar(rows: &[Vec<f64>], coords: &[f64]) -> Option<usize> {
+        'rows: for (i, row) in rows.iter().enumerate() {
+            let mut strict = false;
+            for (&v, &c) in row.iter().zip(coords) {
+                if v < c {
+                    continue 'rows;
+                }
+                strict |= v > c;
+            }
+            if strict {
+                return Some(i);
+            }
+        }
+        None
+    }
+
+    fn block_of(rows: &[Vec<f64>]) -> SoaBlock {
+        let mut block = SoaBlock::new();
+        for row in rows {
+            block.push_coords(row);
+        }
+        block
+    }
+
+    /// Block lengths around the chunk width: empty, one row, one short of a
+    /// chunk, exactly one, one over, two, two and a row, many.
+    const BLOCK_LENS: [usize; 8] = [0, 1, 31, 32, 33, 64, 65, 1000];
+
+    #[test]
+    fn first_dominator_equals_the_scalar_definition() {
+        // coordinates on a coarse grid, so equal lanes are the common case
+        let mut state = 0x2009_0824u64;
+        let mut grid = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            ((state >> 33) % 5) as f64 / 4.0
+        };
+        for dims in 1..=12 {
+            for n in BLOCK_LENS {
+                let rows: Vec<Vec<f64>> = (0..n)
+                    .map(|_| (0..dims).map(|_| grid()).collect())
+                    .collect();
+                let block = block_of(&rows);
+                let mut queries: Vec<Vec<f64>> = (0..8)
+                    .map(|_| (0..dims).map(|_| grid()).collect())
+                    .collect();
+                // a low query most rows dominate, a high one few do, and
+                // copies of block rows (a duplicate must not count)
+                queries.push(vec![0.0; dims]);
+                queries.push(vec![1.0; dims]);
+                queries.extend(rows.iter().step_by(7).cloned());
+                queries.extend(rows.last().cloned());
+                for q in &queries {
+                    assert_eq!(
+                        first_dominator(&block, q),
+                        first_dominator_scalar(&rows, q),
+                        "dims={dims} n={n} q={q:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn first_dominator_edge_rows() {
+        for dims in 1..=12 {
+            for n in BLOCK_LENS {
+                if n == 0 {
+                    assert_eq!(first_dominator(&SoaBlock::new(), &vec![0.5; dims]), None);
+                    continue;
+                }
+                let q = vec![0.5; dims];
+                // nothing but duplicates of the query: no dominator
+                let mut rows = vec![q.clone(); n];
+                assert_eq!(
+                    first_dominator(&block_of(&rows), &q),
+                    None,
+                    "dims={dims} n={n}"
+                );
+                // the last row alone dominates, equal in every lane but one
+                for lane in [0, dims - 1] {
+                    rows[n - 1] = q.clone();
+                    rows[n - 1][lane] = 0.75;
+                    assert_eq!(
+                        first_dominator(&block_of(&rows), &q),
+                        Some(n - 1),
+                        "dims={dims} n={n} lane={lane}"
+                    );
+                }
+                // better in every lane but one, worse in that one: no dominator
+                for row in &mut rows {
+                    *row = vec![0.75; dims];
+                    row[dims / 2] = 0.25;
+                }
+                assert_eq!(
+                    first_dominator(&block_of(&rows), &q),
+                    None,
+                    "dims={dims} n={n}"
+                );
+                // the first of several dominators wins
+                if n >= 3 {
+                    rows[n / 2] = vec![0.75; dims];
+                    rows[n - 1] = vec![0.75; dims];
+                    assert_eq!(first_dominator(&block_of(&rows), &q), Some(n / 2));
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "dimension mismatch")]
+    fn first_dominator_rejects_a_short_query() {
+        let block = block_of(&[vec![0.5, 0.5, 0.5]]);
+        let _ = first_dominator(&block, &[0.1, 0.1]);
+    }
+
+    #[test]
+    #[should_panic(expected = "dimension mismatch")]
+    fn first_dominator_rejects_a_long_query_past_the_const_ladder() {
+        let block = block_of(&[vec![0.5; 9]]);
+        let _ = first_dominator(&block, &[0.1; 10]);
     }
 
     #[test]

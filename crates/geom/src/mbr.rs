@@ -223,7 +223,7 @@ impl Mbr {
     /// L1 distance from the best corner to the sky point; BBS de-heaps entries
     /// in ascending order of this value.
     pub fn l1_dist_to_sky(&self) -> f64 {
-        self.top_corner().l1_dist_to_sky()
+        Point::l1_dist_to_sky_coords(&self.upper)
     }
 
     /// `true` iff every point inside the MBR is dominated by `p`

@@ -139,10 +139,13 @@ impl Point {
     /// L1 (Manhattan) distance from this point to the sky point. BBS visits
     /// entries in ascending order of this distance.
     pub fn l1_dist_to_sky(&self) -> f64 {
-        self.coords
-            .iter()
-            .map(|&c| (Self::SKY_COORD - c).max(0.0))
-            .sum()
+        Self::l1_dist_to_sky_coords(&self.coords)
+    }
+
+    /// [`Point::l1_dist_to_sky`] of a borrowed coordinate slice, for callers
+    /// that have a corner's coordinates but no `Point` (same summation).
+    pub fn l1_dist_to_sky_coords(coords: &[f64]) -> f64 {
+        coords.iter().map(|&c| (Self::SKY_COORD - c).max(0.0)).sum()
     }
 
     /// Euclidean distance between two points (used by the spatial-assignment

@@ -63,6 +63,16 @@ impl NodeEntry {
         }
     }
 
+    /// The entry's best corner, borrowed: the upper corner of a child's MBR,
+    /// the point itself for a data entry. Same coordinates as
+    /// `self.mbr().top_corner()` without building either.
+    pub fn best_corner(&self) -> &[f64] {
+        match self {
+            NodeEntry::Child { mbr, .. } => mbr.upper(),
+            NodeEntry::Data(d) => d.point.coords(),
+        }
+    }
+
     /// `true` for data entries.
     pub fn is_data(&self) -> bool {
         matches!(self, NodeEntry::Data(_))
@@ -155,6 +165,7 @@ mod tests {
         let e = NodeEntry::Data(DataEntry::new(RecordId(3), p(&[0.2, 0.8])));
         let m = e.mbr();
         assert_eq!(m.lower(), m.upper());
+        assert_eq!(e.best_corner(), m.top_corner().coords());
         assert!(e.is_data());
         assert!(e.child_page().is_none());
         assert_eq!(e.as_data().unwrap().record, RecordId(3));
@@ -170,6 +181,7 @@ mod tests {
         assert!(!e.is_data());
         assert_eq!(e.child_page(), Some(PageId::new(9)));
         assert!(e.as_data().is_none());
+        assert_eq!(e.best_corner(), m.top_corner().coords());
         assert_eq!(e.mbr(), m);
     }
 

@@ -1,6 +1,7 @@
 //! Branch-and-Bound Skyline (BBS) with pruned-entry tracking.
 
 use crate::set::{Skyline, SkylineObject};
+use pref_geom::Point;
 use pref_rtree::{NodeEntry, RTree, RecordId};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -14,7 +15,7 @@ pub(crate) struct HeapEntry {
 
 impl HeapEntry {
     pub(crate) fn new(entry: NodeEntry) -> Self {
-        let dist = entry.mbr().l1_dist_to_sky();
+        let dist = Point::l1_dist_to_sky_coords(entry.best_corner());
         Self { dist, entry }
     }
 }

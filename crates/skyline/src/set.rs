@@ -3,6 +3,7 @@
 use pref_geom::{kernel, Mbr, SoaBlock};
 use pref_rtree::{DataEntry, DeleteOutcome, NodeEntry, RecordId};
 use pref_storage::{PageId, PeakTracker};
+use std::collections::HashMap;
 
 /// A skyline object together with its pruned list.
 ///
@@ -43,12 +44,20 @@ impl SkylineObject {
 /// [`SoaBlock`] mirror of the object points (kept index-aligned through
 /// every insert and swap-removal), so the dominance pruning scans —
 /// [`Skyline::dominates_point`] and [`Skyline::attach_to_dominator`] — run
-/// as contiguous-lane kernel scans instead of chasing per-point heap boxes.
+/// as contiguous-lane kernel scans instead of chasing per-point heap boxes,
+/// and a record → row index, so [`Skyline::contains`], [`Skyline::get`],
+/// [`Skyline::get_mut`] and [`Skyline::remove`] are O(1) in the skyline size.
+/// The dominance scans stay O(|S|·D); iteration order is row order, never
+/// the index's.
 #[derive(Debug, Clone, Default)]
 pub struct Skyline {
     objects: Vec<SkylineObject>,
     /// Dimension-major mirror of `objects[i].data.point`, same order.
     soa: SoaBlock,
+    /// `objects[rows[r]].data.record == r` for every skyline record `r`.
+    /// Rows move in two places only, [`Skyline::insert`] and
+    /// [`Skyline::remove`]; looked up by key, never iterated.
+    rows: HashMap<RecordId, usize>,
 }
 
 impl Skyline {
@@ -108,23 +117,27 @@ impl Skyline {
 
     /// `true` iff the record is currently a skyline object.
     pub fn contains(&self, record: RecordId) -> bool {
-        self.objects.iter().any(|o| o.data.record == record)
+        self.rows.contains_key(&record)
     }
 
     /// Returns the skyline object for a record.
     pub fn get(&self, record: RecordId) -> Option<&SkylineObject> {
-        self.objects.iter().find(|o| o.data.record == record)
+        self.rows.get(&record).map(|&row| &self.objects[row])
     }
 
     /// Mutable access to a skyline object (used to grow pruned lists).
     pub fn get_mut(&mut self, record: RecordId) -> Option<&mut SkylineObject> {
-        self.objects.iter_mut().find(|o| o.data.record == record)
+        self.rows.get(&record).map(|&row| &mut self.objects[row])
     }
 
     /// Adds a new skyline object.
+    ///
+    /// # Panics
+    /// Panics if the record is already on the skyline.
     pub fn insert(&mut self, object: SkylineObject) {
-        debug_assert!(
-            !self.contains(object.data.record),
+        let previous = self.rows.insert(object.data.record, self.objects.len());
+        assert!(
+            previous.is_none(),
             "duplicate skyline insertion for {}",
             object.data.record
         );
@@ -135,9 +148,14 @@ impl Skyline {
     /// Removes and returns a skyline object (keeping its pruned list intact),
     /// or `None` if the record is not on the skyline.
     pub fn remove(&mut self, record: RecordId) -> Option<SkylineObject> {
-        let pos = self.objects.iter().position(|o| o.data.record == record)?;
-        self.soa.swap_remove(pos);
-        Some(self.objects.swap_remove(pos))
+        let row = self.rows.remove(&record)?;
+        self.soa.swap_remove(row);
+        let object = self.objects.swap_remove(row);
+        // the last row (if it was not the one removed) now fills the gap
+        if let Some(moved) = self.objects.get(row) {
+            self.rows.insert(moved.data.record, row);
+        }
+        Some(object)
     }
 
     /// Attaches a pruned entry to the *first* skyline object that dominates
@@ -146,8 +164,7 @@ impl Skyline {
     /// dominator lookup is a columnar kernel scan over the point mirror; the
     /// first-match semantics (index order) are those of the scalar scan.
     pub fn attach_to_dominator(&mut self, entry: NodeEntry) -> Result<(), NodeEntry> {
-        let top = entry.mbr().top_corner();
-        match kernel::first_dominator(&self.soa, top.coords()) {
+        match kernel::first_dominator(&self.soa, entry.best_corner()) {
             Some(pos) => {
                 self.objects[pos].plist.push(entry);
                 Ok(())
@@ -531,10 +548,100 @@ mod tests {
             let coords: Vec<f64> = (0..2).map(|d| s.block().lane(d)[row]).collect();
             assert_eq!(coords, point.coords());
         }
-        s.remove(RecordId(1)).unwrap();
+        // removing the last row moves nothing; the row before it stays put
         s.remove(RecordId(3)).unwrap();
+        assert_eq!(s.record_at(0), RecordId(1));
+        assert!(s.get(RecordId(3)).is_none());
+        assert_eq!(s.get(RecordId(1)).unwrap().data.record, RecordId(1));
+        // removing the only row empties mirror and index alike
+        s.remove(RecordId(1)).unwrap();
+        assert!(!s.contains(RecordId(1)));
+        assert!(s.remove(RecordId(1)).is_none());
         assert!(!s.dominates_point(&Point::from_slice(&[0.0, 0.0])));
         assert!(s.block().is_empty());
+        // and a removed record may come back
+        s.insert(SkylineObject::new(data(1, &[0.9, 0.1])));
+        assert_eq!(s.get(RecordId(1)).unwrap().data.point.coords(), [0.9, 0.1]);
+    }
+
+    #[test]
+    #[should_panic(expected = "duplicate skyline insertion")]
+    fn inserting_a_record_twice_is_refused() {
+        let mut s = Skyline::new();
+        s.insert(SkylineObject::new(data(1, &[0.9, 0.1])));
+        s.insert(SkylineObject::new(data(1, &[0.1, 0.9])));
+    }
+
+    /// Row order, mirror and index must agree after every mutation: `get` of
+    /// the record in row `r` is row `r`, the index holds exactly the rows,
+    /// and a record that left is gone from all three.
+    fn assert_index_consistent(s: &Skyline, departed: &[RecordId]) {
+        assert_eq!(s.len(), s.rows.len());
+        assert_eq!(s.len(), s.block().len());
+        for row in 0..s.len() {
+            let record = s.record_at(row);
+            assert!(s.contains(record));
+            assert!(std::ptr::eq(s.get(record).unwrap(), &s.objects[row]));
+            let coords: Vec<f64> = (0..s.block().dims())
+                .map(|d| s.block().lane(d)[row])
+                .collect();
+            assert_eq!(coords, s.objects[row].data.point.coords());
+        }
+        for &record in departed {
+            assert!(!s.contains(record), "{record} is gone but still indexed");
+            assert!(s.get(record).is_none());
+        }
+    }
+
+    #[test]
+    fn index_follows_every_row_move_through_a_random_history() {
+        use crate::{compute_skyline_bbs, insert_skyline, update_skyline};
+        use pref_rtree::{RTree, RTreeConfig};
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+
+        let mut rng = StdRng::seed_from_u64(0x5eed_0018);
+        let mut random_point = move || {
+            let coords: Vec<f64> = (0..3).map(|_| rng.gen_range(0.0..1.0)).collect();
+            Point::from_slice(&coords)
+        };
+        let points: Vec<(RecordId, Point)> =
+            (0..400).map(|i| (RecordId(i), random_point())).collect();
+        let mut tree = RTree::bulk_load(RTreeConfig::for_dims(3).with_fanout(8), points).unwrap();
+        let mut s = compute_skyline_bbs(&mut tree);
+        let mut departed: Vec<RecordId> = Vec::new();
+        let mut next_id = 400u64;
+        let mut pick = StdRng::seed_from_u64(0x5eed_0019);
+        assert_index_consistent(&s, &departed);
+        for step in 0..600 {
+            match pick.gen_range(0..4) {
+                // an assignment: remove, then replenish from the pruned list
+                0 if !s.is_empty() => {
+                    let victim = s.record_at(pick.gen_range(0..s.len()));
+                    let object = s.remove(victim).unwrap();
+                    departed.push(victim);
+                    update_skyline(&mut tree, &mut s, vec![object]);
+                }
+                // a bare removal (first, middle or last row alike)
+                1 if !s.is_empty() => {
+                    let victim = s.record_at(pick.gen_range(0..s.len()));
+                    assert_eq!(s.remove(victim).unwrap().data.record, victim);
+                    departed.push(victim);
+                }
+                // an arrival, classified: may demote (remove) several rows
+                2 => {
+                    insert_skyline(&mut s, data(next_id, random_point().coords()));
+                    next_id += 1;
+                }
+                // a bare insertion
+                _ => {
+                    s.insert(SkylineObject::new(data(next_id, random_point().coords())));
+                    next_id += 1;
+                }
+            }
+            assert_index_consistent(&s, &departed);
+            assert!(s.remove(RecordId(u64::MAX)).is_none(), "step {step}");
+        }
+        assert!(departed.len() > 100 && next_id > 500, "history too tame");
     }
 
     #[test]

@@ -12,10 +12,19 @@ use pref_geom::Point;
 /// of a fractional knapsack: choose `β_i ≤ last_seen[i]` with `Σ β_i ≤ budget`
 /// maximizing `Σ β_i · o_i`, solved greedily by filling the dimensions in
 /// decreasing order of `o_i`.
+///
+/// Sorts the dimensions on every call; [`crate::ReverseTopOne`], which asks
+/// repeatedly for one object, sorts once and calls the fill directly.
 pub fn tight_threshold(object: &Point, last_seen: &[f64], budget: f64) -> f64 {
     debug_assert_eq!(object.dims(), last_seen.len());
-    debug_assert!(budget >= 0.0);
-    // rank dimensions by the object's coordinate, descending
+    threshold_in_order(object, &fill_order(object), budget, |dim| last_seen[dim])
+}
+
+/// The greedy knapsack's fill order for `object`: its dimensions by
+/// coordinate, descending. The sort is stable, so tied coordinates keep their
+/// ascending dimension order — part of the threshold's bit pattern, since the
+/// fill is a floating-point sum.
+pub(crate) fn fill_order(object: &Point) -> Vec<usize> {
     let mut order: Vec<usize> = (0..object.dims()).collect();
     order.sort_by(|&a, &b| {
         object
@@ -23,13 +32,28 @@ pub fn tight_threshold(object: &Point, last_seen: &[f64], budget: f64) -> f64 {
             .partial_cmp(&object.coord(a))
             .unwrap_or(std::cmp::Ordering::Equal)
     });
+    order
+}
+
+/// The knapsack fill itself, over a precomputed [`fill_order`]: `cap(dim)` is
+/// the largest coefficient an unseen function can still have in `dim`
+/// (negative caps count as zero).
+#[inline]
+pub(crate) fn threshold_in_order(
+    object: &Point,
+    order: &[usize],
+    budget: f64,
+    cap: impl Fn(usize) -> f64,
+) -> f64 {
+    debug_assert_eq!(object.dims(), order.len());
+    debug_assert!(budget >= 0.0);
     let mut remaining = budget;
     let mut bound = 0.0;
-    for dim in order {
+    for &dim in order {
         if remaining <= 0.0 {
             break;
         }
-        let beta = remaining.min(last_seen[dim].max(0.0));
+        let beta = remaining.min(cap(dim).max(0.0));
         bound += beta * object.coord(dim);
         remaining -= beta;
     }

@@ -9,10 +9,9 @@
 //! `Ω = ω · |F|`; every pop shrinks the cap by one and when it reaches zero
 //! the search restarts from scratch (the paper's memory/CPU trade-off knob).
 
-use crate::knapsack::tight_threshold;
+use crate::knapsack::{fill_order, threshold_in_order};
 use crate::lists::FunctionLists;
 use pref_geom::Point;
-use std::collections::HashSet;
 
 /// Exhaustively scans the alive functions for the best one; the oracle used in
 /// tests and by the two-skyline prioritized variant.
@@ -21,20 +20,32 @@ pub fn best_function_scan(lists: &FunctionLists, object: &Point) -> Option<(usiz
 }
 
 /// Resumable reverse top-1 search state for one object.
+///
+/// A sorted access costs one list step, one bit test, at most one `D`-term
+/// dot product with an `O(log Ω)` search plus an `O(Ω)` shift of the candidate
+/// queue, and one `O(D)` threshold — and allocates nothing: the knapsack fill
+/// order is fixed by the object and computed once in [`ReverseTopOne::new`],
+/// and the seen-set is a bitset over function indices that a restart clears
+/// in place. The only buffer that grows during a search is the candidate
+/// queue, up to `Ω` entries.
 #[derive(Debug, Clone)]
 pub struct ReverseTopOne {
     object: Point,
+    /// The object's dimensions in knapsack fill order (coordinate descending).
+    fill_order: Vec<usize>,
     /// Next unread position in each sorted list.
     cursors: Vec<usize>,
-    /// Last coefficient seen in each list (starts at the knapsack budget).
+    /// Last coefficient seen in each list: infinite until the list is first
+    /// read (the bound is then the knapsack budget), `0.0` once exhausted.
     last_seen: Vec<f64>,
     /// `true` once the corresponding list has been fully consumed.
     exhausted: Vec<bool>,
     /// Candidate functions seen so far: `(score, function)`, sorted by score
     /// descending, truncated to `cap`.
     candidates: Vec<(f64, usize)>,
-    /// Functions already random-accessed (avoids duplicate work).
-    seen: HashSet<usize>,
+    /// Functions already random-accessed (avoids duplicate work): bit `f % 64`
+    /// of word `f / 64`, sized for the function set on the first search.
+    seen: Vec<u64>,
     /// Current capacity of the candidate queue (the paper's Ω).
     cap: usize,
     /// Reset value for the capacity.
@@ -52,12 +63,18 @@ impl ReverseTopOne {
         let dims = object.dims();
         let omega = omega.max(1);
         Self {
+            fill_order: fill_order(&object),
             object,
+            // lint: allow(kernel-no-alloc) -- set-up: one state per object, not per access
             cursors: vec![0; dims],
+            // lint: allow(kernel-no-alloc) -- set-up: one state per object, not per access
             last_seen: vec![f64::INFINITY; dims],
+            // lint: allow(kernel-no-alloc) -- set-up: one state per object, not per access
             exhausted: vec![false; dims],
+            // lint: allow(kernel-no-alloc) -- set-up: empty, grows to at most Ω entries
             candidates: Vec::new(),
-            seen: HashSet::new(),
+            // lint: allow(kernel-no-alloc) -- set-up: empty, sized by the first `best`
+            seen: Vec::new(),
             cap: omega,
             omega,
             sorted_accesses: 0,
@@ -80,8 +97,12 @@ impl ReverseTopOne {
         self.restarts
     }
 
-    /// Approximate memory footprint of this state in bytes (candidate queue,
-    /// seen-set and cursors); feeds the paper's memory-usage metric.
+    /// Approximate memory footprint of this state in bytes; feeds the paper's
+    /// memory-usage metric. Counts what the state holds, not what it has
+    /// used: 16 bytes per queued candidate, 8 per word of the seen bitset
+    /// (`⌈|F| / 64⌉` words from the first search on, however few functions
+    /// were met), and 24 per dimension for the cursor, last-seen and
+    /// fill-order slots.
     pub fn memory_bytes(&self) -> u64 {
         (self.candidates.len() * 16 + self.seen.len() * 8 + self.cursors.len() * 24) as u64
     }
@@ -93,18 +114,24 @@ impl ReverseTopOne {
         if lists.remaining() == 0 {
             return None;
         }
+        let words = lists.total().div_ceil(64);
+        if self.seen.len() < words {
+            // lint: allow(kernel-no-alloc) -- set-up: sized once, by the first search
+            self.seen.resize(words, 0);
+        }
+        // Functions die only between calls (`lists` is shared for this one and
+        // the lists only yield alive functions), so one purge covers it; a
+        // restart below starts from an empty queue.
+        self.drop_dead_candidates(lists);
+        if self.cap == 0 {
+            // The capped queue can no longer guarantee the true top-1:
+            // restart from scratch with a fresh capacity.
+            self.restart();
+        }
+        let budget = lists.budget();
         loop {
-            self.drop_dead_candidates(lists);
-            if self.cap == 0 {
-                // The capped queue can no longer guarantee the true top-1:
-                // restart from scratch with a fresh capacity.
-                self.restart();
-                continue;
-            }
-            let budget = lists.budget();
-            let current_best = self.candidates.first().copied();
             let threshold = self.current_threshold(budget);
-            if let Some((score, func)) = current_best {
+            if let Some(&(score, func)) = self.candidates.first() {
                 // Accept only once the bound on *unseen* functions is
                 // strictly below the front candidate. At `score == threshold`
                 // an unseen function can still TIE the front exactly, and the
@@ -144,34 +171,27 @@ impl ReverseTopOne {
     }
 
     fn restart(&mut self) {
-        let dims = self.object.dims();
-        self.cursors = vec![0; dims];
-        self.last_seen = vec![f64::INFINITY; dims];
-        self.exhausted = vec![false; dims];
+        self.cursors.fill(0);
+        self.last_seen.fill(f64::INFINITY);
+        self.exhausted.fill(false);
         self.candidates.clear();
-        self.seen.clear();
+        self.seen.fill(0);
         self.cap = self.omega;
         self.restarts += 1;
     }
 
     /// The tight threshold given the current last-seen coefficients; before a
-    /// list has been touched its contribution is capped only by the budget.
+    /// list has been touched its contribution is capped only by the budget,
+    /// and an exhausted list (last seen `0.0`) contributes nothing.
     fn current_threshold(&self, budget: f64) -> f64 {
-        let capped: Vec<f64> = self
-            .last_seen
-            .iter()
-            .zip(self.exhausted.iter())
-            .map(|(&l, &ex)| {
-                if ex {
-                    0.0
-                } else if l.is_infinite() {
-                    budget
-                } else {
-                    l
-                }
-            })
-            .collect();
-        tight_threshold(&self.object, &capped, budget)
+        threshold_in_order(&self.object, &self.fill_order, budget, |dim| {
+            let l = self.last_seen[dim];
+            if l.is_infinite() {
+                budget
+            } else {
+                l
+            }
+        })
     }
 
     /// Biased list probing: the non-exhausted list with the largest
@@ -206,7 +226,9 @@ impl ReverseTopOne {
                 self.cursors[dim] = next_cursor;
                 self.last_seen[dim] = coeff;
                 self.sorted_accesses += 1;
-                if self.seen.insert(func) {
+                let (word, bit) = (func / 64, 1u64 << (func % 64));
+                if self.seen[word] & bit == 0 {
+                    self.seen[word] |= bit;
                     let score = lists.score(func, &self.object);
                     self.insert_candidate(score, func);
                 }
@@ -231,7 +253,9 @@ impl ReverseTopOne {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::knapsack::tight_threshold;
     use pref_geom::LinearFunction;
+    use proptest::prelude::*;
     use rand::{rngs::StdRng, Rng, SeedableRng};
 
     fn paper_functions() -> Vec<LinearFunction> {
@@ -441,5 +465,145 @@ mod tests {
             "expected early termination, got {}",
             search.sorted_accesses()
         );
+    }
+
+    #[test]
+    fn asking_again_without_a_removal_reads_nothing() {
+        let functions = random_functions(300, 4, 17);
+        let mut lists = FunctionLists::new(&functions);
+        let mut search = ReverseTopOne::new(Point::from_slice(&[0.3, 0.8, 0.5, 0.1]), 8);
+        let first = search.best(&lists);
+        let accesses = search.sorted_accesses();
+        assert_eq!(search.best(&lists), first);
+        assert_eq!(search.sorted_accesses(), accesses);
+        // still true after a resumed search
+        lists.remove(first.unwrap().0);
+        let second = search.best(&lists);
+        assert_ne!(second, first);
+        let accesses = search.sorted_accesses();
+        assert_eq!(search.best(&lists), second);
+        assert_eq!((search.sorted_accesses(), search.restarts()), (accesses, 0));
+    }
+
+    /// Drives one search through a seeded kill sequence — the returned best
+    /// dies on even steps (an assignment), a random alive function on odd
+    /// steps (an assignment elsewhere, buried in the queue) — and digests the
+    /// `(answer, sorted_accesses, restarts)` triple of every step.
+    fn kill_sequence_digest(omega: usize) -> (u64, u64, u64) {
+        let functions = random_functions(400, 4, 2009);
+        let mut lists = FunctionLists::new(&functions);
+        let mut search = ReverseTopOne::new(Point::from_slice(&[0.7, 0.2, 0.55, 0.4]), omega);
+        let mut rng = StdRng::seed_from_u64(824);
+        let mut digest = 0xcbf2_9ce4_8422_2325u64;
+        for step in 0..300 {
+            let Some((func, _)) = search.best(&lists) else {
+                break;
+            };
+            for word in [func as u64, search.sorted_accesses(), search.restarts()] {
+                for byte in word.to_le_bytes() {
+                    digest = (digest ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+                }
+            }
+            let victim = if step % 2 == 0 {
+                func
+            } else {
+                let alive = lists.alive_functions();
+                alive[rng.gen_range(0..alive.len())]
+            };
+            lists.remove(victim);
+        }
+        (digest, search.sorted_accesses(), search.restarts())
+    }
+
+    #[test]
+    fn kill_sequence_answers_and_costs_are_pinned() {
+        // recorded on the commit before the search stopped allocating: every
+        // answer, sorted-access count and restart count along the way
+        assert_eq!(
+            kill_sequence_digest(2),
+            (14_115_012_459_767_508_219, 13_903, 76)
+        );
+        assert_eq!(
+            kill_sequence_digest(25),
+            (5_438_823_487_071_009_220, 1_507, 6)
+        );
+    }
+
+    /// The threshold as it was computed before the fill order was hoisted:
+    /// sort the dimensions and fill against the capped bounds, per call.
+    fn threshold_by_definition(object: &Point, capped: &[f64], budget: f64) -> f64 {
+        let mut order: Vec<usize> = (0..object.dims()).collect();
+        order.sort_by(|&a, &b| object.coord(b).partial_cmp(&object.coord(a)).unwrap());
+        let mut remaining = budget;
+        let mut bound = 0.0;
+        for dim in order {
+            if remaining <= 0.0 {
+                break;
+            }
+            let beta = remaining.min(capped[dim].max(0.0));
+            bound += beta * object.coord(dim);
+            remaining -= beta;
+        }
+        bound
+    }
+
+    #[derive(Debug, Clone, Copy)]
+    enum ListState {
+        Unvisited,
+        Exhausted,
+        Seen(f64),
+    }
+
+    proptest! {
+        /// The search's threshold (fill order fixed at construction, caps read
+        /// straight off the list state) and `tight_threshold` are the same
+        /// float, bit for bit, as the per-call definition — with tied
+        /// coordinates, zero coefficients, and unvisited and exhausted lists.
+        #[test]
+        fn hoisted_fill_order_leaves_the_threshold_bit_identical(
+            coords in proptest::collection::vec(
+                prop_oneof![Just(0.0f64), Just(0.5f64), Just(1.0f64), 0.0f64..1.0],
+                1..=9,
+            ),
+            states in proptest::collection::vec(
+                prop_oneof![
+                    Just(ListState::Unvisited),
+                    Just(ListState::Exhausted),
+                    Just(ListState::Seen(0.0)),
+                    (0.0f64..1.0).prop_map(ListState::Seen),
+                ],
+                9,
+            ),
+            budget in prop_oneof![Just(1.0f64), 0.5f64..4.0],
+        ) {
+            let object = Point::new(coords).unwrap();
+            let states = &states[..object.dims()];
+            let mut search = ReverseTopOne::new(object.clone(), 4);
+            for (dim, &list) in states.iter().enumerate() {
+                match list {
+                    ListState::Unvisited => {}
+                    ListState::Exhausted => {
+                        search.exhausted[dim] = true;
+                        search.last_seen[dim] = 0.0;
+                    }
+                    ListState::Seen(coeff) => search.last_seen[dim] = coeff,
+                }
+            }
+            // the per-list bounds as the search used to materialise them
+            let capped: Vec<f64> = states
+                .iter()
+                .map(|&l| match l {
+                    ListState::Exhausted => 0.0,
+                    ListState::Unvisited => budget,
+                    ListState::Seen(coeff) => coeff,
+                })
+                .collect();
+            let want = threshold_by_definition(&object, &capped, budget);
+            prop_assert_eq!(search.current_threshold(budget).to_bits(), want.to_bits());
+            prop_assert_eq!(
+                tight_threshold(&object, &capped, budget).to_bits(),
+                want.to_bits()
+            );
+        }
     }
 }

@@ -33,8 +33,9 @@
 //!   `crates/service` and `crates/engine`.
 //! * **no-raw-fs** — durable I/O is the storage crate's job: no `std::fs` in
 //!   non-test library code outside the storage backend/WAL and this tool.
-//! * **kernel-no-alloc** — scoring-kernel modules are hot-loop code whose
-//!   steady state must not allocate.
+//! * **kernel-no-alloc** — scoring-kernel modules (by name) and the listed
+//!   hot-path files (`crates/topk/src/reverse.rs`, the reverse top-1 search)
+//!   are hot-loop code whose steady state must not allocate.
 //! * **hash-iter** — no order-dependent iteration (`.iter()` / `.keys()` /
 //!   `.values()` / `for … in`) over `HashMap` / `HashSet` in solver, engine
 //!   and service library code: ROADMAP item 2 (deterministic log replay)

@@ -61,6 +61,13 @@ const RAW_FS_ALLOWED: [&str; 3] = [
     "tools/xtask/src/main.rs",
 ];
 
+/// Hot-path files that are not named like a kernel module but are held to
+/// `kernel-no-alloc` all the same. The workspace forbids `unsafe`, so a
+/// counting allocator is not available to a test: this list is what keeps
+/// a per-access allocation from creeping back into these loops. Set-up code
+/// in them (constructors, lazy sizing) carries the usual annotation.
+const HOT_PATH_FILES: [&str; 1] = ["crates/topk/src/reverse.rs"];
+
 const ATOMIC_ORDERINGS: [&str; 5] = ["Relaxed", "Acquire", "Release", "AcqRel", "SeqCst"];
 
 /// Raw primitives `crates/service` must route through the shim, as
@@ -132,6 +139,7 @@ impl fmt::Display for Diagnostic {
 /// `durability-order`. (`lock-order` is whole-program; see `lockorder`.)
 pub fn lint_file_ctx(cx: &FileCtx) -> Vec<Diagnostic> {
     let mut out = classic(cx);
+    out.extend(hot_path_no_alloc(cx));
     out.extend(hash_iter(cx));
     out.extend(durability_order(cx));
     out.extend(raw_net(cx));
@@ -241,50 +249,7 @@ pub fn classic(cx: &FileCtx) -> Vec<Diagnostic> {
     }
 
     if kernel_scoped {
-        // at most one finding per line, in the line scanner's precedence
-        // order: path constructors before method allocators
-        let mut hits: Vec<(u32, usize, &str)> = Vec::new();
-        for si in 0..cx.sig_len() {
-            let line = cx.sline(si);
-            if matches_path(cx, si, &["Vec", "new"]) {
-                hits.push((line, 0, "Vec::new"));
-            }
-            if cx.is_ident(si, "vec") && cx.is_punct(si + 1, '!') {
-                hits.push((line, 1, "vec!"));
-            }
-            if matches_path(cx, si, &["Box", "new"]) {
-                hits.push((line, 2, "Box::new"));
-            }
-            if method_call(cx, si, "to_vec") && cx.is_punct(si + 3, ')') {
-                hits.push((line, 3, ".to_vec()"));
-            }
-            if method_call(cx, si, "collect") && cx.is_punct(si + 3, ')') {
-                hits.push((line, 4, ".collect()"));
-            }
-            if method_call(cx, si, "to_owned") && cx.is_punct(si + 3, ')') {
-                hits.push((line, 5, ".to_owned()"));
-            }
-        }
-        hits.sort();
-        let mut last_line = 0u32;
-        for (line, _, token) in hits {
-            if line == last_line || in_tests(line) {
-                continue;
-            }
-            last_line = line;
-            if !has_exception(&cx.lines, line, RULE_KERNEL_NO_ALLOC) {
-                out.push(diag(
-                    path,
-                    line,
-                    RULE_KERNEL_NO_ALLOC,
-                    format!(
-                        "`{token}` in kernel hot-path code — reuse caller-owned scratch, or \
-                         annotate a setup-path allocation with \
-                         `// lint: allow(kernel-no-alloc) -- <reason>`"
-                    ),
-                ));
-            }
-        }
+        kernel_no_alloc(cx, &mut out);
     }
 
     if unwrap_scoped {
@@ -315,6 +280,67 @@ pub fn classic(cx: &FileCtx) -> Vec<Diagnostic> {
         }
     }
 
+    out
+}
+
+/// The `kernel-no-alloc` scan of one in-scope file: the allocator denylist
+/// over its non-test code, at most one finding per line.
+fn kernel_no_alloc(cx: &FileCtx, out: &mut Vec<Diagnostic>) {
+    let path = &cx.path;
+    // in the line scanner's precedence order: path constructors before
+    // method allocators
+    let mut hits: Vec<(u32, usize, &str)> = Vec::new();
+    for si in 0..cx.sig_len() {
+        let line = cx.sline(si);
+        if matches_path(cx, si, &["Vec", "new"]) {
+            hits.push((line, 0, "Vec::new"));
+        }
+        if cx.is_ident(si, "vec") && cx.is_punct(si + 1, '!') {
+            hits.push((line, 1, "vec!"));
+        }
+        if matches_path(cx, si, &["Box", "new"]) {
+            hits.push((line, 2, "Box::new"));
+        }
+        if method_call(cx, si, "to_vec") && cx.is_punct(si + 3, ')') {
+            hits.push((line, 3, ".to_vec()"));
+        }
+        if method_call(cx, si, "collect") && cx.is_punct(si + 3, ')') {
+            hits.push((line, 4, ".collect()"));
+        }
+        if method_call(cx, si, "to_owned") && cx.is_punct(si + 3, ')') {
+            hits.push((line, 5, ".to_owned()"));
+        }
+    }
+    hits.sort();
+    let mut last_line = 0u32;
+    for (line, _, token) in hits {
+        if line == last_line || cx.in_tests(line) {
+            continue;
+        }
+        last_line = line;
+        if !has_exception(&cx.lines, line, RULE_KERNEL_NO_ALLOC) {
+            out.push(diag(
+                path,
+                line,
+                RULE_KERNEL_NO_ALLOC,
+                format!(
+                    "`{token}` in kernel hot-path code — reuse caller-owned scratch, or \
+                     annotate a setup-path allocation with \
+                     `// lint: allow(kernel-no-alloc) -- <reason>`"
+                ),
+            ));
+        }
+    }
+}
+
+/// `kernel-no-alloc` beyond the kernel naming convention: the files on
+/// [`HOT_PATH_FILES`]. A separate pass, like [`net_discipline`], so
+/// [`classic`] stays equivalent to the line scanner it is pinned against.
+pub fn hot_path_no_alloc(cx: &FileCtx) -> Vec<Diagnostic> {
+    let mut out = Vec::new();
+    if !is_kernel_file(&cx.path) && HOT_PATH_FILES.iter().any(|f| cx.path.ends_with(f)) {
+        kernel_no_alloc(cx, &mut out);
+    }
     out
 }
 
@@ -915,6 +941,53 @@ mod tests {
         // test code allocates freely
         let test_src = "#[cfg(test)]\nmod tests {\n    fn f() { let v = Vec::new(); }\n}\n";
         assert!(findings("crates/geom/src/kernel.rs", test_src).is_empty());
+    }
+
+    #[test]
+    fn allocation_is_rejected_in_the_reverse_top1_search() {
+        // the listed hot-path file is in scope although nothing in its name
+        // says "kernel": an allocation inside the per-access functions is a
+        // finding, wherever in the file it sits
+        let path = "crates/topk/src/reverse.rs";
+        for (bad, token) in [
+            (
+                "impl ReverseTopOne {\n    pub fn best(&mut self) {\n        \
+                 let dead: Vec<usize> = Vec::new();\n    }\n}\n",
+                "Vec::new",
+            ),
+            (
+                "impl ReverseTopOne {\n    fn advance(&mut self, dim: usize) {\n        \
+                 let seen: Vec<usize> = self.queue.iter().map(|c| c.1).collect();\n    }\n}\n",
+                ".collect()",
+            ),
+            (
+                "impl ReverseTopOne {\n    fn current_threshold(&self, budget: f64) -> f64 {\n        \
+                 let capped: Vec<f64> = self.last_seen.iter().copied().collect();\n        \
+                 0.0\n    }\n}\n",
+                ".collect()",
+            ),
+        ] {
+            let found = findings(path, bad);
+            assert_eq!(found.len(), 1, "{bad}");
+            assert!(
+                found[0].starts_with("crates/topk/src/reverse.rs:3: kernel-no-alloc:")
+                    && found[0].contains(token),
+                "{}",
+                found[0]
+            );
+        }
+        // the constructor and the lazy bitset sizing are set-up: annotated
+        let setup = "impl ReverseTopOne {\n    pub fn new(dims: usize) -> Self {\n        \
+                     // lint: allow(kernel-no-alloc) -- set-up: one state per object\n        \
+                     Self { cursors: vec![0; dims] }\n    }\n}\n";
+        assert!(findings(path, setup).is_empty());
+        // the list names files, not crates or stems
+        let src = "fn f() { let v: Vec<f64> = Vec::new(); }\n";
+        assert!(findings("crates/topk/src/lists.rs", src).is_empty());
+        assert!(findings("crates/bench/src/reverse.rs", src).is_empty());
+        // and the file's own tests allocate freely
+        let test_src = "#[cfg(test)]\nmod tests {\n    fn f() { let v = Vec::new(); }\n}\n";
+        assert!(findings(path, test_src).is_empty());
     }
 
     #[test]
