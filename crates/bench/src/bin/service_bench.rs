@@ -1,61 +1,33 @@
-//! service_bench — snapshot-read throughput scaling under a churning writer.
+//! service_bench — the open-loop front-door SLO cell.
 //!
-//! One shard serves a live assignment problem while a producer thread keeps a
-//! steady update load flowing (batched stream events, ~500 publications/s).
-//! Reader fleets of 1, 2, 4 and 8 threads then answer point lookups
-//! (`assignment_of` + `functions_of`) against the published snapshots, in two
-//! modes:
-//!
-//! * **paced** (the gated mode): each reader models an independent request
-//!   stream with a fixed per-request interval — the standard closed-loop
-//!   serving-bench load model. Because the snapshot read path takes no locks
-//!   and allocates nothing, adding reader streams must multiply aggregate
-//!   throughput until CPU saturation; the gate requires ≥ 4× from 1 → 8
-//!   readers. A read path that serialized readers against the writer (or
-//!   each other) would flatten this curve even below CPU saturation, which
-//!   is exactly what the gate detects.
-//! * **saturated** (reported, not gated): readers spin flat-out. Aggregate
-//!   throughput in this mode scales with *hardware* threads — flat on a
-//!   1-core CI container by construction — so it is recorded for
-//!   cross-machine comparison but only gated against collapse (8 readers
-//!   must retain ≥ 40% of 1-reader throughput: a true collapse, e.g. a
-//!   writer-held lock on the read path, drops far below that).
-//!
-//! Every reader verifies each newly observed snapshot version against the
-//! snapshot's own problem (`verify_stable`) and checks per-reader version
-//! monotonicity; any violation fails the run. Each fleet row also reports
-//! p50/p99/p999 per-request read latency (snapshot pin + both lookups), and
-//! a dedicated **update-ack** cell reports p50/p99/p999 of the full
-//! producer-visible write ack (batch submit + flush-to-publication).
-//!
-//! A **front-door** cell additionally drives the whole stack over the real
-//! socket path (`pref_net`'s wire protocol against a live TCP server): an
+//! Drives the whole stack over the real socket path (`pref_net`'s wire
+//! protocol against a live TCP server over a 4-shard service): an
 //! *open-loop* load generator schedules request arrivals at a fixed offered
 //! rate and measures every latency from the *scheduled* arrival — so
 //! queueing delay counts and a stalled server cannot hide behind coordinated
 //! omission. Tenants are drawn Zipf-like (a hot tenant concentrates load on
-//! one shard), read and update-ack p50/p99/p999 are reported, and the cell
-//! gates on p999 SLOs, on sustaining ≥ 80% of the offered rate, on zero
-//! protocol errors, and on a dedicated overload probe actually observing
-//! typed `Overloaded` rejects (admission control provably engages). Usage:
+//! one shard), read and update-ack p50/p99/p999 are reported, and the run
+//! exits non-zero unless all five gates hold: zero protocol errors, read and
+//! ack p999 within their SLOs, and ≥ 80% of the offered read and ack rates
+//! sustained. Closed-loop speed, recovery time and the per-layer trace are
+//! the benchmark's (`benchmark/`, `BENCHMARK.json`); torn reads, recovery
+//! identity and the overload reject are asserted by `stress_service.rs`,
+//! `crash_recovery.rs` and `fuzz_protocol.rs`. Usage:
 //! `service_bench [--smoke] [--out <path>]`.
 
 #![forbid(unsafe_code)]
 
 use pref_assign::{ObjectRecord, Problem};
 use pref_bench::percentile_us;
-use pref_datagen::{update_stream, ObjectDistribution, UpdateStreamConfig};
+use pref_datagen::ObjectDistribution;
 use pref_engine::EngineOptions;
 use pref_geom::Point;
-use pref_net::{NetClient, NetError, Server, ServerConfig, TokenBucketConfig};
+use pref_net::{NetClient, Server, ServerConfig, TokenBucketConfig};
 use pref_rtree::RecordId;
-use pref_service::{
-    AssignmentSnapshot, DurabilityConfig, FsyncPolicy, ServiceConfig, ShardedService, UpdateOp,
-};
+use pref_service::{ServiceConfig, ShardedService, UpdateOp};
 use serde::Serialize;
 use std::net::SocketAddr;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -63,13 +35,7 @@ const DIMS: usize = 3;
 const SEED: u64 = 20_090_824;
 const NUM_FUNCTIONS: usize = 16;
 const NUM_OBJECTS: usize = 120;
-/// Paced mode: one request per reader per this interval.
-const PACED_INTERVAL: Duration = Duration::from_millis(2);
-/// Producer: one batch per this interval (batch size 8 → ~4k updates/s).
-const WRITER_INTERVAL: Duration = Duration::from_millis(2);
-const WRITER_BATCH: usize = 8;
 
-// --- front-door cell parameters --------------------------------------------
 /// Reader connections in the open-loop socket cell.
 const FRONT_DOOR_READ_CONNS: usize = 4;
 /// Open-loop read arrivals: one per connection per this interval (500/s per
@@ -89,72 +55,9 @@ const FRONT_DOOR_READ_P999_SLO_US: f64 = 25_000.0;
 /// p999 SLO for the networked update-ack (update + flush-to-publication).
 const FRONT_DOOR_ACK_P999_SLO_US: f64 = 150_000.0;
 
-#[derive(Debug, Clone, Serialize)]
-struct ReaderRow {
-    mode: String,
-    readers: usize,
-    window_s: f64,
-    total_reads: u64,
-    reads_per_s: f64,
-    /// Aggregate throughput relative to the 1-reader row of the same mode.
-    scaling_vs_1: f64,
-    /// Per-request read latency percentiles over the fleet's merged sample
-    /// (snapshot pin + both point lookups; pacing sleep excluded), in µs.
-    read_p50_us: f64,
-    read_p99_us: f64,
-    read_p999_us: f64,
-    /// Distinct snapshot versions the fleet observed (sum over readers).
-    snapshots_observed: u64,
-    /// Snapshots fully re-verified with `verify_stable` (sum over readers).
-    snapshots_verified: u64,
-    /// Stability violations + version-monotonicity violations (must be 0).
-    violations: u64,
-}
-
-#[derive(Debug, Clone, Serialize)]
-struct WriterRow {
-    updates_submitted: u64,
-    updates_processed: u64,
-    updates_rejected: u64,
-    final_version: u64,
-    live_objects_end: u64,
-    live_functions_end: u64,
-}
-
-/// The durability cell: wall time to recover a shard from its WAL +
-/// checkpoint directory, and whether the recovered matching is canonically
-/// identical to the pre-shutdown one.
-#[derive(Debug, Clone, Serialize)]
-struct RecoveryRow {
-    /// Update batches logged to the WAL across the durable run.
-    batches_logged: u64,
-    /// Checkpoint cadence (batches between rotations).
-    checkpoint_every: u64,
-    /// Wall time of `ShardedService::recover` (restore + replay + re-solve
-    /// + first publication).
-    recover_wall_ms: f64,
-    /// Matched pairs in the recovered snapshot.
-    recovered_pairs: usize,
-    /// Recovered matching equals the pre-shutdown matching, pair for pair
-    /// and score bit for score bit (gated).
-    matches_pre_shutdown: bool,
-}
-
-/// The update-ack cell: submit-to-published latency of write batches on a
-/// dedicated shard (batch enqueue + `flush`, i.e. the full ack the writer
-/// protocol gives a producer), in µs.
-#[derive(Debug, Clone, Serialize)]
-struct UpdateAckRow {
-    batches: u64,
-    batch_size: usize,
-    ack_p50_us: f64,
-    ack_p99_us: f64,
-    ack_p999_us: f64,
-}
-
 /// The front-door cell: the open-loop load harness over the real socket
-/// path, plus the overload probe. Latencies are from the *scheduled*
-/// arrival (open-loop: queueing delay counts), in µs.
+/// path. Latencies are from the *scheduled* arrival (open-loop: queueing
+/// delay counts), in µs.
 #[derive(Debug, Clone, Serialize)]
 struct FrontDoorRow {
     shards: usize,
@@ -179,9 +82,6 @@ struct FrontDoorRow {
     ack_p999_slo_us: f64,
     /// Requests that failed or answered wrongly over the wire (gated: 0).
     protocol_errors: u64,
-    /// Typed `Overloaded` rejects the dedicated probe observed (gated: > 0 —
-    /// admission control must provably engage under a saturating producer).
-    overload_rejects_observed: u64,
 }
 
 #[derive(Debug, Clone, Serialize)]
@@ -190,27 +90,12 @@ struct BenchReport {
     scale: String,
     created_unix_s: u64,
     hardware_threads: usize,
-    paced_interval_us: u64,
-    rows: Vec<ReaderRow>,
-    writer: WriterRow,
-    update_ack: UpdateAckRow,
-    recovery: RecoveryRow,
     front_door: FrontDoorRow,
-}
-
-/// Shared flag + counters for one reader fleet run.
-struct FleetOutcome {
-    total_reads: u64,
-    snapshots_observed: u64,
-    snapshots_verified: u64,
-    violations: u64,
-    /// Merged per-request latency sample of the whole fleet, sorted, in ns.
-    latencies_ns: Vec<u64>,
 }
 
 fn main() {
     let mut smoke = false;
-    let mut out = PathBuf::from("BENCH_service.json");
+    let mut out = PathBuf::from("results/service_bench.json");
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -232,222 +117,10 @@ fn main() {
             }
         }
     }
-    let window = if smoke {
-        Duration::from_millis(1_200)
-    } else {
-        Duration::from_millis(3_000)
-    };
-    let saturated_window = if smoke {
-        Duration::from_millis(500)
-    } else {
-        Duration::from_millis(1_200)
-    };
 
-    // --- the served shard + the churning producer --------------------------
-    let functions = pref_datagen::uniform_weight_functions(NUM_FUNCTIONS, DIMS, SEED ^ 0x5e);
-    let objects = ObjectDistribution::Independent.generate(NUM_OBJECTS, DIMS, SEED ^ 0x5e11);
-    let problem = Problem::from_parts(functions, objects).expect("generated workload is valid");
-    let live_objects: Vec<RecordId> = problem.objects().iter().map(|o| o.id).collect();
-    let live_functions: Vec<u64> = problem.functions().iter().map(|f| f.id.0 as u64).collect();
-    // a long stream so the producer never runs dry during the windows
-    let stream: Vec<UpdateOp> = update_stream(
-        &UpdateStreamConfig {
-            num_events: 400_000,
-            dims: DIMS,
-            distribution: ObjectDistribution::Independent,
-            insert_fraction: 0.5,
-            object_fraction: 0.85,
-            min_objects: NUM_OBJECTS / 2,
-            min_functions: NUM_FUNCTIONS / 2,
-            max_capacity: 2,
-            seed: SEED ^ 0xbe,
-        },
-        &live_objects,
-        &live_functions,
-    )
-    .iter()
-    .map(UpdateOp::from_event)
-    .collect();
-
-    let service = Arc::new(
-        ShardedService::start(
-            vec![problem],
-            &ServiceConfig {
-                queue_capacity: 512,
-                max_batch: 32,
-                engine: EngineOptions::default(),
-                durability: None,
-            },
-        )
-        .expect("service starts"),
-    );
-
-    let stop_writer = Arc::new(AtomicBool::new(false));
-    let writer = {
-        let service = Arc::clone(&service);
-        let stop = Arc::clone(&stop_writer);
-        std::thread::Builder::new()
-            .name("bench-writer".into())
-            .spawn(move || {
-                let mut cursor = 0usize;
-                // ordering: pure stop signal; nothing is published through
-                // it (final state is synchronized by join below)
-                while !stop.load(Ordering::Relaxed) && cursor + WRITER_BATCH <= stream.len() {
-                    let batch = stream[cursor..cursor + WRITER_BATCH].to_vec();
-                    cursor += WRITER_BATCH;
-                    if service.submit_batch(0, batch).is_err() {
-                        break;
-                    }
-                    std::thread::sleep(WRITER_INTERVAL);
-                }
-            })
-            .expect("spawn writer")
-    };
-
-    // --- reader fleets ------------------------------------------------------
-    let reader_counts = [1usize, 2, 4, 8];
-    let mut rows: Vec<ReaderRow> = Vec::new();
-    let mut failed = false;
-    for paced in [true, false] {
-        let mode = if paced { "paced" } else { "saturated" };
-        let mode_window = if paced { window } else { saturated_window };
-        let mut base_rate = 0.0f64;
-        for &count in &reader_counts {
-            let outcome = run_fleet(&service, count, mode_window, paced);
-            let reads_per_s = outcome.total_reads as f64 / mode_window.as_secs_f64();
-            if count == 1 {
-                base_rate = reads_per_s;
-            }
-            let scaling = if base_rate > 0.0 {
-                reads_per_s / base_rate
-            } else {
-                0.0
-            };
-            let (p50, p99, p999) = (
-                percentile_us(&outcome.latencies_ns, 0.50),
-                percentile_us(&outcome.latencies_ns, 0.99),
-                percentile_us(&outcome.latencies_ns, 0.999),
-            );
-            eprintln!(
-                "== {mode} x{count}: {} reads in {:.2}s ({:.0}/s, {:.2}x vs 1) | p50={:.1}us p99={:.1}us p999={:.1}us | {} snapshots, {} verified, {} violations ==",
-                outcome.total_reads,
-                mode_window.as_secs_f64(),
-                reads_per_s,
-                scaling,
-                p50,
-                p99,
-                p999,
-                outcome.snapshots_observed,
-                outcome.snapshots_verified,
-                outcome.violations
-            );
-            if outcome.violations > 0 {
-                failed = true;
-                eprintln!(
-                    "!! {mode} x{count}: {} stability/monotonicity violations",
-                    outcome.violations
-                );
-            }
-            rows.push(ReaderRow {
-                mode: mode.to_string(),
-                readers: count,
-                window_s: mode_window.as_secs_f64(),
-                total_reads: outcome.total_reads,
-                reads_per_s,
-                scaling_vs_1: scaling,
-                read_p50_us: p50,
-                read_p99_us: p99,
-                read_p999_us: p999,
-                snapshots_observed: outcome.snapshots_observed,
-                snapshots_verified: outcome.snapshots_verified,
-                violations: outcome.violations,
-            });
-        }
-    }
-
-    // ordering: pure stop signal, synchronized by the join on the next line
-    stop_writer.store(true, Ordering::Relaxed);
-    writer.join().expect("writer joins");
-    service.flush().expect("flush after writer stop");
-    let stats = service.stats();
-    let shard = &stats.shards[0];
-    let writer_row = WriterRow {
-        updates_submitted: shard.submitted,
-        updates_processed: shard.processed,
-        updates_rejected: shard.rejected,
-        final_version: shard.published_version,
-        live_objects_end: shard.engine.live_objects,
-        live_functions_end: shard.engine.live_functions,
-    };
-    eprintln!(
-        "== writer: {} updates in {} snapshots, {} live objects at end ==",
-        writer_row.updates_processed, writer_row.final_version, writer_row.live_objects_end
-    );
-
-    // --- gates --------------------------------------------------------------
-    let paced_scaling = rows
-        .iter()
-        .find(|r| r.mode == "paced" && r.readers == 8)
-        .map(|r| r.scaling_vs_1)
-        .unwrap_or(0.0);
-    if paced_scaling < 4.0 {
-        failed = true;
-        eprintln!(
-            "!! paced read throughput does not scale: {paced_scaling:.2}x from 1 to 8 readers (need >= 4x)"
-        );
-    }
-    let saturated_8 = rows
-        .iter()
-        .find(|r| r.mode == "saturated" && r.readers == 8)
-        .map(|r| r.scaling_vs_1)
-        .unwrap_or(0.0);
-    if saturated_8 < 0.4 {
-        failed = true;
-        eprintln!(
-            "!! saturated read throughput collapsed with 8 readers: {saturated_8:.2}x of 1 reader"
-        );
-    }
-    if writer_row.updates_rejected > 0 {
-        failed = true;
-        eprintln!("!! writer rejected {} updates", writer_row.updates_rejected);
-    }
-    if writer_row.final_version < 16 {
-        failed = true;
-        eprintln!(
-            "!! writer barely published ({} snapshots): the bench did not run under churn",
-            writer_row.final_version
-        );
-    }
-
-    // --- update-ack latency cell --------------------------------------------
-    let update_ack = run_update_ack_cell(smoke);
-    eprintln!(
-        "== update-ack: {} batches of {}: p50={:.1}us p99={:.1}us p999={:.1}us ==",
-        update_ack.batches,
-        update_ack.batch_size,
-        update_ack.ack_p50_us,
-        update_ack.ack_p99_us,
-        update_ack.ack_p999_us
-    );
-
-    // --- durability / recovery cell -----------------------------------------
-    let recovery = run_recovery_cell(smoke);
-    eprintln!(
-        "== recovery: {} logged batches replayed in {:.1}ms, {} pairs, identical={} ==",
-        recovery.batches_logged,
-        recovery.recover_wall_ms,
-        recovery.recovered_pairs,
-        recovery.matches_pre_shutdown
-    );
-    if !recovery.matches_pre_shutdown {
-        failed = true;
-        eprintln!("!! recovered matching differs from the pre-shutdown matching");
-    }
-
-    // --- front-door (socket path) cell --------------------------------------
     let front_door = run_front_door_cell(smoke);
     eprintln!(
-        "== front door: reads {:.0}/{:.0}/s p999={:.0}us (SLO {:.0}us) | acks {:.0}/{:.0}/s p999={:.0}us (SLO {:.0}us) | {} protocol errors, {} overload rejects ==",
+        "== front door: reads {:.0}/{:.0}/s p999={:.0}us (SLO {:.0}us) | acks {:.0}/{:.0}/s p999={:.0}us (SLO {:.0}us) | {} protocol errors ==",
         front_door.achieved_reads_per_s,
         front_door.offered_reads_per_s,
         front_door.read_p999_us,
@@ -456,9 +129,9 @@ fn main() {
         front_door.offered_acks_per_s,
         front_door.ack_p999_us,
         front_door.ack_p999_slo_us,
-        front_door.protocol_errors,
-        front_door.overload_rejects_observed
+        front_door.protocol_errors
     );
+    let mut failed = false;
     if front_door.protocol_errors > 0 {
         failed = true;
         eprintln!(
@@ -494,10 +167,6 @@ fn main() {
             front_door.achieved_acks_per_s, front_door.offered_acks_per_s
         );
     }
-    if front_door.overload_rejects_observed == 0 {
-        failed = true;
-        eprintln!("!! the overload probe never saw a typed Overloaded reject");
-    }
 
     let report = BenchReport {
         bench: "service".to_string(),
@@ -509,184 +178,27 @@ fn main() {
         hardware_threads: std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1),
-        paced_interval_us: PACED_INTERVAL.as_micros() as u64,
-        rows,
-        writer: writer_row,
-        update_ack,
-        recovery,
         front_door,
     };
+    if let Some(dir) = out.parent() {
+        // lint: allow(no-raw-fs) -- bench report output, not durable state
+        std::fs::create_dir_all(dir).expect("create bench output directory");
+    }
     // lint: allow(no-raw-fs) -- bench report output, not durable state
     let file = std::fs::File::create(&out).expect("create bench output file");
     serde_json::to_writer_pretty(std::io::BufWriter::new(file), &report)
         .expect("serialize bench report");
     eprintln!("wrote {}", out.display());
 
-    match Arc::try_unwrap(service) {
-        Ok(service) => service.shutdown().expect("clean shutdown"),
-        Err(_) => panic!("reader fleets must have been joined"),
-    }
-
     if failed {
-        eprintln!("FAILED: stability violation or read-throughput collapse (see log above)");
+        eprintln!("FAILED: an open-loop gate did not hold (see log above)");
         std::process::exit(1);
     }
 }
 
-/// Canonical matching of a snapshot: sorted `(function, object, score-bits)`
-/// triples, the identity recovery is gated on.
-fn canonical(snap: &AssignmentSnapshot) -> Vec<(usize, u64, u64)> {
-    let mut out = Vec::new();
-    for f in snap.functions() {
-        if let Some(assigned) = snap.assignment_of(f.id) {
-            for (object, score) in assigned {
-                out.push((f.id.0, object.0, score.to_bits()));
-            }
-        }
-    }
-    out.sort_unstable();
-    out
-}
-
-/// The update-ack cell: a dedicated (non-durable) shard measures the full
-/// producer-visible write ack — batch submit + `flush`, i.e. wait until the
-/// batch is applied, re-stabilized and published — one batch at a time.
-fn run_update_ack_cell(smoke: bool) -> UpdateAckRow {
-    let num_batches: usize = if smoke { 80 } else { 240 };
-    let functions = pref_datagen::uniform_weight_functions(NUM_FUNCTIONS, DIMS, SEED ^ 0xa0);
-    let objects = ObjectDistribution::Independent.generate(NUM_OBJECTS, DIMS, SEED ^ 0xae11);
-    let problem = Problem::from_parts(functions, objects).expect("generated workload is valid");
-    let live_objects: Vec<RecordId> = problem.objects().iter().map(|o| o.id).collect();
-    let live_functions: Vec<u64> = problem.functions().iter().map(|f| f.id.0 as u64).collect();
-    let stream: Vec<UpdateOp> = update_stream(
-        &UpdateStreamConfig {
-            num_events: num_batches * WRITER_BATCH,
-            dims: DIMS,
-            distribution: ObjectDistribution::Independent,
-            insert_fraction: 0.5,
-            object_fraction: 0.85,
-            min_objects: NUM_OBJECTS / 2,
-            min_functions: NUM_FUNCTIONS / 2,
-            max_capacity: 2,
-            seed: SEED ^ 0xacc,
-        },
-        &live_objects,
-        &live_functions,
-    )
-    .iter()
-    .map(UpdateOp::from_event)
-    .collect();
-
-    let service = ShardedService::start(
-        vec![problem],
-        &ServiceConfig {
-            queue_capacity: 512,
-            max_batch: 32,
-            engine: EngineOptions::default(),
-            durability: None,
-        },
-    )
-    .expect("ack-cell service starts");
-    let mut nanos: Vec<u64> = Vec::with_capacity(num_batches);
-    for batch in stream.chunks(WRITER_BATCH) {
-        let started = Instant::now();
-        service
-            .submit_batch(0, batch.to_vec())
-            .expect("ack-cell submit");
-        service.flush().expect("ack-cell flush");
-        nanos.push(started.elapsed().as_nanos() as u64);
-    }
-    service.shutdown().expect("ack-cell shutdown");
-    nanos.sort_unstable();
-    UpdateAckRow {
-        batches: num_batches as u64,
-        batch_size: WRITER_BATCH,
-        ack_p50_us: percentile_us(&nanos, 0.50),
-        ack_p99_us: percentile_us(&nanos, 0.99),
-        ack_p999_us: percentile_us(&nanos, 0.999),
-    }
-}
-
-/// The durability cell: run a durable shard under churn, shut it down
-/// cleanly, and measure the wall time of a full recovery (checkpoint restore
-/// + WAL tail replay + re-solve + first publication).
-fn run_recovery_cell(smoke: bool) -> RecoveryRow {
-    const CHECKPOINT_EVERY: u64 = 64;
-    let num_batches = if smoke { 60 } else { 200 };
-    let dir = std::env::temp_dir().join(format!("service_bench_durable_{}", std::process::id()));
-    // lint: allow(no-raw-fs) -- scratch durability dir cleanup for the bench
-    let _ = std::fs::remove_dir_all(&dir);
-
-    let functions = pref_datagen::uniform_weight_functions(NUM_FUNCTIONS, DIMS, SEED ^ 0x7d);
-    let objects = ObjectDistribution::Independent.generate(NUM_OBJECTS, DIMS, SEED ^ 0x7e11);
-    let problem = Problem::from_parts(functions, objects).expect("generated workload is valid");
-    let live_objects: Vec<RecordId> = problem.objects().iter().map(|o| o.id).collect();
-    let live_functions: Vec<u64> = problem.functions().iter().map(|f| f.id.0 as u64).collect();
-    let stream: Vec<UpdateOp> = update_stream(
-        &UpdateStreamConfig {
-            num_events: num_batches * WRITER_BATCH,
-            dims: DIMS,
-            distribution: ObjectDistribution::Independent,
-            insert_fraction: 0.5,
-            object_fraction: 0.85,
-            min_objects: NUM_OBJECTS / 2,
-            min_functions: NUM_FUNCTIONS / 2,
-            max_capacity: 2,
-            seed: SEED ^ 0xd0,
-        },
-        &live_objects,
-        &live_functions,
-    )
-    .iter()
-    .map(UpdateOp::from_event)
-    .collect();
-
-    let config = ServiceConfig {
-        queue_capacity: 512,
-        max_batch: 32,
-        engine: EngineOptions::default(),
-        durability: Some(DurabilityConfig {
-            dir: dir.clone(),
-            fsync: FsyncPolicy::Always,
-            checkpoint_every: CHECKPOINT_EVERY,
-        }),
-    };
-    let service = ShardedService::start(vec![problem], &config).expect("durable service starts");
-    let mut batches_logged = 0u64;
-    for batch in stream.chunks(WRITER_BATCH) {
-        service
-            .submit_batch(0, batch.to_vec())
-            .expect("durable submit");
-        batches_logged += 1;
-    }
-    service.flush().expect("durable flush");
-    let before = canonical(&service.shard(0).expect("shard 0").latest());
-    service.shutdown().expect("durable shutdown");
-
-    let started = Instant::now();
-    let recovered = ShardedService::recover(&config).expect("service recovers");
-    let recover_wall_ms = started.elapsed().as_secs_f64() * 1e3;
-    let snap = recovered.shard(0).expect("shard 0").latest();
-    let after = canonical(&snap);
-    let row = RecoveryRow {
-        batches_logged,
-        checkpoint_every: CHECKPOINT_EVERY,
-        recover_wall_ms,
-        recovered_pairs: snap.num_pairs(),
-        matches_pre_shutdown: before == after,
-    };
-    recovered.shutdown().expect("recovered service shutdown");
-    // lint: allow(no-raw-fs) -- scratch durability dir cleanup for the bench
-    let _ = std::fs::remove_dir_all(&dir);
-    row
-}
-
-// --- front-door (socket path) cell ------------------------------------------
-
 /// One open-loop generator's outcome: latencies from scheduled arrival.
 struct OpenLoopOutcome {
     latencies_ns: Vec<u64>,
-    completed: u64,
     errors: u64,
     wall: Duration,
 }
@@ -722,8 +234,8 @@ fn zipf_tenant(cdf: &[f64], state: &mut u64) -> u64 {
     cdf.partition_point(|&c| c < u).min(cdf.len() - 1) as u64
 }
 
-/// One open-loop reader connection: `requests` point reads at a fixed
-/// arrival interval against Zipf-drawn tenants. Latency is measured from
+/// One open-loop reader connection: `requests` point reads, one per
+/// [`FRONT_DOOR_READ_INTERVAL`], against Zipf-drawn tenants. Latency is measured from
 /// the *scheduled* arrival, so time spent queued behind a slow server is in
 /// the sample (no coordinated omission).
 fn front_door_reader(
@@ -731,7 +243,6 @@ fn front_door_reader(
     seed: u64,
     cdf: Arc<Vec<f64>>,
     requests: usize,
-    interval: Duration,
 ) -> OpenLoopOutcome {
     let mut client = NetClient::connect(addr).expect("front-door reader connects");
     let mut latencies = Vec::with_capacity(requests);
@@ -739,7 +250,7 @@ fn front_door_reader(
     let mut state = seed | 1;
     let started = Instant::now();
     for i in 0..requests {
-        let scheduled = interval * i as u32;
+        let scheduled = FRONT_DOOR_READ_INTERVAL * i as u32;
         let now = started.elapsed();
         if scheduled > now {
             std::thread::sleep(scheduled - now);
@@ -756,14 +267,13 @@ fn front_door_reader(
     }
     OpenLoopOutcome {
         latencies_ns: latencies,
-        completed: requests as u64,
         errors,
         wall: started.elapsed(),
     }
 }
 
-/// The open-loop update-ack connection: each arrival submits one batch and
-/// immediately flushes — the reply is the full network-visible write ack
+/// The open-loop update-ack connection: each arrival (one per
+/// [`FRONT_DOOR_ACK_INTERVAL`]) submits one batch and immediately flushes — the reply is the full network-visible write ack
 /// (admission + queue + apply + publish). Batches alternate between
 /// inserting four fresh objects on a Zipf tenant and removing those same
 /// four again, so every op is valid and the population stays bounded.
@@ -772,7 +282,6 @@ fn front_door_acker(
     seed: u64,
     cdf: Arc<Vec<f64>>,
     batches: usize,
-    interval: Duration,
 ) -> OpenLoopOutcome {
     let mut client = NetClient::connect(addr).expect("front-door acker connects");
     let mut latencies = Vec::with_capacity(batches);
@@ -782,7 +291,7 @@ fn front_door_acker(
     let mut pending: Option<(u64, Vec<u64>)> = None;
     let started = Instant::now();
     for i in 0..batches {
-        let scheduled = interval * i as u32;
+        let scheduled = FRONT_DOOR_ACK_INTERVAL * i as u32;
         let now = started.elapsed();
         if scheduled > now {
             std::thread::sleep(scheduled - now);
@@ -821,67 +330,13 @@ fn front_door_acker(
     }
     OpenLoopOutcome {
         latencies_ns: latencies,
-        completed: batches as u64,
         errors,
         wall: started.elapsed(),
     }
 }
 
-/// The overload probe: its own one-shard server with a one-update queue and
-/// a saturating producer of real engine work. Counts the typed `Overloaded`
-/// rejects — the run is gated on seeing at least one, because an admission
-/// path that never rejects under this load is not actually wired in.
-fn front_door_overload_probe() -> u64 {
-    let functions = pref_datagen::uniform_weight_functions(NUM_FUNCTIONS, DIMS, SEED ^ 0xf0);
-    let objects = ObjectDistribution::Independent.generate(NUM_OBJECTS, DIMS, SEED ^ 0xf011);
-    let problem = Problem::from_parts(functions, objects).expect("generated workload is valid");
-    let service = ShardedService::start(
-        vec![problem],
-        &ServiceConfig {
-            queue_capacity: 1,
-            max_batch: 32,
-            engine: EngineOptions::default(),
-            durability: None,
-        },
-    )
-    .expect("overload-probe service starts");
-    let server =
-        Server::start(service, &ServerConfig::default()).expect("overload-probe server starts");
-    let mut client = NetClient::connect(server.local_addr()).expect("overload probe connects");
-    let mut rejects = 0u64;
-    let mut state = SEED | 1;
-    'waves: for wave in 0..5_000u64 {
-        let base = 1_000_000 + wave * 16;
-        let batch: Vec<UpdateOp> = (0..16)
-            .map(|i| {
-                let coords: Vec<f64> = (0..DIMS).map(|_| uniform01(&mut state)).collect();
-                UpdateOp::InsertObject(ObjectRecord::new(base + i, Point::from_slice(&coords)))
-            })
-            .collect();
-        match client.update(7, &batch) {
-            Ok(()) => {}
-            Err(e) if e.is_admission_reject() => {
-                rejects += 1;
-                if rejects >= 8 {
-                    break 'waves;
-                }
-            }
-            Err(NetError::Remote { .. }) | Err(_) => break 'waves,
-        }
-    }
-    // drain and verify the shard stayed healthy through the rejects
-    client.flush(7).expect("overload probe flush");
-    server
-        .stop()
-        .expect("overload-probe server stops")
-        .shutdown()
-        .expect("overload-probe service shutdown");
-    rejects
-}
-
 /// The front-door cell: a 4-shard service behind a real TCP server, driven
-/// by open-loop reader connections plus an update-ack connection, then the
-/// overload probe.
+/// by open-loop reader connections plus an update-ack connection.
 fn run_front_door_cell(smoke: bool) -> FrontDoorRow {
     let shards = 4usize;
     let problems: Vec<Problem> = (0..shards as u64)
@@ -906,9 +361,8 @@ fn run_front_door_cell(smoke: bool) -> FrontDoorRow {
     let server = Server::start(
         service,
         &ServerConfig {
-            // the main cell measures latency under *admitted* load: the
-            // bucket is sized far above the offered rate (the overload
-            // probe is where rejection is exercised)
+            // the cell measures latency under *admitted* load: the bucket
+            // is sized far above the offered rate
             admission: TokenBucketConfig {
                 rate_per_sec: 1_000_000,
                 burst: 1_000_000,
@@ -929,15 +383,7 @@ fn run_front_door_cell(smoke: bool) -> FrontDoorRow {
             let cdf = Arc::clone(&cdf);
             std::thread::Builder::new()
                 .name(format!("front-door-reader-{conn}"))
-                .spawn(move || {
-                    front_door_reader(
-                        addr,
-                        SEED ^ (conn as u64),
-                        cdf,
-                        reads_per_conn,
-                        FRONT_DOOR_READ_INTERVAL,
-                    )
-                })
+                .spawn(move || front_door_reader(addr, SEED ^ (conn as u64), cdf, reads_per_conn))
                 .expect("spawn front-door reader")
         })
         .collect();
@@ -945,26 +391,16 @@ fn run_front_door_cell(smoke: bool) -> FrontDoorRow {
         let cdf = Arc::clone(&cdf);
         std::thread::Builder::new()
             .name("front-door-acker".into())
-            .spawn(move || {
-                front_door_acker(
-                    addr,
-                    SEED ^ 0xacce5,
-                    cdf,
-                    ack_batches,
-                    FRONT_DOOR_ACK_INTERVAL,
-                )
-            })
+            .spawn(move || front_door_acker(addr, SEED ^ 0xacce5, cdf, ack_batches))
             .expect("spawn front-door acker")
     };
 
     let mut read_latencies: Vec<u64> = Vec::new();
-    let mut reads_completed = 0u64;
     let mut protocol_errors = 0u64;
     let mut read_wall = Duration::ZERO;
     for handle in readers {
         let outcome = handle.join().expect("front-door reader joins");
         read_latencies.extend(outcome.latencies_ns);
-        reads_completed += outcome.completed;
         protocol_errors += outcome.errors;
         read_wall = read_wall.max(outcome.wall);
     }
@@ -974,7 +410,6 @@ fn run_front_door_cell(smoke: bool) -> FrontDoorRow {
     let mut ack_latencies = ack_outcome.latencies_ns;
     ack_latencies.sort_unstable();
 
-    let overload_rejects_observed = front_door_overload_probe();
     server
         .stop()
         .expect("front-door server stops")
@@ -988,136 +423,18 @@ fn run_front_door_cell(smoke: bool) -> FrontDoorRow {
         zipf_s: FRONT_DOOR_ZIPF_S,
         window_s,
         offered_reads_per_s: FRONT_DOOR_READ_CONNS as f64 / FRONT_DOOR_READ_INTERVAL.as_secs_f64(),
-        achieved_reads_per_s: reads_completed as f64 / read_wall.as_secs_f64().max(1e-9),
+        achieved_reads_per_s: read_latencies.len() as f64 / read_wall.as_secs_f64().max(1e-9),
         read_p50_us: percentile_us(&read_latencies, 0.50),
         read_p99_us: percentile_us(&read_latencies, 0.99),
         read_p999_us: percentile_us(&read_latencies, 0.999),
         read_p999_slo_us: FRONT_DOOR_READ_P999_SLO_US,
         ack_batch_size: FRONT_DOOR_ACK_BATCH,
         offered_acks_per_s: 1.0 / FRONT_DOOR_ACK_INTERVAL.as_secs_f64(),
-        achieved_acks_per_s: ack_outcome.completed as f64
-            / ack_outcome.wall.as_secs_f64().max(1e-9),
+        achieved_acks_per_s: ack_latencies.len() as f64 / ack_outcome.wall.as_secs_f64().max(1e-9),
         ack_p50_us: percentile_us(&ack_latencies, 0.50),
         ack_p99_us: percentile_us(&ack_latencies, 0.99),
         ack_p999_us: percentile_us(&ack_latencies, 0.999),
         ack_p999_slo_us: FRONT_DOOR_ACK_P999_SLO_US,
         protocol_errors,
-        overload_rejects_observed,
-    }
-}
-
-/// Runs one reader fleet for `window`, returning the aggregate counters.
-fn run_fleet(
-    service: &Arc<ShardedService>,
-    readers: usize,
-    window: Duration,
-    paced: bool,
-) -> FleetOutcome {
-    let stop = Arc::new(AtomicBool::new(false));
-    let reads = Arc::new(AtomicU64::new(0));
-    let observed = Arc::new(AtomicU64::new(0));
-    let verified = Arc::new(AtomicU64::new(0));
-    let violations = Arc::new(AtomicU64::new(0));
-    let handles: Vec<_> = (0..readers)
-        .map(|r| {
-            let service = Arc::clone(service);
-            let stop = Arc::clone(&stop);
-            let reads = Arc::clone(&reads);
-            let observed = Arc::clone(&observed);
-            let verified = Arc::clone(&verified);
-            let violations = Arc::clone(&violations);
-            std::thread::Builder::new()
-                .name(format!("bench-reader-{r}"))
-                .spawn(move || {
-                    let mut reader = service.reader();
-                    let mut last_version = 0u64;
-                    let mut my_reads = 0u64;
-                    let mut my_verified = 0u64;
-                    let mut my_latencies: Vec<u64> = Vec::new();
-                    let mut next = Instant::now();
-                    let mut probe = r as u64; // deterministic per-reader walk
-                                              // ordering: pure stop signal; counters are synchronized
-                                              // by the joins at the end of the fleet run
-                    while !stop.load(Ordering::Relaxed) {
-                        let request_started = Instant::now();
-                        let snapshot = reader.snapshot(0).expect("shard 0 exists");
-                        let pin_elapsed = request_started.elapsed();
-                        let version = snapshot.version();
-                        if version < last_version {
-                            violations.fetch_add(1, Ordering::Relaxed); // ordering: statistics tally
-                        }
-                        if version > last_version {
-                            last_version = version;
-                            observed.fetch_add(1, Ordering::Relaxed); // ordering: statistics tally
-                                                                      // re-verify a sample of the newly published
-                                                                      // snapshots end-to-end (quadratic, so capped)
-                            if my_verified < 64 || version.is_multiple_of(8) {
-                                if snapshot.verify().is_err() {
-                                    violations.fetch_add(1, Ordering::Relaxed); // ordering: statistics tally
-                                }
-                                my_verified += 1;
-                            }
-                        }
-                        // the read itself: one function-side and one
-                        // object-side point lookup on the pinned snapshot
-                        // (timed as pin + lookups; the sampled quadratic
-                        // re-verification above is bench instrumentation,
-                        // not request work, and stays out of the sample)
-                        let lookup_started = Instant::now();
-                        let functions = snapshot.functions();
-                        if !functions.is_empty() {
-                            let f = functions[(probe % functions.len() as u64) as usize].id;
-                            if let Some(mut pairs) = snapshot.assignment_of(f) {
-                                if let Some((object, _score)) = pairs.next() {
-                                    let back = snapshot
-                                        .functions_of(object)
-                                        .map(|mut it| it.any(|(bf, _)| bf == f))
-                                        .unwrap_or(false);
-                                    if !back {
-                                        // ordering: statistics tally
-                                        violations.fetch_add(1, Ordering::Relaxed);
-                                    }
-                                }
-                            } else {
-                                // live function missing from its own snapshot
-                                violations.fetch_add(1, Ordering::Relaxed); // ordering: statistics tally
-                            }
-                        }
-                        probe = probe.wrapping_add(0x9e37_79b9);
-                        my_reads += 1;
-                        my_latencies
-                            .push((pin_elapsed + lookup_started.elapsed()).as_nanos() as u64);
-                        if paced {
-                            next += PACED_INTERVAL;
-                            let now = Instant::now();
-                            if next > now {
-                                std::thread::sleep(next - now);
-                            } else {
-                                // overloaded: don't accumulate debt
-                                next = now;
-                            }
-                        }
-                    }
-                    reads.fetch_add(my_reads, Ordering::Relaxed); // ordering: statistics tally
-                    verified.fetch_add(my_verified, Ordering::Relaxed); // ordering: statistics tally
-                    my_latencies
-                })
-                .expect("spawn reader")
-        })
-        .collect();
-    std::thread::sleep(window);
-    // ordering: pure stop signal, synchronized by the joins below
-    stop.store(true, Ordering::Relaxed);
-    let mut latencies_ns: Vec<u64> = Vec::new();
-    for handle in handles {
-        latencies_ns.extend(handle.join().expect("reader joins"));
-    }
-    latencies_ns.sort_unstable();
-    FleetOutcome {
-        total_reads: reads.load(Ordering::Relaxed), // ordering: tally read after join
-        snapshots_observed: observed.load(Ordering::Relaxed), // ordering: tally read after join
-        snapshots_verified: verified.load(Ordering::Relaxed), // ordering: tally read after join
-        violations: violations.load(Ordering::Relaxed), // ordering: tally read after join
-        latencies_ns,
     }
 }

@@ -2,8 +2,8 @@
 //!
 //! Each function sweeps the same parameter as the corresponding figure, runs
 //! the same competitor set and returns a [`Report`] with one row per
-//! (algorithm, sweep value). The `fig08` … `fig17` binaries are thin wrappers
-//! around these functions.
+//! (algorithm, sweep value). [`EXPERIMENTS`] is the one list of them: the
+//! `figures` binary's selectors, its usage text and its `all` sweep read it.
 
 use crate::algorithms::AlgorithmKind;
 use crate::params::{Params, Scale};
@@ -297,22 +297,28 @@ pub fn ablation_omega(scale: Scale) -> Report {
     report
 }
 
-/// Runs a named experiment ("fig08" … "fig17", "omega").
-pub fn by_name(name: &str, scale: Scale) -> Option<Report> {
-    Some(match name {
-        "fig08" => fig08(scale),
-        "fig09" => fig09(scale),
-        "fig10" => fig10(scale),
-        "fig11" => fig11(scale),
-        "fig12" => fig12(scale),
-        "fig13" => fig13(scale),
-        "fig14" => fig14(scale),
-        "fig15" => fig15(scale),
-        "fig16" => fig16(scale),
-        "fig17" => fig17(scale),
-        "omega" => ablation_omega(scale),
-        _ => return None,
-    })
+/// One experiment: the selector the `figures` binary takes (also its JSON
+/// file stem) and the function that runs it.
+pub type Experiment = (&'static str, fn(Scale) -> Report);
+
+/// Every experiment, in the order `figures all` runs them.
+pub const EXPERIMENTS: [Experiment; 11] = [
+    ("fig08", fig08),
+    ("fig09", fig09),
+    ("fig10", fig10),
+    ("fig11", fig11),
+    ("fig12", fig12),
+    ("fig13", fig13),
+    ("fig14", fig14),
+    ("fig15", fig15),
+    ("fig16", fig16),
+    ("fig17", fig17),
+    ("omega", ablation_omega),
+];
+
+/// Looks a selector up in [`EXPERIMENTS`] (without running anything).
+pub fn by_name(name: &str) -> Option<Experiment> {
+    EXPERIMENTS.into_iter().find(|(n, _)| *n == name)
 }
 
 #[cfg(test)]
@@ -361,9 +367,12 @@ mod tests {
 
     #[test]
     fn by_name_covers_every_figure() {
-        for name in ["fig08", "fig10", "fig12", "fig13", "omega"] {
-            assert!(by_name(name, Scale::Quick).is_some(), "{name}");
+        for (name, _) in EXPERIMENTS {
+            assert_eq!(by_name(name).map(|(n, _)| n), Some(name));
         }
-        assert!(by_name("nope", Scale::Quick).is_none());
+        // a lookup, not a run: an unknown name is refused before any work
+        assert!(by_name("nope").is_none());
+        // the Ω ablation has one name, so one JSON file: `omega`
+        assert!(by_name("ablation_omega").is_none());
     }
 }

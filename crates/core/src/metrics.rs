@@ -20,9 +20,9 @@ pub struct RunMetrics {
     pub aux_io: IoStats,
     /// Wall-clock time of the run. Each batch solver runs single-threaded, so
     /// for one `Solver::solve` call this still equals CPU time; it stops being
-    /// a CPU measure when runs execute concurrently (the `--jobs` figure
-    /// sweeps) or when the assignment engine batches repair work between
-    /// reads — treat it as elapsed time, not as a cross-thread CPU total.
+    /// a CPU measure when runs execute concurrently or when the assignment
+    /// engine batches repair work between reads — treat it as elapsed time,
+    /// not as a cross-thread CPU total.
     #[serde(with = "duration_serde")]
     pub cpu_time: Duration,
     /// Peak size of the algorithm's search structures, in bytes.

@@ -28,9 +28,8 @@
 //!
 //! The engine's repaired matching is — by the greedy-trace argument of
 //! Section 3 — *identical* to the batch solvers' output on a snapshot of the
-//! current problem; the property tests and the `engine_bench` divergence gate
-//! enforce this against the exact oracle and every [`pref_assign::Solver`]
-//! variant.
+//! current problem; the property tests enforce this against the exact oracle
+//! and every [`pref_assign::Solver`] variant.
 //!
 //! # Quick start
 //!

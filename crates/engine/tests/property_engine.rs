@@ -282,8 +282,17 @@ fn churn_with_compaction_stays_bounded_and_exact() {
             ..EngineOptions::default()
         };
         let mut engine = AssignmentEngine::new(&problem, &options).unwrap();
+        // update I/O after the first quarter of the stream / before the last
+        let quarter = events.len() / 4;
+        let mut io_marks = [0u64; 2];
         for (step, event) in events.iter().enumerate() {
             engine.apply(event).unwrap();
+            if step + 1 == quarter {
+                io_marks[0] = engine.update_object_io().io_accesses();
+            }
+            if step + 1 == events.len() - quarter {
+                io_marks[1] = engine.update_object_io().io_accesses();
+            }
             let snapshot = engine.snapshot_problem().unwrap();
             let assignment = engine.assignment();
             verify_stable(&snapshot, &assignment)
@@ -315,6 +324,15 @@ fn churn_with_compaction_stays_bounded_and_exact() {
         let stats = engine.stats();
         assert!(stats.compaction_batches > 0, "churn never compacted");
         assert!(stats.physical_deletes > 0);
+        // a bounded index keeps late updates within a constant factor of
+        // early ones (mean object-tree accesses per update)
+        let first_q = io_marks[0] as f64 / quarter as f64;
+        let last_q =
+            (engine.update_object_io().io_accesses() - io_marks[1]) as f64 / quarter as f64;
+        assert!(
+            last_q <= 3.0 * first_q + 2.0,
+            "per-update I/O degraded (seed {seed}): first quarter {first_q:.2}, last {last_q:.2}"
+        );
     }
 }
 

@@ -759,6 +759,41 @@ mod tests {
         }
     }
 
+    /// The steady-state contract: once warmed, score → clear → refill
+    /// allocates nothing. A reallocation would move the scratch buffer or a
+    /// block lane, so their addresses are pinned across the rounds.
+    #[test]
+    fn steady_state_scoring_never_reallocates() {
+        for dims in [1usize, 3, 8, 12] {
+            let rows: Vec<Vec<f64>> = (0..96)
+                .map(|i| {
+                    (0..dims)
+                        .map(|d| ((i * dims + d) as f64).sin().abs())
+                        .collect()
+                })
+                .collect();
+            let table = ScoreTable::from_effective_rows(&rows[..8]);
+            let mut block = block_of(&rows);
+            let mut out = Vec::new();
+            table.score_block(0, &block, &mut out); // warm-up sizes the scratch
+            let pinned = |block: &SoaBlock, out: &Vec<f64>| {
+                let lanes: Vec<*const f64> = (0..dims).map(|d| block.lane(d).as_ptr()).collect();
+                (out.as_ptr(), out.capacity(), lanes)
+            };
+            let before = pinned(&block, &out);
+            for _ in 0..4 {
+                for fi in 0..table.len() {
+                    table.score_block(fi, &block, &mut out);
+                }
+                block.clear();
+                for row in &rows {
+                    block.push_coords(row);
+                }
+            }
+            assert_eq!(pinned(&block, &out), before, "dims {dims}");
+        }
+    }
+
     proptest! {
         #[test]
         fn prop_block_scores_bit_identical_to_scalar(

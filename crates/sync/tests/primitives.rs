@@ -1,7 +1,8 @@
 //! Passthrough-equivalence smoke test: outside a model run the shim types
 //! behave exactly like std on real OS threads — same API, same semantics —
 //! whether or not the `model` feature is compiled in. This is what keeps the
-//! service's hot path (and `BENCH_service.json`) unaffected by the shim.
+//! service's hot path (and the benchmark's `serve-*` workloads) unaffected by
+//! the shim.
 
 use pref_sync::{thread, AtomicU64, Condvar, Mutex, Ordering, RaceCell};
 use std::sync::Arc;

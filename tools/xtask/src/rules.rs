@@ -693,8 +693,8 @@ pub fn is_crate_root(path: &str) -> bool {
 
 /// Scoring-kernel modules by workspace convention: `kernel.rs`,
 /// `kernels.rs`, or a `_kernel(s)` suffix. Deliberately narrower than
-/// "contains `kernel`" — harness files *about* kernels (`kernel_perf.rs`,
-/// `kernel_bench.rs`) are measurement code, not hot loops.
+/// "contains `kernel`" — a harness file *about* kernels (a `_perf` or
+/// `_bench` stem) is measurement code, not a hot loop.
 pub fn is_kernel_file(path: &str) -> bool {
     let stem = Path::new(path)
         .file_stem()
@@ -918,9 +918,9 @@ mod tests {
         // scoped by module name, not by crate — and harness files about
         // kernels are measurement code, not hot loops
         assert!(findings("crates/geom/src/util.rs", src).is_empty());
-        assert!(findings("crates/bench/src/kernel_perf.rs", src).is_empty());
+        assert!(findings("crates/x/src/kernels_perf.rs", src).is_empty());
         let bin_src = format!("#![forbid(unsafe_code)]\n{src}");
-        assert!(findings("crates/bench/src/bin/kernel_bench.rs", &bin_src).is_empty());
+        assert!(findings("crates/x/src/bin/kernels_bench.rs", &bin_src).is_empty());
         // a `_kernel` suffix is in scope
         assert_eq!(findings("crates/x/src/score_kernel.rs", src).len(), 1);
         // method-call allocators are caught too
