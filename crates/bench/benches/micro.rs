@@ -84,22 +84,36 @@ fn skyline_maintenance(c: &mut Criterion) {
     group.finish();
 }
 
-/// Resumable TA with the tight threshold versus an exhaustive scan
-/// (design choices #2 and #3).
+/// A fresh reverse top-1 search (TA on its allowance, then the alive-block
+/// scan) versus the scalar exhaustive scan (design choices #2 and #3), on
+/// both sides of the allowance: 5000×4, where the threshold is tight and TA
+/// answers within it, and the `solve-wide` shape 200×12, where it is loose
+/// and the search falls back.
 fn reverse_top1(c: &mut Criterion) {
-    let functions = uniform_weight_functions(5_000, 4, 19);
-    let lists = FunctionLists::new(&functions);
-    let object = Point::from_slice(&[0.9, 0.4, 0.7, 0.2]);
     let mut group = c.benchmark_group("reverse_top1");
-    group.bench_function("resumable_ta", |b| {
-        b.iter(|| {
-            let mut search = ReverseTopOne::new(object.clone(), 125);
-            search.best(&lists)
-        })
-    });
-    group.bench_function("exhaustive_scan", |b| {
-        b.iter(|| lists.best_by_scan(&object))
-    });
+    for (n, omega, coords) in [
+        (5_000, 125, &[0.9, 0.4, 0.7, 0.2][..]),
+        (
+            200,
+            5,
+            &[
+                0.9, 0.4, 0.7, 0.2, 0.5, 0.3, 0.8, 0.1, 0.6, 0.35, 0.75, 0.25,
+            ][..],
+        ),
+    ] {
+        let dims = coords.len();
+        let lists = FunctionLists::new(&uniform_weight_functions(n, dims, 19));
+        let object = Point::from_slice(coords);
+        group.bench_function(format!("bounded_search_{n}x{dims}"), |b| {
+            b.iter(|| {
+                let mut search = ReverseTopOne::new(object.clone(), omega);
+                search.best(&lists)
+            })
+        });
+        group.bench_function(format!("exhaustive_scan_{n}x{dims}"), |b| {
+            b.iter(|| lists.best_by_scan(&object))
+        });
+    }
     group.finish();
 }
 

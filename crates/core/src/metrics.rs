@@ -13,10 +13,11 @@ pub struct RunMetrics {
     /// I/O performed on the object R-tree (the paper's headline metric).
     pub object_io: IoStats,
     /// I/O performed on auxiliary structures, i.e. everything that is not the
-    /// object R-tree: the sorted-list accesses of SB's TA searches, the
-    /// disk-resident function lists of SB-alt, and Chain's function R-tree.
-    /// Only the exhaustive-scan variants (which touch no auxiliary index)
-    /// report zero here.
+    /// object R-tree. For SB: the function-index entries its best-pair
+    /// searches read — one per sorted access of a TA search, one per row
+    /// scored by a scan (the bounded search's fall-back, the exhaustive and
+    /// two-skyline arms). For SB-alt the disk-resident function lists, for
+    /// Chain its function R-tree.
     pub aux_io: IoStats,
     /// Wall-clock time of the run. Each batch solver runs single-threaded, so
     /// for one `Solver::solve` call this still equals CPU time; it stops being

@@ -185,21 +185,33 @@ fn dot_const<const D: usize>(weights: &[f64], coords: &[f64]) -> f64 {
 /// Panics if `weights.len() != block.dims()` (unless the block is empty).
 pub fn score_block(weights: &[f64], priority: f64, block: &SoaBlock, out: &mut Vec<f64>) {
     out.clear();
-    if block.is_empty() {
+    out.resize(block.len(), 0.0);
+    score_rows(weights, priority, block, 0, out);
+}
+
+/// [`score_block`] over the rows `start .. start + out.len()` only, into a
+/// slice the caller sized: a scan that scores a block chunk by chunk into a
+/// fixed stack buffer allocates nothing. Row `start + i` lands in `out[i]`,
+/// the same bits [`score_block`] gives it.
+///
+/// # Panics
+/// Panics if the range runs past `block.len()`, or if `weights.len() !=
+/// block.dims()` (unless `out` is empty).
+pub fn score_rows(weights: &[f64], priority: f64, block: &SoaBlock, start: usize, out: &mut [f64]) {
+    if out.is_empty() {
         return;
     }
     assert_eq!(weights.len(), block.dims(), "dimension mismatch");
-    out.resize(block.len(), 0.0);
     match weights.len() {
-        1 => score_lanes_const::<1>(weights, priority, block, out),
-        2 => score_lanes_const::<2>(weights, priority, block, out),
-        3 => score_lanes_const::<3>(weights, priority, block, out),
-        4 => score_lanes_const::<4>(weights, priority, block, out),
-        5 => score_lanes_const::<5>(weights, priority, block, out),
-        6 => score_lanes_const::<6>(weights, priority, block, out),
-        7 => score_lanes_const::<7>(weights, priority, block, out),
-        8 => score_lanes_const::<8>(weights, priority, block, out),
-        _ => score_lanes_generic(weights, priority, block, out),
+        1 => score_lanes_const::<1>(weights, priority, block, start, out),
+        2 => score_lanes_const::<2>(weights, priority, block, start, out),
+        3 => score_lanes_const::<3>(weights, priority, block, start, out),
+        4 => score_lanes_const::<4>(weights, priority, block, start, out),
+        5 => score_lanes_const::<5>(weights, priority, block, start, out),
+        6 => score_lanes_const::<6>(weights, priority, block, start, out),
+        7 => score_lanes_const::<7>(weights, priority, block, start, out),
+        8 => score_lanes_const::<8>(weights, priority, block, start, out),
+        _ => score_lanes_generic(weights, priority, block, start, out),
     }
 }
 
@@ -212,6 +224,7 @@ fn score_lanes_const<const D: usize>(
     weights: &[f64],
     priority: f64,
     block: &SoaBlock,
+    start: usize,
     out: &mut [f64],
 ) {
     let n = out.len();
@@ -219,7 +232,7 @@ fn score_lanes_const<const D: usize>(
     let mut cols: [&[f64]; D] = [&[]; D];
     for d in 0..D {
         w[d] = weights[d];
-        cols[d] = &block.lane(d)[..n];
+        cols[d] = &block.lane(d)[start..start + n];
     }
     let mut base = 0;
     while base + LANE_CHUNK <= n {
@@ -247,11 +260,17 @@ fn score_lanes_const<const D: usize>(
 /// buffer, then one priority pass. Per point the accumulator still starts at
 /// `0.0` and adds `w[d]·c[d]` in ascending-`d` order — the canonical [`dot`]
 /// sequence — so the pass order is a pure layout change, not a reassociation.
-fn score_lanes_generic(weights: &[f64], priority: f64, block: &SoaBlock, out: &mut [f64]) {
+fn score_lanes_generic(
+    weights: &[f64],
+    priority: f64,
+    block: &SoaBlock,
+    start: usize,
+    out: &mut [f64],
+) {
     let n = out.len();
     out.fill(0.0);
     for (d, &w) in weights.iter().enumerate() {
-        let lane = &block.lane(d)[..n];
+        let lane = &block.lane(d)[start..start + n];
         for (acc, &c) in out.iter_mut().zip(lane) {
             *acc += w * c;
         }
@@ -565,6 +584,42 @@ mod tests {
                         scalar_score(&w, 2.5, p).to_bits(),
                         "n={n} dims={dims} i={i}"
                     );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn score_rows_gives_every_row_range_the_bits_of_score_block() {
+        // a const-ladder and a generic dimensionality, ranges that start and
+        // end inside, on and across the chunk width
+        for dims in [4usize, 12] {
+            let w: Vec<f64> = (0..dims).map(|d| (d as f64 + 1.0) * 0.123).collect();
+            let n = 3 * LANE_CHUNK + 3;
+            let rows: Vec<Vec<f64>> = (0..n)
+                .map(|i| {
+                    (0..dims)
+                        .map(|d| ((i * dims + d) as f64).sin().abs())
+                        .collect()
+                })
+                .collect();
+            let block = block_of(&rows);
+            let mut whole = Vec::new();
+            score_block(&w, 1.0, &block, &mut whole);
+            for start in [0, 1, LANE_CHUNK - 1, LANE_CHUNK, n - 1, n] {
+                for len in [0, 1, LANE_CHUNK, LANE_CHUNK + 1, n - start] {
+                    if start + len > n {
+                        continue;
+                    }
+                    let mut out = [f64::NAN; 3 * LANE_CHUNK + 3];
+                    score_rows(&w, 1.0, &block, start, &mut out[..len]);
+                    for (i, got) in out[..len].iter().enumerate() {
+                        assert_eq!(
+                            got.to_bits(),
+                            whole[start + i].to_bits(),
+                            "dims={dims} start={start} len={len} i={i}"
+                        );
+                    }
                 }
             }
         }

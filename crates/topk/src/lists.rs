@@ -1,14 +1,35 @@
-//! Sorted coefficient lists over the set of preference functions.
+//! The in-memory index over the preference functions `F`, in the two layouts
+//! a reverse top-1 search reads.
+//!
+//! * **Sorted coefficient lists** (Section 5.1): one list per dimension of
+//!   `(coefficient, function)` pairs, descending — what the threshold
+//!   algorithm probes. They are built once and never shrink; a removed
+//!   function stays in them and [`FunctionLists::next_alive`] steps over it.
+//! * **The alive block**: the effective weights of the functions that are
+//!   still unassigned, compacted into one columnar [`SoaBlock`] — what
+//!   [`crate::ReverseTopOne`] scores in a single streaming pass once the
+//!   threshold algorithm has spent its allowance. [`FunctionLists::remove`]
+//!   keeps it compact with a `swap_remove`, exactly as the skyline keeps its
+//!   own block, so rows are in no particular order and `row → function` /
+//!   `function → row` translate.
+//!
+//! Beside them one by-index copy of the weights (the [`ScoreTable`]) serves
+//! TA's random accesses and the pairing phase. `remove`, `next_alive` and the
+//! block accessors run once per search or per sorted access, so this file is
+//! held to the `kernel-no-alloc` lint; only `new` and `alive_functions`
+//! allocate.
 
-use pref_geom::{kernel, LinearFunction, Point, ScoreTable};
+use pref_geom::{kernel, LinearFunction, Point, ScoreTable, SoaBlock};
 
 /// The paper's in-memory index over the preference functions `F`: one list per
 /// dimension, holding `(coefficient, function)` pairs sorted by coefficient in
-/// descending order (Section 5.1).
+/// descending order (Section 5.1), plus a columnar block of the functions
+/// still alive.
 ///
 /// Functions are addressed by their index in the original slice. Assigned
 /// functions are *removed* logically ([`FunctionLists::remove`]); list scans
-/// skip them, so the TA threshold keeps tightening as `F` shrinks.
+/// skip them, so the TA threshold keeps tightening as `F` shrinks, and the
+/// alive block drops their row.
 ///
 /// For the prioritized variant (Section 6.2) the lists are built over the
 /// *effective* coefficients `α′ᵢ = γ·αᵢ` and the knapsack budget becomes the
@@ -18,13 +39,17 @@ use pref_geom::{kernel, LinearFunction, Point, ScoreTable};
 pub struct FunctionLists {
     /// `lists[d]` = (effective coefficient, function index), descending.
     lists: Vec<Vec<(f64, usize)>>,
-    /// Effective (priority-scaled) weight vectors, indexed by function.
-    effective: Vec<Vec<f64>>,
     /// Which functions are still unassigned.
     alive: Vec<bool>,
-    alive_count: usize,
-    /// Shared batch-scoring view over `effective` (clone-cheap: `Arc` rows).
+    /// Effective (priority-scaled) weight vectors by function index, alive or
+    /// not (clone-cheap: `Arc` rows).
     table: ScoreTable,
+    /// Effective weights of the alive functions only, one row each.
+    alive_block: SoaBlock,
+    /// The function each row of `alive_block` belongs to.
+    row_function: Vec<usize>,
+    /// The row of each alive function; stale once the function is removed.
+    function_row: Vec<usize>,
     /// Maximum priority over all functions (the knapsack budget).
     max_priority: f64,
     dims: usize,
@@ -46,12 +71,16 @@ impl FunctionLists {
             functions.iter().all(|f| f.dims() == dims),
             "all functions must share the same dimensionality"
         );
+        // lint: allow(kernel-no-alloc) -- set-up: one index per solve, not per search
         let effective: Vec<Vec<f64>> = functions.iter().map(|f| f.effective_weights()).collect();
+        // lint: allow(kernel-no-alloc) -- set-up: one index per solve, not per search
         let mut lists: Vec<Vec<(f64, usize)>> = vec![Vec::with_capacity(functions.len()); dims];
+        let mut alive_block = SoaBlock::new();
         for (idx, w) in effective.iter().enumerate() {
             for (d, &coeff) in w.iter().enumerate() {
                 lists[d].push((coeff, idx));
             }
+            alive_block.push_coords(w);
         }
         for list in &mut lists {
             list.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap_or(std::cmp::Ordering::Equal));
@@ -60,13 +89,16 @@ impl FunctionLists {
             .iter()
             .map(LinearFunction::priority)
             .fold(0.0f64, f64::max);
-        let table = ScoreTable::from_effective_rows(&effective);
         Self {
             lists,
-            effective,
+            // lint: allow(kernel-no-alloc) -- set-up: one index per solve, not per search
             alive: vec![true; functions.len()],
-            alive_count: functions.len(),
-            table,
+            table: ScoreTable::from_effective_rows(&effective),
+            alive_block,
+            // lint: allow(kernel-no-alloc) -- set-up: one index per solve, not per search
+            row_function: (0..functions.len()).collect(),
+            // lint: allow(kernel-no-alloc) -- set-up: one index per solve, not per search
+            function_row: (0..functions.len()).collect(),
             max_priority,
             dims,
         }
@@ -84,7 +116,7 @@ impl FunctionLists {
 
     /// Number of unassigned (alive) functions.
     pub fn remaining(&self) -> usize {
-        self.alive_count
+        self.row_function.len()
     }
 
     /// The knapsack budget: 1 for normalized functions, the maximum γ when
@@ -99,12 +131,19 @@ impl FunctionLists {
     }
 
     /// Removes (assigns) a function; returns `false` if it was already gone.
+    /// Its row leaves the alive block by `swap_remove`: the last row moves
+    /// into the gap and is re-pointed.
     pub fn remove(&mut self, function: usize) -> bool {
         if !self.alive[function] {
             return false;
         }
         self.alive[function] = false;
-        self.alive_count -= 1;
+        let row = self.function_row[function];
+        self.alive_block.swap_remove(row);
+        self.row_function.swap_remove(row);
+        if let Some(&moved) = self.row_function.get(row) {
+            self.function_row[moved] = row;
+        }
         true
     }
 
@@ -114,7 +153,7 @@ impl FunctionLists {
     /// bit-identical to the scalar path.
     pub fn score(&self, function: usize, object: &Point) -> f64 {
         debug_assert_eq!(object.dims(), self.dims);
-        kernel::dot(&self.effective[function], object.coords())
+        kernel::dot(self.table.row(function), object.coords())
     }
 
     /// A clone-cheap batch-scoring view over the effective coefficients
@@ -127,7 +166,19 @@ impl FunctionLists {
 
     /// The effective coefficient vector of a function.
     pub fn effective_weights(&self, function: usize) -> &[f64] {
-        &self.effective[function]
+        self.table.row(function)
+    }
+
+    /// The effective weights of the alive functions as one columnar block:
+    /// row `r` holds the weights of function [`FunctionLists::alive_rows`]`[r]`.
+    /// Rows are in no particular order (removal swaps the last row in).
+    pub fn alive_block(&self) -> &SoaBlock {
+        &self.alive_block
+    }
+
+    /// The function behind each row of [`FunctionLists::alive_block`].
+    pub fn alive_rows(&self) -> &[usize] {
+        &self.row_function
     }
 
     /// Scans list `dim` starting at `cursor`, skipping removed functions, and
@@ -151,18 +202,20 @@ impl FunctionLists {
         &self.lists[dim]
     }
 
-    /// Indices of all alive functions.
+    /// Indices of all alive functions, ascending.
     pub fn alive_functions(&self) -> Vec<usize> {
         self.alive
             .iter()
             .enumerate()
             .filter_map(|(i, &a)| a.then_some(i))
+            // lint: allow(kernel-no-alloc) -- per loop of the two-skyline arm and in tests, never per search
             .collect()
     }
 
-    /// Exhaustive best function for an object: linear scan over alive
-    /// functions. Used as an oracle by tests and by the two-skyline variant,
-    /// where the candidate function set is small.
+    /// Exhaustive best function for an object: a scalar pass over the alive
+    /// functions in index order. The reference every search is tested against
+    /// — deliberately not routed through the alive block — and the search of
+    /// the exhaustive-scan ablation arm.
     pub fn best_by_scan(&self, object: &Point) -> Option<(usize, f64)> {
         let mut best: Option<(usize, f64)> = None;
         for idx in 0..self.alive.len() {
@@ -242,6 +295,60 @@ mod tests {
         let o = Point::from_slice(&[10.0, 6.0, 8.0]);
         assert_eq!(lists.best_by_scan(&o).unwrap().0, 2);
         assert_eq!(lists.alive_functions(), vec![1, 2, 3, 4]);
+    }
+
+    /// The alive block's contract: its rows are exactly the alive functions,
+    /// each with its own weights, and `function → row` inverts `row →
+    /// function` for every one of them.
+    fn assert_block_mirrors_alive(lists: &FunctionLists) {
+        let block = lists.alive_block();
+        let rows = lists.alive_rows();
+        assert_eq!(
+            (block.len(), rows.len()),
+            (lists.remaining(), lists.remaining())
+        );
+        let mut sorted = rows.to_vec();
+        sorted.sort_unstable();
+        assert_eq!(sorted, lists.alive_functions());
+        for (row, &function) in rows.iter().enumerate() {
+            assert_eq!(lists.function_row[function], row);
+            for (d, &w) in lists.effective_weights(function).iter().enumerate() {
+                assert_eq!(block.lane(d)[row].to_bits(), w.to_bits());
+            }
+        }
+    }
+
+    #[test]
+    fn alive_block_mirrors_the_alive_set_under_any_removal_order() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        for (seed, n, dims) in [(1u64, 1usize, 3usize), (2, 2, 1), (3, 37, 4), (4, 130, 12)] {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let functions: Vec<LinearFunction> = (0..n)
+                .map(|i| {
+                    let w = (0..dims).map(|_| rng.gen_range(0.01..1.0)).collect();
+                    LinearFunction::with_priority(w, 1.0 + (i % 3) as f64).unwrap()
+                })
+                .collect();
+            let mut lists = FunctionLists::new(&functions);
+            assert_block_mirrors_alive(&lists);
+            while lists.remaining() > 0 {
+                // the function in the last row (nothing moves), then one in
+                // the first (the last row moves in), then anyone
+                let victim = match lists.remaining() % 3 {
+                    0 => *lists.alive_rows().last().unwrap(),
+                    1 => lists.alive_rows()[0],
+                    _ => lists.alive_rows()[rng.gen_range(0..lists.remaining())],
+                };
+                assert!(lists.remove(victim));
+                assert_block_mirrors_alive(&lists);
+                // a second removal is refused and leaves the block alone
+                let rows = lists.alive_rows().to_vec();
+                assert!(!lists.remove(victim));
+                assert_eq!(lists.alive_rows(), rows);
+                assert_block_mirrors_alive(&lists);
+            }
+            assert!(lists.alive_block().is_empty());
+        }
     }
 
     #[test]

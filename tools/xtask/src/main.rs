@@ -34,8 +34,9 @@
 //! * **no-raw-fs** — durable I/O is the storage crate's job: no `std::fs` in
 //!   non-test library code outside the storage backend/WAL and this tool.
 //! * **kernel-no-alloc** — scoring-kernel modules (by name) and the listed
-//!   hot-path files (`crates/topk/src/reverse.rs`, the reverse top-1 search)
-//!   are hot-loop code whose steady state must not allocate.
+//!   hot-path files (`crates/topk/src/reverse.rs` and `lists.rs`: the reverse
+//!   top-1 search and the function index it reads) are hot-loop code whose
+//!   steady state must not allocate.
 //! * **hash-iter** — no order-dependent iteration (`.iter()` / `.keys()` /
 //!   `.values()` / `for … in`) over `HashMap` / `HashSet` in solver, engine
 //!   and service library code: ROADMAP item 2 (deterministic log replay)

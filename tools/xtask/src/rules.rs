@@ -66,7 +66,7 @@ const RAW_FS_ALLOWED: [&str; 3] = [
 /// counting allocator is not available to a test: this list is what keeps
 /// a per-access allocation from creeping back into these loops. Set-up code
 /// in them (constructors, lazy sizing) carries the usual annotation.
-const HOT_PATH_FILES: [&str; 1] = ["crates/topk/src/reverse.rs"];
+const HOT_PATH_FILES: [&str; 2] = ["crates/topk/src/reverse.rs", "crates/topk/src/lists.rs"];
 
 const ATOMIC_ORDERINGS: [&str; 5] = ["Relaxed", "Acquire", "Release", "AcqRel", "SeqCst"];
 
@@ -981,10 +981,28 @@ mod tests {
                      // lint: allow(kernel-no-alloc) -- set-up: one state per object\n        \
                      Self { cursors: vec![0; dims] }\n    }\n}\n";
         assert!(findings(path, setup).is_empty());
+        // so is the function index the search reads: `remove`, `next_alive`
+        // and the alive-block accessors run once per search or per access
+        let lists = "crates/topk/src/lists.rs";
+        let removed = "impl FunctionLists {\n    pub fn remove(&mut self, function: usize) -> bool {\n        \
+                       self.row_function = self.alive_functions().to_vec();\n        true\n    }\n}\n";
+        let found = findings(lists, removed);
+        assert_eq!(found.len(), 1, "{removed}");
+        assert!(
+            found[0].starts_with("crates/topk/src/lists.rs:3: kernel-no-alloc:")
+                && found[0].contains(".to_vec()"),
+            "{}",
+            found[0]
+        );
+        let built = "impl FunctionLists {\n    pub fn new(n: usize) -> Self {\n        \
+                     // lint: allow(kernel-no-alloc) -- set-up: one index per solve\n        \
+                     Self { alive: vec![true; n] }\n    }\n}\n";
+        assert!(findings(lists, built).is_empty());
         // the list names files, not crates or stems
         let src = "fn f() { let v: Vec<f64> = Vec::new(); }\n";
-        assert!(findings("crates/topk/src/lists.rs", src).is_empty());
+        assert!(findings("crates/topk/src/batch.rs", src).is_empty());
         assert!(findings("crates/bench/src/reverse.rs", src).is_empty());
+        assert!(findings("crates/bench/src/lists.rs", src).is_empty());
         // and the file's own tests allocate freely
         let test_src = "#[cfg(test)]\nmod tests {\n    fn f() { let v = Vec::new(); }\n}\n";
         assert!(findings(path, test_src).is_empty());
