@@ -12,25 +12,17 @@ use pref_storage::IoStats;
 use std::cmp::Ordering;
 use std::collections::{HashMap, VecDeque};
 
+/// LRU buffer size as a fraction of the built tree (the paper's 2 %).
+const BUFFER_FRACTION: f64 = 0.02;
+/// Compaction runs once more than this fraction of the R-tree's records are
+/// tombstoned departures, and leaves the ratio at or below it.
+const COMPACTION_THRESHOLD: f64 = 0.25;
+/// Most tombstones one compaction batch physically deletes.
+const COMPACTION_BATCH: usize = 64;
+
 /// Configuration of an [`AssignmentEngine`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct EngineOptions {
-    /// R-tree fanout override (`None` = the page-size derived default).
-    pub fanout: Option<usize>,
-    /// LRU buffer size as a fraction of the built tree (paper default: 2%).
-    /// Must lie in `[0, 1]`.
-    pub buffer_fraction: f64,
-    /// Tombstone-ratio bound that triggers incremental compaction: when more
-    /// than this fraction of the R-tree's records are tombstoned departures,
-    /// the engine physically deletes tombstones batch-by-batch until the
-    /// ratio is restored. `None` disables compaction (departures stay
-    /// logical forever — the pre-compaction behaviour, which grows the index
-    /// monotonically under churn). Must lie in `[0, 1]`;
-    /// `Some(0.0)` deletes every departure immediately.
-    pub compaction_threshold: Option<f64>,
-    /// Maximum number of tombstoned records physically deleted per
-    /// compaction batch (bounds the work of a single batch; must be ≥ 1).
-    pub compaction_batch: usize,
     /// Worker threads of the one SB solve that [`AssignmentEngine::new`] /
     /// [`AssignmentEngine::restore`] adopt, passed through as
     /// [`SbOptions::threads`] (`None` = `PREF_THREADS`, then available
@@ -38,48 +30,11 @@ pub struct EngineOptions {
     /// construction is serial — a round scores ~10³ candidates — and the
     /// matching is canonical-identical at any thread count.
     pub threads: Option<usize>,
-    /// When `true`, departures never run compaction inline: the writer's
-    /// update path only tombstones, and a caller-driven helper (the serving
-    /// tier's background compactor) drains the debt through
-    /// [`AssignmentEngine::run_compaction_batch`]. The compaction work and
-    /// its outcome are identical — only *who pays* for it changes.
-    pub deferred_compaction: bool,
-}
-
-impl Default for EngineOptions {
-    fn default() -> Self {
-        Self {
-            fanout: None,
-            buffer_fraction: 0.02,
-            compaction_threshold: Some(0.25),
-            compaction_batch: 64,
-            threads: None,
-            deferred_compaction: false,
-        }
-    }
 }
 
 impl EngineOptions {
     /// Validates the options, returning a description of the first problem.
     pub fn validate(&self) -> Result<(), EngineError> {
-        if !self.buffer_fraction.is_finite() || !(0.0..=1.0).contains(&self.buffer_fraction) {
-            return Err(EngineError::InvalidOptions(format!(
-                "buffer_fraction must lie in [0, 1], got {}",
-                self.buffer_fraction
-            )));
-        }
-        if let Some(threshold) = self.compaction_threshold {
-            if !threshold.is_finite() || !(0.0..=1.0).contains(&threshold) {
-                return Err(EngineError::InvalidOptions(format!(
-                    "compaction_threshold must lie in [0, 1], got {threshold}"
-                )));
-            }
-        }
-        if self.compaction_batch == 0 {
-            return Err(EngineError::InvalidOptions(
-                "compaction_batch must be at least 1".into(),
-            ));
-        }
         if self.threads == Some(0) {
             return Err(EngineError::InvalidOptions(
                 "threads must be at least 1 when set".into(),
@@ -195,7 +150,7 @@ pub struct EngineStats {
 
 impl EngineStats {
     /// The fraction of R-tree records that are tombstoned departures; the
-    /// compaction trigger fires when this exceeds the configured threshold.
+    /// compaction trigger fires when this exceeds 25 %.
     pub fn tombstone_ratio(&self) -> f64 {
         if self.tree_records == 0 {
             0.0
@@ -486,9 +441,9 @@ impl RepairScratch {
 ///
 /// Departures are *logical* first (tombstoned — zero I/O; departed records
 /// are filtered out of the maintenance stream) and *physical* eventually:
-/// when the fraction of tombstoned records in the tree exceeds
-/// [`EngineOptions::compaction_threshold`], the engine runs incremental
-/// compaction — tombstones are physically deleted batch-by-batch
+/// when more than 25 % of the tree's records are tombstones, the departure
+/// that crossed the bar runs incremental compaction inline — tombstones are
+/// physically deleted 64 per batch
 /// ([`RTree::delete_tracked`]), every structural effect of CondenseTree
 /// (freed pages, re-inserted orphans, re-insertion splits, MBR shrinks) is
 /// patched into the pruned lists (`Skyline::patch_page_delete`), freed pages
@@ -512,12 +467,6 @@ pub struct AssignmentEngine {
     stats: EngineStats,
     /// Tree I/O at the end of the initial stabilization.
     initial_io: IoStats,
-    /// LRU buffer sizing, re-applied after compaction shrinks the tree.
-    buffer_fraction: f64,
-    /// Compaction trigger (`None` = tombstones are never deleted).
-    compaction_threshold: Option<f64>,
-    /// Records physically deleted per compaction batch.
-    compaction_batch: usize,
     /// Dense indices of departed objects still resident in the R-tree,
     /// oldest departure first (compaction consumes from the front).
     tombstones: VecDeque<usize>,
@@ -525,9 +474,6 @@ pub struct AssignmentEngine {
     free_obj_slots: Vec<usize>,
     /// Dense function slots of departed functions, reused by arrivals.
     free_fun_slots: Vec<usize>,
-    /// When `true`, departures only tombstone; compaction is caller-driven
-    /// (see [`AssignmentEngine::run_compaction_batch`]).
-    deferred_compaction: bool,
     /// Functions whose admission threshold may have dropped during the
     /// current update, and objects that entered the skyline during it (dense
     /// indices, deduplicated per round; both empty between updates) — see
@@ -553,7 +499,7 @@ impl AssignmentEngine {
         if let Some(f) = problem.functions().iter().find(|f| f.capacity == 0) {
             return Err(EngineError::ZeroCapacityFunction(f.id));
         }
-        let mut tree = problem.build_tree(options.fanout, options.buffer_fraction);
+        let mut tree = problem.build_tree(None, BUFFER_FRACTION);
         let sb_options = SbOptions {
             threads: options.threads,
             ..SbOptions::default()
@@ -626,13 +572,9 @@ impl AssignmentEngine {
             skyline,
             pairs,
             initial_io,
-            buffer_fraction: options.buffer_fraction,
-            compaction_threshold: options.compaction_threshold,
-            compaction_batch: options.compaction_batch,
             tombstones: VecDeque::new(),
             free_obj_slots: Vec::new(),
             free_fun_slots: Vec::new(),
-            deferred_compaction: options.deferred_compaction,
             dirty_f: Vec::new(),
             dirty_o: Vec::new(),
             repair: RepairScratch::default(),
@@ -852,8 +794,8 @@ impl AssignmentEngine {
     /// capacity), it is tombstoned in the R-tree, the free-pool skyline is
     /// replenished via `UpdateSkyline`, and the stable loop resumes for the
     /// freed functions. When the departure pushes the tombstone ratio over
-    /// [`EngineOptions::compaction_threshold`], incremental compaction
-    /// physically deletes tombstones until the ratio is restored.
+    /// 25 %, incremental compaction physically deletes tombstones until the
+    /// ratio is restored.
     pub fn remove_object(&mut self, id: RecordId) -> Result<(), EngineError> {
         let oi = match self.obj_index.get(&id) {
             Some(&oi) if self.objects[oi].alive => oi,
@@ -881,9 +823,7 @@ impl AssignmentEngine {
         self.stats.object_removes += 1;
         self.stats.live_objects -= 1;
         self.restabilize();
-        if !self.deferred_compaction {
-            self.maybe_compact();
-        }
+        self.maybe_compact();
         Ok(())
     }
 
@@ -983,49 +923,17 @@ impl AssignmentEngine {
             .extend(entrants.map(|row| self.obj_index[&self.skyline.record_at(row)]));
     }
 
-    /// `true` when the engine was configured with
-    /// [`EngineOptions::deferred_compaction`]: its update path never
-    /// compacts, and the owner is expected to drain the debt through
-    /// [`AssignmentEngine::run_compaction_batch`].
-    pub fn compaction_deferred(&self) -> bool {
-        self.deferred_compaction
+    /// `true` when the tombstone ratio exceeds [`COMPACTION_THRESHOLD`].
+    fn compaction_due(&self) -> bool {
+        !self.tombstones.is_empty()
+            && self.tombstones.len() as f64 > COMPACTION_THRESHOLD * self.tree.len() as f64
     }
 
-    /// `true` when the tombstone ratio exceeds the configured threshold —
-    /// the trigger condition of [`AssignmentEngine::run_compaction_batch`].
-    /// Always `false` when compaction is disabled.
-    pub fn compaction_due(&self) -> bool {
-        match self.compaction_threshold {
-            Some(threshold) => {
-                !self.tombstones.is_empty()
-                    && self.tombstones.len() as f64 > threshold * self.tree.len() as f64
-            }
-            None => false,
-        }
-    }
-
-    /// Runs **one** bounded compaction batch if compaction is due, re-sizing
-    /// the LRU buffer to the shrunken tree, and returns whether more debt
-    /// remains. This is the caller-driven half of
-    /// [`EngineOptions::deferred_compaction`]: a background helper calls it
-    /// repeatedly between writer batches, holding the engine for only one
-    /// batch's worth of work at a time, until it returns `false`. The
-    /// physical deletions, pruned-list patches and slot reclamation are the
-    /// same code the inline path runs — only the trigger site differs.
-    pub fn run_compaction_batch(&mut self) -> bool {
-        if !self.compaction_due() {
-            return false;
-        }
-        self.compact_batch();
-        self.tree.set_buffer_fraction(self.buffer_fraction);
-        self.compaction_due()
-    }
-
-    /// Runs incremental compaction while the tombstone ratio exceeds the
-    /// configured threshold. Each batch physically deletes up to
-    /// [`EngineOptions::compaction_batch`] tombstones; the loop leaves the
-    /// ratio at or below the threshold, so the R-tree's record count stays
-    /// within `1 / (1 - threshold)` of the live population.
+    /// Runs incremental compaction while the tombstone ratio exceeds
+    /// [`COMPACTION_THRESHOLD`]. Each batch physically deletes up to
+    /// [`COMPACTION_BATCH`] tombstones; the loop leaves the ratio at or below
+    /// the threshold, so the R-tree's record count stays within
+    /// `1 / (1 - threshold)` of the live population.
     fn maybe_compact(&mut self) {
         if !self.compaction_due() {
             return;
@@ -1034,7 +942,7 @@ impl AssignmentEngine {
             self.compact_batch();
         }
         // the tree shrank: re-derive the LRU buffer from the live pages
-        self.tree.set_buffer_fraction(self.buffer_fraction);
+        self.tree.set_buffer_fraction(BUFFER_FRACTION);
     }
 
     /// Physically deletes one batch of tombstoned records (oldest departures
@@ -1046,7 +954,7 @@ impl AssignmentEngine {
     /// are not on the skyline, so no re-stabilization is needed. The caller
     /// re-sizes the LRU buffer once all batches of the trigger have run.
     fn compact_batch(&mut self) {
-        let batch = self.compaction_batch.min(self.tombstones.len());
+        let batch = COMPACTION_BATCH.min(self.tombstones.len());
         for _ in 0..batch {
             let oi = self
                 .tombstones

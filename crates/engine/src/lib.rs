@@ -17,10 +17,9 @@
 //!   functions finds the pairs the newcomer destabilizes; only those pairs
 //!   are repaired, cascade-style, in descending score order;
 //! * **churn stays bounded**: departures are tombstoned first (zero I/O),
-//!   and once tombstones exceed a configurable fraction of the index
-//!   ([`EngineOptions::compaction_threshold`], default 25%) the engine
-//!   compacts incrementally — tombstones are physically deleted from the
-//!   R-tree batch-by-batch, with every structural effect of the deletion
+//!   and once tombstones exceed 25 % of the index the departure that
+//!   crossed the bar compacts inline — tombstones are physically deleted
+//!   from the R-tree 64 per batch, with every structural effect of the deletion
 //!   (freed pages, re-inserted orphans, splits, MBR shrinks) patched into
 //!   the skyline's pruned lists, so the index, the pruned lists and the
 //!   dense slabs all stay within a constant factor of the live population

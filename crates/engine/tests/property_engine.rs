@@ -255,8 +255,9 @@ fn engine_update_io_stays_below_full_recompute() {
     );
 }
 
-/// The tentpole property: a long 50%-churn stream with compaction enabled
-/// keeps (a) the matching stable and oracle-equal after every update, (b) the
+/// The tentpole property: a long 50%-churn stream that crosses the
+/// compaction threshold keeps (a) the matching stable and oracle-equal after
+/// every update — so compaction is transparent to the matching —, (b) the
 /// maintained free-pool skyline equal to a from-scratch skyline of the live
 /// free pool after every update — so it stays exact across every compaction
 /// batch — and (c) the R-tree record/node count within a constant factor of
@@ -277,11 +278,7 @@ fn churn_with_compaction_stays_bounded_and_exact() {
             ..UpdateStreamConfig::default()
         };
         let events = stream_for(&problem, config);
-        let options = EngineOptions {
-            compaction_batch: 16,
-            ..EngineOptions::default()
-        };
-        let mut engine = AssignmentEngine::new(&problem, &options).unwrap();
+        let mut engine = AssignmentEngine::new(&problem, &EngineOptions::default()).unwrap();
         // update I/O after the first quarter of the stream / before the last
         let quarter = events.len() / 4;
         let mut io_marks = [0u64; 2];
@@ -336,58 +333,6 @@ fn churn_with_compaction_stays_bounded_and_exact() {
     }
 }
 
-/// Compaction must be behaviour-preserving: the same stream through a
-/// compacting engine and a tombstone-only engine yields canonically identical
-/// matchings at every step, while only the tombstone-only index grows.
-#[test]
-fn compaction_is_transparent_to_the_matching() {
-    let problem = build_problem(10, 50, 2, 4242);
-    let config = UpdateStreamConfig {
-        num_events: 120,
-        dims: 2,
-        insert_fraction: 0.4,
-        object_fraction: 0.9,
-        min_objects: 8,
-        min_functions: 2,
-        seed: 77,
-        ..UpdateStreamConfig::default()
-    };
-    let events = stream_for(&problem, config);
-    let compacting = EngineOptions {
-        compaction_threshold: Some(0.2),
-        compaction_batch: 8,
-        ..EngineOptions::default()
-    };
-    let tombstoning = EngineOptions {
-        compaction_threshold: None,
-        ..EngineOptions::default()
-    };
-    let mut a = AssignmentEngine::new(&problem, &compacting).unwrap();
-    let mut b = AssignmentEngine::new(&problem, &tombstoning).unwrap();
-    for (step, event) in events.iter().enumerate() {
-        a.apply(event).unwrap();
-        b.apply(event).unwrap();
-        assert_eq!(
-            a.assignment().canonical(),
-            b.assignment().canonical(),
-            "compaction changed the matching at step {step}"
-        );
-    }
-    let sa = a.stats();
-    let sb = b.stats();
-    assert!(sa.physical_deletes > 0, "threshold 0.2 never fired");
-    assert_eq!(sb.physical_deletes, 0);
-    // the tombstone-only engine keeps every departure in the tree forever
-    assert_eq!(sb.tree_records, sb.live_objects + sb.tombstoned_objects);
-    assert_eq!(sb.tombstoned_objects, sb.object_removes);
-    assert!(
-        sa.tree_records < sb.tree_records,
-        "compaction did not shrink the index: {} vs {}",
-        sa.tree_records,
-        sb.tree_records
-    );
-}
-
 /// A record id re-issued after its previous bearer was compacted away must
 /// not resurrect the predecessor's point: any stale pruned-list entry is
 /// purged at insertion, so the engine stays oracle-equal afterwards.
@@ -395,19 +340,18 @@ fn compaction_is_transparent_to_the_matching() {
 fn id_reuse_after_compaction_is_safe() {
     use pref_geom::Point;
     let problem = build_problem(6, 30, 2, 909);
-    let eager = EngineOptions {
-        compaction_threshold: Some(0.0),
-        ..EngineOptions::default()
-    };
-    let mut engine = AssignmentEngine::new(&problem, &eager).unwrap();
-    // depart a batch of objects; eager compaction forgets their ids at once
-    for id in [2u64, 5, 11, 17, 23] {
+    let mut engine = AssignmentEngine::new(&problem, &EngineOptions::default()).unwrap();
+    // depart 8 of the 30 objects: the 8th tombstone crosses 25 % of the
+    // tree, and the compaction it triggers forgets all 8 ids at once
+    let departed = [2u64, 5, 11, 14, 17, 20, 23, 26];
+    for id in departed {
         engine.remove_object(RecordId(id)).unwrap();
     }
-    assert_eq!(engine.stats().tombstoned_objects, 0);
+    let stats = engine.stats();
+    assert_eq!((stats.tombstoned_objects, stats.physical_deletes), (0, 8));
     // re-issue the ids with *different* points (dominated and dominating mix)
-    for (i, id) in [2u64, 5, 11, 17, 23].into_iter().enumerate() {
-        let c = 0.05 + 0.22 * i as f64;
+    for (i, id) in departed.into_iter().enumerate() {
+        let c = 0.05 + 0.125 * i as f64;
         engine
             .insert_object(ObjectRecord::new(id, Point::from_slice(&[c, 1.0 - c])))
             .unwrap();
@@ -435,48 +379,11 @@ fn id_reuse_after_compaction_is_safe() {
 fn invalid_engine_options_are_rejected() {
     use pref_engine::EngineError;
     let problem = build_problem(4, 10, 2, 5);
-    for options in [
-        EngineOptions {
-            buffer_fraction: -0.1,
-            ..EngineOptions::default()
-        },
-        EngineOptions {
-            buffer_fraction: 1.5,
-            ..EngineOptions::default()
-        },
-        EngineOptions {
-            buffer_fraction: f64::NAN,
-            ..EngineOptions::default()
-        },
-        EngineOptions {
-            compaction_threshold: Some(-0.5),
-            ..EngineOptions::default()
-        },
-        EngineOptions {
-            compaction_threshold: Some(2.0),
-            ..EngineOptions::default()
-        },
-        EngineOptions {
-            compaction_batch: 0,
-            ..EngineOptions::default()
-        },
-    ] {
-        assert!(matches!(
-            AssignmentEngine::new(&problem, &options),
-            Err(EngineError::InvalidOptions(_))
-        ));
-    }
-    // an eager threshold of zero is valid: every departure deletes at once
-    let eager = EngineOptions {
-        compaction_threshold: Some(0.0),
-        ..EngineOptions::default()
-    };
-    let mut engine = AssignmentEngine::new(&problem, &eager).unwrap();
-    engine.remove_object(RecordId(3)).unwrap();
-    let stats = engine.stats();
-    assert_eq!(stats.physical_deletes, 1);
-    assert_eq!(stats.tombstoned_objects, 0);
-    assert_eq!(stats.tree_records, stats.live_objects);
+    let options = EngineOptions { threads: Some(0) };
+    assert!(matches!(
+        AssignmentEngine::new(&problem, &options),
+        Err(EngineError::InvalidOptions(_))
+    ));
 }
 
 #[test]
@@ -543,7 +450,6 @@ fn threaded_repair_is_canonical_identical_at_any_thread_count() {
     for threads in [1usize, 2, 4, 8] {
         let options = EngineOptions {
             threads: Some(threads),
-            ..EngineOptions::default()
         };
         let mut engine = AssignmentEngine::new(&problem, &options).unwrap();
         let mut trace = vec![format!("{:?}", engine.assignment().canonical())];
@@ -558,61 +464,4 @@ fn threaded_repair_is_canonical_identical_at_any_thread_count() {
             Some(want) => assert_eq!(&trace, want, "threads={threads}"),
         }
     }
-}
-
-#[test]
-fn deferred_compaction_drains_to_the_inline_result() {
-    let problem = build_problem(10, 60, 2, 81);
-    let inline_opts = EngineOptions {
-        compaction_threshold: Some(0.2),
-        compaction_batch: 8,
-        ..EngineOptions::default()
-    };
-    let deferred_opts = EngineOptions {
-        deferred_compaction: true,
-        ..inline_opts.clone()
-    };
-    let mut inline = AssignmentEngine::new(&problem, &inline_opts).unwrap();
-    let mut deferred = AssignmentEngine::new(&problem, &deferred_opts).unwrap();
-    for id in [
-        2u64, 5, 11, 17, 23, 29, 31, 37, 41, 43, 47, 53, 3, 7, 13, 19,
-    ] {
-        inline.remove_object(RecordId(id)).unwrap();
-        deferred.remove_object(RecordId(id)).unwrap();
-    }
-    // the deferred engine's update path never compacted...
-    assert_eq!(deferred.stats().compaction_batches, 0);
-    assert_eq!(deferred.stats().physical_deletes, 0);
-    assert!(deferred.compaction_due());
-    // ...while the inline engine kept the ratio bounded throughout
-    assert!(inline.stats().physical_deletes > 0);
-    assert!(!inline.compaction_due());
-    // draining the debt batch-by-batch reaches the inline engine's state
-    let mut batches = 0;
-    while deferred.run_compaction_batch() {
-        batches += 1;
-        assert!(batches < 1000, "compaction failed to converge");
-    }
-    assert!(!deferred.compaction_due());
-    assert!(deferred.stats().tombstone_ratio() <= 0.2);
-    // the matching was never touched by compaction on either side
-    assert_eq!(
-        deferred.assignment().canonical(),
-        inline.assignment().canonical()
-    );
-    let snapshot = deferred.snapshot_problem().unwrap();
-    verify_stable(&snapshot, &deferred.assignment()).unwrap();
-    // both engines keep absorbing updates after the drain
-    for engine in [&mut inline, &mut deferred] {
-        engine
-            .insert_object(ObjectRecord::new(
-                900,
-                pref_geom::Point::from_slice(&[0.9, 0.9]),
-            ))
-            .unwrap();
-    }
-    assert_eq!(
-        deferred.assignment().canonical(),
-        inline.assignment().canonical()
-    );
 }

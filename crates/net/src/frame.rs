@@ -35,7 +35,7 @@ pub const MAX_FRAME: u32 = 1 << 20;
 
 // ---- opcodes --------------------------------------------------------------
 
-/// Liveness probe; empty payload, empty [`OP_OK_PING`] reply.
+/// Liveness probe; empty payload, empty `OP_PING | `[`OP_REPLY`] reply.
 pub const OP_PING: u8 = 0x01;
 /// Read the assigned objects of one function; payload is the function id
 /// (u64 LE). Routed to the tenant's shard.

@@ -13,7 +13,8 @@
 //!   or an unbounded allocation. Framing failures drop the connection
 //!   (byte-stream sync is gone); semantic failures — unknown version or
 //!   opcode, bad payload — answer a typed error frame and keep serving.
-//! * **The server** ([`Server`]) fronts a [`ShardedService`] with one
+//! * **The server** ([`Server`]) fronts a
+//!   [`ShardedService`](pref_service::ShardedService) with one
 //!   blocking handler thread per connection. Reads (`assignment_of`,
 //!   `functions_of`, `stats`) go through a per-connection
 //!   [`pref_service::ServiceReader`] — the zero-lock snapshot path, never

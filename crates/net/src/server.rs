@@ -19,8 +19,14 @@ use pref_assign::FunctionId;
 use pref_rtree::RecordId;
 use pref_service::{decode_batch, ServiceError, ServiceReader, ShardedService};
 use pref_sync::{thread, AtomicU64, Mutex, Ordering};
+use std::collections::HashMap;
+use std::io::Read;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::Arc;
+use std::time::Duration;
+
+/// How long a closing connection waits for its peer's FIN.
+const LINGER: Duration = Duration::from_secs(1);
 
 /// Server parameters.
 #[derive(Debug, Clone)]
@@ -49,9 +55,18 @@ struct Shared {
     /// [`Server::stop`] is what actually unblocks the accept loop; the flag
     /// only has to be visible *eventually*, which any ordering gives.
     stopping: AtomicU64,
-    /// One `try_clone` of every accepted connection, so `stop` can fail
-    /// handlers out of their blocking reads with a socket shutdown.
-    conns: Mutex<Vec<TcpStream>>,
+    conns: Mutex<Conns>,
+}
+
+/// The live connections, keyed by connection number.
+#[derive(Default)]
+struct Conns {
+    /// One `try_clone` of every open connection, so `stop` can fail
+    /// handlers out of their blocking reads with a socket shutdown. A
+    /// handler removes its own entry when its connection ends.
+    open: HashMap<u64, TcpStream>,
+    /// Connections whose handler has exited, for the accept loop to join.
+    finished: Vec<u64>,
 }
 
 /// A running front-door server. Dropping it without [`Server::stop`] leaks
@@ -73,7 +88,7 @@ impl Server {
             service,
             gate: AdmissionGate::new(&config.admission),
             stopping: AtomicU64::new(0),
-            conns: Mutex::new(Vec::new()),
+            conns: Mutex::new(Conns::default()),
         });
         let accept = {
             let shared = Arc::clone(&shared);
@@ -109,7 +124,7 @@ impl Server {
         };
         // fail every handler out of its blocking read; NotConnected and
         // friends just mean the peer beat us to it
-        for conn in self.shared.conns.lock().drain(..) {
+        for (_, conn) in self.shared.conns.lock().open.drain() {
             let _ = conn.shutdown(Shutdown::Both);
         }
         for handler in handlers {
@@ -124,8 +139,12 @@ impl Server {
     }
 }
 
+/// Accepts connections until [`Server::stop`], one handler thread each, and
+/// joins the handlers of closed connections as it goes: connection churn
+/// holds no socket and no thread past the connection's end. Returns the
+/// handlers still running at stop.
 fn accept_loop(shared: &Arc<Shared>, listener: &TcpListener) -> Vec<thread::JoinHandle<()>> {
-    let mut handlers = Vec::new();
+    let mut handlers: HashMap<u64, thread::JoinHandle<()>> = HashMap::new();
     let mut next_conn = 0u64;
     loop {
         let mut stream = match listener.accept() {
@@ -145,28 +164,62 @@ fn accept_loop(shared: &Arc<Shared>, listener: &TcpListener) -> Vec<thread::Join
             // this was (or raced with) the stop() wake connection
             break;
         }
+        let finished = std::mem::take(&mut shared.conns.lock().finished);
+        for id in finished {
+            if let Some(handler) = handlers.remove(&id) {
+                let _ = handler.join();
+            }
+        }
+        let id = next_conn;
+        next_conn += 1;
         if let Ok(clone) = stream.try_clone() {
-            shared.conns.lock().push(clone);
+            shared.conns.lock().open.insert(id, clone);
         }
         let spawned = {
             let shared = Arc::clone(shared);
             thread::Builder::new()
-                .name(format!("net-conn-{next_conn}"))
+                .name(format!("net-conn-{id}"))
                 .spawn(move || {
                     serve_connection(&shared, &mut stream);
-                    // the conns registry still holds a try_clone of this
-                    // socket (until stop() drains it), so dropping our fd
-                    // alone would not send the peer a FIN — shut the
-                    // socket itself down
-                    let _ = stream.shutdown(Shutdown::Both);
+                    // still registered: stop() can cut the linger short
+                    close_gracefully(&mut stream);
+                    // dropping the registry's clone here and `stream` on
+                    // return closes the socket's last fd
+                    let mut conns = shared.conns.lock();
+                    conns.open.remove(&id);
+                    conns.finished.push(id);
                 })
         };
-        next_conn += 1;
-        if let Ok(handle) = spawned {
-            handlers.push(handle);
+        match spawned {
+            Ok(handler) => {
+                handlers.insert(id, handler);
+            }
+            Err(_) => {
+                shared.conns.lock().open.remove(&id);
+            }
         }
     }
-    handlers
+    handlers.into_values().collect()
+}
+
+/// Ends a connection without a reset. Closing a socket whose receive queue
+/// still holds bytes (the rest of a poisoned frame) makes the kernel answer
+/// RST, which can destroy the error reply still in flight; so send FIN
+/// first, then discard input until the peer's FIN — at most
+/// [`frame::MAX_FRAME`] bytes, or until [`LINGER`] passes in silence.
+fn close_gracefully(stream: &mut TcpStream) {
+    let _ = stream.shutdown(Shutdown::Write);
+    if stream.set_read_timeout(Some(LINGER)).is_err() {
+        return;
+    }
+    let mut sink = [0u8; 4096];
+    let mut left = frame::MAX_FRAME as usize;
+    while left > 0 {
+        match stream.read(&mut sink) {
+            Ok(0) | Err(_) => return,
+            Ok(n) => left = left.saturating_sub(n),
+        }
+    }
 }
 
 /// One connection's request loop: read a frame, dispatch, reply, repeat

@@ -348,6 +348,35 @@ fn a_flood_of_short_lived_connections_is_fine() {
     stop(server);
 }
 
+/// The server used to keep a socket clone and an unjoined handler thread for
+/// every connection until `stop()`: churn leaked one fd per connection.
+#[cfg(target_os = "linux")]
+#[test]
+fn closed_connections_release_their_fds() {
+    let open_fds = || std::fs::read_dir("/proc/self/fd").unwrap().count();
+    let server = default_server();
+    let start = open_fds();
+    for tenant in 0..2_000u64 {
+        // the ping proves the handler is up before the close
+        NetClient::connect(server.local_addr())
+            .unwrap()
+            .ping(tenant)
+            .unwrap();
+    }
+    // handlers exit asynchronously after the peer's close; the bound leaves
+    // room for the last few and for other tests' sockets, not for a leak
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+    while open_fds() > start + 64 && std::time::Instant::now() < deadline {
+        std::thread::sleep(std::time::Duration::from_millis(10));
+    }
+    let end = open_fds();
+    assert!(
+        end <= start + 64,
+        "fds {start} -> {end} over 2000 connections"
+    );
+    stop(server);
+}
+
 // ---- admission control ------------------------------------------------------
 
 #[test]

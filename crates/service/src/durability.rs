@@ -27,11 +27,9 @@ use std::path::{Path, PathBuf};
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FsyncPolicy {
     /// Fsync before every publication (default): an acknowledged batch is
-    /// always durable. Strongest guarantee, one `fdatasync` per publication.
+    /// always durable. One `fdatasync` per writer drain, however many
+    /// batches it folds into the publication — the group commit.
     Always,
-    /// Fsync once every `n` logged batches (group commit): a crash can lose
-    /// up to `n - 1` acknowledged batches, never a torn one.
-    EveryN(u32),
     /// Never fsync from the writer (the OS flushes lazily): cheapest, loses
     /// recently acknowledged batches on a power failure, still never a torn
     /// batch thanks to the record checksums.
@@ -65,11 +63,6 @@ impl DurabilityConfig {
         if self.checkpoint_every == 0 {
             return Err(crate::ServiceError::InvalidConfig(
                 "checkpoint_every must be at least 1".into(),
-            ));
-        }
-        if let FsyncPolicy::EveryN(0) = self.fsync {
-            return Err(crate::ServiceError::InvalidConfig(
-                "FsyncPolicy::EveryN needs n >= 1".into(),
             ));
         }
         Ok(())
@@ -321,8 +314,8 @@ pub struct ShardDurability {
     checkpoint_every: u64,
     /// Sequence the newest checkpoint was taken at (= its segment's start).
     last_checkpoint_seq: u64,
-    /// Batches appended since the last fsync (drives [`FsyncPolicy::EveryN`]).
-    unsynced: u32,
+    /// A batch was appended since the last fsync.
+    unsynced: bool,
 }
 
 impl ShardDurability {
@@ -346,7 +339,7 @@ impl ShardDurability {
             fsync,
             checkpoint_every,
             last_checkpoint_seq: 0,
-            unsynced: 0,
+            unsynced: false,
         })
     }
 
@@ -380,7 +373,7 @@ impl ShardDurability {
                 fsync,
                 checkpoint_every,
                 last_checkpoint_seq: state.checkpoint_seq,
-                unsynced: 0,
+                unsynced: false,
             },
         })
     }
@@ -413,7 +406,7 @@ impl ShardDurability {
             encode_batch(batch)
         };
         let seq = self.writer.append(&payload)?;
-        self.unsynced += 1;
+        self.unsynced = true;
         Ok(seq)
     }
 
@@ -421,14 +414,9 @@ impl ShardDurability {
     /// Called by the writer after logging a publication's batches and before
     /// applying them, so an acknowledged batch is recoverable.
     pub fn sync_for_ack(&mut self) -> Result<(), StorageError> {
-        let due = match self.fsync {
-            FsyncPolicy::Always => self.unsynced > 0,
-            FsyncPolicy::EveryN(n) => self.unsynced >= n,
-            FsyncPolicy::Never => false,
-        };
-        if due {
+        if self.fsync == FsyncPolicy::Always && self.unsynced {
             self.writer.sync()?;
-            self.unsynced = 0;
+            self.unsynced = false;
         }
         Ok(())
     }
@@ -454,7 +442,7 @@ impl ShardDurability {
         // every record the new checkpoint subsumes must be durable before
         // the old generation becomes collectible
         self.writer.sync()?;
-        self.unsynced = 0;
+        self.unsynced = false;
         let previous = self.last_checkpoint_seq;
         self.writer = WalWriter::create(&self.dir, next_seq)?;
         wal::write_checkpoint(&self.dir, next_seq, &encode_checkpoint(functions, objects))?;

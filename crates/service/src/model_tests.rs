@@ -449,78 +449,6 @@ fn model_parked_producer_fails_not_hangs_when_the_writer_crashes_on_a_full_queue
     );
 }
 
-// ---- scenario: background compactor vs writer publications ---------------
-
-#[test]
-fn model_background_compactor_is_clean() {
-    let cfg = ModelConfig::new("background-compactor");
-    let report = model::explore(&cfg, || {
-        // eager threshold + batch 1: every departure leaves debt, every
-        // compactor batch publishes — the maximum number of writer/compactor
-        // publication interleavings this tiny scenario can produce
-        let options = EngineOptions {
-            compaction_threshold: Some(0.0),
-            compaction_batch: 1,
-            deferred_compaction: true,
-            ..EngineOptions::default()
-        };
-        let shard = ShardHandle::start(&problem(), &options, 4, 8, 0).unwrap();
-        let mut reader = shard.reader();
-        let mut seen = reader.snapshot().version();
-        // a departure (creates tombstone debt, wakes the compactor) racing
-        // an arrival batch (a second writer publication)
-        shard.submit(UpdateOp::RemoveObject(RecordId(1))).unwrap();
-        shard
-            .submit(UpdateOp::InsertObject(ObjectRecord::new(
-                9,
-                Point::from_slice(&[0.95, 0.95]),
-            )))
-            .unwrap();
-        shard.flush().unwrap();
-        let snapshot = reader.snapshot();
-        model::check(
-            snapshot.version() >= seen,
-            "per-reader versions are monotonic",
-        );
-        model::check(
-            snapshot.objects().iter().all(|o| o.id != RecordId(1))
-                && snapshot.objects().iter().any(|o| o.id == RecordId(9)),
-            "flush is read-your-writes with a compactor racing the writer",
-        );
-        seen = snapshot.version();
-        // spin until a compactor publication shows the physical deletion;
-        // every read interleaves with the compactor's bounded batches
-        loop {
-            let snapshot = reader.snapshot();
-            let version = snapshot.version();
-            model::check(version >= seen, "per-reader versions are monotonic");
-            seen = version;
-            // compaction never touches the matching: every published
-            // snapshot, writer's or compactor's, carries the live population
-            model::check(
-                snapshot.objects().iter().all(|o| o.id != RecordId(1))
-                    && snapshot.objects().iter().any(|o| o.id == RecordId(9)),
-                "compactor publications carry the same live population",
-            );
-            if snapshot.stats().physical_deletes >= 1 {
-                model::check(
-                    snapshot.stats().tombstoned_objects == 0,
-                    "the drain leaves no tombstone debt",
-                );
-                break;
-            }
-            thread::yield_now();
-        }
-        drop(shard);
-    });
-    assert!(report.clean(), "violation: {:?}", report.violation);
-    assert!(
-        report.distinct_interleavings >= coverage_floor(&cfg),
-        "only {} distinct interleavings",
-        report.distinct_interleavings
-    );
-}
-
 // ---- mutation self-test: the detector detects ----------------------------
 
 /// A deliberately broken `SnapshotCell` twin: the version counter is bumped

@@ -46,13 +46,10 @@ struct Progress {
 /// writer must fail flushes, not hang them. On unwind it also poisons the
 /// update queue — a producer parked in the queue's backpressure wait is
 /// woken with [`ServiceError::WriterCrashed`] instead of blocking forever on
-/// a drain that can no longer happen. Also stops the shard's background
-/// compactor (when one runs): with the writer gone no new debt arrives, and a
-/// compactor parked on its condvar would otherwise hang the shard's join.
+/// a drain that can no longer happen.
 struct ExitNotice {
     progress: Arc<Progress>,
     queue: Arc<UpdateQueue>,
-    compactor: Option<Arc<CompactSignal>>,
 }
 
 impl Drop for ExitNotice {
@@ -68,75 +65,6 @@ impl Drop for ExitNotice {
         state.writer_exited = true;
         state.writer_crashed = crashed;
         self.progress.advanced.notify_all();
-        drop(state);
-        if let Some(signal) = &self.compactor {
-            signal.stop();
-        }
-    }
-}
-
-/// The engine plus the shard's snapshot version allocator, behind one lock.
-///
-/// With background compaction the shard has **two** publishers — the writer
-/// (applied batches) and the compactor (drained tombstone debt). Both mutate
-/// the engine, allocate the next version and install it in the
-/// [`SnapshotCell`] inside the same critical section, so versions are
-/// allocated and published in one order and the cell's strict monotonicity
-/// holds by construction. Without a compactor the lock is uncontended and
-/// the writer's path is unchanged.
-#[derive(Debug)]
-struct EngineSlot {
-    engine: AssignmentEngine,
-    /// Version of the latest published snapshot.
-    version: u64,
-}
-
-#[derive(Debug, Default)]
-struct CompactGate {
-    /// Set by the writer when an applied batch left compaction due.
-    pending: bool,
-    /// Set on shard shutdown (or writer exit, clean or panicking).
-    stop: bool,
-}
-
-/// Wake-up channel from the writer to the background compactor.
-#[derive(Debug, Default)]
-struct CompactSignal {
-    gate: Mutex<CompactGate>,
-    wake: Condvar,
-}
-
-impl CompactSignal {
-    fn notify(&self) {
-        let mut gate = self.gate.lock();
-        gate.pending = true;
-        self.wake.notify_all();
-    }
-
-    fn stop(&self) {
-        let mut gate = self.gate.lock();
-        gate.stop = true;
-        self.wake.notify_all();
-    }
-
-    fn stopped(&self) -> bool {
-        self.gate.lock().stop
-    }
-
-    /// Parks until work is pending (returns `true`) or the shard stops
-    /// (returns `false`), consuming the pending flag.
-    fn wait_for_work(&self) -> bool {
-        let mut gate = self.gate.lock();
-        loop {
-            if gate.stop {
-                return false;
-            }
-            if gate.pending {
-                gate.pending = false;
-                return true;
-            }
-            gate = self.wake.wait(gate);
-        }
     }
 }
 
@@ -195,7 +123,8 @@ pub struct ShardStats {
 
 /// Handle to one shard: submit side + publication side.
 ///
-/// Created by [`crate::ShardedService`]; the shard owns its writer thread.
+/// Created by [`crate::ShardedService`]; the shard owns its writer thread,
+/// and the writer owns the engine.
 #[derive(Debug)]
 pub struct ShardHandle {
     queue: Arc<UpdateQueue>,
@@ -204,10 +133,6 @@ pub struct ShardHandle {
     /// Updates submitted (accepted by the queue) so far.
     submitted: AtomicU64,
     writer: Option<JoinHandle<()>>,
-    /// The background compactor (only with
-    /// [`pref_engine::EngineOptions::deferred_compaction`]).
-    compactor: Option<JoinHandle<()>>,
-    compact_signal: Option<Arc<CompactSignal>>,
 }
 
 impl ShardHandle {
@@ -372,8 +297,8 @@ impl ShardHandle {
     }
 
     /// Common tail of every constructor: publish version 1 from the (built,
-    /// restored, or replayed) engine, spawn the writer thread and — when the
-    /// engine defers compaction — the background compactor thread.
+    /// restored, or replayed) engine and hand the engine to a new writer
+    /// thread.
     fn start_inner(
         engine: AssignmentEngine,
         queue_capacity: usize,
@@ -392,56 +317,22 @@ impl ShardHandle {
             let mut state = progress.state.lock();
             state.published_version = 1;
         }
-        let background = engine.compaction_deferred();
-        let slot = Arc::new(Mutex::new(EngineSlot { engine, version: 1 }));
-        let compact_signal = background.then(|| {
-            let signal = Arc::new(CompactSignal::default());
-            // a recovered / restored engine may carry inherited tombstone
-            // debt: let the compactor check once at startup
-            signal.notify();
-            signal
-        });
         let writer = {
             let queue = Arc::clone(&queue);
             let cell = Arc::clone(&cell);
             let progress = Arc::clone(&progress);
-            let slot = Arc::clone(&slot);
-            let compact_signal = compact_signal.clone();
             pref_sync::thread::Builder::new()
                 .name(format!("shard-{shard_index}-writer"))
                 .spawn(move || {
                     let _notice = ExitNotice {
                         progress: Arc::clone(&progress),
                         queue: Arc::clone(&queue),
-                        compactor: compact_signal.clone(),
                     };
                     writer_loop(
-                        &slot,
-                        &queue,
-                        &cell,
-                        &progress,
-                        max_batch,
-                        durability,
-                        fault,
-                        compact_signal.as_deref(),
+                        engine, &queue, &cell, &progress, max_batch, durability, fault,
                     );
                 })
                 .map_err(|e| ServiceError::InvalidConfig(format!("spawn failed: {e}")))?
-        };
-        let compactor = match &compact_signal {
-            Some(signal) => Some(
-                {
-                    let cell = Arc::clone(&cell);
-                    let progress = Arc::clone(&progress);
-                    let slot = Arc::clone(&slot);
-                    let signal = Arc::clone(signal);
-                    pref_sync::thread::Builder::new()
-                        .name(format!("shard-{shard_index}-compactor"))
-                        .spawn(move || compactor_loop(&slot, &cell, &progress, &signal))
-                }
-                .map_err(|e| ServiceError::InvalidConfig(format!("spawn failed: {e}")))?,
-            ),
-            None => None,
         };
         Ok(Self {
             queue,
@@ -449,8 +340,6 @@ impl ShardHandle {
             progress,
             submitted: AtomicU64::new(0),
             writer: Some(writer),
-            compactor,
-            compact_signal,
         })
     }
 
@@ -574,23 +463,13 @@ impl ShardHandle {
         self.queue.close();
     }
 
-    /// Joins the writer and compactor threads (after [`ShardHandle::close`]);
-    /// propagates a writer panic as [`ServiceError::WriterCrashed`]. The
-    /// writer's exit (via `ExitNotice`, even on panic) stops the compactor,
-    /// so the second join cannot hang.
+    /// Joins the writer thread (after [`ShardHandle::close`]); propagates a
+    /// writer panic as [`ServiceError::WriterCrashed`].
     pub(crate) fn join(&mut self) -> Result<(), ServiceError> {
-        let result = match self.writer.take() {
+        match self.writer.take() {
             Some(writer) => writer.join().map_err(|_| ServiceError::WriterCrashed),
             None => Ok(()),
-        };
-        if let Some(signal) = &self.compact_signal {
-            // defensive double-stop: a no-op after the writer's ExitNotice
-            signal.stop();
         }
-        if let Some(compactor) = self.compactor.take() {
-            let _ = compactor.join();
-        }
-        result
     }
 }
 
@@ -598,15 +477,9 @@ impl Drop for ShardHandle {
     fn drop(&mut self) {
         self.close();
         if let Some(writer) = self.writer.take() {
-            // on drop-without-shutdown, still reap the threads; a panic is
+            // on drop-without-shutdown, still reap the thread; a panic is
             // already recorded via ExitNotice and must not double-panic here
             let _ = writer.join();
-        }
-        if let Some(signal) = &self.compact_signal {
-            signal.stop();
-        }
-        if let Some(compactor) = self.compactor.take() {
-            let _ = compactor.join();
         }
     }
 }
@@ -621,21 +494,19 @@ impl Drop for ShardHandle {
 /// I/O failure panics the writer — acknowledging without the log would lie —
 /// which surfaces to producers as [`ServiceError::Stopped`] via `ExitNotice`.
 ///
-/// With background compaction, the apply → publish window runs under the
-/// engine slot lock (the compactor shares the engine) and the writer's ack
-/// path never compacts: it only *checks* for debt after publishing and pokes
-/// the compactor, so departure acks no longer pay for physical deletion.
-#[allow(clippy::too_many_arguments)]
+/// The writer is the shard's only publisher: it owns the engine (which
+/// compacts inline, inside the departures that cross its tombstone bound)
+/// and allocates every version after the constructor's version 1.
 fn writer_loop(
-    slot: &Mutex<EngineSlot>,
+    mut engine: AssignmentEngine,
     queue: &UpdateQueue,
     cell: &SnapshotCell,
     progress: &Progress,
     max_batch: usize,
     mut durability: Option<ShardDurability>,
     mut fault: Option<WriterFault>,
-    compactor: Option<&CompactSignal>,
 ) {
+    let mut version = 1;
     while let Some(batches) = queue.pop(max_batch) {
         if let Some(dur) = durability.as_mut() {
             for batch in &batches {
@@ -657,24 +528,22 @@ fn writer_loop(
         let mut processed = 0u64;
         let mut rejected = 0u64;
         let mut last_rejection = None;
-        let mut slot = slot.lock();
         for batch in &batches {
             for op in batch {
                 processed += 1;
-                if let Err(e) = op.apply(&mut slot.engine) {
+                if let Err(e) = op.apply(&mut engine) {
                     rejected += 1;
                     last_rejection = Some(format!("{op:?}: {e}"));
                 }
             }
         }
-        slot.version += 1;
-        let version = slot.version;
+        version += 1;
         if let Some(fault) = fault.as_mut() {
             // may panic here, i.e. after logging + consuming the updates but
             // before publishing them — the canonical torn window
             fault(FaultEvent::PrePublish { version });
         }
-        let export = slot.engine.export_snapshot();
+        let export = engine.export_snapshot();
         if let Some(dur) = durability.as_mut() {
             match dur.maybe_checkpoint(&export.functions, &export.objects) {
                 Ok(Some(seq)) => {
@@ -686,68 +555,17 @@ fn writer_loop(
                 Err(e) => panic!("shard checkpoint failed: {e}"),
             }
         }
-        // publish while still holding the slot: versions are installed in
-        // allocation order even with the compactor publishing concurrently
         cell.publish(AssignmentSnapshot::from_export(export, version));
-        let compaction_due = slot.engine.compaction_due();
-        drop(slot);
         // acknowledge only after publication: a flushed producer is
         // guaranteed its updates are visible to every subsequent read
         let mut state = progress.state.lock();
         state.processed += processed;
         state.rejected += rejected;
-        // max(): the compactor may already have published a later version
-        state.published_version = state.published_version.max(version);
+        state.published_version = version;
         if last_rejection.is_some() {
             state.last_rejection = last_rejection;
         }
         progress.advanced.notify_all();
-        drop(state);
-        if compaction_due {
-            if let Some(signal) = compactor {
-                signal.notify();
-            }
-        }
-    }
-}
-
-/// The background compactor: parks until the writer signals tombstone debt,
-/// then drains it in bounded batches — each batch takes the engine slot,
-/// physically deletes up to `compaction_batch` tombstones, publishes the
-/// compacted state under the same lock, and releases the slot so a
-/// concurrent writer batch gets in between. The matching never changes
-/// (compaction only touches the index and the bookkeeping), so compactor
-/// publications carry the same populations and pairs as the snapshot before
-/// them — only the stats gauges move.
-fn compactor_loop(
-    slot: &Mutex<EngineSlot>,
-    cell: &SnapshotCell,
-    progress: &Progress,
-    signal: &CompactSignal,
-) {
-    while signal.wait_for_work() {
-        loop {
-            // re-check stop between batches: shutdown must not wait for a
-            // long drain to finish
-            if signal.stopped() {
-                return;
-            }
-            let mut slot = slot.lock();
-            if !slot.engine.compaction_due() {
-                break;
-            }
-            slot.engine.run_compaction_batch();
-            slot.version += 1;
-            let version = slot.version;
-            let export = slot.engine.export_snapshot();
-            cell.publish(AssignmentSnapshot::from_export(export, version));
-            drop(slot);
-            let mut state = progress.state.lock();
-            state.published_version = state.published_version.max(version);
-            progress.advanced.notify_all();
-            drop(state);
-            pref_sync::thread::yield_now();
-        }
     }
 }
 
@@ -870,56 +688,6 @@ mod tests {
             shard.submit(UpdateOp::RemoveFunction(FunctionId(0))),
             Err(ServiceError::Stopped)
         );
-    }
-
-    #[test]
-    fn background_compactor_drains_off_the_ack_path() {
-        let functions = pref_datagen::uniform_weight_functions(4, 2, 91);
-        let objects = pref_datagen::independent_objects(40, 2, 92);
-        let problem = Problem::from_parts(functions, objects).unwrap();
-        let options = EngineOptions {
-            compaction_threshold: Some(0.1),
-            compaction_batch: 2,
-            deferred_compaction: true,
-            ..EngineOptions::default()
-        };
-        let mut shard = ShardHandle::start(&problem, &options, 64, 16, 0).unwrap();
-        for id in 0..12u64 {
-            shard.submit(UpdateOp::RemoveObject(RecordId(id))).unwrap();
-        }
-        shard.flush().unwrap();
-        // the ack path never compacted: flush returns with the removes
-        // published; the physical deletions surface in later compactor
-        // publications, which this spin waits for
-        let mut reader = shard.reader();
-        loop {
-            let snapshot = reader.snapshot();
-            let stats = snapshot.stats();
-            if stats.physical_deletes > 0 && stats.tombstone_ratio() <= 0.1 {
-                break;
-            }
-            std::thread::yield_now();
-        }
-        // compactor publications carry the same populations and matching
-        let snapshot = reader.snapshot();
-        assert_eq!(snapshot.objects().len(), 40 - 12);
-        assert!(snapshot.objects().iter().all(|o| o.id.0 >= 12));
-        snapshot.verify().unwrap();
-        // the shard keeps serving after the drain
-        shard
-            .submit(UpdateOp::InsertObject(ObjectRecord::new(
-                100,
-                Point::from_slice(&[0.9, 0.9]),
-            )))
-            .unwrap();
-        shard.flush().unwrap();
-        assert!(shard
-            .latest()
-            .objects()
-            .iter()
-            .any(|o| o.id == RecordId(100)));
-        shard.close();
-        shard.join().unwrap();
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! the pre-crash matching at some batch boundary at or after the last
 //! acknowledged flush. The battery kills writers at every fault milestone,
 //! truncates the log at every byte offset, corrupts records and
-//! checkpoints, and crosses recovery with every compaction policy.
+//! checkpoints, and crashes the writer right after it compacted.
 
 use pref_assign::{ObjectRecord, PreferenceFunction, Problem};
 use pref_engine::{AssignmentEngine, EngineOptions};
@@ -352,36 +352,36 @@ fn corrupt_newest_checkpoint_falls_back_to_the_previous_generation() {
 
 #[test]
 fn recovery_is_equivalent_across_compaction_policies() {
-    // eager, default, and tombstone-only compaction change *when* departures
-    // are physically deleted, never the matching: a crash + recovery under
-    // any policy must land on the same canonical boundary
-    let policies = [
-        ("eager", Some(0.0)),
-        ("default", Some(0.25)),
-        ("tombstone-only", None),
-    ];
-    let mut recovered = Vec::new();
-    for (name, threshold) in policies {
-        let options = EngineOptions {
-            compaction_threshold: threshold,
-            compaction_batch: 4,
-            ..EngineOptions::default()
-        };
-        let canon = oracle(&base_problem(), &batches(), &options);
-        let dir = temp_dir(&format!("policy_{name}"));
-        let fault: WriterFault = Box::new(|event| {
-            if event == (FaultEvent::PrePublish { version: 6 }) {
-                crash();
-            }
-        });
-        run_durable(&dir, &options, 2, Some(fault));
-        let got = recover_canonical(&dir, &options, 2);
-        assert_eq!(got, canon[5], "policy {name}");
-        recovered.push(got);
-        fs::remove_dir_all(&dir).ok();
+    // compaction changes *when* departures are physically deleted, never
+    // the matching: a crash right after the writer compacted must recover
+    // onto the logged boundary like any other
+    let options = EngineOptions::default();
+    let canon = oracle(&base_problem(), &batches(), &options);
+    // the departure of the last batch is the one that crosses the 25 %
+    // tombstone bound: the writer compacts inside it, then dies before
+    // publishing (batch 6 publishes version 7)
+    let mut engine = AssignmentEngine::new(&base_problem(), &options).unwrap();
+    let mut compactions = Vec::new();
+    for batch in batches() {
+        for op in &batch {
+            let _ = op.apply(&mut engine);
+        }
+        compactions.push(engine.stats().compaction_batches);
     }
-    assert_eq!(recovered[0], recovered[1]);
-    assert_eq!(recovered[1], recovered[2]);
+    assert_eq!(
+        compactions,
+        [0, 0, 0, 0, 0, 1],
+        "when the scripted churn compacts"
+    );
+    let dir = temp_dir("compacted");
+    let fault: WriterFault = Box::new(|event| {
+        if event == (FaultEvent::PrePublish { version: 7 }) {
+            crash();
+        }
+    });
+    assert_eq!(run_durable(&dir, &options, 2, Some(fault)), 5);
+    assert_eq!(recover_canonical(&dir, &options, 2), canon[6]);
+    fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

@@ -12,13 +12,14 @@
 //!   [`verify_stable`] against the snapshot's own problem, and the
 //!   function→objects / object→functions CSR directions agree,
 //! * **flush is a read-your-writes barrier** — after the final flush, a
-//!   fresh snapshot reflects every submitted update.
+//!   fresh snapshot reflects every submitted update,
+//! * **each shard compacts on its writer** — the final snapshots report
+//!   compaction batches and a tombstone ratio within the 25 % bound.
 //!
 //! `STRESS_EVENTS` / `STRESS_READERS` raise the load in the CI stress job.
 
 use pref_assign::{ObjectRecord, Problem};
 use pref_datagen::{update_stream, ObjectDistribution, UpdateStreamConfig};
-use pref_engine::EngineOptions;
 use pref_geom::Point;
 use pref_rtree::RecordId;
 use pref_service::{ServiceConfig, ShardedService, UpdateOp};
@@ -108,12 +109,7 @@ fn readers_never_observe_torn_or_unstable_state() {
             &ServiceConfig {
                 queue_capacity: 256,
                 max_batch: 32,
-                engine: EngineOptions {
-                    compaction_threshold: Some(0.25),
-                    compaction_batch: 16,
-                    ..EngineOptions::default()
-                },
-                durability: None,
+                ..ServiceConfig::default()
             },
         )
         .unwrap(),
@@ -255,6 +251,18 @@ fn readers_never_observe_torn_or_unstable_state() {
     for shard in 0..num_shards {
         let snapshot = reader.snapshot(shard).unwrap();
         check_snapshot(snapshot, shard);
+        // the churn crossed the tombstone bound, and the writer compacted
+        // inline: the published gauges show it and the bound holds
+        let stats = snapshot.stats();
+        assert!(
+            stats.compaction_batches > 0,
+            "shard {shard} never compacted"
+        );
+        assert!(
+            stats.tombstone_ratio() <= 0.25,
+            "shard {shard} tombstone ratio {}",
+            stats.tombstone_ratio()
+        );
     }
     let snapshot = reader.snapshot(0).unwrap();
     let visible: HashSet<u64> = snapshot

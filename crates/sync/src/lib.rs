@@ -19,10 +19,11 @@
 //!   thread-local for an active model run. Inside a run, every operation
 //!   becomes a *schedule point* of a deterministic cooperative scheduler:
 //!   only one thread runs at a time, and at every point the scheduler picks
-//!   the next thread — by a seeded random walk ([`model::explore`]) or by
-//!   systematic bounded-preemption DFS ([`model::explore_dfs`]). A failing
+//!   the next thread — by a seeded random walk (`model::explore`) or by
+//!   systematic bounded-preemption DFS (`model::explore_dfs`). A failing
 //!   interleaving is fully reproducible from its printed seed (or choice
-//!   schedule) via [`model::replay`] / [`model::run_schedule`].
+//!   schedule) via `model::replay` / `model::run_schedule`. (The `model`
+//!   module exists only with the feature, so these names are not links.)
 //!
 //! During a model run the scheduler maintains **vector clocks** and checks
 //! happens-before as the trace unfolds:
@@ -39,7 +40,7 @@
 //!   present;
 //! * scenario-level invariants (per-reader version monotonicity, flush
 //!   acknowledged only after publication, ...) are asserted with
-//!   [`model::check`], which fails the run quietly and reports the seed and
+//!   `model::check`, which fails the run quietly and reports the seed and
 //!   trace.
 //!
 //! Threads must be spawned through [`thread::spawn`] / [`thread::Builder`] to

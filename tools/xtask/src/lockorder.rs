@@ -9,9 +9,10 @@
 //!
 //! How it works, in one pass-shaped paragraph: each `Mutex`-typed struct
 //! field (`Progress.state`, `SnapshotCell.slot`) and each non-field mutex
-//! named by its content type (`Mutex<EngineSlot>` — the engine slot shared
-//! by writer and compactor) becomes a lock node. A lexical walk of every
-//! function body tracks which guards are live (guard `let`-bindings, brace
+//! with a plain content type, named by that type (a `&Mutex<Engine>` handed
+//! to two functions is the one node `Mutex<Engine>`), becomes a lock node.
+//! A lexical walk of every function body tracks which guards are live
+//! (guard `let`-bindings, brace
 //! scopes, `drop(guard)`, guard-returning helpers like the model
 //! scheduler's `fn lock(&self) -> Guard<'_>`), records each acquisition with
 //! the set of locks held at that point, and records each resolvable
@@ -342,7 +343,7 @@ fn mutex_content(ty: &str) -> Option<String> {
 
 /// Strips references, lifetimes and transparent wrappers
 /// (`Arc`/`Rc`/`Box`/`Option`), keeping the payload's own generics:
-/// `&'a Arc<Mutex<EngineSlot>>` → `Mutex<EngineSlot>`.
+/// `&'a Arc<Mutex<Engine>>` → `Mutex<Engine>`.
 fn ty_base(ty: &str) -> String {
     let mut t = ty.trim();
     loop {
@@ -1177,14 +1178,16 @@ mod tests {
             "lock-order cycle in the real workspace: {:?}",
             report.cycles
         );
-        // The two-publisher snapshot protocol (PR 8) must be visible: both
-        // publishers install snapshots while holding the engine slot, and
-        // stats() reads the cell while holding the progress lock.
+        // The shard protocol must be visible: stats() reads the cell while
+        // holding the progress lock. The writer owns its engine outright, so
+        // no engine-slot lock may come back.
         let e = |a: &str, b: &str| (a.to_string(), b.to_string());
         let edges = edge_set(&report);
         assert!(
-            edges.contains(&e("Mutex<EngineSlot>", "SnapshotCell.slot")),
-            "missing the publish-under-slot edge: {edges:?}"
+            !edges
+                .iter()
+                .any(|(a, b)| a == "Mutex<EngineSlot>" || b == "Mutex<EngineSlot>"),
+            "the engine slot lock is back: {edges:?}"
         );
         assert!(
             edges.contains(&e("Progress.state", "SnapshotCell.slot")),

@@ -1270,8 +1270,8 @@ mod tests {
     #[test]
     fn durability_rule_is_scoped_to_the_durable_path() {
         // a function that never sees the durability handle may publish
-        // freely (the compactor: compaction never changes the matching)
-        let src = "fn compactor(cell: &SnapshotCell, b: &B) { cell.publish(snap(b)); }\n";
+        // freely (an in-memory shard has nothing to log)
+        let src = "fn in_memory(cell: &SnapshotCell, b: &B) { cell.publish(snap(b)); }\n";
         assert!(findings(DUR_PATH, src).is_empty());
         // and other files are out of scope entirely
         let bad = "fn writer(cell: &SnapshotCell, dur: &mut ShardDurability, b: &B) {\n\
