@@ -8,8 +8,8 @@ use pref_bench::{build_problem, Params, Scale};
 use pref_datagen::{anti_correlated_objects, uniform_weight_functions};
 use pref_geom::Point;
 use pref_rtree::{RTree, RTreeConfig};
-use pref_skyline::{compute_skyline_bbs, skyline_bnl, skyline_sfs, update_skyline};
-use pref_topk::{FunctionLists, ReverseTopOne};
+use pref_skyline::{compute_skyline_bbs, skyline_sfs, update_skyline};
+use pref_topk::{FunctionLists, ReverseTopOne, ScanTopOne};
 
 fn bench_params() -> Params {
     Params {
@@ -41,7 +41,7 @@ fn rtree_build(c: &mut Criterion) {
     group.finish();
 }
 
-/// Index-based BBS versus the memory-resident skyline algorithms.
+/// Index-based BBS versus the memory-resident SFS.
 fn skyline_algorithms(c: &mut Criterion) {
     let points = anti_correlated_objects(10_000, 4, 13);
     let mut group = c.benchmark_group("skyline");
@@ -53,7 +53,6 @@ fn skyline_algorithms(c: &mut Criterion) {
             criterion::BatchSize::LargeInput,
         )
     });
-    group.bench_function("bnl", |b| b.iter(|| skyline_bnl(&points)));
     group.bench_function("sfs", |b| b.iter(|| skyline_sfs(&points)));
     group.finish();
 }
@@ -85,11 +84,9 @@ fn skyline_maintenance(c: &mut Criterion) {
     group.finish();
 }
 
-/// A fresh reverse top-1 search (TA on its allowance, then the alive-block
-/// scan) versus the scalar exhaustive scan, on
-/// both sides of the allowance: 5000×4, where the threshold is tight and TA
-/// answers within it, and the `solve-wide` shape 200×12, where it is loose
-/// and the search falls back.
+/// A fresh reverse top-1 search by the paper's TA versus one by the default
+/// columnar scan, at 5000×4, where the knapsack threshold is tight, and at the
+/// `solve-wide` shape 200×12, where it is loose.
 fn reverse_top1(c: &mut Criterion) {
     let mut group = c.benchmark_group("reverse_top1");
     for (n, omega, coords) in [
@@ -105,27 +102,24 @@ fn reverse_top1(c: &mut Criterion) {
         let dims = coords.len();
         let lists = FunctionLists::new(&uniform_weight_functions(n, dims, 19));
         let object = Point::from_slice(coords);
-        group.bench_function(format!("bounded_search_{n}x{dims}"), |b| {
-            b.iter(|| {
-                let mut search = ReverseTopOne::new(object.clone(), omega);
-                search.best(&lists)
-            })
+        group.bench_function(format!("ta_{n}x{dims}"), |b| {
+            b.iter(|| ReverseTopOne::new(object.clone(), omega).best(&lists))
         });
-        group.bench_function(format!("exhaustive_scan_{n}x{dims}"), |b| {
-            b.iter(|| lists.best_by_scan(&object))
+        group.bench_function(format!("scan_{n}x{dims}"), |b| {
+            b.iter(|| ScanTopOne::new(object.clone()).best(&lists))
         });
     }
     group.finish();
 }
 
-/// Full SB runs: optimized versus the single-pair and fresh-TA ablations.
+/// Full SB runs: the default versus the single-pair and fresh-TA ablations.
 fn sb_variants(c: &mut Criterion) {
     let params = bench_params();
     let problem: Problem = build_problem(&params);
     let mut group = c.benchmark_group("sb_variants");
     group.sample_size(10);
     let variants = [
-        ("optimized", SbOptions::default()),
+        ("default", SbOptions::default()),
         (
             "single_pair",
             SbOptions {

@@ -10,14 +10,12 @@ pub enum AlgorithmKind {
     BruteForce,
     /// Chain: the adaptation of the spatial ECP algorithm.
     Chain,
-    /// SB, fully optimized (UpdateSkyline + resumable TA + multi-pair).
+    /// SB as the paper runs it (UpdateSkyline + resumable TA + multi-pair).
     Sb,
     /// SB with UpdateSkyline but without the CPU optimizations (Figure 8).
     SbUpdateSkyline,
     /// SB with DeltaSky-style maintenance (Figure 8).
     SbDeltaSky,
-    /// SB restricted to one pair per loop (ablation of Section 5.3).
-    SbSinglePair,
     /// The two-skyline SB variant for prioritized functions (Section 6.2).
     SbTwoSkylines,
     /// SB-alt: batch best-pair search over disk-resident function lists
@@ -37,7 +35,6 @@ impl AlgorithmKind {
             AlgorithmKind::Sb => "SB",
             AlgorithmKind::SbUpdateSkyline => "SB-UpdateSkyline",
             AlgorithmKind::SbDeltaSky => "SB-DeltaSky",
-            AlgorithmKind::SbSinglePair => "SB-SinglePair",
             AlgorithmKind::SbTwoSkylines => "SB-TwoSkylines",
             AlgorithmKind::SbAlt { .. } => "SB-alt",
         }
@@ -74,12 +71,6 @@ impl AlgorithmKind {
             AlgorithmKind::SbDeltaSky => Box::new(SbSolver {
                 options: SbOptions::delta_sky(),
             }),
-            AlgorithmKind::SbSinglePair => Box::new(SbSolver {
-                options: SbOptions {
-                    multiple_pairs_per_loop: false,
-                    ..SbOptions::default()
-                },
-            }),
             AlgorithmKind::SbTwoSkylines => Box::new(SbSolver {
                 options: SbOptions::two_skylines(),
             }),
@@ -104,7 +95,6 @@ mod tests {
             AlgorithmKind::Sb,
             AlgorithmKind::SbUpdateSkyline,
             AlgorithmKind::SbDeltaSky,
-            AlgorithmKind::SbSinglePair,
             AlgorithmKind::SbTwoSkylines,
             AlgorithmKind::SbAlt {
                 list_buffer_frames: 4,
@@ -134,7 +124,6 @@ mod tests {
             AlgorithmKind::Chain,
             AlgorithmKind::SbUpdateSkyline,
             AlgorithmKind::SbDeltaSky,
-            AlgorithmKind::SbSinglePair,
             AlgorithmKind::SbAlt {
                 list_buffer_frames: 4,
             },

@@ -83,16 +83,16 @@ pub use view::{AssignedFunctions, AssignedObjects, AssignmentView, ViewError};
 
 use pref_rtree::RTree;
 
-/// Solves a problem with the fully optimized SB algorithm and a default
-/// object index, returning the full [`AssignmentResult`] — the matching plus
+/// Solves a problem with SB at its default options ([`SbOptions::default`])
+/// and a default object index, returning the full [`AssignmentResult`] — the matching plus
 /// the [`RunMetrics`] (I/O, CPU, memory, loop counts) collected along the way.
 pub fn solve_with_metrics(problem: &Problem) -> AssignmentResult {
     let mut tree: RTree = problem.build_tree(None, 0.02);
     sb(problem, &mut tree, &SbOptions::default())
 }
 
-/// Solves a problem with the fully optimized SB algorithm and a default
-/// object index (the convenience entry point used by the examples). A thin
+/// Solves a problem with SB at its default options and a default object
+/// index (the convenience entry point used by the examples). A thin
 /// wrapper over [`solve_with_metrics`] for callers that only want the
 /// matching; use the latter when the run's measurements matter.
 pub fn solve(problem: &Problem) -> Assignment {

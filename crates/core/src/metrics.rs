@@ -14,10 +14,10 @@ pub struct RunMetrics {
     pub object_io: IoStats,
     /// I/O performed on auxiliary structures, i.e. everything that is not the
     /// object R-tree. For SB: the function-index entries its best-pair
-    /// searches read — one per sorted access of a TA search, one per row
-    /// scored by a scan (the bounded search's fall-back, the exhaustive and
-    /// two-skyline arms). For SB-alt the disk-resident function lists, for
-    /// Chain its function R-tree.
+    /// searches read — one per row scored by the default scan or the
+    /// two-skyline arm, one per sorted access of a TA search (the paper's
+    /// definition, which the figures' SB series report). For SB-alt the
+    /// disk-resident function lists, for Chain its function R-tree.
     pub aux_io: IoStats,
     /// Wall-clock time of the run. Each batch solver runs single-threaded, so
     /// for one `Solver::solve` call this still equals CPU time; it stops being

@@ -84,6 +84,12 @@ pub enum ProblemError {
     DimensionMismatch(String),
     /// Identifiers must be unique within their set.
     DuplicateId(String),
+    /// Every function stands for at least one request.
+    ZeroCapacityFunction(FunctionId),
+    /// Every object stands for at least one copy.
+    ZeroCapacityObject(RecordId),
+    /// Object coordinates must be finite.
+    NonFiniteObject(RecordId),
 }
 
 impl std::fmt::Display for ProblemError {
@@ -92,6 +98,11 @@ impl std::fmt::Display for ProblemError {
             ProblemError::Empty => write!(f, "problem needs at least one function and one object"),
             ProblemError::DimensionMismatch(msg) => write!(f, "dimension mismatch: {msg}"),
             ProblemError::DuplicateId(msg) => write!(f, "duplicate identifier: {msg}"),
+            ProblemError::ZeroCapacityFunction(id) => write!(f, "function {id} has capacity 0"),
+            ProblemError::ZeroCapacityObject(id) => write!(f, "object {id} has capacity 0"),
+            ProblemError::NonFiniteObject(id) => {
+                write!(f, "object {id} has a non-finite coordinate")
+            }
         }
     }
 }
@@ -174,7 +185,10 @@ pub struct Problem {
 }
 
 impl Problem {
-    /// Validates and creates a problem instance.
+    /// Validates and creates a problem instance: both sets non-empty, one
+    /// dimensionality, unique ids, capacities of at least 1 and finite object
+    /// coordinates. Struct literals and [`Point::from_slice`] can build
+    /// records that break the last two, and every solver would mishandle them.
     pub fn new(
         functions: Vec<PreferenceFunction>,
         objects: Vec<ObjectRecord>,
@@ -191,6 +205,9 @@ impl Problem {
                     f.function.dims()
                 )));
             }
+            if f.capacity == 0 {
+                return Err(ProblemError::ZeroCapacityFunction(f.id));
+            }
         }
         for o in &objects {
             if o.point.dims() != dims {
@@ -199,6 +216,12 @@ impl Problem {
                     o.id,
                     o.point.dims()
                 )));
+            }
+            if o.capacity == 0 {
+                return Err(ProblemError::ZeroCapacityObject(o.id));
+            }
+            if !o.point.is_finite() {
+                return Err(ProblemError::NonFiniteObject(o.id));
             }
         }
         let mut function_index = HashMap::with_capacity(functions.len());
@@ -485,6 +508,45 @@ mod tests {
         let objects = vec![ObjectRecord::new(0, Point::from_slice(&[0.5, 0.5]))];
         let p = Problem::new(functions, objects).unwrap();
         assert!(p.has_priorities());
+    }
+
+    /// Struct literals and `Point::from_slice` build records every solver
+    /// mishandles: with a capacity-0 object the solve panicked in debug
+    /// builds (`o_remaining[oi] -= 1`) and assigned it twice in release.
+    #[test]
+    fn zero_capacities_and_non_finite_points_are_refused() {
+        let f = |id, capacity| PreferenceFunction {
+            capacity,
+            ..PreferenceFunction::new(id, LinearFunction::new(vec![0.6, 0.4]).unwrap())
+        };
+        let o = |id, coords: [f64; 2], capacity| ObjectRecord {
+            capacity,
+            ..ObjectRecord::new(id, Point::from_slice(&coords))
+        };
+        let cases = [
+            (
+                vec![f(0, 1), f(7, 0)],
+                vec![o(0, [0.5, 0.5], 1)],
+                ProblemError::ZeroCapacityFunction(FunctionId(7)),
+            ),
+            (
+                vec![f(0, 1), f(1, 1)],
+                vec![
+                    o(0, [0.9, 0.9], 0),
+                    o(1, [0.5, 0.4], 1),
+                    o(2, [0.4, 0.5], 1),
+                ],
+                ProblemError::ZeroCapacityObject(RecordId(0)),
+            ),
+            (
+                vec![f(0, 1)],
+                vec![o(0, [0.5, 0.5], 1), o(3, [0.5, f64::NAN], 1)],
+                ProblemError::NonFiniteObject(RecordId(3)),
+            ),
+        ];
+        for (functions, objects, want) in cases {
+            assert_eq!(Problem::new(functions, objects).unwrap_err(), want);
+        }
     }
 
     #[test]

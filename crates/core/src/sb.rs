@@ -10,8 +10,10 @@
 //! handled by the I/O-optimal `UpdateSkyline` module (or, for the ablation
 //! baseline, by a DeltaSky-style re-traversal).
 //!
-//! [`SbOptions`] selects between the fully optimized algorithm and the
-//! stripped-down variants used in the paper's Figure 8 ablation, enables the
+//! [`SbOptions`] selects between the default (a columnar scan finds each
+//! object's best function), the paper's fully optimized algorithm (its
+//! resumable TA, [`crate::SbSolver::with_omega`]) and the stripped-down
+//! variants used in the paper's Figure 8 ablation, enables the
 //! two-skyline technique for prioritized functions (Section 6.2), and swaps
 //! in SB-alt's batched scan of disk-resident lists
 //! ([`BestPairStrategy::Batch`], [`SbOptions::sb_alt`]). Every variant runs
@@ -26,7 +28,9 @@ use pref_geom::Point;
 use pref_rtree::{RTree, RecordId};
 use pref_skyline::{compute_skyline_bbs, delta_sky_update, skyline_sfs, update_skyline, Skyline};
 use pref_storage::IoStats;
-use pref_topk::{batch_best_functions, DiskFunctionLists, FunctionLists, ReverseTopOne};
+use pref_topk::{
+    batch_best_functions, DiskFunctionLists, FunctionLists, ReverseTopOne, ScanTopOne,
+};
 use std::time::Instant;
 
 /// How the skyline is maintained after assigned objects are removed.
@@ -42,21 +46,24 @@ pub enum MaintenanceStrategy {
 /// How the best function for each skyline object is located.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum BestPairStrategy {
-    /// Resumable TA with biased probing and a candidate queue capped at
-    /// `omega_fraction · |F|` (the fully optimized search of Section 5.1),
-    /// under [`ReverseTopOne`]'s cost bound: a search that has not answered
-    /// within its allowance of list entries scores the alive functions once
-    /// and serves the following calls from the queue.
+    /// One columnar scan of the alive functions per object, keeping the best
+    /// eight rows to answer the object's next searches with no reads until
+    /// all of them have been assigned ([`ScanTopOne`]); the default. Its
+    /// [`RunMetrics::aux_io`] is the rows it scores.
+    Scan,
+    /// The paper's resumable TA (Section 5.1, [`ReverseTopOne`]): biased
+    /// probing of the sorted coefficient lists, the knapsack threshold, and a
+    /// candidate queue capped at `omega_fraction · |F|` that restarts when
+    /// the cap runs out. The search of the figures' SB series and of the Ω
+    /// sweep; its [`RunMetrics::aux_io`] is the sorted accesses it makes.
     ResumableTa {
         /// Fraction ω of `|F|` used as the candidate-queue capacity.
         omega_fraction: f64,
     },
-    /// A fresh search per object per loop (no state kept between loops, same
-    /// cost bound); the best-pair search used by the unoptimized SB variants
-    /// of Figure 8.
+    /// The paper's TA, fresh per object per loop (no state kept between
+    /// loops); the best-pair search of the unoptimized SB variants of Figure
+    /// 8. Its [`RunMetrics::aux_io`] is the sorted accesses it makes.
     FreshTa,
-    /// Exhaustive scan of all remaining functions per skyline object.
-    ExhaustiveScan,
     /// The two-skyline technique for prioritized functions (Section 6.2):
     /// only functions on the skyline of the effective weight vectors are
     /// considered, by exhaustive scan.
@@ -91,12 +98,11 @@ pub struct SbOptions {
 
 impl Default for SbOptions {
     fn default() -> Self {
-        // the fully optimized SB used in the experiments (Ω = 2.5% · |F|)
+        // UpdateSkyline, the scan, every reciprocal pair of a loop; the
+        // paper's own configuration is `SbSolver::with_omega(0.025)`
         Self {
             maintenance: MaintenanceStrategy::UpdateSkyline,
-            best_pair: BestPairStrategy::ResumableTa {
-                omega_fraction: 0.025,
-            },
+            best_pair: BestPairStrategy::Scan,
             multiple_pairs_per_loop: true,
             threads: None,
         }
@@ -148,6 +154,37 @@ impl SbOptions {
     }
 }
 
+/// The state a best-pair search keeps for one object between loops.
+#[derive(Clone)]
+enum ObjectSearch {
+    Scan(ScanTopOne),
+    Ta(ReverseTopOne),
+}
+
+impl ObjectSearch {
+    fn best(&mut self, lists: &FunctionLists) -> Option<(usize, f64)> {
+        match self {
+            ObjectSearch::Scan(scan) => scan.best(lists),
+            ObjectSearch::Ta(ta) => ta.best(lists),
+        }
+    }
+
+    /// Function-index entries read so far: rows scored, or sorted accesses.
+    fn entries_read(&self) -> u64 {
+        match self {
+            ObjectSearch::Scan(scan) => scan.scanned_rows(),
+            ObjectSearch::Ta(ta) => ta.sorted_accesses(),
+        }
+    }
+
+    fn memory_bytes(&self) -> u64 {
+        match self {
+            ObjectSearch::Scan(scan) => scan.memory_bytes(),
+            ObjectSearch::Ta(ta) => ta.memory_bytes(),
+        }
+    }
+}
+
 /// The function index the loop searches: in memory, or SB-alt's
 /// disk-resident lists, which charge the blocks they read.
 enum Lists {
@@ -176,7 +213,7 @@ impl Lists {
 /// The hot path keeps every piece of per-object and per-function state in
 /// dense `Vec` slabs indexed by the [`Problem`]'s contiguous tables (via the
 /// `RecordId → dense index` map built once at problem construction): remaining
-/// capacities, resumable TA states, exclusion flags and the per-loop argmax
+/// capacities, per-object search states, exclusion flags and the per-loop argmax
 /// results all live in flat arrays, and the per-loop argmax slabs are
 /// invalidated with a loop stamp instead of being cleared. Skyline points are
 /// read through borrowed [`Skyline::entry_views`] — nothing is cloned per
@@ -221,12 +258,6 @@ pub fn sb_with_skyline(
     let score_table = lists.view().score_table();
     let threads = pref_sync::resolve_threads(options.threads);
     let pool = (threads > 1).then(|| pref_sync::WorkStealingPool::with_threads(threads));
-    let omega = match options.best_pair {
-        BestPairStrategy::ResumableTa { omega_fraction } => {
-            ((omega_fraction * problem.num_functions() as f64).ceil() as usize).max(1)
-        }
-        _ => problem.num_functions().max(1),
-    };
 
     let n_fun = problem.num_functions();
     let n_obj = problem.num_objects();
@@ -236,8 +267,15 @@ pub fn sb_with_skyline(
     let mut o_remaining: Vec<u32> = problem.objects().iter().map(|o| o.capacity).collect();
     let mut demand: u64 = f_remaining.iter().map(|&c| c as u64).sum();
     let mut supply: u64 = o_remaining.iter().map(|&c| c as u64).sum();
-    // solver-specific per-object search state, indexed by the dense index
-    let mut ta_states: Vec<Option<ReverseTopOne>> = vec![None; n_obj];
+    // the Scan and ResumableTa arms' per-object states, by dense index
+    let mut states: Vec<Option<ObjectSearch>> = vec![None; n_obj];
+    let new_state = |point: &Point| match options.best_pair {
+        BestPairStrategy::ResumableTa { omega_fraction } => {
+            let omega = (omega_fraction * n_fun as f64).ceil() as usize;
+            ObjectSearch::Ta(ReverseTopOne::new(point.clone(), omega))
+        }
+        _ => ObjectSearch::Scan(ScanTopOne::new(point.clone())),
+    };
     let mut excluded: Vec<bool> = vec![false; n_obj];
     // dense indices of the current loop's skyline, for the memory accounting
     let mut sky_rows: Vec<usize> = Vec::new();
@@ -309,23 +347,18 @@ pub fn sb_with_skyline(
                 searches += 1;
             }
             let best = match options.best_pair {
-                BestPairStrategy::ResumableTa { .. } => {
-                    let state = ta_states[oi]
-                        .get_or_insert_with(|| ReverseTopOne::new(point.clone(), omega));
-                    let before = state.sorted_accesses() + state.scanned_rows();
+                BestPairStrategy::Scan | BestPairStrategy::ResumableTa { .. } => {
+                    let state = states[oi].get_or_insert_with(|| new_state(point));
+                    let before = state.entries_read();
                     let best = state.best(view);
-                    aux_reads += state.sorted_accesses() + state.scanned_rows() - before;
+                    aux_reads += state.entries_read() - before;
                     best
                 }
                 BestPairStrategy::FreshTa => {
                     let mut state = ReverseTopOne::new(point.clone(), n_fun);
                     let best = state.best(view);
-                    aux_reads += state.sorted_accesses() + state.scanned_rows();
+                    aux_reads += state.sorted_accesses();
                     best
-                }
-                BestPairStrategy::ExhaustiveScan => {
-                    aux_reads += view.remaining() as u64;
-                    view.best_by_scan(point)
                 }
                 BestPairStrategy::TwoSkylines => {
                     let candidates = function_skyline.as_deref().expect("computed above");
@@ -384,7 +417,7 @@ pub fn sb_with_skyline(
             o_remaining[oi] -= 1;
             if o_remaining[oi] == 0 {
                 excluded[oi] = true;
-                ta_states[oi] = None;
+                states[oi] = None;
                 if let Some(sky_obj) = skyline.remove(record) {
                     removed_objects.push(sky_obj);
                 }
@@ -410,12 +443,12 @@ pub fn sb_with_skyline(
         // it is dropped when its object is exhausted, and this loop's
         // entrants have not been searched yet — |S| slots to visit, not |O|.
         // SB-alt keeps none, so its memory is the skyline's alone.
-        let ta_mem: u64 = sky_rows
+        let search_mem: u64 = sky_rows
             .iter()
-            .filter_map(|&oi| ta_states[oi].as_ref())
-            .map(ReverseTopOne::memory_bytes)
+            .filter_map(|&oi| states[oi].as_ref())
+            .map(ObjectSearch::memory_bytes)
             .sum();
-        gauge.observe(skyline.memory_bytes() + ta_mem);
+        gauge.observe(skyline.memory_bytes() + search_mem);
     }
 
     let metrics = RunMetrics {
@@ -478,8 +511,9 @@ mod tests {
             SbOptions::update_skyline_only(),
             SbOptions::delta_sky(),
             SbOptions {
-                maintenance: MaintenanceStrategy::UpdateSkyline,
-                best_pair: BestPairStrategy::ExhaustiveScan,
+                best_pair: BestPairStrategy::ResumableTa {
+                    omega_fraction: 0.025,
+                },
                 ..SbOptions::default()
             },
             SbOptions::sb_alt(4),
@@ -697,10 +731,10 @@ mod tests {
         assert!(result.metrics.loops > 0);
         assert!(result.metrics.searches > 0);
         assert!(result.metrics.peak_memory_bytes > 0);
-        // the resumable-TA searches must charge their sorted-list accesses
+        // the default scan must charge the rows it scores
         assert!(
             result.metrics.aux_io.io_accesses() > 0,
-            "ResumableTa must report its sorted accesses as aux I/O"
+            "Scan must report its scored rows as aux I/O"
         );
         assert!(result.metrics.total_io() > result.metrics.object_io.io_accesses());
     }
@@ -713,7 +747,8 @@ mod tests {
         let mut tree_fresh = p.build_tree(Some(16), 0.02);
         let mut tree_resume = p.build_tree(Some(16), 0.02);
         let fresh = sb(&p, &mut tree_fresh, &SbOptions::update_skyline_only());
-        let resume = sb(&p, &mut tree_resume, &SbOptions::default());
+        let paper = crate::SbSolver::with_omega(0.025).options;
+        let resume = sb(&p, &mut tree_resume, &paper);
         assert!(fresh.metrics.aux_io.io_accesses() > 0);
         // restarting every search from scratch costs more sorted accesses
         // than resuming — the very point of the paper's Section 5.1
@@ -723,20 +758,14 @@ mod tests {
             fresh.metrics.aux_io.io_accesses(),
             resume.metrics.aux_io.io_accesses()
         );
-        // an exhaustive scan charges the rows it reads: every alive function,
-        // once per search
+        // the scan charges the rows it scores: all alive functions when it
+        // scans, none when a re-ask or a kept row answers — which is most
+        // searches
         let mut tree_scan = p.build_tree(Some(16), 0.02);
-        let scan = sb(
-            &p,
-            &mut tree_scan,
-            &SbOptions {
-                best_pair: BestPairStrategy::ExhaustiveScan,
-                ..SbOptions::default()
-            },
-        );
+        let scan = sb(&p, &mut tree_scan, &SbOptions::default());
         let (rows, searches) = (scan.metrics.aux_io.io_accesses(), scan.metrics.searches);
         assert!(
-            searches <= rows && rows <= searches * 30,
+            0 < rows && rows < searches * 30,
             "{rows} rows over {searches} searches of at most 30 functions"
         );
     }

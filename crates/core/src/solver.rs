@@ -36,7 +36,11 @@ pub struct SbSolver {
 }
 
 impl SbSolver {
-    /// The fully optimized configuration with a custom Ω fraction.
+    /// The paper's fully optimized SB: the default configuration, but each
+    /// object's best function is found by the resumable TA of Section 5.1
+    /// with a candidate queue of `omega_fraction · |F|`
+    /// ([`crate::BestPairStrategy::ResumableTa`]). The figures' "SB" series
+    /// and the Ω sweep run this; the default searches by scan instead.
     pub fn with_omega(omega_fraction: f64) -> Self {
         Self {
             options: SbOptions {

@@ -499,15 +499,6 @@ impl AssignmentEngine {
     /// the solve is, see [`AssignmentEngine::initial_object_io`].
     pub fn new(problem: &Problem, options: &EngineOptions) -> Result<Self, EngineError> {
         options.validate()?;
-        if let Some(o) = problem.objects().iter().find(|o| o.capacity == 0) {
-            return Err(EngineError::ZeroCapacityObject(o.id));
-        }
-        if let Some(f) = problem.functions().iter().find(|f| f.capacity == 0) {
-            return Err(EngineError::ZeroCapacityFunction(f.id));
-        }
-        if let Some(o) = problem.objects().iter().find(|o| !o.point.is_finite()) {
-            return Err(EngineError::NonFiniteObject(o.id));
-        }
         let mut tree = problem.build_tree(None, BUFFER_FRACTION);
         let sb_options = SbOptions {
             threads: options.threads,

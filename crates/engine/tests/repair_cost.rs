@@ -5,7 +5,7 @@
 //! `|dirty_f|·(|S| + |saturated|) + |F|·|dirty_o|` — is checked as a count,
 //! not as a time.
 
-use pref_assign::{FunctionId, ObjectRecord, PreferenceFunction, Problem};
+use pref_assign::{FunctionId, ObjectRecord, PreferenceFunction, Problem, ProblemError};
 use pref_datagen::{independent_objects, uniform_weight_functions};
 use pref_engine::{AssignmentEngine, EngineError, EngineOptions};
 use pref_geom::{LinearFunction, Point};
@@ -129,25 +129,24 @@ fn zero_capacity_is_refused_with_a_typed_error() {
         .unwrap();
     assert_eq!(engine.assignment().functions_of(RecordId(500)).len(), 1);
 
-    // a problem (or a restored snapshot) carrying one is refused up front
+    // a problem (or a restored snapshot) carrying one is refused up front:
+    // no engine can be built from it
     let snapshot = engine.snapshot_problem().unwrap();
     let mut objects = snapshot.objects().to_vec();
     objects.push(ObjectRecord {
         id: RecordId(501),
         ..object
     });
-    let poisoned = Problem::new(snapshot.functions().to_vec(), objects).unwrap();
-    assert!(matches!(
-        AssignmentEngine::new(&poisoned, &EngineOptions::default()),
-        Err(EngineError::ZeroCapacityObject(RecordId(501)))
-    ));
+    assert_eq!(
+        Problem::new(snapshot.functions().to_vec(), objects).unwrap_err(),
+        ProblemError::ZeroCapacityObject(RecordId(501))
+    );
     let mut functions = snapshot.functions().to_vec();
     functions.push(function);
-    let poisoned = Problem::new(functions, snapshot.objects().to_vec()).unwrap();
-    assert!(matches!(
-        AssignmentEngine::new(&poisoned, &EngineOptions::default()),
-        Err(EngineError::ZeroCapacityFunction(FunctionId(500)))
-    ));
+    assert_eq!(
+        Problem::new(functions, snapshot.objects().to_vec()).unwrap_err(),
+        ProblemError::ZeroCapacityFunction(FunctionId(500))
+    );
 }
 
 /// `Point::from_slice` builds a point with a NaN or infinite coordinate, and
@@ -175,13 +174,13 @@ fn non_finite_objects_are_refused_with_a_typed_error() {
     );
     assert_eq!(engine.assignment().canonical(), matching);
 
-    // a problem (or a restored snapshot) carrying one is refused up front
+    // a problem (or a restored snapshot) carrying one is refused up front:
+    // no engine can be built from it
     let snapshot = engine.snapshot_problem().unwrap();
     let mut objects = snapshot.objects().to_vec();
     objects.push(ObjectRecord::new(603, Point::from_slice(&[0.5, f64::NAN])));
-    let poisoned = Problem::new(snapshot.functions().to_vec(), objects).unwrap();
-    assert!(matches!(
-        AssignmentEngine::new(&poisoned, &EngineOptions::default()),
-        Err(EngineError::NonFiniteObject(RecordId(603)))
-    ));
+    assert_eq!(
+        Problem::new(snapshot.functions().to_vec(), objects).unwrap_err(),
+        ProblemError::NonFiniteObject(RecordId(603))
+    );
 }

@@ -24,8 +24,8 @@
 //!
 //! For comparison the crate also implements a **DeltaSky-style** baseline that
 //! re-traverses the tree from the root for every removed skyline object, plus
-//! memory-resident algorithms (BNL, SFS, a naive oracle and a k-skyband
-//! operator) used for testing and for the variant where `O` fits in memory.
+//! memory-resident algorithms: SFS, which computes the function skyline of
+//! the two-skyline technique, and a naive oracle for the tests.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -41,5 +41,5 @@ pub use bbs::compute_skyline_bbs;
 pub use deltasky::delta_sky_update;
 pub use insert::{insert_skyline, SkylineInsertion};
 pub use maintain::{update_skyline, update_skyline_filtered};
-pub use memory::{k_skyband, skyline_bnl, skyline_naive, skyline_of_entries, skyline_sfs};
+pub use memory::{skyline_naive, skyline_sfs};
 pub use set::{Skyline, SkylineObject};

@@ -1,12 +1,11 @@
-//! Memory-resident skyline algorithms: BNL, SFS, a naive oracle and k-skyband.
+//! Memory-resident skyline algorithms: SFS and a naive oracle.
 //!
-//! These are used (i) as test oracles for the index-based algorithms, (ii) for
-//! the storage variant where the object set fits in memory, and (iii) for the
-//! function skyline `Fsky` of the prioritized two-skyline technique, whose
-//! input (the set of effective weight vectors) is never indexed.
+//! SFS computes the function skyline `Fsky` of the prioritized two-skyline
+//! technique, whose input (the set of effective weight vectors) is never
+//! indexed; the naive oracle is what the tests hold every skyline to.
 
 use pref_geom::Point;
-use pref_rtree::{DataEntry, RecordId};
+use pref_rtree::RecordId;
 
 /// Quadratic-time reference skyline; the unambiguous oracle for tests.
 pub fn skyline_naive(points: &[(RecordId, Point)]) -> Vec<RecordId> {
@@ -21,34 +20,6 @@ pub fn skyline_naive(points: &[(RecordId, Point)]) -> Vec<RecordId> {
         }
     }
     out
-}
-
-/// Block-nested-loop skyline (Börzsönyi et al.): one pass over the data,
-/// keeping the set of currently non-dominated points.
-pub fn skyline_bnl(points: &[(RecordId, Point)]) -> Vec<RecordId> {
-    let mut window: Vec<(RecordId, &Point)> = Vec::new();
-    'outer: for (r, p) in points {
-        let mut i = 0;
-        while i < window.len() {
-            let (_, w) = window[i];
-            if w.dominates_or_equal(p) && !(w == p) {
-                // dominated by a window point: discard
-                continue 'outer;
-            }
-            if w == p {
-                // identical coordinates: both stay (neither dominates)
-                i += 1;
-                continue;
-            }
-            if p.dominates(w) {
-                window.swap_remove(i);
-                continue;
-            }
-            i += 1;
-        }
-        window.push((*r, p));
-    }
-    window.into_iter().map(|(r, _)| r).collect()
 }
 
 /// Sort-filter-skyline (the idea behind LESS / SaLSa): points are first sorted
@@ -70,35 +41,6 @@ pub fn skyline_sfs(points: &[(RecordId, Point)]) -> Vec<RecordId> {
         }
     }
     window.into_iter().map(|(r, _)| r).collect()
-}
-
-/// The k-skyband: all points dominated by at most `k - 1` other points. For
-/// `k = 1` this is exactly the skyline. Used by top-k monitoring approaches
-/// discussed in the paper's related work and exposed here as a library
-/// extension.
-pub fn k_skyband(points: &[(RecordId, Point)], k: usize) -> Vec<RecordId> {
-    assert!(k >= 1, "k-skyband requires k >= 1");
-    let mut out = Vec::new();
-    for (i, (r, p)) in points.iter().enumerate() {
-        let dominators = points
-            .iter()
-            .enumerate()
-            .filter(|(j, (_, q))| *j != i && q.dominates(p))
-            .count();
-        if dominators < k {
-            out.push(*r);
-        }
-    }
-    out
-}
-
-/// Convenience adapter from [`DataEntry`] slices.
-pub fn skyline_of_entries(entries: &[DataEntry]) -> Vec<RecordId> {
-    let pairs: Vec<(RecordId, Point)> = entries
-        .iter()
-        .map(|e| (e.record, e.point.clone()))
-        .collect();
-    skyline_sfs(&pairs)
 }
 
 #[cfg(test)]
@@ -127,7 +69,7 @@ mod tests {
             (2, [0.8, 0.2]), // c
             (3, [0.4, 0.4]), // d
         ]);
-        for algo in [skyline_naive, skyline_bnl, skyline_sfs] {
+        for algo in [skyline_naive, skyline_sfs] {
             assert_eq!(sorted(algo(&points)), vec![0, 1, 2]);
         }
     }
@@ -135,11 +77,9 @@ mod tests {
     #[test]
     fn empty_and_singleton_inputs() {
         let empty: Vec<(RecordId, Point)> = vec![];
-        assert!(skyline_bnl(&empty).is_empty());
         assert!(skyline_sfs(&empty).is_empty());
         assert!(skyline_naive(&empty).is_empty());
         let single = pts(&[(7, [0.3, 0.3])]);
-        assert_eq!(sorted(skyline_bnl(&single)), vec![7]);
         assert_eq!(sorted(skyline_sfs(&single)), vec![7]);
     }
 
@@ -147,7 +87,6 @@ mod tests {
     fn duplicate_points_all_survive() {
         let points = pts(&[(0, [0.5, 0.5]), (1, [0.5, 0.5]), (2, [0.1, 0.1])]);
         assert_eq!(sorted(skyline_naive(&points)), vec![0, 1]);
-        assert_eq!(sorted(skyline_bnl(&points)), vec![0, 1]);
         assert_eq!(sorted(skyline_sfs(&points)), vec![0, 1]);
     }
 
@@ -159,7 +98,7 @@ mod tests {
             (2, [0.3, 0.3]),
             (3, [0.9, 0.9]),
         ]);
-        for algo in [skyline_naive, skyline_bnl, skyline_sfs] {
+        for algo in [skyline_naive, skyline_sfs] {
             assert_eq!(sorted(algo(&points)), vec![3]);
         }
     }
@@ -173,48 +112,7 @@ mod tests {
             })
             .collect();
         assert_eq!(skyline_naive(&points).len(), 10);
-        assert_eq!(skyline_bnl(&points).len(), 10);
         assert_eq!(skyline_sfs(&points).len(), 10);
-    }
-
-    #[test]
-    fn k_skyband_contains_skyline_and_grows_with_k() {
-        let mut rng = StdRng::seed_from_u64(8);
-        let points: Vec<(RecordId, Point)> = (0..200)
-            .map(|i| {
-                (
-                    RecordId(i),
-                    Point::from_slice(&[rng.gen_range(0.0..1.0), rng.gen_range(0.0..1.0)]),
-                )
-            })
-            .collect();
-        let sky = sorted(skyline_naive(&points));
-        let band1 = sorted(k_skyband(&points, 1));
-        assert_eq!(sky, band1);
-        let band3 = k_skyband(&points, 3);
-        let band5 = k_skyband(&points, 5);
-        assert!(band3.len() >= band1.len());
-        assert!(band5.len() >= band3.len());
-        // every skyline record is in every band
-        for r in &band1 {
-            assert!(band3.iter().any(|x| x.0 == *r));
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "k >= 1")]
-    fn k_skyband_rejects_zero() {
-        let _ = k_skyband(&[], 0);
-    }
-
-    #[test]
-    fn skyline_of_entries_adapter() {
-        let entries = vec![
-            DataEntry::new(RecordId(0), Point::from_slice(&[0.9, 0.1])),
-            DataEntry::new(RecordId(1), Point::from_slice(&[0.1, 0.9])),
-            DataEntry::new(RecordId(2), Point::from_slice(&[0.05, 0.05])),
-        ];
-        assert_eq!(sorted(skyline_of_entries(&entries)), vec![0, 1]);
     }
 
     #[test]
@@ -234,11 +132,7 @@ mod tests {
                         )
                     })
                     .collect();
-                let a = sorted(skyline_naive(&points));
-                let b = sorted(skyline_bnl(&points));
-                let c = sorted(skyline_sfs(&points));
-                assert_eq!(a, b);
-                assert_eq!(a, c);
+                assert_eq!(sorted(skyline_naive(&points)), sorted(skyline_sfs(&points)));
             }
         }
     }
@@ -254,7 +148,7 @@ mod tests {
                 .enumerate()
                 .map(|(i, c)| (RecordId(i as u64), Point::new(c).unwrap()))
                 .collect();
-            let sky = skyline_bnl(&points);
+            let sky = skyline_sfs(&points);
             for r in &sky {
                 let p = &points.iter().find(|(id, _)| id == r).unwrap().1;
                 let dominated = points.iter().any(|(id, q)| id != r && q.dominates(p));
@@ -267,22 +161,6 @@ mod tests {
                     prop_assert!(dominated, "non-skyline member must be dominated");
                 }
             }
-        }
-
-        #[test]
-        fn bnl_and_sfs_agree(
-            coords in proptest::collection::vec(proptest::collection::vec(0.0f64..1.0, 4), 1..80),
-        ) {
-            let points: Vec<(RecordId, Point)> = coords
-                .into_iter()
-                .enumerate()
-                .map(|(i, c)| (RecordId(i as u64), Point::new(c).unwrap()))
-                .collect();
-            let mut a = skyline_bnl(&points);
-            let mut b = skyline_sfs(&points);
-            a.sort();
-            b.sort();
-            prop_assert_eq!(a, b);
         }
     }
 }

@@ -1,6 +1,6 @@
 //! Top-k search modules used by the fair-assignment algorithms.
 //!
-//! Three search primitives from the paper:
+//! Four search primitives, three of them from the paper:
 //!
 //! * **BRS** ([`RankedSearch`]) — branch-and-bound ranked search over the
 //!   object R-tree (Tao et al.), used as the incremental top-1 engine of the
@@ -11,7 +11,10 @@
 //!   remaining function is found with a threshold-algorithm scan whose
 //!   termination threshold is tightened by a fractional-knapsack bound
 //!   ([`tight_threshold`]), biased list probing, and a resumable, capped
-//!   candidate queue (the Ω technique);
+//!   candidate queue (the Ω technique). The paper's figures run it;
+//! * **reverse top-1 by scan** ([`ScanTopOne`]) — SB's default search: one
+//!   columnar pass over the alive functions of [`FunctionLists`], whose best
+//!   few rows answer the following calls until all of them have died;
 //! * **batch best-pair search** ([`DiskFunctionLists`], [`batch_best_functions`])
 //!   — the Section 7.6 variant for disk-resident function sets, which scans
 //!   the coefficient lists block by block once per skyline version and charges
@@ -25,9 +28,11 @@ mod brs;
 mod knapsack;
 mod lists;
 mod reverse;
+mod scan;
 
 pub use batch::{batch_best_functions, DiskFunctionLists};
 pub use brs::{top_k, RankedSearch};
 pub use knapsack::tight_threshold;
 pub use lists::FunctionLists;
 pub use reverse::{best_function_scan, ReverseTopOne};
+pub use scan::ScanTopOne;

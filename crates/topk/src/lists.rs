@@ -1,17 +1,17 @@
 //! The in-memory index over the preference functions `F`, in the two layouts
-//! a reverse top-1 search reads.
+//! the reverse top-1 searches read.
 //!
 //! * **Sorted coefficient lists** (Section 5.1): one list per dimension of
 //!   `(coefficient, function)` pairs, descending — what the threshold
-//!   algorithm probes. They are built once and never shrink; a removed
-//!   function stays in them and [`FunctionLists::next_alive`] steps over it.
+//!   algorithm ([`crate::ReverseTopOne`]) probes. They are built once and
+//!   never shrink; a removed function stays in them and
+//!   [`FunctionLists::next_alive`] steps over it.
 //! * **The alive block**: the effective weights of the functions that are
-//!   still unassigned, compacted into one columnar [`SoaBlock`] — what
-//!   [`crate::ReverseTopOne`] scores in a single streaming pass once the
-//!   threshold algorithm has spent its allowance. [`FunctionLists::remove`]
-//!   keeps it compact with a `swap_remove`, exactly as the skyline keeps its
-//!   own block, so rows are in no particular order and `row → function` /
-//!   `function → row` translate.
+//!   still unassigned, compacted into one columnar [`SoaBlock`] — what the
+//!   default search ([`crate::ScanTopOne`]) scores in a single streaming
+//!   pass. [`FunctionLists::remove`] keeps it compact with a `swap_remove`,
+//!   exactly as the skyline keeps its own block, so rows are in no particular
+//!   order and `row → function` / `function → row` translate.
 //!
 //! Beside them one by-index copy of the weights (the [`ScoreTable`]) serves
 //! TA's random accesses and the pairing phase. `remove`, `next_alive` and the
@@ -214,8 +214,7 @@ impl FunctionLists {
 
     /// Exhaustive best function for an object: a scalar pass over the alive
     /// functions in index order. The reference every search is tested against
-    /// — deliberately not routed through the alive block — and the search of
-    /// the exhaustive-scan ablation arm.
+    /// — deliberately not routed through the alive block.
     pub fn best_by_scan(&self, object: &Point) -> Option<(usize, f64)> {
         let mut best: Option<(usize, f64)> = None;
         for idx in 0..self.alive.len() {

@@ -9,66 +9,18 @@
 //! every candidate that dies shrinks the cap by one and at zero the search
 //! restarts from scratch (the paper's memory/CPU trade-off knob).
 //!
-//! It runs under a **cost bound**: no call costs much more than reading `F`
-//! once.
+//! A call whose previous answer is still alive returns it without touching
+//! the state. Every answer is the queue's front, accepted against a threshold
+//! only this state's own reads can move, and functions only ever die, so the
+//! best alive function stays the best until it dies.
 //!
-//! * **Re-ask.** A call whose previous answer is still alive returns it
-//!   without touching the state. Every answer is the queue's front, accepted
-//!   against a threshold only this state's own reads can move, and functions
-//!   only ever die, so the best alive function stays the best until it dies.
-//!   Four calls in ten of a cold solve are such re-asks.
-//! * **Allowance.** Otherwise TA runs exactly as the paper describes, but one
-//!   call may step over at most `|alive| · D / 256` list entries. Dead
-//!   entries that [`FunctionLists::next_alive`] skips count too, which bounds
-//!   the dead prefix every state walks again after a restart. TA's accesses
-//!   are cheap one by one and ruinous in number when the threshold is loose:
-//!   at D = 12 a fresh search made 312 of them to choose among 200 functions.
-//! * **Fall-back.** When the allowance is spent the call scores the alive
-//!   functions once, in one streaming pass over the columnar
-//!   [`FunctionLists::alive_block`] (bit-identical to the random accesses it
-//!   replaces: the same products summed in the same order), refills the queue
-//!   with the best few rows under the queue's own `(score desc, function
-//!   asc)` order, sets the cap to that count and marks every list exhausted.
-//!   From there the capped-queue machinery needs nothing new: deaths are
-//!   purged and shrink the cap, the front answers with no reads, and at cap
-//!   zero the state restarts. A state that has fallen back once scans again
-//!   at once when its queue next runs dry: the alive set only shrinks, so the
-//!   scan only gets cheaper, and TA, which could not finish within the
-//!   allowance over a larger set, does not.
-//!
-//! The scan keeps at most eight rows although the queue could take `Ω`:
-//! keeping `k` of `n` rows costs about `k · ln(n / k)` sorted insertions, each
-//! an `O(k)` shift, while a row it did not keep costs one more scan only after
-//! all `k` kept ones died — and `Ω` grows with `|F|`.
+//! SB searches with [`crate::ScanTopOne`] by default; this search is the one
+//! the paper's figures run (the SB series, its Figure 8 ablations and the Ω
+//! sweep), where its sorted accesses are the reported auxiliary I/O.
 
 use crate::knapsack::{fill_order, threshold_in_order};
 use crate::lists::FunctionLists;
-use pref_geom::{kernel, Point};
-
-/// One call of [`ReverseTopOne::best`] steps over at most `|alive| · D /
-/// ALLOWANCE_DIVISOR` sorted-list entries before it falls back to the scan.
-/// Cold-solve `op_p50_us` in ms (seed 20090824, median of three runs) for a
-/// divisor of 32 / 64 / 128 / 256 / 1024 / ∞ (scan at once): 180 / 174 / 170 /
-/// 168 / 167 / 166 on `solve-anti` (D = 4, |F| = 1000) and 177 / 164 / 157 /
-/// 152 / 147 / 146 on `solve-wide` (D = 12, |F| = 200), against 300 and 366
-/// for an unbounded TA; with `solve-anti` raised to |F| = 10 000, 1.87 s at
-/// 256, 1.88 s scanning at once, 4.5 s unbounded. 256 keeps TA as the entry
-/// for the searches it answers in a handful of accesses (one reading search
-/// in eleven on `solve-anti`) at ≤ 4 % over never running it.
-const ALLOWANCE_DIVISOR: usize = 256;
-
-/// Rows a fall-back scan keeps in the candidate queue (fewer when the cap or
-/// the alive set is smaller). Same runs, keeping 1 / 2 / 4 / 8 / 16 / Ω rows:
-/// 178 / 167 / 163 / 168 / 183 / 195 ms on `solve-anti` (Ω = 25), flat on
-/// `solve-wide` (Ω = 5); at |F| = 10 000, keeping 4 / 8 / 16 / 32 / Ω = 250:
-/// 2.11 / 1.87 / 1.83 / 1.91 / 3.23 s. The optimum drifts up slowly with |F|
-/// (a scan saved costs |F| rows, a row kept `O(k)` shifts); 8 is within 4 %
-/// of it at both sizes and filling all Ω slots is the worst choice at both.
-const SCAN_KEPT_ROWS: usize = 8;
-
-/// Rows scored per pass of the scan: a 2 KiB stack buffer, so the scan
-/// allocates nothing however large the alive block is.
-const SCAN_CHUNK: usize = 256;
+use pref_geom::Point;
 
 /// Exhaustively scans the alive functions for the best one: the scalar
 /// reference the searches are tested and benchmarked against.
@@ -82,9 +34,9 @@ pub fn best_function_scan(lists: &FunctionLists, object: &Point) -> Option<(usiz
 /// dot product with an `O(log Ω)` search plus an `O(Ω)` shift of the candidate
 /// queue, and one `O(D)` threshold — and allocates nothing: the knapsack fill
 /// order is fixed by the object and computed once in [`ReverseTopOne::new`],
-/// the seen-set is a bitset over function indices that a restart clears in
-/// place, and the fall-back scan scores into a stack buffer. The only buffer
-/// that grows during a search is the candidate queue, up to `Ω` entries.
+/// and the seen-set is a bitset over function indices that a restart clears
+/// in place. The only buffer that grows during a search is the candidate
+/// queue, up to `Ω` entries.
 #[derive(Debug, Clone)]
 pub struct ReverseTopOne {
     object: Point,
@@ -95,8 +47,7 @@ pub struct ReverseTopOne {
     /// Last coefficient seen in each list: infinite until the list is first
     /// read (the bound is then the knapsack budget), `0.0` once exhausted.
     last_seen: Vec<f64>,
-    /// `true` once the corresponding list has been fully consumed — by TA, or
-    /// all at once by a fall-back scan, which has then seen every function.
+    /// `true` once the corresponding list has been fully consumed.
     exhausted: Vec<bool>,
     /// Candidate functions seen so far: `(score, function)`, sorted by score
     /// descending, truncated to `cap`.
@@ -110,14 +61,8 @@ pub struct ReverseTopOne {
     omega: usize,
     /// What the last call returned; handed out again while it is alive.
     answer: Option<(usize, f64)>,
-    /// `true` once a call has fallen back to the scan: later calls skip TA
-    /// (`solve-anti` 173 → 167 ms; the rows scanned are the same with and
-    /// without, i.e. not one TA retry after a fall-back answered in time).
-    fell_back: bool,
     /// Number of sorted-list accesses performed (for diagnostics).
     sorted_accesses: u64,
-    /// Number of alive-block rows scored by fall-back scans.
-    scanned_rows: u64,
     /// Number of from-scratch restarts triggered by the Ω mechanism.
     restarts: u64,
 }
@@ -144,28 +89,14 @@ impl ReverseTopOne {
             cap: omega,
             omega,
             answer: None,
-            fell_back: false,
             sorted_accesses: 0,
-            scanned_rows: 0,
             restarts: 0,
         }
-    }
-
-    /// The object this state searches for.
-    pub fn object(&self) -> &Point {
-        &self.object
     }
 
     /// Number of sorted accesses performed so far.
     pub fn sorted_accesses(&self) -> u64 {
         self.sorted_accesses
-    }
-
-    /// Number of alive-block rows the fall-back scans have scored so far.
-    /// With [`ReverseTopOne::sorted_accesses`] this is every function-index
-    /// entry the state has read.
-    pub fn scanned_rows(&self) -> u64 {
-        self.scanned_rows
     }
 
     /// Number of from-scratch restarts caused by the capped queue.
@@ -187,23 +118,14 @@ impl ReverseTopOne {
     /// score, resuming the previous search if possible. Returns `None` when no
     /// alive function remains.
     pub fn best(&mut self, lists: &FunctionLists) -> Option<(usize, f64)> {
-        let allowance = lists.remaining() * lists.dims() / ALLOWANCE_DIVISOR;
-        self.best_within(lists, allowance as u64)
-    }
-
-    /// [`ReverseTopOne::best`] with TA's allowance for this call given: the
-    /// number of list entries it may step over before the call falls back to
-    /// the scan. `u64::MAX` is the paper's unbounded TA, `0` scans at once;
-    /// the answer is the same for every value.
-    fn best_within(&mut self, lists: &FunctionLists, allowance: u64) -> Option<(usize, f64)> {
         if self.answer.is_some_and(|(func, _)| lists.is_alive(func)) {
             return self.answer;
         }
-        self.answer = self.search(lists, allowance);
+        self.answer = self.search(lists);
         self.answer
     }
 
-    fn search(&mut self, lists: &FunctionLists, allowance: u64) -> Option<(usize, f64)> {
+    fn search(&mut self, lists: &FunctionLists) -> Option<(usize, f64)> {
         if lists.remaining() == 0 {
             return None;
         }
@@ -222,7 +144,6 @@ impl ReverseTopOne {
             self.restart();
         }
         let budget = lists.budget();
-        let mut stepped = 0u64;
         loop {
             let threshold = self.current_threshold(budget);
             if let Some(&(score, func)) = self.candidates.first() {
@@ -243,13 +164,7 @@ impl ReverseTopOne {
                 // seen, so the front candidate (if any) is the answer
                 return self.candidates.first().map(|&(s, f)| (f, s));
             };
-            if self.fell_back || stepped >= allowance {
-                // leaves every list exhausted: the next turn of the loop
-                // answers from the refilled queue
-                self.scan(lists);
-            } else {
-                stepped += self.advance(dim, lists);
-            }
+            self.advance(dim, lists);
         }
     }
 
@@ -314,15 +229,12 @@ impl ReverseTopOne {
         best.map(|(d, _)| d)
     }
 
-    /// One sorted access on list `dim`; returns the list entries it stepped
-    /// over, dead ones included.
-    fn advance(&mut self, dim: usize, lists: &FunctionLists) -> u64 {
-        let cursor = self.cursors[dim];
-        match lists.next_alive(dim, cursor) {
+    /// One sorted access on list `dim`.
+    fn advance(&mut self, dim: usize, lists: &FunctionLists) {
+        match lists.next_alive(dim, self.cursors[dim]) {
             None => {
                 self.exhausted[dim] = true;
                 self.last_seen[dim] = 0.0;
-                (lists.total() - cursor) as u64
             }
             Some((next_cursor, coeff, func)) => {
                 self.cursors[dim] = next_cursor;
@@ -334,44 +246,8 @@ impl ReverseTopOne {
                     let score = lists.score(func, &self.object);
                     self.insert_candidate(score, func);
                 }
-                (next_cursor - cursor) as u64
             }
         }
-    }
-
-    /// The fall-back: scores every alive function in one pass over the alive
-    /// block and refills the queue with the best `min(cap, SCAN_KEPT_ROWS)` of
-    /// them. The object plays the weight vector and the block's rows the
-    /// points, so a row's score is the product-by-product sum
-    /// [`FunctionLists::score`] computes (multiplication commutes), to the
-    /// bit. Every function has now been seen, which is what an exhausted list
-    /// means to the rest of the search; and the queue is exact for as many
-    /// deaths as it holds rows, which is what `cap` means.
-    fn scan(&mut self, lists: &FunctionLists) {
-        let block = lists.alive_block();
-        let functions = lists.alive_rows();
-        self.candidates.clear();
-        self.cap = self.cap.min(SCAN_KEPT_ROWS);
-        // the score a row must reach to enter a full queue
-        let mut floor = f64::NEG_INFINITY;
-        let mut scores = [0.0f64; SCAN_CHUNK];
-        for (chunk, functions) in functions.chunks(SCAN_CHUNK).enumerate() {
-            let scores = &mut scores[..functions.len()];
-            kernel::score_rows(self.object.coords(), 1.0, block, chunk * SCAN_CHUNK, scores);
-            for (&score, &func) in scores.iter().zip(functions) {
-                if score >= floor {
-                    self.insert_candidate(score, func);
-                    if self.candidates.len() == self.cap {
-                        floor = self.candidates[self.cap - 1].0;
-                    }
-                }
-            }
-        }
-        self.cap = self.candidates.len();
-        self.exhausted.fill(true);
-        self.last_seen.fill(0.0);
-        self.fell_back = true;
-        self.scanned_rows += functions.len() as u64;
     }
 
     /// Inserts in (score desc, function index asc) order so that exact score
@@ -392,14 +268,10 @@ impl ReverseTopOne {
 mod tests {
     use super::*;
     use crate::knapsack::tight_threshold;
+    use crate::scan::ScanTopOne;
     use pref_geom::LinearFunction;
     use proptest::prelude::*;
     use rand::{rngs::StdRng, Rng, SeedableRng};
-
-    /// Allowances that pin `best_within` to one side of the bound: the
-    /// paper's unbounded TA, and the fall-back scan with no TA before it.
-    const TA_ONLY: u64 = u64::MAX;
-    const SCAN_ONLY: u64 = 0;
 
     fn paper_functions() -> Vec<LinearFunction> {
         vec![
@@ -424,7 +296,7 @@ mod tests {
     fn finds_fa_for_the_paper_object() {
         let lists = FunctionLists::new(&paper_functions());
         let mut search = ReverseTopOne::new(Point::from_slice(&[10.0, 6.0, 8.0]), 100);
-        let (func, score) = search.best_within(&lists, TA_ONLY).unwrap();
+        let (func, score) = search.best(&lists).unwrap();
         assert_eq!(func, 0);
         assert!((score - 9.4).abs() < 1e-9);
         // biased probing should terminate after very few sorted accesses
@@ -463,7 +335,7 @@ mod tests {
         // repeatedly assign away the best function and ask again
         for _ in 0..50 {
             let expect = lists.best_by_scan(&object);
-            let got = search.best_within(&lists, TA_ONLY);
+            let got = search.best(&lists);
             match (expect, got) {
                 (None, None) => break,
                 (Some((ef, es)), Some((gf, gs))) => {
@@ -495,7 +367,7 @@ mod tests {
                     rng.gen_range(0.0..1.0),
                 ]);
                 let mut search = ReverseTopOne::new(object.clone(), 30);
-                let (func, score) = search.best_within(&lists, TA_ONLY).unwrap();
+                let (func, score) = search.best(&lists).unwrap();
                 let (of, os) = lists.best_by_scan(&object).unwrap();
                 assert!((score - os).abs() < 1e-9);
                 if func != of {
@@ -544,7 +416,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(42);
         for round in 0..40 {
             let expect = lists.best_by_scan(&object);
-            let got = search.best_within(&lists, TA_ONLY);
+            let got = search.best(&lists);
             match (expect, got) {
                 (None, None) => break,
                 (Some((_, es)), Some((gf, gs))) => {
@@ -602,7 +474,7 @@ mod tests {
         let lists = FunctionLists::new(&functions);
         let object = Point::from_slice(&[0.99, 0.01, 0.01, 0.01]);
         let mut search = ReverseTopOne::new(object, 50);
-        let _ = search.best_within(&lists, TA_ONLY).unwrap();
+        let _ = search.best(&lists).unwrap();
         assert!(
             search.sorted_accesses() < 500,
             "expected early termination, got {}",
@@ -628,31 +500,25 @@ mod tests {
         assert_eq!((search.sorted_accesses(), search.restarts()), (accesses, 0));
     }
 
-    /// Drives one search through a seeded kill sequence — the returned best
-    /// dies on even steps (an assignment), a random alive function on odd
-    /// steps (an assignment elsewhere, buried in the queue) — for `steps`
-    /// steps or until no function is left, and shows `each` every answer with
-    /// the state and the lists it was given on. `allowance` picks the entry:
-    /// `None` is `best`, `Some(a)` is `best_within(a)`.
+    /// Runs a seeded kill sequence — the returned best dies on even steps (an
+    /// assignment), a random alive function on odd steps (an assignment
+    /// elsewhere, buried in a queue) — for `steps` steps or until no function
+    /// is left, asking `best` at every step and showing `each` every answer
+    /// with the lists it was given on.
     fn kill_sequence(
         functions: &[LinearFunction],
-        mut search: ReverseTopOne,
-        allowance: Option<u64>,
         steps: usize,
-        mut each: impl FnMut(&ReverseTopOne, &FunctionLists, (usize, f64)),
-    ) -> ReverseTopOne {
+        mut best: impl FnMut(&FunctionLists) -> Option<(usize, f64)>,
+        mut each: impl FnMut(&FunctionLists, (usize, f64)),
+    ) {
         let mut lists = FunctionLists::new(functions);
         let mut rng = StdRng::seed_from_u64(824);
         for step in 0..steps {
-            let answer = match allowance {
-                None => search.best(&lists),
-                Some(allowance) => search.best_within(&lists, allowance),
-            };
-            let Some(answer) = answer else {
+            let Some(answer) = best(&lists) else {
                 assert_eq!(lists.remaining(), 0, "step {step}: no answer among alive");
                 break;
             };
-            each(&search, &lists, answer);
+            each(&lists, answer);
             let victim = if step % 2 == 0 {
                 answer.0
             } else {
@@ -661,62 +527,40 @@ mod tests {
             };
             lists.remove(victim);
         }
-        search
     }
 
-    /// The pinned sequence: 300 steps over 400 functions at D = 4. Returns an
-    /// FNV digest of every `(function, score bits)` answered, and what the
-    /// answers cost: `(sorted accesses, scanned rows, restarts)`.
-    fn pinned_kill_sequence(omega: usize, allowance: Option<u64>) -> (u64, (u64, u64, u64)) {
+    /// The pinned sequence: 300 steps over 400 functions at D = 4, answered by
+    /// `best`. Returns an FNV digest of every `(function, score bits)`.
+    fn pinned_kill_sequence(best: impl FnMut(&FunctionLists) -> Option<(usize, f64)>) -> u64 {
         let functions = random_functions(400, 4, 2009);
-        let search = ReverseTopOne::new(Point::from_slice(&[0.7, 0.2, 0.55, 0.4]), omega);
         let mut digest = 0xcbf2_9ce4_8422_2325u64;
-        let search = kill_sequence(&functions, search, allowance, 300, |_, _, (func, score)| {
+        kill_sequence(&functions, 300, best, |_, (func, score)| {
             for word in [func as u64, score.to_bits()] {
                 for byte in word.to_le_bytes() {
                     digest = (digest ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
                 }
             }
         });
-        let costs = (
-            search.sorted_accesses(),
-            search.scanned_rows(),
-            search.restarts(),
-        );
-        (digest, costs)
+        digest
     }
 
     #[test]
     fn kill_sequence_answers_and_costs_are_pinned() {
-        // The answers, recorded on the commit before the search was given its
-        // cost bound: no Ω and no allowance may move them.
+        // The answers, recorded before the search was ever given a cost
+        // bound: no Ω and no choice of search may move them.
         const ANSWERS: u64 = 18_050_867_995_497_771_958;
-        // The costs as (sorted accesses, scanned rows, restarts), pinned apart
-        // from the answers so that a change to the bound re-pins these and
-        // cannot touch the line above. TA alone costs what the search cost
-        // on that commit, to the access; the default at 400 × 4 is an
-        // allowance of six entries, spent by the first call, then scans of at
-        // most 400 rows whenever the (at most eight) kept rows have died.
-        for (omega, ta_only, default) in [
-            (2, (13_903, 0, 76), (6, 19_447, 76)),
-            (25, (1_507, 0, 6), (6, 5_123, 19)),
-        ] {
-            assert_eq!(
-                pinned_kill_sequence(omega, Some(TA_ONLY)),
-                (ANSWERS, ta_only),
-                "TA only, Ω = {omega}"
-            );
-            assert_eq!(
-                pinned_kill_sequence(omega, None),
-                (ANSWERS, default),
-                "default allowance, Ω = {omega}"
-            );
-            assert_eq!(
-                pinned_kill_sequence(omega, Some(SCAN_ONLY)).0,
-                ANSWERS,
-                "scan only, Ω = {omega}"
-            );
+        // The costs, pinned apart so that re-pinning one cannot touch the line
+        // above: TA's (sorted accesses, restarts), as on that commit, and the
+        // rows the scan scores whenever its eight kept rows have all died.
+        let object = Point::from_slice(&[0.7, 0.2, 0.55, 0.4]);
+        for (omega, costs) in [(2, (13_903, 76)), (25, (1_507, 6))] {
+            let mut ta = ReverseTopOne::new(object.clone(), omega);
+            assert_eq!(pinned_kill_sequence(|lists| ta.best(lists)), ANSWERS);
+            assert_eq!((ta.sorted_accesses(), ta.restarts()), costs, "Ω = {omega}");
         }
+        let mut scan = ScanTopOne::new(object);
+        assert_eq!(pinned_kill_sequence(|lists| scan.best(lists)), ANSWERS);
+        assert_eq!(scan.scanned_rows(), 5_123);
     }
 
     /// Functions built to tie: every third one is an exact copy of an earlier
@@ -742,11 +586,10 @@ mod tests {
     }
 
     #[test]
-    fn ta_scan_and_default_all_answer_like_the_scalar_reference() {
-        // The bound must not hide a TA bug behind the scan, nor a scan bug
-        // behind TA: each side alone, and the two together, give the reference
-        // scan's function and the reference's score bits at every step of a
-        // kill sequence that runs the function set down to nothing.
+    fn ta_and_scan_both_answer_like_the_scalar_reference() {
+        // TA at every Ω, and the scan, each give the reference scan's function
+        // and the reference's score bits at every step of a kill sequence
+        // that runs the function set down to nothing.
         for n in [1usize, 7, 64, 65, 300] {
             for dims in [1usize, 4, 12] {
                 let functions = tie_heavy_functions(n, dims, (n * 31 + dims) as u64);
@@ -756,86 +599,32 @@ mod tests {
                     coords[dims / 2] = 0.0;
                 }
                 let object = Point::new(coords).unwrap();
-                for omega in [1usize, 2, 25] {
-                    for allowance in [Some(TA_ONLY), Some(SCAN_ONLY), None] {
-                        let search = ReverseTopOne::new(object.clone(), omega);
-                        let mut answers = 0;
-                        kill_sequence(
-                            &functions,
-                            search,
-                            allowance,
-                            usize::MAX,
-                            |_, lists, (func, score)| {
-                                let (want, want_score) = lists.best_by_scan(&object).unwrap();
-                                assert_eq!(
-                                    (func, score.to_bits()),
-                                    (want, want_score.to_bits()),
-                                    "|F|={n} D={dims} Ω={omega} allowance={allowance:?} \
-                                     answer {answers}"
-                                );
-                                answers += 1;
-                            },
-                        );
-                        assert_eq!(answers, n, "one answer per kill until F is empty");
-                    }
+                // `None` is the scan, which has no Ω
+                for omega in [None, Some(1usize), Some(2), Some(25)] {
+                    let mut ta = omega.map(|omega| ReverseTopOne::new(object.clone(), omega));
+                    let mut scan = ScanTopOne::new(object.clone());
+                    let mut answers = 0;
+                    kill_sequence(
+                        &functions,
+                        usize::MAX,
+                        |lists| match &mut ta {
+                            Some(ta) => ta.best(lists),
+                            None => scan.best(lists),
+                        },
+                        |lists, (func, score)| {
+                            let (want, want_score) = lists.best_by_scan(&object).unwrap();
+                            assert_eq!(
+                                (func, score.to_bits()),
+                                (want, want_score.to_bits()),
+                                "|F|={n} D={dims} TA Ω={omega:?} answer {answers}"
+                            );
+                            answers += 1;
+                        },
+                    );
+                    assert_eq!(answers, n, "one answer per kill until F is empty");
                 }
             }
         }
-    }
-
-    #[test]
-    fn one_call_stays_within_its_allowance_and_scans_at_most_once() {
-        // 300 × 4 with Ω = 2: restarts, dead list prefixes and fall-backs all
-        // occur. The allowance is checked before every access, so the sorted
-        // accesses of one call never exceed it; and a call scans once or not
-        // at all, reading exactly the rows alive at that moment.
-        let functions = random_functions(300, 4, 77);
-        let object = Point::from_slice(&[0.45, 0.5, 0.4, 0.55]);
-        for allowance in [0u64, 1, 3, 10, 50, 400] {
-            let (mut accesses, mut rows, mut scans) = (0u64, 0u64, 0u32);
-            kill_sequence(
-                &functions,
-                ReverseTopOne::new(object.clone(), 2),
-                Some(allowance),
-                usize::MAX,
-                |search, lists, _| {
-                    let accessed = search.sorted_accesses() - accesses;
-                    let scanned = search.scanned_rows() - rows;
-                    assert!(accessed <= allowance, "{accessed} accesses on {allowance}");
-                    assert!(scanned == 0 || scanned == lists.remaining() as u64);
-                    scans += u32::from(scanned > 0);
-                    (accesses, rows) = (search.sorted_accesses(), search.scanned_rows());
-                },
-            );
-            assert!(scans > 0, "allowance {allowance} never ran out");
-        }
-    }
-
-    #[test]
-    fn a_fresh_search_at_the_solve_wide_shape_reads_f_about_once() {
-        // 200 functions at D = 12, where the knapsack threshold is loose: TA
-        // alone needs hundreds of accesses to choose among 200 functions; the
-        // default allowance is 200 · 12 / 256 = 9 entries, then one scan.
-        let functions = random_functions(200, 12, 1200);
-        let lists = FunctionLists::new(&functions);
-        let mut rng = StdRng::seed_from_u64(1201);
-        let (mut bounded, mut unbounded) = (0, 0);
-        for _ in 0..50 {
-            let coords: Vec<f64> = (0..12).map(|_| rng.gen_range(0.0..1.0)).collect();
-            let object = Point::new(coords).unwrap();
-            let mut search = ReverseTopOne::new(object.clone(), 5);
-            let answer = search.best(&lists);
-            assert_eq!(answer, lists.best_by_scan(&object));
-            assert!(search.sorted_accesses() <= 9 && search.scanned_rows() <= 200);
-            bounded += search.sorted_accesses() + search.scanned_rows();
-            let mut ta = ReverseTopOne::new(object, 5);
-            assert_eq!(ta.best_within(&lists, TA_ONLY), answer);
-            unbounded += ta.sorted_accesses();
-        }
-        assert!(
-            bounded < unbounded,
-            "bounded searches read {bounded} entries, TA alone {unbounded}"
-        );
     }
 
     #[test]
@@ -844,11 +633,11 @@ mod tests {
         let mut lists = FunctionLists::new(&functions);
         let object = Point::from_slice(&[0.3, 0.8, 0.5, 0.1]);
         let mut search = ReverseTopOne::new(object.clone(), 8);
-        let costs = |s: &ReverseTopOne| (s.sorted_accesses(), s.scanned_rows(), s.restarts());
+        let costs = |s: &ReverseTopOne| (s.sorted_accesses(), s.restarts());
         let mut rng = StdRng::seed_from_u64(18);
-        // before a fall-back (TA answered), then after one (the scan did)
-        for allowance in [TA_ONLY, SCAN_ONLY] {
-            let answer = search.best_within(&lists, allowance).unwrap();
+        // a fresh search's answer, then a resumed one's
+        for _ in 0..2 {
+            let answer = search.best(&lists).unwrap();
             assert_eq!(Some(answer), lists.best_by_scan(&object));
             let before = (costs(&search), search.candidates.clone());
             // everyone else may die, queued candidates included: the answer
@@ -869,7 +658,6 @@ mod tests {
             assert_eq!((costs(&search), search.candidates.clone()), before);
             lists.remove(answer.0);
         }
-        assert!(search.scanned_rows() > 0, "the second round fell back");
     }
 
     /// The threshold as it was computed before the fill order was hoisted:

@@ -120,7 +120,8 @@ impl ProblemSpec {
         }
     }
 
-    /// Validates the spec and builds a [`Problem`].
+    /// Validates the spec and builds a [`Problem`]; what [`Problem::new`]
+    /// refuses (a capacity of 0, say) is an [`IoFormatError::Invalid`].
     pub fn into_problem(self) -> Result<Problem, IoFormatError> {
         let functions = self
             .functions
@@ -131,7 +132,7 @@ impl ProblemSpec {
                 Ok(PreferenceFunction {
                     id: crate::FunctionId(f.id),
                     function: lf,
-                    capacity: f.capacity.max(1),
+                    capacity: f.capacity,
                 })
             })
             .collect::<Result<Vec<_>, IoFormatError>>()?;
@@ -144,7 +145,7 @@ impl ProblemSpec {
                 Ok(ObjectRecord {
                     id: RecordId(o.id),
                     point,
-                    capacity: o.capacity.max(1),
+                    capacity: o.capacity,
                 })
             })
             .collect::<Result<Vec<_>, IoFormatError>>()?;
@@ -333,6 +334,19 @@ mod tests {
         assert!(matches!(err, IoFormatError::Invalid(_)));
         let not_json = read_problem_json("not json".as_bytes()).unwrap_err();
         assert!(matches!(not_json, IoFormatError::Json(_)));
+    }
+
+    #[test]
+    fn zero_capacities_are_refused_not_rewritten() {
+        // a capacity of 0 used to be loaded as 1
+        let zero = r#"{"functions":[{"id":4,"weights":[1.0,1.0]}],
+                       "objects":[{"id":9,"attributes":[0.5,0.5],"capacity":0}]}"#;
+        let err = read_problem_json(zero.as_bytes()).unwrap_err();
+        assert!(matches!(err, IoFormatError::Invalid(_)), "{err:?}");
+        assert!(
+            err.to_string().contains("object r9 has capacity 0"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -66,7 +66,11 @@ const RAW_FS_ALLOWED: [&str; 3] = [
 /// counting allocator is not available to a test: this list is what keeps
 /// a per-access allocation from creeping back into these loops. Set-up code
 /// in them (constructors, lazy sizing) carries the usual annotation.
-const HOT_PATH_FILES: [&str; 2] = ["crates/topk/src/reverse.rs", "crates/topk/src/lists.rs"];
+const HOT_PATH_FILES: [&str; 3] = [
+    "crates/topk/src/reverse.rs",
+    "crates/topk/src/scan.rs",
+    "crates/topk/src/lists.rs",
+];
 
 const ATOMIC_ORDERINGS: [&str; 5] = ["Relaxed", "Acquire", "Release", "AcqRel", "SeqCst"];
 
@@ -884,28 +888,39 @@ mod tests {
         // says "kernel": an allocation inside the per-access functions is a
         // finding, wherever in the file it sits
         let path = "crates/topk/src/reverse.rs";
-        for (bad, token) in [
+        for (file, bad, token) in [
             (
+                path,
                 "impl ReverseTopOne {\n    pub fn best(&mut self) {\n        \
                  let dead: Vec<usize> = Vec::new();\n    }\n}\n",
                 "Vec::new",
             ),
             (
+                path,
                 "impl ReverseTopOne {\n    fn advance(&mut self, dim: usize) {\n        \
                  let seen: Vec<usize> = self.queue.iter().map(|c| c.1).collect();\n    }\n}\n",
                 ".collect()",
             ),
             (
+                path,
                 "impl ReverseTopOne {\n    fn current_threshold(&self, budget: f64) -> f64 {\n        \
                  let capped: Vec<f64> = self.last_seen.iter().copied().collect();\n        \
                  0.0\n    }\n}\n",
                 ".collect()",
             ),
+            // and so is the default search, the scan: its pass over the alive
+            // block keeps rows, never allocates them
+            (
+                "crates/topk/src/scan.rs",
+                "impl ScanTopOne {\n    fn scan(&mut self, lists: &FunctionLists) {\n        \
+                 let rows = lists.alive_rows().to_vec();\n    }\n}\n",
+                ".to_vec()",
+            ),
         ] {
-            let found = findings(path, bad);
+            let found = findings(file, bad);
             assert_eq!(found.len(), 1, "{bad}");
             assert!(
-                found[0].starts_with("crates/topk/src/reverse.rs:3: kernel-no-alloc:")
+                found[0].starts_with(&format!("{file}:3: kernel-no-alloc:"))
                     && found[0].contains(token),
                 "{}",
                 found[0]
@@ -938,6 +953,7 @@ mod tests {
         assert!(findings("crates/topk/src/batch.rs", src).is_empty());
         assert!(findings("crates/bench/src/reverse.rs", src).is_empty());
         assert!(findings("crates/bench/src/lists.rs", src).is_empty());
+        assert!(findings("crates/bench/src/scan.rs", src).is_empty());
         // and the file's own tests allocate freely
         let test_src = "#[cfg(test)]\nmod tests {\n    fn f() { let v = Vec::new(); }\n}\n";
         assert!(findings(path, test_src).is_empty());
