@@ -1,15 +1,17 @@
 //! Criterion micro-benchmarks for the building blocks of the SB algorithm
-//! (R-tree build, skylines, skyline maintenance, reverse top-1 search), for
-//! SB with one optimization switched off at a time, and for the competitors.
+//! (R-tree build, skylines, skyline maintenance, the dominance scan, reverse
+//! top-1 search), for SB with one optimization switched off at a time, and for
+//! the competitors.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pref_assign::{sb, BestPairStrategy, Problem, SbOptions};
 use pref_bench::{build_problem, Params, Scale};
-use pref_datagen::{anti_correlated_objects, uniform_weight_functions};
-use pref_geom::Point;
+use pref_datagen::{anti_correlated_objects, independent_objects, uniform_weight_functions};
+use pref_geom::{kernel, Point};
 use pref_rtree::{RTree, RTreeConfig};
 use pref_skyline::{compute_skyline_bbs, skyline_sfs, update_skyline};
 use pref_topk::{FunctionLists, ReverseTopOne, ScanTopOne};
+use std::hint::black_box;
 
 fn bench_params() -> Params {
     Params {
@@ -81,6 +83,38 @@ fn skyline_maintenance(c: &mut Criterion) {
             criterion::BatchSize::LargeInput,
         )
     });
+    group.finish();
+}
+
+/// `kernel::first_dominator` over a skyline block at the two solve shapes:
+/// anti-correlated D = 4 (`solve-anti`) and independent D = 12 (`solve-wide`,
+/// past the const ladder). A hit query is an object off the skyline, which
+/// some row dominates; a miss query is a skyline object, which no row does,
+/// so the scan reads the whole block.
+fn dominance(c: &mut Criterion) {
+    let mut group = c.benchmark_group("dominance");
+    group.sample_size(200);
+    for (dims, points) in [
+        (4, anti_correlated_objects(20_000, 4, 23)),
+        (12, independent_objects(5_000, 12, 29)),
+    ] {
+        let mut tree = RTree::bulk_load(RTreeConfig::for_dims(dims), points.clone()).unwrap();
+        let sky = compute_skyline_bbs(&mut tree);
+        let (miss, hit): (Vec<&Point>, Vec<&Point>) = points
+            .iter()
+            .map(|(_, p)| p)
+            .partition(|p| kernel::first_dominator(sky.block(), p.coords()).is_none());
+        for (name, queries) in [("hit", hit), ("miss", miss)] {
+            let queries = &queries[..queries.len().min(256)];
+            group.bench_function(format!("{name}_d{dims}"), |b| {
+                b.iter(|| {
+                    for q in queries {
+                        black_box(kernel::first_dominator(sky.block(), black_box(q.coords())));
+                    }
+                })
+            });
+        }
+    }
     group.finish();
 }
 
@@ -176,6 +210,7 @@ criterion_group!(
     rtree_build,
     skyline_algorithms,
     skyline_maintenance,
+    dominance,
     reverse_top1,
     sb_variants,
     competitors

@@ -1,4 +1,4 @@
-//! Columnar (SoA) scoring kernels.
+//! Columnar (SoA) scoring and dominance kernels.
 //!
 //! Preference functions are linear, so scoring a page of objects is a dense
 //! dot-product batch — a memory-bound kernel. This module lays points out in
@@ -7,6 +7,14 @@
 //! LLVM autovectorizes on stable Rust (no `unsafe`, no nightly `std::simd`):
 //! vectorization runs across the *point* axis, so each point's score is still
 //! accumulated dimension-by-dimension in the exact order of the scalar path.
+//!
+//! The skyline's pruning test, [`first_dominator_from`], scans the same
+//! layout. It is bound by the bytes it reads per decision, so it reads as few
+//! as the answer allows: the weak half of dominance (`>=` everywhere) over
+//! whole chunks, the strict half (`>` somewhere) only for the rows that
+//! survive, past `D = 8` the most selective dimension first, and no rows the
+//! caller has already cleared. Its answer is always the *first* dominating
+//! row, the one a row-by-row scan finds.
 //!
 //! # Determinism contract
 //!
@@ -280,40 +288,69 @@ fn score_lanes_generic(
     }
 }
 
-/// Rows per chunk of [`first_dominator`]: one mask byte per row fills two SSE2
-/// or one AVX2 register, and a chunk of `f64`s per lane is four cache lines.
+/// Rows per chunk of [`first_dominator_from`]: one mask byte per row fills two
+/// SSE2 or one AVX2 register, and a chunk of `f64`s per lane is four cache
+/// lines.
 const DOMINANCE_CHUNK: usize = 32;
+
+/// Widest query whose dimensions the generic (D > 8) dominance scan visits
+/// most selective first: the order lives in a stack array of this many
+/// indices, so ordering allocates nothing. A wider query keeps lane order.
+const SORTED_DIMS: usize = 32;
 
 /// Returns the index of the first point in `block` that *dominates* `coords`
 /// (component-wise `>=` everywhere, `>` somewhere — the paper's Section 2.2
-/// definition, larger-is-better), or `None`. This is the columnar form of the
-/// skyline pruning scan: the lanes are contiguous, so the scan streams cache
-/// lines instead of chasing per-point heap boxes.
-///
-/// Rows are tested 32 at a time (`DOMINANCE_CHUNK`) without a branch per row or
-/// per dimension — on data where a row fails at an unpredictable dimension
-/// (anti-correlated points) an early exit per row costs more in mispredicted
-/// branches than the comparisons it skips — and the scan stops at the first
-/// chunk holding a dominator, whose first such row is the answer: the same
-/// row a row-by-row scan returns.
+/// definition, larger-is-better), or `None`: [`first_dominator_from`] from
+/// row 0.
 ///
 /// # Panics
 /// Panics if `coords.len() != block.dims()` (unless the block is empty).
 pub fn first_dominator(block: &SoaBlock, coords: &[f64]) -> Option<usize> {
-    if block.is_empty() {
+    first_dominator_from(block, coords, 0)
+}
+
+/// Returns the index of the first point among rows `from..` of `block` that
+/// dominates `coords`, or `None` — the columnar form of the skyline pruning
+/// scan. The lanes are contiguous, so the scan streams cache lines instead of
+/// chasing per-point heap boxes. A caller that already knows rows `0..from`
+/// do not dominate `coords`, and that those rows have not changed since, gets
+/// the answer a scan from row 0 gives without reading them again.
+///
+/// Dominance splits into a cheap half and a rare half. The scan computes only
+/// the weak half, `>=` in every dimension, over 32 rows at a time
+/// (`DOMINANCE_CHUNK`), one mask byte per row and no branch per row or per
+/// dimension: on data where a row fails at an unpredictable dimension
+/// (anti-correlated points) an early exit per row costs more in mispredicted
+/// branches than the comparisons it skips. Only the rows that survive are
+/// tested for the strict half, `>` somewhere, in row order; the first to pass
+/// is the answer, the row a row-by-row scan returns. A survivor that fails it
+/// is equal to the query, and the scan goes on past it.
+///
+/// Up to `D = 8` the dimension loop has a compile-time trip count. Past it,
+/// each chunk is tested dimension-major, the query's highest coordinate first
+/// (fewest rows reach it), and is dropped as soon as none of its rows is
+/// still `>=`.
+///
+/// # Panics
+/// Panics if `from > block.len()`, or if `coords.len() != block.dims()`
+/// (unless no row is scanned).
+pub fn first_dominator_from(block: &SoaBlock, coords: &[f64], from: usize) -> Option<usize> {
+    let n = block.len();
+    assert!(from <= n, "scan start {from} is past the block's {n} rows");
+    if from == n {
         return None;
     }
     assert_eq!(coords.len(), block.dims(), "dimension mismatch");
     match coords.len() {
-        1 => first_dominator_const::<1>(block, coords),
-        2 => first_dominator_const::<2>(block, coords),
-        3 => first_dominator_const::<3>(block, coords),
-        4 => first_dominator_const::<4>(block, coords),
-        5 => first_dominator_const::<5>(block, coords),
-        6 => first_dominator_const::<6>(block, coords),
-        7 => first_dominator_const::<7>(block, coords),
-        8 => first_dominator_const::<8>(block, coords),
-        _ => first_dominator_generic(block, coords),
+        1 => first_dominator_const::<1>(block, coords, from),
+        2 => first_dominator_const::<2>(block, coords, from),
+        3 => first_dominator_const::<3>(block, coords, from),
+        4 => first_dominator_const::<4>(block, coords, from),
+        5 => first_dominator_const::<5>(block, coords, from),
+        6 => first_dominator_const::<6>(block, coords, from),
+        7 => first_dominator_const::<7>(block, coords, from),
+        8 => first_dominator_const::<8>(block, coords, from),
+        _ => first_dominator_generic(block, coords, from),
     }
 }
 
@@ -324,22 +361,26 @@ fn any_set(mask: &[u8]) -> bool {
     mask.iter().fold(0u8, |any, &m| any | m) != 0
 }
 
-/// Index of the first non-zero byte of a chunk's dominance mask.
+/// The first row of a chunk starting at row `base` whose weak-dominance mask
+/// byte is set and that `strictly` finds better than the query somewhere.
 #[inline]
-fn first_set(mask: &[u8]) -> Option<usize> {
-    if any_set(mask) {
-        mask.iter().position(|&m| m != 0)
-    } else {
-        None
+fn first_strict(ge: &[u8], base: usize, strictly: impl Fn(usize) -> bool) -> Option<usize> {
+    if !any_set(ge) {
+        return None;
     }
+    (base..base + ge.len()).find(|&i| ge[i - base] != 0 && strictly(i))
 }
 
 /// Fixed-dimensionality dominance scan: like [`score_lanes_const`] the
 /// dimension loop has a compile-time trip count and the row loop runs over
-/// lanes pre-cut to a common length, so each chunk is a branch-free
-/// compare-and-combine ladder across the row axis.
+/// lanes pre-cut to a common length, so each chunk's weak mask is a
+/// branch-free compare-and-combine ladder across the row axis.
 #[inline]
-fn first_dominator_const<const D: usize>(block: &SoaBlock, coords: &[f64]) -> Option<usize> {
+fn first_dominator_const<const D: usize>(
+    block: &SoaBlock,
+    coords: &[f64],
+    from: usize,
+) -> Option<usize> {
     let n = block.len();
     let mut c = [0.0f64; D];
     let mut cols: [&[f64]; D] = [&[]; D];
@@ -347,57 +388,63 @@ fn first_dominator_const<const D: usize>(block: &SoaBlock, coords: &[f64]) -> Op
         c[d] = coords[d];
         cols[d] = &block.lane(d)[..n];
     }
-    let dominates = |i: usize| {
+    let weakly = |i: usize| {
         let mut ge = true;
-        let mut gt = false;
         for d in 0..D {
-            let v = cols[d][i];
-            ge &= v >= c[d];
-            gt |= v > c[d];
+            ge &= cols[d][i] >= c[d];
         }
-        ge & gt
+        ge
     };
-    let mut base = 0;
+    let strictly = |i: usize| (0..D).any(|d| cols[d][i] > c[d]);
+    let mut base = from;
     while base + DOMINANCE_CHUNK <= n {
-        let mut mask = [0u8; DOMINANCE_CHUNK];
-        for (j, m) in mask.iter_mut().enumerate() {
-            *m = u8::from(dominates(base + j));
+        let mut ge = [0u8; DOMINANCE_CHUNK];
+        for (j, m) in ge.iter_mut().enumerate() {
+            *m = u8::from(weakly(base + j));
         }
-        if let Some(j) = first_set(&mask) {
-            return Some(base + j);
+        if let Some(i) = first_strict(&ge, base, strictly) {
+            return Some(i);
         }
         base += DOMINANCE_CHUNK;
     }
-    (base..n).find(|&i| dominates(i))
+    (base..n).find(|&i| weakly(i) && strictly(i))
 }
 
 /// Runtime-dimensionality fallback (D > 8), dimension-major within a chunk:
-/// one compare pass per dimension over the chunk's slice of that lane. A
-/// chunk is abandoned as soon as none of its rows is still `>=` in every
-/// dimension tested — with many dimensions that happens after a few passes,
-/// which is what keeps the chunked scan ahead of a per-row early exit.
-fn first_dominator_generic(block: &SoaBlock, coords: &[f64]) -> Option<usize> {
+/// one compare pass per dimension over the chunk's slice of that lane, in
+/// descending order of the query's coordinate. A high coordinate is one few
+/// rows reach, so the first passes clear most of the mask and the chunk is
+/// usually abandoned after one or two of its `D` lanes.
+fn first_dominator_generic(block: &SoaBlock, coords: &[f64], from: usize) -> Option<usize> {
     let n = block.len();
-    let mut base = 0;
+    let dims = coords.len();
+    let sorted = dims <= SORTED_DIMS;
+    let mut order = [0usize; SORTED_DIMS];
+    if sorted {
+        let order = &mut order[..dims];
+        for (d, o) in order.iter_mut().enumerate() {
+            *o = d;
+        }
+        order.sort_unstable_by(|&a, &b| coords[b].total_cmp(&coords[a]));
+    }
+    let kth_dim = |k: usize| if sorted { order[k] } else { k };
+    let strictly = |i: usize| (0..dims).any(|d| block.lane(d)[i] > coords[d]);
+    let mut base = from;
     while base < n {
         let len = DOMINANCE_CHUNK.min(n - base);
         let mut ge = [1u8; DOMINANCE_CHUNK];
-        let mut gt = [0u8; DOMINANCE_CHUNK];
-        for (d, &c) in coords.iter().enumerate() {
-            let lane = &block.lane(d)[base..base + len];
-            for ((ge, gt), &v) in ge.iter_mut().zip(gt.iter_mut()).zip(lane) {
-                *ge &= u8::from(v >= c);
-                *gt |= u8::from(v > c);
+        let ge = &mut ge[..len];
+        for d in (0..dims).map(kth_dim) {
+            let c = coords[d];
+            for (m, &v) in ge.iter_mut().zip(&block.lane(d)[base..base + len]) {
+                *m &= u8::from(v >= c);
             }
-            if !any_set(&ge[..len]) {
+            if !any_set(ge) {
                 break;
             }
         }
-        for (ge, &gt) in ge.iter_mut().zip(gt.iter()) {
-            *ge &= gt;
-        }
-        if let Some(j) = first_set(&ge[..len]) {
-            return Some(base + j);
+        if let Some(i) = first_strict(ge, base, strictly) {
+            return Some(i);
         }
         base += len;
     }
@@ -687,31 +734,51 @@ mod tests {
     /// chunk, exactly one, one over, two, two and a row, many.
     const BLOCK_LENS: [usize; 8] = [0, 1, 31, 32, 33, 64, 65, 1000];
 
-    #[test]
-    fn first_dominator_equals_the_scalar_definition() {
-        // coordinates on a coarse grid, so equal lanes are the common case
+    /// Every dimensionality of the const ladder and of the sorted generic
+    /// path through `D = 20`, and one past the sort buffer (lane order).
+    fn tested_dims() -> impl Iterator<Item = usize> {
+        (1..=20).chain([SORTED_DIMS + 1])
+    }
+
+    /// A block of `n` rows on a coarse grid, so equal lanes are the common
+    /// case, and the queries to ask of it: random ones, a low query most rows
+    /// dominate, a high one few do, and copies of block rows (a duplicate
+    /// must not count).
+    fn grid_case(
+        grid: &mut impl FnMut() -> f64,
+        dims: usize,
+        n: usize,
+    ) -> (Vec<Vec<f64>>, Vec<Vec<f64>>) {
+        let rows: Vec<Vec<f64>> = (0..n)
+            .map(|_| (0..dims).map(|_| grid()).collect())
+            .collect();
+        let mut queries: Vec<Vec<f64>> = (0..8)
+            .map(|_| (0..dims).map(|_| grid()).collect())
+            .collect();
+        queries.push(vec![0.0; dims]);
+        queries.push(vec![1.0; dims]);
+        queries.extend(rows.iter().step_by(7).cloned());
+        queries.extend(rows.last().cloned());
+        (rows, queries)
+    }
+
+    fn grid_coords() -> impl FnMut() -> f64 {
         let mut state = 0x2009_0824u64;
-        let mut grid = move || {
+        move || {
             state = state
                 .wrapping_mul(6364136223846793005)
                 .wrapping_add(1442695040888963407);
             ((state >> 33) % 5) as f64 / 4.0
-        };
-        for dims in 1..=12 {
+        }
+    }
+
+    #[test]
+    fn first_dominator_equals_the_scalar_definition() {
+        let mut grid = grid_coords();
+        for dims in tested_dims() {
             for n in BLOCK_LENS {
-                let rows: Vec<Vec<f64>> = (0..n)
-                    .map(|_| (0..dims).map(|_| grid()).collect())
-                    .collect();
+                let (rows, queries) = grid_case(&mut grid, dims, n);
                 let block = block_of(&rows);
-                let mut queries: Vec<Vec<f64>> = (0..8)
-                    .map(|_| (0..dims).map(|_| grid()).collect())
-                    .collect();
-                // a low query most rows dominate, a high one few do, and
-                // copies of block rows (a duplicate must not count)
-                queries.push(vec![0.0; dims]);
-                queries.push(vec![1.0; dims]);
-                queries.extend(rows.iter().step_by(7).cloned());
-                queries.extend(rows.last().cloned());
                 for q in &queries {
                     assert_eq!(
                         first_dominator(&block, q),
@@ -724,8 +791,31 @@ mod tests {
     }
 
     #[test]
+    fn first_dominator_from_equals_the_scalar_definition_on_the_suffix() {
+        let mut grid = grid_coords();
+        for dims in tested_dims() {
+            for n in BLOCK_LENS {
+                let (rows, queries) = grid_case(&mut grid, dims, n);
+                let block = block_of(&rows);
+                for from in [0, 1, 31, 32, 33, n.saturating_sub(1), n] {
+                    if from > n {
+                        continue;
+                    }
+                    for q in &queries {
+                        assert_eq!(
+                            first_dominator_from(&block, q, from),
+                            first_dominator_scalar(&rows[from..], q).map(|i| from + i),
+                            "dims={dims} n={n} from={from} q={q:?}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
     fn first_dominator_edge_rows() {
-        for dims in 1..=12 {
+        for dims in tested_dims() {
             for n in BLOCK_LENS {
                 if n == 0 {
                     assert_eq!(first_dominator(&SoaBlock::new(), &vec![0.5; dims]), None);
@@ -764,6 +854,24 @@ mod tests {
                     rows[n / 2] = vec![0.75; dims];
                     rows[n - 1] = vec![0.75; dims];
                     assert_eq!(first_dominator(&block_of(&rows), &q), Some(n / 2));
+                }
+                // rows equal to the query ahead of a dominator in the same
+                // chunk, among worse rows: they pass the `>=` mask, fail the
+                // strict test, and the scan goes on to the dominator
+                if n >= 2 {
+                    let last = n.min(DOMINANCE_CHUNK) - 1;
+                    for row in &mut rows {
+                        *row = vec![0.25; dims];
+                    }
+                    rows[0] = q.clone();
+                    rows[last / 2] = q.clone();
+                    rows[last] = q.clone();
+                    rows[last][dims - 1] = 0.75;
+                    assert_eq!(
+                        first_dominator(&block_of(&rows), &q),
+                        Some(last),
+                        "dims={dims} n={n}"
+                    );
                 }
             }
         }

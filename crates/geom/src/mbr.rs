@@ -1,5 +1,6 @@
-//! Minimum bounding rectangles and the pruning predicates used by
-//! branch-and-bound skyline (BBS) and branch-and-bound ranked search (BRS).
+//! Minimum bounding rectangles and the visiting orders of branch-and-bound
+//! skyline (BBS) and branch-and-bound ranked search (BRS). BBS's pruning test
+//! is a dominance scan of the best corner (`kernel::first_dominator_from`).
 
 use crate::{GeomError, GeomResult, LinearFunction, Point};
 use serde::{Deserialize, Serialize};
@@ -212,13 +213,6 @@ impl Mbr {
         Point::l1_dist_to_sky_coords(&self.upper)
     }
 
-    /// `true` iff every point inside the MBR is dominated by `p`
-    /// (equivalently, `p` dominates the MBR's best corner). Such an entry can
-    /// be pruned by BBS.
-    pub fn dominated_by(&self, p: &Point) -> bool {
-        p.dominates(&self.top_corner())
-    }
-
     /// Upper bound of `f(o)` over every possible object `o` inside the MBR
     /// (the score of the best corner). BRS visits entries in descending order
     /// of this value.
@@ -298,16 +292,6 @@ mod tests {
         let b = Mbr::new(vec![0.5, 0.2], vec![1.0, 0.4]).unwrap();
         let enl = a.enlargement(&b);
         assert!((enl - (0.4 - 0.1)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn dominance_pruning_predicate() {
-        // Entry with best corner (0.6, 0.4) is pruned by a skyline point (0.7, 0.5)
-        let m = Mbr::new(vec![0.1, 0.1], vec![0.6, 0.4]).unwrap();
-        assert!(m.dominated_by(&p(&[0.7, 0.5])));
-        assert!(!m.dominated_by(&p(&[0.7, 0.3])));
-        // A point equal to the best corner does not dominate the MBR.
-        assert!(!m.dominated_by(&p(&[0.6, 0.4])));
     }
 
     #[test]

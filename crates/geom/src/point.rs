@@ -153,54 +153,6 @@ impl Point {
     pub fn l1_dist_to_sky_coords(coords: &[f64]) -> f64 {
         coords.iter().map(|&c| (Self::SKY_COORD - c).max(0.0)).sum()
     }
-
-    /// Euclidean distance between two points (used by the spatial-assignment
-    /// heritage of the Chain algorithm and by tests).
-    pub fn euclidean_dist(&self, other: &Self) -> f64 {
-        debug_assert_eq!(self.dims(), other.dims());
-        self.coords
-            .iter()
-            .zip(other.coords.iter())
-            .map(|(a, b)| (a - b) * (a - b))
-            .sum::<f64>()
-            .sqrt()
-    }
-
-    /// Component-wise minimum of two points.
-    pub fn component_min(&self, other: &Self) -> GeomResult<Self> {
-        if self.dims() != other.dims() {
-            return Err(GeomError::DimensionMismatch {
-                left: self.dims(),
-                right: other.dims(),
-            });
-        }
-        Ok(Self {
-            coords: self
-                .coords
-                .iter()
-                .zip(other.coords.iter())
-                .map(|(a, b)| a.min(*b))
-                .collect(),
-        })
-    }
-
-    /// Component-wise maximum of two points.
-    pub fn component_max(&self, other: &Self) -> GeomResult<Self> {
-        if self.dims() != other.dims() {
-            return Err(GeomError::DimensionMismatch {
-                left: self.dims(),
-                right: other.dims(),
-            });
-        }
-        Ok(Self {
-            coords: self
-                .coords
-                .iter()
-                .zip(other.coords.iter())
-                .map(|(a, b)| a.max(*b))
-                .collect(),
-        })
-    }
 }
 
 impl std::fmt::Display for Point {
@@ -279,25 +231,6 @@ mod tests {
         let c = p(&[0.5, 0.6]);
         assert!(c.dominates(&a));
         assert!(c.dominates_or_equal(&a));
-    }
-
-    #[test]
-    fn component_min_max() {
-        let a = p(&[0.1, 0.9, 0.4]);
-        let b = p(&[0.3, 0.2, 0.4]);
-        assert_eq!(a.component_min(&b).unwrap().coords(), &[0.1, 0.2, 0.4]);
-        assert_eq!(a.component_max(&b).unwrap().coords(), &[0.3, 0.9, 0.4]);
-        let c = p(&[0.5]);
-        assert!(a.component_min(&c).is_err());
-        assert!(a.component_max(&c).is_err());
-    }
-
-    #[test]
-    fn euclidean_distance() {
-        let a = p(&[0.0, 0.0]);
-        let b = p(&[3.0, 4.0]);
-        assert!((a.euclidean_dist(&b) - 5.0).abs() < 1e-12);
-        assert_eq!(a.euclidean_dist(&a.clone()), 0.0);
     }
 
     #[test]

@@ -10,13 +10,27 @@ use std::collections::BinaryHeap;
 /// to the sky point (ascending — closest to the sky point first).
 pub(crate) struct HeapEntry {
     pub dist: f64,
+    /// Skyline rows `0..checked` were tested against the entry before it was
+    /// pushed and none dominates it. The loop that pops it only appends
+    /// rows, so its dominance scan starts at this row.
+    pub checked: usize,
     pub entry: NodeEntry,
 }
 
 impl HeapEntry {
+    /// An entry no skyline row has been tested against yet.
     pub(crate) fn new(entry: NodeEntry) -> Self {
+        Self::with_checked(entry, 0)
+    }
+
+    /// An entry the skyline's first `checked` rows do not dominate.
+    pub(crate) fn with_checked(entry: NodeEntry, checked: usize) -> Self {
         let dist = Point::l1_dist_to_sky_coords(entry.best_corner());
-        Self { dist, entry }
+        Self {
+            dist,
+            checked,
+            entry,
+        }
     }
 }
 
@@ -85,7 +99,7 @@ pub(crate) fn resume_skyline_filtered(
     heap: &mut BinaryHeap<HeapEntry>,
     drop: &dyn Fn(RecordId) -> bool,
 ) {
-    while let Some(HeapEntry { entry, .. }) = heap.pop() {
+    while let Some(HeapEntry { entry, checked, .. }) = heap.pop() {
         if let NodeEntry::Data(data) = &entry {
             if drop(data.record) || skyline.contains(data.record) {
                 continue;
@@ -93,7 +107,7 @@ pub(crate) fn resume_skyline_filtered(
         }
         // If a skyline object dominates the entry, move it to that object's
         // pruned list and continue.
-        let entry = match skyline.attach_to_dominator(entry) {
+        let entry = match skyline.attach_to_dominator_from(entry, checked) {
             Ok(()) => continue,
             Err(entry) => entry,
         };

@@ -14,7 +14,9 @@ use std::collections::BinaryHeap;
 /// pruned entry the algorithm first tries to hand it over to a remaining
 /// skyline object that dominates it; the entries that no remaining object
 /// dominates form the candidate set `Scand`, which is processed by the shared
-/// `ResumeSkyline` loop in ascending distance from the sky point.
+/// `ResumeSkyline` loop in ascending distance from the sky point. No
+/// (entry, skyline row) pair is tested twice in one call: when a candidate
+/// pops, only the rows that joined the skyline since pass 1 are scanned.
 ///
 /// I/O-optimality (Theorem 1): only entries exclusively dominated by the
 /// removed objects are examined, and because every expanded node disappears
@@ -45,6 +47,9 @@ pub fn update_skyline_filtered(
     drop: &dyn Fn(RecordId) -> bool,
 ) {
     let mut heap: BinaryHeap<HeapEntry> = BinaryHeap::new();
+    // pass 1 tests each entry against every row; the resume loop only
+    // appends rows, so a candidate's later scan starts past these
+    let checked = skyline.len();
     for object in removed {
         for entry in object.plist {
             if let Some(data) = entry.as_data() {
@@ -52,9 +57,8 @@ pub fn update_skyline_filtered(
                     continue;
                 }
             }
-            match skyline.attach_to_dominator(entry) {
-                Ok(()) => {}
-                Err(entry) => heap.push(HeapEntry::new(entry)),
+            if let Err(entry) = skyline.attach_to_dominator(entry) {
+                heap.push(HeapEntry::with_checked(entry, checked));
             }
         }
     }
@@ -165,6 +169,40 @@ mod tests {
         let mut updated: Vec<u64> = sky.records().iter().map(|r| r.0).collect();
         updated.sort_unstable();
         assert_eq!(updated, vec![0, 2, 3, 8]);
+    }
+
+    #[test]
+    fn a_candidate_is_owned_by_an_object_that_joined_earlier_in_the_resume() {
+        // e owns y and x; a, the other skyline object, dominates neither
+        let points = vec![
+            (RecordId(0), Point::from_slice(&[0.10, 0.95])), // a
+            (RecordId(1), Point::from_slice(&[0.90, 0.90])), // e
+            (RecordId(2), Point::from_slice(&[0.80, 0.80])), // y
+            (RecordId(3), Point::from_slice(&[0.70, 0.70])), // x, below y
+        ];
+        let mut tree = build(&points, 8);
+        let mut sky = compute_skyline_bbs(&mut tree);
+        let e = sky.remove(RecordId(1)).unwrap();
+        assert_eq!(e.plist.len(), 2, "BBS attached y and x to e");
+        // pass 1 finds both undominated; y pops first and joins, so x must
+        // be tested against the row y took, past the rows pass 1 cleared
+        update_skyline(&mut tree, &mut sky, vec![e]);
+        let owned = |r: u64| {
+            sky.get(RecordId(r))
+                .unwrap()
+                .plist
+                .iter()
+                .filter_map(|p| p.as_data().map(|d| d.record))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(owned(2), vec![RecordId(3)]);
+        assert!(owned(0).is_empty());
+        let mut got = sky.records();
+        got.sort();
+        let remaining: Vec<_> = points.into_iter().filter(|(r, _)| r.0 != 1).collect();
+        let mut want = skyline_naive(&remaining);
+        want.sort();
+        assert_eq!(got, want);
     }
 
     #[test]

@@ -159,12 +159,27 @@ impl Skyline {
     }
 
     /// Attaches a pruned entry to the *first* skyline object that dominates
-    /// its best corner, if any; returns `true` on success. The paper keeps
-    /// each pruned entry in exactly one pruned list to bound memory. The
-    /// dominator lookup is a columnar kernel scan over the point mirror; the
-    /// first-match semantics (index order) are those of the scalar scan.
+    /// its best corner and returns `Ok(())`, or hands the entry back as
+    /// `Err` when no object dominates it. The paper keeps each pruned entry
+    /// in exactly one pruned list to bound memory. The dominator lookup is a
+    /// columnar kernel scan over the point mirror; the first-match semantics
+    /// (index order) are those of the scalar scan.
     pub fn attach_to_dominator(&mut self, entry: NodeEntry) -> Result<(), NodeEntry> {
-        match kernel::first_dominator(&self.soa, entry.best_corner()) {
+        self.attach_to_dominator_from(entry, 0)
+    }
+
+    /// [`Skyline::attach_to_dominator`] for an entry that rows `0..from`
+    /// are already known not to dominate: only rows `from..` are scanned.
+    /// The owner is the one a scan from row 0 picks as long as those rows
+    /// have not moved since they were tested — true while the skyline only
+    /// grows, since [`Skyline::insert`] appends and only
+    /// [`Skyline::remove`] moves a row.
+    pub(crate) fn attach_to_dominator_from(
+        &mut self,
+        entry: NodeEntry,
+        from: usize,
+    ) -> Result<(), NodeEntry> {
+        match kernel::first_dominator_from(&self.soa, entry.best_corner(), from) {
             Some(pos) => {
                 self.objects[pos].plist.push(entry);
                 Ok(())
