@@ -4,7 +4,6 @@
 //! Each selected experiment prints its measurement tables and writes
 //! `<dir>/<name>.json` the moment it completes, so an interrupted sweep
 //! keeps the figures finished so far.
-#![forbid(unsafe_code)]
 
 use pref_bench::CliOptions;
 

@@ -15,8 +15,6 @@
 //! `crash_recovery.rs` and `fuzz_protocol.rs`. Usage:
 //! `service_bench [--smoke] [--out <path>]`.
 
-#![forbid(unsafe_code)]
-
 use pref_assign::{ObjectRecord, Problem};
 use pref_bench::percentile_us;
 use pref_datagen::ObjectDistribution;
@@ -181,10 +179,16 @@ fn main() {
         front_door,
     };
     if let Some(dir) = out.parent() {
-        // lint: allow(no-raw-fs) -- bench report output, not durable state
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "bench report output, not durable state"
+        )]
         std::fs::create_dir_all(dir).expect("create bench output directory");
     }
-    // lint: allow(no-raw-fs) -- bench report output, not durable state
+    #[expect(
+        clippy::disallowed_types,
+        reason = "bench report output, not durable state"
+    )]
     let file = std::fs::File::create(&out).expect("create bench output file");
     serde_json::to_writer_pretty(std::io::BufWriter::new(file), &report)
         .expect("serialize bench report");

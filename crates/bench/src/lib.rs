@@ -23,7 +23,6 @@
 //! (`benchmark/`, declared in `BENCHMARK.json`).
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
 
 mod algorithms;
 mod params;

@@ -162,11 +162,14 @@ impl Report {
 
     /// Writes the report as JSON into `dir/<name>.json`, creating the
     /// directory if needed. Returns the path written.
+    #[expect(
+        clippy::disallowed_methods,
+        clippy::disallowed_types,
+        reason = "bench report output, not durable state"
+    )]
     pub fn write_json(&self, dir: &Path, name: &str) -> std::io::Result<std::path::PathBuf> {
-        // lint: allow(no-raw-fs) -- bench report output, not durable state
         std::fs::create_dir_all(dir)?;
         let path = dir.join(format!("{name}.json"));
-        // lint: allow(no-raw-fs) -- bench report output, not durable state
         let mut file = std::fs::File::create(&path)?;
         let json = serde_json::to_string_pretty(self).expect("report serializes");
         file.write_all(json.as_bytes())?;
@@ -175,6 +178,10 @@ impl Report {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::disallowed_methods,
+    reason = "the round trip reads back and removes its report"
+)]
 mod tests {
     use super::*;
 

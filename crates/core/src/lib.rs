@@ -58,7 +58,6 @@
 //! ```
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
 
 mod brute;
 mod chain;

@@ -18,7 +18,6 @@
 //! All generators are deterministic given a seed.
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
 
 mod functions;
 mod objects;

@@ -248,13 +248,16 @@ impl EngineSnapshot {
 
     /// The export's matching as a compact, allocation-free-queryable
     /// [`AssignmentView`] over the live populations.
+    #[expect(
+        clippy::expect_used,
+        reason = "internal invariant: pairs only ever hold live, unique ids"
+    )]
     pub fn view(&self) -> AssignmentView {
         AssignmentView::from_pairs(
             self.functions.iter().map(|f| f.id).collect(),
             self.objects.iter().map(|o| o.id).collect(),
             &self.pairs,
         )
-        // lint: allow(no-unwrap) -- internal invariant: pairs only ever hold live, unique ids
         .expect("engine pairs reference live ids and live ids are unique")
     }
 }
@@ -757,10 +760,13 @@ impl AssignmentEngine {
         // predecessor's tree copy, but a pruned list may still hold its data
         // entry; purge it so it cannot resurface under the new bearer's id.
         self.skyline.purge_record(object.id);
+        #[expect(
+            clippy::expect_used,
+            reason = "internal invariant: dimensionality was validated at the API boundary"
+        )]
         let splits = self
             .tree
             .insert_tracked(object.id, object.point.clone())
-            // lint: allow(no-unwrap) -- internal invariant: dimensionality was validated at the API boundary
             .expect("dimensionality was checked");
         for split in &splits {
             // Pre-existing entries that moved to the sibling must stay
@@ -959,17 +965,23 @@ impl AssignmentEngine {
     fn compact_batch(&mut self) {
         let batch = COMPACTION_BATCH.min(self.tombstones.len());
         for _ in 0..batch {
+            #[expect(
+                clippy::expect_used,
+                reason = "internal invariant: batch size is computed from the queue length"
+            )]
             let oi = self
                 .tombstones
                 .pop_front()
-                // lint: allow(no-unwrap) -- internal invariant: batch size is computed from the queue length
                 .expect("batch size is bounded by the queue length");
             let record = self.objects[oi].record.id;
             let point = self.objects[oi].record.point.clone();
+            #[expect(
+                clippy::expect_used,
+                reason = "internal invariant: a tombstone is created only for resident records"
+            )]
             let outcome = self
                 .tree
                 .delete_tracked(record, &point)
-                // lint: allow(no-unwrap) -- internal invariant: a tombstone is created only for resident records
                 .expect("tombstoned records are resident in the object tree");
             self.skyline.patch_page_delete(&outcome);
             self.obj_index.remove(&record);
@@ -1103,9 +1115,12 @@ impl AssignmentEngine {
     fn establish(&mut self, cand: Candidate) {
         // make room on the function side
         if self.functions[cand.fi].remaining == 0 {
+            #[expect(
+                clippy::expect_used,
+                reason = "internal invariant: a function at capacity has at least one pair"
+            )]
             let victim = self
                 .worst_pair_index(|&(fi, _, _)| fi == cand.fi)
-                // lint: allow(no-unwrap) -- internal invariant: a function at capacity has at least one pair
                 .expect("saturated function has pairs");
             let (_, oi, _) = self.pairs.swap_remove(victim);
             self.functions[cand.fi].remaining += 1;
@@ -1114,9 +1129,12 @@ impl AssignmentEngine {
         }
         // make room on the object side
         if cand.kind == SlotKind::Steal {
+            #[expect(
+                clippy::expect_used,
+                reason = "internal invariant: a stolen object is assigned, so it has a pair"
+            )]
             let victim = self
                 .worst_pair_index(|&(_, oi, _)| oi == cand.oi)
-                // lint: allow(no-unwrap) -- internal invariant: a stolen object is assigned, so it has a pair
                 .expect("stolen object has pairs");
             let (fi, _, _) = self.pairs.swap_remove(victim);
             self.functions[fi].remaining += 1;

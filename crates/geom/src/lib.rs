@@ -23,7 +23,6 @@
 //! by the caller), but [`Point::SKY_COORD`] documents the convention.
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
 
 pub mod edr;
 mod function;

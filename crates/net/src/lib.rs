@@ -36,7 +36,7 @@
 //! composes across connections.
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod admission;
 mod client;

@@ -19,7 +19,7 @@ use pref_assign::FunctionId;
 use pref_rtree::RecordId;
 use pref_service::{decode_batch, ServiceError, ServiceReader, ShardedService};
 use pref_sync::{thread, AtomicU64, Mutex, Ordering};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::io::Read;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::Arc;
@@ -64,7 +64,7 @@ struct Conns {
     /// One `try_clone` of every open connection, so `stop` can fail
     /// handlers out of their blocking reads with a socket shutdown. A
     /// handler removes its own entry when its connection ends.
-    open: HashMap<u64, TcpStream>,
+    open: BTreeMap<u64, TcpStream>,
     /// Connections whose handler has exited, for the accept loop to join.
     finished: Vec<u64>,
 }
@@ -124,7 +124,8 @@ impl Server {
         };
         // fail every handler out of its blocking read; NotConnected and
         // friends just mean the peer beat us to it
-        for (_, conn) in self.shared.conns.lock().open.drain() {
+        let open = std::mem::take(&mut self.shared.conns.lock().open);
+        for conn in open.into_values() {
             let _ = conn.shutdown(Shutdown::Both);
         }
         for handler in handlers {
@@ -142,9 +143,9 @@ impl Server {
 /// Accepts connections until [`Server::stop`], one handler thread each, and
 /// joins the handlers of closed connections as it goes: connection churn
 /// holds no socket and no thread past the connection's end. Returns the
-/// handlers still running at stop.
+/// handlers still running at stop, in connection order.
 fn accept_loop(shared: &Arc<Shared>, listener: &TcpListener) -> Vec<thread::JoinHandle<()>> {
-    let mut handlers: HashMap<u64, thread::JoinHandle<()>> = HashMap::new();
+    let mut handlers: BTreeMap<u64, thread::JoinHandle<()>> = BTreeMap::new();
     let mut next_conn = 0u64;
     loop {
         let mut stream = match listener.accept() {

@@ -400,6 +400,10 @@ fn a_flood_of_short_lived_connections_is_fine() {
 /// every connection until `stop()`: churn leaked one fd per connection.
 #[cfg(target_os = "linux")]
 #[test]
+#[allow(
+    clippy::disallowed_methods,
+    reason = "counts the process's open fds and polls them with a wall-clock sleep"
+)]
 fn closed_connections_release_their_fds() {
     let open_fds = || std::fs::read_dir("/proc/self/fd").unwrap().count();
     let server = default_server();

@@ -29,7 +29,6 @@
 //!   RAM).
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
 
 mod bulk;
 pub mod codec;

@@ -2,6 +2,11 @@
 //! whose data set is much larger than the configured buffer, served from a
 //! real page file with real write I/O reported in the stats.
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "tests measure and remove their scratch page files"
+)]
+
 use pref_geom::Point;
 use pref_rtree::{DataEntry, RTree, RTreeConfig, RecordId};
 use std::path::PathBuf;

@@ -17,8 +17,8 @@
 //!
 //! All file access goes through [`pref_storage::wal`] — this module encodes
 //! and decodes payloads but never opens a file itself, keeping raw
-//! `std::fs` usage confined to the storage crate (enforced by the repo's
-//! `no-raw-fs` lint).
+//! `std::fs` usage confined to the storage crate (enforced by this crate's
+//! `clippy.toml`).
 
 use crate::{ServiceError, UpdateOp};
 use pref_assign::{FunctionId, ObjectRecord, PreferenceFunction, Problem};
@@ -520,6 +520,7 @@ impl RecoveredShard {
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods, reason = "test scaffolding cleanup")]
 mod tests {
     use super::*;
 
@@ -529,7 +530,7 @@ mod tests {
             "pref_service_durability_{}_{name}",
             std::process::id()
         ));
-        let _ = std::fs::remove_dir_all(&p); // lint: allow(no-raw-fs) -- test scaffolding cleanup
+        let _ = std::fs::remove_dir_all(&p);
         p
     }
 
@@ -624,7 +625,7 @@ mod tests {
         drop(d);
         let rec = ShardDurability::recover(&dir, 100).unwrap();
         assert_eq!(rec.batches, vec![batch()]);
-        std::fs::remove_dir_all(&dir).ok(); // lint: allow(no-raw-fs) -- test scaffolding cleanup
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     /// One-op batch payloads laid out by hand, for arrivals no constructor
@@ -686,7 +687,7 @@ mod tests {
         drop(d);
         let rec = ShardDurability::recover(&dir, 100).unwrap();
         assert_eq!(rec.batches, vec![batch()]);
-        std::fs::remove_dir_all(&dir).ok(); // lint: allow(no-raw-fs) -- test scaffolding cleanup
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -718,7 +719,7 @@ mod tests {
         assert_eq!(rec.batches, vec![batch(), vec![]]);
         assert_eq!(rec.durability.next_seq(), 2);
         assert_eq!(rec.durability.last_checkpoint_seq(), 0);
-        std::fs::remove_dir_all(&dir).ok(); // lint: allow(no-raw-fs) -- test scaffolding cleanup
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -756,7 +757,7 @@ mod tests {
         assert_eq!(rec.durability.last_checkpoint_seq(), 4);
         assert_eq!(rec.batches.len(), 1);
         assert_eq!(rec.durability.next_seq(), 5);
-        std::fs::remove_dir_all(&dir).ok(); // lint: allow(no-raw-fs) -- test scaffolding cleanup
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -772,7 +773,7 @@ mod tests {
             d.maybe_checkpoint(&functions(), &objects()).unwrap(),
             Some(1)
         );
-        std::fs::remove_dir_all(&dir).ok(); // lint: allow(no-raw-fs) -- test scaffolding cleanup
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     /// A second `create` used to truncate `wal-0` and rewrite
@@ -805,6 +806,6 @@ mod tests {
         let rec = ShardDurability::recover(&dir, 2).unwrap();
         assert_eq!(rec.durability.last_checkpoint_seq(), 2);
         assert_eq!(rec.functions, functions());
-        std::fs::remove_dir_all(&dir).ok(); // lint: allow(no-raw-fs) -- test scaffolding cleanup
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -177,6 +177,10 @@ impl UpdateQueue {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::disallowed_methods,
+    reason = "tests drive real OS threads on purpose"
+)]
 mod tests {
     use super::*;
     use pref_rtree::RecordId;

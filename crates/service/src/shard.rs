@@ -417,6 +417,10 @@ fn writer_loop(
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::disallowed_methods,
+    reason = "tests drive real OS threads on purpose"
+)]
 mod tests {
     use super::*;
     use pref_assign::{FunctionId, ObjectRecord, PreferenceFunction, Problem};

@@ -8,6 +8,11 @@
 //! truncates the log at every byte offset, corrupts records and
 //! checkpoints, and crashes the writer right after it compacted.
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "the crash battery copies, corrupts and removes shard directories itself"
+)]
+
 use pref_assign::{ObjectRecord, PreferenceFunction, Problem};
 use pref_engine::{AssignmentEngine, EngineOptions};
 use pref_geom::{LinearFunction, Point};

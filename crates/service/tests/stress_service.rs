@@ -18,6 +18,11 @@
 //!
 //! `STRESS_EVENTS` / `STRESS_READERS` raise the load in the CI stress job.
 
+#![allow(
+    clippy::disallowed_types,
+    reason = "a wall-clock stress test drives real OS threads and std atomics on purpose"
+)]
+
 use pref_assign::{ObjectRecord, Problem};
 use pref_datagen::{update_stream, ObjectDistribution, UpdateStreamConfig};
 use pref_geom::Point;
@@ -61,7 +66,7 @@ fn check_snapshot(snapshot: &pref_service::AssignmentSnapshot, shard: usize) {
         )
     });
     // cohort atomicity: group the high-range ids by cohort and demand 0 or all
-    let mut cohort_counts: std::collections::HashMap<u64, u64> = std::collections::HashMap::new();
+    let mut cohort_counts: std::collections::BTreeMap<u64, u64> = std::collections::BTreeMap::new();
     for object in snapshot.objects() {
         if object.id.0 >= COHORT_BASE {
             *cohort_counts
@@ -129,6 +134,9 @@ fn readers_never_observe_torn_or_unstable_state() {
                     let mut last_version = vec![0u64; num_shards];
                     let mut observed = 0u64;
                     let mut rounds = 0u64;
+                    // ordering: Acquire pairs with the producer's Release
+                    // store after its final flush; the snapshots themselves
+                    // are synchronized by the service
                     while !done.load(Ordering::Acquire) || rounds < 1 {
                         rounds += 1;
                         for (shard, last) in last_version.iter_mut().enumerate() {
@@ -146,7 +154,9 @@ fn readers_never_observe_torn_or_unstable_state() {
                             check_snapshot(snapshot, shard);
                         }
                     }
-                    snapshots_seen.fetch_add(observed, Ordering::AcqRel);
+                    // ordering: a tally, read only after every reader is
+                    // joined; the join orders it
+                    snapshots_seen.fetch_add(observed, Ordering::Relaxed);
                     observed
                 })
                 .unwrap()
@@ -224,6 +234,7 @@ fn readers_never_observe_torn_or_unstable_state() {
 
     // read-your-writes: after the flush a fresh snapshot reflects everything
     service.flush().unwrap();
+    // ordering: Release pairs with the readers' Acquire load of `done`
     done.store(true, Ordering::Release);
     let mut total_reader_observed = 0u64;
     for reader in readers {
@@ -277,7 +288,8 @@ fn readers_never_observe_torn_or_unstable_state() {
     // its initial version; collectively far more)
     assert_eq!(
         total_reader_observed,
-        snapshots_seen.load(Ordering::Acquire)
+        // ordering: every reader's add happens-before its join above
+        snapshots_seen.load(Ordering::Relaxed)
     );
     assert!(
         total_reader_observed >= num_readers as u64 * num_shards as u64,

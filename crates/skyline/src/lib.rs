@@ -28,7 +28,6 @@
 //! the two-skyline technique, and a naive oracle for the tests.
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
 
 mod bbs;
 mod deltasky;

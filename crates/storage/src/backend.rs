@@ -18,6 +18,11 @@
 //! meaningful while its store is alive. Crash durability is provided one
 //! level up by the write-ahead log and checkpoints in [`crate::wal`].
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "the page file is the storage backend's own std::fs use"
+)]
+
 use crate::store::PageId;
 use std::fmt;
 use std::fs::File;
@@ -295,6 +300,10 @@ impl<P: PageCodec> StorageBackend<P> for FileBackend<P> {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::disallowed_methods,
+    reason = "tests remove their scratch page files"
+)]
 mod tests {
     use super::*;
 

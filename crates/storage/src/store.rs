@@ -460,6 +460,10 @@ impl<P> PagedStore<P> {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::disallowed_methods,
+    reason = "tests remove their scratch page files"
+)]
 mod tests {
     use super::*;
     use crate::backend::{FileBackend, PageCodec};

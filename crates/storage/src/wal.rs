@@ -24,6 +24,12 @@
 //! (the previous generation is kept so a later corruption of the newest
 //! checkpoint still leaves a recoverable chain).
 
+#![expect(
+    clippy::disallowed_methods,
+    clippy::disallowed_types,
+    reason = "the WAL and checkpoint files are the durable layer's own std::fs use"
+)]
+
 use crate::backend::{fnv1a64, StorageError};
 use std::fs::{self, File};
 use std::io::{Read, Seek, SeekFrom, Write};

@@ -63,7 +63,6 @@
 //! ```
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
 
 pub use std::sync::atomic::Ordering;
 

@@ -268,8 +268,11 @@ fn run_one(
     outcome
 }
 
+#[expect(
+    clippy::disallowed_methods,
+    reason = "failure-trace dump, diagnostic output only"
+)]
 fn dump_trace(dir: &Path, report: &ViolationReport) -> Option<PathBuf> {
-    // lint: allow(no-raw-fs) -- trace dump directory, diagnostic output only
     std::fs::create_dir_all(dir).ok()?;
     let tag = match report.seed {
         Some(seed) => format!("seed-{seed:016x}"),
@@ -292,7 +295,6 @@ fn dump_trace(dir: &Path, report: &ViolationReport) -> Option<PathBuf> {
         body.push_str(line);
         body.push('\n');
     }
-    // lint: allow(no-raw-fs) -- failure-trace dump, diagnostic output only
     std::fs::write(&path, body).ok()?;
     Some(path)
 }

@@ -21,7 +21,6 @@
 //!   list I/O explicitly.
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
 
 mod batch;
 mod brs;

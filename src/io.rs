@@ -10,6 +10,11 @@
 //! * **CSV** for assignment results ([`write_assignment_csv`]) — one row per
 //!   matched pair, convenient for spreadsheets and grading scripts.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "JSON/CSV import and export is user-facing file I/O, not durable state"
+)]
+
 use crate::{Assignment, ObjectRecord, PreferenceFunction, Problem};
 use pref_geom::{LinearFunction, Point};
 use pref_rtree::RecordId;
@@ -252,6 +257,10 @@ fn is_assignment_csv_header(line: &str) -> bool {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::disallowed_methods,
+    reason = "the file round trip creates and removes a scratch file"
+)]
 mod tests {
     use super::*;
     use crate::{solve, verify_stable};

@@ -1,6 +1,11 @@
 //! End-to-end coverage for the facade's `io` module: JSON problem in,
 //! stable assignment out, and every error variant exercised.
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "tests create and remove their scratch files"
+)]
+
 use fair_assignment::io::{
     load_problem_json, read_assignment_csv, read_problem_json, save_problem_json,
     write_assignment_csv, write_problem_json, IoFormatError,

@@ -331,6 +331,7 @@ impl Lexer<'_> {
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods, reason = "tests lex real files")]
 mod tests {
     use super::*;
 

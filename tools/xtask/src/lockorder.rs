@@ -299,7 +299,8 @@ impl<'a> Registry<'a> {
                 if f.in_test || f.body.is_none() {
                     continue;
                 }
-                fns.entry(crate::rules::fn_key(f)).or_insert((fi, gi));
+                let key = (f.impl_type.clone(), f.name.clone());
+                fns.entry(key).or_insert((fi, gi));
             }
         }
         Registry { structs, fns }
@@ -1151,25 +1152,8 @@ mod tests {
 
     #[test]
     fn real_workspace_graph_is_nonempty_acyclic_and_pins_the_shard_protocol() {
-        let root = crate::workspace_root();
-        let mut files = Vec::new();
-        for dir in ["crates/service/src", "crates/sync/src", "crates/net/src"] {
-            let mut paths = Vec::new();
-            collect(&root.join(dir), &mut paths);
-            paths.sort();
-            for p in paths {
-                let rel = p
-                    .strip_prefix(&root)
-                    .unwrap_or(&p)
-                    .to_string_lossy()
-                    .replace('\\', "/");
-                if crate::rules::is_test_file(&rel) {
-                    continue;
-                }
-                let src = std::fs::read_to_string(&p).unwrap();
-                files.push(FileCtx::new(&rel, &src));
-            }
-        }
+        let (_, files) =
+            crate::lint_files(&crate::read_workspace(&crate::workspace_root()).unwrap());
         let report = analyze(&files);
         assert!(report.acquire_sites > 0, "the lock resolver went blind");
         assert!(!report.edges.is_empty(), "no lock ordering found at all");
@@ -1193,19 +1177,5 @@ mod tests {
             edges.contains(&e("Progress.state", "SnapshotCell.slot")),
             "missing the stats-under-progress edge: {edges:?}"
         );
-    }
-
-    fn collect(dir: &std::path::Path, out: &mut Vec<std::path::PathBuf>) {
-        let Ok(entries) = std::fs::read_dir(dir) else {
-            return;
-        };
-        for entry in entries.flatten() {
-            let path = entry.path();
-            if path.is_dir() {
-                collect(&path, out);
-            } else if path.extension().is_some_and(|e| e == "rs") {
-                out.push(path);
-            }
-        }
     }
 }

@@ -4,73 +4,35 @@
 //! cargo run -p xtask -- lint [--json <path>]
 //! ```
 //!
-//! A source-level static-analysis pass for the concurrency and determinism
-//! rules this workspace commits to. Still zero-dependency, but no longer a
-//! line scanner: `lexer` produces a full trivia-preserving Rust token stream
-//! (strings, raw strings, char literals, nested block comments, lifetimes,
-//! doc comments — with byte spans), `model` recovers the item skeleton
-//! (structs and fields, fn items with parameter/return types, impl blocks,
-//! `#[cfg(test)]` regions), and the rules match token sequences instead of
-//! substrings — text inside string literals and comments can no longer trip
-//! them.
+//! A zero-dependency static analyzer for the invariants the paper's
+//! guarantees rest on that no compiler or clippy lint can state: `lexer`
+//! produces a trivia-preserving Rust token stream, `model` recovers the item
+//! skeleton (structs and fields, fn signatures and bodies, impl blocks,
+//! `#[cfg(test)]` regions), and the rules match token sequences, so text in
+//! string literals and comments never trips them.
 //!
-//! Single-file rules (`rules`):
+//! * `rules` — `ordering-comment`, `kernel-no-alloc` and `durability-order`
+//!   per source file, and `workspace-lints` per manifest: every member
+//!   outside `vendor/` must inherit `[workspace.lints]`.
+//! * `lockorder` — every mutex acquisition site in `crates/service`,
+//!   `crates/sync` and `crates/net`, with held-lock sets propagated through
+//!   the intra-workspace call graph. The static lock-order graph is written
+//!   to `target/lint/lock-order.dot` on every run, and any cycle is a
+//!   finding: a potential deadlock no bounded model-checking schedule needs
+//!   to have hit.
 //!
-//! * **forbid-unsafe** — every crate root (`src/lib.rs`, `src/main.rs`,
-//!   `src/bin/*.rs`) carries `#![forbid(unsafe_code)]`.
-//! * **ordering-comment** — every use of an atomic memory ordering
-//!   (`Ordering::Relaxed` / `Acquire` / `Release` / `AcqRel` / `SeqCst`)
-//!   carries an adjacent `// ordering:` justification comment: on the same
-//!   line, or in the contiguous comment block directly above. The variant
-//!   names are disjoint from `cmp::Ordering`'s, so comparison code never
-//!   trips this rule.
-//! * **no-raw-sync** — `crates/service` and `crates/net` go through the
-//!   `pref_sync` shim: no direct `std::sync::atomic` / `std::sync::Mutex` /
-//!   `std::sync::Condvar` / `std::sync::RwLock` / `std::thread` in their
-//!   non-test library code (`std::sync::Arc` is fine — it has no blocking or
-//!   ordering behaviour for the model scheduler to interpose on).
-//! * **no-unwrap** — no `.unwrap()` / `.expect(` in non-test library code of
-//!   `crates/service`, `crates/net` and `crates/engine`.
-//! * **no-raw-fs** — durable I/O is the storage crate's job: no `std::fs` in
-//!   non-test library code outside the storage backend/WAL and this tool.
-//! * **kernel-no-alloc** — scoring-kernel modules (by name) and the listed
-//!   hot-path files (`crates/topk/src/{reverse,scan,lists}.rs`: the two
-//!   reverse top-1 searches and the function index they read) are hot-loop
-//!   code whose steady state must not allocate.
-//! * **hash-iter** — no order-dependent iteration (`.iter()` / `.keys()` /
-//!   `.values()` / `for … in`) over `HashMap` / `HashSet` in solver, engine
-//!   and service library code: ROADMAP item 2 (deterministic log replay)
-//!   makes hash-order iteration on an output or replay path a replica
-//!   divergence. Keyed lookup stays allowed.
-//! * **durability-order** — in `crates/service/src/{shard,durability}.rs`,
-//!   any function that takes the shard durability handle and publishes a
-//!   snapshot must call `log_batch` and `sync_for_ack` before the publish:
-//!   WAL append + fsync dominate the visibility point.
-//! * **no-raw-net** — sockets are `crates/net`'s job: no `std::net` in
-//!   non-test library code outside the front door, so every wire byte goes
-//!   through the one framed, checksummed, admission-controlled path. Plain
-//!   address types (`std::net::SocketAddr` & co.) are allowed anywhere.
+//! Everything a lint can say is configured, not coded: `[workspace.lints]`,
+//! the `clippy.toml` files and the `engine` / `service` / `net` crate roots
+//! (see `rules` for the list), enforced by `cargo clippy --workspace
+//! --all-targets -- -D warnings`.
 //!
-//! Whole-program analysis (`lockorder`): every mutex acquisition site in
-//! `crates/service` + `crates/sync` + `crates/net`, with held-lock sets propagated through
-//! the intra-workspace call graph. The resulting static lock-order graph is
-//! written to `target/lint/lock-order.dot` on every run and any cycle is a
-//! finding — a potential deadlock no bounded model-checking schedule needs
-//! to have hit.
-//!
-//! Suppress a single-file finding where it is genuinely intended with an
-//! exception comment on the same line or the line above:
+//! The walk covers every member's `src/`, `tests/`, `benches/` and
+//! `examples/`, the root package, and every manifest. A genuinely intended
+//! finding is suppressed with a comment on its line or the line above:
 //!
 //! ```text
-//! // lint: allow(no-unwrap) -- internal invariant: ids are interned above
+//! // lint: allow(kernel-no-alloc) -- set-up: one index per solve, not per search
 //! ```
-//!
-//! Test code is exempt from the scoped rules (`no-raw-sync`, `no-unwrap`,
-//! `no-raw-fs`, `kernel-no-alloc`, `hash-iter`): everything after the first
-//! `#[cfg(test)]` item in a file, and whole files named `tests.rs` /
-//! `*_tests.rs`. `forbid-unsafe` and `ordering-comment` apply everywhere.
-
-#![forbid(unsafe_code)]
 
 mod lexer;
 mod lockorder;
@@ -79,6 +41,11 @@ mod rules;
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+
+/// The top-level directories walked below the workspace root: every
+/// member's sources, test targets and manifest. `vendor/` (the stand-ins)
+/// and the standalone `benchmark/` package are not workspace code.
+const WALKED_DIRS: [&str; 5] = ["crates", "tools", "src", "tests", "examples"];
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -112,38 +79,18 @@ fn main() -> ExitCode {
     }
 }
 
+#[expect(clippy::disallowed_methods, reason = "the linter writes its reports")]
 fn lint_workspace(json: Option<&Path>) -> ExitCode {
     let root = workspace_root();
-    let mut files = Vec::new();
-    for member_dir in ["crates", "tools"] {
-        collect_rs_files(&root.join(member_dir), &mut files);
-    }
-    files.sort();
-
-    let mut diagnostics = Vec::new();
-    let mut checked = 0usize;
-    let mut lock_files = Vec::new();
-    for path in &files {
-        let Ok(source) = std::fs::read_to_string(path) else {
-            eprintln!("xtask: cannot read {}", path.display());
+    let files = match read_workspace(&root) {
+        Ok(files) => files,
+        Err(e) => {
+            eprintln!("xtask: {e}");
             return ExitCode::FAILURE;
-        };
-        let rel = path
-            .strip_prefix(&root)
-            .unwrap_or(path)
-            .display()
-            .to_string();
-        let cx = model::FileCtx::new(&rel, &source);
-        diagnostics.extend(rules::lint_file_ctx(&cx));
-        checked += 1;
-        if (rel.starts_with("crates/service/src")
-            || rel.starts_with("crates/sync/src")
-            || rel.starts_with("crates/net/src"))
-            && !rules::is_test_file(&rel)
-        {
-            lock_files.push(cx);
         }
-    }
+    };
+    let checked = files.len();
+    let (mut diagnostics, lock_files) = lint_files(&files);
 
     let report = lockorder::analyze(&lock_files);
     let dot_path = root.join("target").join("lint").join("lock-order.dot");
@@ -203,6 +150,30 @@ fn lint_workspace(json: Option<&Path>) -> ExitCode {
     }
 }
 
+/// Runs the per-file rules over walked (path, contents) pairs. Returns the
+/// findings and the library files of `service`, `sync` and `net`, which the
+/// whole-program lock-order analysis reads.
+fn lint_files(files: &[(String, String)]) -> (Vec<rules::Diagnostic>, Vec<model::FileCtx>) {
+    let mut diagnostics = Vec::new();
+    let mut lock_files = Vec::new();
+    for (rel, source) in files {
+        if rel.ends_with("Cargo.toml") {
+            diagnostics.extend(rules::lint_manifest(rel, source));
+            continue;
+        }
+        let cx = model::FileCtx::new(rel, source);
+        diagnostics.extend(rules::lint_file_ctx(&cx));
+        if (rel.starts_with("crates/service/src")
+            || rel.starts_with("crates/sync/src")
+            || rel.starts_with("crates/net/src"))
+            && !rules::is_test_file(rel)
+        {
+            lock_files.push(cx);
+        }
+    }
+    (diagnostics, lock_files)
+}
+
 /// Machine-readable diagnostics: a JSON array of
 /// `{"rule", "path", "line", "message"}` objects, hand-rendered (the
 /// zero-dependency constraint covers serialization too).
@@ -247,27 +218,40 @@ fn workspace_root() -> PathBuf {
         .to_path_buf()
 }
 
-/// Recursively collects `.rs` files under `dir`, looking only inside `src/`
-/// trees (integration `tests/`, `benches/` and build outputs are out of
-/// scope for the library-code rules).
-fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) {
-    let Ok(entries) = std::fs::read_dir(dir) else {
-        return;
-    };
-    for entry in entries.flatten() {
-        let path = entry.path();
-        if path.is_dir() {
-            let name = entry.file_name();
-            if name == "target" || name == "vendor" {
-                continue;
+/// Every `.rs` file and `Cargo.toml` under [`WALKED_DIRS`] (build outputs
+/// skipped), plus the root manifest, as (workspace-relative path, contents)
+/// pairs sorted by path.
+#[expect(clippy::disallowed_methods, reason = "the linter reads the tree")]
+fn read_workspace(root: &Path) -> Result<Vec<(String, String)>, String> {
+    let mut paths = vec![root.join("Cargo.toml")];
+    let mut dirs: Vec<PathBuf> = WALKED_DIRS.iter().map(|dir| root.join(dir)).collect();
+    while let Some(dir) = dirs.pop() {
+        let Ok(entries) = std::fs::read_dir(&dir) else {
+            continue;
+        };
+        for entry in entries.flatten() {
+            let path = entry.path();
+            if path.is_dir() {
+                if entry.file_name() != "target" {
+                    dirs.push(path);
+                }
+            } else if path.extension().is_some_and(|e| e == "rs")
+                || entry.file_name() == "Cargo.toml"
+            {
+                paths.push(path);
             }
-            collect_rs_files(&path, out);
-        } else if path.extension().is_some_and(|e| e == "rs")
-            && path.components().any(|c| c.as_os_str() == "src")
-        {
-            out.push(path);
         }
     }
+    paths.sort();
+    paths
+        .into_iter()
+        .map(|path| {
+            let source = std::fs::read_to_string(&path)
+                .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
+            let rel = path.strip_prefix(root).unwrap_or(&path).display();
+            Ok((rel.to_string(), source))
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -280,13 +264,13 @@ mod tests {
             rules::Diagnostic {
                 path: "crates/x/src/a.rs".to_string(),
                 line: 3,
-                rule: rules::RULE_NO_UNWRAP,
-                message: "uses `.unwrap()` with a \"quote\"".to_string(),
+                rule: rules::RULE_ORDERING_COMMENT,
+                message: "`Ordering::Relaxed` with a \"quote\"".to_string(),
             },
             rules::Diagnostic {
                 path: "crates/x/src/b.rs".to_string(),
                 line: 9,
-                rule: rules::RULE_HASH_ITER,
+                rule: rules::RULE_KERNEL_NO_ALLOC,
                 message: "back\\slash".to_string(),
             },
         ];
@@ -294,7 +278,7 @@ mod tests {
         assert!(json.starts_with("[\n"), "{json}");
         assert!(json.trim_end().ends_with(']'), "{json}");
         assert!(
-            json.contains(r#""rule": "no-unwrap", "path": "crates/x/src/a.rs", "line": 3"#),
+            json.contains(r#""rule": "ordering-comment", "path": "crates/x/src/a.rs", "line": 3"#),
             "{json}"
         );
         assert!(json.contains(r#"a \"quote\""#), "{json}");
@@ -303,27 +287,43 @@ mod tests {
     }
 
     #[test]
+    fn the_walk_covers_test_targets_the_root_package_and_manifests() {
+        let files = read_workspace(&workspace_root()).unwrap();
+        let walked = |rel: &str| files.iter().any(|(path, _)| path == rel);
+        for rel in [
+            "Cargo.toml",
+            "crates/engine/Cargo.toml",
+            "tools/xtask/Cargo.toml",
+            "src/io.rs",
+            "tests/stable_matching.rs",
+            "examples/quickstart.rs",
+            "crates/service/tests/stress_service.rs",
+            "crates/bench/benches/micro.rs",
+            "crates/service/src/shard.rs",
+        ] {
+            assert!(walked(rel), "the walk missed {rel}");
+        }
+        assert!(
+            files.iter().all(|(path, _)| !path.starts_with("vendor/")
+                && !path.starts_with("benchmark/")
+                && !path.contains("target/")),
+            "the walk left the workspace's own code"
+        );
+        // integration tests are test code for the scoped rules
+        assert!(rules::is_test_file(
+            "crates/service/tests/stress_service.rs"
+        ));
+        assert!(!rules::is_test_file("crates/service/src/shard.rs"));
+    }
+
+    #[test]
     fn the_real_workspace_lints_clean() {
         // the end-to-end gate the CI job enforces, runnable locally: every
-        // rule, over every file, zero findings
-        let root = workspace_root();
-        let mut files = Vec::new();
-        for member_dir in ["crates", "tools"] {
-            collect_rs_files(&root.join(member_dir), &mut files);
-        }
-        files.sort();
+        // rule, over every walked file and manifest, zero findings
+        let files = read_workspace(&workspace_root()).unwrap();
         assert!(files.len() > 20, "workspace walk found {}", files.len());
-        let mut findings = Vec::new();
-        for path in &files {
-            let source = std::fs::read_to_string(path).unwrap();
-            let rel = path
-                .strip_prefix(&root)
-                .unwrap_or(path)
-                .display()
-                .to_string();
-            let cx = model::FileCtx::new(&rel, &source);
-            findings.extend(rules::lint_file_ctx(&cx).into_iter().map(|d| d.to_string()));
-        }
+        let (findings, _) = lint_files(&files);
+        let findings: Vec<String> = findings.iter().map(|d| d.to_string()).collect();
         assert!(
             findings.is_empty(),
             "lint findings:\n{}",
