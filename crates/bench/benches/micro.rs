@@ -4,12 +4,14 @@
 //! the competitors.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use pref_assign::{sb, BestPairStrategy, Problem, SbOptions};
+use pref_assign::{
+    sb, BestPairStrategy, BruteForceSolver, ChainSolver, Problem, SbOptions, SbSolver, Solver,
+};
 use pref_bench::{build_problem, Params, Scale};
 use pref_datagen::{anti_correlated_objects, independent_objects, uniform_weight_functions};
 use pref_geom::{kernel, Point};
 use pref_rtree::{RTree, RTreeConfig};
-use pref_skyline::{compute_skyline_bbs, skyline_sfs, update_skyline};
+use pref_skyline::{compute_skyline_bbs, update_skyline};
 use pref_topk::{FunctionLists, ReverseTopOne, ScanTopOne};
 use std::hint::black_box;
 
@@ -43,7 +45,7 @@ fn rtree_build(c: &mut Criterion) {
     group.finish();
 }
 
-/// Index-based BBS versus the memory-resident SFS.
+/// Index-based BBS.
 fn skyline_algorithms(c: &mut Criterion) {
     let points = anti_correlated_objects(10_000, 4, 13);
     let mut group = c.benchmark_group("skyline");
@@ -55,7 +57,6 @@ fn skyline_algorithms(c: &mut Criterion) {
             criterion::BatchSize::LargeInput,
         )
     });
-    group.bench_function("sfs", |b| b.iter(|| skyline_sfs(&points)));
     group.finish();
 }
 
@@ -184,15 +185,19 @@ fn sb_variants(c: &mut Criterion) {
 /// End-to-end comparison of the three competitors at quick scale — the
 /// microbenchmark twin of Figure 9.
 fn competitors(c: &mut Criterion) {
-    use pref_bench::AlgorithmKind;
     let params = bench_params();
     let problem: Problem = build_problem(&params);
     let mut group = c.benchmark_group("competitors");
     group.sample_size(10);
-    for algo in AlgorithmKind::standard_set() {
+    let solvers: [&dyn Solver; 3] = [
+        &BruteForceSolver,
+        &ChainSolver,
+        &SbSolver::with_omega(params.omega_fraction),
+    ];
+    for solver in solvers {
         group.bench_with_input(
-            BenchmarkId::from_parameter(algo.label()),
-            &algo.solver(0.025),
+            BenchmarkId::from_parameter(solver.name()),
+            &solver,
             |b, solver| {
                 b.iter_batched(
                     || problem.build_tree(None, 0.02),

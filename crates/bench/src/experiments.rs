@@ -5,11 +5,21 @@
 //! (algorithm, sweep value). [`EXPERIMENTS`] is the one list of them: the
 //! `figures` binary's selectors, its usage text and its `all` sweep read it.
 
-use crate::algorithms::AlgorithmKind;
 use crate::params::{Params, Scale};
 use crate::report::Report;
 use crate::runner::run_cell;
+use pref_assign::{BruteForceSolver, ChainSolver, SbOptions, SbSolver, Solver};
 use pref_datagen::ObjectDistribution;
+
+/// The standard competitor set of Section 7.2 (Figures 9–17): Brute Force,
+/// Chain, and SB as the paper runs it, with `p`'s Ω.
+fn standard_set(p: &Params) -> Vec<Box<dyn Solver>> {
+    vec![
+        Box::new(BruteForceSolver),
+        Box::new(ChainSolver),
+        Box::new(SbSolver::with_omega(p.omega_fraction)),
+    ]
+}
 
 /// Figure 8: effectiveness of the SB optimizations (SB vs SB-UpdateSkyline vs
 /// SB-DeltaSky), I/O and CPU versus dimensionality on anti-correlated data
@@ -30,8 +40,17 @@ pub fn fig08(scale: Scale) -> Report {
     for &d in &dims {
         let mut p = params.clone();
         p.dims = d;
-        for algo in AlgorithmKind::ablation_set() {
-            report.push(run_cell("fig08", &format!("D={d}"), &p, algo));
+        let ablation: [Box<dyn Solver>; 3] = [
+            Box::new(SbSolver {
+                options: SbOptions::delta_sky(),
+            }),
+            Box::new(SbSolver {
+                options: SbOptions::update_skyline_only(),
+            }),
+            Box::new(SbSolver::with_omega(p.omega_fraction)),
+        ];
+        for solver in ablation {
+            report.push(run_cell("fig08", &format!("D={d}"), &p, solver.as_ref()));
         }
     }
     report
@@ -51,12 +70,12 @@ pub fn fig09(scale: Scale) -> Report {
             let mut p = params.clone();
             p.dims = d;
             p.distribution = dist;
-            for algo in AlgorithmKind::standard_set() {
+            for solver in standard_set(&p) {
                 report.push(run_cell(
                     &format!("fig09-{}", dist.label()),
                     &format!("D={d}"),
                     &p,
-                    algo,
+                    solver.as_ref(),
                 ));
             }
         }
@@ -74,8 +93,8 @@ pub fn fig10(scale: Scale) -> Report {
     for &nf in &scale.functions_sweep() {
         let mut p = params.clone();
         p.num_functions = nf;
-        for algo in AlgorithmKind::standard_set() {
-            report.push(run_cell("fig10", &format!("|F|={nf}"), &p, algo));
+        for solver in standard_set(&p) {
+            report.push(run_cell("fig10", &format!("|F|={nf}"), &p, solver.as_ref()));
         }
     }
     report
@@ -91,8 +110,8 @@ pub fn fig11(scale: Scale) -> Report {
     for &no in &scale.objects_sweep() {
         let mut p = params.clone();
         p.num_objects = no;
-        for algo in AlgorithmKind::standard_set() {
-            report.push(run_cell("fig11", &format!("|O|={no}"), &p, algo));
+        for solver in standard_set(&p) {
+            report.push(run_cell("fig11", &format!("|O|={no}"), &p, solver.as_ref()));
         }
     }
     report
@@ -110,8 +129,8 @@ pub fn fig12(scale: Scale) -> Report {
         let mut p = params.clone();
         p.dims = 4;
         p.weight_clusters = Some(c);
-        for algo in AlgorithmKind::standard_set() {
-            report.push(run_cell("fig12", &format!("C={c}"), &p, algo));
+        for solver in standard_set(&p) {
+            report.push(run_cell("fig12", &format!("C={c}"), &p, solver.as_ref()));
         }
     }
     report
@@ -124,12 +143,12 @@ pub fn fig13(scale: Scale) -> Report {
     for &frac in &scale.buffer_sweep() {
         let mut p = params.clone();
         p.buffer_fraction = frac;
-        for algo in AlgorithmKind::standard_set() {
+        for solver in standard_set(&p) {
             report.push(run_cell(
                 "fig13",
                 &format!("buffer={}%", (frac * 100.0).round()),
                 &p,
-                algo,
+                solver.as_ref(),
             ));
         }
     }
@@ -147,24 +166,24 @@ pub fn fig14(scale: Scale) -> Report {
     for &k in &scale.capacity_sweep() {
         let mut p = params.clone();
         p.function_capacity = k;
-        for algo in AlgorithmKind::standard_set() {
+        for solver in standard_set(&p) {
             report.push(run_cell(
                 "fig14-function-capacity",
                 &format!("k={k}"),
                 &p,
-                algo,
+                solver.as_ref(),
             ));
         }
     }
     for &k in &scale.capacity_sweep() {
         let mut p = params.clone();
         p.object_capacity = k;
-        for algo in AlgorithmKind::standard_set() {
+        for solver in standard_set(&p) {
             report.push(run_cell(
                 "fig14-object-capacity",
                 &format!("k={k}"),
                 &p,
-                algo,
+                solver.as_ref(),
             ));
         }
     }
@@ -179,13 +198,20 @@ pub fn fig15(scale: Scale) -> Report {
         "Figure 15: effect of function priorities",
         params.describe(),
     );
-    let mut algos = AlgorithmKind::standard_set();
-    algos.push(AlgorithmKind::SbTwoSkylines);
     for &gamma in &scale.priority_sweep() {
         let mut p = params.clone();
         p.max_priority = gamma;
-        for algo in algos.clone() {
-            report.push(run_cell("fig15", &format!("gamma={gamma}"), &p, algo));
+        let mut solvers = standard_set(&p);
+        solvers.push(Box::new(SbSolver {
+            options: SbOptions::two_skylines(),
+        }));
+        for solver in solvers {
+            report.push(run_cell(
+                "fig15",
+                &format!("gamma={gamma}"),
+                &p,
+                solver.as_ref(),
+            ));
         }
     }
     report
@@ -210,8 +236,13 @@ pub fn fig16(scale: Scale) -> Report {
         let mut p = params.clone();
         p.distribution = ObjectDistribution::ZillowLike;
         p.num_objects = no;
-        for algo in AlgorithmKind::standard_set() {
-            report.push(run_cell("fig16-zillow", &format!("|O|={no}"), &p, algo));
+        for solver in standard_set(&p) {
+            report.push(run_cell(
+                "fig16-zillow",
+                &format!("|O|={no}"),
+                &p,
+                solver.as_ref(),
+            ));
         }
     }
     let nba_objects = match scale {
@@ -231,8 +262,13 @@ pub fn fig16(scale: Scale) -> Report {
         p.num_objects = nba_objects;
         p.num_functions = nba_functions;
         p.function_capacity = k;
-        for algo in AlgorithmKind::standard_set() {
-            report.push(run_cell("fig16-nba", &format!("k={k}"), &p, algo));
+        for solver in standard_set(&p) {
+            report.push(run_cell(
+                "fig16-nba",
+                &format!("k={k}"),
+                &p,
+                solver.as_ref(),
+            ));
         }
     }
     report
@@ -258,16 +294,16 @@ pub fn fig17(scale: Scale) -> Report {
             p.dims = d;
             p.distribution = dist;
             let list_buffer = ((p.num_functions as f64) * 0.02 / 256.0).ceil() as usize;
-            let mut algos = AlgorithmKind::standard_set();
-            algos.push(AlgorithmKind::SbAlt {
-                list_buffer_frames: list_buffer.max(1),
-            });
-            for algo in algos {
+            let mut solvers = standard_set(&p);
+            solvers.push(Box::new(SbSolver {
+                options: SbOptions::sb_alt(list_buffer.max(1)),
+            }));
+            for solver in solvers {
                 report.push(run_cell(
                     &format!("fig17-{}", dist.label()),
                     &format!("D={d}"),
                     &p,
-                    algo,
+                    solver.as_ref(),
                 ));
             }
         }
@@ -285,13 +321,11 @@ pub fn ablation_omega(scale: Scale) -> Report {
         params.describe(),
     );
     for omega in [0.005, 0.025, 0.1, 1.0] {
-        let mut p = params.clone();
-        p.omega_fraction = omega;
         report.push(run_cell(
             "ablation-omega",
             &format!("omega={omega}"),
-            &p,
-            AlgorithmKind::Sb,
+            &params,
+            &SbSolver::with_omega(omega),
         ));
     }
     report

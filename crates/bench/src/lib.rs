@@ -9,10 +9,11 @@
 //! * [`Params`] / [`Scale`] — the workload parameters of Table 2, at three
 //!   scales (`quick` for smoke runs, `default` for laptop-sized runs, `paper`
 //!   for the original parameter values),
-//! * [`AlgorithmKind`] — the competitors (Brute Force, Chain, SB and its
-//!   ablation variants, SB-alt),
-//! * [`run_cell`] — generate a workload, build the index, run one algorithm
-//!   and produce a [`Row`] of measurements,
+//! * [`run_cell`] — generate a workload, build the index, run one
+//!   [`pref_assign::Solver`] and produce a [`Row`] of measurements; the
+//!   solver's name is the row's series, so the competitors (Brute Force,
+//!   Chain, SB, its Figure 8 ablations, SB-TwoSkylines, SB-alt) are named
+//!   once, in `pref_assign`'s solver catalogue,
 //! * [`Report`] — collects rows, prints an aligned text table and writes
 //!   machine-readable JSON next to it.
 //!
@@ -24,7 +25,6 @@
 
 #![warn(missing_docs)]
 
-mod algorithms;
 mod params;
 mod report;
 mod runner;
@@ -32,7 +32,6 @@ mod runner;
 pub mod experiments;
 pub mod percentile;
 
-pub use algorithms::AlgorithmKind;
 pub use params::{Params, Scale};
 pub use percentile::{percentile, percentile_us};
 pub use report::{Report, Row};

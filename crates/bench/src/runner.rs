@@ -1,9 +1,8 @@
 //! Workload construction and single-cell execution.
 
-use crate::algorithms::AlgorithmKind;
 use crate::params::Params;
 use crate::report::Row;
-use pref_assign::{ObjectRecord, PreferenceFunction, Problem};
+use pref_assign::{ObjectRecord, PreferenceFunction, Problem, Solver};
 use pref_datagen::{clustered_weight_functions, random_priorities, uniform_weight_functions};
 use pref_rtree::RTree;
 
@@ -54,19 +53,18 @@ pub fn build_index(problem: &Problem, params: &Params) -> Result<RTree, String> 
     Ok(problem.build_tree(None, params.buffer_fraction))
 }
 
-/// Runs one algorithm on one workload and returns the measurement row.
+/// Runs one solver on one workload and returns the measurement row, whose
+/// series is the solver's name.
 ///
 /// `x` is the value of the swept parameter (used as the row's abscissa).
-pub fn run_cell(experiment: &str, x: &str, params: &Params, algo: AlgorithmKind) -> Row {
+pub fn run_cell(experiment: &str, x: &str, params: &Params, solver: &dyn Solver) -> Row {
     let problem = build_problem(params);
     let mut tree = build_index(&problem, params)
         .unwrap_or_else(|e| panic!("invalid workload parameters for {experiment}/{x}: {e}"));
-    let result = algo
-        .solver(params.omega_fraction)
-        .solve(&problem, &mut tree);
+    let result = solver.solve(&problem, &mut tree);
     Row {
         experiment: experiment.to_string(),
-        series: algo.label().to_string(),
+        series: solver.name().to_string(),
         x: x.to_string(),
         io: result.metrics.object_io.io_accesses(),
         aux_io: result.metrics.aux_io.io_accesses(),
@@ -81,6 +79,7 @@ pub fn run_cell(experiment: &str, x: &str, params: &Params, algo: AlgorithmKind)
 mod tests {
     use super::*;
     use crate::params::Scale;
+    use pref_assign::{BruteForceSolver, SbSolver};
     use pref_datagen::ObjectDistribution;
 
     fn tiny_params() -> Params {
@@ -119,8 +118,9 @@ mod tests {
     #[test]
     fn run_cell_produces_consistent_rows() {
         let params = tiny_params();
-        let row_sb = run_cell("test", "x1", &params, AlgorithmKind::Sb);
-        let row_bf = run_cell("test", "x1", &params, AlgorithmKind::BruteForce);
+        let sb = SbSolver::with_omega(params.omega_fraction);
+        let row_sb = run_cell("test", "x1", &params, &sb);
+        let row_bf = run_cell("test", "x1", &params, &BruteForceSolver);
         assert_eq!(row_sb.pairs, row_bf.pairs);
         assert_eq!(row_sb.pairs, 30);
         assert_eq!(row_sb.experiment, "test");

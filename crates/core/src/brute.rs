@@ -13,7 +13,7 @@
 //! the top-1 searches either way.
 
 use crate::matching::Assignment;
-use crate::metrics::{AssignmentResult, MemoryGauge, RunMetrics};
+use crate::metrics::{AssignmentResult, RunMetrics};
 use crate::problem::Problem;
 use pref_rtree::{RTree, RecordId};
 use pref_topk::RankedSearch;
@@ -82,7 +82,7 @@ pub fn brute_force(problem: &Problem, tree: &mut RTree) -> AssignmentResult {
     let mut heap: BinaryHeap<Candidate> = BinaryHeap::with_capacity(n);
 
     let mut assignment = Assignment::new();
-    let mut gauge = MemoryGauge::new();
+    let mut peak_memory_bytes: u64 = 0;
     let mut search_count: u64 = 0;
     let mut loops: u64 = 0;
 
@@ -172,19 +172,19 @@ pub fn brute_force(problem: &Problem, tree: &mut RTree) -> AssignmentResult {
         if loops % 32 == 1 {
             let mem: u64 = searches.iter().map(RankedSearch::memory_bytes).sum::<u64>()
                 + heap.len() as u64 * 32;
-            gauge.observe(mem);
+            peak_memory_bytes = peak_memory_bytes.max(mem);
         }
     }
 
     let mem: u64 =
         searches.iter().map(RankedSearch::memory_bytes).sum::<u64>() + heap.len() as u64 * 32;
-    gauge.observe(mem);
+    peak_memory_bytes = peak_memory_bytes.max(mem);
 
     let metrics = RunMetrics {
         object_io: tree.stats().since(&stats_before),
         aux_io: Default::default(),
         cpu_time: start.elapsed(),
-        peak_memory_bytes: gauge.peak(),
+        peak_memory_bytes,
         loops,
         searches: search_count,
     };

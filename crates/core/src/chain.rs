@@ -7,7 +7,7 @@
 //! cannot resume them, which is why it is the slowest competitor.
 
 use crate::matching::Assignment;
-use crate::metrics::{AssignmentResult, MemoryGauge, RunMetrics};
+use crate::metrics::{AssignmentResult, RunMetrics};
 use crate::problem::Problem;
 use pref_geom::LinearFunction;
 use pref_rtree::{RTree, RTreeConfig, RecordId};
@@ -49,7 +49,7 @@ pub fn chain(problem: &Problem, tree: &mut RTree) -> AssignmentResult {
     let mut supply: u64 = o_remaining.iter().map(|&c| c as u64).sum();
 
     let mut assignment = Assignment::new();
-    let mut gauge = MemoryGauge::new();
+    let mut peak_memory_bytes: u64 = 0;
     let mut queue: VecDeque<Item> = VecDeque::new();
     let mut next_seed = 0usize;
     let mut searches: u64 = 0;
@@ -229,10 +229,12 @@ pub fn chain(problem: &Problem, tree: &mut RTree) -> AssignmentResult {
             }
         }
         if loops % 64 == 1 {
-            gauge.observe(queue.len() as u64 * 16 + ftree.num_pages() as u64 * 64);
+            peak_memory_bytes =
+                peak_memory_bytes.max(queue.len() as u64 * 16 + ftree.num_pages() as u64 * 64);
         }
     }
-    gauge.observe(queue.len() as u64 * 16 + ftree.num_pages() as u64 * 64);
+    peak_memory_bytes =
+        peak_memory_bytes.max(queue.len() as u64 * 16 + ftree.num_pages() as u64 * 64);
 
     // The function R-tree is an auxiliary structure held in main memory (its
     // buffer covers the whole tree), so — like SB's in-memory sorted lists —
@@ -247,7 +249,7 @@ pub fn chain(problem: &Problem, tree: &mut RTree) -> AssignmentResult {
             ..IoStats::default()
         },
         cpu_time: start.elapsed(),
-        peak_memory_bytes: gauge.peak(),
+        peak_memory_bytes,
         loops,
         searches,
     };

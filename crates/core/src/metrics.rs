@@ -1,7 +1,7 @@
 //! Per-run measurements: I/O, CPU time, peak memory of search structures.
 
 use crate::matching::Assignment;
-use pref_storage::{IoStats, PeakTracker};
+use pref_storage::IoStats;
 use serde::{Deserialize, Serialize};
 use std::time::Duration;
 
@@ -75,27 +75,6 @@ pub struct AssignmentResult {
     pub metrics: RunMetrics,
 }
 
-/// Helper that tracks the peak of a recomputed memory figure.
-#[derive(Debug, Default)]
-pub(crate) struct MemoryGauge {
-    tracker: PeakTracker,
-}
-
-impl MemoryGauge {
-    pub(crate) fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records an absolute measurement (bytes).
-    pub(crate) fn observe(&mut self, bytes: u64) {
-        self.tracker.observe(bytes);
-    }
-
-    pub(crate) fn peak(&self) -> u64 {
-        self.tracker.peak()
-    }
-}
-
 mod duration_serde {
     use serde::{Deserialize, Deserializer, Serialize, Serializer};
     use std::time::Duration;
@@ -139,14 +118,5 @@ mod tests {
         let back: RunMetrics = serde_json::from_str(&json).unwrap();
         assert_eq!(back.loops, 7);
         assert!((back.cpu_seconds() - 0.25).abs() < 1e-9);
-    }
-
-    #[test]
-    fn memory_gauge_tracks_peak() {
-        let mut g = MemoryGauge::new();
-        g.observe(10);
-        g.observe(100);
-        g.observe(50);
-        assert_eq!(g.peak(), 100);
     }
 }

@@ -21,12 +21,12 @@
 //! calls.
 
 use crate::matching::Assignment;
-use crate::metrics::{AssignmentResult, MemoryGauge, RunMetrics};
+use crate::metrics::{AssignmentResult, RunMetrics};
 use crate::pairing::Pairing;
 use crate::problem::Problem;
 use pref_geom::Point;
 use pref_rtree::{RTree, RecordId};
-use pref_skyline::{compute_skyline_bbs, delta_sky_update, skyline_sfs, update_skyline, Skyline};
+use pref_skyline::{compute_skyline_bbs, delta_sky_update, skyline_by_id, update_skyline, Skyline};
 use pref_storage::IoStats;
 use pref_topk::{
     batch_best_functions, DiskFunctionLists, FunctionLists, ReverseTopOne, ScanTopOne,
@@ -284,7 +284,7 @@ pub fn sb_with_skyline(
 
     let mut pairing = Pairing::new(n_fun, n_obj);
     let mut assignment = Assignment::new();
-    let mut gauge = MemoryGauge::new();
+    let mut peak_memory_bytes: u64 = 0;
     let mut loops: u64 = 0;
     let mut searches: u64 = 0;
     let mut aux_reads: u64 = 0;
@@ -317,8 +317,10 @@ pub fn sb_with_skyline(
             Lists::Memory(_) => None,
         };
         let view = lists.view();
-        // candidate function set for the two-skyline strategy, sorted so that
-        // exact score ties resolve to the lowest function index
+        // candidate function set for the two-skyline strategy: a function
+        // leaves only when a lower index, which wins every exact tie, weakly
+        // dominates its effective weights; ascending, so that the scan below
+        // resolves exact score ties to the lowest function index
         let function_skyline: Option<Vec<usize>> = match options.best_pair {
             BestPairStrategy::TwoSkylines => {
                 let alive: Vec<(RecordId, Point)> = view
@@ -331,12 +333,12 @@ pub fn sb_with_skyline(
                         )
                     })
                     .collect();
-                let mut sky_fns: Vec<usize> = skyline_sfs(&alive)
-                    .into_iter()
-                    .map(|r| r.0 as usize)
-                    .collect();
-                sky_fns.sort_unstable();
-                Some(sky_fns)
+                Some(
+                    skyline_by_id(&alive)
+                        .into_iter()
+                        .map(|r| r.0 as usize)
+                        .collect(),
+                )
             }
             _ => None,
         };
@@ -448,7 +450,7 @@ pub fn sb_with_skyline(
             .filter_map(|&oi| states[oi].as_ref())
             .map(ObjectSearch::memory_bytes)
             .sum();
-        gauge.observe(skyline.memory_bytes() + search_mem);
+        peak_memory_bytes = peak_memory_bytes.max(skyline.memory_bytes() + search_mem);
     }
 
     let metrics = RunMetrics {
@@ -465,7 +467,7 @@ pub fn sb_with_skyline(
             Lists::Disk(disk) => disk.stats(),
         },
         cpu_time: start.elapsed(),
-        peak_memory_bytes: gauge.peak(),
+        peak_memory_bytes,
         loops,
         searches,
     };
@@ -482,6 +484,7 @@ mod tests {
     use crate::matching::verify_stable;
     use crate::oracle::oracle;
     use crate::problem::{ObjectRecord, PreferenceFunction};
+    use crate::solver::all_solvers;
     use pref_datagen::{
         anti_correlated_objects, correlated_objects, independent_objects, random_priorities,
         uniform_weight_functions,
@@ -505,32 +508,18 @@ mod tests {
         .unwrap()
     }
 
-    fn all_option_sets() -> Vec<SbOptions> {
-        vec![
-            SbOptions::default(),
-            SbOptions::update_skyline_only(),
-            SbOptions::delta_sky(),
-            SbOptions {
-                best_pair: BestPairStrategy::ResumableTa {
-                    omega_fraction: 0.025,
-                },
-                ..SbOptions::default()
-            },
-            SbOptions::sb_alt(4),
-        ]
-    }
-
     #[test]
     fn solves_the_paper_example_with_every_variant() {
         let p = figure1_problem();
-        for opts in all_option_sets() {
+        for solver in all_solvers() {
             let mut tree = p.build_tree(None, 0.0);
-            let result = sb(&p, &mut tree, &opts);
+            let result = solver.solve(&p, &mut tree);
             verify_stable(&p, &result.assignment).unwrap();
             assert_eq!(
                 result.assignment.canonical(),
                 oracle(&p).canonical(),
-                "variant {opts:?}"
+                "{}",
+                solver.name()
             );
         }
     }
@@ -563,11 +552,11 @@ mod tests {
         for (functions, objects) in instances {
             let p = Problem::from_parts(functions, objects).unwrap();
             let want = oracle(&p).canonical();
-            for opts in all_option_sets() {
+            for solver in all_solvers() {
                 let mut tree = p.build_tree(Some(16), 0.02);
-                let result = sb(&p, &mut tree, &opts);
+                let result = solver.solve(&p, &mut tree);
                 verify_stable(&p, &result.assignment).unwrap();
-                assert_eq!(result.assignment.canonical(), want, "variant {opts:?}");
+                assert_eq!(result.assignment.canonical(), want, "{}", solver.name());
             }
         }
     }
@@ -618,11 +607,11 @@ mod tests {
                 .collect();
             let p = Problem::new(functions, objects).unwrap();
             let want = oracle(&p).canonical();
-            for opts in all_option_sets() {
+            for solver in all_solvers() {
                 let mut tree = p.build_tree(Some(8), 0.0);
-                let result = sb(&p, &mut tree, &opts);
+                let result = solver.solve(&p, &mut tree);
                 verify_stable(&p, &result.assignment).unwrap();
-                assert_eq!(result.assignment.canonical(), want, "variant {opts:?}");
+                assert_eq!(result.assignment.canonical(), want, "{}", solver.name());
             }
         }
     }
@@ -654,6 +643,30 @@ mod tests {
             verify_stable(&p, &result.assignment).unwrap();
             assert_eq!(result.assignment.canonical(), want, "variant {opts:?}");
         }
+    }
+
+    /// Two functions one ulp apart tie exactly on the object; the lower
+    /// index wins the tie, so the higher one's dominating weights must not
+    /// prune it from the two-skyline candidates.
+    #[test]
+    fn two_skylines_keeps_a_dominated_function_that_wins_a_tie() {
+        let w: [f64; 2] = [0.5, 0.5];
+        let f0 = LinearFunction::from_normalized(w.to_vec()).unwrap();
+        let f1 = LinearFunction::from_normalized(w.map(f64::next_up).to_vec()).unwrap();
+        let o = Point::from_slice(&[0.3, 0.7]);
+        assert_eq!(f0.score(&o).to_bits(), f1.score(&o).to_bits());
+        let p = Problem::new(
+            vec![
+                PreferenceFunction::new(0, f0),
+                PreferenceFunction::new(1, f1),
+            ],
+            vec![ObjectRecord::new(0, o)],
+        )
+        .unwrap();
+        let want = oracle(&p).canonical();
+        let mut tree = p.build_tree(None, 0.0);
+        let result = sb(&p, &mut tree, &SbOptions::two_skylines());
+        assert_eq!(result.assignment.canonical(), want);
     }
 
     #[test]

@@ -7,11 +7,14 @@
 //! recompute baseline — can treat "a way to compute the stable matching" as
 //! a value. The free functions remain the primitive entry points; the trait
 //! impls are thin, allocation-free adapters over them. Every SB variant,
-//! SB-alt included, is one [`SbSolver`] with its [`SbOptions`].
+//! SB-alt included, is one [`SbSolver`] with its [`SbOptions`], and its
+//! [`Solver::name`] is the figure series that configuration is.
+//! [`all_solvers`] is the one catalogue: every series of the paper's
+//! evaluation, each held to the exact oracle by the property sweeps.
 
 use crate::metrics::AssignmentResult;
 use crate::problem::Problem;
-use crate::sb::SbOptions;
+use crate::sb::{BestPairStrategy, MaintenanceStrategy, SbOptions};
 use pref_rtree::RTree;
 
 /// A stable-assignment algorithm: anything that can turn a [`Problem`] and
@@ -44,7 +47,7 @@ impl SbSolver {
     pub fn with_omega(omega_fraction: f64) -> Self {
         Self {
             options: SbOptions {
-                best_pair: crate::sb::BestPairStrategy::ResumableTa { omega_fraction },
+                best_pair: BestPairStrategy::ResumableTa { omega_fraction },
                 ..SbOptions::default()
             },
         }
@@ -52,8 +55,28 @@ impl SbSolver {
 }
 
 impl Solver for SbSolver {
+    /// The figure series these options are: `"SB"` for the resumable TA
+    /// ([`SbSolver::with_omega`]), the preset's series for the other
+    /// [`SbOptions`] presets, `"SB (scan)"` for the default, and
+    /// `"SB (custom)"` for any other combination. Threads do not count.
     fn name(&self) -> &'static str {
-        "SB"
+        use BestPairStrategy as B;
+        use MaintenanceStrategy as M;
+        let SbOptions {
+            maintenance,
+            best_pair,
+            multiple_pairs_per_loop,
+            threads: _,
+        } = &self.options;
+        match (maintenance, best_pair, multiple_pairs_per_loop) {
+            (M::UpdateSkyline, B::ResumableTa { .. }, true) => "SB",
+            (M::UpdateSkyline, B::FreshTa, false) => "SB-UpdateSkyline",
+            (M::DeltaSky, B::FreshTa, false) => "SB-DeltaSky",
+            (M::UpdateSkyline, B::TwoSkylines, true) => "SB-TwoSkylines",
+            (M::UpdateSkyline, B::Batch { .. }, true) => "SB-alt",
+            (M::UpdateSkyline, B::Scan, true) => "SB (scan)",
+            _ => "SB (custom)",
+        }
     }
 
     fn solve(&self, problem: &Problem, tree: &mut RTree) -> AssignmentResult {
@@ -89,16 +112,21 @@ impl Solver for BruteForceSolver {
     }
 }
 
-/// Every solver variant at its default configuration, as trait objects —
-/// the set the oracle-equality property tests sweep.
+/// Every solver the paper's evaluation reports, plus the default SB, as
+/// trait objects: the set the oracle-equality property tests sweep. SB runs
+/// with the paper's Ω = 2.5 % and SB-alt with an 8-block list buffer.
 pub fn all_solvers() -> Vec<Box<dyn Solver>> {
     vec![
         Box::new(SbSolver::default()),
+        Box::new(SbSolver::with_omega(0.025)),
         Box::new(SbSolver {
             options: SbOptions::update_skyline_only(),
         }),
         Box::new(SbSolver {
             options: SbOptions::delta_sky(),
+        }),
+        Box::new(SbSolver {
+            options: SbOptions::two_skylines(),
         }),
         Box::new(SbSolver {
             options: SbOptions::sb_alt(8),
@@ -153,21 +181,30 @@ mod tests {
 
     #[test]
     fn names_are_distinct_per_algorithm_family() {
-        let mut names: Vec<&str> = vec![
-            SbSolver::default().name(),
-            ChainSolver.name(),
-            BruteForceSolver.name(),
-        ];
+        let solvers = all_solvers();
+        let mut names: Vec<&str> = solvers.iter().map(|s| s.name()).collect();
         names.sort_unstable();
         names.dedup();
-        assert_eq!(names.len(), 3);
+        assert_eq!(names.len(), solvers.len(), "{names:?}");
+        // every series of the paper's Section 7 is in the catalogue
+        for series in [
+            "Brute Force",
+            "Chain",
+            "SB",
+            "SB-UpdateSkyline",
+            "SB-DeltaSky",
+            "SB-TwoSkylines",
+            "SB-alt",
+        ] {
+            assert!(names.contains(&series), "{series} is missing");
+        }
     }
 
     #[test]
     fn with_omega_sets_the_candidate_queue_fraction() {
         let s = SbSolver::with_omega(0.1);
         match s.options.best_pair {
-            crate::sb::BestPairStrategy::ResumableTa { omega_fraction } => {
+            BestPairStrategy::ResumableTa { omega_fraction } => {
                 assert!((omega_fraction - 0.1).abs() < 1e-12)
             }
             other => panic!("unexpected strategy {other:?}"),

@@ -23,8 +23,8 @@ const COMPACTION_BATCH: usize = 64;
 /// Configuration of an [`AssignmentEngine`].
 #[derive(Debug, Clone, Default)]
 pub struct EngineOptions {
-    /// Worker threads of the one SB solve that [`AssignmentEngine::new`] /
-    /// [`AssignmentEngine::restore`] adopt, passed through as
+    /// Worker threads of the one SB solve that [`AssignmentEngine::new`]
+    /// adopts, passed through as
     /// [`SbOptions::threads`] (`None` = `PREF_THREADS`, then available
     /// parallelism; `Some(n)` pins `n`, which must be ≥ 1). Repair after
     /// construction is serial — a round scores ~10³ candidates — and the
@@ -146,12 +146,6 @@ pub struct EngineStats {
     pub tree_records: u64,
     /// Gauge: R-tree nodes (= live pages of the simulated store).
     pub tree_pages: u64,
-    /// Gauge: node pages written back to a persistent storage backend (dirty
-    /// evictions and flushes). Zero for the default in-memory backend.
-    pub tree_page_writes: u64,
-    /// Gauge: durability barriers (`fsync`-like) issued by the tree's storage
-    /// backend. Zero for the default in-memory backend.
-    pub tree_sync_calls: u64,
 }
 
 impl EngineStats {
@@ -499,7 +493,7 @@ impl AssignmentEngine {
     /// matching, and its skyline of the unexhausted objects, which *is* the
     /// free-pool skyline (pruned lists included) that later updates patch.
     /// Index construction is not charged I/O (as in the batch experiments);
-    /// the solve is, see [`AssignmentEngine::initial_object_io`].
+    /// the solve is, and [`AssignmentEngine::update_object_io`] leaves it out.
     pub fn new(problem: &Problem, options: &EngineOptions) -> Result<Self, EngineError> {
         options.validate()?;
         let mut tree = problem.build_tree(None, BUFFER_FRACTION);
@@ -584,21 +578,6 @@ impl AssignmentEngine {
         })
     }
 
-    /// Rebuilds an engine from an exported checkpoint — the restore half of
-    /// [`AssignmentEngine::export_snapshot`], used by the serving tier's
-    /// crash recovery. The live populations are re-indexed and re-solved by
-    /// [`AssignmentEngine::new`]; by the restart-equivalence guarantee (pinned
-    /// by the `restart_equivalence` test battery) the resulting canonical
-    /// matching is byte-identical to the exporting engine's.
-    pub fn restore(
-        snapshot: &EngineSnapshot,
-        options: &EngineOptions,
-    ) -> Result<Self, EngineError> {
-        let problem = Problem::new(snapshot.functions.clone(), snapshot.objects.clone())
-            .map_err(|_| EngineError::EmptyProblem)?;
-        Self::new(&problem, options)
-    }
-
     /// Dimensionality of the engine's problem.
     pub fn dims(&self) -> usize {
         self.dims
@@ -628,9 +607,6 @@ impl AssignmentEngine {
         stats.tombstoned_objects = self.tombstones.len() as u64;
         stats.tree_records = self.tree.len() as u64;
         stats.tree_pages = self.tree.num_pages() as u64;
-        let io = self.tree.stats();
-        stats.tree_page_writes = io.page_writes;
-        stats.tree_sync_calls = io.sync_calls;
         stats
     }
 
@@ -658,11 +634,6 @@ impl AssignmentEngine {
     /// Cumulative object R-tree I/O (initial stabilization + all updates).
     pub fn total_object_io(&self) -> IoStats {
         self.tree.stats()
-    }
-
-    /// Object R-tree I/O of the initial BBS + stabilization.
-    pub fn initial_object_io(&self) -> IoStats {
-        self.initial_io
     }
 
     /// Object R-tree I/O spent on updates since the initial stabilization.

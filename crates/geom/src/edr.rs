@@ -3,36 +3,12 @@
 //! When a skyline object `o` is removed, the only points that may enter the
 //! skyline are the ones *exclusively dominated* by `o`: dominated by `o` but
 //! not dominated by any remaining skyline object (Section 2.2, Figure 3).
-//! These helpers implement the membership and intersection predicates used by
-//! the DeltaSky-style baseline maintenance and by tests of `UpdateSkyline`;
-//! they deliberately avoid materializing the EDR (which consists of up to
-//! `|Osky|^D` hyper-rectangles) and instead answer the two questions the
-//! algorithms actually need:
-//!
-//! * is a concrete point inside the EDR? ([`point_in_edr`])
-//! * may an MBR contain EDR points? ([`mbr_may_intersect_edr`])
+//! [`mbr_may_intersect_edr`] answers the one question the DeltaSky-style
+//! baseline maintenance needs — may an MBR contain EDR points? — without
+//! materializing the EDR (which consists of up to `|Osky|^D`
+//! hyper-rectangles).
 
 use crate::{Mbr, Point};
-
-/// The (closed) dominance region of `o`: the box `[origin, o]` containing all
-/// points that `o` dominates or equals.
-pub fn dominance_region(o: &Point) -> Mbr {
-    Mbr::new(vec![0.0; o.dims()], o.coords().to_vec())
-        .expect("dominance region corners are always valid")
-}
-
-/// `true` iff `p` lies in the exclusive dominance region of `removed` with
-/// respect to the remaining skyline objects: `removed` dominates `p` (or
-/// coincides with it) and no remaining skyline object dominates `p`.
-pub fn point_in_edr<'a, I>(p: &Point, removed: &Point, remaining_skyline: I) -> bool
-where
-    I: IntoIterator<Item = &'a Point>,
-{
-    if !removed.dominates_or_equal(p) {
-        return false;
-    }
-    !remaining_skyline.into_iter().any(|s| s.dominates(p))
-}
 
 /// Conservative intersection test between an MBR and the EDR of `removed`.
 ///
@@ -70,32 +46,6 @@ where
         .any(|s| s.dominates(&clipped_top))
 }
 
-/// Computes, by brute force over candidate points, the set of points that
-/// enter the skyline when `removed` is deleted. Used as a test oracle for the
-/// incremental maintenance algorithms.
-pub fn skyline_delta_after_removal<'a>(
-    removed: &Point,
-    remaining_skyline: &[Point],
-    candidates: impl IntoIterator<Item = &'a Point>,
-) -> Vec<Point> {
-    let candidates: Vec<&Point> = candidates.into_iter().collect();
-    let mut delta: Vec<Point> = Vec::new();
-    for (i, &c) in candidates.iter().enumerate() {
-        if !point_in_edr(c, removed, remaining_skyline.iter()) {
-            continue;
-        }
-        // c must additionally not be dominated by another candidate in the EDR
-        let dominated_by_candidate = candidates
-            .iter()
-            .enumerate()
-            .any(|(j, &other)| j != i && other.dominates(c));
-        if !dominated_by_candidate {
-            delta.push(c.clone());
-        }
-    }
-    delta
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -104,14 +54,18 @@ mod tests {
         Point::from_slice(c)
     }
 
-    #[test]
-    fn dominance_region_is_box_to_origin() {
-        let o = p(&[0.6, 0.3]);
-        let dr = dominance_region(&o);
-        assert_eq!(dr.lower(), &[0.0, 0.0]);
-        assert_eq!(dr.upper(), &[0.6, 0.3]);
-        assert!(dr.contains_point(&p(&[0.2, 0.1])));
-        assert!(!dr.contains_point(&p(&[0.7, 0.1])));
+    /// The reference [`mbr_may_intersect_edr`] is held to: `true` iff `p`
+    /// lies in the exclusive dominance region of `removed` with respect to
+    /// the remaining skyline objects — `removed` dominates `p` (or coincides
+    /// with it) and no remaining skyline object dominates `p`.
+    fn point_in_edr<'a, I>(p: &Point, removed: &Point, remaining_skyline: I) -> bool
+    where
+        I: IntoIterator<Item = &'a Point>,
+    {
+        if !removed.dominates_or_equal(p) {
+            return false;
+        }
+        !remaining_skyline.into_iter().any(|s| s.dominates(p))
     }
 
     #[test]
@@ -182,22 +136,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn delta_oracle_finds_new_skyline_points() {
-        // skyline {e=(0.8,0.8)}; below it: d=(0.7,0.75), i=(0.75,0.4), c=(0.3,0.78),
-        // and k=(0.6,0.6) dominated by d.
-        let e = p(&[0.8, 0.8]);
-        let dd = p(&[0.7, 0.75]);
-        let i = p(&[0.75, 0.4]);
-        let c = p(&[0.3, 0.78]);
-        let k = p(&[0.6, 0.6]);
-        let candidates = [dd.clone(), i.clone(), c.clone(), k];
-        let delta = skyline_delta_after_removal(&e, &[], candidates.iter());
-        assert!(delta.contains(&dd));
-        assert!(delta.contains(&i));
-        assert!(delta.contains(&c));
-        assert_eq!(delta.len(), 3, "k is dominated by d and must not appear");
     }
 }

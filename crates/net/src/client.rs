@@ -7,6 +7,7 @@
 use crate::frame::{self, Frame};
 use crate::NetError;
 use pref_service::{encode_batch, UpdateOp};
+use pref_storage::ByteReader;
 use std::net::{TcpStream, ToSocketAddrs};
 
 /// A snapshot read answered over the network.
@@ -85,25 +86,17 @@ impl NetClient {
     /// Service-wide stats.
     pub fn stats(&mut self, tenant: u64) -> Result<StatsReply, NetError> {
         let reply = self.roundtrip(frame::OP_STATS, tenant, Vec::new())?;
-        if reply.payload.len() != 48 {
-            return Err(NetError::UnexpectedReply(format!(
-                "stats reply of {} bytes (want 48)",
-                reply.payload.len()
-            )));
-        }
-        let word = |at: usize| {
-            let mut bytes = [0u8; 8];
-            bytes.copy_from_slice(&reply.payload[at * 8..at * 8 + 8]);
-            u64::from_le_bytes(bytes)
+        let mut r = ByteReader::new(&reply.payload, "stats reply");
+        let stats = StatsReply {
+            submitted: r.u64()?,
+            processed: r.u64()?,
+            rejected: r.u64()?,
+            live_objects: r.u64()?,
+            live_functions: r.u64()?,
+            published_versions: r.u64()?,
         };
-        Ok(StatsReply {
-            submitted: word(0),
-            processed: word(1),
-            rejected: word(2),
-            live_objects: word(3),
-            live_functions: word(4),
-            published_versions: word(5),
-        })
+        r.finish()?;
+        Ok(stats)
     }
 
     /// Submits one update batch to `tenant`'s shard. An `Ok` means the
@@ -145,39 +138,17 @@ impl NetClient {
 
 /// Decodes `[version][found][count][pairs]` read replies.
 fn decode_read_reply(reply: &Frame) -> Result<AssignmentReply, NetError> {
-    let payload = &reply.payload;
-    if payload.len() < 13 {
-        return Err(NetError::UnexpectedReply(format!(
-            "read reply of {} bytes (want at least 13)",
-            payload.len()
-        )));
-    }
-    let mut version_bytes = [0u8; 8];
-    version_bytes.copy_from_slice(&payload[..8]);
-    let found = payload[8] != 0;
-    let mut count_bytes = [0u8; 4];
-    count_bytes.copy_from_slice(&payload[9..13]);
-    let count = u32::from_le_bytes(count_bytes) as usize;
-    if payload.len() != 13 + count * 16 {
-        return Err(NetError::UnexpectedReply(format!(
-            "read reply of {} bytes for {count} pairs",
-            payload.len()
-        )));
-    }
+    let mut r = ByteReader::new(&reply.payload, "read reply");
+    let version = r.u64()?;
+    let found = r.u8()? != 0;
+    let count = r.count(16)?;
     let mut pairs = Vec::with_capacity(count);
-    for pair in 0..count {
-        let at = 13 + pair * 16;
-        let mut id_bytes = [0u8; 8];
-        id_bytes.copy_from_slice(&payload[at..at + 8]);
-        let mut score_bytes = [0u8; 8];
-        score_bytes.copy_from_slice(&payload[at + 8..at + 16]);
-        pairs.push((
-            u64::from_le_bytes(id_bytes),
-            f64::from_bits(u64::from_le_bytes(score_bytes)),
-        ));
+    for _ in 0..count {
+        pairs.push((r.u64()?, r.f64()?));
     }
+    r.finish()?;
     Ok(AssignmentReply {
-        version: u64::from_le_bytes(version_bytes),
+        version,
         found,
         pairs,
     })

@@ -98,6 +98,13 @@ impl From<FrameError> for NetError {
     }
 }
 
+/// A reply body that did not decode is the reply the request did not expect.
+impl From<pref_storage::StorageError> for NetError {
+    fn from(e: pref_storage::StorageError) -> Self {
+        NetError::UnexpectedReply(e.to_string())
+    }
+}
+
 impl NetError {
     /// True when the server rejected the request at the admission gate —
     /// the tenant's token bucket ([`frame::ERR_RATE_LIMITED`]) or the

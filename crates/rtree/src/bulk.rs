@@ -34,15 +34,6 @@ impl RTree {
         Ok(tree)
     }
 
-    /// Convenience constructor with default configuration for the points'
-    /// dimensionality.
-    pub fn bulk_load_default(records: Vec<(RecordId, Point)>) -> Result<Self, RTreeError> {
-        let dims = records.first().map(|(_, p)| p.dims()).ok_or_else(|| {
-            RTreeError::CorruptTree("cannot infer dimensionality of empty input".into())
-        })?;
-        Self::bulk_load(RTreeConfig::for_dims(dims), records)
-    }
-
     fn build_from_entries(&mut self, entries: Vec<DataEntry>) {
         // Pack the leaf level. Classic STR packs nodes to full fanout; the
         // balanced chunking below guarantees that every produced node holds at
@@ -251,14 +242,6 @@ mod tests {
             (RecordId(1), Point::from_slice(&[0.1, 0.2, 0.3])),
         ];
         assert!(RTree::bulk_load(RTreeConfig::for_dims(2), recs).is_err());
-    }
-
-    #[test]
-    fn bulk_load_default_infers_dims() {
-        let recs = random_records(100, 5, 4);
-        let t = RTree::bulk_load_default(recs).unwrap();
-        assert_eq!(t.dims(), 5);
-        assert!(RTree::bulk_load_default(vec![]).is_err());
     }
 
     #[test]

@@ -15,7 +15,7 @@
 
 use crate::entry::{DataEntry, Node, NodeEntry, RecordId};
 use pref_geom::{Mbr, Point};
-use pref_storage::{PageCodec, PageId, StorageError, PAGE_SIZE};
+use pref_storage::{ByteReader, PageCodec, PageId, StorageError, PAGE_SIZE};
 
 const NODE_HEADER: usize = 4 + 2 + 4;
 /// Per-slot overhead added by [`pref_storage::FileBackend`] (length + crc).
@@ -32,50 +32,6 @@ pub fn node_slot_size(dims: usize, max_entries: usize) -> usize {
     let entry = 8 + 2 * dims * 8;
     let needed = SLOT_HEADER + NODE_HEADER + (max_entries + 1) * entry;
     needed.max(PAGE_SIZE)
-}
-
-struct Reader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], StorageError> {
-        let out = self
-            .bytes
-            .get(self.pos..self.pos + n)
-            .ok_or_else(|| StorageError::Corrupt("node page truncated".into()))?;
-        self.pos += n;
-        Ok(out)
-    }
-
-    fn u16(&mut self) -> Result<u16, StorageError> {
-        let b = self.take(2)?;
-        Ok(u16::from_le_bytes([b[0], b[1]]))
-    }
-
-    fn u32(&mut self) -> Result<u32, StorageError> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    fn u64(&mut self) -> Result<u64, StorageError> {
-        let b = self.take(8)?;
-        Ok(u64::from_le_bytes([
-            b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
-        ]))
-    }
-
-    fn coords(&mut self, dims: usize) -> Result<Vec<f64>, StorageError> {
-        let mut out = Vec::with_capacity(dims);
-        for _ in 0..dims {
-            let b = self.take(8)?;
-            out.push(f64::from_le_bytes([
-                b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
-            ]));
-        }
-        Ok(out)
-    }
 }
 
 impl PageCodec for Node {
@@ -115,10 +71,15 @@ impl PageCodec for Node {
     }
 
     fn decode_page(bytes: &[u8]) -> Result<Self, StorageError> {
-        let mut r = Reader { bytes, pos: 0 };
+        let mut r = ByteReader::new(bytes, "node page");
         let level = r.u32()?;
         let dims = r.u16()? as usize;
-        let count = r.u32()? as usize;
+        let entry = if level == 0 {
+            8 + dims * 8
+        } else {
+            8 + 2 * dims * 8
+        };
+        let count = r.count(entry)?;
         if count > 0 && dims == 0 {
             return Err(StorageError::Corrupt(
                 "non-empty node page with zero dimensionality".into(),
@@ -128,23 +89,19 @@ impl PageCodec for Node {
         for _ in 0..count {
             if level == 0 {
                 let record = RecordId(r.u64()?);
-                let point = Point::from_slice(&r.coords(dims)?);
+                let point = Point::from_slice(&r.f64s(dims)?);
                 entries.push(NodeEntry::Data(DataEntry::new(record, point)));
             } else {
                 let page = PageId::new(r.u64()?);
-                let lower = r.coords(dims)?;
-                let upper = r.coords(dims)?;
+                let lower = r.f64s(dims)?;
+                let upper = r.f64s(dims)?;
                 let mbr = Mbr::new(lower, upper).map_err(|e| {
                     StorageError::Corrupt(format!("node page holds an invalid MBR: {e}"))
                 })?;
                 entries.push(NodeEntry::Child { mbr, page });
             }
         }
-        if r.pos != bytes.len() {
-            return Err(StorageError::Corrupt(
-                "trailing bytes after node page entries".into(),
-            ));
-        }
+        r.finish()?;
         Ok(Node { level, entries })
     }
 }
@@ -244,5 +201,14 @@ mod tests {
         // trailing garbage is rejected too
         buf.push(0);
         assert!(Node::decode_page(&buf).is_err());
+    }
+
+    #[test]
+    fn a_lying_entry_count_is_refused_before_allocating() {
+        let mut page = 0u32.to_le_bytes().to_vec();
+        page.extend(2u16.to_le_bytes());
+        page.extend(u32::MAX.to_le_bytes());
+        let err = Node::decode_page(&page).unwrap_err();
+        assert!(matches!(err, StorageError::Corrupt(_)), "{err:?}");
     }
 }

@@ -26,7 +26,7 @@ use pref_engine::{AssignmentEngine, EngineOptions};
 use pref_geom::{LinearFunction, Point};
 use pref_rtree::RecordId;
 use pref_storage::wal::{self, SegmentTail, WalWriter};
-use pref_storage::StorageError;
+use pref_storage::{ByteReader, StorageError};
 use std::path::{Path, PathBuf};
 
 /// When the WAL is fsynced relative to batch acknowledgement: always, once
@@ -81,68 +81,12 @@ const TAG_REMOVE_OBJECT: u8 = 1;
 const TAG_INSERT_FUNCTION: u8 = 2;
 const TAG_REMOVE_FUNCTION: u8 = 3;
 
-struct Cursor<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn new(bytes: &'a [u8]) -> Self {
-        Self { bytes, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], StorageError> {
-        let out = self
-            .bytes
-            .get(self.pos..self.pos + n)
-            .ok_or_else(|| StorageError::Corrupt("durability payload truncated".into()))?;
-        self.pos += n;
-        Ok(out)
-    }
-
-    fn u8(&mut self) -> Result<u8, StorageError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u16(&mut self) -> Result<u16, StorageError> {
-        let b = self.take(2)?;
-        Ok(u16::from_le_bytes([b[0], b[1]]))
-    }
-
-    fn u32(&mut self) -> Result<u32, StorageError> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    fn u64(&mut self) -> Result<u64, StorageError> {
-        let b = self.take(8)?;
-        Ok(u64::from_le_bytes([
-            b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
-        ]))
-    }
-
-    fn f64(&mut self) -> Result<f64, StorageError> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
-    fn f64s(&mut self, n: usize) -> Result<Vec<f64>, StorageError> {
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            out.push(self.f64()?);
-        }
-        Ok(out)
-    }
-
-    fn done(&self) -> Result<(), StorageError> {
-        if self.pos == self.bytes.len() {
-            Ok(())
-        } else {
-            Err(StorageError::Corrupt(
-                "trailing bytes after durability payload".into(),
-            ))
-        }
-    }
-}
+// The smallest encoding of each counted item, for `ByteReader::count`: a
+// remove op (tag + id), a function with no weights (id, capacity, priority,
+// dims), an object with no coordinates (id, capacity, dims).
+const SMALLEST_OP: usize = 1 + 8;
+const SMALLEST_FUNCTION: usize = 8 + 4 + 8 + 2;
+const SMALLEST_OBJECT: usize = 8 + 4 + 2;
 
 fn encode_object(o: &ObjectRecord, buf: &mut Vec<u8>) {
     buf.extend_from_slice(&o.id.raw().to_le_bytes());
@@ -174,7 +118,7 @@ fn function_refusal(f: &PreferenceFunction) -> Option<&'static str> {
     (f.capacity == 0).then_some("capacity 0")
 }
 
-fn decode_object(r: &mut Cursor<'_>) -> Result<ObjectRecord, StorageError> {
+fn decode_object(r: &mut ByteReader<'_>) -> Result<ObjectRecord, StorageError> {
     let id = r.u64()?;
     let capacity = r.u32()?;
     let dims = r.u16()? as usize;
@@ -201,7 +145,7 @@ fn encode_function(f: &PreferenceFunction, buf: &mut Vec<u8>) {
     }
 }
 
-fn decode_function(r: &mut Cursor<'_>) -> Result<PreferenceFunction, StorageError> {
+fn decode_function(r: &mut ByteReader<'_>) -> Result<PreferenceFunction, StorageError> {
     let id = r.u64()?;
     let capacity = r.u32()?;
     let priority = r.f64()?;
@@ -257,14 +201,9 @@ pub fn encode_batch(batch: &[UpdateOp]) -> Vec<u8> {
 /// that are empty or not finite and weights that are not a normalized,
 /// non-negative vector are all errors.
 pub fn decode_batch(bytes: &[u8]) -> Result<Vec<UpdateOp>, StorageError> {
-    let mut r = Cursor::new(bytes);
-    let count = r.u32()? as usize;
-    // the count is untrusted input (WAL corruption, hostile wire frames):
-    // cap the preallocation by what the bytes could possibly hold (the
-    // smallest op is a 9-byte remove) and let the strict reads below
-    // surface the truncation as an error instead of an allocation
-    let smallest_op = 9;
-    let mut out = Vec::with_capacity(count.min(bytes.len() / smallest_op + 1));
+    let mut r = ByteReader::new(bytes, "durability payload");
+    let count = r.count(SMALLEST_OP)?;
+    let mut out = Vec::with_capacity(count);
     for _ in 0..count {
         let op = match r.u8()? {
             TAG_INSERT_OBJECT => UpdateOp::InsertObject(decode_object(&mut r)?),
@@ -279,7 +218,7 @@ pub fn decode_batch(bytes: &[u8]) -> Result<Vec<UpdateOp>, StorageError> {
         };
         out.push(op);
     }
-    r.done()?;
+    r.finish()?;
     Ok(out)
 }
 
@@ -306,18 +245,18 @@ pub(crate) fn encode_checkpoint(
 pub(crate) fn decode_checkpoint(
     bytes: &[u8],
 ) -> Result<(Vec<PreferenceFunction>, Vec<ObjectRecord>), StorageError> {
-    let mut r = Cursor::new(bytes);
-    let nfun = r.u32()? as usize;
+    let mut r = ByteReader::new(bytes, "durability payload");
+    let nfun = r.count(SMALLEST_FUNCTION)?;
     let mut functions = Vec::with_capacity(nfun);
     for _ in 0..nfun {
         functions.push(decode_function(&mut r)?);
     }
-    let nobj = r.u32()? as usize;
+    let nobj = r.count(SMALLEST_OBJECT)?;
     let mut objects = Vec::with_capacity(nobj);
     for _ in 0..nobj {
         objects.push(decode_object(&mut r)?);
     }
-    r.done()?;
+    r.finish()?;
     Ok((functions, objects))
 }
 
@@ -688,6 +627,20 @@ mod tests {
         let rec = ShardDurability::recover(&dir, 100).unwrap();
         assert_eq!(rec.batches, vec![batch()]);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn lying_counts_are_refused_before_allocating() {
+        let lying = u32::MAX.to_le_bytes().to_vec();
+        let mut lying_objects = 0u32.to_le_bytes().to_vec();
+        lying_objects.extend(u32::MAX.to_le_bytes());
+        for err in [
+            decode_checkpoint(&lying).unwrap_err(),
+            decode_checkpoint(&lying_objects).unwrap_err(),
+            decode_batch(&lying).unwrap_err(),
+        ] {
+            assert!(matches!(err, StorageError::Corrupt(_)), "{err:?}");
+        }
     }
 
     #[test]

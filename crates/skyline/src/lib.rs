@@ -24,8 +24,9 @@
 //!
 //! For comparison the crate also implements a **DeltaSky-style** baseline that
 //! re-traverses the tree from the root for every removed skyline object, plus
-//! memory-resident algorithms: SFS, which computes the function skyline of
-//! the two-skyline technique, and a naive oracle for the tests.
+//! memory-resident algorithms: [`skyline_by_id`], which computes the
+//! candidate functions of the two-skyline technique with exact ties going to
+//! the lowest id, and a naive oracle for the tests.
 
 #![warn(missing_docs)]
 
@@ -40,5 +41,5 @@ pub use bbs::compute_skyline_bbs;
 pub use deltasky::delta_sky_update;
 pub use insert::{insert_skyline, SkylineInsertion};
 pub use maintain::{update_skyline, update_skyline_filtered};
-pub use memory::{skyline_naive, skyline_sfs};
+pub use memory::{skyline_by_id, skyline_naive};
 pub use set::{Skyline, SkylineObject};

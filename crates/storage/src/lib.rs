@@ -12,9 +12,10 @@
 //!   [`FileBackend`] (a real page file, so data sets can exceed RAM),
 //! * [`LruBuffer`] — an LRU buffer pool over page identifiers,
 //! * [`IoStats`] — logical/physical read and write counters,
-//! * [`PeakTracker`] — a peak-memory gauge for the in-memory search structures
-//!   (priority queues, pruned lists, TA states) that the paper reports as
-//!   "memory usage",
+//! * [`ByteReader`] — the bounds-checked little-endian reader every decoder
+//!   of stored or received bytes goes through (node pages, WAL batches,
+//!   checkpoints): a short read, a count the bytes cannot hold or trailing
+//!   bytes are a [`StorageError::Corrupt`], never a panic or an allocation,
 //! * [`wal`] — write-ahead-log and checkpoint file primitives used by the
 //!   service tier's per-shard durability.
 //!
@@ -34,16 +35,16 @@
 
 mod backend;
 mod lru;
+mod reader;
 mod stats;
 mod store;
-mod tracker;
 pub mod wal;
 
 pub use backend::{fnv1a64, FileBackend, MemoryBackend, PageCodec, StorageBackend, StorageError};
 pub use lru::LruBuffer;
+pub use reader::ByteReader;
 pub use stats::IoStats;
 pub use store::{PageId, PagedStore};
-pub use tracker::{cost, PeakTracker};
 
 /// Simulated page size in bytes (the paper uses 4 KByte pages).
 pub const PAGE_SIZE: usize = 4096;

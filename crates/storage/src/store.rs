@@ -120,13 +120,6 @@ impl<P> PagedStore<P> {
         self.live_count == 0
     }
 
-    /// Total number of page slots ever allocated (including freed ones);
-    /// page ids are never reused for a *different* role while freed slots
-    /// remain on the free list.
-    pub fn capacity(&self) -> usize {
-        self.pages.len()
-    }
-
     /// The I/O statistics accumulated so far.
     pub fn stats(&self) -> IoStats {
         self.stats
@@ -352,16 +345,6 @@ impl<P> PagedStore<P> {
         self.backend.sync()?;
         self.stats.sync_calls += 1;
         Ok(())
-    }
-
-    /// Identifiers of all live pages (ascending). Intended for validation.
-    pub fn live_pages(&self) -> Vec<PageId> {
-        self.live
-            .iter()
-            .enumerate()
-            .filter(|&(_, &l)| l)
-            .map(|(i, _)| PageId::new(i as u64))
-            .collect()
     }
 
     /// Materializes an explicit in-memory copy of this store: every live page
@@ -620,17 +603,6 @@ mod tests {
         assert_eq!(store.buffer_frames(), 2);
         store.set_buffer_fraction(0.0);
         assert_eq!(store.buffer_frames(), 0);
-    }
-
-    #[test]
-    fn live_pages_reports_only_live() {
-        let mut store: PagedStore<u32> = PagedStore::new(0);
-        let a = store.allocate(1);
-        let b = store.allocate(2);
-        let c = store.allocate(3);
-        store.free(b);
-        assert_eq!(store.live_pages(), vec![a, c]);
-        assert_eq!(store.capacity(), 3);
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! | [`geom`] | points, MBRs, dominance, linear preference functions |
 //! | [`storage`] | simulated 4 KiB pages, LRU buffer, I/O statistics |
 //! | [`rtree`] | disk-style R-tree (STR bulk load, insert, delete, queries) |
-//! | [`skyline`] | SFS/BBS skylines, UpdateSkyline, DeltaSky baseline |
+//! | [`skyline`] | BBS skylines, UpdateSkyline, DeltaSky baseline, the two-skyline function set |
 //! | [`topk`] | BRS ranked search, TA reverse top-1, batch best-pair search |
 //! | [`assign`] | the assignment algorithms behind the [`Solver`] trait: Brute Force, Chain, **SB**, SB-alt |
 //! | [`datagen`] | synthetic workloads (independent / correlated / anti-correlated, Zillow/NBA stand-ins, update streams) |
