@@ -141,7 +141,7 @@ fn reverse_top1(c: &mut Criterion) {
             b.iter(|| ReverseTopOne::new(object.clone(), omega).best(&lists))
         });
         group.bench_function(format!("scan_{n}x{dims}"), |b| {
-            b.iter(|| ScanTopOne::new(object.clone()).best(&lists))
+            b.iter(|| ScanTopOne::new(object.clone()).best(lists.functions()))
         });
     }
     group.finish();

@@ -16,8 +16,9 @@
 //! products per loop. The step therefore
 //!
 //! 1. mirrors the loop's skyline working set into a reusable [`SoaBlock`]
-//!    (dimension-major lanes) and batch-scores each candidate row with the
-//!    [`pref_geom::kernel`] lane kernels, and
+//!    (dimension-major lanes), gathers the candidates' weight rows out of the
+//!    function index once into one scratch buffer, and batch-scores each row
+//!    with the [`pref_geom::kernel`] lane kernels, and
 //! 2. optionally partitions the candidate set across a
 //!    [`WorkStealingPool`] — each function's argmax is independent, so the
 //!    split is embarrassingly parallel.
@@ -29,9 +30,10 @@
 //! `function_best` slots keyed by function index, so the pairs that leave
 //! this function are byte-identical at any thread count, pool or no pool.
 
-use pref_geom::{Point, ScoreTable, SoaBlock};
+use pref_geom::{kernel, Point, SoaBlock};
 use pref_rtree::RecordId;
 use pref_sync::WorkStealingPool;
+use pref_topk::AliveFunctions;
 use std::sync::Arc;
 
 /// Candidate-partition work (candidate count × skyline size) below which the
@@ -43,8 +45,9 @@ const PARALLEL_WORK_FLOOR: usize = 4096;
 ///
 /// The slabs are indexed by the [`crate::Problem`]'s dense function / object
 /// indices and invalidated by a loop stamp instead of being cleared between
-/// loops. The block and dense-index mirror live behind `Arc` so the parallel
-/// path can hand clones to pool workers without copying the lanes; by the
+/// loops. The block, the dense-index mirror and the candidates' weight rows
+/// live behind `Arc` so the parallel path can hand clones to pool workers
+/// without copying them; by the
 /// time a batch returns every worker clone is dropped, so the next loop's
 /// [`Arc::make_mut`] reuses the allocation in place instead of cloning.
 pub(crate) struct Pairing {
@@ -62,6 +65,9 @@ pub(crate) struct Pairing {
     block: Arc<SoaBlock>,
     /// Dense object index of each block row (`sky_views[j].0`).
     ois: Arc<Vec<usize>>,
+    /// The candidates' effective weights, one row of `dims` after another,
+    /// in `candidates` order.
+    rows: Arc<Vec<f64>>,
     /// Score lane for the serial path.
     scores: Vec<f64>,
 }
@@ -76,6 +82,7 @@ impl Pairing {
             candidates: Vec::new(),
             block: Arc::new(SoaBlock::new()),
             ois: Arc::new(Vec::new()),
+            rows: Arc::new(Vec::new()),
             scores: Vec::new(),
         }
     }
@@ -100,7 +107,7 @@ impl Pairing {
     ///
     /// * `sky_views` — the loop's skyline entries as `(dense index, record,
     ///   &point)` views,
-    /// * `table` — the solver's scoring rows (effective coefficients),
+    /// * `functions` — the function index; every candidate is alive in it,
     /// * `pool` — optional worker pool; used only when the loop's scoring
     ///   work clears [`PARALLEL_WORK_FLOOR`].
     ///
@@ -113,7 +120,7 @@ impl Pairing {
     pub(crate) fn reciprocal_pairs(
         &mut self,
         sky_views: &[(usize, RecordId, &Point)],
-        table: &ScoreTable,
+        functions: &AliveFunctions,
         pool: Option<&WorkStealingPool>,
     ) -> Vec<(usize, usize, f64)> {
         let stamp = self.stamp;
@@ -128,6 +135,12 @@ impl Pairing {
         for &(oi, _, point) in sky_views {
             block.push_point(point);
             ois.push(oi);
+        }
+        let dims = functions.dims();
+        let rows = Arc::make_mut(&mut self.rows);
+        rows.clear();
+        for &fi in &self.candidates {
+            rows.extend(functions.weights(fi));
         }
 
         // --- best skyline object for every candidate function ---------------
@@ -146,16 +159,19 @@ impl Pairing {
                 let jobs: Vec<_> = self
                     .candidates
                     .chunks(span)
-                    .map(|chunk| {
+                    .enumerate()
+                    .map(|(job, chunk)| {
                         let cands: Vec<usize> = chunk.to_vec();
+                        let first_row = job * span * dims;
                         let block = Arc::clone(&self.block);
                         let ois = Arc::clone(&self.ois);
-                        let table = table.clone();
+                        let rows = Arc::clone(&self.rows);
                         move || {
                             let mut scores: Vec<f64> = Vec::new();
                             let mut out: Vec<(usize, usize, f64)> = Vec::with_capacity(cands.len());
-                            for &fi in &cands {
-                                table.score_block(fi, &block, &mut scores);
+                            let weights = rows[first_row..].chunks_exact(dims);
+                            for (&fi, weights) in cands.iter().zip(weights) {
+                                kernel::score_block(weights, 1.0, &block, &mut scores);
                                 if let Some((oi, s)) = lane_argmax(&ois, &scores) {
                                     out.push((fi, oi, s));
                                 }
@@ -171,8 +187,9 @@ impl Pairing {
                 }
             }
             None => {
-                for &fi in &self.candidates {
-                    table.score_block(fi, &self.block, &mut self.scores);
+                let weights = self.rows.chunks_exact(dims);
+                for (&fi, weights) in self.candidates.iter().zip(weights) {
+                    kernel::score_block(weights, 1.0, &self.block, &mut self.scores);
                     if let Some((oi, s)) = lane_argmax(&self.ois, &self.scores) {
                         self.function_best[fi] = (stamp, oi, s);
                     }

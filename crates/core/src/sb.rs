@@ -23,13 +23,14 @@
 use crate::matching::Assignment;
 use crate::metrics::{AssignmentResult, RunMetrics};
 use crate::pairing::Pairing;
-use crate::problem::Problem;
+use crate::problem::{PreferenceFunction, Problem};
 use pref_geom::Point;
 use pref_rtree::{RTree, RecordId};
 use pref_skyline::{compute_skyline_bbs, delta_sky_update, skyline_by_id, update_skyline, Skyline};
 use pref_storage::IoStats;
 use pref_topk::{
-    batch_best_functions, DiskFunctionLists, FunctionLists, ReverseTopOne, ScanTopOne,
+    batch_best_functions, AliveFunctions, DiskFunctionLists, FunctionLists, ReverseTopOne,
+    ScanTopOne,
 };
 use std::time::Instant;
 
@@ -162,10 +163,10 @@ enum ObjectSearch {
 }
 
 impl ObjectSearch {
-    fn best(&mut self, lists: &FunctionLists) -> Option<(usize, f64)> {
+    fn best(&mut self, index: &FunctionIndex) -> Option<(usize, f64)> {
         match self {
-            ObjectSearch::Scan(scan) => scan.best(lists),
-            ObjectSearch::Ta(ta) => ta.best(lists),
+            ObjectSearch::Scan(scan) => scan.best(index.functions()),
+            ObjectSearch::Ta(ta) => ta.best(index.ta_lists()),
         }
     }
 
@@ -185,25 +186,54 @@ impl ObjectSearch {
     }
 }
 
-/// The function index the loop searches: in memory, or SB-alt's
-/// disk-resident lists, which charge the blocks they read.
-enum Lists {
-    Memory(FunctionLists),
+/// The function index the loop searches, built for what its best-pair
+/// strategy reads and nothing more: the alive block alone for the scan and
+/// the two-skyline arm, TA's sorted lists over it for the TA arms, and
+/// SB-alt's disk-resident lists, which charge the blocks they read.
+enum FunctionIndex {
+    Block(AliveFunctions),
+    Lists(FunctionLists),
     Disk(DiskFunctionLists),
 }
 
-impl Lists {
-    fn view(&self) -> &FunctionLists {
+impl FunctionIndex {
+    fn new(functions: &[PreferenceFunction], best_pair: BestPairStrategy) -> Self {
+        let functions = functions.iter().map(|f| &f.function);
+        match best_pair {
+            BestPairStrategy::Scan | BestPairStrategy::TwoSkylines => {
+                FunctionIndex::Block(AliveFunctions::new(functions))
+            }
+            BestPairStrategy::ResumableTa { .. } | BestPairStrategy::FreshTa => {
+                FunctionIndex::Lists(FunctionLists::new(functions))
+            }
+            BestPairStrategy::Batch { list_buffer_frames } => {
+                FunctionIndex::Disk(DiskFunctionLists::new(functions, list_buffer_frames))
+            }
+        }
+    }
+
+    /// The alive functions, whichever index holds them.
+    fn functions(&self) -> &AliveFunctions {
         match self {
-            Lists::Memory(lists) => lists,
-            Lists::Disk(disk) => disk.inner(),
+            FunctionIndex::Block(functions) => functions,
+            FunctionIndex::Lists(lists) => lists.functions(),
+            FunctionIndex::Disk(disk) => disk.functions(),
+        }
+    }
+
+    /// TA's sorted lists, which only the TA arms build.
+    fn ta_lists(&self) -> &FunctionLists {
+        match self {
+            FunctionIndex::Lists(lists) => lists,
+            _ => unreachable!("only the TA arms search the sorted lists"),
         }
     }
 
     fn remove(&mut self, fi: usize) {
         match self {
-            Lists::Memory(lists) => lists.remove(fi),
-            Lists::Disk(disk) => disk.remove(fi),
+            FunctionIndex::Block(functions) => functions.remove(fi),
+            FunctionIndex::Lists(lists) => lists.remove(fi),
+            FunctionIndex::Disk(disk) => disk.remove(fi),
         };
     }
 }
@@ -241,21 +271,10 @@ pub fn sb_with_skyline(
     let start = Instant::now();
     let stats_before = tree.stats();
 
-    let functions: Vec<pref_geom::LinearFunction> = problem
-        .functions()
-        .iter()
-        .map(|f| f.function.clone())
-        .collect();
-    let mut lists = match options.best_pair {
-        BestPairStrategy::Batch { list_buffer_frames } => {
-            Lists::Disk(DiskFunctionLists::new(&functions, list_buffer_frames))
-        }
-        _ => Lists::Memory(FunctionLists::new(&functions)),
-    };
-    // Columnar scoring rows for the pairing phase (clone-cheap Arc view) and
-    // the optional worker pool; `resolve_threads` pins model-capable builds
-    // to 1 so solver-internal threads never leak into model scenarios.
-    let score_table = lists.view().score_table();
+    let mut index = FunctionIndex::new(problem.functions(), options.best_pair);
+    // The optional worker pool of the pairing phase; `resolve_threads` pins
+    // model-capable builds to 1 so solver-internal threads never leak into
+    // model scenarios.
     let threads = pref_sync::resolve_threads(options.threads);
     let pool = (threads > 1).then(|| pref_sync::WorkStealingPool::with_threads(threads));
 
@@ -308,29 +327,28 @@ pub fn sb_with_skyline(
         sky_rows.extend(sky_views.iter().map(|&(oi, ..)| oi));
         // SB-alt answers the whole skyline with one batched scan, which
         // needs the query points as one owned slice
-        let batch_best: Option<Vec<Option<(usize, f64)>>> = match &mut lists {
-            Lists::Disk(disk) => {
+        let batch_best: Option<Vec<Option<(usize, f64)>>> = match &mut index {
+            FunctionIndex::Disk(disk) => {
                 searches += 1;
                 let points: Vec<Point> = sky_views.iter().map(|&(_, _, p)| p.clone()).collect();
                 Some(batch_best_functions(disk, &points))
             }
-            Lists::Memory(_) => None,
+            _ => None,
         };
-        let view = lists.view();
+        let functions = index.functions();
         // candidate function set for the two-skyline strategy: a function
         // leaves only when a lower index, which wins every exact tie, weakly
         // dominates its effective weights; ascending, so that the scan below
         // resolves exact score ties to the lowest function index
         let function_skyline: Option<Vec<usize>> = match options.best_pair {
             BestPairStrategy::TwoSkylines => {
-                let alive: Vec<(RecordId, Point)> = view
+                let alive: Vec<(RecordId, Point)> = functions
                     .alive_functions()
                     .into_iter()
                     .map(|i| {
-                        (
-                            RecordId(i as u64),
-                            Point::from_slice(view.effective_weights(i)),
-                        )
+                        let weights = Point::new(functions.weights(i).collect())
+                            .expect("effective weights are finite");
+                        (RecordId(i as u64), weights)
                     })
                     .collect();
                 Some(
@@ -352,13 +370,13 @@ pub fn sb_with_skyline(
                 BestPairStrategy::Scan | BestPairStrategy::ResumableTa { .. } => {
                     let state = states[oi].get_or_insert_with(|| new_state(point));
                     let before = state.entries_read();
-                    let best = state.best(view);
+                    let best = state.best(&index);
                     aux_reads += state.entries_read() - before;
                     best
                 }
                 BestPairStrategy::FreshTa => {
                     let mut state = ReverseTopOne::new(point.clone(), n_fun);
-                    let best = state.best(view);
+                    let best = state.best(index.ta_lists());
                     aux_reads += state.sorted_accesses();
                     best
                 }
@@ -366,11 +384,11 @@ pub fn sb_with_skyline(
                     let candidates = function_skyline.as_deref().expect("computed above");
                     let mut best: Option<(usize, f64)> = None;
                     for &fi in candidates {
-                        if !view.is_alive(fi) {
+                        if !functions.is_alive(fi) {
                             continue;
                         }
                         aux_reads += 1;
-                        let s = view.score(fi, point);
+                        let s = functions.score(fi, point);
                         // candidates are sorted ascending: strict `>` keeps
                         // the lowest function index on exact ties
                         if best.is_none_or(|(_, bs)| s > bs) {
@@ -394,7 +412,7 @@ pub fn sb_with_skyline(
         }
 
         // --- reciprocal pairs (see `pairing`) -------------------------------
-        let mut pairs = pairing.reciprocal_pairs(&sky_views, &score_table, pool.as_ref());
+        let mut pairs = pairing.reciprocal_pairs(&sky_views, functions, pool.as_ref());
         if pairs.is_empty() {
             break;
         }
@@ -414,7 +432,7 @@ pub fn sb_with_skyline(
             supply -= 1;
             f_remaining[fi] -= 1;
             if f_remaining[fi] == 0 {
-                lists.remove(fi);
+                index.remove(fi);
             }
             o_remaining[oi] -= 1;
             if o_remaining[oi] == 0 {
@@ -455,16 +473,16 @@ pub fn sb_with_skyline(
 
     let metrics = RunMetrics {
         object_io: tree.stats().since(&stats_before),
-        aux_io: match &lists {
+        aux_io: match &index {
+            // SB-alt's list blocks, through the LRU buffer
+            FunctionIndex::Disk(disk) => disk.stats(),
             // the paper's cost model charges the searches' reads of the
             // function index as auxiliary I/O (it has no buffer in front)
-            Lists::Memory(_) => IoStats {
+            _ => IoStats {
                 logical_reads: aux_reads,
                 physical_reads: aux_reads,
                 ..IoStats::default()
             },
-            // SB-alt's list blocks, through the LRU buffer
-            Lists::Disk(disk) => disk.stats(),
         },
         cpu_time: start.elapsed(),
         peak_memory_bytes,
@@ -667,6 +685,32 @@ mod tests {
         let mut tree = p.build_tree(None, 0.0);
         let result = sb(&p, &mut tree, &SbOptions::two_skylines());
         assert_eq!(result.assignment.canonical(), want);
+    }
+
+    /// 601 functions that all score exactly 0.5 on the one object: f0 =
+    /// (0.5, 0.5), then `0.5 ± i/2048` for i = 1..=300 and their mirror
+    /// images. f0 is entry 300 of both coefficient lists, past a first block
+    /// that already bounds every unseen score by the tie, and every solver
+    /// must still give the object to f0.
+    #[test]
+    fn a_tie_across_list_blocks_goes_to_the_lowest_function() {
+        let tilted = |w0: f64| LinearFunction::from_normalized(vec![w0, 1.0 - w0]).unwrap();
+        let steps = || (1..=300).map(|i| f64::from(i) / 2048.0);
+        let functions: Vec<PreferenceFunction> = std::iter::once(tilted(0.5))
+            .chain(steps().map(|a| tilted(0.5 + a)))
+            .chain(steps().map(|a| tilted(0.5 - a)))
+            .enumerate()
+            .map(|(i, f)| PreferenceFunction::new(i, f))
+            .collect();
+        let object = ObjectRecord::new(0, Point::from_slice(&[0.5, 0.5]));
+        let p = Problem::new(functions, vec![object]).unwrap();
+        let want = oracle(&p).canonical();
+        assert_eq!(want, vec![(0, 0, 500_000_000)]);
+        for solver in all_solvers() {
+            let mut tree = p.build_tree(None, 0.0);
+            let result = solver.solve(&p, &mut tree);
+            assert_eq!(result.assignment.canonical(), want, "{}", solver.name());
+        }
     }
 
     #[test]

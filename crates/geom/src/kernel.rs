@@ -103,21 +103,42 @@ impl SoaBlock {
     /// # Panics
     /// Panics on a dimensionality mismatch with the points already stored.
     pub fn push_coords(&mut self, coords: &[f64]) {
-        if self.lanes.len() != coords.len() {
-            assert!(
-                self.lanes.iter().all(Vec::is_empty),
-                "SoaBlock dimensionality changed mid-fill: {} vs {}",
-                self.lanes.len(),
-                coords.len()
-            );
-            // lint: allow(kernel-no-alloc) -- one-time lane growth on first fill
-            self.lanes.resize_with(coords.len(), Vec::new);
-        }
-        self.dims = coords.len();
+        self.fit_dims(coords.len());
         for (lane, &c) in self.lanes.iter_mut().zip(coords.iter()) {
             lane.push(c);
         }
         self.len += 1;
+    }
+
+    /// Appends one point whose coordinates are `coords` each multiplied by
+    /// `factor`: a function's effective weights `γ·αᵢ` go in straight from
+    /// its weights, with the bits [`LinearFunction::effective_weights`]
+    /// gives them and no temporary row.
+    ///
+    /// # Panics
+    /// Panics on a dimensionality mismatch with the points already stored.
+    pub fn push_scaled(&mut self, coords: &[f64], factor: f64) {
+        self.fit_dims(coords.len());
+        for (lane, &c) in self.lanes.iter_mut().zip(coords.iter()) {
+            lane.push(c * factor);
+        }
+        self.len += 1;
+    }
+
+    /// Sizes the lanes for a point of `dims` coordinates; a block may change
+    /// dimensionality only while it holds no point.
+    fn fit_dims(&mut self, dims: usize) {
+        if self.lanes.len() != dims {
+            assert!(
+                self.lanes.iter().all(Vec::is_empty),
+                "SoaBlock dimensionality changed mid-fill: {} vs {}",
+                self.lanes.len(),
+                dims
+            );
+            // lint: allow(kernel-no-alloc) -- one-time lane growth on first fill
+            self.lanes.resize_with(dims, Vec::new);
+        }
+        self.dims = dims;
     }
 
     /// Appends one [`Point`].
@@ -454,11 +475,10 @@ fn first_dominator_generic(block: &SoaBlock, coords: &[f64], from: usize) -> Opt
 /// A shared, immutable table of scoring weight vectors — the batch-scoring
 /// face of a function set.
 ///
-/// The rows live behind [`Arc`]s, so a table clone is two pointer bumps: the
-/// parallel solver hands clones to pool workers without copying any weights.
+/// The rows live behind [`Arc`]s, so a table clone is two pointer bumps.
 /// Row `fi` scores a point as `priority[fi] · Σ_d weights[fi][d]·c[d]`, in
-/// the canonical [`dot`] order. Sources that fold the priority into the
-/// weights (effective coefficients) use a priority of `1.0`, which is exact.
+/// the canonical [`dot`] order. The solvers do not use it: their function
+/// index keeps the effective weights as one columnar block.
 #[derive(Debug, Clone)]
 pub struct ScoreTable {
     weights: Arc<Vec<Box<[f64]>>>,
@@ -486,24 +506,6 @@ impl ScoreTable {
         }
     }
 
-    /// Builds a table from pre-folded effective coefficient rows (priority
-    /// already multiplied in); rows score with a neutral priority of `1.0`.
-    pub fn from_effective_rows(rows: &[Vec<f64>]) -> Self {
-        let dims = rows.first().map_or(0, Vec::len);
-        let weights: Vec<Box<[f64]>> = rows
-            .iter()
-            .map(|r| r.clone().into_boxed_slice())
-            // lint: allow(kernel-no-alloc) -- table construction is setup, not a scan
-            .collect();
-        // lint: allow(kernel-no-alloc) -- table construction is setup, not a scan
-        let priorities = vec![1.0; rows.len()];
-        Self {
-            weights: Arc::new(weights),
-            priorities: Arc::new(priorities),
-            dims,
-        }
-    }
-
     /// Number of rows (functions).
     #[inline]
     pub fn len(&self) -> usize {
@@ -520,18 +522,6 @@ impl ScoreTable {
     #[inline]
     pub fn dims(&self) -> usize {
         self.dims
-    }
-
-    /// The raw weight row of function `fi`.
-    #[inline]
-    pub fn row(&self, fi: usize) -> &[f64] {
-        &self.weights[fi]
-    }
-
-    /// The priority multiplier of function `fi`.
-    #[inline]
-    pub fn priority(&self, fi: usize) -> f64 {
-        self.priorities[fi]
     }
 
     /// Scores one coordinate slice with row `fi` (canonical scalar order).
@@ -911,14 +901,19 @@ mod tests {
     }
 
     #[test]
-    fn score_table_effective_rows_are_priority_neutral() {
-        let rows = vec![vec![0.5, 1.5], vec![0.25, 0.75]];
-        let table = ScoreTable::from_effective_rows(&rows);
-        let c = [0.33, 0.66];
-        for (fi, row) in rows.iter().enumerate() {
-            // Σ w·c with no trailing multiply, bit-for-bit (x·1.0 == x)
-            let want: f64 = scalar_score(row, 1.0, &c);
-            assert_eq!(table.score_coords(fi, &c).to_bits(), want.to_bits());
+    fn push_scaled_stores_the_bits_of_the_effective_weights() {
+        let fns = [
+            LinearFunction::with_priority(vec![0.3, 0.7, 0.1], 2.75).unwrap(),
+            LinearFunction::new(vec![0.5, 0.25, 0.25]).unwrap(),
+        ];
+        let mut block = SoaBlock::new();
+        for f in &fns {
+            block.push_scaled(f.weights(), f.priority());
+        }
+        for (row, f) in fns.iter().enumerate() {
+            for (d, w) in f.effective_weights().into_iter().enumerate() {
+                assert_eq!(block.lane(d)[row].to_bits(), w.to_bits());
+            }
         }
     }
 
@@ -935,18 +930,17 @@ mod tests {
                         .collect()
                 })
                 .collect();
-            let table = ScoreTable::from_effective_rows(&rows[..8]);
             let mut block = block_of(&rows);
             let mut out = Vec::new();
-            table.score_block(0, &block, &mut out); // warm-up sizes the scratch
+            score_block(&rows[0], 1.0, &block, &mut out); // warm-up sizes the scratch
             let pinned = |block: &SoaBlock, out: &Vec<f64>| {
                 let lanes: Vec<*const f64> = (0..dims).map(|d| block.lane(d).as_ptr()).collect();
                 (out.as_ptr(), out.capacity(), lanes)
             };
             let before = pinned(&block, &out);
             for _ in 0..4 {
-                for fi in 0..table.len() {
-                    table.score_block(fi, &block, &mut out);
+                for weights in &rows[..8] {
+                    score_block(weights, 1.0, &block, &mut out);
                 }
                 block.clear();
                 for row in &rows {

@@ -225,11 +225,6 @@ impl RTree {
         self.store.reset_stats();
     }
 
-    /// Clears the LRU buffer (all pages become cold).
-    pub fn clear_buffer(&mut self) {
-        self.store.clear_buffer();
-    }
-
     /// Sets the LRU buffer size as a fraction of the current tree size,
     /// mirroring the paper's "buffer size X% of the tree size".
     pub fn set_buffer_fraction(&mut self, fraction: f64) {

@@ -107,15 +107,6 @@ impl LruBuffer {
         }
     }
 
-    /// Empties the buffer.
-    pub fn clear(&mut self) {
-        self.map.clear();
-        self.frames.clear();
-        self.free.clear();
-        self.head = NIL;
-        self.tail = NIL;
-    }
-
     /// Changes the capacity; if shrinking, least recently used pages are
     /// evicted until the new capacity is respected.
     pub fn set_capacity(&mut self, capacity: usize) {
@@ -276,17 +267,6 @@ mod tests {
         assert!(b.contains(pid(2)));
         assert!(b.contains(pid(3)));
         assert_eq!(b.capacity(), 2);
-    }
-
-    #[test]
-    fn clear_empties_everything() {
-        let mut b = LruBuffer::new(3);
-        for i in 0..3 {
-            b.access(pid(i));
-        }
-        b.clear();
-        assert!(b.is_empty());
-        assert!(!b.access(pid(0)));
     }
 
     #[test]

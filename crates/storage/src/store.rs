@@ -130,18 +130,6 @@ impl<P> PagedStore<P> {
         self.stats.reset();
     }
 
-    /// Clears the buffer pool (all pages become non-resident). Under a
-    /// persistent backend, dirty pages are written back first.
-    pub fn clear_buffer(&mut self) {
-        if self.persistent {
-            let resident = self.buffer.resident_mru_order();
-            for page in resident {
-                self.evict_payload(page);
-            }
-        }
-        self.buffer.clear();
-    }
-
     /// Sets the buffer capacity in frames; shrinking evicts LRU pages
     /// (writing dirty ones back under a persistent backend).
     ///

@@ -5,11 +5,13 @@
 //! would rescan the lists once per object; instead the lists are scanned
 //! *once per skyline version*, block by block in a round-robin fashion, and
 //! every encountered function is scored against all still-active skyline
-//! objects. An object becomes inactive as soon as its current best score
-//! reaches its fractional-knapsack threshold. This is the `SB-alt` module
-//! evaluated in Figure 17.
+//! objects. An object becomes inactive once its current best score beats its
+//! fractional-knapsack threshold under TA's acceptance rule, so a tied
+//! function in a later block is still seen and the lowest index wins. This is
+//! the `SB-alt` module evaluated in Figure 17.
 
-use crate::knapsack::tight_threshold;
+use crate::alive::AliveFunctions;
+use crate::knapsack::{beats_unseen, tight_threshold};
 use crate::lists::FunctionLists;
 use pref_geom::{LinearFunction, Point};
 use pref_storage::{IoStats, LruBuffer, PageId, PAGE_SIZE};
@@ -34,7 +36,10 @@ pub struct DiskFunctionLists {
 impl DiskFunctionLists {
     /// Materializes the lists for a set of functions with an LRU buffer of
     /// `buffer_frames` blocks.
-    pub fn new(functions: &[LinearFunction], buffer_frames: usize) -> Self {
+    pub fn new<'a>(
+        functions: impl IntoIterator<Item = &'a LinearFunction>,
+        buffer_frames: usize,
+    ) -> Self {
         Self {
             lists: FunctionLists::new(functions),
             entries_per_block: PAGE_SIZE / LIST_ENTRY_BYTES,
@@ -43,9 +48,9 @@ impl DiskFunctionLists {
         }
     }
 
-    /// The in-memory view of the lists (used for CPU-side scoring).
-    pub fn inner(&self) -> &FunctionLists {
-        &self.lists
+    /// The alive functions the lists index (used for CPU-side scoring).
+    pub fn functions(&self) -> &AliveFunctions {
+        self.lists.functions()
     }
 
     /// Removes (assigns) a function.
@@ -53,24 +58,14 @@ impl DiskFunctionLists {
         self.lists.remove(function)
     }
 
-    /// Number of unassigned functions.
-    pub fn remaining(&self) -> usize {
-        self.lists.remaining()
-    }
-
     /// I/O statistics accumulated so far.
     pub fn stats(&self) -> IoStats {
         self.stats
     }
 
-    /// Resets the I/O statistics.
-    pub fn reset_stats(&mut self) {
-        self.stats.reset();
-    }
-
     /// Total number of blocks per list.
     pub fn blocks_per_list(&self) -> usize {
-        self.lists.total().div_ceil(self.entries_per_block)
+        self.functions().total().div_ceil(self.entries_per_block)
     }
 
     /// Number of list entries held by one 4 KiB block.
@@ -83,14 +78,14 @@ impl DiskFunctionLists {
     fn read_block(&mut self, dim: usize, block: usize) -> &[(f64, usize)] {
         self.charge(Self::block_page(dim, block, self.blocks_per_list()));
         let start = block * self.entries_per_block;
-        let end = (start + self.entries_per_block).min(self.lists.total());
+        let end = (start + self.entries_per_block).min(self.functions().total());
         &self.lists.raw_list(dim)[start..end]
     }
 
     /// Performs the random accesses needed to reconstruct a function's full
     /// coefficient vector (`D - 1` accesses to the other lists).
     fn random_access(&mut self, function: usize) {
-        let dims = self.lists.dims();
+        let dims = self.functions().dims();
         for d in 1..dims {
             self.charge(Self::record_page(function, d));
         }
@@ -124,11 +119,11 @@ pub fn batch_best_functions(
 ) -> Vec<Option<(usize, f64)>> {
     let n = objects.len();
     let mut best: Vec<Option<(usize, f64)>> = vec![None; n];
-    if n == 0 || disk.remaining() == 0 {
+    if n == 0 || disk.functions().remaining() == 0 {
         return best;
     }
-    let dims = disk.inner().dims();
-    let budget = disk.inner().budget();
+    let dims = disk.functions().dims();
+    let budget = disk.functions().budget();
     let blocks = disk.blocks_per_list();
     let mut active: Vec<bool> = vec![true; n];
     let mut active_count = n;
@@ -153,7 +148,7 @@ pub fn batch_best_functions(
             let mut newly_seen: Vec<usize> = Vec::new();
             for (coeff, func) in entries {
                 last_seen[dim] = coeff;
-                if !disk.inner().is_alive(func) {
+                if !disk.functions().is_alive(func) {
                     continue;
                 }
                 if seen.insert(func) {
@@ -166,7 +161,7 @@ pub fn batch_best_functions(
                     if !active[i] {
                         continue;
                     }
-                    let score = disk.inner().score(func, obj);
+                    let score = disk.functions().score(func, obj);
                     // exact score ties break to the lowest function index —
                     // the same deterministic rule as the per-object TA search
                     let better = match best[i] {
@@ -184,11 +179,9 @@ pub fn batch_best_functions(
                     continue;
                 }
                 let threshold = tight_threshold(obj, &last_seen, budget);
-                if let Some((_, s)) = best[i] {
-                    if s >= threshold - 1e-12 {
-                        active[i] = false;
-                        active_count -= 1;
-                    }
+                if best[i].is_some_and(|(_, s)| beats_unseen(s, threshold)) {
+                    active[i] = false;
+                    active_count -= 1;
                 }
             }
         }
@@ -234,11 +227,8 @@ mod tests {
         let results = batch_best_functions(&mut disk, &objects);
         for (obj, res) in objects.iter().zip(&results) {
             let (func, score) = res.expect("alive functions exist");
-            let (of, os) = disk.inner().best_by_scan(obj).unwrap();
-            assert!((score - os).abs() < 1e-9);
-            if func != of {
-                assert!((disk.inner().score(of, obj) - score).abs() < 1e-12);
-            }
+            let (want, want_score) = disk.functions().best_by_scan(obj).unwrap();
+            assert_eq!((func, score.to_bits()), (want, want_score.to_bits()));
         }
     }
 
@@ -257,19 +247,39 @@ mod tests {
         }
     }
 
+    /// 601 functions that all score exactly 0.5 on (0.5, 0.5): f0 = (0.5,
+    /// 0.5), then `0.5 ± i/2048` for i = 1..=300 and their mirror images. f0
+    /// is entry 300 of both lists, in their second 256-entry block, and the
+    /// first block of list 0 already bounds every unseen score by 0.5.
+    fn dyadic_ties() -> Vec<LinearFunction> {
+        let tilted = |w0: f64| LinearFunction::from_normalized(vec![w0, 1.0 - w0]).unwrap();
+        let steps = || (1..=300).map(|i| f64::from(i) / 2048.0);
+        std::iter::once(tilted(0.5))
+            .chain(steps().map(|a| tilted(0.5 + a)))
+            .chain(steps().map(|a| tilted(0.5 - a)))
+            .collect()
+    }
+
     #[test]
     fn exact_ties_resolve_to_the_lowest_function_index() {
         // functions 0 and 1 are identical, so they tie exactly on any object;
         // the batch scan must return the lower index deterministically
-        let functions = vec![
+        let twins = vec![
             LinearFunction::new(vec![0.6, 0.4]).unwrap(),
             LinearFunction::new(vec![0.6, 0.4]).unwrap(),
             LinearFunction::new(vec![0.1, 0.9]).unwrap(),
         ];
-        let objects = vec![Point::from_slice(&[0.9, 0.1])];
-        let mut disk = DiskFunctionLists::new(&functions, 2);
-        let res = batch_best_functions(&mut disk, &objects);
-        assert_eq!(res[0].unwrap().0, 0);
+        let (twin, tied) = (
+            Point::from_slice(&[0.9, 0.1]),
+            Point::from_slice(&[0.5, 0.5]),
+        );
+        // and a tie across blocks: the lowest index is in the last ones
+        for (functions, object) in [(twins, twin), (dyadic_ties(), tied)] {
+            let mut disk = DiskFunctionLists::new(&functions, 2);
+            let res = batch_best_functions(&mut disk, std::slice::from_ref(&object));
+            assert_eq!(res[0], disk.functions().best_by_scan(&object));
+            assert_eq!(res[0].unwrap().0, 0);
+        }
     }
 
     #[test]

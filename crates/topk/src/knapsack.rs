@@ -20,6 +20,17 @@ pub fn tight_threshold(object: &Point, last_seen: &[f64], budget: f64) -> f64 {
     threshold_in_order(object, &fill_order(object), budget, |dim| last_seen[dim])
 }
 
+/// The acceptance rule of every search bounded by [`tight_threshold`]: the
+/// best score seen is the answer only once the bound on the functions *not*
+/// seen is strictly below it, by more than the bound's rounding. At `score ==
+/// threshold` an unseen function can still tie the best exactly, and the tie
+/// rule (lowest function index, the oracle's order) needs every tied
+/// function seen before the search answers.
+#[inline]
+pub(crate) fn beats_unseen(score: f64, threshold: f64) -> bool {
+    score > threshold + 1e-12
+}
+
 /// The greedy knapsack's fill order for `object`: its dimensions by
 /// coordinate, descending. The sort is stable, so tied coordinates keep their
 /// ascending dimension order — part of the threshold's bit pattern, since the

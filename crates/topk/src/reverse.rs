@@ -14,18 +14,22 @@
 //! only this state's own reads can move, and functions only ever die, so the
 //! best alive function stays the best until it dies.
 //!
-//! SB searches with [`crate::ScanTopOne`] by default; this search is the one
-//! the paper's figures run (the SB series, its Figure 8 ablations and the Ω
-//! sweep), where its sorted accesses are the reported auxiliary I/O.
+//! It walks the sorted lists of [`FunctionLists`] and makes its random
+//! accesses on their [`AliveFunctions`] block, so a solve builds the lists
+//! only when it runs TA. SB searches with [`crate::ScanTopOne`] by default;
+//! this search is the one the paper's figures run (the SB series, its Figure
+//! 8 ablations and the Ω sweep), where its sorted accesses are the reported
+//! auxiliary I/O.
 
-use crate::knapsack::{fill_order, threshold_in_order};
+use crate::alive::AliveFunctions;
+use crate::knapsack::{beats_unseen, fill_order, threshold_in_order};
 use crate::lists::FunctionLists;
 use pref_geom::Point;
 
 /// Exhaustively scans the alive functions for the best one: the scalar
 /// reference the searches are tested and benchmarked against.
 pub fn best_function_scan(lists: &FunctionLists, object: &Point) -> Option<(usize, f64)> {
-    lists.best_by_scan(object)
+    lists.functions().best_by_scan(object)
 }
 
 /// Resumable reverse top-1 search state for one object.
@@ -118,7 +122,10 @@ impl ReverseTopOne {
     /// score, resuming the previous search if possible. Returns `None` when no
     /// alive function remains.
     pub fn best(&mut self, lists: &FunctionLists) -> Option<(usize, f64)> {
-        if self.answer.is_some_and(|(func, _)| lists.is_alive(func)) {
+        if self
+            .answer
+            .is_some_and(|(func, _)| lists.functions().is_alive(func))
+        {
             return self.answer;
         }
         self.answer = self.search(lists);
@@ -126,10 +133,11 @@ impl ReverseTopOne {
     }
 
     fn search(&mut self, lists: &FunctionLists) -> Option<(usize, f64)> {
-        if lists.remaining() == 0 {
+        let functions = lists.functions();
+        if functions.remaining() == 0 {
             return None;
         }
-        let words = lists.total().div_ceil(64);
+        let words = functions.total().div_ceil(64);
         if self.seen.len() < words {
             // lint: allow(kernel-no-alloc) -- set-up: sized once, by the first search
             self.seen.resize(words, 0);
@@ -137,24 +145,18 @@ impl ReverseTopOne {
         // Functions die only between calls (`lists` is shared for this one and
         // the lists only yield alive functions), so one purge covers it; a
         // restart below starts from an empty queue.
-        self.drop_dead_candidates(lists);
+        self.drop_dead_candidates(functions);
         if self.cap == 0 {
             // The capped queue can no longer guarantee the true top-1:
             // restart from scratch with a fresh capacity.
             self.restart();
         }
-        let budget = lists.budget();
+        let budget = functions.budget();
         loop {
             let threshold = self.current_threshold(budget);
+            // a tied function that reaches the queue is ordered by index there
             if let Some(&(score, func)) = self.candidates.first() {
-                // Accept only once the bound on *unseen* functions is
-                // strictly below the front candidate. At `score == threshold`
-                // an unseen function can still TIE the front exactly, and the
-                // stable loop's tie rule (lowest function index, the oracle's
-                // order) requires every tied function to reach the candidate
-                // queue — where insertion order resolves the tie — before the
-                // search answers.
-                if score > threshold + 1e-12 {
+                if beats_unseen(score, threshold) {
                     return Some((func, score));
                 }
             }
@@ -176,9 +178,10 @@ impl ReverseTopOne {
     /// the capped queue sound — every candidate discarded by truncation was
     /// dominated by `cap` entries at the time, so after `cap` removals the
     /// guarantee is gone and [`ReverseTopOne::best`] restarts.
-    fn drop_dead_candidates(&mut self, lists: &FunctionLists) {
+    fn drop_dead_candidates(&mut self, functions: &AliveFunctions) {
         let before = self.candidates.len();
-        self.candidates.retain(|&(_, func)| lists.is_alive(func));
+        self.candidates
+            .retain(|&(_, func)| functions.is_alive(func));
         let removed = before - self.candidates.len();
         self.cap = self.cap.saturating_sub(removed);
     }
@@ -243,7 +246,7 @@ impl ReverseTopOne {
                 let (word, bit) = (func / 64, 1u64 << (func % 64));
                 if self.seen[word] & bit == 0 {
                     self.seen[word] |= bit;
-                    let score = lists.score(func, &self.object);
+                    let score = lists.functions().score(func, &self.object);
                     self.insert_candidate(score, func);
                 }
             }
@@ -334,7 +337,7 @@ mod tests {
         let mut search = ReverseTopOne::new(object.clone(), 2);
         // repeatedly assign away the best function and ask again
         for _ in 0..50 {
-            let expect = lists.best_by_scan(&object);
+            let expect = lists.functions().best_by_scan(&object);
             let got = search.best(&lists);
             match (expect, got) {
                 (None, None) => break,
@@ -343,7 +346,10 @@ mod tests {
                     // the function may differ only if scores tie exactly
                     if ef != gf {
                         assert!(
-                            (lists.score(ef, &object) - lists.score(gf, &object)).abs() < 1e-12
+                            (lists.functions().score(ef, &object)
+                                - lists.functions().score(gf, &object))
+                            .abs()
+                                < 1e-12
                         );
                     }
                     lists.remove(gf);
@@ -368,10 +374,10 @@ mod tests {
                 ]);
                 let mut search = ReverseTopOne::new(object.clone(), 30);
                 let (func, score) = search.best(&lists).unwrap();
-                let (of, os) = lists.best_by_scan(&object).unwrap();
+                let (of, os) = lists.functions().best_by_scan(&object).unwrap();
                 assert!((score - os).abs() < 1e-9);
                 if func != of {
-                    assert!((lists.score(of, &object) - score).abs() < 1e-12);
+                    assert!((lists.functions().score(of, &object) - score).abs() < 1e-12);
                 }
             }
         }
@@ -388,7 +394,7 @@ mod tests {
         let object = Point::from_slice(&[0.5, 0.6]);
         let mut search = ReverseTopOne::new(object.clone(), 10);
         let (func, score) = search.best(&lists).unwrap();
-        let (of, os) = lists.best_by_scan(&object).unwrap();
+        let (of, os) = lists.functions().best_by_scan(&object).unwrap();
         assert_eq!(func, of);
         assert!((score - os).abs() < 1e-9);
     }
@@ -415,7 +421,7 @@ mod tests {
         let mut search = ReverseTopOne::new(object.clone(), 60);
         let mut rng = StdRng::seed_from_u64(42);
         for round in 0..40 {
-            let expect = lists.best_by_scan(&object);
+            let expect = lists.functions().best_by_scan(&object);
             let got = search.best(&lists);
             match (expect, got) {
                 (None, None) => break,
@@ -424,6 +430,7 @@ mod tests {
                     // remove a random *non-best* alive function: it dies while
                     // buried somewhere inside the candidate queue
                     let alive: Vec<usize> = lists
+                        .functions()
                         .alive_functions()
                         .into_iter()
                         .filter(|&f| f != gf)
@@ -515,14 +522,18 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(824);
         for step in 0..steps {
             let Some(answer) = best(&lists) else {
-                assert_eq!(lists.remaining(), 0, "step {step}: no answer among alive");
+                assert_eq!(
+                    lists.functions().remaining(),
+                    0,
+                    "step {step}: no answer among alive"
+                );
                 break;
             };
             each(&lists, answer);
             let victim = if step % 2 == 0 {
                 answer.0
             } else {
-                let alive = lists.alive_functions();
+                let alive = lists.functions().alive_functions();
                 alive[rng.gen_range(0..alive.len())]
             };
             lists.remove(victim);
@@ -559,7 +570,10 @@ mod tests {
             assert_eq!((ta.sorted_accesses(), ta.restarts()), costs, "Ω = {omega}");
         }
         let mut scan = ScanTopOne::new(object);
-        assert_eq!(pinned_kill_sequence(|lists| scan.best(lists)), ANSWERS);
+        assert_eq!(
+            pinned_kill_sequence(|lists| scan.best(lists.functions())),
+            ANSWERS
+        );
         assert_eq!(scan.scanned_rows(), 5_123);
     }
 
@@ -609,10 +623,11 @@ mod tests {
                         usize::MAX,
                         |lists| match &mut ta {
                             Some(ta) => ta.best(lists),
-                            None => scan.best(lists),
+                            None => scan.best(lists.functions()),
                         },
                         |lists, (func, score)| {
-                            let (want, want_score) = lists.best_by_scan(&object).unwrap();
+                            let (want, want_score) =
+                                lists.functions().best_by_scan(&object).unwrap();
                             assert_eq!(
                                 (func, score.to_bits()),
                                 (want, want_score.to_bits()),
@@ -638,12 +653,13 @@ mod tests {
         // a fresh search's answer, then a resumed one's
         for _ in 0..2 {
             let answer = search.best(&lists).unwrap();
-            assert_eq!(Some(answer), lists.best_by_scan(&object));
+            assert_eq!(Some(answer), lists.functions().best_by_scan(&object));
             let before = (costs(&search), search.candidates.clone());
             // everyone else may die, queued candidates included: the answer
             // stands and the state is not touched
             for _ in 0..40 {
                 let others: Vec<usize> = lists
+                    .functions()
                     .alive_functions()
                     .into_iter()
                     .filter(|&f| f != answer.0)

@@ -2,7 +2,7 @@
 //! functions, and a short queue that answers the calls after it.
 //!
 //! A call scores every alive function in one streaming pass over
-//! [`FunctionLists::alive_block`] and keeps the best few rows in `(score desc,
+//! [`AliveFunctions::block`] and keeps the best few rows in `(score desc,
 //! function asc)` order. Functions only ever die, so the first kept row that
 //! is still alive is the best alive function for as long as one kept row
 //! lives — a row the scan did not keep ranked below every kept one. A call
@@ -12,9 +12,10 @@
 //!
 //! It is SB's default instead of the paper's TA ([`crate::ReverseTopOne`])
 //! because it moves fewer bytes per decision: on `solve-anti` a sorted access
-//! cost about 74 ns, a scanned row under 7.
+//! cost about 74 ns, a scanned row under 7. It needs no sorted lists, so a
+//! solve that runs it builds only the [`AliveFunctions`] block.
 
-use crate::lists::FunctionLists;
+use crate::alive::AliveFunctions;
 use pref_geom::{kernel, Point};
 
 /// Rows a scan keeps (fewer when fewer functions are alive). Cold-solve
@@ -35,7 +36,7 @@ const SCAN_CHUNK: usize = 256;
 /// Best-function search state for one object: the default search of SB.
 ///
 /// The object plays the weight vector and the alive block's rows the points,
-/// so a row's score is the product-by-product sum [`FunctionLists::score`]
+/// so a row's score is the product-by-product sum [`AliveFunctions::score`]
 /// computes (multiplication commutes), to the bit: every answer is the
 /// function and the score bits of [`crate::best_function_scan`].
 #[derive(Debug, Clone)]
@@ -75,13 +76,16 @@ impl ScanTopOne {
 
     /// Returns the best *alive* function for this object together with its
     /// score, or `None` when no alive function remains.
-    pub fn best(&mut self, lists: &FunctionLists) -> Option<(usize, f64)> {
-        if self.answer.is_some_and(|(func, _)| lists.is_alive(func)) {
+    pub fn best(&mut self, functions: &AliveFunctions) -> Option<(usize, f64)> {
+        if self
+            .answer
+            .is_some_and(|(func, _)| functions.is_alive(func))
+        {
             return self.answer;
         }
-        self.kept.retain(|&(_, func)| lists.is_alive(func));
+        self.kept.retain(|&(_, func)| functions.is_alive(func));
         if self.kept.is_empty() {
-            self.scan(lists);
+            self.scan(functions);
         }
         self.answer = self.kept.first().map(|&(score, func)| (func, score));
         self.answer
@@ -89,9 +93,9 @@ impl ScanTopOne {
 
     /// Scores every alive function in one pass over the alive block and keeps
     /// the best [`SCAN_KEPT_ROWS`] of them.
-    fn scan(&mut self, lists: &FunctionLists) {
-        let block = lists.alive_block();
-        let functions = lists.alive_rows();
+    fn scan(&mut self, alive: &AliveFunctions) {
+        let block = alive.block();
+        let functions = alive.rows();
         // the score a row must reach to enter a full queue
         let mut floor = f64::NEG_INFINITY;
         let mut scores = [0.0f64; SCAN_CHUNK];
@@ -128,65 +132,65 @@ mod tests {
     use pref_geom::LinearFunction;
     use rand::{rngs::StdRng, Rng, SeedableRng};
 
-    fn lists(n: usize, dims: usize, seed: u64) -> FunctionLists {
+    fn random_index(n: usize, dims: usize, seed: u64) -> AliveFunctions {
         let mut rng = StdRng::seed_from_u64(seed);
         let functions: Vec<LinearFunction> = (0..n)
             .map(|_| {
                 LinearFunction::new((0..dims).map(|_| rng.gen_range(0.01..1.0)).collect()).unwrap()
             })
             .collect();
-        FunctionLists::new(&functions)
+        AliveFunctions::new(&functions)
     }
 
     #[test]
     fn a_re_ask_whose_answer_is_alive_reads_nothing() {
-        let mut lists = lists(300, 4, 17);
+        let mut index = random_index(300, 4, 17);
         let object = Point::from_slice(&[0.3, 0.8, 0.5, 0.1]);
         let mut search = ScanTopOne::new(object.clone());
-        let answer = search.best(&lists).unwrap();
-        assert_eq!(Some(answer), lists.best_by_scan(&object));
+        let answer = search.best(&index).unwrap();
+        assert_eq!(Some(answer), index.best_by_scan(&object));
         assert_eq!(search.scanned_rows(), 300);
         let kept = search.kept.clone();
         // everyone else may die, kept rows included: the answer stands and
         // the state is not touched
         let mut rng = StdRng::seed_from_u64(18);
         for _ in 0..200 {
-            let others: Vec<usize> = lists
+            let others: Vec<usize> = index
                 .alive_functions()
                 .into_iter()
                 .filter(|&f| f != answer.0)
                 .collect();
-            lists.remove(others[rng.gen_range(0..others.len())]);
-            assert_eq!(search.best(&lists), Some(answer));
+            index.remove(others[rng.gen_range(0..others.len())]);
+            assert_eq!(search.best(&index), Some(answer));
         }
         assert_eq!((search.scanned_rows(), &search.kept), (300, &kept));
     }
 
     #[test]
     fn it_rescans_only_after_every_kept_row_has_died() {
-        let mut lists = lists(100, 3, 5);
+        let mut index = random_index(100, 3, 5);
         let object = Point::from_slice(&[0.9, 0.2, 0.6]);
         let mut search = ScanTopOne::new(object.clone());
         // each answer dies in turn: the first scan serves SCAN_KEPT_ROWS
         // answers, the next one the same again
         for step in 0..2 * SCAN_KEPT_ROWS {
-            let answer = search.best(&lists);
-            assert_eq!(answer, lists.best_by_scan(&object), "step {step}");
+            let answer = search.best(&index);
+            assert_eq!(answer, index.best_by_scan(&object), "step {step}");
             // 100 rows, then the 92 left once the eight kept ones have died
             let scanned = if step < SCAN_KEPT_ROWS { 100 } else { 192 };
             assert_eq!(search.scanned_rows(), scanned, "step {step}");
-            lists.remove(answer.unwrap().0);
+            index.remove(answer.unwrap().0);
         }
     }
 
     #[test]
     fn with_no_alive_function_it_returns_none() {
-        let mut lists = lists(20, 2, 9);
+        let mut index = random_index(20, 2, 9);
         let mut search = ScanTopOne::new(Point::from_slice(&[0.5, 0.5]));
         for f in 0..20 {
-            assert!(search.best(&lists).is_some());
-            lists.remove(f);
+            assert!(search.best(&index).is_some());
+            index.remove(f);
         }
-        assert_eq!(search.best(&lists), None);
+        assert_eq!(search.best(&index), None);
     }
 }

@@ -52,10 +52,11 @@ pub const RULE_WORKSPACE_LINTS: &str = "workspace-lints";
 /// counting allocator is not available to a test: this list is what keeps
 /// a per-access allocation from creeping back into these loops. Set-up code
 /// in them (constructors, lazy sizing) carries the usual annotation.
-const HOT_PATH_FILES: [&str; 3] = [
+const HOT_PATH_FILES: [&str; 4] = [
     "crates/topk/src/reverse.rs",
     "crates/topk/src/scan.rs",
     "crates/topk/src/lists.rs",
+    "crates/topk/src/alive.rs",
 ];
 
 const ATOMIC_ORDERINGS: [&str; 5] = ["Relaxed", "Acquire", "Release", "AcqRel", "SeqCst"];
@@ -468,8 +469,8 @@ mod tests {
             // block keeps rows, never allocates them
             (
                 "crates/topk/src/scan.rs",
-                "impl ScanTopOne {\n    fn scan(&mut self, lists: &FunctionLists) {\n        \
-                 let rows = lists.alive_rows().to_vec();\n    }\n}\n",
+                "impl ScanTopOne {\n    fn scan(&mut self, alive: &AliveFunctions) {\n        \
+                 let rows = alive.rows().to_vec();\n    }\n}\n",
                 ".to_vec()",
             ),
         ] {
@@ -487,29 +488,41 @@ mod tests {
                      // lint: allow(kernel-no-alloc) -- set-up: one state per object\n        \
                      Self { cursors: vec![0; dims] }\n    }\n}\n";
         assert!(findings(path, setup).is_empty());
-        // so is the function index the search reads: `remove`, `next_alive`
-        // and the alive-block accessors run once per search or per access
-        let lists = "crates/topk/src/lists.rs";
-        let removed = "impl FunctionLists {\n    pub fn remove(&mut self, function: usize) -> bool {\n        \
-                       self.row_function = self.alive_functions().to_vec();\n        true\n    }\n}\n";
-        let found = findings(lists, removed);
-        assert_eq!(found.len(), 1, "{removed}");
-        assert!(
-            found[0].starts_with("crates/topk/src/lists.rs:3: kernel-no-alloc:")
-                && found[0].contains(".to_vec()"),
-            "{}",
-            found[0]
-        );
-        let built = "impl FunctionLists {\n    pub fn new(n: usize) -> Self {\n        \
+        // so is the function index the searches read: the alive block's
+        // `remove` and `score` run once per search or per access, TA's
+        // `next_alive` once per sorted access
+        for (file, bad) in [
+            (
+                "crates/topk/src/alive.rs",
+                "impl AliveFunctions {\n    pub fn remove(&mut self, function: usize) -> bool {\n        \
+                 self.row_function = self.alive_functions().to_vec();\n        true\n    }\n}\n",
+            ),
+            (
+                "crates/topk/src/lists.rs",
+                "impl FunctionLists {\n    pub fn next_alive(&self, dim: usize) -> usize {\n        \
+                 self.lists[dim].to_vec().len()\n    }\n}\n",
+            ),
+        ] {
+            let found = findings(file, bad);
+            assert_eq!(found.len(), 1, "{bad}");
+            assert!(
+                found[0].starts_with(&format!("{file}:3: kernel-no-alloc:"))
+                    && found[0].contains(".to_vec()"),
+                "{}",
+                found[0]
+            );
+        }
+        let built = "impl AliveFunctions {\n    pub fn new(n: usize) -> Self {\n        \
                      // lint: allow(kernel-no-alloc) -- set-up: one index per solve\n        \
-                     Self { alive: vec![true; n] }\n    }\n}\n";
-        assert!(findings(lists, built).is_empty());
+                     Self { rows: (0..n).collect() }\n    }\n}\n";
+        assert!(findings("crates/topk/src/alive.rs", built).is_empty());
         // the list names files, not crates or stems
         let src = "fn f() { let v: Vec<f64> = Vec::new(); }\n";
         assert!(findings("crates/topk/src/batch.rs", src).is_empty());
         assert!(findings("crates/bench/src/reverse.rs", src).is_empty());
         assert!(findings("crates/bench/src/lists.rs", src).is_empty());
         assert!(findings("crates/bench/src/scan.rs", src).is_empty());
+        assert!(findings("crates/bench/src/alive.rs", src).is_empty());
         // and the file's own tests allocate freely
         let test_src = "#[cfg(test)]\nmod tests {\n    fn f() { let v = Vec::new(); }\n}\n";
         assert!(findings(path, test_src).is_empty());
