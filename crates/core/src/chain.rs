@@ -104,10 +104,12 @@ pub fn chain(problem: &Problem, tree: &mut RTree) -> AssignmentResult {
         let oi = problem.object_index(object).expect("object exists");
         let point = &problem.objects()[oi].point;
         // the best function for an object is a top-1 query in weight space
-        // whose scoring direction is the object itself; an all-zero object
-        // degenerates to a uniform direction (every function scores it 0)
-        let query = LinearFunction::new(point.coords().to_vec())
-            .unwrap_or_else(|_| LinearFunction::new(vec![1.0; point.dims()]).unwrap());
+        // whose scoring direction is the object itself. An all-zero object
+        // has none: every function scores it exactly 0, and the oracle's tie
+        // order gives it to the lowest index with capacity left.
+        let Ok(query) = LinearFunction::new(point.coords().to_vec()) else {
+            return f_remaining.iter().position(|&c| c > 0);
+        };
         let mut s = RankedSearch::new(query);
         let accept = |r: RecordId| f_remaining[r.0 as usize] > 0;
         let (first, top) = s.next_accepted(ftree, accept)?;

@@ -161,8 +161,10 @@ impl std::fmt::Display for StabilityViolation {
 /// A pair `(f, o)` *blocks* the assignment if `f` still has unused capacity or
 /// is matched to some object it likes strictly less than `o`, and `o` still
 /// has unused capacity or is matched to some function that scores it strictly
-/// lower than `f` does. The check is quadratic and intended for tests and
-/// examples.
+/// lower than `f` does. The check is exact: every solver scores with
+/// [`pref_geom::LinearFunction::score`]'s bits, so a recorded score must have
+/// exactly those bits, and "strictly" allows no slack. It is quadratic and
+/// intended for tests and examples.
 pub fn verify_stable(problem: &Problem, assignment: &Assignment) -> Result<(), StabilityViolation> {
     // capacity bookkeeping and score validation
     let mut f_used: HashMap<FunctionId, u32> = HashMap::new();
@@ -175,7 +177,7 @@ pub fn verify_stable(problem: &Problem, assignment: &Assignment) -> Result<(), S
             .object(pair.object)
             .ok_or_else(|| StabilityViolation::UnknownId(format!("{}", pair.object)))?;
         let expected = function.function.score(&object.point);
-        if (expected - pair.score).abs() > 1e-9 {
+        if expected.to_bits() != pair.score.to_bits() {
             return Err(StabilityViolation::WrongScore {
                 pair: *pair,
                 expected,
@@ -229,12 +231,12 @@ pub fn verify_stable(problem: &Problem, assignment: &Assignment) -> Result<(), S
             let score = function.function.score(&object.point);
             let o_saturated = o_used.get(&object.id).copied().unwrap_or(0) >= object.capacity;
             let f_wants = if f_saturated {
-                score > f_worst.get(&function.id).copied().unwrap_or(f64::MIN) + 1e-9
+                score > f_worst.get(&function.id).copied().unwrap_or(f64::MIN)
             } else {
                 true
             };
             let o_wants = if o_saturated {
-                score > o_worst.get(&object.id).copied().unwrap_or(f64::MIN) + 1e-9
+                score > o_worst.get(&object.id).copied().unwrap_or(f64::MIN)
             } else {
                 true
             };

@@ -171,7 +171,7 @@ impl Pairing {
                             let mut out: Vec<(usize, usize, f64)> = Vec::with_capacity(cands.len());
                             let weights = rows[first_row..].chunks_exact(dims);
                             for (&fi, weights) in cands.iter().zip(weights) {
-                                kernel::score_block(weights, 1.0, &block, &mut scores);
+                                kernel::score_block(weights, &block, &mut scores);
                                 if let Some((oi, s)) = lane_argmax(&ois, &scores) {
                                     out.push((fi, oi, s));
                                 }
@@ -189,7 +189,7 @@ impl Pairing {
             None => {
                 let weights = self.rows.chunks_exact(dims);
                 for (&fi, weights) in self.candidates.iter().zip(weights) {
-                    kernel::score_block(weights, 1.0, &self.block, &mut self.scores);
+                    kernel::score_block(weights, &self.block, &mut self.scores);
                     if let Some((oi, s)) = lane_argmax(&self.ois, &self.scores) {
                         self.function_best[fi] = (stamp, oi, s);
                     }

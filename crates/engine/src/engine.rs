@@ -406,9 +406,9 @@ impl RepairScratch {
         best: &mut Option<Candidate>,
     ) {
         let threshold = self.f_threshold[fi];
-        let (weights, priority) = (function.weights(), function.priority());
+        let weights = function.effective_weights();
         // free slots: the free pool's maxima are on the skyline
-        kernel::score_block(weights, priority, skyline.block(), &mut self.scores);
+        kernel::score_block(weights, skyline.block(), &mut self.scores);
         for (row, &score) in self.scores.iter().enumerate() {
             if score <= threshold || best.as_ref().is_some_and(|b| score < b.score) {
                 continue;
@@ -418,7 +418,7 @@ impl RepairScratch {
             Candidate::offer(best, fi, oi, score, SlotKind::Free);
         }
         // saturated slots: displace an object's worst pair
-        kernel::score_block(weights, priority, &self.steal_block, &mut self.scores);
+        kernel::score_block(weights, &self.steal_block, &mut self.scores);
         for (&(oi, worst), &score) in self.steal.iter().zip(self.scores.iter()) {
             if score > threshold && score > worst {
                 Candidate::offer(best, fi, oi, score, SlotKind::Steal);
@@ -537,10 +537,7 @@ impl AssignmentEngine {
             let (fi, oi) = (fun_index[&pair.function], obj_index[&pair.object]);
             functions[fi].remaining -= 1;
             objects[oi].remaining -= 1;
-            // SB's lists fold the priority into the weights; thresholds must
-            // carry the bits repair's own scoring produces
-            let score = functions[fi].pref.function.score(&objects[oi].record.point);
-            pairs.push((fi, oi, score));
+            pairs.push((fi, oi, pair.score));
         }
         // The order the greedy trace establishes pairs in from an empty
         // matching (it never displaces there): `worst_pair_index` breaks

@@ -1,7 +1,6 @@
 //! Linear preference functions.
 
 use crate::{GeomError, GeomResult, Mbr, Point};
-use serde::{Deserialize, Serialize};
 
 /// Normalizes a weight vector so the weights sum to one.
 ///
@@ -57,37 +56,37 @@ fn checked_sum(weights: &[f64]) -> GeomResult<f64> {
 /// * `γ` is the optional user priority of Section 6.2 (Equation 2); it
 ///   defaults to `1.0` for the standard problem.
 ///
+/// Equation 2 is computed one way only, with the *modified coefficients*
+/// `α′ᵢ = γ·αᵢ` of Section 6.2: `f(o) = Σ α′ᵢ·oᵢ` in ascending `i`. The
+/// function keeps that effective row beside its weights, so a scalar score,
+/// a block kernel and a solver's function index all sum the same products
+/// in the same order and agree to the bit. Multiplying the plain sum by `γ`
+/// afterwards rounds differently when `γ` is not a power of two, and two
+/// paths that disagreed by an ulp would break exact ties differently. For
+/// `γ = 1` the effective row is the weights themselves.
+///
 /// Identity (which user issued the query) and capacity are properties of the
 /// *assignment problem*, not of the scoring function, and live in the
 /// `pref-assign` crate.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LinearFunction {
     weights: Box<[f64]>,
     priority: f64,
+    /// `γ·αᵢ` per dimension: the row every score is computed from.
+    effective: Box<[f64]>,
 }
 
 impl LinearFunction {
     /// Creates a function from raw weights, normalizing them to sum to one.
-    /// The caller's vector is normalized in place and reused — no extra
-    /// allocation beyond the buffer the caller already built.
-    pub fn new(mut weights: Vec<f64>) -> GeomResult<Self> {
-        normalize_weights_in_place(&mut weights)?;
-        Ok(Self {
-            weights: weights.into_boxed_slice(),
-            priority: 1.0,
-        })
+    pub fn new(weights: Vec<f64>) -> GeomResult<Self> {
+        Self::with_priority(weights, 1.0)
     }
 
     /// Creates a prioritized function (`γ ≥ 0`), normalizing the weights.
-    pub fn with_priority(weights: Vec<f64>, priority: f64) -> GeomResult<Self> {
-        if !priority.is_finite() || priority < 0.0 {
-            return Err(GeomError::InvalidWeights(format!(
-                "priority must be a non-negative finite number, got {priority}"
-            )));
-        }
-        let mut f = Self::new(weights)?;
-        f.priority = priority;
-        Ok(f)
+    pub fn with_priority(mut weights: Vec<f64>, priority: f64) -> GeomResult<Self> {
+        check_priority(priority)?;
+        normalize_weights_in_place(&mut weights)?;
+        Ok(Self::scaled(weights.into_boxed_slice(), priority))
     }
 
     /// Creates a function from weights that are already normalized, keeping
@@ -104,10 +103,18 @@ impl LinearFunction {
                 "weights sum to {sum}, not 1"
             )));
         }
-        Ok(Self {
-            weights: weights.into_boxed_slice(),
-            priority: 1.0,
-        })
+        Ok(Self::scaled(weights.into_boxed_slice(), 1.0))
+    }
+
+    /// The function with normalized `weights` and priority `priority`, its
+    /// effective row computed once.
+    fn scaled(weights: Box<[f64]>, priority: f64) -> Self {
+        let effective = weights.iter().map(|w| w * priority).collect();
+        Self {
+            weights,
+            priority,
+            effective,
+        }
     }
 
     /// Number of dimensions the function scores.
@@ -136,37 +143,30 @@ impl LinearFunction {
 
     /// Returns a copy with priority γ.
     pub fn prioritized(&self, priority: f64) -> GeomResult<Self> {
-        if !priority.is_finite() || priority < 0.0 {
-            return Err(GeomError::InvalidWeights(format!(
-                "priority must be a non-negative finite number, got {priority}"
-            )));
-        }
-        Ok(Self {
-            weights: self.weights.clone(),
-            priority,
-        })
+        check_priority(priority)?;
+        Ok(Self::scaled(self.weights.clone(), priority))
     }
 
-    /// The *modified coefficients* `α′ᵢ = γ·αᵢ` used by the prioritized
-    /// variant (Section 6.2). For `γ = 1` these equal the plain weights.
-    pub fn effective_weights(&self) -> Vec<f64> {
-        self.weights.iter().map(|w| w * self.priority).collect()
+    /// The *modified coefficients* `α′ᵢ = γ·αᵢ` of the prioritized variant
+    /// (Section 6.2), the row every score is computed from. For `γ = 1` these
+    /// are the plain weights.
+    #[inline]
+    pub fn effective_weights(&self) -> &[f64] {
+        &self.effective
     }
 
-    /// Scores a point: `γ · Σ αᵢ·oᵢ` (Equations 1 and 2).
+    /// Scores a point: `Σ (γ·αᵢ)·oᵢ` (Equations 1 and 2).
     #[inline]
     pub fn score(&self, o: &Point) -> f64 {
         self.score_coords(o.coords())
     }
 
-    /// Scores a raw coordinate slice. Routed through the canonical
-    /// [`crate::kernel::dot`] kernel so scalar and batch scoring share one
-    /// floating-point summation order (see the kernel module's determinism
-    /// contract).
+    /// Scores a raw coordinate slice: [`crate::kernel::dot`] over the
+    /// effective row, so scalar and batch scoring share one floating-point
+    /// summation order (see the kernel module's determinism contract).
     #[inline]
     pub fn score_coords(&self, coords: &[f64]) -> f64 {
-        debug_assert_eq!(coords.len(), self.weights.len(), "dimension mismatch");
-        crate::kernel::dot(&self.weights, coords) * self.priority
+        crate::kernel::dot(&self.effective, coords)
     }
 
     /// Upper bound of the score over an MBR (score of its best corner).
@@ -179,8 +179,18 @@ impl LinearFunction {
     /// space; the Chain adaptation indexes functions by an R-tree over these
     /// points.
     pub fn effective_weights_as_point(&self) -> Point {
-        Point::from_slice(&self.effective_weights())
+        Point::from_slice(&self.effective)
     }
+}
+
+/// Refuses a priority that is negative or not finite.
+fn check_priority(priority: f64) -> GeomResult<()> {
+    if !priority.is_finite() || priority < 0.0 {
+        return Err(GeomError::InvalidWeights(format!(
+            "priority must be a non-negative finite number, got {priority}"
+        )));
+    }
+    Ok(())
 }
 
 impl std::fmt::Display for LinearFunction {
@@ -268,7 +278,7 @@ mod tests {
         let f3 = LinearFunction::with_priority(vec![0.5, 0.5], 1.0).unwrap();
         let o = Point::from_slice(&[0.5, 0.6]);
         assert!(f1.score(&o) > f3.score(&o));
-        assert_eq!(f1.effective_weights(), vec![0.8 * 3.0, 0.2 * 3.0]);
+        assert_eq!(f1.effective_weights(), &[0.8 * 3.0, 0.2 * 3.0]);
         assert!(LinearFunction::with_priority(vec![0.5, 0.5], -1.0).is_err());
         assert!(LinearFunction::with_priority(vec![0.5, 0.5], f64::NAN).is_err());
     }

@@ -21,11 +21,12 @@
 //! Every kernel reproduces the scalar summation order bit-for-bit:
 //!
 //! * [`dot`] computes `acc = 0.0; acc += w[d]·c[d]` for `d = 0, 1, …` — the
-//!   same floating-point sequence as [`crate::LinearFunction::score_coords`]
-//!   and the sorted-list scorers built on effective weights.
-//! * [`score_block`] computes the identical per-point sequence for every lane
-//!   row, then multiplies by the priority (`x * 1.0 == x` exactly, so folding
-//!   an absent priority is also bit-neutral).
+//!   one floating-point sequence for a score. [`crate::LinearFunction`]
+//!   runs it over its effective row `γ·αᵢ`, and so does every function index
+//!   built from that row.
+//! * [`score_block`] and [`score_rows`] compute the identical per-point
+//!   sequence for every lane row. They take no priority: a prioritized
+//!   function scores with its effective row, never by scaling a sum.
 //!
 //! Because scores are bit-identical, every downstream tie-break (lowest
 //! function index, lowest dense object index) resolves exactly as the scalar
@@ -103,42 +104,21 @@ impl SoaBlock {
     /// # Panics
     /// Panics on a dimensionality mismatch with the points already stored.
     pub fn push_coords(&mut self, coords: &[f64]) {
-        self.fit_dims(coords.len());
-        for (lane, &c) in self.lanes.iter_mut().zip(coords.iter()) {
-            lane.push(c);
-        }
-        self.len += 1;
-    }
-
-    /// Appends one point whose coordinates are `coords` each multiplied by
-    /// `factor`: a function's effective weights `γ·αᵢ` go in straight from
-    /// its weights, with the bits [`LinearFunction::effective_weights`]
-    /// gives them and no temporary row.
-    ///
-    /// # Panics
-    /// Panics on a dimensionality mismatch with the points already stored.
-    pub fn push_scaled(&mut self, coords: &[f64], factor: f64) {
-        self.fit_dims(coords.len());
-        for (lane, &c) in self.lanes.iter_mut().zip(coords.iter()) {
-            lane.push(c * factor);
-        }
-        self.len += 1;
-    }
-
-    /// Sizes the lanes for a point of `dims` coordinates; a block may change
-    /// dimensionality only while it holds no point.
-    fn fit_dims(&mut self, dims: usize) {
-        if self.lanes.len() != dims {
+        if self.lanes.len() != coords.len() {
             assert!(
                 self.lanes.iter().all(Vec::is_empty),
                 "SoaBlock dimensionality changed mid-fill: {} vs {}",
                 self.lanes.len(),
-                dims
+                coords.len()
             );
             // lint: allow(kernel-no-alloc) -- one-time lane growth on first fill
-            self.lanes.resize_with(dims, Vec::new);
+            self.lanes.resize_with(coords.len(), Vec::new);
         }
-        self.dims = dims;
+        self.dims = coords.len();
+        for (lane, &c) in self.lanes.iter_mut().zip(coords.iter()) {
+            lane.push(c);
+        }
+        self.len += 1;
     }
 
     /// Appends one [`Point`].
@@ -204,18 +184,18 @@ fn dot_const<const D: usize>(weights: &[f64], coords: &[f64]) -> f64 {
     acc
 }
 
-/// Scores every point of `block` with one weight vector: `out[i] = priority ·
+/// Scores every point of `block` with one weight vector: `out[i] =
 /// Σ_d weights[d]·lane(d)[i]`, accumulated per point in ascending-dimension
-/// order (bit-identical to [`dot`] followed by the priority multiply).
+/// order (bit-identical to [`dot`]).
 ///
 /// `out` is caller-owned scratch; it is cleared and resized to `block.len()`.
 ///
 /// # Panics
 /// Panics if `weights.len() != block.dims()` (unless the block is empty).
-pub fn score_block(weights: &[f64], priority: f64, block: &SoaBlock, out: &mut Vec<f64>) {
+pub fn score_block(weights: &[f64], block: &SoaBlock, out: &mut Vec<f64>) {
     out.clear();
     out.resize(block.len(), 0.0);
-    score_rows(weights, priority, block, 0, out);
+    score_rows(weights, block, 0, out);
 }
 
 /// [`score_block`] over the rows `start .. start + out.len()` only, into a
@@ -226,21 +206,21 @@ pub fn score_block(weights: &[f64], priority: f64, block: &SoaBlock, out: &mut V
 /// # Panics
 /// Panics if the range runs past `block.len()`, or if `weights.len() !=
 /// block.dims()` (unless `out` is empty).
-pub fn score_rows(weights: &[f64], priority: f64, block: &SoaBlock, start: usize, out: &mut [f64]) {
+pub fn score_rows(weights: &[f64], block: &SoaBlock, start: usize, out: &mut [f64]) {
     if out.is_empty() {
         return;
     }
     assert_eq!(weights.len(), block.dims(), "dimension mismatch");
     match weights.len() {
-        1 => score_lanes_const::<1>(weights, priority, block, start, out),
-        2 => score_lanes_const::<2>(weights, priority, block, start, out),
-        3 => score_lanes_const::<3>(weights, priority, block, start, out),
-        4 => score_lanes_const::<4>(weights, priority, block, start, out),
-        5 => score_lanes_const::<5>(weights, priority, block, start, out),
-        6 => score_lanes_const::<6>(weights, priority, block, start, out),
-        7 => score_lanes_const::<7>(weights, priority, block, start, out),
-        8 => score_lanes_const::<8>(weights, priority, block, start, out),
-        _ => score_lanes_generic(weights, priority, block, start, out),
+        1 => score_lanes_const::<1>(weights, block, start, out),
+        2 => score_lanes_const::<2>(weights, block, start, out),
+        3 => score_lanes_const::<3>(weights, block, start, out),
+        4 => score_lanes_const::<4>(weights, block, start, out),
+        5 => score_lanes_const::<5>(weights, block, start, out),
+        6 => score_lanes_const::<6>(weights, block, start, out),
+        7 => score_lanes_const::<7>(weights, block, start, out),
+        8 => score_lanes_const::<8>(weights, block, start, out),
+        _ => score_lanes_generic(weights, block, start, out),
     }
 }
 
@@ -251,7 +231,6 @@ pub fn score_rows(weights: &[f64], priority: f64, block: &SoaBlock, start: usize
 #[inline]
 fn score_lanes_const<const D: usize>(
     weights: &[f64],
-    priority: f64,
     block: &SoaBlock,
     start: usize,
     out: &mut [f64],
@@ -271,7 +250,7 @@ fn score_lanes_const<const D: usize>(
             for d in 0..D {
                 acc += w[d] * cols[d][i];
             }
-            out[i] = acc * priority;
+            out[i] = acc;
         }
         base += LANE_CHUNK;
     }
@@ -280,22 +259,16 @@ fn score_lanes_const<const D: usize>(
         for d in 0..D {
             acc += w[d] * cols[d][i];
         }
-        out[i] = acc * priority;
+        out[i] = acc;
     }
 }
 
 /// Runtime-dimensionality fallback (D > 8), dimension-major: one clean
 /// slice-to-slice multiply-add pass per dimension into the accumulator
-/// buffer, then one priority pass. Per point the accumulator still starts at
-/// `0.0` and adds `w[d]·c[d]` in ascending-`d` order — the canonical [`dot`]
-/// sequence — so the pass order is a pure layout change, not a reassociation.
-fn score_lanes_generic(
-    weights: &[f64],
-    priority: f64,
-    block: &SoaBlock,
-    start: usize,
-    out: &mut [f64],
-) {
+/// buffer. Per point the accumulator still starts at `0.0` and adds
+/// `w[d]·c[d]` in ascending-`d` order — the canonical [`dot`] sequence — so
+/// the pass order is a pure layout change, not a reassociation.
+fn score_lanes_generic(weights: &[f64], block: &SoaBlock, start: usize, out: &mut [f64]) {
     let n = out.len();
     out.fill(0.0);
     for (d, &w) in weights.iter().enumerate() {
@@ -303,9 +276,6 @@ fn score_lanes_generic(
         for (acc, &c) in out.iter_mut().zip(lane) {
             *acc += w * c;
         }
-    }
-    for acc in out.iter_mut() {
-        *acc *= priority;
     }
 }
 
@@ -472,36 +442,32 @@ fn first_dominator_generic(block: &SoaBlock, coords: &[f64], from: usize) -> Opt
     None
 }
 
-/// A shared, immutable table of scoring weight vectors — the batch-scoring
+/// A shared, immutable table of effective weight rows — the batch-scoring
 /// face of a function set.
 ///
-/// The rows live behind [`Arc`]s, so a table clone is two pointer bumps.
-/// Row `fi` scores a point as `priority[fi] · Σ_d weights[fi][d]·c[d]`, in
-/// the canonical [`dot`] order. The solvers do not use it: their function
-/// index keeps the effective weights as one columnar block.
+/// The rows live behind an [`Arc`], so a table clone is one pointer bump.
+/// Row `fi` holds function `fi`'s effective weights `γ·αᵢ` and scores a
+/// point as `Σ_d row[d]·c[d]` in the canonical [`dot`] order, the bits of
+/// [`LinearFunction::score`]. The solvers do not use it: their function
+/// index keeps the same rows as one columnar block.
 #[derive(Debug, Clone)]
 pub struct ScoreTable {
     weights: Arc<Vec<Box<[f64]>>>,
-    priorities: Arc<Vec<f64>>,
     dims: usize,
 }
 
 impl ScoreTable {
-    /// Builds a table from full functions: plain weights plus the priority
-    /// multiplier, matching [`LinearFunction::score`] bit-for-bit.
+    /// Builds a table from the functions' effective rows, matching
+    /// [`LinearFunction::score`] bit-for-bit.
     pub fn from_functions(functions: &[LinearFunction]) -> Self {
         let dims = functions.first().map_or(0, LinearFunction::dims);
         let weights: Vec<Box<[f64]>> = functions
             .iter()
-            // lint: allow(kernel-no-alloc) -- table construction is setup, not a scan
-            .map(|f| f.weights().to_vec().into_boxed_slice())
+            .map(|f| Box::from(f.effective_weights()))
             // lint: allow(kernel-no-alloc) -- table construction is setup, not a scan
             .collect();
-        // lint: allow(kernel-no-alloc) -- table construction is setup, not a scan
-        let priorities: Vec<f64> = functions.iter().map(LinearFunction::priority).collect();
         Self {
             weights: Arc::new(weights),
-            priorities: Arc::new(priorities),
             dims,
         }
     }
@@ -527,7 +493,7 @@ impl ScoreTable {
     /// Scores one coordinate slice with row `fi` (canonical scalar order).
     #[inline]
     pub fn score_coords(&self, fi: usize, coords: &[f64]) -> f64 {
-        dot(&self.weights[fi], coords) * self.priorities[fi]
+        dot(&self.weights[fi], coords)
     }
 
     /// Scores one point with row `fi`.
@@ -539,7 +505,7 @@ impl ScoreTable {
     /// Batch-scores a whole block with row `fi` into caller scratch.
     #[inline]
     pub fn score_block(&self, fi: usize, block: &SoaBlock, out: &mut Vec<f64>) {
-        score_block(&self.weights[fi], self.priorities[fi], block, out);
+        score_block(&self.weights[fi], block, out);
     }
 }
 
@@ -548,12 +514,12 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    fn scalar_score(weights: &[f64], priority: f64, coords: &[f64]) -> f64 {
+    fn scalar_score(weights: &[f64], coords: &[f64]) -> f64 {
         let mut acc = 0.0;
         for (w, c) in weights.iter().zip(coords.iter()) {
             acc += w * c;
         }
-        acc * priority
+        acc
     }
 
     #[test]
@@ -591,7 +557,7 @@ mod tests {
             let c: Vec<f64> = (0..dims).map(|d| 0.9 - d as f64 * 0.05).collect();
             assert_eq!(
                 dot(&w, &c).to_bits(),
-                scalar_score(&w, 1.0, &c).to_bits(),
+                scalar_score(&w, &c).to_bits(),
                 "dims {dims}"
             );
         }
@@ -602,7 +568,13 @@ mod tests {
         // every chunk-remainder length around the chunk width
         for n in 0..(3 * LANE_CHUNK + 1) {
             for dims in 1..=10 {
-                let w: Vec<f64> = (0..dims).map(|d| (d as f64 + 1.0) * 0.123).collect();
+                // a prioritized function's effective row, γ = 2.5
+                let f = LinearFunction::with_priority(
+                    (0..dims).map(|d| (d as f64 + 1.0) * 0.123).collect(),
+                    2.5,
+                )
+                .unwrap();
+                let w = f.effective_weights();
                 let mut block = SoaBlock::new();
                 let mut points = Vec::new();
                 for i in 0..n {
@@ -613,12 +585,13 @@ mod tests {
                     points.push(p);
                 }
                 let mut out = Vec::new();
-                score_block(&w, 2.5, &block, &mut out);
+                score_block(w, &block, &mut out);
                 assert_eq!(out.len(), n);
                 for (i, p) in points.iter().enumerate() {
+                    assert_eq!(out[i].to_bits(), scalar_score(w, p).to_bits());
                     assert_eq!(
                         out[i].to_bits(),
-                        scalar_score(&w, 2.5, p).to_bits(),
+                        f.score_coords(p).to_bits(),
                         "n={n} dims={dims} i={i}"
                     );
                 }
@@ -642,14 +615,14 @@ mod tests {
                 .collect();
             let block = block_of(&rows);
             let mut whole = Vec::new();
-            score_block(&w, 1.0, &block, &mut whole);
+            score_block(&w, &block, &mut whole);
             for start in [0, 1, LANE_CHUNK - 1, LANE_CHUNK, n - 1, n] {
                 for len in [0, 1, LANE_CHUNK, LANE_CHUNK + 1, n - start] {
                     if start + len > n {
                         continue;
                     }
                     let mut out = [f64::NAN; 3 * LANE_CHUNK + 3];
-                    score_rows(&w, 1.0, &block, start, &mut out[..len]);
+                    score_rows(&w, &block, start, &mut out[..len]);
                     for (i, got) in out[..len].iter().enumerate() {
                         assert_eq!(
                             got.to_bits(),
@@ -670,9 +643,9 @@ mod tests {
         block.push_coords(&[tiny, tiny, 1.0]);
         block.push_coords(&[1.0, tiny, tiny]);
         let mut out = Vec::new();
-        score_block(&w, 1.0, &block, &mut out);
+        score_block(&w, &block, &mut out);
         for (i, p) in [[tiny, tiny, 1.0], [1.0, tiny, tiny]].iter().enumerate() {
-            assert_eq!(out[i].to_bits(), scalar_score(&w, 1.0, p).to_bits());
+            assert_eq!(out[i].to_bits(), scalar_score(&w, p).to_bits());
         }
     }
 
@@ -883,36 +856,29 @@ mod tests {
 
     #[test]
     fn score_table_from_functions_matches_linear_function_bitwise() {
+        // γ = 1.3 is not a power of two: scaling the plain sum by it rounds
+        // differently from the effective row on some of these points
         let fns = vec![
             LinearFunction::with_priority(vec![0.8, 0.2], 3.0).unwrap(),
             LinearFunction::new(vec![0.3, 0.7]).unwrap(),
+            LinearFunction::with_priority(vec![0.375, 0.625], 1.3).unwrap(),
         ];
         let table = ScoreTable::from_functions(&fns);
-        assert_eq!((table.len(), table.dims()), (2, 2));
-        let p = Point::from_slice(&[0.41, 0.73]);
-        for (fi, f) in fns.iter().enumerate() {
-            assert_eq!(table.score(fi, &p).to_bits(), f.score(&p).to_bits());
-        }
+        assert_eq!((table.len(), table.dims()), (3, 2));
+        let points: Vec<Point> = [[0.41, 0.73], [0.5625, 0.5625], [0.1, 0.9]]
+            .iter()
+            .map(|c| Point::from_slice(c))
+            .collect();
         let mut block = SoaBlock::new();
-        block.push_point(&p);
+        for p in &points {
+            block.push_point(p);
+        }
         let mut out = Vec::new();
-        table.score_block(0, &block, &mut out);
-        assert_eq!(out[0].to_bits(), fns[0].score(&p).to_bits());
-    }
-
-    #[test]
-    fn push_scaled_stores_the_bits_of_the_effective_weights() {
-        let fns = [
-            LinearFunction::with_priority(vec![0.3, 0.7, 0.1], 2.75).unwrap(),
-            LinearFunction::new(vec![0.5, 0.25, 0.25]).unwrap(),
-        ];
-        let mut block = SoaBlock::new();
-        for f in &fns {
-            block.push_scaled(f.weights(), f.priority());
-        }
-        for (row, f) in fns.iter().enumerate() {
-            for (d, w) in f.effective_weights().into_iter().enumerate() {
-                assert_eq!(block.lane(d)[row].to_bits(), w.to_bits());
+        for (fi, f) in fns.iter().enumerate() {
+            table.score_block(fi, &block, &mut out);
+            for (p, got) in points.iter().zip(&out) {
+                assert_eq!(table.score(fi, p).to_bits(), f.score(p).to_bits());
+                assert_eq!(got.to_bits(), f.score(p).to_bits(), "f{fi} on {p:?}");
             }
         }
     }
@@ -932,7 +898,7 @@ mod tests {
                 .collect();
             let mut block = block_of(&rows);
             let mut out = Vec::new();
-            score_block(&rows[0], 1.0, &block, &mut out); // warm-up sizes the scratch
+            score_block(&rows[0], &block, &mut out); // warm-up sizes the scratch
             let pinned = |block: &SoaBlock, out: &Vec<f64>| {
                 let lanes: Vec<*const f64> = (0..dims).map(|d| block.lane(d).as_ptr()).collect();
                 (out.as_ptr(), out.capacity(), lanes)
@@ -940,7 +906,7 @@ mod tests {
             let before = pinned(&block, &out);
             for _ in 0..4 {
                 for weights in &rows[..8] {
-                    score_block(weights, 1.0, &block, &mut out);
+                    score_block(weights, &block, &mut out);
                 }
                 block.clear();
                 for row in &rows {
@@ -964,7 +930,8 @@ mod tests {
                 let x = (seed as f64 + (i % 7) as f64 * 1.37 + d as f64 * 0.61).sin();
                 x.abs()
             };
-            let w: Vec<f64> = (0..dims).map(|d| coord(97, d) + 1e-3).collect();
+            // a function's effective row: γ·αᵢ, its bits fixed before scoring
+            let w: Vec<f64> = (0..dims).map(|d| (coord(97, d) + 1e-3) * priority).collect();
             let mut block = SoaBlock::new();
             let mut pts = Vec::new();
             for i in 0..n {
@@ -973,11 +940,11 @@ mod tests {
                 pts.push(p);
             }
             let mut out = Vec::new();
-            score_block(&w, priority, &block, &mut out);
+            score_block(&w, &block, &mut out);
             prop_assert_eq!(out.len(), n);
             for (i, p) in pts.iter().enumerate() {
-                prop_assert_eq!(out[i].to_bits(), scalar_score(&w, priority, p).to_bits());
-                prop_assert_eq!(dot(&w, p).to_bits(), scalar_score(&w, 1.0, p).to_bits());
+                prop_assert_eq!(out[i].to_bits(), scalar_score(&w, p).to_bits());
+                prop_assert_eq!(dot(&w, p).to_bits(), out[i].to_bits());
             }
         }
     }

@@ -54,7 +54,7 @@ impl AliveFunctions {
                 block.is_empty() || f.dims() == block.dims(),
                 "all functions must share the same dimensionality"
             );
-            block.push_scaled(f.weights(), f.priority());
+            block.push_coords(f.effective_weights());
             max_priority = max_priority.max(f.priority());
         }
         assert!(
@@ -116,10 +116,11 @@ impl AliveFunctions {
         true
     }
 
-    /// An alive function's effective score on an object (a "random access"
-    /// in TA terms). It reads the function's row in ascending-`d` order,
-    /// `acc = 0.0; acc += w[d]·o[d]`: the sequence [`pref_geom::kernel::dot`]
-    /// runs on a contiguous row, so the bits are the same.
+    /// An alive function's score on an object (a "random access" in TA
+    /// terms). It reads the function's row in ascending-`d` order, `acc =
+    /// 0.0; acc += w[d]·o[d]`: the sequence [`pref_geom::kernel::dot`] runs
+    /// on a contiguous row, so the bits are those of
+    /// [`LinearFunction::score`].
     pub fn score(&self, function: usize, object: &Point) -> f64 {
         debug_assert_eq!(object.dims(), self.dims());
         self.weights(function)
@@ -177,13 +178,12 @@ impl AliveFunctions {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pref_geom::kernel;
     use rand::{rngs::StdRng, Rng, SeedableRng};
 
     /// The index's contract: its rows are exactly the alive functions, each
     /// with its own effective weights, `function → row` inverts `row →
-    /// function`, and every alive function scores `o` with the bits
-    /// `kernel::dot` gives its effective weights.
+    /// function`, and every alive function scores `o` with the bits of
+    /// `LinearFunction::score`.
     fn assert_block_mirrors_alive(index: &AliveFunctions, functions: &[LinearFunction], o: &Point) {
         let block = index.block();
         let rows = index.rows();
@@ -202,10 +202,10 @@ mod tests {
             }
             assert_eq!(
                 index.score(function, o).to_bits(),
-                kernel::dot(&effective, o.coords()).to_bits(),
+                functions[function].score(o).to_bits(),
                 "function {function}"
             );
-            assert!(index.weights(function).eq(effective));
+            assert!(index.weights(function).eq(effective.iter().copied()));
         }
     }
 

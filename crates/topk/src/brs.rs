@@ -136,8 +136,7 @@ impl RankedSearch {
     fn push_page(&mut self, entries: Vec<NodeEntry>) {
         debug_assert_eq!(self.block.len(), entries.len());
         kernel::score_block(
-            self.function.weights(),
-            self.function.priority(),
+            self.function.effective_weights(),
             &self.block,
             &mut self.scores,
         );

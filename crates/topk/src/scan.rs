@@ -101,7 +101,7 @@ impl ScanTopOne {
         let mut scores = [0.0f64; SCAN_CHUNK];
         for (chunk, functions) in functions.chunks(SCAN_CHUNK).enumerate() {
             let scores = &mut scores[..functions.len()];
-            kernel::score_rows(self.object.coords(), 1.0, block, chunk * SCAN_CHUNK, scores);
+            kernel::score_rows(self.object.coords(), block, chunk * SCAN_CHUNK, scores);
             for (&score, &func) in scores.iter().zip(functions) {
                 if score >= floor {
                     self.keep(score, func);

@@ -11,7 +11,10 @@
 //!   plus duplicated weight vectors — the tie-break paths must pick the
 //!   oracle's pair),
 //! * **degenerate shapes** (1×1 problems, one side much larger than the
-//!   other, all-identical populations, saturated and starved supply).
+//!   other, all-identical populations, saturated and starved supply),
+//! * **priorities** (the same seeds again with each function's γ drawn from
+//!   `{1, 1.3, 2, 3}`: 1.3 is not a power of two, so a path that scaled
+//!   `Σαᵢoᵢ` by γ instead of summing `(γαᵢ)oᵢ` would break ties elsewhere).
 //!
 //! Every instance is solved by every solver variant over trees of several
 //! fanouts; each result must verify as stable *and* equal the oracle's
@@ -127,6 +130,27 @@ fn random_instance(seed: u64) -> Problem {
     Problem::new(functions, objects).unwrap()
 }
 
+/// Seed offset of the priority draws: a stream of their own, so the
+/// unprioritized instance of a seed stays exactly what it was.
+const PRIORITY_STREAM: u64 = 0x9e37_79b9_7f4a_7c15;
+
+/// `problem` with each function's priority γ drawn from `{1, 1.3, 2, 3}`.
+fn with_random_priorities(problem: &Problem, seed: u64) -> Problem {
+    let mut rng = StdRng::seed_from_u64(seed ^ PRIORITY_STREAM);
+    let functions = problem
+        .functions()
+        .iter()
+        .map(|f| {
+            let gamma = [1.0, 1.3, 2.0, 3.0][rng.gen_range(0..4usize)];
+            PreferenceFunction {
+                function: f.function.prioritized(gamma).unwrap(),
+                ..f.clone()
+            }
+        })
+        .collect();
+    Problem::new(functions, problem.objects().to_vec()).unwrap()
+}
+
 /// Solves `problem` with every solver variant over several tree fanouts and
 /// checks stability + canonical oracle equality for each.
 fn check_against_oracle(problem: &Problem, label: &str) {
@@ -161,6 +185,22 @@ fn seeded_random_instances_match_the_oracle() {
             &problem,
             &format!(
                 "seed {seed} (|F|={}, |O|={}, dims={})",
+                problem.num_functions(),
+                problem.num_objects(),
+                problem.dims()
+            ),
+        );
+    }
+}
+
+#[test]
+fn seeded_prioritized_instances_match_the_oracle() {
+    for seed in 0..fuzz_iters() {
+        let problem = with_random_priorities(&random_instance(seed), seed);
+        check_against_oracle(
+            &problem,
+            &format!(
+                "prioritized seed {seed} (|F|={}, |O|={}, dims={})",
                 problem.num_functions(),
                 problem.num_objects(),
                 problem.dims()

@@ -1,13 +1,15 @@
 //! Cross-crate integration tests: every algorithm, every workload shape, one
 //! stable matching.
 
+use fair_assignment::assign::all_solvers;
 use fair_assignment::datagen::{
     anti_correlated_objects, correlated_objects, independent_objects, nba_like_objects,
     random_capacities, random_priorities, uniform_weight_functions, zillow_like_objects,
 };
+use fair_assignment::geom::{LinearFunction, Point};
 use fair_assignment::{
-    brute_force, chain, oracle, sb, verify_stable, ObjectRecord, PreferenceFunction, Problem,
-    SbOptions,
+    brute_force, chain, oracle, sb, verify_stable, AssignmentEngine, EngineOptions, ObjectRecord,
+    PreferenceFunction, Problem, SbOptions,
 };
 
 fn run_all_and_compare(problem: &Problem) {
@@ -161,4 +163,58 @@ fn sb_two_skylines_matches_standard_on_prioritized_workload() {
         twosky.assignment.canonical()
     );
     verify_stable(&problem, &twosky.assignment).unwrap();
+}
+
+/// Every catalogue solver and the engine's initial solve give `problem` the
+/// oracle's matching.
+fn assert_every_solver_matches_the_oracle(problem: &Problem, label: &str) {
+    let want = oracle(problem).canonical();
+    for solver in all_solvers() {
+        let mut tree = problem.build_tree(None, 0.0);
+        let result = solver.solve(problem, &mut tree);
+        verify_stable(problem, &result.assignment)
+            .unwrap_or_else(|v| panic!("{} unstable on {label}: {v}", solver.name()));
+        assert_eq!(
+            result.assignment.canonical(),
+            want,
+            "{} on {label}",
+            solver.name()
+        );
+    }
+    let engine = AssignmentEngine::new(problem, &EngineOptions::default()).unwrap();
+    assert_eq!(engine.assignment().canonical(), want, "engine on {label}");
+}
+
+/// Two functions and one object; f0 has index 0.
+fn two_functions_one_object(f0: LinearFunction, f1: LinearFunction, o: &[f64]) -> Problem {
+    Problem::new(
+        vec![
+            PreferenceFunction::new(0, f0),
+            PreferenceFunction::new(1, f1),
+        ],
+        vec![ObjectRecord::new(0, Point::from_slice(o))],
+    )
+    .unwrap()
+}
+
+#[test]
+fn prioritized_near_ties_and_zero_objects_match_the_oracle() {
+    // γ = 1.3 on both: the effective sums Σ(γ·αᵢ)·oᵢ put f0 one ulp below
+    // f1, where (Σαᵢ·oᵢ)·γ would round both to 0x3fe7666666666667 and tie
+    let f0 = LinearFunction::with_priority(vec![0.375, 0.625], 1.3).unwrap();
+    let f1 = LinearFunction::with_priority(vec![2.0, 1.0], 1.3).unwrap();
+    let o = [0.5625, 0.5625];
+    let p = two_functions_one_object(f0, f1, &o);
+    let score = |fi: usize| p.functions()[fi].function.score(&Point::from_slice(&o));
+    assert_eq!(score(0).to_bits() + 1, score(1).to_bits());
+    assert_eq!(oracle(&p).canonical()[0].0, 1);
+    assert_every_solver_matches_the_oracle(&p, "the γ = 1.3 near tie");
+
+    // an all-zero object scores exactly 0 under every function, so it goes
+    // to the lowest index, whatever the priorities
+    let f0 = LinearFunction::new(vec![1.0, 1.0]).unwrap();
+    let f1 = LinearFunction::with_priority(vec![1.0, 1.0], 3.0).unwrap();
+    let p = two_functions_one_object(f0, f1, &[0.0, 0.0]);
+    assert_eq!(oracle(&p).canonical()[0].0, 0);
+    assert_every_solver_matches_the_oracle(&p, "the all-zero object");
 }
