@@ -120,12 +120,16 @@ fn dominance(c: &mut Criterion) {
 }
 
 /// A fresh reverse top-1 search by the paper's TA versus one by the default
-/// columnar scan, at 5000×4, where the knapsack threshold is tight, and at the
-/// `solve-wide` shape 200×12, where it is loose.
+/// columnar scan, at 5000×4, where the knapsack threshold is tight, at the
+/// `solve-anti` shape 1000×4, and at the `solve-wide` shape 200×12, where it
+/// is loose.
 fn reverse_top1(c: &mut Criterion) {
     let mut group = c.benchmark_group("reverse_top1");
+    // one search takes microseconds: enough of them to average out the timer
+    group.sample_size(1000);
     for (n, omega, coords) in [
         (5_000, 125, &[0.9, 0.4, 0.7, 0.2][..]),
+        (1_000, 25, &[0.9, 0.4, 0.7, 0.2][..]),
         (
             200,
             5,

@@ -9,47 +9,38 @@
 //! order. Keeping one implementation here is what guarantees the strategies
 //! cannot drift apart on tie-breaking.
 //!
-//! # Columnar scoring and parallelism
+//! # Each function keeps its best skyline objects across loops
 //!
-//! The per-function argmax is the solver's scoring hot spot: every candidate
-//! function scores every skyline object, `|candidates| × |skyline|` dot
-//! products per loop. The step therefore
+//! The skyline changes little between loops: the objects a loop exhausts
+//! leave, and the ones maintenance uncovers join (on `solve-anti` about 17
+//! and 50 of ~2 000–3 800). So a function does not rescore the skyline each
+//! time it is a candidate. At its first candidacy it scans the skyline block
+//! into a [`KeptRows`], its best [`pref_topk::KEPT_ROWS`] objects by `(score
+//! desc, dense object index asc)`. At each later one it
 //!
-//! 1. mirrors the loop's skyline working set into a reusable [`SoaBlock`]
-//!    (dimension-major lanes), gathers the candidates' weight rows out of the
-//!    function index once into one scratch buffer, and batch-scores each row
-//!    with the [`pref_geom::kernel`] lane kernels, and
-//! 2. optionally partitions the candidate set across a
-//!    [`WorkStealingPool`] — each function's argmax is independent, so the
-//!    split is embarrassingly parallel.
+//! 1. drops the kept objects that have been exhausted since,
+//! 2. if any remain, offers the objects that joined since it last looked,
+//!    and otherwise scans the skyline again.
 //!
-//! **Determinism contract.** The kernels are bit-identical to the scalar
-//! scoring path, and the argmax comparator (`s > bs || (s == bs && oi <
-//! best_oi)`) is a strict total order on `(score, dense index)` — its result
-//! does not depend on scan order. Partition results are merged back into
-//! `function_best` slots keyed by function index, so the pairs that leave
-//! this function are byte-identical at any thread count, pool or no pool.
+//! The joiners come from the **entrant log**, the dense index of every object
+//! maintenance added to the skyline, in order (maintenance only appends
+//! rows); a function remembers how much of the log it has offered. The
+//! **cutoff** invariant of [`KeptRows`] — every live object a function did
+//! not keep ranks behind its cutoff — is what lets an offer skip the objects
+//! the last scan left out: an entrant enters only ahead of the cutoff. The
+//! first kept object is then the function's best live skyline object, the
+//! one a full argmax over the skyline finds, score bits included; debug
+//! builds check that against the full argmax at every candidacy.
 
-use pref_geom::{kernel, Point, SoaBlock};
-use pref_rtree::RecordId;
-use pref_sync::WorkStealingPool;
-use pref_topk::AliveFunctions;
-use std::sync::Arc;
-
-/// Candidate-partition work (candidate count × skyline size) below which the
-/// pool is not worth waking: one loop of dot products at this size costs less
-/// than the batch handshake.
-const PARALLEL_WORK_FLOOR: usize = 4096;
+use crate::problem::ObjectRecord;
+use pref_geom::{kernel, SoaBlock};
+use pref_topk::{AliveFunctions, KeptRows};
 
 /// The per-run argmax state of the SB loop, owned by the loop.
 ///
 /// The slabs are indexed by the [`crate::Problem`]'s dense function / object
-/// indices and invalidated by a loop stamp instead of being cleared between
-/// loops. The block, the dense-index mirror and the candidates' weight rows
-/// live behind `Arc` so the parallel path can hand clones to pool workers
-/// without copying them; by the
-/// time a batch returns every worker clone is dropped, so the next loop's
-/// [`Arc::make_mut`] reuses the allocation in place instead of cloning.
+/// indices; the per-loop ones are invalidated by a loop stamp instead of
+/// being cleared between loops.
 pub(crate) struct Pairing {
     /// The current loop's stamp.
     stamp: u64,
@@ -61,15 +52,13 @@ pub(crate) struct Pairing {
     candidate_stamp: Vec<u64>,
     /// Functions named by some `object_best` entry this loop.
     candidates: Vec<usize>,
-    /// Columnar mirror of the loop's skyline points, in `sky_views` order.
-    block: Arc<SoaBlock>,
-    /// Dense object index of each block row (`sky_views[j].0`).
-    ois: Arc<Vec<usize>>,
-    /// The candidates' effective weights, one row of `dims` after another,
-    /// in `candidates` order.
-    rows: Arc<Vec<f64>>,
-    /// Score lane for the serial path.
-    scores: Vec<f64>,
+    /// `kept[fi]`: the function's best skyline objects and how much of
+    /// `entrants` they have seen; empty until its first candidacy.
+    kept: Vec<(KeptRows, usize)>,
+    /// Dense index of every object maintenance added to the skyline.
+    entrants: Vec<usize>,
+    /// The candidate's effective weights, gathered out of the index.
+    weights: Vec<f64>,
 }
 
 impl Pairing {
@@ -80,10 +69,9 @@ impl Pairing {
             function_best: vec![(0, 0, 0.0); n_fun],
             candidate_stamp: vec![0; n_fun],
             candidates: Vec::new(),
-            block: Arc::new(SoaBlock::new()),
-            ois: Arc::new(Vec::new()),
-            rows: Arc::new(Vec::new()),
-            scores: Vec::new(),
+            kept: vec![(KeptRows::new(), 0); n_fun],
+            entrants: Vec::new(),
+            weights: Vec::new(),
         }
     }
 
@@ -102,14 +90,19 @@ impl Pairing {
         }
     }
 
+    /// Logs an object that maintenance added to the skyline.
+    pub(crate) fn note_entrant(&mut self, oi: usize) {
+        self.entrants.push(oi);
+    }
+
     /// Computes the loop's stable pairs `(function, dense object index,
     /// score)` from the best functions noted since [`Self::begin_loop`].
     ///
-    /// * `sky_views` — the loop's skyline entries as `(dense index, record,
-    ///   &point)` views,
-    /// * `functions` — the function index; every candidate is alive in it,
-    /// * `pool` — optional worker pool; used only when the loop's scoring
-    ///   work clears [`PARALLEL_WORK_FLOOR`].
+    /// * `skyline` — the skyline's point block; row `r` is the object
+    ///   `sky_rows[r]` (a dense index),
+    /// * `objects` — the problem's objects, by dense index,
+    /// * `excluded` — `excluded[oi]` once object `oi` is exhausted,
+    /// * `functions` — the function index; every candidate is alive in it.
     ///
     /// Exact score ties break to the lowest *dense* object index (functions
     /// picking objects) and the lowest function index (the fallback entry and
@@ -119,81 +112,40 @@ impl Pairing {
     /// order.
     pub(crate) fn reciprocal_pairs(
         &mut self,
-        sky_views: &[(usize, RecordId, &Point)],
+        skyline: &SoaBlock,
+        sky_rows: &[usize],
+        objects: &[ObjectRecord],
+        excluded: &[bool],
         functions: &AliveFunctions,
-        pool: Option<&WorkStealingPool>,
     ) -> Vec<(usize, usize, f64)> {
         let stamp = self.stamp;
         // sorted so every scan below is deterministic
         self.candidates.sort_unstable();
 
-        // --- columnar mirror of the loop's working set -----------------------
-        let block = Arc::make_mut(&mut self.block);
-        block.clear();
-        let ois = Arc::make_mut(&mut self.ois);
-        ois.clear();
-        for &(oi, _, point) in sky_views {
-            block.push_point(point);
-            ois.push(oi);
-        }
-        let dims = functions.dims();
-        let rows = Arc::make_mut(&mut self.rows);
-        rows.clear();
-        for &fi in &self.candidates {
-            rows.extend(functions.weights(fi));
-        }
-
         // --- best skyline object for every candidate function ---------------
-        let parallel = pool.filter(|p| {
-            p.threads() > 1
-                && self.candidates.len() > 1
-                && self.candidates.len() * sky_views.len() >= PARALLEL_WORK_FLOOR
-        });
-        match parallel {
-            Some(pool) => {
-                // Contiguous candidate ranges, one per worker; each job
-                // computes its functions' argmaxes independently and the
-                // merge writes per-function slots, so the outcome is identical
-                // to the serial scan no matter which worker ran what when.
-                let span = self.candidates.len().div_ceil(pool.threads());
-                let jobs: Vec<_> = self
-                    .candidates
-                    .chunks(span)
-                    .enumerate()
-                    .map(|(job, chunk)| {
-                        let cands: Vec<usize> = chunk.to_vec();
-                        let first_row = job * span * dims;
-                        let block = Arc::clone(&self.block);
-                        let ois = Arc::clone(&self.ois);
-                        let rows = Arc::clone(&self.rows);
-                        move || {
-                            let mut scores: Vec<f64> = Vec::new();
-                            let mut out: Vec<(usize, usize, f64)> = Vec::with_capacity(cands.len());
-                            let weights = rows[first_row..].chunks_exact(dims);
-                            for (&fi, weights) in cands.iter().zip(weights) {
-                                kernel::score_block(weights, &block, &mut scores);
-                                if let Some((oi, s)) = lane_argmax(&ois, &scores) {
-                                    out.push((fi, oi, s));
-                                }
-                            }
-                            out
-                        }
-                    })
-                    .collect();
-                for part in pool.run(jobs) {
-                    for (fi, oi, s) in part {
-                        self.function_best[fi] = (stamp, oi, s);
+        for &fi in &self.candidates {
+            self.weights.clear();
+            self.weights.extend(functions.weights(fi));
+            let (kept, seen) = &mut self.kept[fi];
+            kept.retain(|oi| !excluded[oi]);
+            if kept.is_empty() {
+                kept.scan(&self.weights, skyline, sky_rows);
+            } else {
+                for &oi in &self.entrants[*seen..] {
+                    if !excluded[oi] {
+                        kept.offer(kernel::dot(&self.weights, objects[oi].point.coords()), oi);
                     }
                 }
             }
-            None => {
-                let weights = self.rows.chunks_exact(dims);
-                for (&fi, weights) in self.candidates.iter().zip(weights) {
-                    kernel::score_block(weights, &self.block, &mut self.scores);
-                    if let Some((oi, s)) = lane_argmax(&self.ois, &self.scores) {
-                        self.function_best[fi] = (stamp, oi, s);
-                    }
-                }
+            *seen = self.entrants.len();
+            let best = kept.first();
+            debug_assert_eq!(
+                best,
+                full_argmax(&self.weights, skyline, sky_rows),
+                "function {fi}'s kept objects disagree with a full argmax"
+            );
+            if let Some((oi, s)) = best {
+                self.function_best[fi] = (stamp, oi, s);
             }
         }
 
@@ -242,16 +194,15 @@ impl Pairing {
     }
 }
 
-/// Best `(dense object index, score)` of one score lane: highest score, exact
-/// ties to the lowest dense index — a scan-order-independent argmax.
-fn lane_argmax(ois: &[usize], scores: &[f64]) -> Option<(usize, f64)> {
+/// A function's best skyline object by scoring the whole block: `(dense
+/// index, score)`, exact ties to the lowest dense index. The reference the
+/// kept objects are checked against in debug builds.
+fn full_argmax(weights: &[f64], skyline: &SoaBlock, sky_rows: &[usize]) -> Option<(usize, f64)> {
+    let mut scores = Vec::new();
+    kernel::score_block(weights, skyline, &mut scores);
     let mut best: Option<(usize, f64)> = None;
-    for (&oi, &s) in ois.iter().zip(scores) {
-        let better = match best {
-            None => true,
-            Some((best_oi, bs)) => s > bs || (s == bs && oi < best_oi),
-        };
-        if better {
+    for (&oi, &s) in sky_rows.iter().zip(&scores) {
+        if best.is_none_or(|(best_oi, bs)| s > bs || (s == bs && oi < best_oi)) {
             best = Some((oi, s));
         }
     }

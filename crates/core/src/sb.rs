@@ -90,10 +90,8 @@ pub struct SbOptions {
     /// Whether to report every reciprocal pair found in a loop (Section 5.3)
     /// or only the single best pair.
     pub multiple_pairs_per_loop: bool,
-    /// Worker threads for the reciprocal-pair scoring phase. `None` resolves
-    /// via [`pref_sync::resolve_threads`] (the `PREF_THREADS` environment
-    /// variable, then available parallelism; always 1 in model-capable
-    /// builds). The matching is canonical-identical at any thread count.
+    /// Ignored: the solve runs on the calling thread. The field stays only
+    /// because the benchmark package still sets it.
     pub threads: Option<usize>,
 }
 
@@ -272,11 +270,6 @@ pub fn sb_with_skyline(
     let stats_before = tree.stats();
 
     let mut index = FunctionIndex::new(problem.functions(), options.best_pair);
-    // The optional worker pool of the pairing phase; `resolve_threads` pins
-    // model-capable builds to 1 so solver-internal threads never leak into
-    // model scenarios.
-    let threads = pref_sync::resolve_threads(options.threads);
-    let pool = (threads > 1).then(|| pref_sync::WorkStealingPool::with_threads(threads));
 
     let n_fun = problem.num_functions();
     let n_obj = problem.num_objects();
@@ -296,7 +289,7 @@ pub fn sb_with_skyline(
         _ => ObjectSearch::Scan(ScanTopOne::new(point.clone())),
     };
     let mut excluded: Vec<bool> = vec![false; n_obj];
-    // dense indices of the current loop's skyline, for the memory accounting
+    // dense index of each row of the current loop's skyline block
     let mut sky_rows: Vec<usize> = Vec::new();
 
     let mut skyline: Skyline = compute_skyline_bbs(tree);
@@ -313,24 +306,24 @@ pub fn sb_with_skyline(
         pairing.begin_loop();
 
         // --- best function for every skyline object -------------------------
-        // Borrowed entry views: (dense index, record, &point), no cloning.
-        let sky_views: Vec<(usize, RecordId, &Point)> = skyline
+        // Borrowed entry views: (dense index, &point), no cloning.
+        let sky_views: Vec<(usize, &Point)> = skyline
             .entry_views()
             .map(|(record, point)| {
                 let oi = problem
                     .object_index(record)
                     .expect("skyline records are problem objects");
-                (oi, record, point)
+                (oi, point)
             })
             .collect();
         sky_rows.clear();
-        sky_rows.extend(sky_views.iter().map(|&(oi, ..)| oi));
+        sky_rows.extend(sky_views.iter().map(|&(oi, _)| oi));
         // SB-alt answers the whole skyline with one batched scan, which
         // needs the query points as one owned slice
         let batch_best: Option<Vec<Option<(usize, f64)>>> = match &mut index {
             FunctionIndex::Disk(disk) => {
                 searches += 1;
-                let points: Vec<Point> = sky_views.iter().map(|&(_, _, p)| p.clone()).collect();
+                let points: Vec<Point> = sky_views.iter().map(|&(_, p)| p.clone()).collect();
                 Some(batch_best_functions(disk, &points))
             }
             _ => None,
@@ -362,7 +355,7 @@ pub fn sb_with_skyline(
         };
 
         let mut any_best = false;
-        for (j, &(oi, _, point)) in sky_views.iter().enumerate() {
+        for (j, &(oi, point)) in sky_views.iter().enumerate() {
             if batch_best.is_none() {
                 searches += 1;
             }
@@ -412,7 +405,13 @@ pub fn sb_with_skyline(
         }
 
         // --- reciprocal pairs (see `pairing`) -------------------------------
-        let mut pairs = pairing.reciprocal_pairs(&sky_views, functions, pool.as_ref());
+        let mut pairs = pairing.reciprocal_pairs(
+            skyline.block(),
+            &sky_rows,
+            problem.objects(),
+            &excluded,
+            functions,
+        );
         if pairs.is_empty() {
             break;
         }
@@ -445,7 +444,10 @@ pub fn sb_with_skyline(
         }
 
         // --- skyline maintenance ---------------------------------------------
+        // Both modules only append rows: the ones from `before` on are the
+        // loop's entrants, which the pairing step offers its functions.
         if !removed_objects.is_empty() {
+            let before = skyline.len();
             match options.maintenance {
                 MaintenanceStrategy::UpdateSkyline => {
                     update_skyline(tree, &mut skyline, removed_objects)
@@ -455,6 +457,12 @@ pub fn sb_with_skyline(
                         problem.object_index(r).is_some_and(|i| excluded[i])
                     })
                 }
+            }
+            for row in before..skyline.len() {
+                let oi = problem
+                    .object_index(skyline.record_at(row))
+                    .expect("skyline records are problem objects");
+                pairing.note_entrant(oi);
             }
         }
 
@@ -755,25 +763,22 @@ mod tests {
         assert!(multi.metrics.loops <= single.metrics.loops);
     }
 
+    /// Anti-correlated data keeps the skyline large and uncovers new skyline
+    /// objects every loop, so functions offer many entrants to the objects
+    /// they kept and rescan when every kept one is exhausted (debug builds
+    /// check each against a full argmax).
     #[test]
-    fn parallel_solve_is_canonical_identical_at_any_thread_count() {
-        // Anti-correlated data keeps the skyline large, so the pairing phase
-        // clears the parallel work floor and the pool path actually runs.
+    fn a_solve_with_many_entrants_matches_the_oracle() {
         let functions = uniform_weight_functions(200, 3, 301);
         let objects = anti_correlated_objects(800, 3, 302);
         let p = Problem::from_parts(functions, objects).unwrap();
         let want = oracle(&p).canonical();
-        for base in [SbOptions::default(), SbOptions::sb_alt(8)] {
-            for threads in [1usize, 2, 4, 8] {
-                let mut tree = p.build_tree(Some(16), 0.02);
-                let opts = SbOptions {
-                    threads: Some(threads),
-                    ..base.clone()
-                };
-                let result = sb(&p, &mut tree, &opts);
-                verify_stable(&p, &result.assignment).unwrap();
-                assert_eq!(result.assignment.canonical(), want, "{opts:?}");
-            }
+        for opts in [SbOptions::default(), SbOptions::sb_alt(8)] {
+            let mut tree = p.build_tree(Some(16), 0.02);
+            let result = sb(&p, &mut tree, &opts);
+            verify_stable(&p, &result.assignment).unwrap();
+            assert_eq!(result.assignment.canonical(), want, "{opts:?}");
+            assert!(result.metrics.loops > 20, "{} loops", result.metrics.loops);
         }
     }
 

@@ -23,12 +23,10 @@ const COMPACTION_BATCH: usize = 64;
 /// Configuration of an [`AssignmentEngine`].
 #[derive(Debug, Clone, Default)]
 pub struct EngineOptions {
-    /// Worker threads of the one SB solve that [`AssignmentEngine::new`]
-    /// adopts, passed through as
-    /// [`SbOptions::threads`] (`None` = `PREF_THREADS`, then available
-    /// parallelism; `Some(n)` pins `n`, which must be ≥ 1). Repair after
-    /// construction is serial — a round scores ~10³ candidates — and the
-    /// matching is canonical-identical at any thread count.
+    /// Ignored beyond validation (`Some(0)` is refused): the SB solve that
+    /// [`AssignmentEngine::new`] adopts and every repair after it run on the
+    /// calling thread. The field stays only because the benchmark package
+    /// still sets it.
     pub threads: Option<usize>,
 }
 
@@ -497,11 +495,7 @@ impl AssignmentEngine {
     pub fn new(problem: &Problem, options: &EngineOptions) -> Result<Self, EngineError> {
         options.validate()?;
         let mut tree = problem.build_tree(None, BUFFER_FRACTION);
-        let sb_options = SbOptions {
-            threads: options.threads,
-            ..SbOptions::default()
-        };
-        let (solved, skyline) = sb_with_skyline(problem, &mut tree, &sb_options);
+        let (solved, skyline) = sb_with_skyline(problem, &mut tree, &SbOptions::default());
         let initial_io = tree.stats();
         // slab order = problem table order
         let mut objects: Vec<ObjState> = problem

@@ -430,38 +430,3 @@ fn engine_rejects_invalid_updates() {
     let snapshot = engine.snapshot_problem().unwrap();
     verify_stable(&snapshot, &engine.assignment()).unwrap();
 }
-
-#[test]
-fn threaded_repair_is_canonical_identical_at_any_thread_count() {
-    // Large enough that the repair scan clears the parallel work floor
-    // (active functions × scan rows ≥ 4096), so the pool path actually runs
-    // at thread counts > 1.
-    let problem = build_problem(120, 200, 3, 71);
-    let events = stream_for(
-        &problem,
-        UpdateStreamConfig {
-            num_events: 25,
-            dims: 3,
-            seed: 72,
-            ..UpdateStreamConfig::default()
-        },
-    );
-    let mut baseline: Option<Vec<String>> = None;
-    for threads in [1usize, 2, 4, 8] {
-        let options = EngineOptions {
-            threads: Some(threads),
-        };
-        let mut engine = AssignmentEngine::new(&problem, &options).unwrap();
-        let mut trace = vec![format!("{:?}", engine.assignment().canonical())];
-        for event in &events {
-            engine.apply(event).unwrap();
-            trace.push(format!("{:?}", engine.assignment().canonical()));
-        }
-        let snapshot = engine.snapshot_problem().unwrap();
-        verify_stable(&snapshot, &engine.assignment()).unwrap();
-        match &baseline {
-            None => baseline = Some(trace),
-            Some(want) => assert_eq!(&trace, want, "threads={threads}"),
-        }
-    }
-}

@@ -1,9 +1,8 @@
 //! A hand-rolled work-stealing thread pool over the shim primitives.
 //!
-//! The pool exists for the *batch phases* of the solvers and the assignment
-//! engine: the per-loop reciprocal-pair search scores every candidate
-//! function against every skyline object, and that embarrassingly parallel
-//! scan is partitioned into jobs executed by a fixed set of worker threads.
+//! No solver or engine path runs on it: a solve and every repair run on the
+//! calling thread. It stays because the benchmark package's `sync` probe
+//! still times it, and it goes with that probe.
 //!
 //! Design, in one paragraph: each worker owns a deque; jobs are pushed
 //! round-robin across the deques; a worker pops from the *front* of its own
@@ -235,7 +234,9 @@ fn find_job(index: usize, shared: &Shared) -> Job {
     }
 }
 
-/// Resolves the worker count for solver/engine-level pools.
+/// Resolves the worker count for a pool that is not sized explicitly. No
+/// solver reads it; `SbOptions::threads` and `EngineOptions::threads` are
+/// ignored.
 ///
 /// Order of precedence: model-capable builds are pinned to 1 (implicit inner
 /// pools would pollute model scenarios — see the module docs); an explicit

@@ -19,7 +19,8 @@
 //! * **reverse top-1 by scan** ([`ScanTopOne`]) — SB's default search: one
 //!   columnar pass over the [`AliveFunctions`] block, whose best few rows
 //!   answer the following calls until all of them have died. It needs no
-//!   sorted lists;
+//!   sorted lists. The rows it keeps are a [`KeptRows`], the selection SB's
+//!   reciprocal-pair step keeps for each function over the skyline too;
 //! * **batch best-pair search** ([`DiskFunctionLists`], [`batch_best_functions`])
 //!   — the Section 7.6 variant for disk-resident function sets, which scans
 //!   the coefficient lists block by block once per skyline version and charges
@@ -31,6 +32,7 @@
 mod alive;
 mod batch;
 mod brs;
+mod kept;
 mod knapsack;
 mod lists;
 mod reverse;
@@ -39,6 +41,7 @@ mod scan;
 pub use alive::AliveFunctions;
 pub use batch::{batch_best_functions, DiskFunctionLists};
 pub use brs::{top_k, RankedSearch};
+pub use kept::{KeptRows, KEPT_ROWS};
 pub use knapsack::tight_threshold;
 pub use lists::FunctionLists;
 pub use reverse::{best_function_scan, ReverseTopOne};

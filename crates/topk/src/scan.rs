@@ -2,13 +2,20 @@
 //! functions, and a short queue that answers the calls after it.
 //!
 //! A call scores every alive function in one streaming pass over
-//! [`AliveFunctions::block`] and keeps the best few rows in `(score desc,
-//! function asc)` order. Functions only ever die, so the first kept row that
-//! is still alive is the best alive function for as long as one kept row
-//! lives — a row the scan did not keep ranked below every kept one. A call
-//! therefore reads nothing while its last answer is alive, answers from the
-//! queue once that answer has died, and scans again only when every kept row
-//! has. There is no threshold, no candidate cap and no restart.
+//! [`AliveFunctions::block`] and keeps the best [`crate::KEPT_ROWS`] rows in a
+//! [`KeptRows`], `(score desc, function asc)`. Functions only ever die, so
+//! the first kept row that is still alive is the best alive function for as
+//! long as one kept row lives — a row the scan did not keep ranked below
+//! every kept one. A call therefore reads nothing while its last answer is
+//! alive, answers from the queue once that answer has died, and scans again
+//! only when every kept row has. There is no threshold, no candidate cap and
+//! no restart.
+//!
+//! The scan inserts only the rows of a scored chunk that reach its lane
+//! bound ([`KeptRows::scan`]): the smallest of eight lane maxima, which no
+//! row it keeps can fall below. So it keeps exactly the rows a sorted
+//! insertion of every row would, rescans exactly as often, and charges the
+//! same rows: `aux_io` counts every row scored, filtered or not.
 //!
 //! It is SB's default instead of the paper's TA ([`crate::ReverseTopOne`])
 //! because it moves fewer bytes per decision: on `solve-anti` a sorted access
@@ -16,22 +23,8 @@
 //! solve that runs it builds only the [`AliveFunctions`] block.
 
 use crate::alive::AliveFunctions;
-use pref_geom::{kernel, Point};
-
-/// Rows a scan keeps (fewer when fewer functions are alive). Cold-solve
-/// `op_p50_us` (seed 20090824, median of three runs, scans behind a short TA
-/// prefix) keeping 1 / 2 / 4 / 8 / 16 / 2.5 % of |F| rows: 178 / 167 / 163 /
-/// 168 / 183 / 195 ms on `solve-anti` (|F| = 1000), flat on `solve-wide`; at
-/// |F| = 10 000, keeping 4 / 8 / 16 / 32 / 250: 2.11 / 1.87 / 1.83 / 1.91 /
-/// 3.23 s. Keeping `k` of `n` rows costs about `k · ln(n / k)` sorted
-/// insertions, each an `O(k)` shift, while a row it did not keep costs one
-/// more scan only after all `k` kept ones died. The optimum drifts up slowly
-/// with |F|; 8 is within 4 % of it at both sizes.
-const SCAN_KEPT_ROWS: usize = 8;
-
-/// Rows scored per pass of the scan: a 2 KiB stack buffer, so the scan
-/// allocates nothing however large the alive block is.
-const SCAN_CHUNK: usize = 256;
+use crate::kept::KeptRows;
+use pref_geom::Point;
 
 /// Best-function search state for one object: the default search of SB.
 ///
@@ -44,9 +37,8 @@ pub struct ScanTopOne {
     object: Point,
     /// What the last call returned; handed out again while it is alive.
     answer: Option<(usize, f64)>,
-    /// The best rows of the last scan not yet found dead: `(score,
-    /// function)`, score descending, function ascending on ties.
-    kept: Vec<(f64, usize)>,
+    /// The best rows of the last scan not yet found dead.
+    kept: KeptRows,
     /// Number of alive-block rows scored so far.
     scanned_rows: u64,
 }
@@ -57,8 +49,7 @@ impl ScanTopOne {
         Self {
             object,
             answer: None,
-            // lint: allow(kernel-no-alloc) -- set-up: one state per object, never grows past it
-            kept: Vec::with_capacity(SCAN_KEPT_ROWS + 1),
+            kept: KeptRows::new(),
             scanned_rows: 0,
         }
     }
@@ -71,7 +62,7 @@ impl ScanTopOne {
 
     /// Approximate memory footprint of this state in bytes: 16 per kept row.
     pub fn memory_bytes(&self) -> u64 {
-        (self.kept.len() * 16) as u64
+        self.kept.memory_bytes()
     }
 
     /// Returns the best *alive* function for this object together with its
@@ -83,52 +74,22 @@ impl ScanTopOne {
         {
             return self.answer;
         }
-        self.kept.retain(|&(_, func)| functions.is_alive(func));
+        self.kept.retain(|func| functions.is_alive(func));
         if self.kept.is_empty() {
-            self.scan(functions);
+            let rows = functions.rows();
+            self.kept
+                .scan(self.object.coords(), functions.block(), rows);
+            self.scanned_rows += rows.len() as u64;
         }
-        self.answer = self.kept.first().map(|&(score, func)| (func, score));
+        self.answer = self.kept.first();
         self.answer
-    }
-
-    /// Scores every alive function in one pass over the alive block and keeps
-    /// the best [`SCAN_KEPT_ROWS`] of them.
-    fn scan(&mut self, alive: &AliveFunctions) {
-        let block = alive.block();
-        let functions = alive.rows();
-        // the score a row must reach to enter a full queue
-        let mut floor = f64::NEG_INFINITY;
-        let mut scores = [0.0f64; SCAN_CHUNK];
-        for (chunk, functions) in functions.chunks(SCAN_CHUNK).enumerate() {
-            let scores = &mut scores[..functions.len()];
-            kernel::score_rows(self.object.coords(), block, chunk * SCAN_CHUNK, scores);
-            for (&score, &func) in scores.iter().zip(functions) {
-                if score >= floor {
-                    self.keep(score, func);
-                    if self.kept.len() == SCAN_KEPT_ROWS {
-                        floor = self.kept[SCAN_KEPT_ROWS - 1].0;
-                    }
-                }
-            }
-        }
-        self.scanned_rows += functions.len() as u64;
-    }
-
-    /// Inserts in (score desc, function index asc) order so that exact score
-    /// ties resolve to the lowest function index — the same deterministic rule
-    /// the solver's argmax scans use.
-    fn keep(&mut self, score: f64, func: usize) {
-        let pos = self
-            .kept
-            .partition_point(|&(s, f)| s > score || (s == score && f < func));
-        self.kept.insert(pos, (score, func));
-        self.kept.truncate(SCAN_KEPT_ROWS);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::KEPT_ROWS;
     use pref_geom::LinearFunction;
     use rand::{rngs::StdRng, Rng, SeedableRng};
 
@@ -150,7 +111,7 @@ mod tests {
         let answer = search.best(&index).unwrap();
         assert_eq!(Some(answer), index.best_by_scan(&object));
         assert_eq!(search.scanned_rows(), 300);
-        let kept = search.kept.clone();
+        let kept = search.kept.rows().to_vec();
         // everyone else may die, kept rows included: the answer stands and
         // the state is not touched
         let mut rng = StdRng::seed_from_u64(18);
@@ -163,7 +124,10 @@ mod tests {
             index.remove(others[rng.gen_range(0..others.len())]);
             assert_eq!(search.best(&index), Some(answer));
         }
-        assert_eq!((search.scanned_rows(), &search.kept), (300, &kept));
+        assert_eq!(
+            (search.scanned_rows(), search.kept.rows()),
+            (300, &kept[..])
+        );
     }
 
     #[test]
@@ -171,13 +135,13 @@ mod tests {
         let mut index = random_index(100, 3, 5);
         let object = Point::from_slice(&[0.9, 0.2, 0.6]);
         let mut search = ScanTopOne::new(object.clone());
-        // each answer dies in turn: the first scan serves SCAN_KEPT_ROWS
-        // answers, the next one the same again
-        for step in 0..2 * SCAN_KEPT_ROWS {
+        // each answer dies in turn: the first scan serves KEPT_ROWS answers,
+        // the next one the same again
+        for step in 0..2 * KEPT_ROWS {
             let answer = search.best(&index);
             assert_eq!(answer, index.best_by_scan(&object), "step {step}");
             // 100 rows, then the 92 left once the eight kept ones have died
-            let scanned = if step < SCAN_KEPT_ROWS { 100 } else { 192 };
+            let scanned = if step < KEPT_ROWS { 100 } else { 192 };
             assert_eq!(search.scanned_rows(), scanned, "step {step}");
             index.remove(answer.unwrap().0);
         }

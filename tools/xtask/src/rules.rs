@@ -52,9 +52,10 @@ pub const RULE_WORKSPACE_LINTS: &str = "workspace-lints";
 /// counting allocator is not available to a test: this list is what keeps
 /// a per-access allocation from creeping back into these loops. Set-up code
 /// in them (constructors, lazy sizing) carries the usual annotation.
-const HOT_PATH_FILES: [&str; 4] = [
+const HOT_PATH_FILES: [&str; 5] = [
     "crates/topk/src/reverse.rs",
     "crates/topk/src/scan.rs",
+    "crates/topk/src/kept.rs",
     "crates/topk/src/lists.rs",
     "crates/topk/src/alive.rs",
 ];
@@ -465,13 +466,26 @@ mod tests {
                  0.0\n    }\n}\n",
                 ".collect()",
             ),
-            // and so is the default search, the scan: its pass over the alive
-            // block keeps rows, never allocates them
+            // and so is the default search, the scan, and the kept rows both
+            // sides of a loop select with: a scan or an offer keeps rows,
+            // never allocates them
             (
                 "crates/topk/src/scan.rs",
-                "impl ScanTopOne {\n    fn scan(&mut self, alive: &AliveFunctions) {\n        \
+                "impl ScanTopOne {\n    fn best(&mut self, alive: &AliveFunctions) {\n        \
                  let rows = alive.rows().to_vec();\n    }\n}\n",
                 ".to_vec()",
+            ),
+            (
+                "crates/topk/src/kept.rs",
+                "impl KeptRows {\n    pub fn scan(&mut self, query: &[f64]) {\n        \
+                 let mut scores = Vec::new();\n    }\n}\n",
+                "Vec::new",
+            ),
+            (
+                "crates/topk/src/kept.rs",
+                "impl KeptRows {\n    pub fn offer(&mut self, score: f64, id: usize) {\n        \
+                 let rows: Vec<Row> = self.rows.iter().copied().collect();\n    }\n}\n",
+                ".collect()",
             ),
         ] {
             let found = findings(file, bad);
@@ -522,6 +536,7 @@ mod tests {
         assert!(findings("crates/bench/src/reverse.rs", src).is_empty());
         assert!(findings("crates/bench/src/lists.rs", src).is_empty());
         assert!(findings("crates/bench/src/scan.rs", src).is_empty());
+        assert!(findings("crates/bench/src/kept.rs", src).is_empty());
         assert!(findings("crates/bench/src/alive.rs", src).is_empty());
         // and the file's own tests allocate freely
         let test_src = "#[cfg(test)]\nmod tests {\n    fn f() { let v = Vec::new(); }\n}\n";
