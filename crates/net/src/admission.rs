@@ -20,7 +20,7 @@
 //!   churn the gate stays O(slots) forever — collisions make the gate
 //!   slightly stricter, never unbounded.
 
-use pref_sync::Mutex;
+use pref_sync::{LockRank, Mutex};
 
 /// Gate parameters. Rates are in updates (cost units) per second.
 #[derive(Debug, Clone)]
@@ -78,13 +78,16 @@ impl AdmissionGate {
         let slots = config.slots.max(1);
         let burst_nano = config.burst.saturating_mul(NANOS_PER_TOKEN);
         Self {
-            slots: Mutex::new(vec![
-                Slot {
-                    nano_tokens: burst_nano,
-                    last_refill_nanos: 0,
-                };
-                slots
-            ]),
+            slots: Mutex::new(
+                vec![
+                    Slot {
+                        nano_tokens: burst_nano,
+                        last_refill_nanos: 0,
+                    };
+                    slots
+                ],
+                LockRank::AdmissionSlots,
+            ),
             rate_per_sec: config.rate_per_sec,
             burst_nano,
         }

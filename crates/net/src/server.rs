@@ -18,7 +18,7 @@ use crate::NetError;
 use pref_assign::FunctionId;
 use pref_rtree::RecordId;
 use pref_service::{decode_batch, ServiceError, ServiceReader, ShardedService};
-use pref_sync::{thread, AtomicU64, Mutex, Ordering};
+use pref_sync::{thread, AtomicU64, LockRank, Mutex, Ordering};
 use std::collections::BTreeMap;
 use std::io::Read;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -88,7 +88,7 @@ impl Server {
             service,
             gate: AdmissionGate::new(&config.admission),
             stopping: AtomicU64::new(0),
-            conns: Mutex::new(Conns::default()),
+            conns: Mutex::new(Conns::default(), LockRank::ServerConns),
         });
         let accept = {
             let shared = Arc::clone(&shared);

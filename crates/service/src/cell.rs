@@ -1,14 +1,16 @@
 //! Versioned snapshot publication: single writer, many lock-free readers.
 
+use crate::durability::Durable;
 use crate::snapshot::AssignmentSnapshot;
-use pref_sync::{AtomicU64, Mutex, Ordering};
+use pref_sync::{AtomicU64, LockRank, Mutex, Ordering};
 use std::sync::Arc;
 
 /// The publication point of one shard: holds the latest
 /// [`AssignmentSnapshot`] and its version.
 ///
-/// The writer installs a new snapshot with [`SnapshotCell::publish`]; readers
-/// pin snapshots through a [`SnapshotReader`]. The design splits the read
+/// The writer installs a new snapshot with [`SnapshotCell::publish`], which
+/// takes the [`Durable`] token its WAL fsync returned; readers pin snapshots
+/// through a [`SnapshotReader`]. The design splits the read
 /// path in two:
 ///
 /// * the **hot path** is one `Acquire` load of the version counter — if it
@@ -29,7 +31,7 @@ use std::sync::Arc;
 /// slow reader keeps its consistent snapshot alive instead of blocking the
 /// world.
 #[derive(Debug)]
-pub struct SnapshotCell {
+pub(crate) struct SnapshotCell {
     /// Version of the snapshot currently in `slot`.
     version: AtomicU64,
     /// The latest published snapshot.
@@ -38,17 +40,18 @@ pub struct SnapshotCell {
 
 impl SnapshotCell {
     /// Creates the cell with its initial snapshot.
-    pub fn new(initial: AssignmentSnapshot) -> Self {
+    pub(crate) fn new(initial: AssignmentSnapshot) -> Self {
         let version = initial.version();
         Self {
             version: AtomicU64::new(version),
-            slot: Mutex::new(Arc::new(initial)),
+            slot: Mutex::new(Arc::new(initial), LockRank::SnapshotSlot),
         }
     }
 
-    /// Installs a new snapshot (single writer). Versions must be strictly
-    /// increasing; publishing a stale version is a writer bug and panics.
-    pub fn publish(&self, snapshot: AssignmentSnapshot) {
+    /// Installs a new snapshot (single writer) once `_durable` proves its
+    /// batches are on disk. Versions must be strictly increasing;
+    /// publishing a stale version is a writer bug and panics.
+    pub(crate) fn publish(&self, snapshot: AssignmentSnapshot, _durable: Durable) {
         let version = snapshot.version();
         let mut slot = self.slot.lock();
         assert!(
@@ -69,19 +72,19 @@ impl SnapshotCell {
     }
 
     /// The latest published version (one atomic load).
-    pub fn version(&self) -> u64 {
+    pub(crate) fn version(&self) -> u64 {
         // ordering: Acquire pairs with the Release store in publish(); any
         // snapshot at or above the returned version is already in the slot
         self.version.load(Ordering::Acquire)
     }
 
     /// Pins the latest snapshot (slow path: takes the slot lock briefly).
-    pub fn latest(&self) -> Arc<AssignmentSnapshot> {
+    pub(crate) fn latest(&self) -> Arc<AssignmentSnapshot> {
         self.slot.lock().clone()
     }
 
     /// Creates a reader pinned to the current snapshot.
-    pub fn reader(self: &Arc<Self>) -> SnapshotReader {
+    pub(crate) fn reader(self: &Arc<Self>) -> SnapshotReader {
         SnapshotReader {
             cached: self.latest(),
             cell: Arc::clone(self),
@@ -89,7 +92,7 @@ impl SnapshotCell {
     }
 }
 
-/// One reader's handle onto a [`SnapshotCell`].
+/// One reader's handle onto a shard's snapshot cell.
 ///
 /// Each reader thread owns its handle (`snapshot()` takes `&mut self` to
 /// swap the pin); handles are independent — clone-free reads, strictly
@@ -105,9 +108,9 @@ impl SnapshotReader {
     /// one atomic load and only touches the shared slot when it moved.
     /// Returned versions are strictly monotonic across calls on one handle.
     pub fn snapshot(&mut self) -> &AssignmentSnapshot {
-        // ordering: Acquire pairs with publish()'s Release store — observing
-        // a new version guarantees the slot already holds that snapshot
-        let published = self.cell.version.load(Ordering::Acquire);
+        // observing a new version guarantees the slot already holds that
+        // snapshot (version() is the Acquire half of publish())
+        let published = self.cell.version();
         if published != self.cached.version() {
             let latest = self.cell.latest();
             // the single writer only ever installs newer snapshots, so the
@@ -163,7 +166,10 @@ mod tests {
         engine
             .insert_object(ObjectRecord::new(7, Point::from_slice(&[0.95, 0.95])))
             .unwrap();
-        cell.publish(AssignmentSnapshot::from_export(engine.export_snapshot(), 2));
+        cell.publish(
+            AssignmentSnapshot::from_export(engine.export_snapshot(), 2),
+            Durable::in_memory(),
+        );
         assert_eq!(cell.version(), 2);
         // pinned stays at 1 until revalidation, then moves forward
         assert_eq!(reader.pinned().version(), 1);
@@ -178,6 +184,9 @@ mod tests {
     fn stale_publications_panic() {
         let engine = engine();
         let cell = SnapshotCell::new(AssignmentSnapshot::from_export(engine.export_snapshot(), 3));
-        cell.publish(AssignmentSnapshot::from_export(engine.export_snapshot(), 3));
+        cell.publish(
+            AssignmentSnapshot::from_export(engine.export_snapshot(), 3),
+            Durable::in_memory(),
+        );
     }
 }

@@ -262,6 +262,23 @@ pub(crate) fn decode_checkpoint(
 
 // --- the per-shard durability state ---------------------------------------
 
+/// Proof that every batch the writer logged is on disk. A durable shard's
+/// writer gets one only from [`ShardDurability::sync_for_ack`]; a shard
+/// without a log mints one with [`Durable::in_memory`]. Publishing a
+/// snapshot takes one, so a publication ahead of the fsync does not compile.
+///
+/// Declared `pub` because the public `sync_for_ack` returns it, but not
+/// exported: only this crate can name the type or mint a token.
+#[derive(Debug)]
+pub struct Durable(());
+
+impl Durable {
+    /// The token of a shard without a log: nothing to fsync.
+    pub(crate) fn in_memory() -> Self {
+        Durable(())
+    }
+}
+
 /// One shard's durable state: the active WAL segment plus the checkpoint
 /// rotation bookkeeping. Owned by the shard's writer thread.
 #[derive(Debug)]
@@ -367,13 +384,14 @@ impl ShardDurability {
 
     /// Fsyncs the log if a batch was appended since the last fsync. Called
     /// by the writer after logging a publication's batches and before
-    /// applying them, so an acknowledged batch is recoverable.
-    pub fn sync_for_ack(&mut self) -> Result<(), StorageError> {
+    /// applying them, so an acknowledged batch is recoverable. The returned
+    /// `Durable` token is what lets the shard's writer publish.
+    pub fn sync_for_ack(&mut self) -> Result<Durable, StorageError> {
         if self.unsynced {
             self.writer.sync()?;
             self.unsynced = false;
         }
-        Ok(())
+        Ok(Durable(()))
     }
 
     /// Rotates to a new generation when enough batches accumulated since the

@@ -15,7 +15,7 @@
 //!   versioned. After applying the batches it drained (up to 64 updates, or
 //!   one larger batch), the writer exports the engine's state once (compact CSR arrays:
 //!   function → objects, object → functions, scores, stats) and publishes it
-//!   atomically through a [`SnapshotCell`]. A snapshot is only ever
+//!   atomically through the shard's snapshot cell. A snapshot is only ever
 //!   published at a batch boundary,
 //!   so readers can never observe a torn (partially applied) batch.
 //! * **Readers** ([`SnapshotReader`], [`ServiceReader`]) answer
@@ -94,9 +94,8 @@ mod service;
 mod shard;
 mod snapshot;
 
-pub use cell::{SnapshotCell, SnapshotReader};
+pub use cell::SnapshotReader;
 pub use durability::{decode_batch, encode_batch, DurabilityConfig, FsyncPolicy, ShardDurability};
-pub use queue::UpdateQueue;
 pub use service::{ServiceConfig, ServiceReader, ServiceStats, ShardedService};
 pub use shard::{FaultEvent, ShardHandle, ShardStats, WriterFault};
 pub use snapshot::AssignmentSnapshot;

@@ -11,6 +11,7 @@
 //! these tests cover the interleavings the OS scheduler never produces.
 
 use crate::cell::SnapshotCell;
+use crate::durability::Durable;
 use crate::queue::UpdateQueue;
 use crate::shard::ShardHandle;
 use crate::snapshot::AssignmentSnapshot;
@@ -79,10 +80,10 @@ fn model_publish_read_is_clean() {
                                 Point::from_slice(&[0.3, 0.3]),
                             ))
                             .unwrap();
-                        cell.publish(AssignmentSnapshot::from_export(
-                            engine.export_snapshot(),
-                            version,
-                        ));
+                        cell.publish(
+                            AssignmentSnapshot::from_export(engine.export_snapshot(), version),
+                            Durable::in_memory(),
+                        );
                     }
                 })
                 .unwrap()
@@ -153,7 +154,10 @@ fn model_publish_read_is_clean_under_exhaustive_dfs() {
                 engine
                     .insert_object(ObjectRecord::new(9, Point::from_slice(&[0.3, 0.3])))
                     .unwrap();
-                cell.publish(AssignmentSnapshot::from_export(engine.export_snapshot(), 2));
+                cell.publish(
+                    AssignmentSnapshot::from_export(engine.export_snapshot(), 2),
+                    Durable::in_memory(),
+                );
             })
         };
         let mut reader = cell.reader();

@@ -1,7 +1,7 @@
 //! The bounded multi-producer update queue feeding a shard's writer thread.
 
 use crate::{ServiceError, UpdateOp};
-use pref_sync::{Condvar, Mutex};
+use pref_sync::{Condvar, LockRank, Mutex};
 use std::collections::VecDeque;
 
 /// A bounded blocking queue of update **batches**.
@@ -18,7 +18,7 @@ use std::collections::VecDeque;
 /// whole capacity is still accepted — once the queue is empty — so oversized
 /// batches degrade to a stop-and-go handoff instead of deadlocking.
 #[derive(Debug)]
-pub struct UpdateQueue {
+pub(crate) struct UpdateQueue {
     state: Mutex<QueueState>,
     /// Signalled when batches are enqueued or the queue closes.
     not_empty: Condvar,
@@ -42,15 +42,18 @@ struct QueueState {
 
 impl UpdateQueue {
     /// Creates a queue bounded at `capacity` queued updates (≥ 1).
-    pub fn new(capacity: usize) -> Self {
+    pub(crate) fn new(capacity: usize) -> Self {
         assert!(capacity >= 1, "queue capacity must be at least 1");
         Self {
-            state: Mutex::new(QueueState {
-                batches: VecDeque::new(),
-                queued_updates: 0,
-                closed: false,
-                crashed: false,
-            }),
+            state: Mutex::new(
+                QueueState {
+                    batches: VecDeque::new(),
+                    queued_updates: 0,
+                    closed: false,
+                    crashed: false,
+                },
+                LockRank::UpdateQueue,
+            ),
             not_empty: Condvar::new(),
             not_full: Condvar::new(),
             capacity,
@@ -63,7 +66,7 @@ impl UpdateQueue {
     /// [`ServiceError::Stopped`] once the queue is closed by shutdown, and
     /// with [`ServiceError::WriterCrashed`] — including from the middle of
     /// the backpressure wait — once the writer has died.
-    pub fn push(&self, batch: Vec<UpdateOp>) -> Result<(), ServiceError> {
+    pub(crate) fn push(&self, batch: Vec<UpdateOp>) -> Result<(), ServiceError> {
         let mut state = self.state.lock();
         loop {
             if state.crashed {
@@ -89,7 +92,7 @@ impl UpdateQueue {
     /// where `push` would park in the backpressure wait, this returns
     /// [`ServiceError::Overloaded`] immediately — the caller turns it into a
     /// typed reject instead of a stalled connection handler.
-    pub fn try_push(&self, batch: Vec<UpdateOp>) -> Result<(), ServiceError> {
+    pub(crate) fn try_push(&self, batch: Vec<UpdateOp>) -> Result<(), ServiceError> {
         let mut state = self.state.lock();
         if state.crashed {
             return Err(ServiceError::WriterCrashed);
@@ -113,7 +116,7 @@ impl UpdateQueue {
     /// least one batch), blocking while the queue is empty. Returns `None`
     /// once the queue is closed **and** drained — the writer's signal to
     /// exit.
-    pub fn pop(&self, max_updates: usize) -> Option<Vec<Vec<UpdateOp>>> {
+    pub(crate) fn pop(&self, max_updates: usize) -> Option<Vec<Vec<UpdateOp>>> {
         let mut state = self.state.lock();
         loop {
             if !state.batches.is_empty() {
@@ -150,7 +153,7 @@ impl UpdateQueue {
 
     /// Closes the queue: producers fail fast, the writer drains what is left
     /// and exits.
-    pub fn close(&self) {
+    pub(crate) fn close(&self) {
         let mut state = self.state.lock();
         state.closed = true;
         self.not_empty.notify_all();
@@ -171,7 +174,7 @@ impl UpdateQueue {
     }
 
     /// Updates currently queued (diagnostics).
-    pub fn queued_updates(&self) -> usize {
+    pub(crate) fn queued_updates(&self) -> usize {
         self.state.lock().queued_updates
     }
 }

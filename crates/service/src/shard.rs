@@ -6,13 +6,13 @@
 //! directory — and, for a durable shard, the [`ShardDurability`] log.
 
 use crate::cell::{SnapshotCell, SnapshotReader};
-use crate::durability::ShardDurability;
+use crate::durability::{Durable, ShardDurability};
 use crate::queue::UpdateQueue;
 use crate::snapshot::AssignmentSnapshot;
 use crate::{ServiceError, UpdateOp};
 use pref_engine::{AssignmentEngine, EngineStats};
 use pref_sync::thread::JoinHandle;
-use pref_sync::{AtomicU64, Condvar, Mutex, Ordering};
+use pref_sync::{AtomicU64, Condvar, LockRank, Mutex, Ordering};
 use std::sync::Arc;
 
 /// Most updates the writer folds into one publication (whole batches; a
@@ -43,7 +43,7 @@ struct ProgressState {
     writer_crashed: bool,
 }
 
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct Progress {
     state: Mutex<ProgressState>,
     advanced: Condvar,
@@ -162,11 +162,16 @@ impl ShardHandle {
             1,
         )));
         let queue = Arc::new(UpdateQueue::new(queue_capacity));
-        let progress = Arc::new(Progress::default());
-        {
-            let mut state = progress.state.lock();
-            state.published_version = 1;
-        }
+        let progress = Arc::new(Progress {
+            state: Mutex::new(
+                ProgressState {
+                    published_version: 1,
+                    ..ProgressState::default()
+                },
+                LockRank::ProgressState,
+            ),
+            advanced: Condvar::new(),
+        });
         let writer = {
             let queue = Arc::clone(&queue);
             let cell = Arc::clone(&cell);
@@ -338,9 +343,14 @@ impl Drop for ShardHandle {
 /// The log-before-apply order is the durability contract: a batch reaches
 /// the engine only after its WAL record exists and is fsynced, so an
 /// acknowledged batch is always recoverable and recovery can
-/// never observe a torn one (record checksums cut torn tails). A durability
-/// I/O failure panics the writer — acknowledging without the log would lie —
-/// which surfaces to producers as [`ServiceError::Stopped`] via `ExitNotice`.
+/// never observe a torn one (record checksums cut torn tails). The fsync
+/// returns the [`Durable`] token that [`SnapshotCell::publish`] requires, so
+/// a publication above the fsync does not compile; a shard without a log
+/// mints its token with [`Durable::in_memory`]. The token cannot tell that
+/// every batch was logged before the fsync: the crash-recovery battery
+/// checks that. A durability I/O failure panics the writer — acknowledging
+/// without the log would lie — which surfaces to producers as
+/// [`ServiceError::Stopped`] via `ExitNotice`.
 ///
 /// The writer is the shard's only publisher: it owns the engine (which
 /// compacts inline, inside the departures that cross its tombstone bound)
@@ -355,23 +365,26 @@ fn writer_loop(
 ) {
     let mut version = 1;
     while let Some(batches) = queue.pop(MAX_BATCH) {
-        if let Some(dur) = durability.as_mut() {
-            for batch in &batches {
-                if batch.is_empty() {
-                    // an empty batch publishes a fresh snapshot but changes
-                    // nothing: no record needed
-                    continue;
+        let durable = match durability.as_mut() {
+            Some(dur) => {
+                for batch in &batches {
+                    if batch.is_empty() {
+                        // an empty batch publishes a fresh snapshot but
+                        // changes nothing: no record needed
+                        continue;
+                    }
+                    let seq = dur
+                        .log_batch(batch)
+                        .unwrap_or_else(|e| panic!("shard WAL append failed: {e}"));
+                    if let Some(fault) = fault.as_mut() {
+                        fault(FaultEvent::BatchLogged { seq });
+                    }
                 }
-                let seq = dur
-                    .log_batch(batch)
-                    .unwrap_or_else(|e| panic!("shard WAL append failed: {e}"));
-                if let Some(fault) = fault.as_mut() {
-                    fault(FaultEvent::BatchLogged { seq });
-                }
+                dur.sync_for_ack()
+                    .unwrap_or_else(|e| panic!("shard WAL fsync failed: {e}"))
             }
-            dur.sync_for_ack()
-                .unwrap_or_else(|e| panic!("shard WAL fsync failed: {e}"));
-        }
+            None => Durable::in_memory(),
+        };
         let mut processed = 0u64;
         let mut rejected = 0u64;
         let mut last_rejection = None;
@@ -402,7 +415,7 @@ fn writer_loop(
                 Err(e) => panic!("shard checkpoint failed: {e}"),
             }
         }
-        cell.publish(AssignmentSnapshot::from_export(export, version));
+        cell.publish(AssignmentSnapshot::from_export(export, version), durable);
         // acknowledge only after publication: a flushed producer is
         // guaranteed its updates are visible to every subsequent read
         let mut state = progress.state.lock();

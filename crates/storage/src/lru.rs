@@ -125,9 +125,10 @@ impl LruBuffer {
         }
     }
 
-    /// Pages currently resident ordered from most to least recently used.
-    /// Intended for tests and debugging.
-    pub fn resident_mru_order(&self) -> Vec<PageId> {
+    /// Pages currently resident ordered from most to least recently used:
+    /// the tests' view of the recency list.
+    #[cfg(test)]
+    pub(crate) fn resident_mru_order(&self) -> Vec<PageId> {
         let mut out = Vec::with_capacity(self.map.len());
         let mut cur = self.head;
         while cur != NIL {

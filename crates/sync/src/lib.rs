@@ -48,15 +48,24 @@
 //! plain std even when used inside one (documented escape hatch — the model
 //! only tracks what it saw created).
 //!
+//! # Lock ranks
+//!
+//! [`Mutex::new`] takes a [`LockRank`], and `LockRank`'s declaration order is
+//! the workspace's lock order: a thread takes locks in strictly increasing
+//! rank. Debug builds and every `model` build check it on each
+//! [`Mutex::lock`], which panics with the `file:line` of both acquisitions
+//! when a thread takes a rank ≤ one it holds — in a model run, on every
+//! interleaving explored. Release passthrough builds compile no check.
+//!
 //! # Passthrough example (normal builds and normal threads)
 //!
 //! ```
-//! use pref_sync::{AtomicU64, Mutex, Ordering};
+//! use pref_sync::{AtomicU64, LockRank, Mutex, Ordering};
 //!
 //! let visits = AtomicU64::new(0);
 //! // ordering: counter, no payload published through it
 //! visits.fetch_add(1, Ordering::Relaxed);
-//! let cell = Mutex::new(vec![1, 2, 3]);
+//! let cell = Mutex::new(vec![1, 2, 3], LockRank::PoolResults);
 //! assert_eq!(cell.lock().len(), 3);
 //! // ordering: counter read back on the same thread
 //! assert_eq!(visits.load(Ordering::Relaxed), 1);
@@ -65,6 +74,9 @@
 #![warn(missing_docs)]
 
 pub use std::sync::atomic::Ordering;
+
+mod rank;
+pub use rank::LockRank;
 
 #[cfg(not(feature = "model"))]
 mod passthrough;

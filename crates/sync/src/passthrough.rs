@@ -2,8 +2,13 @@
 //!
 //! Every type here is a newtype over its `std::sync` counterpart with
 //! `#[inline]` delegation; the only semantic difference is that lock
-//! poisoning is recovered instead of surfaced (see the crate docs).
+//! poisoning is recovered instead of surfaced (see the crate docs). Debug
+//! builds add the lock-rank check to [`Mutex::lock`]; release builds carry
+//! neither the rank nor the check.
 
+#[cfg(debug_assertions)]
+use crate::rank::Held;
+use crate::LockRank;
 use std::sync::atomic::Ordering;
 use std::sync::PoisonError;
 
@@ -49,31 +54,47 @@ impl AtomicU64 {
 
 /// Shim over [`std::sync::Mutex`]. [`Mutex::lock`] recovers from poisoning
 /// instead of returning a `Result` (see the crate docs for why).
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct Mutex<T> {
     inner: std::sync::Mutex<T>,
+    #[cfg(debug_assertions)]
+    rank: LockRank,
 }
 
 /// Guard returned by [`Mutex::lock`]; releases the lock on drop.
 #[derive(Debug)]
 pub struct MutexGuard<'a, T> {
     inner: std::sync::MutexGuard<'a, T>,
+    #[cfg(debug_assertions)]
+    held: Held,
 }
 
 impl<T> Mutex<T> {
-    /// Creates the mutex owning `value`.
+    /// Creates the mutex owning `value`, at `rank` in the lock order.
     #[inline]
-    pub fn new(value: T) -> Self {
+    pub fn new(value: T, rank: LockRank) -> Self {
+        #[cfg(not(debug_assertions))]
+        let _ = rank;
         Self {
             inner: std::sync::Mutex::new(value),
+            #[cfg(debug_assertions)]
+            rank,
         }
     }
 
     /// Acquires the lock, blocking until it is free. A poisoned lock (a
     /// thread panicked while holding it) is recovered, not propagated.
+    ///
+    /// # Panics
+    /// In debug builds, if this thread holds a lock of this rank or a higher
+    /// one (see [`LockRank`]).
     #[inline]
+    #[cfg_attr(debug_assertions, track_caller)]
     pub fn lock(&self) -> MutexGuard<'_, T> {
         MutexGuard {
+            // the rank check runs before the thread can block
+            #[cfg(debug_assertions)]
+            held: Held::new(self.rank),
             inner: self.inner.lock().unwrap_or_else(PoisonError::into_inner),
         }
     }
@@ -120,6 +141,9 @@ impl Condvar {
                 .inner
                 .wait(guard.inner)
                 .unwrap_or_else(PoisonError::into_inner),
+            // the lock is held again on return: its rank entry stays
+            #[cfg(debug_assertions)]
+            held: guard.held,
         }
     }
 

@@ -34,7 +34,7 @@
 //! complete even on unwind, and the missing result is reported as a panic in
 //! [`WorkStealingPool::run`] on the submitting thread.
 
-use crate::{thread, Condvar, Mutex};
+use crate::{thread, Condvar, LockRank, Mutex};
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -97,11 +97,16 @@ impl WorkStealingPool {
     pub fn with_threads(threads: usize) -> Self {
         let threads = threads.max(1);
         let shared = Arc::new(Shared {
-            queues: (0..threads).map(|_| Mutex::new(VecDeque::new())).collect(),
-            gate: Mutex::new(Gate {
-                queued: 0,
-                stop: false,
-            }),
+            queues: (0..threads)
+                .map(|_| Mutex::new(VecDeque::new(), LockRank::PoolQueue))
+                .collect(),
+            gate: Mutex::new(
+                Gate {
+                    queued: 0,
+                    stop: false,
+                },
+                LockRank::PoolGate,
+            ),
             work_ready: Condvar::new(),
         });
         let handles = (0..threads)
@@ -141,10 +146,12 @@ impl WorkStealingPool {
         if n == 0 {
             return Vec::new();
         }
-        let results: Arc<Mutex<Vec<Option<R>>>> =
-            Arc::new(Mutex::new((0..n).map(|_| None).collect()));
+        let results: Arc<Mutex<Vec<Option<R>>>> = Arc::new(Mutex::new(
+            (0..n).map(|_| None).collect(),
+            LockRank::PoolResults,
+        ));
         let batch = Arc::new(Batch {
-            remaining: Mutex::new(n),
+            remaining: Mutex::new(n, LockRank::PoolRemaining),
             done: Condvar::new(),
         });
         for (slot, job) in jobs.into_iter().enumerate() {

@@ -9,6 +9,7 @@
 //! scheduler, in the same binary.
 
 use crate::model::{current, Scheduler};
+use crate::rank::{Held, LockRank};
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, PoisonError};
 
@@ -95,12 +96,7 @@ impl AtomicU64 {
 pub struct Mutex<T> {
     inner: std::sync::Mutex<T>,
     obj: Option<ObjRef>,
-}
-
-impl<T: Default> Default for Mutex<T> {
-    fn default() -> Self {
-        Self::new(T::default())
-    }
+    rank: LockRank,
 }
 
 /// Guard returned by [`Mutex::lock`]; releases the lock on drop.
@@ -109,20 +105,30 @@ pub struct MutexGuard<'a, T> {
     lock: &'a Mutex<T>,
     inner: Option<std::sync::MutexGuard<'a, T>>,
     routed: Option<(Arc<Scheduler>, usize, usize)>,
+    /// This thread's rank entry; `Condvar::wait` moves it to the new guard.
+    held: Option<Held>,
 }
 
 impl<T> Mutex<T> {
-    /// Creates the mutex owning `value`.
-    pub fn new(value: T) -> Self {
+    /// Creates the mutex owning `value`, at `rank` in the lock order.
+    pub fn new(value: T, rank: LockRank) -> Self {
         Self {
             inner: std::sync::Mutex::new(value),
             obj: register(Scheduler::register_mutex),
+            rank,
         }
     }
 
     /// Acquires the lock, blocking until it is free. A poisoned lock (a
     /// thread panicked while holding it) is recovered, not propagated.
+    ///
+    /// # Panics
+    /// If this thread holds a lock of this rank or a higher one (see
+    /// [`LockRank`]), on every schedule a model run explores.
+    #[track_caller]
     pub fn lock(&self) -> MutexGuard<'_, T> {
+        // the rank check runs before the thread can block
+        let held = Held::new(self.rank);
         let routed = route(&self.obj);
         if let Some((sched, id, tid)) = &routed {
             // the scheduler blocks until this thread is granted the lock;
@@ -133,6 +139,7 @@ impl<T> Mutex<T> {
             lock: self,
             inner: Some(self.inner.lock().unwrap_or_else(PoisonError::into_inner)),
             routed,
+            held: Some(held),
         }
     }
 }
@@ -196,6 +203,8 @@ impl Condvar {
     /// injects spurious wakeups; its FIFO wakeup order is one fixed
     /// refinement of the many the exploration covers.)
     pub fn wait<'a, T>(&self, mut guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
+        // the lock is held again on return: its rank entry stays
+        let held = guard.held.take();
         let cv = route(&self.obj);
         match (cv, guard.routed.take()) {
             (Some((sched, cv_id, tid)), Some((_, mutex_id, _))) => {
@@ -209,6 +218,7 @@ impl Condvar {
                     lock,
                     inner: Some(lock.inner.lock().unwrap_or_else(PoisonError::into_inner)),
                     routed: Some((sched, mutex_id, tid)),
+                    held,
                 }
             }
             (_, routed) => {
@@ -217,7 +227,7 @@ impl Condvar {
                     Some(inner) => inner,
                     None => unreachable!("guard accessed after release"),
                 };
-                // both fields taken: dropping the shell is a no-op
+                // every field taken: dropping the shell is a no-op
                 drop(guard);
                 // plain std wait; `routed` (if any) moves to the new guard so
                 // a model-held lock is still released on drop
@@ -229,6 +239,7 @@ impl Condvar {
                             .unwrap_or_else(PoisonError::into_inner),
                     ),
                     routed,
+                    held,
                 }
             }
         }

@@ -5,7 +5,7 @@
 //! counts small — they validate the *detector*, not explore real code.
 
 use crate::model::{self, DfsConfig, ModelConfig, ViolationKind};
-use crate::{thread, AtomicU64, Condvar, Mutex, Ordering, RaceCell};
+use crate::{thread, AtomicU64, Condvar, LockRank, Mutex, Ordering, RaceCell};
 use std::sync::Arc;
 
 fn cfg(name: &str, iterations: usize) -> ModelConfig {
@@ -98,10 +98,13 @@ fn relaxed_publication_is_flagged_as_race() {
 }
 
 #[test]
-fn lock_order_inversion_is_reported_as_deadlock() {
-    let report = model::explore(&cfg("abba", 400), || {
-        let a = Arc::new(Mutex::new(()));
-        let b = Arc::new(Mutex::new(()));
+fn lock_order_inversion_is_reported_as_rank_violation() {
+    // ABBA: the spawned thread takes the locks against the rank order. The
+    // check fires before it blocks, so every schedule reports the
+    // inversion, not only the ones that interleave into a deadlock.
+    let scenario = || {
+        let a = Arc::new(Mutex::new((), LockRank::ProgressState));
+        let b = Arc::new(Mutex::new((), LockRank::SnapshotSlot));
         let t = {
             let (a, b) = (Arc::clone(&a), Arc::clone(&b));
             thread::spawn(move || {
@@ -116,14 +119,78 @@ fn lock_order_inversion_is_reported_as_deadlock() {
             let _b = b.lock();
         }
         let _ = t.join();
+    };
+    let config = cfg("abba", 1);
+    let mut schedules = std::collections::HashSet::new();
+    for seed in 0..40 {
+        let violation =
+            model::replay(&config, seed, scenario).expect("every schedule reports the inversion");
+        assert_eq!(violation.kind, ViolationKind::Panic);
+        let message = &violation.message;
+        assert!(
+            message.contains("taking ProgressState at crates/sync/src/tests.rs:")
+                && message.contains("while holding SnapshotSlot from crates/sync/src/tests.rs:"),
+            "the report names both acquisition sites: {message}"
+        );
+        schedules.insert(violation.schedule);
+    }
+    assert!(schedules.len() > 1, "the seeds never changed the schedule");
+}
+
+#[test]
+fn a_model_condvar_wait_keeps_its_rank_entry() {
+    let report = model::explore(&cfg("wait-keeps-rank", 60), || {
+        let pair = Arc::new((Mutex::new(false, LockRank::PoolGate), Condvar::new()));
+        // the notifier cannot take the gate before the wait releases it, so
+        // every schedule goes through the scheduler's wait
+        let mut ready = pair.0.lock();
+        let notifier = {
+            let pair = Arc::clone(&pair);
+            thread::spawn(move || {
+                *pair.0.lock() = true;
+                pair.1.notify_one();
+            })
+        };
+        while !*ready {
+            ready = pair.1.wait(ready);
+        }
+        let queue = Mutex::new((), LockRank::PoolQueue);
+        drop(queue.lock());
+        drop(ready);
+        notifier.join().unwrap();
     });
-    let violation = report
-        .violation
-        .expect("ABBA inversion must deadlock some schedule");
+    let violation = report.violation.expect("the gate's rank survives the wait");
+    assert_eq!(violation.kind, ViolationKind::Panic);
+    assert!(
+        violation
+            .message
+            .contains("taking PoolQueue at crates/sync/src/tests.rs:"),
+        "{}",
+        violation.message
+    );
+    assert!(violation.message.contains("while holding PoolGate from"));
+}
+
+#[test]
+fn a_waiter_nobody_notifies_is_reported_as_deadlock() {
+    let report = model::explore(&cfg("never-notified", 20), || {
+        let pair = Arc::new((Mutex::new(false, LockRank::UpdateQueue), Condvar::new()));
+        let waiter = {
+            let pair = Arc::clone(&pair);
+            thread::spawn(move || {
+                let mut ready = pair.0.lock();
+                while !*ready {
+                    ready = pair.1.wait(ready);
+                }
+            })
+        };
+        let _ = waiter.join();
+    });
+    let violation = report.violation.expect("a waiter nobody wakes deadlocks");
     assert_eq!(violation.kind, ViolationKind::Deadlock);
     assert!(
-        violation.message.contains("wants m"),
-        "message names the locks: {}",
+        violation.message.contains("waiting on cv"),
+        "message names the wait: {}",
         violation.message
     );
 }
@@ -131,7 +198,7 @@ fn lock_order_inversion_is_reported_as_deadlock() {
 #[test]
 fn missed_notify_is_classified_as_lost_wakeup() {
     let report = model::explore(&cfg("lost-wakeup", 400), || {
-        let pair = Arc::new((Mutex::new(()), Condvar::new()));
+        let pair = Arc::new((Mutex::new((), LockRank::UpdateQueue), Condvar::new()));
         let done = Arc::new(AtomicU64::new(0));
         let notifier = {
             let (pair, done) = (Arc::clone(&pair), Arc::clone(&done));
@@ -246,7 +313,10 @@ fn dfs_exhausts_small_scenarios_and_finds_planted_bug() {
 #[test]
 fn condvar_handoff_is_clean_under_dfs() {
     let report = model::explore_dfs(&DfsConfig::new("handoff"), || {
-        let slot = Arc::new((Mutex::new(None::<u64>), Condvar::new()));
+        let slot = Arc::new((
+            Mutex::new(None::<u64>, LockRank::UpdateQueue),
+            Condvar::new(),
+        ));
         let producer = {
             let slot = Arc::clone(&slot);
             thread::spawn(move || {

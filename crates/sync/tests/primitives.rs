@@ -3,8 +3,11 @@
 //! whether or not the `model` feature is compiled in. This is what keeps the
 //! service's hot path (and the benchmark's `serve-*` workloads) unaffected by
 //! the shim.
+//!
+//! The lock-rank tests at the end hold in debug builds and `model` builds,
+//! the ones that check ranks (see `LockRank`).
 
-use pref_sync::{thread, AtomicU64, Condvar, Mutex, Ordering, RaceCell};
+use pref_sync::{thread, AtomicU64, Condvar, LockRank, Mutex, Ordering, RaceCell};
 use std::sync::Arc;
 
 #[test]
@@ -43,7 +46,7 @@ fn store_load_roundtrip_and_fetch_sub() {
 
 #[test]
 fn mutex_guards_exclusive_access() {
-    let total = Arc::new(Mutex::new(0u64));
+    let total = Arc::new(Mutex::new(0u64, LockRank::PoolResults));
     let handles: Vec<_> = (0..4)
         .map(|_| {
             let total = Arc::clone(&total);
@@ -62,7 +65,7 @@ fn mutex_guards_exclusive_access() {
 
 #[test]
 fn mutex_lock_recovers_from_poison() {
-    let cell = Arc::new(Mutex::new(41u64));
+    let cell = Arc::new(Mutex::new(41u64, LockRank::PoolResults));
     let poisoner = Arc::clone(&cell);
     let result = thread::spawn(move || {
         let _guard = poisoner.lock();
@@ -77,7 +80,10 @@ fn mutex_lock_recovers_from_poison() {
 
 #[test]
 fn condvar_wakes_real_threads() {
-    let slot = Arc::new((Mutex::new(None::<u64>), Condvar::new()));
+    let slot = Arc::new((
+        Mutex::new(None::<u64>, LockRank::UpdateQueue),
+        Condvar::new(),
+    ));
     let producer = {
         let slot = Arc::clone(&slot);
         thread::spawn(move || {
@@ -110,4 +116,107 @@ fn named_builder_spawns_and_returns_values() {
         .unwrap();
     assert_eq!(handle.join().unwrap(), 42);
     thread::yield_now();
+}
+
+/// Takes and releases `lock`: whatever the caller holds is held across it.
+fn lock_and_release(lock: &Mutex<()>) {
+    drop(lock.lock());
+}
+
+#[test]
+#[cfg(any(debug_assertions, feature = "model"))]
+#[should_panic(
+    expected = "lock rank violation: taking PoolQueue at crates/sync/tests/primitives.rs:"
+)]
+fn an_inversion_split_across_a_helper_call_panics() {
+    let a = Mutex::new((), LockRank::PoolQueue);
+    let b = Mutex::new((), LockRank::PoolGate);
+    let c = Mutex::new((), LockRank::PoolRemaining);
+    {
+        // a -> b and b -> c follow the ranks
+        let _a = a.lock();
+        let _b = b.lock();
+    }
+    {
+        let _b = b.lock();
+        let _c = c.lock();
+    }
+    // c -> a closes the cycle, and only across the call
+    let _c = c.lock();
+    lock_and_release(&a);
+}
+
+#[test]
+#[cfg(any(debug_assertions, feature = "model"))]
+#[should_panic(expected = "while holding PoolQueue from crates/sync/tests/primitives.rs:")]
+fn two_locks_of_one_rank_are_never_held_together() {
+    let mine = Mutex::new((), LockRank::PoolQueue);
+    let victim = Mutex::new((), LockRank::PoolQueue);
+    let _mine = mine.lock();
+    let _victim = victim.lock();
+}
+
+#[test]
+fn guards_may_drop_out_of_order() {
+    let queue = Mutex::new(0u64, LockRank::PoolQueue);
+    let gate = Mutex::new(0u64, LockRank::PoolGate);
+    let remaining = Mutex::new(0u64, LockRank::PoolRemaining);
+    let results = Mutex::new(0u64, LockRank::PoolResults);
+    let q = queue.lock();
+    let r = remaining.lock();
+    drop(q);
+    // the queue's entry is gone and the counter's stays: a higher rank
+    // nests, and the gate, ranked between the two, is still refused
+    *results.lock() += 1;
+    #[cfg(any(debug_assertions, feature = "model"))]
+    {
+        let taken = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| drop(gate.lock())));
+        assert!(taken.is_err(), "the counter's entry left with the queue's");
+    }
+    drop(r);
+    // every entry is gone: the lowest rank may be taken again
+    *queue.lock() += 1;
+    *gate.lock() += 1;
+    assert_eq!((*queue.lock(), *gate.lock(), *results.lock()), (1, 1, 1));
+}
+
+#[test]
+fn each_thread_has_its_own_held_list() {
+    let results = Mutex::new(0u64, LockRank::PoolResults);
+    let gate = Arc::new(Mutex::new(0u64, LockRank::PoolGate));
+    let held = results.lock();
+    // a lower rank on another thread is no inversion of this one's
+    let other = Arc::clone(&gate);
+    thread::spawn(move || *other.lock() += 1).join().unwrap();
+    drop(held);
+    assert_eq!(*gate.lock(), 1);
+}
+
+#[test]
+fn a_condvar_wait_keeps_its_lock_held_for_a_nested_acquire() {
+    let pair = Arc::new((Mutex::new(false, LockRank::PoolGate), Condvar::new()));
+    let remaining = Mutex::new(0u64, LockRank::PoolRemaining);
+    let notifier = {
+        let pair = Arc::clone(&pair);
+        thread::spawn(move || {
+            *pair.0.lock() = true;
+            pair.1.notify_all();
+        })
+    };
+    let mut ready = pair.0.lock();
+    while !*ready {
+        ready = pair.1.wait(ready);
+    }
+    // the gate is held again after the wait; a higher rank nests under it
+    *remaining.lock() += 1;
+    // and the wait kept the gate's entry: a lower rank is still refused
+    #[cfg(any(debug_assertions, feature = "model"))]
+    {
+        let queue = Mutex::new((), LockRank::PoolQueue);
+        let taken = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| drop(queue.lock())));
+        assert!(taken.is_err(), "the gate's rank was lost across the wait");
+    }
+    drop(ready);
+    notifier.join().unwrap();
+    assert_eq!(*remaining.lock(), 1);
 }

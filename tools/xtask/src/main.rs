@@ -4,22 +4,20 @@
 //! cargo run -p xtask -- lint [--json <path>]
 //! ```
 //!
-//! A zero-dependency static analyzer for the invariants the paper's
-//! guarantees rest on that no compiler or clippy lint can state: `lexer`
-//! produces a trivia-preserving Rust token stream, `model` recovers the item
-//! skeleton (structs and fields, fn signatures and bodies, impl blocks,
-//! `#[cfg(test)]` regions), and the rules match token sequences, so text in
-//! string literals and comments never trips them.
+//! A zero-dependency static analyzer for what no compiler, clippy lint or
+//! type can state: `lexer` produces a trivia-preserving Rust token stream,
+//! `model` adds the significant-token view and the line where a file's test
+//! code starts, and the rules match token sequences, so text in string
+//! literals and comments never trips them.
 //!
-//! * `rules` — `ordering-comment`, `kernel-no-alloc` and `durability-order`
-//!   per source file, and `workspace-lints` per manifest: every member
-//!   outside `vendor/` must inherit `[workspace.lints]`.
-//! * `lockorder` — every mutex acquisition site in `crates/service`,
-//!   `crates/sync` and `crates/net`, with held-lock sets propagated through
-//!   the intra-workspace call graph. The static lock-order graph is written
-//!   to `target/lint/lock-order.dot` on every run, and any cycle is a
-//!   finding: a potential deadlock no bounded model-checking schedule needs
-//!   to have hit.
+//! * `rules` — `ordering-comment` and `kernel-no-alloc` per source file, and
+//!   `workspace-lints` per manifest: every member outside `vendor/` must
+//!   inherit `[workspace.lints]`.
+//!
+//! Lock order and WAL-before-publish are not here: every shim `Mutex` takes
+//! a `LockRank` that debug and model builds check on each acquisition
+//! (`pref_sync`), and a shard publishes only with the `Durable` token its
+//! fsync returns (`pref_service`).
 //!
 //! Everything a lint can say is configured, not coded: `[workspace.lints]`,
 //! the `clippy.toml` files and the `engine` / `service` / `net` crate roots
@@ -35,7 +33,6 @@
 //! ```
 
 mod lexer;
-mod lockorder;
 mod model;
 mod rules;
 
@@ -90,30 +87,7 @@ fn lint_workspace(json: Option<&Path>) -> ExitCode {
         }
     };
     let checked = files.len();
-    let (mut diagnostics, lock_files) = lint_files(&files);
-
-    let report = lockorder::analyze(&lock_files);
-    let dot_path = root.join("target").join("lint").join("lock-order.dot");
-    if let Some(parent) = dot_path.parent() {
-        let _ = std::fs::create_dir_all(parent);
-    }
-    if let Err(e) = std::fs::write(&dot_path, lockorder::to_dot(&report)) {
-        eprintln!("xtask: cannot write {}: {e}", dot_path.display());
-        return ExitCode::FAILURE;
-    }
-    if report.acquire_sites == 0 {
-        // an empty graph means the resolver silently stopped seeing locks —
-        // fail loudly instead of reporting a vacuously acyclic workspace
-        diagnostics.push(rules::Diagnostic {
-            path: "crates/service/src".to_string(),
-            line: 0,
-            rule: rules::RULE_LOCK_ORDER,
-            message: "lock-order analysis found no acquisition sites — the resolver has gone \
-                      blind, not the workspace lock-free"
-                .to_string(),
-        });
-    }
-    diagnostics.extend(report.diagnostics);
+    let mut diagnostics = lint_files(&files);
     diagnostics.sort_by(|a, b| {
         (&a.path, a.line, a.rule, &a.message).cmp(&(&b.path, b.line, b.rule, &b.message))
     });
@@ -128,13 +102,6 @@ fn lint_workspace(json: Option<&Path>) -> ExitCode {
         }
     }
 
-    println!(
-        "xtask lint: lock-order graph ({} edges, {} acquisition sites, {} cycles) -> {}",
-        report.edges.len(),
-        report.acquire_sites,
-        report.cycles.len(),
-        dot_path.display()
-    );
     if diagnostics.is_empty() {
         println!("xtask lint: {checked} files clean");
         ExitCode::SUCCESS
@@ -150,28 +117,18 @@ fn lint_workspace(json: Option<&Path>) -> ExitCode {
     }
 }
 
-/// Runs the per-file rules over walked (path, contents) pairs. Returns the
-/// findings and the library files of `service`, `sync` and `net`, which the
-/// whole-program lock-order analysis reads.
-fn lint_files(files: &[(String, String)]) -> (Vec<rules::Diagnostic>, Vec<model::FileCtx>) {
+/// Runs the rules over walked (path, contents) pairs: the manifest check on
+/// each `Cargo.toml`, the source rules on every other file.
+fn lint_files(files: &[(String, String)]) -> Vec<rules::Diagnostic> {
     let mut diagnostics = Vec::new();
-    let mut lock_files = Vec::new();
     for (rel, source) in files {
         if rel.ends_with("Cargo.toml") {
             diagnostics.extend(rules::lint_manifest(rel, source));
-            continue;
-        }
-        let cx = model::FileCtx::new(rel, source);
-        diagnostics.extend(rules::lint_file_ctx(&cx));
-        if (rel.starts_with("crates/service/src")
-            || rel.starts_with("crates/sync/src")
-            || rel.starts_with("crates/net/src"))
-            && !rules::is_test_file(rel)
-        {
-            lock_files.push(cx);
+        } else {
+            diagnostics.extend(rules::lint_file_ctx(&model::FileCtx::new(rel, source)));
         }
     }
-    (diagnostics, lock_files)
+    diagnostics
 }
 
 /// Machine-readable diagnostics: a JSON array of
@@ -322,7 +279,7 @@ mod tests {
         // rule, over every walked file and manifest, zero findings
         let files = read_workspace(&workspace_root()).unwrap();
         assert!(files.len() > 20, "workspace walk found {}", files.len());
-        let (findings, _) = lint_files(&files);
+        let findings = lint_files(&files);
         let findings: Vec<String> = findings.iter().map(|d| d.to_string()).collect();
         assert!(
             findings.is_empty(),

@@ -1,20 +1,9 @@
-//! A lightweight item model built on the token stream.
-//!
-//! This is *not* a Rust parser: it recognizes exactly the item shapes the
-//! analyses need — `struct` definitions with their typed fields, `fn` items
-//! with their signatures and body spans, the `impl` block each method belongs
-//! to, and `#[cfg(test)]` attribute positions — and skips everything else by
-//! balanced-delimiter scanning. Bodies are kept as raw significant-token
-//! ranges; the rule passes walk them themselves.
-//!
-//! Types are recorded as normalized text (`Option<ShardDurability>`,
-//! `Mutex<ProgressState>`): string matching against rendered type text is the
-//! right fidelity for a zero-dependency linter, and every consumer documents
-//! the conservative choice it makes when a type fails to resolve.
+//! A lexed source file: its token stream, the significant-token view the
+//! rules match on, and the line where its test code starts.
 
 use crate::lexer::{lex, TokKind, Token};
 
-/// A lexed file plus its significant-token view and parsed item model.
+/// A lexed file plus its significant-token view.
 pub struct FileCtx {
     /// Workspace-relative path, `/`-separated (used for rule scoping).
     pub path: String,
@@ -25,49 +14,11 @@ pub struct FileCtx {
     pub tokens: Vec<Token>,
     /// Indices into `tokens` of the non-trivia tokens, in order.
     pub sig: Vec<usize>,
-    pub model: FileModel,
-}
-
-#[derive(Default)]
-pub struct FileModel {
-    pub structs: Vec<StructDef>,
-    pub fns: Vec<FnItem>,
-    /// Line of the first real `#[cfg(test)]` attribute, if any. Library-code
-    /// rules stop there: in this workspace test modules are trailing, so the
-    /// suffix region is exact, and a misplaced test module would re-expose
-    /// library code to the stricter rules, never the reverse.
+    /// Line of the first test module's `#[cfg(test)]` attribute, if any.
+    /// Library-code rules stop there: in this workspace test modules are
+    /// trailing, so the suffix region is exact, and a misplaced test module
+    /// would re-expose library code to the stricter rules, never the reverse.
     pub test_from_line: Option<u32>,
-}
-
-pub struct StructDef {
-    pub name: String,
-    pub generics: Vec<String>,
-    pub fields: Vec<Field>,
-}
-
-pub struct Field {
-    pub name: String,
-    pub ty: String,
-}
-
-pub struct FnItem {
-    pub name: String,
-    /// The self type of the enclosing `impl` block (`impl S` / `impl T for
-    /// S` both record `S`), if any.
-    pub impl_type: Option<String>,
-    /// Type parameters in scope: the fn's own plus the enclosing impl's.
-    pub generics: Vec<String>,
-    pub params: Vec<Param>,
-    pub ret: String,
-    /// Significant-token indices of the body's `{` and matching `}`.
-    pub body: Option<(usize, usize)>,
-    /// Inside a `#[cfg(test)]` item or after the file's first one.
-    pub in_test: bool,
-}
-
-pub struct Param {
-    pub name: String,
-    pub ty: String,
 }
 
 impl FileCtx {
@@ -85,9 +36,9 @@ impl FileCtx {
             lines: src.lines().map(str::to_string).collect(),
             tokens,
             sig,
-            model: FileModel::default(),
+            test_from_line: None,
         };
-        cx.model = Parser::parse(&cx);
+        cx.test_from_line = cx.first_cfg_test();
         cx
     }
 
@@ -116,564 +67,84 @@ impl FileCtx {
         si < self.sig.len() && self.skind(si) == TokKind::Punct && self.st(si).starts_with(ch)
     }
 
-    /// Renders significant tokens `[from, to)` as normalized type-ish text:
-    /// token texts concatenated, with a space kept between adjacent
-    /// word-like tokens (`&mut ShardDurability`, `Mutex<ProgressState>`).
-    pub fn render(&self, from: usize, to: usize) -> String {
-        let mut out = String::new();
-        for si in from..to.min(self.sig.len()) {
-            let text = self.st(si);
-            let starts_wordy = text
-                .chars()
-                .next()
-                .is_some_and(|c| c.is_alphanumeric() || c == '_');
-            if starts_wordy
-                && out
-                    .chars()
-                    .next_back()
-                    .is_some_and(|c| c.is_alphanumeric() || c == '_')
-            {
-                out.push(' ');
-            }
-            out.push_str(text);
-        }
-        out
+    /// True when `line` (1-based) is in this file's test region.
+    pub fn in_tests(&self, line: u32) -> bool {
+        self.test_from_line.is_some_and(|t| line >= t)
     }
 
-    /// Index of the significant token matching the opening delimiter at
-    /// `open` (handles `()`, `[]`, `{}`); `sig_len()` when unclosed.
-    pub fn matching(&self, open: usize) -> usize {
-        let (o, c) = match self.st(open) {
-            "(" => ('(', ')'),
-            "[" => ('[', ']'),
-            "{" => ('{', '}'),
-            _ => return open,
-        };
+    /// Line of the first test module: a `mod` item, outside every fn body,
+    /// carrying an outer attribute whose brackets hold `cfg(` and the word
+    /// `test` (`#[cfg(test)]`, `#[cfg(all(test, feature = "model"))]`). A
+    /// `#[cfg(test)]` helper fn or method above the module leaves the code
+    /// after it in the library region.
+    fn first_cfg_test(&self) -> Option<u32> {
+        let mut si = 0;
+        let mut test_attr = None;
+        while si < self.sig_len() {
+            if self.is_punct(si, '#') && self.is_punct(si + 1, '[') {
+                let end = self.past_group(si + 1);
+                let attr = si + 2..end;
+                if attr
+                    .clone()
+                    .any(|a| self.is_ident(a, "cfg") && self.is_punct(a + 1, '('))
+                    && attr.clone().any(|a| self.is_ident(a, "test"))
+                {
+                    test_attr = test_attr.or(Some(self.sline(si)));
+                }
+                si = end;
+                continue;
+            }
+            if self.is_ident(si, "pub") {
+                si += 1;
+                if self.is_punct(si, '(') {
+                    si = self.past_group(si);
+                }
+                continue;
+            }
+            if self.is_ident(si, "mod") && test_attr.is_some() {
+                return test_attr;
+            }
+            test_attr = None;
+            if self.is_ident(si, "fn")
+                && si + 1 < self.sig_len()
+                && self.skind(si + 1) == TokKind::Ident
+            {
+                // skip the signature's groups, then the body or the `;`
+                si += 1;
+                while si < self.sig_len() && !self.is_punct(si, '{') && !self.is_punct(si, ';') {
+                    si = if self.is_punct(si, '(') || self.is_punct(si, '[') {
+                        self.past_group(si)
+                    } else {
+                        si + 1
+                    };
+                }
+                si = if self.is_punct(si, '{') {
+                    self.past_group(si)
+                } else {
+                    si + 1
+                };
+                continue;
+            }
+            si += 1;
+        }
+        None
+    }
+
+    /// Significant index just past the group that opens at `open`: the
+    /// bracket that brings the nesting of `()`, `[]` and `{}` back to zero.
+    fn past_group(&self, open: usize) -> usize {
         let mut depth = 0usize;
         for si in open..self.sig_len() {
-            if self.is_punct(si, o) {
+            if self.is_punct(si, '(') || self.is_punct(si, '[') || self.is_punct(si, '{') {
                 depth += 1;
-            } else if self.is_punct(si, c) {
-                depth -= 1;
+            } else if self.is_punct(si, ')') || self.is_punct(si, ']') || self.is_punct(si, '}') {
+                depth = depth.saturating_sub(1);
                 if depth == 0 {
-                    return si;
+                    return si + 1;
                 }
             }
         }
         self.sig_len()
-    }
-
-    /// True when `line` (1-based) is in this file's test region.
-    pub fn in_tests(&self, line: u32) -> bool {
-        self.model.test_from_line.is_some_and(|t| line >= t)
-    }
-}
-
-struct Parser<'c> {
-    cx: &'c FileCtx,
-    i: usize,
-    model: FileModel,
-}
-
-/// Item-position context carried into nested `mod`/`impl` blocks.
-#[derive(Clone, Default)]
-struct ItemCtx {
-    impl_type: Option<String>,
-    impl_generics: Vec<String>,
-    in_test: bool,
-}
-
-/// Flags extracted from one run of outer attributes.
-#[derive(Default, Clone, Copy)]
-struct Attrs {
-    cfg_test: bool,
-    line: u32,
-}
-
-impl<'c> Parser<'c> {
-    fn parse(cx: &'c FileCtx) -> FileModel {
-        let mut p = Parser {
-            cx,
-            i: 0,
-            model: FileModel::default(),
-        };
-        p.items(cx.sig_len(), &ItemCtx::default());
-        p.model
-    }
-
-    fn at(&self, text: &str) -> bool {
-        self.cx.is_ident(self.i, text)
-    }
-
-    fn at_punct(&self, ch: char) -> bool {
-        self.cx.is_punct(self.i, ch)
-    }
-
-    /// Parses items until significant index `end` (exclusive).
-    fn items(&mut self, end: usize, ctx: &ItemCtx) {
-        while self.i < end {
-            let attrs = self.attrs(end);
-            if self.i >= end {
-                break;
-            }
-            if self.at("pub") {
-                self.i += 1;
-                if self.at_punct('(') {
-                    self.i = self.cx.matching(self.i) + 1;
-                }
-                continue;
-            }
-            if self.at("unsafe") || self.at("async") || self.at("default") {
-                self.i += 1;
-                continue;
-            }
-            if self.at("extern") {
-                self.i += 1;
-                if self.i < end && self.cx.skind(self.i) == TokKind::StrLit {
-                    self.i += 1;
-                }
-                continue;
-            }
-            if self.at("const") && !self.cx.is_ident(self.i + 1, "fn") {
-                self.skip_to_semi(end);
-                continue;
-            }
-            if self.at("const") {
-                self.i += 1; // `const fn`
-                continue;
-            }
-            if self.at("use") || self.at("static") || self.at("type") {
-                self.skip_to_semi(end);
-                continue;
-            }
-            if self.at("mod") {
-                self.item_mod(end, ctx, attrs);
-                continue;
-            }
-            if self.at("impl") {
-                self.item_impl(end, ctx, attrs);
-                continue;
-            }
-            if self.at("struct") {
-                self.item_struct(end, ctx, attrs);
-                continue;
-            }
-            if self.at("enum") || self.at("trait") || self.at("union") {
-                self.note_cfg_test(attrs);
-                self.i += 1;
-                while self.i < end && !self.at_punct('{') && !self.at_punct(';') {
-                    if self.at_punct('<') {
-                        self.skip_angles(end);
-                        continue;
-                    }
-                    self.i += 1;
-                }
-                if self.at_punct('{') {
-                    self.i = self.cx.matching(self.i) + 1;
-                } else {
-                    self.i += 1;
-                }
-                continue;
-            }
-            if self.at("fn") {
-                self.item_fn(end, ctx, attrs);
-                continue;
-            }
-            if self.at_punct('{') {
-                self.i = self.cx.matching(self.i) + 1;
-                continue;
-            }
-            self.i += 1;
-        }
-    }
-
-    /// Consumes a run of outer/inner attributes; returns the outer flags.
-    fn attrs(&mut self, end: usize) -> Attrs {
-        let mut out = Attrs::default();
-        while self.i < end && self.at_punct('#') {
-            let mut j = self.i + 1;
-            let inner = self.cx.is_punct(j, '!');
-            if inner {
-                j += 1;
-            }
-            if !self.cx.is_punct(j, '[') {
-                self.i += 1;
-                continue;
-            }
-            let close = self.cx.matching(j);
-            if !inner && self.attr_is_cfg_test(j + 1, close) {
-                out.cfg_test = true;
-                out.line = self.cx.sline(self.i);
-            }
-            self.i = close + 1;
-        }
-        out
-    }
-
-    /// `cfg` `(` … `test` … `)` within the attribute's brackets.
-    fn attr_is_cfg_test(&self, from: usize, to: usize) -> bool {
-        (from..to).any(|si| self.cx.is_ident(si, "cfg") && self.cx.is_punct(si + 1, '('))
-            && (from..to).any(|si| self.cx.is_ident(si, "test"))
-    }
-
-    fn note_cfg_test(&mut self, attrs: Attrs) {
-        if attrs.cfg_test {
-            let line = attrs.line;
-            let cur = self.model.test_from_line.get_or_insert(line);
-            *cur = (*cur).min(line);
-        }
-    }
-
-    fn skip_to_semi(&mut self, end: usize) {
-        while self.i < end {
-            if self.at_punct('{') || self.at_punct('(') || self.at_punct('[') {
-                self.i = self.cx.matching(self.i) + 1;
-                continue;
-            }
-            if self.at_punct(';') {
-                self.i += 1;
-                return;
-            }
-            self.i += 1;
-        }
-    }
-
-    /// Balanced `<…>` skip with `->`-arrow awareness.
-    fn skip_angles(&mut self, end: usize) {
-        let mut depth = 0usize;
-        while self.i < end {
-            if self.at_punct('<') {
-                depth += 1;
-            } else if self.at_punct('>') {
-                let arrow = self.i > 0 && self.cx.is_punct(self.i - 1, '-');
-                if !arrow {
-                    depth -= 1;
-                    if depth == 0 {
-                        self.i += 1;
-                        return;
-                    }
-                }
-            } else if self.at_punct('{') || self.at_punct(';') {
-                return; // safety: never scan past an item boundary
-            }
-            self.i += 1;
-        }
-    }
-
-    /// At `<`: collects type-parameter names (skipping lifetimes and const
-    /// parameter bounds) and leaves the cursor after the matching `>`.
-    fn generic_params(&mut self, end: usize) -> Vec<String> {
-        let mut out = Vec::new();
-        let mut depth = 0usize;
-        let mut at_param = false;
-        while self.i < end {
-            if self.at_punct('<') {
-                depth += 1;
-                at_param = depth == 1;
-            } else if self.at_punct('>') && !(self.i > 0 && self.cx.is_punct(self.i - 1, '-')) {
-                depth -= 1;
-                if depth == 0 {
-                    self.i += 1;
-                    return out;
-                }
-            } else if depth == 1 {
-                if self.at_punct(',') {
-                    at_param = true;
-                } else if at_param {
-                    if self.at("const") {
-                        self.i += 1;
-                        if self.cx.skind(self.i) == TokKind::Ident {
-                            out.push(self.cx.st(self.i).to_string());
-                        }
-                    } else if self.cx.skind(self.i) == TokKind::Ident {
-                        out.push(self.cx.st(self.i).to_string());
-                    }
-                    at_param = false;
-                }
-            }
-            self.i += 1;
-        }
-        out
-    }
-
-    fn item_mod(&mut self, _end: usize, ctx: &ItemCtx, attrs: Attrs) {
-        self.note_cfg_test(attrs);
-        self.i += 1; // mod
-        if self.cx.skind(self.i) == TokKind::Ident {
-            self.i += 1;
-        }
-        if self.at_punct(';') {
-            self.i += 1;
-            return;
-        }
-        if self.at_punct('{') {
-            let close = self.cx.matching(self.i);
-            let inner = ItemCtx {
-                impl_type: None,
-                impl_generics: Vec::new(),
-                in_test: ctx.in_test || attrs.cfg_test,
-            };
-            self.i += 1;
-            self.items(close, &inner);
-            self.i = close + 1;
-        }
-    }
-
-    fn item_impl(&mut self, end: usize, ctx: &ItemCtx, attrs: Attrs) {
-        self.note_cfg_test(attrs);
-        self.i += 1; // impl
-        let generics = if self.at_punct('<') {
-            self.generic_params(end)
-        } else {
-            Vec::new()
-        };
-        // `impl [Trait for] Type { … }`: the self type is the path after
-        // `for` when present, else the first path. Record its last segment.
-        let mut first_seg: Option<String> = None;
-        let mut after_for: Option<String> = None;
-        let mut saw_for = false;
-        while self.i < end && !self.at_punct('{') {
-            if self.at("for") {
-                saw_for = true;
-                self.i += 1;
-                continue;
-            }
-            if self.at("where") {
-                while self.i < end && !self.at_punct('{') {
-                    self.i += 1;
-                }
-                break;
-            }
-            if self.at_punct('<') {
-                self.skip_angles(end);
-                continue;
-            }
-            if self.cx.skind(self.i) == TokKind::Ident {
-                let name = self.cx.st(self.i).to_string();
-                if saw_for {
-                    after_for = Some(name); // last path segment wins
-                } else {
-                    first_seg = Some(name);
-                }
-            }
-            self.i += 1;
-        }
-        let impl_type = after_for.or(first_seg);
-        if self.at_punct('{') {
-            let close = self.cx.matching(self.i);
-            let inner = ItemCtx {
-                impl_type,
-                impl_generics: generics,
-                in_test: ctx.in_test || attrs.cfg_test,
-            };
-            self.i += 1;
-            self.items(close, &inner);
-            self.i = close + 1;
-        }
-    }
-
-    fn item_struct(&mut self, end: usize, ctx: &ItemCtx, attrs: Attrs) {
-        self.note_cfg_test(attrs);
-        self.i += 1; // struct
-        let name = if self.cx.skind(self.i) == TokKind::Ident {
-            let n = self.cx.st(self.i).to_string();
-            self.i += 1;
-            n
-        } else {
-            return;
-        };
-        let generics = if self.at_punct('<') {
-            self.generic_params(end)
-        } else {
-            Vec::new()
-        };
-        if self.at("where") {
-            while self.i < end && !self.at_punct('{') && !self.at_punct(';') {
-                self.i += 1;
-            }
-        }
-        let mut fields = Vec::new();
-        if self.at_punct('(') {
-            // tuple struct: no named fields to record
-            self.i = self.cx.matching(self.i) + 1;
-            if self.at_punct(';') {
-                self.i += 1;
-            }
-        } else if self.at_punct('{') {
-            let close = self.cx.matching(self.i);
-            self.i += 1;
-            while self.i < close {
-                self.attrs(close);
-                if self.at("pub") {
-                    self.i += 1;
-                    if self.at_punct('(') {
-                        self.i = self.cx.matching(self.i) + 1;
-                    }
-                }
-                if self.cx.skind(self.i) == TokKind::Ident && self.cx.is_punct(self.i + 1, ':') {
-                    let fname = self.cx.st(self.i).to_string();
-                    self.i += 2;
-                    let ty_start = self.i;
-                    let mut depth = 0usize;
-                    while self.i < close {
-                        if self.at_punct('<') {
-                            depth += 1;
-                        } else if self.at_punct('>')
-                            && !(self.i > 0 && self.cx.is_punct(self.i - 1, '-'))
-                        {
-                            depth = depth.saturating_sub(1);
-                        } else if self.at_punct('(') || self.at_punct('[') || self.at_punct('{') {
-                            self.i = self.cx.matching(self.i);
-                        } else if self.at_punct(',') && depth == 0 {
-                            break;
-                        }
-                        self.i += 1;
-                    }
-                    fields.push(Field {
-                        name: fname,
-                        ty: self.cx.render(ty_start, self.i),
-                    });
-                    if self.at_punct(',') {
-                        self.i += 1;
-                    }
-                } else {
-                    self.i += 1;
-                }
-            }
-            self.i = close + 1;
-        } else if self.at_punct(';') {
-            self.i += 1;
-        }
-        let _ = ctx;
-        self.model.structs.push(StructDef {
-            name,
-            generics,
-            fields,
-        });
-    }
-
-    fn item_fn(&mut self, end: usize, ctx: &ItemCtx, attrs: Attrs) {
-        self.note_cfg_test(attrs);
-        let fn_line = self.cx.sline(self.i);
-        self.i += 1; // fn
-        let name = if self.cx.skind(self.i) == TokKind::Ident {
-            let n = self.cx.st(self.i).to_string();
-            self.i += 1;
-            n
-        } else {
-            return;
-        };
-        let mut generics = ctx.impl_generics.clone();
-        if self.at_punct('<') {
-            generics.extend(self.generic_params(end));
-        }
-        if !self.at_punct('(') {
-            return;
-        }
-        let params_close = self.cx.matching(self.i);
-        let params = self.params(self.i + 1, params_close, ctx);
-        self.i = params_close + 1;
-        let mut ret = String::new();
-        if self.at_punct('-') && self.cx.is_punct(self.i + 1, '>') {
-            self.i += 2;
-            let ret_start = self.i;
-            while self.i < end && !self.at_punct('{') && !self.at_punct(';') && !self.at("where") {
-                if self.at_punct('<') {
-                    self.skip_angles(end);
-                    continue;
-                }
-                self.i += 1;
-            }
-            ret = self.cx.render(ret_start, self.i);
-        }
-        if self.at("where") {
-            while self.i < end && !self.at_punct('{') && !self.at_punct(';') {
-                self.i += 1;
-            }
-        }
-        let body = if self.at_punct('{') {
-            let close = self.cx.matching(self.i);
-            let span = (self.i, close);
-            self.i = close + 1;
-            Some(span)
-        } else {
-            if self.at_punct(';') {
-                self.i += 1;
-            }
-            None
-        };
-        self.model.fns.push(FnItem {
-            name,
-            impl_type: ctx.impl_type.clone(),
-            generics,
-            params,
-            ret,
-            body,
-            in_test: ctx.in_test
-                || attrs.cfg_test
-                || self.model.test_from_line.is_some_and(|t| fn_line >= t),
-        });
-    }
-
-    /// Parses the comma-separated parameter list in `[from, to)`.
-    fn params(&mut self, from: usize, to: usize, ctx: &ItemCtx) -> Vec<Param> {
-        let mut out = Vec::new();
-        let mut start = from;
-        let mut depth = 0usize;
-        let mut si = from;
-        while si <= to {
-            let at_end = si == to;
-            let splits = at_end
-                || (depth == 0
-                    && self.cx.is_punct(si, ',')
-                    && !self.cx.is_punct(si.wrapping_sub(1), '<'));
-            if !at_end {
-                if self.cx.is_punct(si, '<') {
-                    depth += 1;
-                } else if self.cx.is_punct(si, '>') && !self.cx.is_punct(si.wrapping_sub(1), '-') {
-                    depth = depth.saturating_sub(1);
-                } else if self.cx.is_punct(si, '(')
-                    || self.cx.is_punct(si, '[')
-                    || self.cx.is_punct(si, '{')
-                {
-                    si = self.cx.matching(si);
-                }
-            }
-            if splits {
-                if start < si {
-                    out.extend(self.one_param(start, si, ctx));
-                }
-                start = si + 1;
-            }
-            si += 1;
-        }
-        out
-    }
-
-    fn one_param(&self, from: usize, to: usize, ctx: &ItemCtx) -> Option<Param> {
-        // a `self` receiver: `self`, `&self`, `&mut self`, `&'a self`
-        if (from..to).any(|si| self.cx.is_ident(si, "self"))
-            && !(from..to).any(|si| self.cx.is_punct(si, ':'))
-        {
-            return Some(Param {
-                name: "self".to_string(),
-                ty: ctx.impl_type.clone().unwrap_or_else(|| "Self".to_string()),
-            });
-        }
-        let colon = (from..to).find(|&si| self.cx.is_punct(si, ':'))?;
-        // simple ident patterns only; `(a, b): (X, Y)` records an empty name
-        let mut name = String::new();
-        let mut pat = from;
-        if self.cx.is_ident(pat, "mut") {
-            pat += 1;
-        }
-        if pat + 1 == colon && self.cx.skind(pat) == TokKind::Ident {
-            name = self.cx.st(pat).to_string();
-        }
-        Some(Param {
-            name,
-            ty: self.cx.render(colon + 1, to),
-        })
     }
 }
 
@@ -686,63 +157,33 @@ mod tests {
     }
 
     #[test]
-    fn structs_record_named_fields_with_types() {
-        let cx = ctx("pub struct Progress {\n    pub state: Mutex<ProgressState>,\n    advanced: Condvar,\n}\n");
-        let s = &cx.model.structs[0];
-        assert_eq!(s.name, "Progress");
-        assert_eq!(s.fields[0].name, "state");
-        assert_eq!(s.fields[0].ty, "Mutex<ProgressState>");
-        assert_eq!(s.fields[1].ty, "Condvar");
-    }
-
-    #[test]
-    fn fns_record_impl_type_params_and_bodies() {
-        let cx = ctx(
-            "impl<T> Shard<T> {\n    fn push(&self, item: Option<ShardDurability>) -> Result<(), E> { work(item) }\n}\n\
-             fn free(a: &Mutex<EngineSlot>, max_batch: usize) {}\n",
-        );
-        let push = &cx.model.fns[0];
-        assert_eq!(push.name, "push");
-        assert_eq!(push.impl_type.as_deref(), Some("Shard"));
-        assert_eq!(push.generics, vec!["T".to_string()]);
-        assert_eq!(push.params[0].name, "self");
-        assert_eq!(push.params[1].ty, "Option<ShardDurability>");
-        assert!(push.body.is_some());
-        let free = &cx.model.fns[1];
-        assert_eq!(free.impl_type, None);
-        assert_eq!(free.params[0].ty, "&Mutex<EngineSlot>");
-        assert_eq!(free.params[1].name, "max_batch");
-    }
-
-    #[test]
-    fn trait_impls_record_the_self_type_after_for() {
-        let cx = ctx("impl Drop for ExitNotice {\n    fn drop(&mut self) {}\n}\n");
-        assert_eq!(cx.model.fns[0].impl_type.as_deref(), Some("ExitNotice"));
-    }
-
-    #[test]
     fn cfg_test_marks_the_suffix_region() {
         let cx = ctx("fn lib() {}\n#[cfg(test)]\nmod tests {\n    fn t() {}\n}\n");
-        assert_eq!(cx.model.test_from_line, Some(2));
-        assert!(!cx.model.fns[0].in_test);
-        assert!(cx.model.fns[1].in_test);
+        assert_eq!(cx.test_from_line, Some(2));
         assert!(!cx.in_tests(1));
         assert!(cx.in_tests(2));
+        assert!(cx.in_tests(4));
     }
 
     #[test]
     fn cfg_test_in_strings_or_comments_is_invisible() {
         let cx =
             ctx("// #[cfg(test)] in a comment\nconst S: &str = \"#[cfg(test)]\";\nfn lib() {}\n");
-        assert_eq!(cx.model.test_from_line, None);
-        assert!(!cx.model.fns[0].in_test);
+        assert_eq!(cx.test_from_line, None);
+        assert!(!cx.in_tests(3));
     }
 
     #[test]
-    fn return_types_and_angle_arrows_parse() {
-        let cx = ctx("fn lock<'a>(&'a self) -> Guard<'a> { self.state.lock() }\n\
-                      fn apply(f: impl Fn(usize) -> bool) -> bool { f(1) }\n");
-        assert_eq!(cx.model.fns[0].ret, "Guard<'a>");
-        assert_eq!(cx.model.fns[1].ret, "bool");
+    fn only_a_test_module_starts_the_test_region() {
+        // a test-only helper, a statement inside a body and an inner
+        // attribute leave the library code after them in scope
+        let cx = ctx(
+            "#![cfg_attr(test, allow(dead_code))]\n\
+             fn lib(v: [u8; 2]) -> usize {\n    #[cfg(test)]\n    let _ = v;\n    0\n}\n\
+             #[cfg(test)]\npub(crate) fn helper() {}\n\
+             fn more() {}\n\
+             #[cfg(all(test, feature = \"model\"))]\n#[allow(clippy::unwrap_used)]\nmod model_tests;\n",
+        );
+        assert_eq!(cx.test_from_line, Some(10));
     }
 }

@@ -16,13 +16,6 @@
 //! * **kernel-no-alloc** — no allocation in the scoring-kernel modules (by
 //!   name) and the files on [`HOT_PATH_FILES`]. A `clippy.toml` applies to a
 //!   whole package, never to a few files of one.
-//! * **durability-order** — in `crates/service/src/shard.rs` and
-//!   `durability.rs`, a function that receives the shard's durability handle
-//!   and publishes a snapshot must have its WAL append (`log_batch`) and
-//!   fsync (`sync_for_ack`) call sites precede the first `publish` call:
-//!   acknowledged-but-unlogged state must be unrepresentable in the source,
-//!   not just unobserved by the fault-injection battery. An order between
-//!   two calls is not a lint clippy has.
 //! * **workspace-lints** — every walked manifest has `[lints]` with
 //!   `workspace = true`. Cargo cannot require a member to inherit the
 //!   workspace lints, and a member that does not silently drops all of the
@@ -43,8 +36,6 @@ use std::path::Path;
 
 pub const RULE_ORDERING_COMMENT: &str = "ordering-comment";
 pub const RULE_KERNEL_NO_ALLOC: &str = "kernel-no-alloc";
-pub const RULE_DURABILITY_ORDER: &str = "durability-order";
-pub const RULE_LOCK_ORDER: &str = "lock-order";
 pub const RULE_WORKSPACE_LINTS: &str = "workspace-lints";
 
 /// Hot-path files that are not named like a kernel module but are held to
@@ -80,8 +71,7 @@ impl fmt::Display for Diagnostic {
     }
 }
 
-/// All per-file source rules. (`lock-order` is whole-program; see
-/// `lockorder`.)
+/// All per-file source rules.
 pub fn lint_file_ctx(cx: &FileCtx) -> Vec<Diagnostic> {
     let path = &cx.path;
     let mut out = ordering_comment(cx);
@@ -90,7 +80,6 @@ pub fn lint_file_ctx(cx: &FileCtx) -> Vec<Diagnostic> {
     {
         kernel_no_alloc(cx, &mut out);
     }
-    out.extend(durability_order(cx));
     out
 }
 
@@ -175,49 +164,6 @@ fn kernel_no_alloc(cx: &FileCtx, out: &mut Vec<Diagnostic>) {
             ));
         }
     }
-}
-
-/// WAL-before-publish, statically (see module docs).
-pub fn durability_order(cx: &FileCtx) -> Vec<Diagnostic> {
-    let scoped = cx.path.ends_with("crates/service/src/shard.rs")
-        || cx.path.ends_with("crates/service/src/durability.rs");
-    if !scoped {
-        return Vec::new();
-    }
-    let mut out = Vec::new();
-    for f in &cx.model.fns {
-        if f.in_test {
-            continue;
-        }
-        let Some((open, close)) = f.body else {
-            continue;
-        };
-        if !f.params.iter().any(|p| p.ty.contains("ShardDurability")) {
-            continue;
-        }
-        let call_at = |name: &str, upto: usize| (open..upto).find(|&si| method_call(cx, si, name));
-        let Some(publish_at) = call_at("publish", close) else {
-            continue;
-        };
-        let line = cx.sline(publish_at + 1);
-        let logged = call_at("log_batch", publish_at).is_some();
-        let synced = call_at("sync_for_ack", publish_at).is_some();
-        if (!logged || !synced) && !has_exception(&cx.lines, line, RULE_DURABILITY_ORDER) {
-            let missing = if !logged { "log_batch" } else { "sync_for_ack" };
-            out.push(diag(
-                &cx.path,
-                line,
-                RULE_DURABILITY_ORDER,
-                format!(
-                    "`{}` publishes a snapshot without a preceding `.{missing}(…)` call — the \
-                     WAL append + fsync must dominate every publish on a durable path \
-                     (acks follow publication)",
-                    f.name
-                ),
-            ));
-        }
-    }
-    out
 }
 
 /// A manifest must opt into the workspace lints (see module docs): a
@@ -598,59 +544,6 @@ mod tests {
         let found = findings(path, mixed);
         assert_eq!(found.len(), 1, "{found:?}");
         assert!(found[0].contains("ordering-comment"));
-    }
-
-    // -- durability-order -------------------------------------------------
-
-    const DUR_PATH: &str = "crates/service/src/shard.rs";
-
-    #[test]
-    fn publish_before_log_is_flagged_with_file_and_line() {
-        let src = "fn writer(cell: &SnapshotCell, dur: &mut ShardDurability, b: &B) {\n\
-                       cell.publish(snap(b));\n\
-                       dur.log_batch(b).ok();\n\
-                       dur.sync_for_ack().ok();\n\
-                   }\n";
-        let found = findings(DUR_PATH, src);
-        assert_eq!(found.len(), 1, "{found:?}");
-        assert!(
-            found[0].starts_with("crates/service/src/shard.rs:2: durability-order:"),
-            "{}",
-            found[0]
-        );
-    }
-
-    #[test]
-    fn publish_without_fsync_is_flagged() {
-        let src = "fn writer(cell: &SnapshotCell, dur: &mut ShardDurability, b: &B) {\n\
-                       dur.log_batch(b).ok();\n\
-                       cell.publish(snap(b));\n\
-                   }\n";
-        let found = findings(DUR_PATH, src);
-        assert_eq!(found.len(), 1);
-        assert!(found[0].contains("sync_for_ack"), "{}", found[0]);
-    }
-
-    #[test]
-    fn log_then_fsync_then_publish_passes() {
-        let src = "fn writer(cell: &SnapshotCell, dur: &mut Option<ShardDurability>, b: &B) {\n\
-                       if let Some(d) = dur.as_mut() { d.log_batch(b).ok(); d.sync_for_ack().ok(); }\n\
-                       cell.publish(snap(b));\n\
-                   }\n";
-        assert!(findings(DUR_PATH, src).is_empty());
-    }
-
-    #[test]
-    fn durability_rule_is_scoped_to_the_durable_path() {
-        // a function that never sees the durability handle may publish
-        // freely (an in-memory shard has nothing to log)
-        let src = "fn in_memory(cell: &SnapshotCell, b: &B) { cell.publish(snap(b)); }\n";
-        assert!(findings(DUR_PATH, src).is_empty());
-        // and other files are out of scope entirely
-        let bad = "fn writer(cell: &SnapshotCell, dur: &mut ShardDurability, b: &B) {\n\
-                       cell.publish(snap(b));\n\
-                   }\n";
-        assert!(findings("crates/service/src/cell.rs", bad).is_empty());
     }
 
     // -- workspace-lints --------------------------------------------------
