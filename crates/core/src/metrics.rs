@@ -14,10 +14,12 @@ pub struct RunMetrics {
     pub object_io: IoStats,
     /// I/O performed on auxiliary structures, i.e. everything that is not the
     /// object R-tree. For SB: the function-index entries its best-pair
-    /// searches read — one per row scored by the default scan or the
-    /// two-skyline arm, one per sorted access of a TA search (the paper's
-    /// definition, which the figures' SB series report). For SB-alt the
-    /// disk-resident function lists, for Chain its function R-tree.
+    /// searches read — one per row scored by the default scan (over the
+    /// objects it asks, see [`RunMetrics::searches`]) or the two-skyline
+    /// arm, one per sorted
+    /// access of a TA search (the paper's definition, which the figures' SB
+    /// series report). For SB-alt the disk-resident function lists, for
+    /// Chain its function R-tree.
     pub aux_io: IoStats,
     /// Wall-clock time of the run. Each batch solver runs single-threaded, so
     /// for one `Solver::solve` call this still equals CPU time; it stops being
@@ -30,7 +32,11 @@ pub struct RunMetrics {
     pub peak_memory_bytes: u64,
     /// Number of outer loops / rounds executed.
     pub loops: u64,
-    /// Number of top-1 / best-pair searches issued.
+    /// Number of top-1 / best-pair searches issued. SB's paper arms search
+    /// every skyline object every loop. Its default scan does so too in a
+    /// loop with more alive functions than skyline objects; in any other
+    /// loop it searches only the objects that some function picked as its
+    /// best. SB-alt's batched scan counts one a loop.
     pub searches: u64,
 }
 

@@ -1,22 +1,48 @@
 //! The reciprocal-pair step that ends every SB loop.
 //!
-//! Whichever best-pair strategy found every skyline object's best function
-//! (per-object TA searches, scans, or SB-alt's one batched scan of the disk
-//! lists), the loop ends the same way: find every candidate function's best
-//! skyline object, keep the reciprocal pairs (Property 2), fall back to the
-//! single best `(function, its best object)` entry when exact score ties
-//! make the argmax choices cyclic, and emit the pairs in descending score
-//! order. Keeping one implementation here is what guarantees the strategies
-//! cannot drift apart on tie-breaking.
+//! A loop outputs its reciprocal pairs (Property 2): the `(f, o)` with
+//! `best(f) = o` and `best(o) = f`, where `best(f)` ranges over the skyline
+//! and `best(o)` over the alive functions. Both sides take their argmax under
+//! one strict order — score descending, then function index ascending, then
+//! *dense* object index ascending, the order in which
+//! [`crate::oracle::oracle`] consumes its sorted score list — so tied
+//! instances reproduce the oracle's canonical matching even when record ids
+//! are not in table order. Under one order the first `(f, o)` over the alive
+//! functions × the skyline is reciprocal, so a loop in which some function
+//! has a best object always yields a pair. The pairs leave in descending
+//! score order, exact ties by function index. Keeping one implementation
+//! here is what guarantees the strategies cannot drift apart on
+//! tie-breaking.
+//!
+//! # Which side is asked first
+//!
+//! Both orders enumerate exactly `{(f, o) : best(f) = o ∧ best(o) = f}`:
+//!
+//! * **object first** ([`Pairing::note_best`] for every skyline object, then
+//!   [`Pairing::answer_candidates`]): every such `f` is some object's best,
+//!   so it is a candidate;
+//! * **function first** ([`Pairing::function_best`] for every alive
+//!   function, then [`Pairing::ask_picked`]): every such `o` is some
+//!   function's best, so it is picked.
+//!
+//! The side asked first is asked in full, the other only for the members
+//! named, so the default scan asks the smaller side first, loop by loop: the
+//! function side while there are no more alive functions than skyline
+//! objects, the object side otherwise. A function's best is cheap (below),
+//! but asking every function every loop costs more than searching a skyline
+//! of a few dozen objects. The paper's arms (TA, two skylines, SB-alt)
+//! always search every skyline object first, as its figures measure them.
+//! Either order leaves the kept objects and the search states valid for the
+//! other, so the choice may change from one loop to the next.
 //!
 //! # Each function keeps its best skyline objects across loops
 //!
 //! The skyline changes little between loops: the objects a loop exhausts
 //! leave, and the ones maintenance uncovers join (on `solve-anti` about 17
 //! and 50 of ~2 000–3 800). So a function does not rescore the skyline each
-//! time it is a candidate. At its first candidacy it scans the skyline block
-//! into a [`KeptRows`], its best [`pref_topk::KEPT_ROWS`] objects by `(score
-//! desc, dense object index asc)`. At each later one it
+//! time it is asked. The first time, it scans the skyline block into a
+//! [`KeptRows`], its best [`pref_topk::KEPT_ROWS`] objects by `(score desc,
+//! dense object index asc)`. Each later time it
 //!
 //! 1. drops the kept objects that have been exhausted since,
 //! 2. if any remain, offers the objects that joined since it last looked,
@@ -30,7 +56,7 @@
 //! the last scan left out: an entrant enters only ahead of the cutoff. The
 //! first kept object is then the function's best live skyline object, the
 //! one a full argmax over the skyline finds, score bits included; debug
-//! builds check that against the full argmax at every candidacy.
+//! builds check that against the full argmax at every answer.
 
 use crate::problem::ObjectRecord;
 use pref_geom::{kernel, SoaBlock};
@@ -46,18 +72,23 @@ pub(crate) struct Pairing {
     stamp: u64,
     /// `object_best[oi] = (stamp, best function, score)`.
     object_best: Vec<(u64, usize, f64)>,
-    /// `function_best[fi] = (stamp, best dense object index, score)`.
-    function_best: Vec<(u64, usize, f64)>,
+    /// This loop's function answers: `(function, best dense object index,
+    /// score)`.
+    answers: Vec<(usize, usize, f64)>,
     /// Stamp guard deduplicating `candidates` per loop.
     candidate_stamp: Vec<u64>,
     /// Functions named by some `object_best` entry this loop.
     candidates: Vec<usize>,
+    /// Stamp guard deduplicating `picked` per loop.
+    picked_stamp: Vec<u64>,
+    /// Objects named by some function answer this loop.
+    picked: Vec<usize>,
     /// `kept[fi]`: the function's best skyline objects and how much of
-    /// `entrants` they have seen; empty until its first candidacy.
+    /// `entrants` they have seen; empty until it is first asked.
     kept: Vec<(KeptRows, usize)>,
     /// Dense index of every object maintenance added to the skyline.
     entrants: Vec<usize>,
-    /// The candidate's effective weights, gathered out of the index.
+    /// The asked function's effective weights, gathered out of the index.
     weights: Vec<f64>,
 }
 
@@ -66,9 +97,11 @@ impl Pairing {
         Self {
             stamp: 0,
             object_best: vec![(0, 0, 0.0); n_obj],
-            function_best: vec![(0, 0, 0.0); n_fun],
+            answers: Vec::new(),
             candidate_stamp: vec![0; n_fun],
             candidates: Vec::new(),
+            picked_stamp: vec![0; n_obj],
+            picked: Vec::new(),
             kept: vec![(KeptRows::new(), 0); n_fun],
             entrants: Vec::new(),
             weights: Vec::new(),
@@ -78,10 +111,13 @@ impl Pairing {
     /// Starts a loop: every entry noted before is stale from here on.
     pub(crate) fn begin_loop(&mut self) {
         self.stamp += 1;
+        self.answers.clear();
         self.candidates.clear();
+        self.picked.clear();
     }
 
-    /// Records a skyline object's best function for the current loop.
+    /// Records a skyline object's best function for the current loop, and
+    /// makes the function a candidate of [`Self::answer_candidates`].
     pub(crate) fn note_best(&mut self, oi: usize, fi: usize, score: f64) {
         self.object_best[oi] = (self.stamp, fi, score);
         if self.candidate_stamp[fi] != self.stamp {
@@ -90,101 +126,101 @@ impl Pairing {
         }
     }
 
-    /// Logs an object that maintenance added to the skyline.
-    pub(crate) fn note_entrant(&mut self, oi: usize) {
-        self.entrants.push(oi);
-    }
-
-    /// Computes the loop's stable pairs `(function, dense object index,
-    /// score)` from the best functions noted since [`Self::begin_loop`].
-    ///
-    /// * `skyline` — the skyline's point block; row `r` is the object
-    ///   `sky_rows[r]` (a dense index),
-    /// * `objects` — the problem's objects, by dense index,
-    /// * `excluded` — `excluded[oi]` once object `oi` is exhausted,
-    /// * `functions` — the function index; every candidate is alive in it.
-    ///
-    /// Exact score ties break to the lowest *dense* object index (functions
-    /// picking objects) and the lowest function index (the fallback entry and
-    /// the output order) — the same order in which [`crate::oracle::oracle`]
-    /// consumes its sorted score list, so tied instances reproduce the
-    /// oracle's canonical matching even when record ids are not in table
-    /// order.
-    pub(crate) fn reciprocal_pairs(
+    /// Runs [`Self::function_best`] for every candidate noted this loop.
+    pub(crate) fn answer_candidates(
         &mut self,
         skyline: &SoaBlock,
         sky_rows: &[usize],
         objects: &[ObjectRecord],
         excluded: &[bool],
         functions: &AliveFunctions,
-    ) -> Vec<(usize, usize, f64)> {
-        let stamp = self.stamp;
-        // sorted so every scan below is deterministic
-        self.candidates.sort_unstable();
+    ) {
+        let candidates = std::mem::take(&mut self.candidates);
+        for &fi in &candidates {
+            self.function_best(fi, skyline, sky_rows, objects, excluded, functions);
+        }
+        self.candidates = candidates;
+    }
 
-        // --- best skyline object for every candidate function ---------------
-        for &fi in &self.candidates {
-            self.weights.clear();
-            self.weights.extend(functions.weights(fi));
-            let (kept, seen) = &mut self.kept[fi];
-            kept.retain(|oi| !excluded[oi]);
-            if kept.is_empty() {
-                kept.scan(&self.weights, skyline, sky_rows);
-            } else {
-                for &oi in &self.entrants[*seen..] {
-                    if !excluded[oi] {
-                        kept.offer(kernel::dot(&self.weights, objects[oi].point.coords()), oi);
-                    }
+    /// Finds function `fi`'s best skyline object, records it as the
+    /// function's answer for this loop and marks the object picked.
+    ///
+    /// * `skyline` — the skyline's point block; row `r` is the object
+    ///   `sky_rows[r]` (a dense index),
+    /// * `objects` — the problem's objects, by dense index,
+    /// * `excluded` — `excluded[oi]` once object `oi` is exhausted,
+    /// * `functions` — the function index; `fi` is alive in it.
+    pub(crate) fn function_best(
+        &mut self,
+        fi: usize,
+        skyline: &SoaBlock,
+        sky_rows: &[usize],
+        objects: &[ObjectRecord],
+        excluded: &[bool],
+        functions: &AliveFunctions,
+    ) {
+        self.weights.clear();
+        self.weights.extend(functions.weights(fi));
+        let (kept, seen) = &mut self.kept[fi];
+        kept.retain(|oi| !excluded[oi]);
+        if kept.is_empty() {
+            kept.scan(&self.weights, skyline, sky_rows);
+        } else {
+            for &oi in &self.entrants[*seen..] {
+                if !excluded[oi] {
+                    kept.offer(kernel::dot(&self.weights, objects[oi].point.coords()), oi);
                 }
             }
-            *seen = self.entrants.len();
-            let best = kept.first();
-            debug_assert_eq!(
-                best,
-                full_argmax(&self.weights, skyline, sky_rows),
-                "function {fi}'s kept objects disagree with a full argmax"
-            );
-            if let Some((oi, s)) = best {
-                self.function_best[fi] = (stamp, oi, s);
+        }
+        *seen = self.entrants.len();
+        let best = kept.first();
+        debug_assert_eq!(
+            best,
+            full_argmax(&self.weights, skyline, sky_rows),
+            "function {fi}'s kept objects disagree with a full argmax"
+        );
+        if let Some((oi, score)) = best {
+            self.answers.push((fi, oi, score));
+            if self.picked_stamp[oi] != self.stamp {
+                self.picked_stamp[oi] = self.stamp;
+                self.picked.push(oi);
             }
         }
+    }
 
-        // --- reciprocal pairs are stable (Property 2) -----------------------
-        let mut pairs: Vec<(usize, usize, f64)> = Vec::new();
-        for &fi in &self.candidates {
-            let (st, oi, score) = self.function_best[fi];
-            if st != stamp {
-                continue;
-            }
-            let (ost, best_f, _) = self.object_best[oi];
-            if ost == stamp && best_f == fi {
-                pairs.push((fi, oi, score));
+    /// Records `best(oi)` for every object picked this loop: the object
+    /// side's step when the function side was asked first.
+    pub(crate) fn ask_picked(&mut self, mut best: impl FnMut(usize) -> Option<(usize, f64)>) {
+        for &oi in &self.picked {
+            if let Some((fi, score)) = best(oi) {
+                self.object_best[oi] = (self.stamp, fi, score);
             }
         }
-        if pairs.is_empty() {
-            // Exact score ties can make the argmax choices cyclic, leaving no
-            // reciprocal pair. The highest-scoring (function, its best
-            // object) entry is still stable — no strictly better partner
-            // exists for either side — so emit it to guarantee progress.
-            // Candidates are sorted, so ties resolve to the lowest function
-            // index.
-            let mut fallback: Option<(usize, usize, f64)> = None;
-            for &fi in &self.candidates {
-                let (st, oi, score) = self.function_best[fi];
-                if st != stamp {
-                    continue;
-                }
-                if fallback.is_none_or(|(_, _, bs)| score > bs) {
-                    fallback = Some((fi, oi, score));
-                }
-            }
-            if let Some(pair) = fallback {
-                pairs.push(pair);
-            }
-        }
-        // descending score order (the order in which the iterative definition
-        // of Section 3 would establish the pairs); exact ties in ascending
-        // function order for determinism
+    }
+
+    /// Logs an object that maintenance added to the skyline.
+    pub(crate) fn note_entrant(&mut self, oi: usize) {
+        self.entrants.push(oi);
+    }
+
+    /// The loop's stable pairs `(function, dense object index, score)`: the
+    /// function answers whose object's best is that function, in descending
+    /// score order (the order in which the iterative definition of Section 3
+    /// would establish them), exact ties in ascending function order.
+    pub(crate) fn reciprocal_pairs(&self) -> Vec<(usize, usize, f64)> {
+        let mut pairs: Vec<(usize, usize, f64)> = self
+            .answers
+            .iter()
+            .copied()
+            .filter(|&(fi, oi, _)| {
+                let (st, best_f, _) = self.object_best[oi];
+                st == self.stamp && best_f == fi
+            })
+            .collect();
+        debug_assert!(
+            self.answers.is_empty() || !pairs.is_empty(),
+            "a loop with a function answer yields a reciprocal pair"
+        );
         pairs.sort_by(|a, b| {
             b.2.partial_cmp(&a.2)
                 .unwrap_or(std::cmp::Ordering::Equal)

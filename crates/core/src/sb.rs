@@ -3,16 +3,23 @@
 //! (Section 7.6).
 //!
 //! The algorithm maintains the skyline `Osky` of the remaining objects; only
-//! skyline objects can participate in a stable pair. Each loop finds, for
-//! every skyline object, its best remaining function (reverse top-1 search)
-//! and, for every such function, its best skyline object; every reciprocal
-//! pair satisfies Property 2 and is output. Removed skyline objects are
-//! handled by the I/O-optimal `UpdateSkyline` module (or, for the ablation
-//! baseline, by a DeltaSky-style re-traversal).
+//! skyline objects can participate in a stable pair. Each loop outputs the
+//! reciprocal pairs between the skyline and the remaining functions, the
+//! `(f, o)` that are each other's best; every one satisfies Property 2. The
+//! paper finds, for every skyline object, its best remaining function
+//! (reverse top-1 search) and then, for every such function, its best
+//! skyline object. The default asks the smaller side first, loop by loop:
+//! while there are no more remaining functions than skyline objects, every
+//! function names its best skyline object and only the objects named get a
+//! reverse top-1 search; otherwise it runs the paper's order. Both orders
+//! find the same pairs (the `pairing` module says why). Removed skyline
+//! objects are handled by the I/O-optimal `UpdateSkyline` module (or, for
+//! the ablation baseline, by a DeltaSky-style re-traversal).
 //!
-//! [`SbOptions`] selects between the default (a columnar scan finds each
-//! object's best function), the paper's fully optimized algorithm (its
-//! resumable TA, [`crate::SbSolver::with_omega`]) and the stripped-down
+//! [`SbOptions`] selects between the default (the smaller side first, a
+//! columnar scan finding an object's best function), the paper's
+//! fully optimized algorithm (its resumable TA,
+//! [`crate::SbSolver::with_omega`]) and the stripped-down
 //! variants used in the paper's Figure 8 ablation, enables the
 //! two-skyline technique for prioritized functions (Section 6.2), and swaps
 //! in SB-alt's batched scan of disk-resident lists
@@ -47,10 +54,17 @@ pub enum MaintenanceStrategy {
 /// How the best function for each skyline object is located.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum BestPairStrategy {
-    /// One columnar scan of the alive functions per object, keeping the best
-    /// eight rows to answer the object's next searches with no reads until
-    /// all of them have been assigned ([`ScanTopOne`]); the default. Its
-    /// [`RunMetrics::aux_io`] is the rows it scores.
+    /// The default. Each loop asks the smaller side first. While there are
+    /// no more alive functions than skyline objects, every alive function
+    /// names its best skyline object, from the objects it kept since it was
+    /// last asked and the ones that joined the skyline since, and only the
+    /// objects some function named get a search. Otherwise every skyline
+    /// object is searched and only the functions named answer, as in the
+    /// paper. A search is one columnar scan of the alive functions, keeping
+    /// the best eight rows to answer the object's next searches with no
+    /// reads until all of them have been assigned ([`ScanTopOne`]). Its
+    /// [`RunMetrics::searches`] are the objects it asks, and its
+    /// [`RunMetrics::aux_io`] the rows their scans score.
     Scan,
     /// The paper's resumable TA (Section 5.1, [`ReverseTopOne`]): biased
     /// probing of the sorted coefficient lists, the knapsack threshold, and a
@@ -161,11 +175,16 @@ enum ObjectSearch {
 }
 
 impl ObjectSearch {
-    fn best(&mut self, index: &FunctionIndex) -> Option<(usize, f64)> {
-        match self {
+    /// The object's best alive function; the function-index entries the call
+    /// reads are added to `aux_reads`.
+    fn best(&mut self, index: &FunctionIndex, aux_reads: &mut u64) -> Option<(usize, f64)> {
+        let before = self.entries_read();
+        let best = match self {
             ObjectSearch::Scan(scan) => scan.best(index.functions()),
             ObjectSearch::Ta(ta) => ta.best(index.ta_lists()),
-        }
+        };
+        *aux_reads += self.entries_read() - before;
+        best
     }
 
     /// Function-index entries read so far: rows scored, or sorted accesses.
@@ -243,12 +262,13 @@ impl FunctionIndex {
 /// `RecordId → dense index` map built once at problem construction): remaining
 /// capacities, per-object search states, exclusion flags and the per-loop argmax
 /// results all live in flat arrays, and the per-loop argmax slabs are
-/// invalidated with a loop stamp instead of being cleared. Skyline points are
-/// read through borrowed [`Skyline::entry_views`] — nothing is cloned per
-/// loop. Every function-index entry a best-pair search reads — a sorted
-/// access of a TA search, a row scored by a scan — is charged to
-/// [`RunMetrics::aux_io`], the paper's cost model extended to the scans;
-/// under [`BestPairStrategy::Batch`] it is the list blocks read instead.
+/// invalidated with a loop stamp instead of being cleared. A skyline row's
+/// point is read from the problem's object table by its dense index; only
+/// SB-alt copies points, for its batched scan. Every function-index entry a
+/// best-pair search reads — a sorted access of a TA search, a row scored by
+/// a scan — is charged to [`RunMetrics::aux_io`], the paper's cost model
+/// extended to the scans; under [`BestPairStrategy::Batch`] it is the list
+/// blocks read instead.
 pub fn sb(problem: &Problem, tree: &mut RTree, options: &SbOptions) -> AssignmentResult {
     sb_with_skyline(problem, tree, options).0
 }
@@ -273,6 +293,7 @@ pub fn sb_with_skyline(
 
     let n_fun = problem.num_functions();
     let n_obj = problem.num_objects();
+    let objects = problem.objects();
 
     // remaining capacities (dense index) and their totals
     let mut f_remaining: Vec<u32> = problem.functions().iter().map(|f| f.capacity).collect();
@@ -305,113 +326,134 @@ pub fn sb_with_skyline(
         loops += 1;
         pairing.begin_loop();
 
-        // --- best function for every skyline object -------------------------
-        // Borrowed entry views: (dense index, &point), no cloning.
-        let sky_views: Vec<(usize, &Point)> = skyline
-            .entry_views()
-            .map(|(record, point)| {
-                let oi = problem
-                    .object_index(record)
-                    .expect("skyline records are problem objects");
-                (oi, point)
-            })
-            .collect();
         sky_rows.clear();
-        sky_rows.extend(sky_views.iter().map(|&(oi, _)| oi));
-        // SB-alt answers the whole skyline with one batched scan, which
-        // needs the query points as one owned slice
-        let batch_best: Option<Vec<Option<(usize, f64)>>> = match &mut index {
-            FunctionIndex::Disk(disk) => {
-                searches += 1;
-                let points: Vec<Point> = sky_views.iter().map(|&(_, p)| p.clone()).collect();
-                Some(batch_best_functions(disk, &points))
-            }
-            _ => None,
-        };
-        let functions = index.functions();
-        // candidate function set for the two-skyline strategy: a function
-        // leaves only when a lower index, which wins every exact tie, weakly
-        // dominates its effective weights; ascending, so that the scan below
-        // resolves exact score ties to the lowest function index
-        let function_skyline: Option<Vec<usize>> = match options.best_pair {
-            BestPairStrategy::TwoSkylines => {
-                let alive: Vec<(RecordId, Point)> = functions
-                    .alive_functions()
-                    .into_iter()
-                    .map(|i| {
-                        let weights = Point::new(functions.weights(i).collect())
-                            .expect("effective weights are finite");
-                        (RecordId(i as u64), weights)
-                    })
-                    .collect();
-                Some(
-                    skyline_by_id(&alive)
-                        .into_iter()
-                        .map(|r| r.0 as usize)
-                        .collect(),
-                )
-            }
-            _ => None,
-        };
+        sky_rows.extend((0..skyline.len()).map(|row| {
+            problem
+                .object_index(skyline.record_at(row))
+                .expect("skyline records are problem objects")
+        }));
 
-        let mut any_best = false;
-        for (j, &(oi, point)) in sky_views.iter().enumerate() {
-            if batch_best.is_none() {
+        // The scan asks the smaller side first, the function side unless the
+        // skyline has fewer rows than there are alive functions; the paper's
+        // arms search every skyline object first. Both orders find the same
+        // pairs (see `pairing`).
+        let functions_first = options.best_pair == BestPairStrategy::Scan
+            && index.functions().remaining() <= skyline.len();
+        if functions_first {
+            // --- best skyline object for every alive function ---------------
+            let functions = index.functions();
+            for &fi in functions.rows() {
+                pairing.function_best(
+                    fi,
+                    skyline.block(),
+                    &sky_rows,
+                    objects,
+                    &excluded,
+                    functions,
+                );
+            }
+            // --- best function for every object some function picked --------
+            pairing.ask_picked(|oi| {
                 searches += 1;
-            }
-            let best = match options.best_pair {
-                BestPairStrategy::Scan | BestPairStrategy::ResumableTa { .. } => {
-                    let state = states[oi].get_or_insert_with(|| new_state(point));
-                    let before = state.entries_read();
-                    let best = state.best(&index);
-                    aux_reads += state.entries_read() - before;
-                    best
+                states[oi]
+                    .get_or_insert_with(|| new_state(&objects[oi].point))
+                    .best(&index, &mut aux_reads)
+            });
+        } else {
+            // --- best function for every skyline object ---------------------
+            // SB-alt answers the whole skyline with one batched scan, which
+            // needs the query points as one owned slice
+            let batch_best: Option<Vec<Option<(usize, f64)>>> = match &mut index {
+                FunctionIndex::Disk(disk) => {
+                    searches += 1;
+                    let points: Vec<Point> = sky_rows
+                        .iter()
+                        .map(|&oi| objects[oi].point.clone())
+                        .collect();
+                    Some(batch_best_functions(disk, &points))
                 }
-                BestPairStrategy::FreshTa => {
-                    let mut state = ReverseTopOne::new(point.clone(), n_fun);
-                    let best = state.best(index.ta_lists());
-                    aux_reads += state.sorted_accesses();
-                    best
-                }
-                BestPairStrategy::TwoSkylines => {
-                    let candidates = function_skyline.as_deref().expect("computed above");
-                    let mut best: Option<(usize, f64)> = None;
-                    for &fi in candidates {
-                        if !functions.is_alive(fi) {
-                            continue;
-                        }
-                        aux_reads += 1;
-                        let s = functions.score(fi, point);
-                        // candidates are sorted ascending: strict `>` keeps
-                        // the lowest function index on exact ties
-                        if best.is_none_or(|(_, bs)| s > bs) {
-                            best = Some((fi, s));
-                        }
-                    }
-                    best
-                }
-                BestPairStrategy::Batch { .. } => batch_best.as_ref().expect("computed above")[j],
+                _ => None,
             };
-            match best {
-                Some((fi, score)) => {
-                    pairing.note_best(oi, fi, score);
-                    any_best = true;
+            let functions = index.functions();
+            // candidate function set for the two-skyline strategy: a function
+            // leaves only when a lower index, which wins every exact tie, weakly
+            // dominates its effective weights; ascending, so that the scan below
+            // resolves exact score ties to the lowest function index
+            let function_skyline: Option<Vec<usize>> = match options.best_pair {
+                BestPairStrategy::TwoSkylines => {
+                    let alive: Vec<(RecordId, Point)> = functions
+                        .alive_functions()
+                        .into_iter()
+                        .map(|i| {
+                            let weights = Point::new(functions.weights(i).collect())
+                                .expect("effective weights are finite");
+                            (RecordId(i as u64), weights)
+                        })
+                        .collect();
+                    Some(
+                        skyline_by_id(&alive)
+                            .into_iter()
+                            .map(|r| r.0 as usize)
+                            .collect(),
+                    )
                 }
-                None => break, // no functions remain
+                _ => None,
+            };
+
+            let mut any_best = false;
+            for (j, &oi) in sky_rows.iter().enumerate() {
+                let point = &objects[oi].point;
+                if batch_best.is_none() {
+                    searches += 1;
+                }
+                let best = match options.best_pair {
+                    BestPairStrategy::Scan | BestPairStrategy::ResumableTa { .. } => states[oi]
+                        .get_or_insert_with(|| new_state(point))
+                        .best(&index, &mut aux_reads),
+                    BestPairStrategy::FreshTa => {
+                        let mut state = ReverseTopOne::new(point.clone(), n_fun);
+                        let best = state.best(index.ta_lists());
+                        aux_reads += state.sorted_accesses();
+                        best
+                    }
+                    BestPairStrategy::TwoSkylines => {
+                        let candidates = function_skyline.as_deref().expect("computed above");
+                        let mut best: Option<(usize, f64)> = None;
+                        for &fi in candidates {
+                            if !functions.is_alive(fi) {
+                                continue;
+                            }
+                            aux_reads += 1;
+                            let s = functions.score(fi, point);
+                            // candidates are sorted ascending: strict `>` keeps
+                            // the lowest function index on exact ties
+                            if best.is_none_or(|(_, bs)| s > bs) {
+                                best = Some((fi, s));
+                            }
+                        }
+                        best
+                    }
+                    BestPairStrategy::Batch { .. } => {
+                        batch_best.as_ref().expect("computed above")[j]
+                    }
+                };
+                match best {
+                    Some((fi, score)) => {
+                        pairing.note_best(oi, fi, score);
+                        any_best = true;
+                    }
+                    None => break, // no functions remain
+                }
             }
-        }
-        if !any_best {
-            break;
+            if !any_best {
+                break;
+            }
+            // --- best skyline object for every candidate function -----------
+            pairing.answer_candidates(skyline.block(), &sky_rows, objects, &excluded, functions);
         }
 
         // --- reciprocal pairs (see `pairing`) -------------------------------
-        let mut pairs = pairing.reciprocal_pairs(
-            skyline.block(),
-            &sky_rows,
-            problem.objects(),
-            &excluded,
-            functions,
-        );
+        let mut pairs = pairing.reciprocal_pairs();
         if pairs.is_empty() {
             break;
         }
@@ -425,7 +467,7 @@ pub fn sb_with_skyline(
             if demand == 0 || supply == 0 {
                 break;
             }
-            let record = problem.objects()[oi].id;
+            let record = objects[oi].id;
             assignment.push(problem.functions()[fi].id, record, score);
             demand -= 1;
             supply -= 1;
@@ -782,6 +824,73 @@ mod tests {
         }
     }
 
+    /// The default loop asks every alive function for its best skyline
+    /// object first and searches only the objects some function picked: at
+    /// most one search per alive function a loop, far fewer than the paper's
+    /// TA makes over the whole skyline, and the same loops and matching.
+    /// Debug builds check every function answer against a full argmax over
+    /// the skyline.
+    #[test]
+    fn the_scan_asks_only_objects_a_function_picked() {
+        // `cost_counters.rs`'s `solve-anti` in miniature
+        let n_fun = 150;
+        let p = Problem::from_parts(
+            uniform_weight_functions(n_fun, 4, 20_090_824),
+            anti_correlated_objects(3000, 4, 20_090_825),
+        )
+        .unwrap();
+        let solve = |options: &SbOptions| {
+            let mut tree = p.build_tree(None, 0.02);
+            sb(&p, &mut tree, options)
+        };
+        let scan = solve(&SbOptions::default());
+        let ta = solve(&crate::SbSolver::with_omega(0.025).options);
+        assert_eq!(scan.metrics.loops, ta.metrics.loops);
+        assert_eq!(scan.metrics.object_io, ta.metrics.object_io);
+        assert_eq!(scan.assignment.canonical(), ta.assignment.canonical());
+        // unit capacities and at least one pair a loop: loop `l`, from 0,
+        // starts with at most `n_fun - l` alive functions
+        let answers: u64 = (0..scan.metrics.loops).map(|l| n_fun as u64 - l).sum();
+        let searches = scan.metrics.searches;
+        assert!(
+            searches <= answers,
+            "{searches} searches, at most {answers} function answers"
+        );
+        assert!(
+            searches < ta.metrics.searches,
+            "scan {searches} vs TA {} searches",
+            ta.metrics.searches
+        );
+    }
+
+    /// Correlated objects keep the skyline to a few dozen rows. With more
+    /// alive functions than that in every loop, the default searches every
+    /// skyline object first, exactly as the paper's TA does, and asks only
+    /// the functions some object named.
+    #[test]
+    fn the_scan_searches_a_smaller_skyline_first() {
+        let functions: Vec<PreferenceFunction> = uniform_weight_functions(400, 4, 311)
+            .into_iter()
+            .enumerate()
+            .map(|(i, f)| PreferenceFunction::new(i, f).with_capacity(8))
+            .collect();
+        let objects: Vec<ObjectRecord> = correlated_objects(2000, 4, 312)
+            .into_iter()
+            .map(|(id, point)| ObjectRecord::new(id.0, point))
+            .collect();
+        let p = Problem::new(functions, objects).unwrap();
+        let solve = |options: &SbOptions| {
+            let mut tree = p.build_tree(None, 0.02);
+            sb(&p, &mut tree, options)
+        };
+        let scan = solve(&SbOptions::default());
+        let ta = solve(&crate::SbSolver::with_omega(0.025).options);
+        assert_eq!(scan.metrics.loops, ta.metrics.loops);
+        assert_eq!(scan.metrics.object_io, ta.metrics.object_io);
+        assert_eq!(scan.assignment.canonical(), ta.assignment.canonical());
+        assert_eq!(scan.metrics.searches, ta.metrics.searches);
+    }
+
     #[test]
     fn metrics_are_populated() {
         let functions = uniform_weight_functions(30, 3, 103);
@@ -821,8 +930,7 @@ mod tests {
             resume.metrics.aux_io.io_accesses()
         );
         // the scan charges the rows it scores: all alive functions when it
-        // scans, none when a re-ask or a kept row answers — which is most
-        // searches
+        // scans, none when a re-ask or a kept row answers
         let mut tree_scan = p.build_tree(Some(16), 0.02);
         let scan = sb(&p, &mut tree_scan, &SbOptions::default());
         let (rows, searches) = (scan.metrics.aux_io.io_accesses(), scan.metrics.searches);

@@ -87,9 +87,7 @@ impl Skyline {
     }
 
     /// Borrowed views of the skyline entries: `(record, &point)` pairs in
-    /// skyline order, without cloning any point. The solver hot paths iterate
-    /// these views once per loop instead of materializing an owned copy of the
-    /// whole point set.
+    /// skyline order, without cloning any point.
     pub fn entry_views(&self) -> impl Iterator<Item = (RecordId, &pref_geom::Point)> {
         self.data_entries().map(|d| (d.record, &d.point))
     }

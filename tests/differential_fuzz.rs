@@ -18,8 +18,11 @@
 //!
 //! Every instance is solved by every solver variant over trees of several
 //! fanouts; each result must verify as stable *and* equal the oracle's
-//! matching canonically. Seeds are fixed, so a failure reproduces exactly;
-//! `FUZZ_ITERS` raises the iteration count in the CI stress job.
+//! matching canonically. `SB (scan)`, which asks each loop's function side
+//! first, must also commit the pairs of the paper's `SB`, which asks the
+//! object side first: the same loops and page reads. Seeds are
+//! fixed, so a failure reproduces exactly; `FUZZ_ITERS` raises the iteration
+//! count in the CI stress job.
 
 use fair_assignment::assign::all_solvers;
 use fair_assignment::geom::{LinearFunction, Point};
@@ -158,9 +161,14 @@ fn check_against_oracle(problem: &Problem, label: &str) {
     verify_stable(problem, &want).unwrap_or_else(|v| panic!("oracle unstable on {label}: {v}"));
     let want = want.canonical();
     for fanout in [None, Some(4), Some(8)] {
+        // `(loops, object_io)` of `SB (scan)` and of `SB`
+        let mut commits = Vec::new();
         for solver in all_solvers() {
             let mut tree = problem.build_tree(fanout, 0.02);
             let result = solver.solve(problem, &mut tree);
+            if matches!(solver.name(), "SB (scan)" | "SB") {
+                commits.push((result.metrics.loops, result.metrics.object_io));
+            }
             verify_stable(problem, &result.assignment).unwrap_or_else(|v| {
                 panic!(
                     "{} (fanout {fanout:?}) unstable on {label}: {v}",
@@ -174,6 +182,10 @@ fn check_against_oracle(problem: &Problem, label: &str) {
                 solver.name()
             );
         }
+        assert_eq!(
+            commits[0], commits[1],
+            "SB (scan) and SB commit different pairs (fanout {fanout:?}) on {label}"
+        );
     }
 }
 
