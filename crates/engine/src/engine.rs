@@ -346,7 +346,8 @@ struct RepairScratch {
     /// `(dense object index, worst pair score)` of the saturated objects —
     /// the displacement targets — in ascending object order.
     steal: Vec<(usize, f64)>,
-    /// Columnar mirror of the `steal` rows' points.
+    /// Columnar mirror of the `steal` rows' points, rebuilt every repair and
+    /// only ever scored ([`SoaBlock::for_scoring`]).
     steal_block: SoaBlock,
     /// Score lane.
     scores: Vec<f64>,
@@ -565,7 +566,10 @@ impl AssignmentEngine {
             free_fun_slots: Vec::new(),
             dirty_f: Vec::new(),
             dirty_o: Vec::new(),
-            repair: RepairScratch::default(),
+            repair: RepairScratch {
+                steal_block: SoaBlock::for_scoring(),
+                ..RepairScratch::default()
+            },
         })
     }
 

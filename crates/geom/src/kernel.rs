@@ -11,10 +11,15 @@
 //! The skyline's pruning test, [`first_dominator_from`], scans the same
 //! layout. It is bound by the bytes it reads per decision, so it reads as few
 //! as the answer allows: the weak half of dominance (`>=` everywhere) over
-//! whole chunks, the strict half (`>` somewhere) only for the rows that
-//! survive, past `D = 8` the most selective dimension first, and no rows the
-//! caller has already cleared. Its answer is always the *first* dominating
-//! row, the one a row-by-row scan finds.
+//! whole chunks of `f32` *screen lanes*, which [`SoaBlock`] keeps beside its
+//! `f64` lanes at half the bytes; past `D = 8` the most selective dimension
+//! first; and no rows the caller has already cleared. A screen lane holds
+//! each coordinate rounded toward +∞ and the query is rounded toward −∞, so
+//! `up(x) ≥ x ≥ q ≥ down(q)`: no row that is `>=` in `f64` fails the screen.
+//! Rows that pass are confirmed in `f64`, the weak half and the strict half
+//! (`>` somewhere), in row order. Its answer is always the *first*
+//! dominating row, the one a row-by-row scan finds. [`dominates_row`] asks
+//! one row alone, for a caller that has a likely dominator in mind.
 //!
 //! # Determinism contract
 //!
@@ -46,7 +51,8 @@ use std::sync::Arc;
 /// scalar remainder loop stays negligible.
 pub const LANE_CHUNK: usize = 8;
 
-/// A columnar block of points: dimension-major `f64` lanes.
+/// A columnar block of points: dimension-major `f64` lanes, each with an
+/// `f32` screen lane beside it for the dominance scan.
 ///
 /// `lane(d)[i]` is coordinate `d` of point `i`. The block is a reusable
 /// scratch structure: [`SoaBlock::clear`] keeps lane capacity so steady-state
@@ -56,12 +62,31 @@ pub struct SoaBlock {
     dims: usize,
     len: usize,
     lanes: Vec<Vec<f64>>,
+    /// `screen[d][i]` is `lanes[d][i]` rounded toward +∞ to `f32`: the
+    /// half-width copy [`first_dominator_from`] screens rows on before it
+    /// confirms them in `f64`. Follows `lanes` through every push and
+    /// removal. Empty in a block built by [`SoaBlock::for_scoring`].
+    screen: Vec<Vec<f32>>,
+    /// Set by [`SoaBlock::for_scoring`]: no screen lanes, no dominance scans.
+    scoring_only: bool,
 }
 
 impl SoaBlock {
     /// Creates an empty block; the dimensionality is fixed by the first push.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Creates an empty block that is only ever scored, never scanned for
+    /// dominance: it keeps no screen lanes, so a refill costs only the
+    /// `f64` lanes. For scratch blocks refilled once per operation (the
+    /// engine's repair rebuilds one per call); [`first_dominator_from`]
+    /// panics on such a block.
+    pub fn for_scoring() -> Self {
+        Self {
+            scoring_only: true,
+            ..Self::default()
+        }
     }
 
     /// Number of points in the block.
@@ -97,6 +122,9 @@ impl SoaBlock {
         for lane in &mut self.lanes {
             lane.clear();
         }
+        for lane in &mut self.screen {
+            lane.clear();
+        }
     }
 
     /// Appends one point given as a raw coordinate slice.
@@ -113,10 +141,17 @@ impl SoaBlock {
             );
             // lint: allow(kernel-no-alloc) -- one-time lane growth on first fill
             self.lanes.resize_with(coords.len(), Vec::new);
+            if !self.scoring_only {
+                // lint: allow(kernel-no-alloc) -- one-time lane growth on first fill
+                self.screen.resize_with(coords.len(), Vec::new);
+            }
         }
         self.dims = coords.len();
         for (lane, &c) in self.lanes.iter_mut().zip(coords.iter()) {
             lane.push(c);
+        }
+        for (lane, &c) in self.screen.iter_mut().zip(coords.iter()) {
+            lane.push(round_up_f32(c));
         }
         self.len += 1;
     }
@@ -136,6 +171,9 @@ impl SoaBlock {
     pub fn swap_remove(&mut self, i: usize) {
         assert!(i < self.len, "swap_remove index {i} out of bounds");
         for lane in &mut self.lanes {
+            lane.swap_remove(i);
+        }
+        for lane in &mut self.screen {
             lane.swap_remove(i);
         }
         self.len -= 1;
@@ -280,9 +318,34 @@ fn score_lanes_generic(weights: &[f64], block: &SoaBlock, start: usize, out: &mu
 }
 
 /// Rows per chunk of [`first_dominator_from`]: one mask byte per row fills two
-/// SSE2 or one AVX2 register, and a chunk of `f64`s per lane is four cache
-/// lines.
+/// SSE2 or one AVX2 register, and a chunk of a screen lane is two cache lines
+/// of `f32`s, half the four its `f64` lane would take.
 const DOMINANCE_CHUNK: usize = 32;
+
+/// `x` rounded toward +∞ to `f32`: the least `f32` not below `x` (`+∞` past
+/// `f32::MAX`). A screen lane entry is never below the coordinate it stands
+/// for.
+#[inline]
+fn round_up_f32(x: f64) -> f32 {
+    let f = x as f32;
+    if f64::from(f) < x {
+        f.next_up()
+    } else {
+        f
+    }
+}
+
+/// `x` rounded toward −∞ to `f32`: the greatest `f32` not above `x`. A
+/// screened query coordinate is never above the one it stands for.
+#[inline]
+fn round_down_f32(x: f64) -> f32 {
+    let f = x as f32;
+    if f64::from(f) > x {
+        f.next_down()
+    } else {
+        f
+    }
+}
 
 /// Widest query whose dimensions the generic (D > 8) dominance scan visits
 /// most selective first: the order lives in a stack array of this many
@@ -307,15 +370,19 @@ pub fn first_dominator(block: &SoaBlock, coords: &[f64]) -> Option<usize> {
 /// do not dominate `coords`, and that those rows have not changed since, gets
 /// the answer a scan from row 0 gives without reading them again.
 ///
-/// Dominance splits into a cheap half and a rare half. The scan computes only
-/// the weak half, `>=` in every dimension, over 32 rows at a time
+/// Dominance splits into a cheap half and a rare half. The scan screens rows
+/// on the weak half, `>=` in every dimension, over 32 rows at a time
 /// (`DOMINANCE_CHUNK`), one mask byte per row and no branch per row or per
 /// dimension: on data where a row fails at an unpredictable dimension
 /// (anti-correlated points) an early exit per row costs more in mispredicted
-/// branches than the comparisons it skips. Only the rows that survive are
-/// tested for the strict half, `>` somewhere, in row order; the first to pass
-/// is the answer, the row a row-by-row scan returns. A survivor that fails it
-/// is equal to the query, and the scan goes on past it.
+/// branches than the comparisons it skips. The screen reads the block's
+/// `f32` lanes, each coordinate rounded toward +∞, against the query rounded
+/// toward −∞: `up(x) ≥ x ≥ q ≥ down(q)`, so a row that is `>=` in `f64` is
+/// never screened out, and the screen moves half the bytes. Rows that
+/// survive are confirmed in `f64`, both the weak half and the strict half
+/// (`>` somewhere), in row order; the first to pass is the answer, the row a
+/// row-by-row scan returns. A survivor that fails is equal to the query or
+/// only rounded level with it, and the scan goes on past it.
 ///
 /// Up to `D = 8` the dimension loop has a compile-time trip count. Past it,
 /// each chunk is tested dimension-major, the query's highest coordinate first
@@ -323,8 +390,9 @@ pub fn first_dominator(block: &SoaBlock, coords: &[f64]) -> Option<usize> {
 /// still `>=`.
 ///
 /// # Panics
-/// Panics if `from > block.len()`, or if `coords.len() != block.dims()`
-/// (unless no row is scanned).
+/// Panics if `from > block.len()`, or, unless no row is scanned, if
+/// `coords.len() != block.dims()` or the block was built
+/// [`SoaBlock::for_scoring`].
 pub fn first_dominator_from(block: &SoaBlock, coords: &[f64], from: usize) -> Option<usize> {
     let n = block.len();
     assert!(from <= n, "scan start {from} is past the block's {n} rows");
@@ -332,6 +400,10 @@ pub fn first_dominator_from(block: &SoaBlock, coords: &[f64], from: usize) -> Op
         return None;
     }
     assert_eq!(coords.len(), block.dims(), "dimension mismatch");
+    assert!(
+        !block.scoring_only,
+        "dominance scan of a block built for scoring only"
+    );
     match coords.len() {
         1 => first_dominator_const::<1>(block, coords, from),
         2 => first_dominator_const::<2>(block, coords, from),
@@ -345,6 +417,27 @@ pub fn first_dominator_from(block: &SoaBlock, coords: &[f64], from: usize) -> Op
     }
 }
 
+/// `true` iff row `row` of `block` dominates `coords`: `>=` in every
+/// dimension and `>` in one, exact in `f64`. One row of
+/// [`first_dominator_from`]'s definition, for a caller that has a likely
+/// dominator in mind and wants to ask it alone.
+///
+/// # Panics
+/// Panics if `row >= block.len()`; debug-asserts `coords.len() ==
+/// block.dims()`.
+#[inline]
+pub fn dominates_row(block: &SoaBlock, row: usize, coords: &[f64]) -> bool {
+    debug_assert_eq!(coords.len(), block.dims(), "dimension mismatch");
+    let mut ge = true;
+    let mut gt = false;
+    for (lane, &c) in block.lanes.iter().zip(coords) {
+        let v = lane[row];
+        ge &= v >= c;
+        gt |= v > c;
+    }
+    ge && gt
+}
+
 /// `true` iff some byte of a chunk's mask is set: an OR-fold, not a search,
 /// so the common all-clear answer costs no branch per row.
 #[inline]
@@ -352,20 +445,21 @@ fn any_set(mask: &[u8]) -> bool {
     mask.iter().fold(0u8, |any, &m| any | m) != 0
 }
 
-/// The first row of a chunk starting at row `base` whose weak-dominance mask
-/// byte is set and that `strictly` finds better than the query somewhere.
+/// The first row of a chunk starting at row `base` whose screen mask byte is
+/// set and that `dominates` confirms in `f64`.
 #[inline]
-fn first_strict(ge: &[u8], base: usize, strictly: impl Fn(usize) -> bool) -> Option<usize> {
+fn first_confirmed(ge: &[u8], base: usize, dominates: impl Fn(usize) -> bool) -> Option<usize> {
     if !any_set(ge) {
         return None;
     }
-    (base..base + ge.len()).find(|&i| ge[i - base] != 0 && strictly(i))
+    (base..base + ge.len()).find(|&i| ge[i - base] != 0 && dominates(i))
 }
 
 /// Fixed-dimensionality dominance scan: like [`score_lanes_const`] the
 /// dimension loop has a compile-time trip count and the row loop runs over
-/// lanes pre-cut to a common length, so each chunk's weak mask is a
-/// branch-free compare-and-combine ladder across the row axis.
+/// lanes pre-cut to a common length, so each chunk's screen mask is a
+/// branch-free compare-and-combine ladder across the row axis. The last
+/// partial chunk is tested row by row in `f64`.
 #[inline]
 fn first_dominator_const<const D: usize>(
     block: &SoaBlock,
@@ -374,35 +468,42 @@ fn first_dominator_const<const D: usize>(
 ) -> Option<usize> {
     let n = block.len();
     let mut c = [0.0f64; D];
+    let mut low = [0.0f32; D];
     let mut cols: [&[f64]; D] = [&[]; D];
+    let mut screen: [&[f32]; D] = [&[]; D];
     for d in 0..D {
         c[d] = coords[d];
+        low[d] = round_down_f32(coords[d]);
         cols[d] = &block.lane(d)[..n];
+        screen[d] = &block.screen[d][..n];
     }
-    let weakly = |i: usize| {
+    let dominates = |i: usize| {
         let mut ge = true;
         for d in 0..D {
             ge &= cols[d][i] >= c[d];
         }
-        ge
+        ge && (0..D).any(|d| cols[d][i] > c[d])
     };
-    let strictly = |i: usize| (0..D).any(|d| cols[d][i] > c[d]);
     let mut base = from;
     while base + DOMINANCE_CHUNK <= n {
         let mut ge = [0u8; DOMINANCE_CHUNK];
         for (j, m) in ge.iter_mut().enumerate() {
-            *m = u8::from(weakly(base + j));
+            let mut pass = true;
+            for d in 0..D {
+                pass &= screen[d][base + j] >= low[d];
+            }
+            *m = u8::from(pass);
         }
-        if let Some(i) = first_strict(&ge, base, strictly) {
+        if let Some(i) = first_confirmed(&ge, base, dominates) {
             return Some(i);
         }
         base += DOMINANCE_CHUNK;
     }
-    (base..n).find(|&i| weakly(i) && strictly(i))
+    (base..n).find(|&i| dominates(i))
 }
 
 /// Runtime-dimensionality fallback (D > 8), dimension-major within a chunk:
-/// one compare pass per dimension over the chunk's slice of that lane, in
+/// one screen pass per dimension over the chunk's slice of that lane, in
 /// descending order of the query's coordinate. A high coordinate is one few
 /// rows reach, so the first passes clear most of the mask and the chunk is
 /// usually abandoned after one or two of its `D` lanes.
@@ -419,22 +520,22 @@ fn first_dominator_generic(block: &SoaBlock, coords: &[f64], from: usize) -> Opt
         order.sort_unstable_by(|&a, &b| coords[b].total_cmp(&coords[a]));
     }
     let kth_dim = |k: usize| if sorted { order[k] } else { k };
-    let strictly = |i: usize| (0..dims).any(|d| block.lane(d)[i] > coords[d]);
+    let dominates = |i: usize| dominates_row(block, i, coords);
     let mut base = from;
     while base < n {
         let len = DOMINANCE_CHUNK.min(n - base);
         let mut ge = [1u8; DOMINANCE_CHUNK];
         let ge = &mut ge[..len];
         for d in (0..dims).map(kth_dim) {
-            let c = coords[d];
-            for (m, &v) in ge.iter_mut().zip(&block.lane(d)[base..base + len]) {
-                *m &= u8::from(v >= c);
+            let low = round_down_f32(coords[d]);
+            for (m, &v) in ge.iter_mut().zip(&block.screen[d][base..base + len]) {
+                *m &= u8::from(v >= low);
             }
             if !any_set(ge) {
                 break;
             }
         }
-        if let Some(i) = first_strict(ge, base, strictly) {
+        if let Some(i) = first_confirmed(ge, base, dominates) {
             return Some(i);
         }
         base += len;
@@ -522,6 +623,22 @@ mod tests {
         acc
     }
 
+    /// Every screen lane entry is its `f64` lane entry rounded toward +∞:
+    /// not below it, and the next `f32` down is below it.
+    fn assert_screen_follows_lanes(b: &SoaBlock) {
+        assert_eq!(b.screen.len(), b.lanes.len());
+        for (lane, screen) in b.lanes.iter().zip(&b.screen) {
+            assert_eq!(screen.len(), b.len());
+            for (&x, &up) in lane.iter().zip(screen) {
+                assert!(f64::from(up) >= x, "{up} is below {x}");
+                assert!(
+                    f64::from(up.next_down()) < x,
+                    "{up} is not the least f32 >= {x}"
+                );
+            }
+        }
+    }
+
     #[test]
     fn block_roundtrip_and_swap_remove() {
         let mut b = SoaBlock::new();
@@ -532,14 +649,86 @@ mod tests {
         assert_eq!((b.len(), b.dims()), (3, 2));
         assert_eq!(b.lane(0), &[0.1, 0.3, 0.5]);
         assert_eq!(b.lane(1), &[0.2, 0.4, 0.6]);
+        assert_screen_follows_lanes(&b);
+        let up = round_up_f32;
+        assert_eq!(b.screen[0], [up(0.1), up(0.3), up(0.5)]);
         b.swap_remove(0);
         assert_eq!(b.lane(0), &[0.5, 0.3]);
         assert_eq!(b.lane(1), &[0.6, 0.4]);
+        assert_eq!(b.screen[0], [up(0.5), up(0.3)]);
+        assert_eq!(b.screen[1], [up(0.6), up(0.4)]);
+        assert_screen_follows_lanes(&b);
         b.clear();
         assert!(b.is_empty());
+        assert!(b.screen.iter().all(Vec::is_empty));
         // refilling after clear may change dimensionality
         b.push_coords(&[1.0, 2.0, 3.0]);
         assert_eq!(b.dims(), 3);
+        assert_screen_follows_lanes(&b);
+        assert_eq!(b.screen[2], [3.0f32]);
+    }
+
+    #[test]
+    fn a_scoring_block_keeps_no_screen_and_scores_the_same_bits() {
+        let rows: Vec<Vec<f64>> = (0..40)
+            .map(|i| (0..4).map(|d| ((i * 4 + d) as f64).sin().abs()).collect())
+            .collect();
+        let screened = block_of(&rows);
+        let mut scoring = SoaBlock::for_scoring();
+        for row in &rows {
+            scoring.push_coords(row);
+        }
+        scoring.swap_remove(3);
+        scoring.push_coords(&rows[3]);
+        assert!(scoring.screen.is_empty());
+        let w = [0.4, 0.3, 0.2, 0.1];
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        score_block(&w, &screened, &mut a);
+        score_block(&w, &scoring, &mut b);
+        assert_eq!(a[3].to_bits(), b[39].to_bits());
+        assert_eq!(a[..3], b[..3]);
+        assert!(dominates_row(&scoring, 0, &[0.0; 4]));
+    }
+
+    #[test]
+    #[should_panic(expected = "built for scoring only")]
+    fn a_scoring_block_refuses_a_dominance_scan() {
+        let mut block = SoaBlock::for_scoring();
+        block.push_coords(&[0.5, 0.5]);
+        let _ = first_dominator(&block, &[0.1, 0.1]);
+    }
+
+    #[test]
+    fn screen_rounding_brackets_every_f64() {
+        let tiny = f64::from_bits(1); // the least positive subnormal
+        for x in [
+            0.0,
+            -0.0,
+            tiny,
+            -tiny,
+            f64::MIN_POSITIVE / 8.0,
+            0.1,
+            -0.1,
+            1.0 / 3.0,
+            f64::from(f32::MAX),
+            f64::from(f32::MAX) * 1.5,
+            1e300,
+            -1e300,
+            f64::MAX,
+            f64::MIN,
+        ] {
+            let (down, up) = (round_down_f32(x), round_up_f32(x));
+            assert!(
+                f64::from(down) <= x && x <= f64::from(up),
+                "{x}: {down} {up}"
+            );
+            assert!(f64::from(up.next_down()) < x, "{x}: {up} is not the least");
+            assert!(
+                f64::from(down.next_up()) > x,
+                "{x}: {down} is not the greatest"
+            );
+        }
+        assert!(round_up_f32(f64::NAN).is_nan() && round_down_f32(f64::NAN).is_nan());
     }
 
     #[test]
@@ -835,6 +1024,86 @@ mod tests {
                         Some(last),
                         "dims={dims} n={n}"
                     );
+                }
+            }
+        }
+    }
+
+    /// Rows the `f32` screen cannot tell from a dominator of `q`, with two
+    /// real dominators among them (rows `n / 2 + 3` and `n - 1`):
+    ///
+    /// * one `f64` ulp below `q` in one lane, which rounds to the same `f32`
+    ///   as `q` there, and one ulp above it in the next lane;
+    /// * `q` itself, with its zeros' signs flipped where it has any.
+    fn rounding_edge_rows(q: &[f64], n: usize) -> Vec<Vec<f64>> {
+        let dims = q.len();
+        (0..n)
+            .map(|i| {
+                let mut row = q.to_vec();
+                if i == n / 2 + 3 || i == n - 1 {
+                    row[i % dims] = q[i % dims].next_up();
+                } else if i % 2 == 0 {
+                    let lane = (i / 2) % dims;
+                    row[lane] = q[lane].next_down();
+                    row[(lane + 1) % dims] = q[(lane + 1) % dims].next_up();
+                } else {
+                    for v in &mut row {
+                        if *v == 0.0 {
+                            *v = -*v;
+                        }
+                    }
+                }
+                row
+            })
+            .collect()
+    }
+
+    #[test]
+    fn first_dominator_from_confirms_screened_rows_in_f64() {
+        let tiny = f64::MIN_POSITIVE / 8.0; // a subnormal
+        let n = 3 * DOMINANCE_CHUNK + 5;
+        for dims in [4usize, 12] {
+            let alternate = |a: f64, b: f64| -> Vec<f64> {
+                (0..dims).map(|d| if d % 2 == 0 { a } else { b }).collect()
+            };
+            let queries = [
+                alternate(0.7, 0.3),
+                vec![1e300; dims],
+                alternate(-1e300, 1e300),
+                alternate(tiny, -tiny),
+                vec![f64::from_bits(1); dims],
+                vec![0.0; dims],
+                vec![-0.0; dims],
+                alternate(0.0, -0.0),
+            ];
+            for q in &queries {
+                // every row passes the screen; only the f64 confirmation
+                // turns away the ones a lane ulp short of `q`
+                let rows = rounding_edge_rows(q, n);
+                let block = block_of(&rows);
+                for from in [0, 1, DOMINANCE_CHUNK + 1, n / 2, n / 2 + 4, n - 1] {
+                    let want = first_dominator_scalar(&rows[from..], q).map(|i| from + i);
+                    assert!(want.is_some());
+                    assert_eq!(
+                        first_dominator_from(&block, q, from),
+                        want,
+                        "dims={dims} from={from} q={q:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn dominates_row_is_one_row_of_the_scan() {
+        let mut grid = grid_coords();
+        for dims in [2usize, 4, 12] {
+            let (rows, queries) = grid_case(&mut grid, dims, 40);
+            let block = block_of(&rows);
+            for q in &queries {
+                for (i, row) in rows.iter().enumerate() {
+                    let scalar = first_dominator_scalar(std::slice::from_ref(row), q);
+                    assert_eq!(dominates_row(&block, i, q), scalar.is_some());
                 }
             }
         }

@@ -8,6 +8,11 @@ use std::collections::BinaryHeap;
 
 /// Heap element: an R-tree entry keyed by the L1 distance of its best corner
 /// to the sky point (ascending — closest to the sky point first).
+///
+/// The order is total: equal distances pop data entries before node entries,
+/// then by ascending record id or page id. A call's pop order is then a
+/// function of the entries it holds, never of the order they were pushed in,
+/// which depends on which skyline rows happened to own them.
 pub(crate) struct HeapEntry {
     pub dist: f64,
     /// Skyline rows `0..checked` were tested against the entry before it was
@@ -32,11 +37,20 @@ impl HeapEntry {
             entry,
         }
     }
+
+    /// The tie-break among equal distances: data before node, then the
+    /// record or page id.
+    fn tie_key(&self) -> (bool, u64) {
+        match &self.entry {
+            NodeEntry::Data(data) => (false, data.record.0),
+            NodeEntry::Child { page, .. } => (true, page.raw()),
+        }
+    }
 }
 
 impl PartialEq for HeapEntry {
     fn eq(&self, other: &Self) -> bool {
-        self.dist == other.dist
+        self.cmp(other) == Ordering::Equal
     }
 }
 impl Eq for HeapEntry {}
@@ -47,11 +61,11 @@ impl PartialOrd for HeapEntry {
 }
 impl Ord for HeapEntry {
     fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; reverse to pop the smallest distance first.
+        // BinaryHeap is a max-heap; reverse to pop the smallest key first.
         other
             .dist
-            .partial_cmp(&self.dist)
-            .unwrap_or(Ordering::Equal)
+            .total_cmp(&self.dist)
+            .then_with(|| other.tie_key().cmp(&self.tie_key()))
     }
 }
 
@@ -108,7 +122,7 @@ pub(crate) fn resume_skyline_filtered(
         // If a skyline object dominates the entry, move it to that object's
         // pruned list and continue.
         let entry = match skyline.attach_to_dominator_from(entry, checked) {
-            Ok(()) => continue,
+            Ok(_) => continue,
             Err(entry) => entry,
         };
         match entry {

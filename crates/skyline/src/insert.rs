@@ -52,7 +52,7 @@ pub fn insert_skyline(skyline: &mut Skyline, data: DataEntry) -> SkylineInsertio
         data.record
     );
     let data = match skyline.attach_to_dominator(NodeEntry::Data(data)) {
-        Ok(()) => return SkylineInsertion::Covered,
+        Ok(_) => return SkylineInsertion::Covered,
         Err(NodeEntry::Data(data)) => data,
         Err(NodeEntry::Child { .. }) => unreachable!("a data entry stays a data entry"),
     };

@@ -6,17 +6,70 @@ use crate::set::{Skyline, SkylineObject};
 use pref_rtree::{RTree, RecordId};
 use std::collections::BinaryHeap;
 
+/// How many rows pass 1 remembers per removed object: the rows that took its
+/// latest pruned entries. Entries of one pruned list sit close together, so
+/// most are dominated by a row that took one of their neighbours; on
+/// `solve-anti` lists of 1 / 4 / 8 / 16 / 32 rows leave 23 419 / 11 848 /
+/// 8 840 / 8 230 / 8 186 full scans.
+const RECENT: usize = 8;
+
+/// The skyline rows that most recently took a removed object's pruned
+/// entries, most recent first, in a fixed stack array: pass 1 consults it
+/// once per entry and allocates nothing. Rows stay valid because the
+/// skyline does not change shape during pass 1.
+struct RecentOwners {
+    rows: [usize; RECENT],
+    len: usize,
+}
+
+impl RecentOwners {
+    fn new() -> Self {
+        Self {
+            rows: [0; RECENT],
+            len: 0,
+        }
+    }
+
+    /// The most recent remembered row that dominates `coords`, moved to the
+    /// front, or `None` when none does.
+    fn take(&mut self, skyline: &Skyline, coords: &[f64]) -> Option<usize> {
+        let k = (0..self.len).find(|&k| skyline.row_dominates(self.rows[k], coords))?;
+        let row = self.rows[k];
+        self.rows.copy_within(0..k, 1);
+        self.rows[0] = row;
+        Some(row)
+    }
+
+    /// Remembers `row` in front, forgetting the oldest row when full.
+    fn push_front(&mut self, row: usize) {
+        let kept = self.len.min(RECENT - 1);
+        self.rows.copy_within(0..kept, 1);
+        self.rows[0] = row;
+        self.len = kept + 1;
+    }
+}
+
 /// Incrementally maintains the skyline after one or more skyline objects have
 /// been removed (assigned to preference functions).
 ///
 /// `removed` are the [`SkylineObject`]s that were just taken off `skyline`
-/// (via [`Skyline::remove`]), still carrying their pruned lists. For every
-/// pruned entry the algorithm first tries to hand it over to a remaining
-/// skyline object that dominates it; the entries that no remaining object
-/// dominates form the candidate set `Scand`, which is processed by the shared
-/// `ResumeSkyline` loop in ascending distance from the sky point. No
-/// (entry, skyline row) pair is tested twice in one call: when a candidate
+/// (via [`Skyline::remove`]), still carrying their pruned lists. Pass 1
+/// hands every pruned entry over to *a* remaining skyline object that
+/// dominates it: first to one of the rows that took the same list's latest
+/// entries (`RECENT` of them, most recent first), and only when none of
+/// those does to the first dominating row of a full kernel scan. The entries
+/// that no remaining object dominates form the candidate set `Scand`, which
+/// is processed by the shared `ResumeSkyline` loop in ascending distance
+/// from the sky point. A full scan may test a row the recent-owner test has
+/// just tried, so a pair can be tested twice in pass 1; when a candidate
 /// pops, only the rows that joined the skyline since pass 1 are scanned.
+///
+/// Which dominator takes an entry moves no counter. An entry is examined
+/// again only when its owner leaves, and it reaches the candidate heap in
+/// the first call after which no remaining object dominates it, whoever
+/// held it until then. So the heap's content per call, its pop order (a
+/// total order on the entries, see `HeapEntry`), the page reads and the
+/// total number of pruned entries are those a first-dominator owner gives.
 ///
 /// I/O-optimality (Theorem 1): only entries exclusively dominated by the
 /// removed objects are examined, and because every expanded node disappears
@@ -47,18 +100,24 @@ pub fn update_skyline_filtered(
     drop: &dyn Fn(RecordId) -> bool,
 ) {
     let mut heap: BinaryHeap<HeapEntry> = BinaryHeap::new();
-    // pass 1 tests each entry against every row; the resume loop only
-    // appends rows, so a candidate's later scan starts past these
+    // a miss was tested against every row; the resume loop only appends
+    // rows, so a candidate's later scan starts past these
     let checked = skyline.len();
     for object in removed {
+        let mut recent = RecentOwners::new();
         for entry in object.plist {
             if let Some(data) = entry.as_data() {
                 if drop(data.record) || skyline.contains(data.record) {
                     continue;
                 }
             }
-            if let Err(entry) = skyline.attach_to_dominator(entry) {
-                heap.push(HeapEntry::with_checked(entry, checked));
+            if let Some(row) = recent.take(skyline, entry.best_corner()) {
+                skyline.attach_at(row, entry);
+                continue;
+            }
+            match skyline.attach_to_dominator(entry) {
+                Ok(row) => recent.push_front(row),
+                Err(entry) => heap.push(HeapEntry::with_checked(entry, checked)),
             }
         }
     }
@@ -71,7 +130,7 @@ mod tests {
     use crate::bbs::compute_skyline_bbs;
     use crate::memory::skyline_naive;
     use pref_geom::Point;
-    use pref_rtree::{RTreeConfig, RecordId};
+    use pref_rtree::{DataEntry, NodeEntry, RTreeConfig, RecordId};
     use rand::{rngs::StdRng, Rng, SeedableRng};
     use std::collections::HashSet;
 
@@ -117,9 +176,24 @@ mod tests {
         .unwrap()
     }
 
+    /// Every pruned entry sits in the list of a skyline object that
+    /// dominates its best corner.
+    fn assert_owners_dominate(sky: &Skyline) {
+        for object in sky.iter() {
+            for pruned in &object.plist {
+                assert!(
+                    object.data.point.dominates(&pruned.mbr().top_corner()),
+                    "{} owns an entry it does not dominate",
+                    object.data.record
+                );
+            }
+        }
+    }
+
     /// Removes skyline objects one by one (in a deterministic order) and checks
     /// after each removal that the maintained skyline equals the skyline of the
-    /// remaining points computed from scratch by the naive oracle.
+    /// remaining points computed from scratch by the naive oracle, and that
+    /// every pruned entry is still owned by a dominator.
     fn check_incremental_maintenance(
         points: Vec<(RecordId, Point)>,
         fanout: usize,
@@ -142,6 +216,7 @@ mod tests {
             let mut want: Vec<u64> = skyline_naive(&remaining).iter().map(|r| r.0).collect();
             want.sort_unstable();
             assert_eq!(got, want, "divergence after removal #{step} of {victim:?}");
+            assert_owners_dominate(&sky);
         }
     }
 
@@ -246,7 +321,70 @@ mod tests {
             let mut want: Vec<u64> = skyline_naive(&remaining).iter().map(|r| r.0).collect();
             want.sort_unstable();
             assert_eq!(got, want);
+            assert_owners_dominate(&sky);
         }
+    }
+
+    fn data(id: u64, coords: &[f64]) -> DataEntry {
+        DataEntry::new(RecordId(id), Point::from_slice(coords))
+    }
+
+    fn owned(sky: &Skyline, record: u64) -> Vec<RecordId> {
+        sky.get(RecordId(record))
+            .unwrap()
+            .plist
+            .iter()
+            .filter_map(|p| p.as_data().map(|d| d.record))
+            .collect()
+    }
+
+    #[test]
+    fn a_pruned_entry_goes_to_the_recent_owner_before_the_first_dominator() {
+        // a (row 0), b (row 1) and r share the skyline; r owns x, then y.
+        // Only b dominates x, and both a and b dominate y.
+        let mut sky = Skyline::new();
+        sky.insert(SkylineObject::new(data(1, &[0.95, 0.30]))); // a
+        sky.insert(SkylineObject::new(data(2, &[0.50, 0.92]))); // b
+        let mut r = SkylineObject::new(data(3, &[0.80, 0.80]));
+        r.plist.push(NodeEntry::Data(data(4, &[0.45, 0.70]))); // x
+        r.plist.push(NodeEntry::Data(data(5, &[0.40, 0.25]))); // y
+        sky.insert(r);
+        let r = sky.remove(RecordId(3)).unwrap();
+        let mut tree = RTree::with_dims(2);
+        update_skyline(&mut tree, &mut sky, vec![r]);
+        // x went to b, its only dominator; y followed it to b, although a
+        // is the first row that dominates y
+        assert_eq!(owned(&sky, 2), vec![RecordId(4), RecordId(5)]);
+        assert!(owned(&sky, 1).is_empty());
+        assert_eq!(sky.len(), 2);
+        assert_owners_dominate(&sky);
+    }
+
+    #[test]
+    fn recent_owners_keep_the_latest_rows_most_recent_first() {
+        // row i alone dominates query i
+        let rows = RECENT + 2;
+        let mut sky = Skyline::new();
+        let corner = |i: usize| [0.1 + i as f64 / 20.0, 0.9 - i as f64 / 20.0];
+        for i in 0..rows {
+            sky.insert(SkylineObject::new(data(i as u64, &corner(i))));
+        }
+        let query = |i: usize| corner(i).map(|c| c - 0.01);
+        let mut recent = RecentOwners::new();
+        for row in 0..=RECENT {
+            recent.push_front(row);
+        }
+        // row 0 was pushed first and is forgotten; rows 1..=RECENT remain
+        assert_eq!(recent.len, RECENT);
+        assert_eq!(recent.take(&sky, &query(0)), None);
+        assert_eq!(recent.take(&sky, &query(RECENT + 1)), None);
+        assert_eq!(recent.rows[..2], [RECENT, RECENT - 1]);
+        // a hit moves its row to the front and keeps the others in order
+        assert_eq!(recent.take(&sky, &query(2)), Some(2));
+        assert_eq!(recent.rows[..3], [2, RECENT, RECENT - 1]);
+        assert_eq!(recent.rows[RECENT - 1], 1);
+        assert_eq!(recent.take(&sky, &query(2)), Some(2));
+        assert_eq!(recent.rows[..2], [2, RECENT]);
     }
 
     #[test]
@@ -283,7 +421,6 @@ mod tests {
     /// skyline of the live population after every single operation.
     fn check_churn_consistency(dims: usize, fanout: usize, steps: usize, seed: u64) {
         use crate::insert::insert_skyline;
-        use pref_rtree::{DataEntry, NodeEntry};
 
         let mut rng = StdRng::seed_from_u64(seed);
         let initial = random_points(200, dims, seed ^ 0xc0de);

@@ -157,12 +157,15 @@ impl Skyline {
     }
 
     /// Attaches a pruned entry to the *first* skyline object that dominates
-    /// its best corner and returns `Ok(())`, or hands the entry back as
-    /// `Err` when no object dominates it. The paper keeps each pruned entry
-    /// in exactly one pruned list to bound memory. The dominator lookup is a
+    /// its best corner and returns that object's row, or hands the entry back
+    /// as `Err` when no object dominates it. The paper keeps each pruned entry
+    /// in exactly one pruned list, owned by *a* dominating object, to bound
+    /// memory; which one does not matter, since an entry is looked at again
+    /// only when its owner leaves, and it becomes a candidate only once no
+    /// remaining skyline object dominates it. The dominator lookup is a
     /// columnar kernel scan over the point mirror; the first-match semantics
-    /// (index order) are those of the scalar scan.
-    pub fn attach_to_dominator(&mut self, entry: NodeEntry) -> Result<(), NodeEntry> {
+    /// (row order) are those of the scalar scan.
+    pub fn attach_to_dominator(&mut self, entry: NodeEntry) -> Result<usize, NodeEntry> {
         self.attach_to_dominator_from(entry, 0)
     }
 
@@ -176,14 +179,30 @@ impl Skyline {
         &mut self,
         entry: NodeEntry,
         from: usize,
-    ) -> Result<(), NodeEntry> {
+    ) -> Result<usize, NodeEntry> {
         match kernel::first_dominator_from(&self.soa, entry.best_corner(), from) {
-            Some(pos) => {
-                self.objects[pos].plist.push(entry);
-                Ok(())
+            Some(row) => {
+                self.objects[row].plist.push(entry);
+                Ok(row)
             }
             None => Err(entry),
         }
+    }
+
+    /// `true` iff the object in row `row` dominates `coords` (one row of the
+    /// kernel scan, exact in `f64`).
+    ///
+    /// # Panics
+    /// Panics if `row >= self.len()`.
+    pub(crate) fn row_dominates(&self, row: usize, coords: &[f64]) -> bool {
+        kernel::dominates_row(&self.soa, row, coords)
+    }
+
+    /// Appends `entry` to the pruned list of the object in row `row`, which
+    /// the caller has seen dominate it ([`Skyline::row_dominates`]).
+    pub(crate) fn attach_at(&mut self, row: usize, entry: NodeEntry) {
+        debug_assert!(self.row_dominates(row, entry.best_corner()));
+        self.objects[row].plist.push(entry);
     }
 
     /// `true` iff some skyline object dominates the given point (a columnar

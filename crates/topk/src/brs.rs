@@ -72,7 +72,7 @@ impl RankedSearch {
             heap: BinaryHeap::new(),
             initialized: false,
             reported: 0,
-            block: SoaBlock::new(),
+            block: SoaBlock::for_scoring(),
             scores: Vec::new(),
         }
     }

@@ -43,12 +43,13 @@ pub const RULE_WORKSPACE_LINTS: &str = "workspace-lints";
 /// counting allocator is not available to a test: this list is what keeps
 /// a per-access allocation from creeping back into these loops. Set-up code
 /// in them (constructors, lazy sizing) carries the usual annotation.
-const HOT_PATH_FILES: [&str; 5] = [
+const HOT_PATH_FILES: [&str; 6] = [
     "crates/topk/src/reverse.rs",
     "crates/topk/src/scan.rs",
     "crates/topk/src/kept.rs",
     "crates/topk/src/lists.rs",
     "crates/topk/src/alive.rs",
+    "crates/skyline/src/maintain.rs",
 ];
 
 const ATOMIC_ORDERINGS: [&str; 5] = ["Relaxed", "Acquire", "Release", "AcqRel", "SeqCst"];
@@ -433,6 +434,14 @@ mod tests {
                  let rows: Vec<Row> = self.rows.iter().copied().collect();\n    }\n}\n",
                 ".collect()",
             ),
+            // and so is UpdateSkyline's pass 1, which consults its recent
+            // owners once per pruned entry: they stay a stack array
+            (
+                "crates/skyline/src/maintain.rs",
+                "fn update_skyline_filtered(removed: Vec<SkylineObject>) {\n    for object in removed {\n        \
+                 let mut recent: Vec<usize> = Vec::new();\n    }\n}\n",
+                "Vec::new",
+            ),
         ] {
             let found = findings(file, bad);
             assert_eq!(found.len(), 1, "{bad}");
@@ -484,6 +493,7 @@ mod tests {
         assert!(findings("crates/bench/src/scan.rs", src).is_empty());
         assert!(findings("crates/bench/src/kept.rs", src).is_empty());
         assert!(findings("crates/bench/src/alive.rs", src).is_empty());
+        assert!(findings("crates/skyline/src/bbs.rs", src).is_empty());
         // and the file's own tests allocate freely
         let test_src = "#[cfg(test)]\nmod tests {\n    fn f() { let v = Vec::new(); }\n}\n";
         assert!(findings(path, test_src).is_empty());
