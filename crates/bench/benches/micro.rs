@@ -45,18 +45,24 @@ fn rtree_build(c: &mut Criterion) {
     group.finish();
 }
 
-/// Index-based BBS.
+/// Index-based BBS: anti-correlated D = 4, and independent D = 12 at the
+/// `solve-wide` shape, where nearly every object is on the skyline and BBS
+/// is the largest phase of a solve.
 fn skyline_algorithms(c: &mut Criterion) {
-    let points = anti_correlated_objects(10_000, 4, 13);
     let mut group = c.benchmark_group("skyline");
     group.sample_size(10);
-    group.bench_function("bbs_on_rtree", |b| {
-        b.iter_batched(
-            || RTree::bulk_load(RTreeConfig::for_dims(4), points.clone()).unwrap(),
-            |mut tree| compute_skyline_bbs(&mut tree),
-            criterion::BatchSize::LargeInput,
-        )
-    });
+    for (name, dims, points) in [
+        ("bbs_on_rtree", 4, anti_correlated_objects(10_000, 4, 13)),
+        ("bbs_on_rtree_d12", 12, independent_objects(5_000, 12, 31)),
+    ] {
+        group.bench_function(name, |b| {
+            b.iter_batched(
+                || RTree::bulk_load(RTreeConfig::for_dims(dims), points.clone()).unwrap(),
+                |mut tree| compute_skyline_bbs(&mut tree),
+                criterion::BatchSize::LargeInput,
+            )
+        });
+    }
     group.finish();
 }
 

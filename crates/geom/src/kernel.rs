@@ -10,16 +10,18 @@
 //!
 //! The skyline's pruning test, [`first_dominator_from`], scans the same
 //! layout. It is bound by the bytes it reads per decision, so it reads as few
-//! as the answer allows: the weak half of dominance (`>=` everywhere) over
-//! whole chunks of `f32` *screen lanes*, which [`SoaBlock`] keeps beside its
-//! `f64` lanes at half the bytes; past `D = 8` the most selective dimension
-//! first; and no rows the caller has already cleared. A screen lane holds
-//! each coordinate rounded toward +∞ and the query is rounded toward −∞, so
-//! `up(x) ≥ x ≥ q ≥ down(q)`: no row that is `>=` in `f64` fails the screen.
-//! Rows that pass are confirmed in `f64`, the weak half and the strict half
-//! (`>` somewhere), in row order. Its answer is always the *first*
-//! dominating row, the one a row-by-row scan finds. [`dominates_row`] asks
-//! one row alone, for a caller that has a likely dominator in mind.
+//! as the answer allows: one `u32` *cut code* per row, which [`SoaBlock`]
+//! keeps beside its `f64` lanes, and the coordinates of only the rows whose
+//! code can still dominate; no rows the caller has already cleared. Bit
+//! `d·T + j` of a code is `x_d >= cut[d][j]`, for `T` cut values per
+//! dimension taken from the block's own quantiles when it reaches 64 rows
+//! and each time its length doubles after that. A row that is `>=` the
+//! query everywhere is `>=` every cut the query reaches, so its code holds
+//! the query's: no row that can dominate fails the filter, whatever the cut
+//! values. Rows that pass are confirmed in `f64`, `>=` everywhere and `>`
+//! somewhere, in row order. Its answer is always the *first* dominating
+//! row, the one a row-by-row scan finds. [`dominates_row`] asks one row
+//! alone, for a caller that has a likely dominator in mind.
 //!
 //! # Determinism contract
 //!
@@ -51,24 +53,56 @@ use std::sync::Arc;
 /// scalar remainder loop stays negligible.
 pub const LANE_CHUNK: usize = 8;
 
-/// A columnar block of points: dimension-major `f64` lanes, each with an
-/// `f32` screen lane beside it for the dominance scan.
+/// A columnar block of points: dimension-major `f64` lanes, plus one `u32`
+/// cut code per row for the dominance scan.
 ///
 /// `lane(d)[i]` is coordinate `d` of point `i`. The block is a reusable
 /// scratch structure: [`SoaBlock::clear`] keeps lane capacity so steady-state
 /// refills allocate nothing.
+///
+/// **Cut codes.** Each coded dimension `d` has `T = clamp(32 / D, 1, 8)` cut
+/// values, and bit `d·T + j` of a point's code is `x_d >= cut[d][j]`; past
+/// `D = 32` only the first `32 / T` dimensions are coded. The cut values are
+/// the quantiles `(j + 1) / (T + 1)` of the block's own rows in each
+/// dimension. They are derived when the block first reaches
+/// `FIRST_DERIVATION` (64) rows and again each time its length doubles from
+/// the last derivation, and every row's code is then recomputed; a pushed row
+/// is coded against the cut values of the moment. [`SoaBlock::clear`] drops
+/// them, and until the first derivation every code is 0. Any cut values are
+/// correct (see [`first_dominator_from`]); stale ones only pass more rows.
 #[derive(Debug, Clone, Default)]
 pub struct SoaBlock {
     dims: usize,
     len: usize,
     lanes: Vec<Vec<f64>>,
-    /// `screen[d][i]` is `lanes[d][i]` rounded toward +∞ to `f32`: the
-    /// half-width copy [`first_dominator_from`] screens rows on before it
-    /// confirms them in `f64`. Follows `lanes` through every push and
-    /// removal. Empty in a block built by [`SoaBlock::for_scoring`].
-    screen: Vec<Vec<f32>>,
-    /// Set by [`SoaBlock::for_scoring`]: no screen lanes, no dominance scans.
+    /// `codes[i]` is row `i`'s cut code against `cuts`: the one word per
+    /// row [`first_dominator_from`] filters on before it reads coordinates.
+    /// Follows `lanes` through every push and removal. Empty in a block
+    /// built by [`SoaBlock::for_scoring`].
+    codes: Vec<u32>,
+    /// The cut values, dimension-major: `cuts[b]` decides bit `b` of every
+    /// code. Empty until the first derivation.
+    cuts: Vec<f64>,
+    /// The block's length at the last derivation of `cuts`, 0 for none.
+    derived_at: usize,
+    /// Scratch for the quantile selection of one lane.
+    select: Vec<f64>,
+    /// Set by [`SoaBlock::for_scoring`]: no code lane, no dominance scans.
     scoring_only: bool,
+}
+
+/// Row count at which a block first derives its cut values. Below it every
+/// row is a candidate of the dominance scan, which is at most 63 rows read.
+const FIRST_DERIVATION: usize = 64;
+
+/// Bits of a cut code.
+const CODE_BITS: usize = u32::BITS as usize;
+
+/// Cut values per coded dimension at dimensionality `dims`: as many as fill
+/// the code, at least one and at most eight.
+#[inline]
+fn cuts_per_dim(dims: usize) -> usize {
+    (CODE_BITS / dims.max(1)).clamp(1, 8)
 }
 
 impl SoaBlock {
@@ -78,10 +112,11 @@ impl SoaBlock {
     }
 
     /// Creates an empty block that is only ever scored, never scanned for
-    /// dominance: it keeps no screen lanes, so a refill costs only the
-    /// `f64` lanes. For scratch blocks refilled once per operation (the
-    /// engine's repair rebuilds one per call); [`first_dominator_from`]
-    /// panics on such a block.
+    /// dominance: it keeps no code lane and derives no cut values, so a
+    /// refill costs only the `f64` lanes. For scratch blocks refilled once
+    /// per operation (the engine's repair rebuilds one per call) and for
+    /// blocks read only by row; [`first_dominator_from`] panics on such a
+    /// block.
     pub fn for_scoring() -> Self {
         Self {
             scoring_only: true,
@@ -116,15 +151,16 @@ impl SoaBlock {
         &self.lanes[d]
     }
 
-    /// Drops every point but keeps the lanes' capacity for reuse.
+    /// Drops every point and the cut values, but keeps the lanes' capacity
+    /// for reuse.
     pub fn clear(&mut self) {
         self.len = 0;
         for lane in &mut self.lanes {
             lane.clear();
         }
-        for lane in &mut self.screen {
-            lane.clear();
-        }
+        self.codes.clear();
+        self.cuts.clear();
+        self.derived_at = 0;
     }
 
     /// Appends one point given as a raw coordinate slice.
@@ -141,19 +177,72 @@ impl SoaBlock {
             );
             // lint: allow(kernel-no-alloc) -- one-time lane growth on first fill
             self.lanes.resize_with(coords.len(), Vec::new);
-            if !self.scoring_only {
-                // lint: allow(kernel-no-alloc) -- one-time lane growth on first fill
-                self.screen.resize_with(coords.len(), Vec::new);
-            }
         }
         self.dims = coords.len();
         for (lane, &c) in self.lanes.iter_mut().zip(coords.iter()) {
             lane.push(c);
         }
-        for (lane, &c) in self.screen.iter_mut().zip(coords.iter()) {
-            lane.push(round_up_f32(c));
-        }
         self.len += 1;
+        if self.scoring_only {
+            return;
+        }
+        self.codes.push(self.code_of(coords));
+        let next = if self.derived_at == 0 {
+            FIRST_DERIVATION
+        } else {
+            2 * self.derived_at
+        };
+        if self.len >= next {
+            self.derive_cuts();
+        }
+    }
+
+    /// The cut code of `coords` against the block's cut values: bit `b` is
+    /// set iff `coords[b / T] >= cuts[b]`. 0 while no cut values are derived.
+    #[inline]
+    fn code_of(&self, coords: &[f64]) -> u32 {
+        let per_dim = cuts_per_dim(self.dims);
+        let mut code = 0u32;
+        for (d, cuts) in self.cuts.chunks_exact(per_dim).enumerate() {
+            for (j, &cut) in cuts.iter().enumerate() {
+                code |= u32::from(coords[d] >= cut) << (d * per_dim + j);
+            }
+        }
+        code
+    }
+
+    /// Derives the cut values from the rows now in the block, the quantiles
+    /// `(j + 1) / (T + 1)` of each coded dimension, and recodes every row.
+    fn derive_cuts(&mut self) {
+        let n = self.len;
+        let per_dim = cuts_per_dim(self.dims);
+        let coded = self.dims.min(CODE_BITS / per_dim);
+        self.cuts.clear();
+        for lane in &self.lanes[..coded] {
+            self.select.clear();
+            // lint: allow(kernel-no-alloc) -- scratch grows with the block, amortized over its doublings
+            self.select.extend_from_slice(lane);
+            // ranks ascend by at least n / 9 >= 7, so each selection runs on
+            // what lies above the last one
+            let mut rest = &mut self.select[..];
+            let mut taken = 0;
+            for j in 0..per_dim {
+                let rank = (j + 1) * n / (per_dim + 1);
+                let (_, &mut cut, above) =
+                    rest.select_nth_unstable_by(rank - taken, f64::total_cmp);
+                self.cuts.push(cut);
+                rest = above;
+                taken = rank + 1;
+            }
+        }
+        self.codes.fill(0);
+        for (bit, &cut) in self.cuts.iter().enumerate() {
+            let lane = &self.lanes[bit / per_dim];
+            for (code, &x) in self.codes.iter_mut().zip(lane) {
+                *code |= u32::from(x >= cut) << bit;
+            }
+        }
+        self.derived_at = n;
     }
 
     /// Appends one [`Point`].
@@ -173,8 +262,8 @@ impl SoaBlock {
         for lane in &mut self.lanes {
             lane.swap_remove(i);
         }
-        for lane in &mut self.screen {
-            lane.swap_remove(i);
+        if !self.scoring_only {
+            self.codes.swap_remove(i);
         }
         self.len -= 1;
     }
@@ -317,40 +406,10 @@ fn score_lanes_generic(weights: &[f64], block: &SoaBlock, start: usize, out: &mu
     }
 }
 
-/// Rows per chunk of [`first_dominator_from`]: one mask byte per row fills two
-/// SSE2 or one AVX2 register, and a chunk of a screen lane is two cache lines
-/// of `f32`s, half the four its `f64` lane would take.
+/// Rows per chunk of [`first_dominator_from`]: one bit per row of a `u32`
+/// hit mask. A chunk of the code lane is two cache lines, where a chunk of
+/// one `f64` lane is four.
 const DOMINANCE_CHUNK: usize = 32;
-
-/// `x` rounded toward +∞ to `f32`: the least `f32` not below `x` (`+∞` past
-/// `f32::MAX`). A screen lane entry is never below the coordinate it stands
-/// for.
-#[inline]
-fn round_up_f32(x: f64) -> f32 {
-    let f = x as f32;
-    if f64::from(f) < x {
-        f.next_up()
-    } else {
-        f
-    }
-}
-
-/// `x` rounded toward −∞ to `f32`: the greatest `f32` not above `x`. A
-/// screened query coordinate is never above the one it stands for.
-#[inline]
-fn round_down_f32(x: f64) -> f32 {
-    let f = x as f32;
-    if f64::from(f) > x {
-        f.next_down()
-    } else {
-        f
-    }
-}
-
-/// Widest query whose dimensions the generic (D > 8) dominance scan visits
-/// most selective first: the order lives in a stack array of this many
-/// indices, so ordering allocates nothing. A wider query keeps lane order.
-const SORTED_DIMS: usize = 32;
 
 /// Returns the index of the first point in `block` that *dominates* `coords`
 /// (component-wise `>=` everywhere, `>` somewhere — the paper's Section 2.2
@@ -365,29 +424,27 @@ pub fn first_dominator(block: &SoaBlock, coords: &[f64]) -> Option<usize> {
 
 /// Returns the index of the first point among rows `from..` of `block` that
 /// dominates `coords`, or `None` — the columnar form of the skyline pruning
-/// scan. The lanes are contiguous, so the scan streams cache lines instead of
-/// chasing per-point heap boxes. A caller that already knows rows `0..from`
-/// do not dominate `coords`, and that those rows have not changed since, gets
-/// the answer a scan from row 0 gives without reading them again.
+/// scan. A caller that already knows rows `0..from` do not dominate
+/// `coords`, and that those rows have not changed since, gets the answer a
+/// scan from row 0 gives without reading them again.
 ///
-/// Dominance splits into a cheap half and a rare half. The scan screens rows
-/// on the weak half, `>=` in every dimension, over 32 rows at a time
-/// (`DOMINANCE_CHUNK`), one mask byte per row and no branch per row or per
-/// dimension: on data where a row fails at an unpredictable dimension
-/// (anti-correlated points) an early exit per row costs more in mispredicted
-/// branches than the comparisons it skips. The screen reads the block's
-/// `f32` lanes, each coordinate rounded toward +∞, against the query rounded
-/// toward −∞: `up(x) ≥ x ≥ q ≥ down(q)`, so a row that is `>=` in `f64` is
-/// never screened out, and the screen moves half the bytes. Rows that
-/// survive are confirmed in `f64`, both the weak half and the strict half
-/// (`>` somewhere), in row order; the first to pass is the answer, the row a
-/// row-by-row scan returns. A survivor that fails is equal to the query or
-/// only rounded level with it, and the scan goes on past it.
-///
-/// Up to `D = 8` the dimension loop has a compile-time trip count. Past it,
-/// each chunk is tested dimension-major, the query's highest coordinate first
-/// (fewest rows reach it), and is dropped as soon as none of its rows is
-/// still `>=`.
+/// The scan is bound by the bytes it reads, and nearly every row it reads
+/// does not dominate the query, so it first filters rows on their cut codes
+/// ([`SoaBlock`]) and reads coordinates only for the rows that pass. It
+/// computes the query's code `q` with the block's cut values, and a row
+/// passes iff its code contains `q` (`code & q == q`): one AND-compare per
+/// row, folded into one hit bit per row over 32 rows at a time
+/// (`DOMINANCE_CHUNK`), with no branch per row. The filter is exact in the
+/// one direction that matters: a row `r` with `r_d >= q_d` in every
+/// dimension has `r_d >= q_d >= cut` for every cut the query reaches, so
+/// every bit of `q` is set in its code, whatever the cut values are. The
+/// test is the same `f64` `>=` against the same cut values on both sides;
+/// coordinates are finite and `±0.0` compare equal. The rows that pass are
+/// confirmed in `f64`, `>=` everywhere and `>` somewhere, in row order; the
+/// first to pass is the answer, the row a row-by-row scan returns. The cut
+/// values are derived by the block as it grows (at 64 rows and at every
+/// doubling after that); while it has none, every code and the query's are
+/// 0, and every row is confirmed.
 ///
 /// # Panics
 /// Panics if `from > block.len()`, or, unless no row is scanned, if
@@ -404,17 +461,36 @@ pub fn first_dominator_from(block: &SoaBlock, coords: &[f64], from: usize) -> Op
         !block.scoring_only,
         "dominance scan of a block built for scoring only"
     );
-    match coords.len() {
-        1 => first_dominator_const::<1>(block, coords, from),
-        2 => first_dominator_const::<2>(block, coords, from),
-        3 => first_dominator_const::<3>(block, coords, from),
-        4 => first_dominator_const::<4>(block, coords, from),
-        5 => first_dominator_const::<5>(block, coords, from),
-        6 => first_dominator_const::<6>(block, coords, from),
-        7 => first_dominator_const::<7>(block, coords, from),
-        8 => first_dominator_const::<8>(block, coords, from),
-        _ => first_dominator_generic(block, coords, from),
+    let want = block.code_of(coords);
+    let first_confirmed = |mut hits: u32, base: usize| {
+        while hits != 0 {
+            let i = base + hits.trailing_zeros() as usize;
+            if dominates_row(block, i, coords) {
+                return Some(i);
+            }
+            hits &= hits - 1;
+        }
+        None
+    };
+    let (chunks, rest) = block.codes[from..n].as_chunks::<DOMINANCE_CHUNK>();
+    let mut base = from;
+    for chunk in chunks {
+        if let Some(i) = first_confirmed(candidates(chunk, want), base) {
+            return Some(i);
+        }
+        base += DOMINANCE_CHUNK;
     }
+    first_confirmed(candidates(rest, want), base)
+}
+
+/// Bit `j` is set iff `codes[j]` contains every bit of `want`.
+#[inline]
+fn candidates(codes: &[u32], want: u32) -> u32 {
+    let mut hits = 0u32;
+    for (j, &code) in codes.iter().enumerate() {
+        hits |= u32::from(code & want == want) << j;
+    }
+    hits
 }
 
 /// `true` iff row `row` of `block` dominates `coords`: `>=` in every
@@ -436,111 +512,6 @@ pub fn dominates_row(block: &SoaBlock, row: usize, coords: &[f64]) -> bool {
         gt |= v > c;
     }
     ge && gt
-}
-
-/// `true` iff some byte of a chunk's mask is set: an OR-fold, not a search,
-/// so the common all-clear answer costs no branch per row.
-#[inline]
-fn any_set(mask: &[u8]) -> bool {
-    mask.iter().fold(0u8, |any, &m| any | m) != 0
-}
-
-/// The first row of a chunk starting at row `base` whose screen mask byte is
-/// set and that `dominates` confirms in `f64`.
-#[inline]
-fn first_confirmed(ge: &[u8], base: usize, dominates: impl Fn(usize) -> bool) -> Option<usize> {
-    if !any_set(ge) {
-        return None;
-    }
-    (base..base + ge.len()).find(|&i| ge[i - base] != 0 && dominates(i))
-}
-
-/// Fixed-dimensionality dominance scan: like [`score_lanes_const`] the
-/// dimension loop has a compile-time trip count and the row loop runs over
-/// lanes pre-cut to a common length, so each chunk's screen mask is a
-/// branch-free compare-and-combine ladder across the row axis. The last
-/// partial chunk is tested row by row in `f64`.
-#[inline]
-fn first_dominator_const<const D: usize>(
-    block: &SoaBlock,
-    coords: &[f64],
-    from: usize,
-) -> Option<usize> {
-    let n = block.len();
-    let mut c = [0.0f64; D];
-    let mut low = [0.0f32; D];
-    let mut cols: [&[f64]; D] = [&[]; D];
-    let mut screen: [&[f32]; D] = [&[]; D];
-    for d in 0..D {
-        c[d] = coords[d];
-        low[d] = round_down_f32(coords[d]);
-        cols[d] = &block.lane(d)[..n];
-        screen[d] = &block.screen[d][..n];
-    }
-    let dominates = |i: usize| {
-        let mut ge = true;
-        for d in 0..D {
-            ge &= cols[d][i] >= c[d];
-        }
-        ge && (0..D).any(|d| cols[d][i] > c[d])
-    };
-    let mut base = from;
-    while base + DOMINANCE_CHUNK <= n {
-        let mut ge = [0u8; DOMINANCE_CHUNK];
-        for (j, m) in ge.iter_mut().enumerate() {
-            let mut pass = true;
-            for d in 0..D {
-                pass &= screen[d][base + j] >= low[d];
-            }
-            *m = u8::from(pass);
-        }
-        if let Some(i) = first_confirmed(&ge, base, dominates) {
-            return Some(i);
-        }
-        base += DOMINANCE_CHUNK;
-    }
-    (base..n).find(|&i| dominates(i))
-}
-
-/// Runtime-dimensionality fallback (D > 8), dimension-major within a chunk:
-/// one screen pass per dimension over the chunk's slice of that lane, in
-/// descending order of the query's coordinate. A high coordinate is one few
-/// rows reach, so the first passes clear most of the mask and the chunk is
-/// usually abandoned after one or two of its `D` lanes.
-fn first_dominator_generic(block: &SoaBlock, coords: &[f64], from: usize) -> Option<usize> {
-    let n = block.len();
-    let dims = coords.len();
-    let sorted = dims <= SORTED_DIMS;
-    let mut order = [0usize; SORTED_DIMS];
-    if sorted {
-        let order = &mut order[..dims];
-        for (d, o) in order.iter_mut().enumerate() {
-            *o = d;
-        }
-        order.sort_unstable_by(|&a, &b| coords[b].total_cmp(&coords[a]));
-    }
-    let kth_dim = |k: usize| if sorted { order[k] } else { k };
-    let dominates = |i: usize| dominates_row(block, i, coords);
-    let mut base = from;
-    while base < n {
-        let len = DOMINANCE_CHUNK.min(n - base);
-        let mut ge = [1u8; DOMINANCE_CHUNK];
-        let ge = &mut ge[..len];
-        for d in (0..dims).map(kth_dim) {
-            let low = round_down_f32(coords[d]);
-            for (m, &v) in ge.iter_mut().zip(&block.screen[d][base..base + len]) {
-                *m &= u8::from(v >= low);
-            }
-            if !any_set(ge) {
-                break;
-            }
-        }
-        if let Some(i) = first_confirmed(ge, base, dominates) {
-            return Some(i);
-        }
-        base += len;
-    }
-    None
 }
 
 /// A shared, immutable table of effective weight rows — the batch-scoring
@@ -623,19 +594,16 @@ mod tests {
         acc
     }
 
-    /// Every screen lane entry is its `f64` lane entry rounded toward +∞:
-    /// not below it, and the next `f32` down is below it.
-    fn assert_screen_follows_lanes(b: &SoaBlock) {
-        assert_eq!(b.screen.len(), b.lanes.len());
-        for (lane, screen) in b.lanes.iter().zip(&b.screen) {
-            assert_eq!(screen.len(), b.len());
-            for (&x, &up) in lane.iter().zip(screen) {
-                assert!(f64::from(up) >= x, "{up} is below {x}");
-                assert!(
-                    f64::from(up.next_down()) < x,
-                    "{up} is not the least f32 >= {x}"
-                );
+    /// The code lane holds one code per row, each the one a fresh
+    /// [`SoaBlock::code_of`] gives the row's coordinates now.
+    fn assert_codes_follow_lanes(b: &SoaBlock) {
+        assert_eq!(b.codes.len(), b.len());
+        let mut row = vec![0.0; b.dims()];
+        for (i, &code) in b.codes.iter().enumerate() {
+            for (d, x) in row.iter_mut().enumerate() {
+                *x = b.lane(d)[i];
             }
+            assert_eq!(code, b.code_of(&row), "row {i} of {}", b.len());
         }
     }
 
@@ -649,43 +617,75 @@ mod tests {
         assert_eq!((b.len(), b.dims()), (3, 2));
         assert_eq!(b.lane(0), &[0.1, 0.3, 0.5]);
         assert_eq!(b.lane(1), &[0.2, 0.4, 0.6]);
-        assert_screen_follows_lanes(&b);
-        let up = round_up_f32;
-        assert_eq!(b.screen[0], [up(0.1), up(0.3), up(0.5)]);
+        // no cut values below the first derivation: every code is 0
+        assert_eq!(b.codes, [0, 0, 0]);
         b.swap_remove(0);
         assert_eq!(b.lane(0), &[0.5, 0.3]);
         assert_eq!(b.lane(1), &[0.6, 0.4]);
-        assert_eq!(b.screen[0], [up(0.5), up(0.3)]);
-        assert_eq!(b.screen[1], [up(0.6), up(0.4)]);
-        assert_screen_follows_lanes(&b);
+        assert_codes_follow_lanes(&b);
+        // grow through the derivations at 64 and 128 rows, shrink below
+        // them and grow again, checking the code lane after every step
+        let x = |i: usize, d: usize| ((i * 2 + d) as f64 * 0.37).sin();
+        for i in 0..130 {
+            b.push_coords(&[x(i, 0), x(i, 1)]);
+            assert_codes_follow_lanes(&b);
+            let want = match b.len() {
+                ..=63 => (0, 0),
+                64..=127 => (64, 16),
+                _ => (128, 16),
+            };
+            assert_eq!((b.derived_at, b.cuts.len()), want, "len {}", b.len());
+        }
+        for i in [0, 77, 3, 128, 64] {
+            b.swap_remove(i.min(b.len() - 1));
+            assert_codes_follow_lanes(&b);
+        }
+        assert!(b.codes.iter().any(|&c| c != 0));
         b.clear();
         assert!(b.is_empty());
-        assert!(b.screen.iter().all(Vec::is_empty));
+        assert!(b.codes.is_empty() && b.cuts.is_empty());
+        assert_eq!(b.derived_at, 0);
         // refilling after clear may change dimensionality
         b.push_coords(&[1.0, 2.0, 3.0]);
         assert_eq!(b.dims(), 3);
-        assert_screen_follows_lanes(&b);
-        assert_eq!(b.screen[2], [3.0f32]);
+        assert_codes_follow_lanes(&b);
+        assert_eq!(b.codes, [0]);
     }
 
     #[test]
-    fn a_scoring_block_keeps_no_screen_and_scores_the_same_bits() {
-        let rows: Vec<Vec<f64>> = (0..40)
+    fn cuts_per_dim_fills_the_code() {
+        let per_dim: Vec<usize> = [1, 2, 3, 4, 5, 8, 9, 12, 16, 17, 32, 33]
+            .iter()
+            .map(|&d| cuts_per_dim(d))
+            .collect();
+        assert_eq!(per_dim, [8, 8, 8, 8, 6, 4, 3, 2, 2, 1, 1, 1]);
+        // past D = 32 the first 32 dimensions are coded, one bit each
+        let rows: Vec<Vec<f64>> = (0..64)
+            .map(|i| (0..33).map(|d| ((i * 33 + d) as f64).sin()).collect())
+            .collect();
+        let block = block_of(&rows);
+        assert_eq!(block.cuts.len(), 32);
+    }
+
+    #[test]
+    fn a_scoring_block_keeps_no_code_lane_and_scores_the_same_bits() {
+        let rows: Vec<Vec<f64>> = (0..80)
             .map(|i| (0..4).map(|d| ((i * 4 + d) as f64).sin().abs()).collect())
             .collect();
-        let screened = block_of(&rows);
+        let coded = block_of(&rows);
+        assert_eq!(coded.cuts.len(), 32);
         let mut scoring = SoaBlock::for_scoring();
         for row in &rows {
             scoring.push_coords(row);
         }
         scoring.swap_remove(3);
         scoring.push_coords(&rows[3]);
-        assert!(scoring.screen.is_empty());
+        assert!(scoring.codes.is_empty() && scoring.cuts.is_empty());
         let w = [0.4, 0.3, 0.2, 0.1];
         let (mut a, mut b) = (Vec::new(), Vec::new());
-        score_block(&w, &screened, &mut a);
+        score_block(&w, &coded, &mut a);
         score_block(&w, &scoring, &mut b);
-        assert_eq!(a[3].to_bits(), b[39].to_bits());
+        assert_eq!(a[3].to_bits(), b[79].to_bits());
         assert_eq!(a[..3], b[..3]);
         assert!(dominates_row(&scoring, 0, &[0.0; 4]));
     }
@@ -698,10 +698,11 @@ mod tests {
         let _ = first_dominator(&block, &[0.1, 0.1]);
     }
 
-    #[test]
-    fn screen_rounding_brackets_every_f64() {
+    /// Extreme and one-ulp values: zeros of both signs, subnormals, the
+    /// ends of `f32` and `f64`.
+    fn extreme_values() -> Vec<f64> {
         let tiny = f64::from_bits(1); // the least positive subnormal
-        for x in [
+        let mut values = vec![
             0.0,
             -0.0,
             tiny,
@@ -716,19 +717,41 @@ mod tests {
             -1e300,
             f64::MAX,
             f64::MIN,
-        ] {
-            let (down, up) = (round_down_f32(x), round_up_f32(x));
-            assert!(
-                f64::from(down) <= x && x <= f64::from(up),
-                "{x}: {down} {up}"
-            );
-            assert!(f64::from(up.next_down()) < x, "{x}: {up} is not the least");
-            assert!(
-                f64::from(down.next_up()) > x,
-                "{x}: {down} is not the greatest"
-            );
+        ];
+        let ulps: Vec<f64> = values
+            .iter()
+            .flat_map(|&x| [x.next_up(), x.next_down()])
+            .filter(|x| x.is_finite())
+            .collect();
+        values.extend(ulps);
+        values
+    }
+
+    #[test]
+    fn cut_codes_keep_every_row_that_is_at_least_the_query() {
+        // the block's cut values are extreme values themselves, so rows and
+        // queries sit on them and one ulp either side of them
+        let values = extreme_values();
+        for dims in [1usize, 2, 4, 12] {
+            let rows: Vec<Vec<f64>> = (0..3 * values.len())
+                .map(|i| {
+                    (0..dims)
+                        .map(|d| values[(i * 7 + d * 3) % values.len()])
+                        .collect()
+                })
+                .collect();
+            let block = block_of(&rows);
+            assert!(!block.cuts.is_empty());
+            assert!(block.cuts.iter().all(|c| values.contains(c)));
+            for q in &rows {
+                let want = block.code_of(q);
+                for (i, r) in rows.iter().enumerate() {
+                    if r.iter().zip(q).all(|(r, q)| r >= q) {
+                        assert_eq!(block.codes[i] & want, want, "dims={dims} row={r:?} q={q:?}");
+                    }
+                }
+            }
         }
-        assert!(round_up_f32(f64::NAN).is_nan() && round_down_f32(f64::NAN).is_nan());
     }
 
     #[test]
@@ -882,14 +905,15 @@ mod tests {
         block
     }
 
-    /// Block lengths around the chunk width: empty, one row, one short of a
-    /// chunk, exactly one, one over, two, two and a row, many.
+    /// Block lengths around the chunk width and the first derivation:
+    /// empty, one row, one short of a chunk, exactly one, one over, two (and
+    /// derived), two and a row, many.
     const BLOCK_LENS: [usize; 8] = [0, 1, 31, 32, 33, 64, 65, 1000];
 
-    /// Every dimensionality of the const ladder and of the sorted generic
-    /// path through `D = 20`, and one past the sort buffer (lane order).
+    /// Every dimensionality through `D = 20`, and one past the 32 coded
+    /// dimensions of a one-bit-per-dimension code.
     fn tested_dims() -> impl Iterator<Item = usize> {
-        (1..=20).chain([SORTED_DIMS + 1])
+        (1..=20).chain([CODE_BITS + 1])
     }
 
     /// A block of `n` rows on a coarse grid, so equal lanes are the common
@@ -1029,11 +1053,11 @@ mod tests {
         }
     }
 
-    /// Rows the `f32` screen cannot tell from a dominator of `q`, with two
-    /// real dominators among them (rows `n / 2 + 3` and `n - 1`):
+    /// Rows within one `f64` ulp of `q`, so the block's cut values are `q`'s
+    /// own coordinates and their neighbours, with two real dominators among
+    /// them (rows `n / 2 + 3` and `n - 1`):
     ///
-    /// * one `f64` ulp below `q` in one lane, which rounds to the same `f32`
-    ///   as `q` there, and one ulp above it in the next lane;
+    /// * one ulp below `q` in one lane and one ulp above it in the next;
     /// * `q` itself, with its zeros' signs flipped where it has any.
     fn rounding_edge_rows(q: &[f64], n: usize) -> Vec<Vec<f64>> {
         let dims = q.len();
@@ -1059,7 +1083,7 @@ mod tests {
     }
 
     #[test]
-    fn first_dominator_from_confirms_screened_rows_in_f64() {
+    fn first_dominator_from_confirms_code_candidates_in_f64() {
         let tiny = f64::MIN_POSITIVE / 8.0; // a subnormal
         let n = 3 * DOMINANCE_CHUNK + 5;
         for dims in [4usize, 12] {
@@ -1077,10 +1101,11 @@ mod tests {
                 alternate(0.0, -0.0),
             ];
             for q in &queries {
-                // every row passes the screen; only the f64 confirmation
-                // turns away the ones a lane ulp short of `q`
+                // the copies of `q` pass the code filter, and only the f64
+                // confirmation turns them away
                 let rows = rounding_edge_rows(q, n);
                 let block = block_of(&rows);
+                assert!(!block.cuts.is_empty());
                 for from in [0, 1, DOMINANCE_CHUNK + 1, n / 2, n / 2 + 4, n - 1] {
                     let want = first_dominator_scalar(&rows[from..], q).map(|i| from + i);
                     assert!(want.is_some());
@@ -1089,6 +1114,124 @@ mod tests {
                         want,
                         "dims={dims} from={from} q={q:?}"
                     );
+                }
+            }
+        }
+    }
+
+    /// Iterations of the re-derivation property test: `FUZZ_ITERS`, or 24.
+    fn fuzz_iters() -> u64 {
+        std::env::var("FUZZ_ITERS")
+            .ok()
+            .and_then(|v| v.parse().ok())
+            .unwrap_or(24)
+    }
+
+    /// A seeded splitmix64 stream.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+
+        /// A coordinate on a five-step grid, so rows sit exactly on the cut
+        /// values, or one time in eight an extreme: a zero of either sign, a
+        /// subnormal, `±1e300`.
+        fn coord(&mut self) -> f64 {
+            const EXTREMES: [f64; 7] = [
+                0.0,
+                -0.0,
+                f64::MIN_POSITIVE / 8.0,
+                -f64::MIN_POSITIVE / 8.0,
+                5e-324,
+                1e300,
+                -1e300,
+            ];
+            if self.below(8) == 0 {
+                EXTREMES[self.below(EXTREMES.len())]
+            } else {
+                self.below(5) as f64 / 4.0
+            }
+        }
+    }
+
+    /// Asks `block` (mirrored by `rows`) random grid queries, copies of its
+    /// rows, copies nudged one ulp either way in one lane, and an all-low
+    /// query, from every start in `{0, 1, 31, 32, 33, mid, n}`, and checks
+    /// each answer against the row-by-row scan.
+    fn check_against_row_scan(rng: &mut Rng, block: &SoaBlock, rows: &[Vec<f64>], dims: usize) {
+        let n = rows.len();
+        assert_eq!(block.len(), n);
+        let mut queries: Vec<Vec<f64>> = (0..3)
+            .map(|_| (0..dims).map(|_| rng.coord()).collect())
+            .collect();
+        queries.push(vec![-1e300; dims]);
+        if n > 0 {
+            for _ in 0..3 {
+                let row = rows[rng.below(n)].clone();
+                let lane = rng.below(dims);
+                let mut up = row.clone();
+                up[lane] = up[lane].next_up();
+                let mut down = row.clone();
+                down[lane] = down[lane].next_down();
+                queries.extend([row, up, down]);
+            }
+        }
+        for q in &queries {
+            for from in [0, 1, 31, 32, 33, n / 2, n] {
+                if from > n {
+                    continue;
+                }
+                assert_eq!(
+                    first_dominator_from(block, q, from),
+                    first_dominator_scalar(&rows[from..], q).map(|i| from + i),
+                    "dims={dims} n={n} from={from} q={q:?}"
+                );
+            }
+        }
+    }
+
+    /// The code filter never changes an answer, whatever cut values the
+    /// block holds: blocks grow across the derivations at 64 and 128 rows,
+    /// lose rows by `swap_remove` between them, and are cleared and refilled.
+    #[test]
+    fn first_dominator_from_matches_a_row_scan_across_rederivations() {
+        for iter in 0..fuzz_iters() {
+            let mut rng = Rng(0x2009_0824 ^ iter.wrapping_mul(0x1_0000_0001));
+            for dims in [1usize, 2, 3, 4, 8, 9, 12, 33] {
+                let mut block = SoaBlock::new();
+                let mut rows: Vec<Vec<f64>> = Vec::new();
+                for round in 0..3 {
+                    for target in [63, 64, 65, 127, 128, 129] {
+                        while rows.len() < target {
+                            let row: Vec<f64> = (0..dims).map(|_| rng.coord()).collect();
+                            block.push_coords(&row);
+                            rows.push(row);
+                        }
+                        check_against_row_scan(&mut rng, &block, &rows, dims);
+                        if target == 65 || target == 129 {
+                            for _ in 0..rng.below(40) {
+                                let i = rng.below(rows.len());
+                                block.swap_remove(i);
+                                rows.swap_remove(i);
+                            }
+                            check_against_row_scan(&mut rng, &block, &rows, dims);
+                        }
+                    }
+                    if round < 2 {
+                        block.clear();
+                        rows.clear();
+                        check_against_row_scan(&mut rng, &block, &rows, dims);
+                    }
                 }
             }
         }

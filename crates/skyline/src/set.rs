@@ -47,8 +47,10 @@ impl SkylineObject {
 /// as contiguous-lane kernel scans instead of chasing per-point heap boxes,
 /// and a record → row index, so [`Skyline::contains`], [`Skyline::get`],
 /// [`Skyline::get_mut`] and [`Skyline::remove`] are O(1) in the skyline size.
-/// The dominance scans stay O(|S|·D); iteration order is row order, never
-/// the index's.
+/// A dominance scan reads one cut-code word per row it passes, plus `D`
+/// coordinates for each row whose code can still dominate (~1–2 % of rows
+/// on the solve workloads); iteration order is row order, never the
+/// index's.
 #[derive(Debug, Clone, Default)]
 pub struct Skyline {
     objects: Vec<SkylineObject>,

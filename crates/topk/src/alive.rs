@@ -47,7 +47,7 @@ impl AliveFunctions {
     /// Panics if the functions do not all share the same dimensionality or
     /// there are none.
     pub fn new<'a>(functions: impl IntoIterator<Item = &'a LinearFunction>) -> Self {
-        let mut block = SoaBlock::new();
+        let mut block = SoaBlock::for_scoring();
         let mut max_priority = 0.0f64;
         for f in functions {
             assert!(
