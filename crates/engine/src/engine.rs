@@ -484,6 +484,10 @@ pub struct AssignmentEngine {
     dirty_o: Vec<usize>,
     /// Reusable per-round search buffers.
     repair: RepairScratch,
+    /// The largest object id ever put into the R-tree (`None` before the
+    /// first). A pruned list can only hold ids that were once in the tree,
+    /// so an arrival above it cannot be a re-issued id.
+    max_indexed: Option<RecordId>,
 }
 
 impl AssignmentEngine {
@@ -543,6 +547,7 @@ impl AssignmentEngine {
                 .then_with(|| (a.0, a.1).cmp(&(b.0, b.1)))
         });
         let established = pairs.len() as u64;
+        let max_indexed = objects.iter().map(|o| o.record.id).max();
         Ok(Self {
             dims: problem.dims(),
             stats: EngineStats {
@@ -570,6 +575,7 @@ impl AssignmentEngine {
                 steal_block: SoaBlock::for_scoring(),
                 ..RepairScratch::default()
             },
+            max_indexed,
         })
     }
 
@@ -725,7 +731,12 @@ impl AssignmentEngine {
         // boundedness compaction buys). Physical deletion removed the
         // predecessor's tree copy, but a pruned list may still hold its data
         // entry; purge it so it cannot resurface under the new bearer's id.
-        self.skyline.purge_record(object.id);
+        // An id above every id ever indexed is fresh: nothing to purge.
+        if Some(object.id) > self.max_indexed {
+            self.max_indexed = Some(object.id);
+        } else {
+            self.skyline.purge_record(object.id);
+        }
         #[expect(
             clippy::expect_used,
             reason = "internal invariant: dimensionality was validated at the API boundary"

@@ -375,6 +375,61 @@ fn id_reuse_after_compaction_is_safe() {
     assert_eq!(got, want);
 }
 
+/// The same re-issue into an engine rebuilt from a snapshot, as a restart
+/// builds it. The ids compacted before the rebuild lie above every id the
+/// rebuilt engine has indexed, so they are fresh to it; the ids it compacts
+/// itself lie below and must be purged. Every re-issued point is dominated,
+/// so it joins a pruned list, and then the objects that never left depart
+/// one by one, expanding every pruned list a stale entry could hide in.
+#[test]
+fn id_reuse_after_a_rebuild_is_safe() {
+    use pref_geom::Point;
+    use pref_skyline::skyline_naive;
+    let check = |engine: &AssignmentEngine, step: String| {
+        let snapshot = engine.snapshot_problem().unwrap();
+        verify_stable(&snapshot, &engine.assignment()).unwrap();
+        assert_eq!(
+            engine.assignment().canonical(),
+            oracle(&snapshot).canonical(),
+            "divergence after {step}"
+        );
+        let mut got: Vec<u64> = engine.skyline_records().iter().map(|r| r.0).collect();
+        got.sort_unstable();
+        let mut want: Vec<u64> = skyline_naive(&engine.free_pool_records())
+            .iter()
+            .map(|r| r.0)
+            .collect();
+        want.sort_unstable();
+        assert_eq!(got, want, "free-pool skyline after {step}");
+    };
+    let problem = build_problem(4, 30, 2, 0);
+    let mut first = AssignmentEngine::new(&problem, &EngineOptions::default()).unwrap();
+    let above = [22u64, 23, 24, 25, 26, 27, 28, 29];
+    for id in above {
+        first.remove_object(RecordId(id)).unwrap();
+    }
+    assert_eq!(first.stats().physical_deletes, 8);
+    let snapshot = first.snapshot_problem().unwrap();
+    let mut engine = AssignmentEngine::new(&snapshot, &EngineOptions::default()).unwrap();
+    // 6 of the rebuilt engine's 22 objects cross 25 % and are compacted
+    let below = [2u64, 5, 8, 11, 14, 17];
+    for id in below {
+        engine.remove_object(RecordId(id)).unwrap();
+    }
+    let stats = engine.stats();
+    assert_eq!((stats.tombstoned_objects, stats.physical_deletes), (0, 6));
+    for (i, &id) in below.iter().chain(&above).enumerate() {
+        let c = 0.001 * (i + 1) as f64;
+        let point = Point::from_slice(&[c, 0.01 - c / 2.0]);
+        engine.insert_object(ObjectRecord::new(id, point)).unwrap();
+        check(&engine, format!("re-issuing id {id}"));
+    }
+    for id in (0..22u64).filter(|id| !below.contains(id)) {
+        engine.remove_object(RecordId(id)).unwrap();
+        check(&engine, format!("the departure of {id}"));
+    }
+}
+
 #[test]
 fn invalid_engine_options_are_rejected() {
     use pref_engine::EngineError;

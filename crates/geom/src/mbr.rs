@@ -52,9 +52,16 @@ impl Mbr {
 
     /// The degenerate MBR covering exactly one point.
     pub fn from_point(p: &Point) -> Self {
+        Self::from_bounds(p.coords(), p.coords())
+    }
+
+    /// An MBR with copies of the given corners, which the caller takes from
+    /// an existing MBR or point (no validation).
+    pub fn from_bounds(lower: &[f64], upper: &[f64]) -> Self {
+        debug_assert_eq!(lower.len(), upper.len());
         Self {
-            lower: p.coords().to_vec().into_boxed_slice(),
-            upper: p.coords().to_vec().into_boxed_slice(),
+            lower: lower.into(),
+            upper: upper.into(),
         }
     }
 
@@ -75,25 +82,6 @@ impl Mbr {
             mbr.expand_to_point(p);
         }
         mbr
-    }
-
-    /// The smallest MBR covering a non-empty set of MBRs.
-    ///
-    /// # Panics
-    /// Panics if `mbrs` is empty.
-    pub fn covering<'a, I>(mbrs: I) -> Self
-    where
-        I: IntoIterator<Item = &'a Mbr>,
-    {
-        let mut iter = mbrs.into_iter();
-        let mut acc = iter
-            .next()
-            .expect("covering requires at least one MBR")
-            .clone();
-        for m in iter {
-            acc.expand_to_mbr(m);
-        }
-        acc
     }
 
     /// Number of dimensions.
@@ -140,13 +128,19 @@ impl Mbr {
 
     /// Grows the MBR so it also covers `other`.
     pub fn expand_to_mbr(&mut self, other: &Mbr) {
-        debug_assert_eq!(self.dims(), other.dims());
+        self.expand_to_bounds(&other.lower, &other.upper);
+    }
+
+    /// Grows the MBR so it also covers the box with corners `lower` and
+    /// `upper`, without building it.
+    pub fn expand_to_bounds(&mut self, lower: &[f64], upper: &[f64]) {
+        debug_assert_eq!(self.dims(), lower.len());
         for dim in 0..self.dims() {
-            if other.lower[dim] < self.lower[dim] {
-                self.lower[dim] = other.lower[dim];
+            if lower[dim] < self.lower[dim] {
+                self.lower[dim] = lower[dim];
             }
-            if other.upper[dim] > self.upper[dim] {
-                self.upper[dim] = other.upper[dim];
+            if upper[dim] > self.upper[dim] {
+                self.upper[dim] = upper[dim];
             }
         }
     }
@@ -186,6 +180,36 @@ impl Mbr {
             .product()
     }
 
+    /// `(enlargement, area)` of the box with corners `lower`/`upper` when it
+    /// grows to cover the box `other_lower`/`other_upper`: the same
+    /// compare-and-assign union and ascending-`d` product as
+    /// [`Mbr::enlargement`] and [`Mbr::area`], so bit-identical to them, with
+    /// neither box built.
+    pub fn enlargement_of_bounds(
+        lower: &[f64],
+        upper: &[f64],
+        other_lower: &[f64],
+        other_upper: &[f64],
+    ) -> (f64, f64) {
+        debug_assert_eq!(lower.len(), other_lower.len());
+        let (mut union, mut area) = (1.0, 1.0);
+        for d in 0..lower.len() {
+            let lo = if other_lower[d] < lower[d] {
+                other_lower[d]
+            } else {
+                lower[d]
+            };
+            let hi = if other_upper[d] > upper[d] {
+                other_upper[d]
+            } else {
+                upper[d]
+            };
+            union *= hi - lo;
+            area *= upper[d] - lower[d];
+        }
+        (union - area, area)
+    }
+
     /// Sum of the side lengths (the "margin" used by R*-style heuristics).
     pub fn margin(&self) -> f64 {
         (0..self.dims())
@@ -195,7 +219,7 @@ impl Mbr {
 
     /// Increase in area if the MBR were expanded to cover `other`.
     pub fn enlargement(&self, other: &Mbr) -> f64 {
-        self.union(other).area() - self.area()
+        Self::enlargement_of_bounds(&self.lower, &self.upper, &other.lower, &other.upper).0
     }
 
     /// Centre of the MBR.
@@ -333,6 +357,14 @@ mod tests {
             prop_assert!(u.contains_mbr(&a));
             prop_assert!(u.contains_mbr(&b));
             prop_assert!(u.area() + 1e-12 >= a.area().max(b.area()));
+            // the borrowed-bounds path is bit-identical to building the union
+            let (enlargement, area) =
+                Mbr::enlargement_of_bounds(a.lower(), a.upper(), b.lower(), b.upper());
+            prop_assert_eq!(enlargement.to_bits(), (u.area() - a.area()).to_bits());
+            prop_assert_eq!(area.to_bits(), a.area().to_bits());
+            let mut grown = Mbr::from_bounds(a.lower(), a.upper());
+            grown.expand_to_bounds(b.lower(), b.upper());
+            prop_assert_eq!(grown, u);
         }
 
         #[test]

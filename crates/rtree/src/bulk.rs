@@ -28,7 +28,6 @@ impl RTree {
             .map(|(r, p)| DataEntry::new(r, p))
             .collect();
         let count = entries.len();
-        tree.store.with_accounting_paused(|_| {});
         tree.build_from_entries(entries);
         tree.len = count;
         Ok(tree)
@@ -65,8 +64,8 @@ impl RTree {
             let capacity = fanout;
             let groups = str_partition(level_entries, capacity, dims, |e: &NodeEntry, d| {
                 // use the MBR centre for tiling the upper levels
-                let m = e.mbr();
-                (m.lower()[d] + m.upper()[d]) / 2.0
+                let (lower, upper) = e.bounds();
+                (lower[d] + upper[d]) / 2.0
             });
             let mut next: Vec<NodeEntry> = Vec::with_capacity(groups.len());
             self.store.with_accounting_paused(|store| {

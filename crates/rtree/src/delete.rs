@@ -1,14 +1,17 @@
 //! Deletion: FindLeaf + CondenseTree with re-insertion of orphaned entries.
+//!
+//! The search reads the nodes it probes without copying them; only the
+//! nodes on the path to the record are written, in place. The MBR travels
+//! up by folding: once the record is gone below a child, its parent folds
+//! the child's entry bounds into the child's new MBR and refreshes its entry
+//! with it (a shrink), or frees the underflowing child and moves its entries
+//! out for re-insertion.
 
-use crate::entry::{Node, NodeEntry, RecordId};
+use crate::entry::{NodeEntry, RecordId};
 use crate::insert::PageSplit;
 use crate::tree::{RTree, RTreeError};
 use pref_geom::{Mbr, Point};
 use pref_storage::PageId;
-
-/// Entries orphaned while condensing the tree, together with the node level
-/// they must be re-inserted at.
-type Orphans = Vec<(u32, NodeEntry)>;
 
 /// One page freed while condensing the tree, together with the entries it
 /// held at the moment it was freed. For an underflowed node these are the
@@ -73,7 +76,7 @@ impl RTree {
         let Some(root) = self.root else {
             return Err(RTreeError::RecordNotFound(record));
         };
-        let mut orphans: Orphans = Vec::new();
+        let mut orphans = Vec::new();
         let mut outcome = DeleteOutcome::default();
         let found = self.delete_recurse(root, record, point, &mut orphans, &mut outcome);
         if !found {
@@ -89,73 +92,61 @@ impl RTree {
         Ok(outcome)
     }
 
+    /// Removes the record from the subtree at `page`; `true` if it was
+    /// found there. Condensing collects the entries it orphans in `orphans`
+    /// with the level to re-insert each at.
     fn delete_recurse(
         &mut self,
         page: PageId,
         record: RecordId,
         point: &Point,
-        orphans: &mut Orphans,
+        orphans: &mut Vec<(u32, NodeEntry)>,
         outcome: &mut DeleteOutcome,
     ) -> bool {
-        let (level, mut entries) = {
-            let node = self.store.read(page);
-            (node.level, node.entries.clone())
-        };
-        if level == 0 {
-            let Some(pos) = entries.iter().position(|e| match e {
+        let node = self.store.read(page);
+        if node.level == 0 {
+            let Some(pos) = node.entries.iter().position(|e| match e {
                 NodeEntry::Data(d) => d.record == record && d.point == *point,
                 NodeEntry::Child { .. } => false,
             }) else {
                 return false;
             };
-            entries.remove(pos);
-            self.store.write(page, Node { level, entries });
+            self.store.write(page).entries.remove(pos);
             return true;
         }
-        for idx in 0..entries.len() {
-            let NodeEntry::Child {
-                mbr,
-                page: child_page,
-            } = &entries[idx]
-            else {
-                continue;
-            };
-            if !mbr.contains_point(point) {
-                continue;
-            }
-            let child_page = *child_page;
-            let old_mbr = mbr.clone();
+        let candidates: Vec<(usize, PageId)> = node
+            .entries
+            .iter()
+            .enumerate()
+            .filter_map(|(idx, e)| match e {
+                NodeEntry::Child { mbr, page } if mbr.contains_point(point) => Some((idx, *page)),
+                _ => None,
+            })
+            .collect();
+        for (idx, child_page) in candidates {
             if !self.delete_recurse(child_page, record, point, orphans, outcome) {
                 continue;
             }
-            // The deletion happened somewhere below this child.
-            let child_node = self
-                .store
-                .peek(child_page)
-                .expect("child page is live")
-                .clone();
-            if child_node.len() < self.config.min_entries {
+            // found below this child, which was just written, so resident
+            let child = self.store.read_unaccounted(child_page);
+            if child.len() < self.config.min_entries {
                 // orphan the child's remaining entries and drop the child
+                let freed = self.store.free(child_page);
+                orphans.extend(freed.entries.iter().map(|e| (freed.level, e.clone())));
                 outcome.freed.push(FreedPage {
                     page: child_page,
-                    contents: child_node.entries.clone(),
+                    contents: freed.entries,
                 });
-                for entry in child_node.entries {
-                    orphans.push((child_node.level, entry));
-                }
-                self.store.free(child_page);
-                entries.remove(idx);
+                self.store.write(page).entries.remove(idx);
             } else {
-                let new_mbr = child_node.mbr();
-                if new_mbr != old_mbr {
-                    outcome.shrinks.push((child_page, new_mbr.clone()));
+                let new_mbr = child.mbr();
+                if let NodeEntry::Child { mbr, .. } = &mut self.store.write(page).entries[idx] {
+                    if *mbr != new_mbr {
+                        outcome.shrinks.push((child_page, new_mbr.clone()));
+                    }
+                    *mbr = new_mbr;
                 }
-                entries[idx] = NodeEntry::Child {
-                    mbr: new_mbr,
-                    page: child_page,
-                };
             }
-            self.store.write(page, Node { level, entries });
             return true;
         }
         false
@@ -164,32 +155,24 @@ impl RTree {
     /// Collapses the root while it is a non-leaf with a single child, and
     /// clears the tree when the root leaf becomes empty.
     fn shrink_root(&mut self, outcome: &mut DeleteOutcome) {
-        loop {
-            let Some(root) = self.root else { return };
-            let root_node = self.store.peek(root).expect("root page is live").clone();
-            if root_node.level > 0 && root_node.len() == 1 {
-                let child = root_node.entries[0]
-                    .child_page()
-                    .expect("non-leaf entries are child pointers");
-                outcome.freed.push(FreedPage {
-                    page: root,
-                    contents: root_node.entries,
-                });
-                self.store.free(root);
-                self.root = Some(child);
-                self.height -= 1;
-                continue;
-            }
-            if root_node.level == 0 && root_node.is_empty() {
-                outcome.freed.push(FreedPage {
-                    page: root,
-                    contents: Vec::new(),
-                });
-                self.store.free(root);
-                self.root = None;
-                self.height = 0;
-            }
-            return;
+        while let Some(root) = self.root {
+            let node = self.store.read_unaccounted(root);
+            let collapse = match (node.level, node.len()) {
+                (0, 0) => None,
+                (level, 1) if level > 0 => Some(
+                    node.entries[0]
+                        .child_page()
+                        .expect("non-leaf entries are child pointers"),
+                ),
+                _ => return,
+            };
+            let freed = self.store.free(root);
+            outcome.freed.push(FreedPage {
+                page: root,
+                contents: freed.entries,
+            });
+            self.root = collapse;
+            self.height -= 1;
         }
     }
 }

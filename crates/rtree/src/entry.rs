@@ -57,9 +57,16 @@ pub enum NodeEntry {
 impl NodeEntry {
     /// MBR of the entry (degenerate for data entries).
     pub fn mbr(&self) -> Mbr {
+        let (lower, upper) = self.bounds();
+        Mbr::from_bounds(lower, upper)
+    }
+
+    /// The entry's corners, borrowed: the child's MBR, or the point twice for
+    /// a data entry. Same coordinates as `self.mbr()` without building it.
+    pub fn bounds(&self) -> (&[f64], &[f64]) {
         match self {
-            NodeEntry::Child { mbr, .. } => mbr.clone(),
-            NodeEntry::Data(d) => Mbr::from_point(&d.point),
+            NodeEntry::Child { mbr, .. } => (mbr.lower(), mbr.upper()),
+            NodeEntry::Data(d) => (d.point.coords(), d.point.coords()),
         }
     }
 
@@ -67,10 +74,7 @@ impl NodeEntry {
     /// the point itself for a data entry. Same coordinates as
     /// `self.mbr().top_corner()` without building either.
     pub fn best_corner(&self) -> &[f64] {
-        match self {
-            NodeEntry::Child { mbr, .. } => mbr.upper(),
-            NodeEntry::Data(d) => d.point.coords(),
-        }
+        self.bounds().1
     }
 
     /// `true` iff this entry is a child pointer to the given page.
@@ -137,8 +141,13 @@ impl Node {
     /// # Panics
     /// Panics if the node is empty.
     pub fn mbr(&self) -> Mbr {
-        let mbrs: Vec<Mbr> = self.entries.iter().map(NodeEntry::mbr).collect();
-        Mbr::covering(mbrs.iter())
+        let mut bounds = self.entries.iter().map(NodeEntry::bounds);
+        let (lower, upper) = bounds.next().expect("an empty node has no MBR");
+        let mut mbr = Mbr::from_bounds(lower, upper);
+        for (lower, upper) in bounds {
+            mbr.expand_to_bounds(lower, upper);
+        }
+        mbr
     }
 }
 
@@ -155,6 +164,7 @@ mod tests {
         let e = NodeEntry::Data(DataEntry::new(RecordId(3), p(&[0.2, 0.8])));
         let m = e.mbr();
         assert_eq!(m.lower(), m.upper());
+        assert_eq!(e.bounds(), (m.lower(), m.upper()));
         assert_eq!(e.best_corner(), m.top_corner().coords());
         assert!(e.child_page().is_none());
         assert_eq!(e.as_data().unwrap().record, RecordId(3));

@@ -1,4 +1,10 @@
 //! Dynamic insertion: ChooseSubtree, quadratic node splitting, root growth.
+//!
+//! Every node on the path is read on the way down and edited in place on the
+//! way up ([`pref_storage::PagedStore::write`]). The covering MBR travels up
+//! through the return value: a node that took the entry grew by exactly the
+//! entry's bounds, which its parent folds into the child's entry; a node
+//! that split hands up its new MBR and its sibling's entry.
 
 use crate::entry::{DataEntry, Node, NodeEntry, RecordId};
 use crate::tree::{RTree, RTreeError};
@@ -73,18 +79,20 @@ impl RTree {
                 self.height = 1;
             }
             Some(root) => {
-                if let Some(sibling) = self.insert_recurse(root, entry, target_level, splits) {
-                    self.grow_root(sibling);
+                let covered = entry.mbr();
+                if let Some((mbr, sibling)) =
+                    self.insert_recurse(root, entry, &covered, target_level, splits)
+                {
+                    self.grow_root(mbr, sibling);
                 }
             }
         }
     }
 
-    /// Grows the tree by one level: the old root and `sibling` become the two
-    /// entries of a new root.
-    fn grow_root(&mut self, sibling: NodeEntry) {
+    /// Grows the tree by one level: the old root (now covered by `old_mbr`)
+    /// and `sibling` become the two entries of a new root.
+    fn grow_root(&mut self, old_mbr: Mbr, sibling: NodeEntry) {
         let old_root = self.root.expect("grow_root requires a root");
-        let old_mbr = self.store.peek(old_root).expect("root page is live").mbr();
         let new_root = Node {
             level: self.height,
             entries: vec![
@@ -100,60 +108,67 @@ impl RTree {
         self.height += 1;
     }
 
-    /// Recursive insertion; returns the entry for a newly created sibling if
-    /// the visited node had to be split.
+    /// Inserts `entry`, whose bounds are `covered`, below `page`: each node
+    /// is read on the way down and written in place on the way up. Returns
+    /// `None` when the node took the entry, and so grew by exactly
+    /// `covered`, or its new MBR and its sibling's entry when it split.
     fn insert_recurse(
         &mut self,
         page: PageId,
         entry: NodeEntry,
+        covered: &Mbr,
         target_level: u32,
         splits: &mut Vec<PageSplit>,
-    ) -> Option<NodeEntry> {
-        let (level, mut entries) = {
-            let node = self.store.read(page);
-            (node.level, node.entries.clone())
-        };
+    ) -> Option<(Mbr, NodeEntry)> {
+        let node = self.store.read(page);
+        let (level, len) = (node.level, node.len());
         if level == target_level {
-            entries.push(entry);
-            return self.write_or_split(page, level, entries, splits);
+            return self.add_entry(page, len, entry, None, splits);
         }
         debug_assert!(level > target_level, "descended past the target level");
-        let idx = Self::choose_subtree(&entries, &entry.mbr());
-        let child_page = entries[idx]
+        let idx = Self::choose_subtree(&node.entries, covered);
+        let child_page = node.entries[idx]
             .child_page()
             .expect("non-leaf entries are child pointers");
-        let split = self.insert_recurse(child_page, entry, target_level, splits);
-        // Refresh the child's MBR after the subtree changed. The up-to-date
-        // MBR is available in memory (AdjustTree carries it upward), so this
-        // does not charge another node access.
-        let child_mbr = self
-            .store
-            .peek(child_page)
-            .expect("child page is live")
-            .mbr();
-        entries[idx] = NodeEntry::Child {
-            mbr: child_mbr,
-            page: child_page,
-        };
-        if let Some(sibling) = split {
-            entries.push(sibling);
+        match self.insert_recurse(child_page, entry, covered, target_level, splits) {
+            None => {
+                if let NodeEntry::Child { mbr, .. } = &mut self.store.write(page).entries[idx] {
+                    mbr.expand_to_mbr(covered);
+                }
+                None
+            }
+            Some((mbr, sibling)) => self.add_entry(page, len, sibling, Some((idx, mbr)), splits),
         }
-        self.write_or_split(page, level, entries, splits)
     }
 
-    /// Writes `entries` back to `page`, splitting the node if it overflows.
-    /// Returns the new sibling's entry when a split happened.
-    fn write_or_split(
+    /// Adds `entry` to the node at `page` (`len` entries) after setting
+    /// entry `refresh.0`'s MBR to `refresh.1`; returns as `insert_recurse`.
+    /// A split allocates the sibling before it writes the node, in buffer
+    /// order, so it copies the node's entries out rather than moving them.
+    fn add_entry(
         &mut self,
         page: PageId,
-        level: u32,
-        entries: Vec<NodeEntry>,
+        len: usize,
+        entry: NodeEntry,
+        refresh: Option<(usize, Mbr)>,
         splits: &mut Vec<PageSplit>,
-    ) -> Option<NodeEntry> {
-        if entries.len() <= self.config.max_entries {
-            self.store.write(page, Node { level, entries });
+    ) -> Option<(Mbr, NodeEntry)> {
+        let add = move |entries: &mut Vec<NodeEntry>| {
+            if let Some((idx, new_mbr)) = refresh {
+                if let NodeEntry::Child { mbr, .. } = &mut entries[idx] {
+                    *mbr = new_mbr;
+                }
+            }
+            entries.push(entry);
+        };
+        if len < self.config.max_entries {
+            add(&mut self.store.write(page).entries);
             return None;
         }
+        let node = self.store.read_unaccounted(page);
+        let level = node.level;
+        let mut entries = node.entries.clone();
+        add(&mut entries);
         let (left, right) = self.quadratic_split(entries);
         let right_node = Node {
             level,
@@ -161,34 +176,31 @@ impl RTree {
         };
         let right_mbr = right_node.mbr();
         let right_page = self.store.allocate(right_node);
-        self.store.write(
-            page,
-            Node {
-                level,
-                entries: left,
-            },
-        );
+        let node = self.store.write(page);
+        node.entries = left;
         splits.push(PageSplit {
             old_page: page,
             new_page: right_page,
             new_mbr: right_mbr.clone(),
         });
-        Some(NodeEntry::Child {
+        let sibling = NodeEntry::Child {
             mbr: right_mbr,
             page: right_page,
-        })
+        };
+        Some((node.mbr(), sibling))
     }
 
     /// Guttman's ChooseSubtree: the child whose MBR needs the least
     /// enlargement to cover the new entry; ties are broken by smaller area.
-    fn choose_subtree(entries: &[NodeEntry], new_mbr: &Mbr) -> usize {
+    /// Reads every bound in place.
+    fn choose_subtree(entries: &[NodeEntry], covered: &Mbr) -> usize {
         let mut best = 0usize;
         let mut best_enlargement = f64::INFINITY;
         let mut best_area = f64::INFINITY;
         for (idx, e) in entries.iter().enumerate() {
-            let mbr = e.mbr();
-            let enlargement = mbr.enlargement(new_mbr);
-            let area = mbr.area();
+            let (lower, upper) = e.bounds();
+            let (enlargement, area) =
+                Mbr::enlargement_of_bounds(lower, upper, covered.lower(), covered.upper());
             if enlargement < best_enlargement
                 || (enlargement == best_enlargement && area < best_area)
             {
@@ -231,40 +243,28 @@ impl RTree {
         let mut mbr_a = mbrs[seed_a].clone();
         let mut mbr_b = mbrs[seed_b].clone();
         let mut remaining: Vec<usize> = (0..n).filter(|&i| i != seed_a && i != seed_b).collect();
-
-        while let Some(pick_pos) = {
-            if remaining.is_empty() {
-                None
-            } else if group_a.len() + remaining.len() == min {
-                // everything must go to A to satisfy the minimum fill
+        while !remaining.is_empty() {
+            // a group that needs every remaining entry to reach the minimum
+            // fill takes them all
+            if group_a.len() + remaining.len() == min {
                 group_a.append(&mut remaining);
-                for &i in &group_a {
-                    mbr_a.expand_to_mbr(&mbrs[i]);
-                }
-                None
-            } else if group_b.len() + remaining.len() == min {
-                group_b.append(&mut remaining);
-                for &i in &group_b {
-                    mbr_b.expand_to_mbr(&mbrs[i]);
-                }
-                None
-            } else {
-                // PickNext: the entry with the greatest preference for one group
-                let mut best_pos = 0usize;
-                let mut best_diff = f64::NEG_INFINITY;
-                for (pos, &i) in remaining.iter().enumerate() {
-                    let d_a = mbr_a.enlargement(&mbrs[i]);
-                    let d_b = mbr_b.enlargement(&mbrs[i]);
-                    let diff = (d_a - d_b).abs();
-                    if diff > best_diff {
-                        best_diff = diff;
-                        best_pos = pos;
-                    }
-                }
-                Some(best_pos)
+                break;
             }
-        } {
-            let i = remaining.swap_remove(pick_pos);
+            if group_b.len() + remaining.len() == min {
+                group_b.append(&mut remaining);
+                break;
+            }
+            // PickNext: the entry with the greatest preference for one group
+            let mut best_pos = 0usize;
+            let mut best_diff = f64::NEG_INFINITY;
+            for (pos, &i) in remaining.iter().enumerate() {
+                let diff = (mbr_a.enlargement(&mbrs[i]) - mbr_b.enlargement(&mbrs[i])).abs();
+                if diff > best_diff {
+                    best_diff = diff;
+                    best_pos = pos;
+                }
+            }
+            let i = remaining.swap_remove(best_pos);
             let d_a = mbr_a.enlargement(&mbrs[i]);
             let d_b = mbr_b.enlargement(&mbrs[i]);
             let to_a = match d_a.partial_cmp(&d_b) {
@@ -288,20 +288,14 @@ impl RTree {
             }
         }
 
-        let mut entries_opt: Vec<Option<NodeEntry>> = entries.into_iter().map(Some).collect();
-        let take = |idx: &usize, slots: &mut Vec<Option<NodeEntry>>| {
-            slots[*idx]
-                .take()
-                .expect("entry assigned to one group only")
+        let mut slots: Vec<Option<NodeEntry>> = entries.into_iter().map(Some).collect();
+        let mut take = |group: &[usize]| -> Vec<NodeEntry> {
+            group
+                .iter()
+                .map(|&i| slots[i].take().expect("entry assigned to one group only"))
+                .collect()
         };
-        let left = group_a
-            .iter()
-            .map(|i| take(i, &mut entries_opt))
-            .collect::<Vec<_>>();
-        let right = group_b
-            .iter()
-            .map(|i| take(i, &mut entries_opt))
-            .collect::<Vec<_>>();
+        let (left, right) = (take(&group_a), take(&group_b));
         debug_assert!(left.len() >= min && right.len() >= min);
         (left, right)
     }

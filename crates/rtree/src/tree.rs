@@ -269,10 +269,7 @@ impl RTree {
         let node = self.store.read(page);
         block.clear();
         for entry in &node.entries {
-            match entry {
-                NodeEntry::Data(d) => block.push_coords(d.point.coords()),
-                NodeEntry::Child { mbr, .. } => block.push_coords(mbr.upper()),
-            }
+            block.push_coords(entry.best_corner());
         }
         (node.level, node.entries.clone())
     }

@@ -41,6 +41,10 @@ impl std::fmt::Display for PageId {
 /// the backend and faulted in again on the next access, so the data set can
 /// exceed the configured buffer — and RAM.
 ///
+/// Pages change in place through one write primitive,
+/// [`PagedStore::write`]: it hands out the payload and charges one physical
+/// write, as [`PagedStore::allocate`] does for a new page.
+///
 /// The store deliberately does not implement `Clone`: deep-cloning a
 /// disk-backed store would silently copy an entire page file (or worse, alias
 /// it). Use [`PagedStore::fork_in_memory`] to materialize an explicit
@@ -142,8 +146,10 @@ impl<P> PagedStore<P> {
         );
         let mut evicted = Vec::new();
         self.buffer.set_capacity_evicting(frames, &mut evicted);
-        for page in evicted {
-            self.evict_payload(page);
+        if self.persistent {
+            for page in evicted {
+                self.evict_payload(page);
+            }
         }
     }
 
@@ -212,18 +218,16 @@ impl<P> PagedStore<P> {
         id
     }
 
-    /// Frees a page. Its slot may be reused by later allocations.
+    /// Frees a page and hands back its payload (faulted in, uncharged, if it
+    /// was evicted). Its slot may be reused by later allocations.
     ///
     /// # Panics
     /// Panics if the page is not live.
-    pub fn free(&mut self, id: PageId) {
-        assert!(
-            self.live.get(id.index()).copied() == Some(true),
-            "free of unknown or double-freed page {id}"
-        );
-        self.pages[id.index()] = None;
-        self.live[id.index()] = false;
-        self.dirty[id.index()] = false;
+    pub fn free(&mut self, id: PageId) -> P {
+        let idx = self.resident(id, "free of unknown or double-freed page");
+        let payload = self.pages[idx].take().expect("resident");
+        self.live[idx] = false;
+        self.dirty[idx] = false;
         self.live_count -= 1;
         self.stats.pages_freed += 1;
         if self.buffer.invalidate(id) {
@@ -233,6 +237,7 @@ impl<P> PagedStore<P> {
             self.backend.discard(id);
         }
         self.free_list.push(id);
+        payload
     }
 
     /// Reads a page, charging a logical access and (on a buffer miss) a
@@ -244,22 +249,20 @@ impl<P> PagedStore<P> {
     /// page it previously persisted (storage failure is unrecoverable for the
     /// in-process index).
     pub fn read(&mut self, id: PageId) -> &P {
-        self.touch(id, false);
-        self.pages[id.index()]
-            .as_ref()
-            .unwrap_or_else(|| panic!("read of freed page {id}"))
-    }
-
-    /// Reads a page mutably (same accounting as [`PagedStore::read`], plus a
-    /// physical write, since the caller is going to modify the page).
-    pub fn read_mut(&mut self, id: PageId) -> &mut P {
-        self.touch(id, true);
+        let idx = self.resident(id, "access to unknown or freed page");
+        let (hit, victim) = self.buffer.access_evicting(id);
         if !self.accounting_paused {
-            self.stats.physical_writes += 1;
+            self.stats.logical_reads += 1;
+            if hit {
+                self.stats.buffer_hits += 1;
+            } else {
+                self.stats.physical_reads += 1;
+            }
         }
-        self.pages[id.index()]
-            .as_mut()
-            .unwrap_or_else(|| panic!("read_mut of freed page {id}"))
+        if let Some(victim) = victim.filter(|_| self.persistent) {
+            self.evict_payload(victim);
+        }
+        self.pages[idx].as_ref().expect("resident")
     }
 
     /// Peeks at a *resident* page without touching the buffer or the
@@ -270,38 +273,38 @@ impl<P> PagedStore<P> {
         self.pages.get(id.index()).and_then(|p| p.as_ref())
     }
 
-    /// Reads a page without charging the cost model (the buffer is still
-    /// warmed and backend faults still happen). Intended for validation and
-    /// snapshot extraction, where the paper's accounting does not apply.
+    /// Reads a page without charging the cost model or touching the buffer.
+    /// Unlike [`PagedStore::peek`] it faults an evicted page back in, which
+    /// then stays resident outside the buffer until a charged access admits
+    /// it: this is a writer's look at a page it is about to write or free.
     ///
     /// # Panics
     /// Same as [`PagedStore::read`].
     pub fn read_unaccounted(&mut self, id: PageId) -> &P {
-        self.with_accounting_paused(|s| {
-            s.touch(id, false);
-        });
-        self.pages[id.index()]
-            .as_ref()
-            .unwrap_or_else(|| panic!("read of freed page {id}"))
+        let idx = self.resident(id, "access to unknown or freed page");
+        self.pages[idx].as_ref().expect("resident")
     }
 
-    /// Replaces the payload of a live page, charging a physical write.
-    pub fn write(&mut self, id: PageId, payload: P) {
-        assert!(
-            self.live.get(id.index()).copied() == Some(true),
-            "write of unknown or freed page {id}"
-        );
-        self.pages[id.index()] = Some(payload);
+    /// The one write primitive: the page's payload, to be edited in place.
+    /// Charges one physical write and no read (a writer has read the page
+    /// already). Under a persistent backend it marks the page dirty and
+    /// touches the buffer, writing back the page that touch evicts, and
+    /// faults the page itself back in, uncharged, if it was evicted.
+    ///
+    /// # Panics
+    /// Panics if the page is not live.
+    pub fn write(&mut self, id: PageId) -> &mut P {
+        let idx = self.resident(id, "write of unknown or freed page");
         if !self.accounting_paused {
             self.stats.physical_writes += 1;
         }
         if self.persistent {
-            self.dirty[id.index()] = true;
-            let (_, victim) = self.buffer.access_evicting(id);
-            if let Some(victim) = victim {
+            self.dirty[idx] = true;
+            if let (_, Some(victim)) = self.buffer.access_evicting(id) {
                 self.evict_payload(victim);
             }
         }
+        self.pages[idx].as_mut().expect("resident")
     }
 
     /// Writes every dirty resident page back to the backend and issues a
@@ -376,57 +379,35 @@ impl<P> PagedStore<P> {
         }
     }
 
-    /// Handles the buffer walk for one access: hit/miss accounting, eviction
-    /// write-back and fault-in. `for_write` marks the page dirty.
-    fn touch(&mut self, id: PageId, for_write: bool) {
-        assert!(
-            self.live.get(id.index()).copied() == Some(true),
-            "access to unknown or freed page {id}"
-        );
-        let (hit, victim) = self.buffer.access_evicting(id);
-        if !self.accounting_paused {
-            self.stats.logical_reads += 1;
-            if hit {
-                self.stats.buffer_hits += 1;
-            } else {
-                self.stats.physical_reads += 1;
-            }
+    /// Asserts that `id` is live (panicking with `misuse` otherwise) and
+    /// makes it resident: an evicted page is faulted back in from the
+    /// backend, clean, without touching the buffer or the counters. Returns
+    /// the page's slot.
+    fn resident(&mut self, id: PageId, misuse: &str) -> usize {
+        let idx = id.index();
+        assert!(self.live.get(idx).copied() == Some(true), "{misuse} {id}");
+        if self.pages[idx].is_none() {
+            let payload = self
+                .backend
+                .fetch(id)
+                .unwrap_or_else(|e| panic!("backend fault of page {id} failed: {e}"));
+            self.pages[idx] = Some(payload);
+            self.dirty[idx] = false;
         }
-        if self.persistent {
-            if let Some(victim) = victim {
-                self.evict_payload(victim);
-            }
-            if self.pages[id.index()].is_none() {
-                let payload = self
-                    .backend
-                    .fetch(id)
-                    .unwrap_or_else(|e| panic!("backend fault of page {id} failed: {e}"));
-                self.pages[id.index()] = Some(payload);
-                self.dirty[id.index()] = false;
-            }
-            if for_write {
-                self.dirty[id.index()] = true;
-            }
-        }
+        idx
     }
 
     /// Writes a page back to the backend (if dirty) and drops its resident
     /// payload. Only meaningful under a persistent backend.
     fn evict_payload(&mut self, id: PageId) {
         let idx = id.index();
-        if self.pages[idx].is_none() {
-            return;
+        if let Some(payload) = self.pages[idx].take().filter(|_| self.dirty[idx]) {
+            self.backend
+                .persist(id, &payload)
+                .unwrap_or_else(|e| panic!("write-back of page {id} failed: {e}"));
+            self.stats.page_writes += 1;
+            self.dirty[idx] = false;
         }
-        if self.dirty[idx] {
-            if let Some(payload) = self.pages[idx].as_ref() {
-                self.backend
-                    .persist(id, payload)
-                    .unwrap_or_else(|e| panic!("write-back of page {id} failed: {e}"));
-                self.stats.page_writes += 1;
-                self.dirty[idx] = false;
-            }
-        }
-        self.pages[idx] = None;
     }
 }
 
@@ -484,7 +465,7 @@ mod tests {
         let b = store.allocate(2);
         store.read(a);
         store.read(b); // evicts a from the (accounting-only) buffer
-        *store.read_mut(a) += 1;
+        *store.write(a) += 1;
         store.flush().unwrap();
         store.sync().unwrap();
         assert_eq!(store.stats().page_writes, 0);
@@ -497,7 +478,7 @@ mod tests {
         let mut store: PagedStore<u32> = PagedStore::new(2);
         let a = store.allocate(1);
         let _b = store.allocate(2);
-        store.free(a);
+        assert_eq!(store.free(a), 1, "a free hands back the payload");
         assert_eq!(store.len(), 1);
         assert!(store.peek(a).is_none());
         let c = store.allocate(3);
@@ -554,14 +535,15 @@ mod tests {
     }
 
     #[test]
-    fn read_mut_and_write_count_writes() {
+    fn each_write_counts_one_physical_write() {
         let mut store: PagedStore<u32> = PagedStore::new(2);
         let a = store.allocate(1);
-        *store.read_mut(a) += 10;
-        store.write(a, 99);
+        *store.write(a) += 10;
+        *store.write(a) = 99;
         assert_eq!(*store.read(a), 99);
-        // allocate(1) + read_mut(1) + write(1)
+        // allocate(1) + write(1) + write(1)
         assert_eq!(store.stats().physical_writes, 3);
+        assert_eq!(store.stats().logical_reads, 1, "a write charges no read");
     }
 
     #[test]
@@ -584,13 +566,18 @@ mod tests {
     #[test]
     fn set_buffer_fraction_scales_with_live_pages() {
         let mut store: PagedStore<u32> = PagedStore::new(0);
-        for i in 0..100 {
-            store.allocate(i);
-        }
+        let ids: Vec<PageId> = (0..100).map(|i| store.allocate(i)).collect();
+        store.set_buffer_fraction(0.04);
+        assert_eq!(store.buffer_frames(), 4);
+        ids.iter().for_each(|&id| _ = store.read(id));
         store.set_buffer_fraction(0.02);
         assert_eq!(store.buffer_frames(), 2);
         store.set_buffer_fraction(0.0);
         assert_eq!(store.buffer_frames(), 0);
+        // shrinking an in-memory buffer evicts frames, never pages
+        for (i, &id) in ids.iter().enumerate() {
+            assert_eq!(*store.read(id), i as u32);
+        }
     }
 
     #[test]
@@ -602,7 +589,7 @@ mod tests {
         let mut fork = store.fork_in_memory();
         assert_eq!(*fork.read(a), 1);
         assert_eq!(*fork.read(b), 2);
-        *fork.read_mut(a) = 77;
+        *fork.write(a) = 77;
         assert_eq!(*store.read(a), 1, "fork is independent");
         assert!(!fork.is_persistent());
     }
@@ -655,7 +642,7 @@ mod tests {
         store.read(c);
         // only clean pages were evicted during those reads
         assert_eq!(store.stats().page_writes, w);
-        *store.read_mut(a) = 100;
+        *store.write(a) = 100;
         store.read(b);
         store.read(c); // a (dirty) must be written back on its eviction
         assert_eq!(store.stats().page_writes, w + 1);
@@ -715,14 +702,43 @@ mod tests {
         let _ = PagedStore::<u32>::with_backend(Box::new(backend), 0);
     }
 
+    /// The write primitive's hazard: a page read on the way down an R-tree
+    /// can be evicted before the way back up. Writing it faults it back in,
+    /// charging the write and nothing else.
+    #[test]
+    fn disk_store_write_faults_an_evicted_page_back_in() {
+        let (mut store, path) = disk_store("write_fault", 2);
+        let ids: Vec<PageId> = (0..6u32).map(|i| store.allocate(i)).collect();
+        store.reset_stats();
+        assert!(store.peek(ids[0]).is_none(), "the first page was evicted");
+        *store.write(ids[0]) += 40;
+        let s = store.stats();
+        assert_eq!(
+            (s.physical_writes, s.logical_reads, s.physical_reads),
+            (1, 0, 0)
+        );
+        assert_eq!(store.buffer.resident_mru_order()[0], ids[0]);
+        assert_eq!(*store.read(ids[0]), 40);
+        std::fs::remove_file(path).ok();
+    }
+
     #[test]
     fn read_unaccounted_faults_without_charging() {
         let (mut store, path) = disk_store("unaccounted", 2);
         let ids: Vec<PageId> = (0..6u32).map(|i| store.allocate(i)).collect();
         store.reset_stats();
+        let order = store.buffer.resident_mru_order();
         assert_eq!(*store.read_unaccounted(ids[0]), 0);
-        assert_eq!(store.stats().logical_reads, 0);
-        assert_eq!(store.stats().physical_reads, 0);
+        assert_eq!(
+            store.stats(),
+            IoStats::new(),
+            "nothing charged, nothing evicted"
+        );
+        assert_eq!(
+            store.buffer.resident_mru_order(),
+            order,
+            "the buffer is untouched"
+        );
         std::fs::remove_file(path).ok();
     }
 }
