@@ -24,7 +24,9 @@ fn bench_params() -> Params {
     }
 }
 
-/// STR bulk load versus one-by-one insertion.
+/// STR bulk load versus one-by-one insertion, and STR bulk load at the object
+/// trees of `solve-anti` (anti-correlated D = 4, 20 000 objects) and
+/// `solve-wide` (independent D = 12, 5 000 objects).
 fn rtree_build(c: &mut Criterion) {
     let points = anti_correlated_objects(5_000, 3, 11);
     let mut group = c.benchmark_group("rtree_build");
@@ -34,6 +36,26 @@ fn rtree_build(c: &mut Criterion) {
             RTree::bulk_load(RTreeConfig::for_dims(3), points.clone()).unwrap();
         })
     });
+    for (name, dims, points) in [
+        (
+            "str_bulk_load_anti_20000_d4",
+            4,
+            anti_correlated_objects(20_000, 4, 11),
+        ),
+        (
+            "str_bulk_load_indep_5000_d12",
+            12,
+            independent_objects(5_000, 12, 31),
+        ),
+    ] {
+        group.bench_function(name, |b| {
+            b.iter_batched(
+                || points.clone(),
+                |points| RTree::bulk_load(RTreeConfig::for_dims(dims), points).unwrap(),
+                criterion::BatchSize::LargeInput,
+            )
+        });
+    }
     group.bench_function("insert_one_by_one", |b| {
         b.iter(|| {
             let mut tree = RTree::with_dims(3);

@@ -1,4 +1,24 @@
 //! Sort-Tile-Recursive (STR) bulk loading.
+//!
+//! STR tiles a level's entries recursively: order them by dimension 0 and
+//! cut them into slabs, order each slab by dimension 1 and cut it again, and
+//! so on; the last dimension's order is cut into nodes. Each ordering is a
+//! stable sort of the slab it refines, so at dimension `d` the entries stand
+//! in the order of `(key_d, key_{d-1}, …, key_0, input position)`. That is
+//! one fixed total order per dimension, and a slab is exactly a range of
+//! ranks in it.
+//!
+//! The tiler below works from that invariant instead of re-sorting entries.
+//! It reads every sort key once into a column of order-preserving `u64`s,
+//! permutes a `u32` index array, cuts each slab by nth-element selection
+//! and sorts only the groups it emits. Each record then moves once, from
+//! the input into its leaf. The tree is the one a level-by-level stable sort
+//! builds, page for page: the same slab counts, the same balanced group
+//! sizes, the same entry order and MBR bits, so every I/O counter that
+//! reads it is unchanged. Keys compare as `f64::partial_cmp` does, with
+//! −0.0 equal to 0.0.
+
+use std::cmp::Ordering;
 
 use crate::entry::{DataEntry, Node, NodeEntry, RecordId};
 use crate::tree::{RTree, RTreeConfig, RTreeError};
@@ -20,68 +40,37 @@ impl RTree {
         if records.is_empty() {
             return Ok(tree);
         }
+        let mut keys = Vec::with_capacity(records.len() * tree.config.dims);
         for (_, p) in &records {
             tree.check_dims(p)?;
+            keys.extend(p.coords().iter().map(|&c| order_key(c)));
         }
-        let entries: Vec<DataEntry> = records
-            .into_iter()
-            .map(|(r, p)| DataEntry::new(r, p))
-            .collect();
-        let count = entries.len();
-        tree.build_from_entries(entries);
-        tree.len = count;
+        tree.len = records.len();
+        let leaves = tree.pack(0, records, &keys, |(record, point)| {
+            NodeEntry::Data(DataEntry::new(record, point))
+        });
+        tree.pack_upper_levels(leaves);
         Ok(tree)
     }
 
-    fn build_from_entries(&mut self, entries: Vec<DataEntry>) {
-        // Pack the leaf level. Classic STR packs nodes to full fanout; the
-        // balanced chunking below guarantees that every produced node holds at
-        // least `fanout / 2 >= min_entries` entries, so bulk-loaded trees
-        // satisfy the same fill invariants as dynamically built ones.
-        let fanout = self.config.max_entries;
-        let leaf_capacity = fanout;
-        let dims = self.config.dims;
-
-        let mut leaf_groups = str_partition(entries, leaf_capacity, dims, |e: &DataEntry, d| {
-            e.point.coord(d)
-        });
-
-        // Allocate leaf nodes without charging I/O.
-        let mut level_entries: Vec<NodeEntry> = Vec::with_capacity(leaf_groups.len());
-        self.store.with_accounting_paused(|store| {
-            for group in leaf_groups.drain(..) {
-                let node = Node::leaf(group);
-                let mbr = node.mbr();
-                let page = store.allocate(node);
-                level_entries.push(NodeEntry::Child { mbr, page });
-            }
-        });
-
+    /// Packs the levels above the leaves until a single root remains. Upper
+    /// levels are tiled on their entries' MBR centres.
+    fn pack_upper_levels(&mut self, mut level_entries: Vec<NodeEntry>) {
         let mut level = 0u32;
-        // Pack upper levels until a single root remains.
         while level_entries.len() > 1 {
             level += 1;
-            let capacity = fanout;
-            let groups = str_partition(level_entries, capacity, dims, |e: &NodeEntry, d| {
-                // use the MBR centre for tiling the upper levels
-                let (lower, upper) = e.bounds();
-                (lower[d] + upper[d]) / 2.0
-            });
-            let mut next: Vec<NodeEntry> = Vec::with_capacity(groups.len());
-            self.store.with_accounting_paused(|store| {
-                for group in groups {
-                    let node = Node {
-                        level,
-                        entries: group,
-                    };
-                    let mbr = node.mbr();
-                    let page = store.allocate(node);
-                    next.push(NodeEntry::Child { mbr, page });
-                }
-            });
-            level_entries = next;
+            let keys: Vec<u64> = level_entries
+                .iter()
+                .flat_map(|e| {
+                    let (lower, upper) = e.bounds();
+                    lower
+                        .iter()
+                        .zip(upper)
+                        .map(|(l, u)| order_key((l + u) / 2.0))
+                })
+                .collect();
+            level_entries = self.pack(level, level_entries, &keys, |e| e);
         }
-
         // level_entries now holds exactly one entry: the root pointer if the
         // data spanned multiple nodes, or a single leaf.
         let root_entry = level_entries.pop().expect("non-empty input");
@@ -89,81 +78,195 @@ impl RTree {
             .child_page()
             .expect("packed entries are child pointers");
         self.root = Some(root_page);
-        let root_level = self.store.peek(root_page).expect("live root").level;
-        self.height = root_level + 1;
+        self.height = level + 1;
+    }
+
+    /// Tiles `items`, whose sort keys `keys` holds `dims` to an item, into
+    /// nodes at `level`, allocated without charging I/O. Returns a child
+    /// pointer to each node, in tiling order.
+    ///
+    /// Classic STR packs nodes to full fanout; the balanced chunking of
+    /// [`str_partition`] guarantees that every produced node holds at least
+    /// `fanout / 2 >= min_entries` entries, so bulk-loaded trees satisfy the
+    /// same fill invariants as dynamically built ones.
+    fn pack<T>(
+        &mut self,
+        level: u32,
+        items: Vec<T>,
+        keys: &[u64],
+        entry: impl Fn(T) -> NodeEntry,
+    ) -> Vec<NodeEntry> {
+        let (order, sizes) = str_partition(keys, self.config.dims, self.config.max_entries);
+        let mut items: Vec<Option<T>> = items.into_iter().map(Some).collect();
+        let mut order = order.into_iter();
+        self.store.with_accounting_paused(|store| {
+            sizes
+                .into_iter()
+                .map(|size| {
+                    let entries = order
+                        .by_ref()
+                        .take(size)
+                        .map(|i| entry(items[i as usize].take().expect("each item is placed once")))
+                        .collect();
+                    let node = Node { level, entries };
+                    let mbr = node.mbr();
+                    let page = store.allocate(node);
+                    NodeEntry::Child { mbr, page }
+                })
+                .collect()
+        })
     }
 }
 
-/// Recursive STR tiling: sorts by the first dimension, cuts into vertical
-/// slabs, then recursively tiles each slab on the remaining dimensions,
-/// finally chunking into groups of at most `capacity`. The `key` callback
-/// returns the sort coordinate of an item in a given dimension.
-fn str_partition<T, F>(items: Vec<T>, capacity: usize, dims: usize, key: F) -> Vec<Vec<T>>
-where
-    F: Fn(&T, usize) -> f64 + Copy,
-{
-    fn recurse<T, F>(
-        mut items: Vec<T>,
-        capacity: usize,
-        dim: usize,
-        dims: usize,
-        key: F,
-        out: &mut Vec<Vec<T>>,
-    ) where
-        F: Fn(&T, usize) -> f64 + Copy,
-    {
-        if items.len() <= capacity {
-            if !items.is_empty() {
-                out.push(items);
+/// Maps a coordinate to a `u64` whose unsigned order is the coordinate's
+/// `partial_cmp` order: −0.0 is folded into 0.0, which `partial_cmp` holds
+/// equal and `f64::total_cmp` would not.
+///
+/// Keys are never NaN: points are validated finite where they enter
+/// (`Problem`, the engine, the WAL decoder), and an MBR centre of finite
+/// corners can at worst overflow to an infinity, which orders correctly.
+fn order_key(x: f64) -> u64 {
+    debug_assert!(
+        !x.is_nan(),
+        "sort keys are finite coordinates or their centres"
+    );
+    let bits = if x == 0.0 { 0.0f64 } else { x }.to_bits();
+    if bits >> 63 == 1 {
+        !bits
+    } else {
+        bits | 1 << 63
+    }
+}
+
+/// STR tiling of `keys.len() / dims` items into groups of at most
+/// `capacity`, where `keys[i * dims + d]` is the [`order_key`] of item `i` in
+/// dimension `d`. Returns the items' indices in tiling order and the sizes
+/// of the consecutive groups that order is cut into. Each group is in the
+/// order of the dimension it was emitted at; see the module docs.
+fn str_partition(keys: &[u64], dims: usize, capacity: usize) -> (Vec<u32>, Vec<usize>) {
+    let n = u32::try_from(keys.len() / dims).expect("at most u32::MAX entries per level");
+    let mut order: Vec<u32> = (0..n).collect();
+    let mut tiler = Tiler {
+        keys: Keys { keys, dims },
+        capacity,
+        pairs: Vec::with_capacity(order.len()),
+        sizes: Vec::new(),
+    };
+    tiler.tile(&mut order, 0);
+    (order, tiler.sizes)
+}
+
+/// The key column, `dims` keys to an item.
+struct Keys<'a> {
+    keys: &'a [u64],
+    dims: usize,
+}
+
+impl Keys<'_> {
+    /// Orders items `a` and `b` by `(key_{d-1}, …, key_0, index)`, the
+    /// tie-break of dimension `d`'s order.
+    fn below(&self, a: u32, b: u32, d: usize) -> Ordering {
+        let row = |i: u32| &self.keys[i as usize * self.dims..][..d];
+        row(a).iter().rev().cmp(row(b).iter().rev()).then(a.cmp(&b))
+    }
+
+    /// Dimension `d`'s order on `(key_d, index)` pairs.
+    fn order(&self, d: usize) -> impl Fn(&(u64, u32), &(u64, u32)) -> Ordering + '_ {
+        move |a, b| a.0.cmp(&b.0).then_with(|| self.below(a.1, b.1, d))
+    }
+}
+
+struct Tiler<'a> {
+    keys: Keys<'a>,
+    capacity: usize,
+    /// Scratch `(key, index)` pairs of the slab being ordered.
+    pairs: Vec<(u64, u32)>,
+    /// Sizes of the groups emitted so far.
+    sizes: Vec<usize>,
+}
+
+impl Tiler<'_> {
+    /// Tiles `order`, which holds one slab of dimension `dim - 1` (or every
+    /// item, in input order, when `dim` is 0).
+    fn tile(&mut self, order: &mut [u32], dim: usize) {
+        let dims = self.keys.dims;
+        if order.len() <= self.capacity {
+            if !order.is_empty() {
+                // a group that fits keeps the order of the slab it came from
+                if let Some(above) = dim.checked_sub(1) {
+                    self.arrange(order, above, None);
+                }
+                self.sizes.push(order.len());
             }
             return;
         }
         if dim + 1 >= dims {
             // last dimension: emit balanced chunks so no chunk is smaller than
             // half the capacity (which keeps every node above the minimum fill)
-            items.sort_by(|a, b| {
-                key(a, dim)
-                    .partial_cmp(&key(b, dim))
-                    .unwrap_or(std::cmp::Ordering::Equal)
-            });
-            for chunk_sizes in balanced_sizes(items.len(), capacity) {
-                let rest = items.split_off(chunk_sizes);
-                out.push(items);
-                items = rest;
-            }
-            debug_assert!(items.is_empty());
+            self.arrange(order, dim, None);
+            self.sizes
+                .extend(balanced_sizes(order.len(), self.capacity));
             return;
         }
         // number of leaf-level groups this call must produce
-        let total_groups = items.len().div_ceil(capacity);
+        let total_groups = order.len().div_ceil(self.capacity);
         // number of slabs along this dimension
         let remaining_dims = dims - dim;
         let slabs = (total_groups as f64)
             .powf(1.0 / remaining_dims as f64)
             .ceil() as usize;
         let slabs = slabs.clamp(1, total_groups.max(1));
-        items.sort_by(|a, b| {
-            key(a, dim)
-                .partial_cmp(&key(b, dim))
-                .unwrap_or(std::cmp::Ordering::Equal)
-        });
         // balanced slab sizes (difference of at most one item between slabs)
-        let n = items.len();
+        let n = order.len();
         let base = n / slabs;
         let extra = n % slabs;
-        for slab_idx in 0..slabs {
-            let size = base + usize::from(slab_idx < extra);
-            let rest = items.split_off(size);
-            let slab = items;
-            items = rest;
-            recurse(slab, capacity, dim + 1, dims, key, out);
+        let cuts: Vec<usize> = (1..slabs).map(|s| s * base + s.min(extra)).collect();
+        self.arrange(order, dim, Some(&cuts));
+        let mut start = 0;
+        for end in cuts.into_iter().chain([n]) {
+            self.tile(&mut order[start..end], dim + 1);
+            start = end;
         }
-        debug_assert!(items.is_empty());
     }
 
-    let mut out = Vec::new();
-    recurse(items, capacity, 0, dims, key, &mut out);
-    out
+    /// Puts `order` into dimension `dim`'s order: fully, or with `cuts`
+    /// only so far that every rank range between two cuts holds its items.
+    fn arrange(&mut self, order: &mut [u32], dim: usize, cuts: Option<&[usize]>) {
+        let keys = &self.keys;
+        let dims = keys.dims;
+        self.pairs.clear();
+        self.pairs.extend(
+            order
+                .iter()
+                .map(|&i| (keys.keys[i as usize * dims + dim], i)),
+        );
+        let cmp = keys.order(dim);
+        match cuts {
+            Some(cuts) => select_cuts(&mut self.pairs, 0, cuts, &cmp),
+            None => self.pairs.sort_unstable_by(&cmp),
+        }
+        for (slot, &(_, i)) in order.iter_mut().zip(&self.pairs) {
+            *slot = i;
+        }
+    }
+}
+
+/// Partitions `pairs`, which starts at rank `offset` of a larger slice, so
+/// that for each cut `c` (ascending, absolute, inside the slice) the items
+/// before `c` are the `c` smallest.
+fn select_cuts<F>(pairs: &mut [(u64, u32)], offset: usize, cuts: &[usize], cmp: &F)
+where
+    F: Fn(&(u64, u32), &(u64, u32)) -> Ordering,
+{
+    if cuts.is_empty() {
+        return;
+    }
+    let mid = cuts.len() / 2;
+    let at = cuts[mid] - offset;
+    pairs.select_nth_unstable_by(at, cmp);
+    let (left, right) = pairs.split_at_mut(at);
+    select_cuts(left, offset, &cuts[..mid], cmp);
+    select_cuts(right, cuts[mid], &cuts[mid + 1..], cmp);
 }
 
 /// Splits `n` items into `ceil(n / capacity)` chunks whose sizes differ by at
@@ -265,15 +368,44 @@ mod tests {
     }
 
     #[test]
+    fn order_key_orders_as_partial_cmp() {
+        let xs = [
+            f64::NEG_INFINITY,
+            -1e300,
+            -2.5,
+            -1.0,
+            -f64::MIN_POSITIVE,
+            -0.0,
+            0.0,
+            5e-324,
+            0.5,
+            1.0,
+            1e300,
+            f64::INFINITY,
+        ];
+        for a in xs {
+            for b in xs {
+                assert_eq!(
+                    order_key(a).cmp(&order_key(b)),
+                    a.partial_cmp(&b).unwrap(),
+                    "{a} vs {b}"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn str_partition_groups_respect_capacity() {
         let recs = random_records(1000, 3, 6);
-        let entries: Vec<DataEntry> = recs
-            .into_iter()
-            .map(|(r, p)| DataEntry::new(r, p))
+        let keys: Vec<u64> = recs
+            .iter()
+            .flat_map(|(_, p)| p.coords().iter().map(|&c| order_key(c)))
             .collect();
-        let groups = str_partition(entries, 25, 3, |e: &DataEntry, d| e.point.coord(d));
-        let total: usize = groups.iter().map(Vec::len).sum();
-        assert_eq!(total, 1000);
-        assert!(groups.iter().all(|g| g.len() <= 25 && !g.is_empty()));
+        let (order, sizes) = str_partition(&keys, 3, 25);
+        let mut seen = order.clone();
+        seen.sort_unstable();
+        assert_eq!(seen, (0..1000).collect::<Vec<u32>>());
+        assert_eq!(sizes.iter().sum::<usize>(), 1000);
+        assert!(sizes.iter().all(|&g| g <= 25 && g > 0));
     }
 }

@@ -7,6 +7,12 @@
 //! 2-frame buffer, where a node read on the way down is routinely evicted
 //! before the way back up. A change to ChooseSubtree, to the split, to the
 //! condense order or to what an update charges moves a pin.
+//!
+//! The `bulk_pin_*` tests pin STR bulk loads the same way: grid points put
+//! duplicate points and exact key ties at every tiling level, one set mixes
+//! −0.0 with 0.0 in each dimension, and a small fanout stacks four levels. A
+//! change to the tiling order, to how ties break or to how −0.0 compares
+//! moves a pin.
 
 #![allow(
     clippy::disallowed_methods,
@@ -33,6 +39,17 @@ impl Stream {
     /// points) are common and every tie-break is exercised.
     fn coord(&mut self) -> f64 {
         (self.next() % 33) as f64 / 32.0
+    }
+
+    /// A coordinate on a signed 1/8 grid, with zero in a ninth of draws and
+    /// −0.0 in half of those.
+    fn signed_coord(&mut self) -> f64 {
+        let magnitude = (self.next() % 9) as f64 / 8.0;
+        if self.next().is_multiple_of(2) {
+            magnitude
+        } else {
+            -magnitude
+        }
     }
 
     fn below(&mut self, n: usize) -> usize {
@@ -241,9 +258,85 @@ fn shape_pin_disk_d12() {
     std::fs::remove_file(path).ok();
 }
 
+/// `n` seeded records: on the 1/32 grid, or on the signed 1/8 grid.
+fn grid_records(n: usize, dims: usize, seed: u64, signed: bool) -> Vec<(RecordId, Point)> {
+    let mut rng = Stream(seed);
+    (0..n as u64)
+        .map(|i| {
+            let coords: Vec<f64> = (0..dims)
+                .map(|_| {
+                    if signed {
+                        rng.signed_coord()
+                    } else {
+                        rng.coord()
+                    }
+                })
+                .collect();
+            (RecordId(i), Point::from_slice(&coords))
+        })
+        .collect()
+}
+
+/// Bulk-loads `records` and returns the tree's height and fingerprint.
+fn bulk_fingerprint(config: RTreeConfig, records: Vec<(RecordId, Point)>) -> (u32, (u64, u64)) {
+    let n = records.len();
+    let mut tree = RTree::bulk_load(config, records).unwrap();
+    assert_eq!(tree.len(), n);
+    (tree.height(), fingerprint(&mut tree))
+}
+
+#[test]
+fn bulk_pin_d4() {
+    let (height, got) = bulk_fingerprint(config(4), grid_records(2000, 4, 4, false));
+    assert_eq!(height, 4);
+    assert_eq!(got, PIN_BULK_D4, "{got:#018x?}");
+}
+
+#[test]
+fn bulk_pin_d12() {
+    let (height, got) = bulk_fingerprint(config(12), grid_records(2000, 12, 12, false));
+    assert_eq!(height, 4);
+    assert_eq!(got, PIN_BULK_D12, "{got:#018x?}");
+}
+
+#[test]
+fn bulk_pin_signed_zero() {
+    let records = grid_records(1000, 3, 3, true);
+    for d in 0..3 {
+        let zeros = |negative: bool| {
+            records
+                .iter()
+                .filter(|(_, p)| p.coord(d) == 0.0 && p.coord(d).is_sign_negative() == negative)
+                .count()
+        };
+        assert!(zeros(true) > 0 && zeros(false) > 0, "dimension {d}");
+    }
+    let (height, got) = bulk_fingerprint(config(3), records);
+    assert!(height >= 3);
+    assert_eq!(got, PIN_BULK_SIGNED_ZERO, "{got:#018x?}");
+}
+
+/// One record, a single full leaf, and one record too many for a leaf.
+#[test]
+fn bulk_pin_leaf_sizes() {
+    for (n, height, want) in [(1, 1, PIN_BULK_1), (8, 1, PIN_BULK_8), (9, 2, PIN_BULK_9)] {
+        let got = bulk_fingerprint(config(4), grid_records(n, 4, 9, false));
+        assert_eq!(got, (height, want), "n = {n}: {got:#018x?}");
+    }
+}
+
 // Taken from the tree before its updates edited pages in place; both
 // backends build the same pages, and only the I/O counters differ.
 const PIN_MEMORY_D4: (u64, u64) = (0x5dd8_ac70_cc03_ac27, 0xb9a5_2f3d_558c_a3a7);
 const PIN_MEMORY_D12: (u64, u64) = (0xf9dd_ed78_8816_5721, 0xd776_5ce6_39b0_f026);
 const PIN_DISK_D4: (u64, u64) = (0x5dd8_ac70_cc03_ac27, 0x161c_65bd_357c_6c5c);
 const PIN_DISK_D12: (u64, u64) = (0xf9dd_ed78_8816_5721, 0x620d_f592_2416_0a2b);
+
+// Taken from the tree before STR ranked a key column instead of sorting
+// entries level by level.
+const PIN_BULK_D4: (u64, u64) = (0xf183_6001_9ec7_4b0f, 0x2277_6dd7_ba8e_3ae3);
+const PIN_BULK_D12: (u64, u64) = (0xeaa8_7108_0a58_92d9, 0x2d97_2784_23f9_65db);
+const PIN_BULK_SIGNED_ZERO: (u64, u64) = (0xc548_99d5_79c3_8dd4, 0x6017_3825_5015_add1);
+const PIN_BULK_1: (u64, u64) = (0xbe67_40f6_f75b_e195, 0xa02f_2b16_e4b1_2424);
+const PIN_BULK_8: (u64, u64) = (0x30d6_4fcb_03c7_b019, 0xa02f_2b16_e4b1_2424);
+const PIN_BULK_9: (u64, u64) = (0xfded_06dd_9827_724e, 0xdd67_3cab_ca56_5966);
