@@ -127,8 +127,7 @@ impl RTree {
             if !self.delete_recurse(child_page, record, point, orphans, outcome) {
                 continue;
             }
-            // found below this child, which was just written, so resident
-            let child = self.store.read_unaccounted(child_page);
+            let child = self.store.peek(child_page).expect("live page");
             if child.len() < self.config.min_entries {
                 // orphan the child's remaining entries and drop the child
                 let freed = self.store.free(child_page);
@@ -156,7 +155,7 @@ impl RTree {
     /// clears the tree when the root leaf becomes empty.
     fn shrink_root(&mut self, outcome: &mut DeleteOutcome) {
         while let Some(root) = self.root {
-            let node = self.store.read_unaccounted(root);
+            let node = self.store.peek(root).expect("live page");
             let collapse = match (node.level, node.len()) {
                 (0, 0) => None,
                 (level, 1) if level > 0 => Some(

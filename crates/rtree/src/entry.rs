@@ -63,7 +63,7 @@ impl NodeEntry {
 
     /// The entry's corners, borrowed: the child's MBR, or the point twice for
     /// a data entry. Same coordinates as `self.mbr()` without building it.
-    pub fn bounds(&self) -> (&[f64], &[f64]) {
+    pub(crate) fn bounds(&self) -> (&[f64], &[f64]) {
         match self {
             NodeEntry::Child { mbr, .. } => (mbr.lower(), mbr.upper()),
             NodeEntry::Data(d) => (d.point.coords(), d.point.coords()),

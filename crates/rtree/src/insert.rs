@@ -165,7 +165,7 @@ impl RTree {
             add(&mut self.store.write(page).entries);
             return None;
         }
-        let node = self.store.read_unaccounted(page);
+        let node = self.store.peek(page).expect("live page");
         let level = node.level;
         let mut entries = node.entries.clone();
         add(&mut entries);
@@ -418,8 +418,8 @@ mod tests {
             .collect();
         let (l, r) = t.quadratic_split(entries);
         assert_eq!(l.len() + r.len(), 11);
-        assert!(l.len() >= t.min_entries());
-        assert!(r.len() >= t.min_entries());
+        assert!(l.len() >= t.config.min_entries);
+        assert!(r.len() >= t.config.min_entries);
     }
 
     #[test]

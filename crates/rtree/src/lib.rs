@@ -22,23 +22,20 @@
 //! * **queries** — range queries and a full scan, plus low-level node access
 //!   ([`RTree::node_entries`], [`RTree::root_entries`]) used by the best-first
 //!   traversals of the skyline (BBS) and ranked-search (BRS) crates,
-//! * **invariant checking** ([`RTree::check_invariants`]) used by tests,
-//! * **on-disk storage** ([`RTree::new_on_disk`]) — the same tree over a real
-//!   page file via [`pref_storage::FileBackend`], with node pages serialized
-//!   by the [`codec`] module, so the indexed set can exceed the buffer (and
-//!   RAM).
+//! * **invariant checking** ([`RTree::check_invariants`]) used by tests.
+//!
+//! Every node lives in memory; the store's LRU buffer only decides which
+//! node accesses are charged as I/O.
 
 #![warn(missing_docs)]
 
 mod bulk;
-pub mod codec;
 mod delete;
 mod entry;
 mod insert;
 mod query;
 mod tree;
 
-pub use codec::node_slot_size;
 pub use delete::{DeleteOutcome, FreedPage};
 pub use entry::{DataEntry, Node, NodeEntry, RecordId};
 pub use insert::PageSplit;

@@ -81,11 +81,9 @@ impl std::fmt::Display for RTreeError {
 
 impl std::error::Error for RTreeError {}
 
-/// A disk-style R-tree storing one node per simulated 4 KiB page.
-///
-/// Not `Clone`: under an on-disk backend ([`RTree::new_on_disk`]) a deep
-/// clone would have to copy or alias a page file. Use
-/// [`RTree::fork_in_memory`] for an explicit in-memory copy.
+/// A disk-style R-tree storing one node per simulated 4 KiB page of an
+/// in-memory [`PagedStore`], whose LRU buffer decides which node accesses
+/// are charged as I/O.
 #[derive(Debug)]
 pub struct RTree {
     pub(crate) store: PagedStore<Node>,
@@ -98,76 +96,18 @@ pub struct RTree {
 impl RTree {
     /// Creates an empty tree.
     pub fn new(config: RTreeConfig) -> Self {
-        Self::validate_config(&config);
-        let buffer = config.buffer_frames;
-        Self {
-            store: PagedStore::new(buffer),
-            root: None,
-            config,
-            height: 0,
-            len: 0,
-        }
-    }
-
-    /// Creates an empty tree whose pages live in a real page file at `path`
-    /// (created/truncated). The buffer capacity in `config.buffer_frames` is
-    /// *real* here: pages evicted from the buffer are written to the file and
-    /// faulted back on demand, so the tree can exceed the buffer — and RAM.
-    /// [`IoStats::page_writes`]/[`IoStats::sync_calls`] report the resulting
-    /// file I/O.
-    ///
-    /// The page file is a capacity mechanism, not a durability one (see
-    /// [`pref_storage::FileBackend`]); it is only meaningful while this tree
-    /// is alive.
-    pub fn new_on_disk(
-        config: RTreeConfig,
-        path: impl AsRef<std::path::Path>,
-    ) -> Result<Self, pref_storage::StorageError> {
-        Self::validate_config(&config);
-        let slot = crate::codec::node_slot_size(config.dims, config.max_entries);
-        let backend = pref_storage::FileBackend::<Node>::create(path, slot)?;
-        let buffer = config.buffer_frames.max(1);
-        Ok(Self {
-            store: PagedStore::with_backend(Box::new(backend), buffer),
-            root: None,
-            config,
-            height: 0,
-            len: 0,
-        })
-    }
-
-    fn validate_config(config: &RTreeConfig) {
         assert!(config.dims > 0, "dimensionality must be positive");
         assert!(
             config.min_entries * 2 <= config.max_entries,
             "min_entries must be at most half of max_entries"
         );
-    }
-
-    /// Materializes an explicit in-memory copy of this tree (the replacement
-    /// for the old derived `Clone`): every node page is cloned — faulted in
-    /// from the backend if evicted — into a fresh in-memory store preserving
-    /// page ids, buffer state and I/O statistics.
-    pub fn fork_in_memory(&mut self) -> RTree {
-        RTree {
-            store: self.store.fork_in_memory(),
-            root: self.root,
-            config: self.config.clone(),
-            height: self.height,
-            len: self.len,
+        Self {
+            store: PagedStore::new(config.buffer_frames),
+            root: None,
+            config,
+            height: 0,
+            len: 0,
         }
-    }
-
-    /// Writes every dirty page back to the backend and issues a durability
-    /// barrier. A no-op for in-memory trees.
-    pub fn flush(&mut self) -> Result<(), pref_storage::StorageError> {
-        self.store.flush()
-    }
-
-    /// `true` when the tree's pages live in a persistent backend (a page
-    /// file) rather than the in-memory simulation.
-    pub fn is_on_disk(&self) -> bool {
-        self.store.is_persistent()
     }
 
     /// Convenience constructor with the default configuration for `dims`.
@@ -193,16 +133,6 @@ impl RTree {
     /// Dimensionality of the indexed points.
     pub fn dims(&self) -> usize {
         self.config.dims
-    }
-
-    /// Maximum entries per node.
-    pub fn max_entries(&self) -> usize {
-        self.config.max_entries
-    }
-
-    /// Minimum entries per non-root node.
-    pub fn min_entries(&self) -> usize {
-        self.config.min_entries
     }
 
     /// Number of live pages (= number of nodes).
@@ -249,6 +179,13 @@ impl RTree {
         (node.level, node.entries.clone())
     }
 
+    /// A live node without charging I/O or touching the buffer; `None` for a
+    /// freed or unknown page. This is the view of validation and test
+    /// oracles.
+    pub fn peek_node(&self, page: PageId) -> Option<&Node> {
+        self.store.peek(page)
+    }
+
     /// Reads the root node's entries (charging I/O); `None` for an empty tree.
     pub fn root_entries(&mut self) -> Option<(u32, Vec<NodeEntry>)> {
         self.root.map(|r| self.node_entries(r))
@@ -291,11 +228,9 @@ impl RTree {
         }
     }
 
-    /// Checks the structural invariants of the tree. Used extensively by
-    /// tests; returns a description of the first violation found.
-    ///
-    /// Walks resident pages only: for an on-disk tree (whose cold pages are
-    /// not resident) call [`RTree::fork_in_memory`] and validate the fork.
+    /// Checks the structural invariants of the tree without charging I/O.
+    /// Used extensively by tests; returns a description of the first
+    /// violation found.
     pub fn check_invariants(&self) -> Result<(), RTreeError> {
         let Some(root) = self.root else {
             if self.len != 0 || self.height != 0 {
@@ -414,8 +349,6 @@ impl RTree {
     }
 
     /// Collects every data entry without charging I/O (test/diagnostic path).
-    /// Resident pages only — see [`RTree::check_invariants`] for the on-disk
-    /// caveat.
     pub fn all_data_unaccounted(&self) -> Vec<DataEntry> {
         let mut out = Vec::with_capacity(self.len);
         if let Some(root) = self.root {

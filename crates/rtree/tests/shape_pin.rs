@@ -3,21 +3,16 @@
 //! included) must leave exactly the same pages — level, entry order, child
 //! pages, record ids, MBR bits — and exactly the same I/O counters.
 //!
-//! The stream runs on the in-memory backend and on a page file with a
-//! 2-frame buffer, where a node read on the way down is routinely evicted
-//! before the way back up. A change to ChooseSubtree, to the split, to the
-//! condense order or to what an update charges moves a pin.
+//! The stream runs with a 4-frame buffer. A change to ChooseSubtree, to the
+//! split, to the condense order or to what an update charges moves a pin.
+//! The fingerprint itself charges nothing, and the stream tests check that
+//! it does not.
 //!
 //! The `bulk_pin_*` tests pin STR bulk loads the same way: grid points put
 //! duplicate points and exact key ties at every tiling level, one set mixes
 //! −0.0 with 0.0 in each dimension, and a small fanout stacks four levels. A
 //! change to the tiling order, to how ties break or to how −0.0 compares
 //! moves a pin.
-
-#![allow(
-    clippy::disallowed_methods,
-    reason = "the disk run removes its scratch page file"
-)]
 
 use pref_geom::Point;
 use pref_rtree::{NodeEntry, RTree, RTreeConfig, RecordId};
@@ -150,12 +145,12 @@ impl Fnv {
     }
 }
 
-fn hash_page(tree: &mut RTree, page: PageId, h: &mut Fnv) {
-    let (level, entries) = tree.node_entries(page);
+fn hash_page(tree: &RTree, page: PageId, h: &mut Fnv) {
+    let node = tree.peek_node(page).expect("live page");
     h.word(page.raw());
-    h.word(u64::from(level));
-    h.word(entries.len() as u64);
-    for entry in &entries {
+    h.word(u64::from(node.level));
+    h.word(node.entries.len() as u64);
+    for entry in &node.entries {
         match entry {
             NodeEntry::Child { mbr, page } => {
                 h.word(page.raw());
@@ -168,14 +163,15 @@ fn hash_page(tree: &mut RTree, page: PageId, h: &mut Fnv) {
             }
         }
     }
-    for entry in &entries {
+    for entry in &node.entries {
         if let Some(child) = entry.child_page() {
             hash_page(tree, child, h);
         }
     }
 }
 
-/// `(hash of every page, hash of the I/O counters)`.
+/// `(hash of every page, hash of the I/O counters)`. The counters are hashed
+/// first, and the walk after them is uncharged.
 fn fingerprint(tree: &mut RTree) -> (u64, u64) {
     let stats: IoStats = tree.stats();
     let mut s = Fnv(0xcbf2_9ce4_8422_2325);
@@ -192,15 +188,13 @@ fn fingerprint(tree: &mut RTree) -> (u64, u64) {
     ] {
         s.word(w);
     }
-    // walk an in-memory fork so the walk charges nothing to `tree`
-    let mut fork = tree.fork_in_memory();
-    fork.check_invariants().unwrap();
+    tree.check_invariants().unwrap();
     let mut p = Fnv(0xcbf2_9ce4_8422_2325);
-    p.word(u64::from(fork.height()));
-    p.word(fork.len() as u64);
-    p.word(fork.num_pages() as u64);
-    if let Some(root) = fork.root_page() {
-        hash_page(&mut fork, root, &mut p);
+    p.word(u64::from(tree.height()));
+    p.word(tree.len() as u64);
+    p.word(tree.num_pages() as u64);
+    if let Some(root) = tree.root_page() {
+        hash_page(tree, root, &mut p);
     }
     (p.0, s.0)
 }
@@ -217,19 +211,14 @@ fn check(tree: &mut RTree, dims: usize, seed: u64, want: (u64, u64)) {
     assert!(events.root_shrinks > 0, "no root shrink: {events:?}");
     let got = fingerprint(tree);
     assert_eq!(
+        fingerprint(tree),
+        got,
+        "the fingerprint walk charged the tree"
+    );
+    assert_eq!(
         got, want,
         "D={dims} seed {seed}: (pages, io) fingerprint {got:#018x?} != pinned {want:#018x?}"
     );
-}
-
-fn on_disk(dims: usize, name: &str) -> (RTree, std::path::PathBuf) {
-    let mut path = std::env::temp_dir();
-    path.push(format!(
-        "pref_rtree_shape_pin_{}_{name}.pages",
-        std::process::id()
-    ));
-    let tree = RTree::new_on_disk(config(dims).with_buffer_frames(2), &path).unwrap();
-    (tree, path)
 }
 
 #[test]
@@ -242,20 +231,6 @@ fn shape_pin_memory_d4() {
 fn shape_pin_memory_d12() {
     let mut tree = RTree::new(config(12).with_buffer_frames(4));
     check(&mut tree, 12, 12, PIN_MEMORY_D12);
-}
-
-#[test]
-fn shape_pin_disk_d4() {
-    let (mut tree, path) = on_disk(4, "d4");
-    check(&mut tree, 4, 4, PIN_DISK_D4);
-    std::fs::remove_file(path).ok();
-}
-
-#[test]
-fn shape_pin_disk_d12() {
-    let (mut tree, path) = on_disk(12, "d12");
-    check(&mut tree, 12, 12, PIN_DISK_D12);
-    std::fs::remove_file(path).ok();
 }
 
 /// `n` seeded records: on the 1/32 grid, or on the signed 1/8 grid.
@@ -325,12 +300,9 @@ fn bulk_pin_leaf_sizes() {
     }
 }
 
-// Taken from the tree before its updates edited pages in place; both
-// backends build the same pages, and only the I/O counters differ.
+// Taken from the tree before its updates edited pages in place.
 const PIN_MEMORY_D4: (u64, u64) = (0x5dd8_ac70_cc03_ac27, 0xb9a5_2f3d_558c_a3a7);
 const PIN_MEMORY_D12: (u64, u64) = (0xf9dd_ed78_8816_5721, 0xd776_5ce6_39b0_f026);
-const PIN_DISK_D4: (u64, u64) = (0x5dd8_ac70_cc03_ac27, 0x161c_65bd_357c_6c5c);
-const PIN_DISK_D12: (u64, u64) = (0xf9dd_ed78_8816_5721, 0x620d_f592_2416_0a2b);
 
 // Taken from the tree before STR ranked a key column instead of sorting
 // entries level by level.

@@ -5,42 +5,40 @@
 //! buffer whose default size is 2% of the tree). This crate provides the
 //! machinery to reproduce that accounting without a real disk:
 //!
-//! * [`PagedStore`] — a buffer manager over fixed-size pages addressed by
-//!   [`PageId`], standing in for the disk file that holds the R-tree,
-//! * [`StorageBackend`] — where pages live when they are not resident:
-//!   [`MemoryBackend`] (the historical zero-cost simulation) or
-//!   [`FileBackend`] (a real page file, so data sets can exceed RAM),
+//! * [`PagedStore`] — the one buffer manager: an in-memory page table over
+//!   fixed-size pages addressed by [`PageId`], standing in for the disk file
+//!   that holds the R-tree; every page stays in memory and the buffer only
+//!   decides which accesses count as I/O,
 //! * [`LruBuffer`] — an LRU buffer pool over page identifiers,
 //! * [`IoStats`] — logical/physical read and write counters,
 //! * [`ByteReader`] — the bounds-checked little-endian reader every decoder
-//!   of stored or received bytes goes through (node pages, WAL batches,
-//!   checkpoints): a short read, a count the bytes cannot hold or trailing
-//!   bytes are a [`StorageError::Corrupt`], never a panic or an allocation,
+//!   of stored or received bytes goes through (WAL batches, checkpoints, wire
+//!   replies): a short read, a count the bytes cannot hold or trailing bytes
+//!   are a [`StorageError::Corrupt`], never a panic or an allocation,
 //! * [`wal`] — write-ahead-log and checkpoint file primitives used by the
 //!   service tier's per-shard durability.
 //!
 //! The store is generic over the page payload so the R-tree crate can store
-//! its node type directly; the in-memory simulation only needs to know
-//! *which* page is touched, while the file backend serializes payloads via
-//! [`PageCodec`]. [`PAGE_SIZE`] documents the page size used to derive R-tree
+//! its node type directly; the accounting only needs to know *which* page is
+//! touched. [`PAGE_SIZE`] documents the page size used to derive R-tree
 //! fanout.
 //!
 //! This crate is the only place in the workspace allowed to touch `std::fs`
 //! (enforced by the `std::fs` entries of the workspace's `clippy.toml`
-//! `disallowed-methods` / `disallowed-types`): every other crate goes through
-//! the backends or the [`wal`] helpers, keeping file-descriptor lifetimes and
-//! fsync ordering auditable in one spot.
+//! `disallowed-methods` / `disallowed-types`), and within it only [`wal`]
+//! does: every other crate goes through the [`wal`] helpers, keeping
+//! file-descriptor lifetimes and fsync ordering auditable in one spot.
 
 #![warn(missing_docs)]
 
-mod backend;
+mod error;
 mod lru;
 mod reader;
 mod stats;
 mod store;
 pub mod wal;
 
-pub use backend::{fnv1a64, FileBackend, MemoryBackend, PageCodec, StorageBackend, StorageError};
+pub use error::{fnv1a64, StorageError};
 pub use lru::LruBuffer;
 pub use reader::ByteReader;
 pub use stats::IoStats;

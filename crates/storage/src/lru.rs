@@ -47,7 +47,7 @@ impl LruBuffer {
     }
 
     /// Maximum number of resident pages.
-    pub fn capacity(&self) -> usize {
+    pub(crate) fn capacity(&self) -> usize {
         self.capacity
     }
 
@@ -70,34 +70,26 @@ impl LruBuffer {
     /// `false` on a miss (after which the page becomes resident, possibly
     /// evicting the least recently used page).
     pub fn access(&mut self, page: PageId) -> bool {
-        self.access_evicting(page).0
-    }
-
-    /// Like [`LruBuffer::access`], but also reports the page evicted to make
-    /// room (if any) so a buffer manager can write back its contents.
-    pub fn access_evicting(&mut self, page: PageId) -> (bool, Option<PageId>) {
         if self.capacity == 0 {
-            return (false, None);
+            return false;
         }
         if let Some(&idx) = self.map.get(&page) {
             self.move_to_front(idx);
-            return (true, None);
+            return true;
         }
         // miss: admit, evicting if full
-        let victim = if self.map.len() >= self.capacity {
-            self.evict_lru()
-        } else {
-            None
-        };
+        if self.map.len() >= self.capacity {
+            self.evict_lru();
+        }
         let idx = self.alloc_frame(page);
         self.push_front(idx);
         self.map.insert(page, idx);
-        (false, victim)
+        false
     }
 
-    /// Removes a page from the buffer (e.g. when the page is freed on disk).
+    /// Removes a page from the buffer (e.g. when the page is freed).
     /// Returns `true` if the page was resident.
-    pub fn invalidate(&mut self, page: PageId) -> bool {
+    pub(crate) fn invalidate(&mut self, page: PageId) -> bool {
         if let Some(idx) = self.map.remove(&page) {
             self.unlink(idx);
             self.free.push(idx);
@@ -109,19 +101,10 @@ impl LruBuffer {
 
     /// Changes the capacity; if shrinking, least recently used pages are
     /// evicted until the new capacity is respected.
-    pub fn set_capacity(&mut self, capacity: usize) {
-        let mut evicted = Vec::new();
-        self.set_capacity_evicting(capacity, &mut evicted);
-    }
-
-    /// Like [`LruBuffer::set_capacity`], appending every evicted page to
-    /// `evicted` (least recently used first) for write-back by the caller.
-    pub fn set_capacity_evicting(&mut self, capacity: usize, evicted: &mut Vec<PageId>) {
+    pub(crate) fn set_capacity(&mut self, capacity: usize) {
         self.capacity = capacity;
         while self.map.len() > self.capacity {
-            if let Some(page) = self.evict_lru() {
-                evicted.push(page);
-            }
+            self.evict_lru();
         }
     }
 
@@ -192,16 +175,15 @@ impl LruBuffer {
         self.push_front(idx);
     }
 
-    fn evict_lru(&mut self) -> Option<PageId> {
+    fn evict_lru(&mut self) {
         let victim = self.tail;
         if victim == NIL {
-            return None;
+            return;
         }
         let page = self.frames[victim].page;
         self.unlink(victim);
         self.map.remove(&page);
         self.free.push(victim);
-        Some(page)
     }
 }
 
@@ -297,20 +279,6 @@ mod tests {
         assert_eq!(b.resident_mru_order(), vec![pid(0), pid(10), pid(2)]);
         b.access(pid(11)); // evicts 2
         assert_eq!(b.resident_mru_order(), vec![pid(11), pid(0), pid(10)]);
-    }
-
-    #[test]
-    fn access_evicting_reports_the_victim() {
-        let mut b = LruBuffer::new(2);
-        assert_eq!(b.access_evicting(pid(1)), (false, None));
-        assert_eq!(b.access_evicting(pid(2)), (false, None));
-        assert_eq!(b.access_evicting(pid(1)), (true, None));
-        // buffer full, 2 is LRU: admitting 3 must evict 2
-        assert_eq!(b.access_evicting(pid(3)), (false, Some(pid(2))));
-        let mut evicted = Vec::new();
-        b.set_capacity_evicting(0, &mut evicted);
-        // LRU-first: 1 was less recently used than 3
-        assert_eq!(evicted, vec![pid(1), pid(3)]);
     }
 
     #[test]

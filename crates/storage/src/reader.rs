@@ -1,5 +1,5 @@
 //! The one decoder front end for bytes that arrive from outside the program:
-//! WAL records, checkpoints, wire frames' batch payloads and node pages.
+//! WAL records, checkpoints and wire frames' payloads.
 
 use crate::StorageError;
 
@@ -11,7 +11,7 @@ use crate::StorageError;
 pub struct ByteReader<'a> {
     bytes: &'a [u8],
     pos: usize,
-    /// What the bytes are, for error messages ("node page", ...).
+    /// What the bytes are, for error messages ("durability payload", ...).
     what: &'static str,
 }
 

@@ -1,4 +1,10 @@
 //! I/O statistics counters.
+//!
+//! `page_writes` and `sync_calls` are always zero: the store keeps every
+//! page in memory, so nothing in the workspace increments them. They stay
+//! only because the benchmark's `engine-churn` workload reports
+//! `sync_calls` as its `storage.sync_calls` metric; both go with that
+//! metric.
 
 use serde::{Deserialize, Serialize};
 
@@ -10,11 +16,7 @@ use serde::{Deserialize, Serialize};
 ///   paper's "I/O accesses" metric;
 /// * *physical writes* count page allocations and updates flushed to the
 ///   simulated disk (structure modifications by insert/delete);
-/// * *page writes* count pages actually pushed to a persistent
-///   [`crate::StorageBackend`] (dirty evictions and explicit flushes) —
-///   always zero for the in-memory backend;
-/// * *sync calls* count durability barriers (`fsync`-like) issued to a
-///   persistent backend.
+/// * *page writes* and *sync calls* are always zero (see the module docs).
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct IoStats {
     /// Total page accesses requested by algorithms.
@@ -33,12 +35,13 @@ pub struct IoStats {
     /// invalidated (a stale frame served after a free would be a correctness
     /// bug, not just an accounting one).
     pub buffer_invalidations: u64,
-    /// Pages written back to a persistent backend (dirty evictions plus
-    /// explicit flushes). Unlike the read counters this is never suspended by
-    /// accounting pauses: it reports real I/O, not modelled cost.
+    /// Always zero: nothing increments it. Kept beside `sync_calls` until
+    /// the benchmark's `storage.sync_calls` metric goes (see the module
+    /// docs).
     #[serde(default)]
     pub page_writes: u64,
-    /// Durability barriers (`fsync`-like calls) issued to the backend.
+    /// Always zero: nothing increments it. Kept only because the benchmark's
+    /// `engine-churn` workload reports it as `storage.sync_calls`.
     #[serde(default)]
     pub sync_calls: u64,
 }
@@ -65,7 +68,7 @@ impl IoStats {
     }
 
     /// Resets every counter to zero.
-    pub fn reset(&mut self) {
+    pub(crate) fn reset(&mut self) {
         *self = Self::default();
     }
 

@@ -30,7 +30,7 @@
     reason = "the WAL and checkpoint files are the durable layer's own std::fs use"
 )]
 
-use crate::backend::{fnv1a64, StorageError};
+use crate::error::{fnv1a64, StorageError};
 use std::fs::{self, File};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -316,7 +316,7 @@ pub fn write_checkpoint(dir: &Path, seq: u64, payload: &[u8]) -> Result<(), Stor
 
 /// Reads and validates the checkpoint taken at sequence `seq`. Returns
 /// `Err(StorageError::Corrupt)` when the file exists but fails validation.
-pub fn read_checkpoint(dir: &Path, seq: u64) -> Result<Vec<u8>, StorageError> {
+pub(crate) fn read_checkpoint(dir: &Path, seq: u64) -> Result<Vec<u8>, StorageError> {
     let path = checkpoint_path(dir, seq);
     let mut bytes = Vec::new();
     File::open(&path)

@@ -5,7 +5,7 @@
 //! `clippy::iter_over_hash_type`, the `engine`, `service` and `net` crate
 //! roots deny `unwrap_used` / `expect_used`, and the `clippy.toml` files'
 //! `disallowed-methods` / `disallowed-types` lists keep `std::fs` in the
-//! storage backend and WAL, sockets in `crates/net`, raw `std::sync` /
+//! storage crate's WAL, sockets in `crates/net`, raw `std::sync` /
 //! `std::thread` out of `service` and `net`, and hasher-order iteration out
 //! of everything. The rules left are the ones no lint configuration can
 //! express:
