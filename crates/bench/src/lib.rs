@@ -24,6 +24,9 @@
 //! (`benchmark/`, declared in `BENCHMARK.json`).
 
 #![warn(missing_docs)]
+// No `unused_crate_dependencies` here, unlike every other library crate
+// root: the package's bins and benches use dependencies its lib does not,
+// and the lint would flag those from the lib.
 
 mod params;
 mod report;

@@ -58,6 +58,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![cfg_attr(not(test), warn(unused_crate_dependencies))]
 
 mod brute;
 mod chain;

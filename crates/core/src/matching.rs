@@ -2,11 +2,10 @@
 
 use crate::problem::{FunctionId, Problem};
 use pref_rtree::RecordId;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// One assigned function-object pair with its score.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MatchPair {
     /// The assigned preference function (user).
     pub function: FunctionId,
@@ -18,7 +17,7 @@ pub struct MatchPair {
 
 /// A complete assignment: the list of matched pairs in the order they were
 /// established (descending score for a stable assignment).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Assignment {
     pairs: Vec<MatchPair>,
 }
@@ -80,23 +79,27 @@ impl Assignment {
             .collect()
     }
 
-    /// Sum of the scores of all pairs (a common quality measure).
-    pub fn total_score(&self) -> f64 {
-        self.pairs.iter().map(|p| p.score).sum()
-    }
-
     /// Multiset of (function, object, rounded score) triples, independent of
     /// assignment order; used to compare algorithms that may emit pairs in
     /// different orders.
     pub fn canonical(&self) -> Vec<(usize, u64, u64)> {
-        let mut v: Vec<(usize, u64, u64)> = self
-            .pairs
-            .iter()
-            .map(|p| (p.function.0, p.object.0, (p.score * 1e9).round() as u64))
-            .collect();
-        v.sort_unstable();
-        v
+        canonical_of(self.pairs.iter().map(|p| (p.function, p.object, p.score)))
     }
+}
+
+/// The canonical encoding of a matching given as `(function, object, score)`
+/// triples: each becomes `(function, object, (score · 1e9).round())`, and
+/// the list is sorted. [`Assignment::canonical`] and
+/// [`crate::AssignmentView::canonical`] both call this, so the two encodings
+/// cannot drift apart.
+pub(crate) fn canonical_of(
+    pairs: impl Iterator<Item = (FunctionId, RecordId, f64)>,
+) -> Vec<(usize, u64, u64)> {
+    let mut v: Vec<(usize, u64, u64)> = pairs
+        .map(|(f, o, score)| (f.0, o.0, (score * 1e9).round() as u64))
+        .collect();
+    v.sort_unstable();
+    v
 }
 
 /// A violation of the stable-assignment property.
@@ -306,7 +309,6 @@ mod tests {
         verify_stable(&p, &a).unwrap();
         assert_eq!(a.len(), 3);
         assert!(!a.is_empty());
-        assert!(a.total_score() > 0.0);
         assert_eq!(a.object_of(FunctionId(0)), Some(RecordId(2)));
         assert_eq!(a.functions_of(RecordId(1)), vec![FunctionId(1)]);
     }

@@ -2,13 +2,12 @@
 
 use crate::matching::Assignment;
 use pref_storage::IoStats;
-use serde::{Deserialize, Serialize};
 use std::time::Duration;
 
 /// Measurements collected while an assignment algorithm runs; these are the
 /// three factors the paper's evaluation reports (Section 7): I/O cost, CPU
 /// cost and the maximum memory consumed by search structures.
-#[derive(Debug, Default, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Copy)]
 pub struct RunMetrics {
     /// I/O performed on the object R-tree (the paper's headline metric).
     pub object_io: IoStats,
@@ -26,7 +25,6 @@ pub struct RunMetrics {
     /// a CPU measure when runs execute concurrently or when the assignment
     /// engine batches repair work between reads — treat it as elapsed time,
     /// not as a cross-thread CPU total.
-    #[serde(with = "duration_serde")]
     pub cpu_time: Duration,
     /// Peak size of the algorithm's search structures, in bytes.
     pub peak_memory_bytes: u64,
@@ -81,20 +79,6 @@ pub struct AssignmentResult {
     pub metrics: RunMetrics,
 }
 
-mod duration_serde {
-    use serde::{Deserialize, Deserializer, Serialize, Serializer};
-    use std::time::Duration;
-
-    pub fn serialize<S: Serializer>(d: &Duration, s: S) -> Result<S::Ok, S::Error> {
-        d.as_secs_f64().serialize(s)
-    }
-
-    pub fn deserialize<'de, D: Deserializer<'de>>(d: D) -> Result<Duration, D::Error> {
-        let secs = f64::deserialize(d)?;
-        Ok(Duration::from_secs_f64(secs))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -111,18 +95,5 @@ mod tests {
         assert!((m.cpu_seconds() - 1.5).abs() < 1e-9);
         let text = m.to_string();
         assert!(text.contains("io=120"));
-    }
-
-    #[test]
-    fn serde_round_trip() {
-        let m = RunMetrics {
-            cpu_time: Duration::from_millis(250),
-            loops: 7,
-            ..Default::default()
-        };
-        let json = serde_json::to_string(&m).unwrap();
-        let back: RunMetrics = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.loops, 7);
-        assert!((back.cpu_seconds() - 0.25).abs() < 1e-9);
     }
 }

@@ -2,11 +2,10 @@
 
 use pref_geom::{LinearFunction, Point};
 use pref_rtree::{RTree, RTreeConfig, RecordId};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Identifier of a preference function (a user / query).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct FunctionId(pub usize);
 
 impl std::fmt::Display for FunctionId {
@@ -289,12 +288,12 @@ impl Problem {
     }
 
     /// Total demand: the sum of function capacities.
-    pub fn total_function_capacity(&self) -> u64 {
+    pub(crate) fn total_function_capacity(&self) -> u64 {
         self.functions.iter().map(|f| f.capacity as u64).sum()
     }
 
     /// Total supply: the sum of object capacities.
-    pub fn total_object_capacity(&self) -> u64 {
+    pub(crate) fn total_object_capacity(&self) -> u64 {
         self.objects.iter().map(|o| o.capacity as u64).sum()
     }
 
@@ -327,7 +326,7 @@ impl Problem {
     /// state in contiguous `Vec` slabs. Compact id spaces resolve with one
     /// array read, sparse ones with one hash lookup.
     #[inline]
-    pub fn object_index(&self, id: RecordId) -> Option<usize> {
+    pub(crate) fn object_index(&self, id: RecordId) -> Option<usize> {
         self.object_index.get(id)
     }
 

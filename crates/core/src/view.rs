@@ -17,7 +17,7 @@
 //! emits exactly the same multiset encoding as [`Assignment::canonical`], so
 //! views and assignments are directly comparable.
 
-use crate::matching::Assignment;
+use crate::matching::{canonical_of, Assignment};
 use crate::problem::FunctionId;
 use pref_rtree::RecordId;
 use std::collections::HashMap;
@@ -71,7 +71,6 @@ pub struct AssignmentView {
     /// `(dense function index, score)`, grouped by object, each group sorted
     /// by descending score (ties: ascending function index).
     o_pairs: Vec<(u32, f64)>,
-    total_score: f64,
 }
 
 impl AssignmentView {
@@ -102,13 +101,11 @@ impl AssignmentView {
         let mut translated = Vec::with_capacity(pairs.len());
         let mut f_counts = vec![0u32; functions.len()];
         let mut o_counts = vec![0u32; objects.len()];
-        let mut total_score = 0.0;
         for &(f, o, score) in pairs {
             let fi = *f_index.get(&f).ok_or(ViewError::UnknownFunction(f))?;
             let oi = *o_index.get(&o).ok_or(ViewError::UnknownObject(o))?;
             f_counts[fi as usize] += 1;
             o_counts[oi as usize] += 1;
-            total_score += score;
             translated.push((fi, oi, score));
         }
         let f_offsets = prefix_sums(&f_counts);
@@ -151,7 +148,6 @@ impl AssignmentView {
             f_pairs,
             o_offsets,
             o_pairs,
-            total_score,
         })
     }
 
@@ -173,11 +169,6 @@ impl AssignmentView {
     /// `true` when no pair is matched.
     pub fn is_empty(&self) -> bool {
         self.f_pairs.is_empty()
-    }
-
-    /// Sum of all pair scores.
-    pub fn total_score(&self) -> f64 {
-        self.total_score
     }
 
     /// The objects assigned to a function, best score first — `None` for a
@@ -208,19 +199,12 @@ impl AssignmentView {
     /// in sorted order. Two matchings are "the same" across the repo exactly
     /// when their canonical forms are equal.
     pub fn canonical(&self) -> Vec<(usize, u64, u64)> {
-        let mut v: Vec<(usize, u64, u64)> = Vec::with_capacity(self.f_pairs.len());
-        for (fi, &f) in self.functions.iter().enumerate() {
+        canonical_of(self.functions.iter().enumerate().flat_map(|(fi, &f)| {
             let range = self.f_offsets[fi] as usize..self.f_offsets[fi + 1] as usize;
-            for &(oi, score) in &self.f_pairs[range] {
-                v.push((
-                    f.0,
-                    self.objects[oi as usize].0,
-                    (score * 1e9).round() as u64,
-                ));
-            }
-        }
-        v.sort_unstable();
-        v
+            self.f_pairs[range]
+                .iter()
+                .map(move |&(oi, score)| (f, self.objects[oi as usize], score))
+        }))
     }
 
     /// Materializes the view back into an [`Assignment`] (pairs in function
@@ -324,7 +308,6 @@ mod tests {
         let view = AssignmentView::from_pairs(fs, os, &sample_pairs()).unwrap();
         assert_eq!(view.len(), 3);
         assert!(!view.is_empty());
-        assert!((view.total_score() - 2.0).abs() < 1e-12);
 
         // function 0 holds two pairs, best first
         let got: Vec<_> = view.objects_of(FunctionId(0)).unwrap().collect();

@@ -18,6 +18,7 @@
 //! All generators are deterministic given a seed.
 
 #![warn(missing_docs)]
+#![cfg_attr(not(test), warn(unused_crate_dependencies))]
 
 mod functions;
 mod objects;
@@ -30,7 +31,6 @@ pub use functions::{
 };
 pub use objects::{anti_correlated_objects, correlated_objects, independent_objects};
 pub use real_like::{nba_like_objects, zillow_like_objects, NBA_DIMS, NBA_SIZE, ZILLOW_DIMS};
-pub use rng_ext::standard_normal;
 pub use stream::{update_stream, UpdateEvent, UpdateStreamConfig};
 
 use pref_geom::Point;

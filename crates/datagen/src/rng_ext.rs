@@ -7,7 +7,7 @@ use rand::Rng;
 /// Implemented locally to avoid pulling in `rand_distr` for a single
 /// distribution: the workspace builds offline from the vendored crates in
 /// `vendor/`, and `rand_distr` is not among them.
-pub fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
+pub(crate) fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
     loop {
         let u1: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
         let u2: f64 = rng.gen_range(0.0..1.0);

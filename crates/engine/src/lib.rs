@@ -67,6 +67,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![cfg_attr(not(test), warn(unused_crate_dependencies))]
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
 mod engine;

@@ -15,11 +15,11 @@ pub fn normalize_weights(weights: &[f64]) -> GeomResult<Vec<f64>> {
 
 /// Normalizes a weight vector in place so the weights sum to one.
 ///
-/// The allocation-free variant of [`normalize_weights`] for hot loops
-/// (workload generators, reverse-search query construction): the caller's
-/// buffer is validated and rescaled without any intermediate vector. On error
-/// the buffer is left untouched.
-pub fn normalize_weights_in_place(weights: &mut [f64]) -> GeomResult<()> {
+/// The allocation-free variant of [`normalize_weights`], which
+/// [`LinearFunction::new`] runs on the vector it already owns: the buffer is
+/// validated and rescaled without any intermediate vector. On error the
+/// buffer is left untouched.
+pub(crate) fn normalize_weights_in_place(weights: &mut [f64]) -> GeomResult<()> {
     let sum = checked_sum(weights)?;
     if sum <= 0.0 {
         return Err(GeomError::InvalidWeights("weights sum to zero".into()));
@@ -165,7 +165,7 @@ impl LinearFunction {
     /// effective row, so scalar and batch scoring share one floating-point
     /// summation order (see the kernel module's determinism contract).
     #[inline]
-    pub fn score_coords(&self, coords: &[f64]) -> f64 {
+    pub(crate) fn score_coords(&self, coords: &[f64]) -> f64 {
         crate::kernel::dot(&self.effective, coords)
     }
 

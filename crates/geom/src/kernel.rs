@@ -564,7 +564,7 @@ impl ScoreTable {
 
     /// Scores one coordinate slice with row `fi` (canonical scalar order).
     #[inline]
-    pub fn score_coords(&self, fi: usize, coords: &[f64]) -> f64 {
+    pub(crate) fn score_coords(&self, fi: usize, coords: &[f64]) -> f64 {
         dot(&self.weights[fi], coords)
     }
 

@@ -23,6 +23,7 @@
 //! by the caller), but [`Point::SKY_COORD`] documents the convention.
 
 #![warn(missing_docs)]
+#![cfg_attr(not(test), warn(unused_crate_dependencies))]
 
 pub mod edr;
 mod function;
@@ -30,7 +31,7 @@ pub mod kernel;
 mod mbr;
 mod point;
 
-pub use function::{normalize_weights, normalize_weights_in_place, LinearFunction};
+pub use function::{normalize_weights, LinearFunction};
 pub use kernel::{ScoreTable, SoaBlock};
 pub use mbr::Mbr;
 pub use point::{Dominance, Point};

@@ -3,14 +3,13 @@
 //! is a dominance scan of the best corner (`kernel::first_dominator_from`).
 
 use crate::{GeomError, GeomResult, LinearFunction, Point};
-use serde::{Deserialize, Serialize};
 
 /// An axis-aligned minimum bounding rectangle in the preference space.
 ///
 /// The *top corner* (`upper`) is the best possible object inside the MBR under
 /// any monotone preference function; it drives both BBS ordering (L1 distance
 /// to the sky point) and BRS ordering (`maxscore`).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Mbr {
     lower: Box<[f64]>,
     upper: Box<[f64]>,
@@ -65,25 +64,6 @@ impl Mbr {
         }
     }
 
-    /// The smallest MBR covering a non-empty set of points.
-    ///
-    /// # Panics
-    /// Panics if `points` is empty.
-    pub fn covering_points<'a, I>(points: I) -> Self
-    where
-        I: IntoIterator<Item = &'a Point>,
-    {
-        let mut iter = points.into_iter();
-        let first = iter
-            .next()
-            .expect("covering_points requires at least one point");
-        let mut mbr = Self::from_point(first);
-        for p in iter {
-            mbr.expand_to_point(p);
-        }
-        mbr
-    }
-
     /// Number of dimensions.
     #[inline]
     pub fn dims(&self) -> usize {
@@ -109,21 +89,8 @@ impl Mbr {
     }
 
     /// Worst corner as a [`Point`].
-    pub fn bottom_corner(&self) -> Point {
+    pub(crate) fn bottom_corner(&self) -> Point {
         Point::from_slice(&self.lower)
-    }
-
-    /// Grows the MBR so it also covers `p`.
-    pub fn expand_to_point(&mut self, p: &Point) {
-        debug_assert_eq!(self.dims(), p.dims());
-        for (dim, &c) in p.coords().iter().enumerate() {
-            if c < self.lower[dim] {
-                self.lower[dim] = c;
-            }
-            if c > self.upper[dim] {
-                self.upper[dim] = c;
-            }
-        }
     }
 
     /// Grows the MBR so it also covers `other`.
@@ -231,12 +198,6 @@ impl Mbr {
         )
     }
 
-    /// L1 distance from the best corner to the sky point; BBS de-heaps entries
-    /// in ascending order of this value.
-    pub fn l1_dist_to_sky(&self) -> f64 {
-        Point::l1_dist_to_sky_coords(&self.upper)
-    }
-
     /// Upper bound of `f(o)` over every possible object `o` inside the MBR
     /// (the score of the best corner). BRS visits entries in descending order
     /// of this value.
@@ -282,7 +243,10 @@ mod tests {
     #[test]
     fn covering_points_and_union() {
         let pts = [p(&[0.1, 0.9]), p(&[0.5, 0.2]), p(&[0.3, 0.4])];
-        let m = Mbr::covering_points(pts.iter());
+        let mut m = Mbr::from_point(&pts[0]);
+        for q in &pts[1..] {
+            m.expand_to_mbr(&Mbr::from_point(q));
+        }
         assert_eq!(m.lower(), &[0.1, 0.2]);
         assert_eq!(m.upper(), &[0.5, 0.9]);
         for q in &pts {
@@ -332,7 +296,7 @@ mod tests {
     fn center_and_sky_distance() {
         let m = Mbr::new(vec![0.2, 0.4], vec![0.6, 0.8]).unwrap();
         assert_eq!(m.center().coords(), &[0.4, 0.6000000000000001]);
-        assert!((m.l1_dist_to_sky() - (0.4 + 0.2)).abs() < 1e-12);
+        assert!((Point::l1_dist_to_sky_coords(m.upper()) - (0.4 + 0.2)).abs() < 1e-12);
     }
 
     #[test]

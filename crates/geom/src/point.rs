@@ -1,7 +1,6 @@
 //! `D`-dimensional points and dominance tests.
 
 use crate::{GeomError, GeomResult};
-use serde::{Deserialize, Serialize};
 
 /// Result of a pairwise dominance comparison between two points.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -21,7 +20,7 @@ pub enum Dominance {
 /// Coordinates follow the paper's convention that **larger values are
 /// better** in every dimension; the sky point (most preferable imaginary
 /// object) is the all-[`Point::SKY_COORD`] vector.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Point {
     coords: Box<[f64]>,
 }
@@ -67,13 +66,6 @@ impl Point {
     pub fn sky(dims: usize) -> Self {
         Self {
             coords: vec![Self::SKY_COORD; dims].into_boxed_slice(),
-        }
-    }
-
-    /// The origin (all coordinates zero), i.e. the least preferable object.
-    pub fn origin(dims: usize) -> Self {
-        Self {
-            coords: vec![0.0; dims].into_boxed_slice(),
         }
     }
 
@@ -142,14 +134,9 @@ impl Point {
         matches!(self.compare(other), Dominance::Dominates | Dominance::Equal)
     }
 
-    /// L1 (Manhattan) distance from this point to the sky point. BBS visits
-    /// entries in ascending order of this distance.
-    pub fn l1_dist_to_sky(&self) -> f64 {
-        Self::l1_dist_to_sky_coords(&self.coords)
-    }
-
-    /// [`Point::l1_dist_to_sky`] of a borrowed coordinate slice, for callers
-    /// that have a corner's coordinates but no `Point` (same summation).
+    /// L1 (Manhattan) distance from a point's coordinates to the sky point.
+    /// BBS visits entries in ascending order of this distance, taken at each
+    /// entry's best corner.
     pub fn l1_dist_to_sky_coords(coords: &[f64]) -> f64 {
         coords.iter().map(|&c| (Self::SKY_COORD - c).max(0.0)).sum()
     }
@@ -197,13 +184,13 @@ mod tests {
     #[test]
     fn sky_and_origin() {
         let s = Point::sky(3);
-        let o = Point::origin(3);
+        let o = Point::from_slice(&[0.0, 0.0, 0.0]);
         assert_eq!(s.coords(), &[1.0, 1.0, 1.0]);
         assert_eq!(o.coords(), &[0.0, 0.0, 0.0]);
         assert!(s.dominates(&o));
         assert!(!o.dominates(&s));
-        assert_eq!(s.l1_dist_to_sky(), 0.0);
-        assert_eq!(o.l1_dist_to_sky(), 3.0);
+        assert_eq!(Point::l1_dist_to_sky_coords(s.coords()), 0.0);
+        assert_eq!(Point::l1_dist_to_sky_coords(o.coords()), 3.0);
     }
 
     #[test]
@@ -287,7 +274,10 @@ mod tests {
             let pa = Point::new(a).unwrap();
             let pb = Point::new(b).unwrap();
             if pa.dominates(&pb) {
-                prop_assert!(pa.l1_dist_to_sky() <= pb.l1_dist_to_sky());
+                prop_assert!(
+                    Point::l1_dist_to_sky_coords(pa.coords())
+                        <= Point::l1_dist_to_sky_coords(pb.coords())
+                );
             }
         }
     }

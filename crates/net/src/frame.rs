@@ -153,7 +153,7 @@ impl FrameError {
     /// True for failures that poison the framing itself: after one of
     /// these the byte stream cannot be trusted to contain frame boundaries,
     /// so the server answers [`ERR_BAD_FRAME`] and drops the connection.
-    pub fn poisons_connection(&self) -> bool {
+    pub(crate) fn poisons_connection(&self) -> bool {
         matches!(
             self,
             FrameError::TooSmall(_) | FrameError::TooLarge(_) | FrameError::BadChecksum { .. }
@@ -176,7 +176,7 @@ pub fn encode(frame: &Frame, out: &mut Vec<u8>) {
 
 /// Writes one frame to `w` (single `write_all`; no partial frames on the
 /// wire unless the transport itself tears).
-pub fn write_frame(w: &mut impl Write, frame: &Frame) -> std::io::Result<()> {
+pub(crate) fn write_frame(w: &mut impl Write, frame: &Frame) -> std::io::Result<()> {
     let mut buf = Vec::with_capacity(4 + MIN_FRAME as usize + frame.payload.len());
     encode(frame, &mut buf);
     w.write_all(&buf)

@@ -36,6 +36,7 @@
 //! composes across connections.
 
 #![warn(missing_docs)]
+#![cfg_attr(not(test), warn(unused_crate_dependencies))]
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod admission;

@@ -2,11 +2,10 @@
 
 use pref_geom::{Mbr, Point};
 use pref_storage::PageId;
-use serde::{Deserialize, Serialize};
 
 /// Identifier of a data record (an object of the set `O`, or a preference
 /// function when the tree indexes weight vectors for the Chain algorithm).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct RecordId(pub u64);
 
 impl RecordId {
@@ -24,7 +23,7 @@ impl std::fmt::Display for RecordId {
 
 /// A leaf-level data entry: a point plus the identifier of the record it
 /// represents.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DataEntry {
     /// The record's feature vector.
     pub point: Point,
@@ -41,7 +40,7 @@ impl DataEntry {
 
 /// An entry stored inside an R-tree node: either a pointer to a child node
 /// (with the MBR of that child's subtree) or a data entry (in a leaf).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum NodeEntry {
     /// A child pointer in a non-leaf node.
     Child {
@@ -100,7 +99,7 @@ impl NodeEntry {
 }
 
 /// One R-tree node. Exactly one node is stored per simulated disk page.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Node {
     /// Level of the node: `0` for leaves, `height - 1` for the root of a
     /// multi-level tree.

@@ -28,6 +28,7 @@
 //! node accesses are charged as I/O.
 
 #![warn(missing_docs)]
+#![cfg_attr(not(test), warn(unused_crate_dependencies))]
 
 mod bulk;
 mod delete;

@@ -400,7 +400,7 @@ impl ShardDurability {
     /// while a population is empty (an engine cannot restore from an empty
     /// problem; the log keeps the full history until the populations refill).
     /// Returns the new checkpoint's sequence when one was written.
-    pub fn maybe_checkpoint(
+    pub(crate) fn maybe_checkpoint(
         &mut self,
         functions: &[PreferenceFunction],
         objects: &[ObjectRecord],
@@ -422,11 +422,6 @@ impl ShardDurability {
         wal::remove_generations_before(&self.dir, previous);
         self.last_checkpoint_seq = next_seq;
         Ok(Some(next_seq))
-    }
-
-    /// Sequence number of the newest checkpoint.
-    pub fn last_checkpoint_seq(&self) -> u64 {
-        self.last_checkpoint_seq
     }
 
     /// Sequence number the next logged batch will get.
@@ -689,7 +684,7 @@ mod tests {
         assert_eq!(rec.objects, objects());
         assert_eq!(rec.batches, vec![batch(), vec![]]);
         assert_eq!(rec.durability.next_seq(), 2);
-        assert_eq!(rec.durability.last_checkpoint_seq(), 0);
+        assert_eq!(rec.durability.last_checkpoint_seq, 0);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -725,7 +720,7 @@ mod tests {
         d.sync_for_ack().unwrap();
         drop(d);
         let rec = ShardDurability::recover(&dir, 2).unwrap();
-        assert_eq!(rec.durability.last_checkpoint_seq(), 4);
+        assert_eq!(rec.durability.last_checkpoint_seq, 4);
         assert_eq!(rec.batches.len(), 1);
         assert_eq!(rec.durability.next_seq(), 5);
         std::fs::remove_dir_all(&dir).ok();
@@ -775,7 +770,7 @@ mod tests {
         assert_eq!(err, StorageError::InUse(dir.clone()));
         // nothing was touched: the earlier run still recovers whole
         let rec = ShardDurability::recover(&dir, 2).unwrap();
-        assert_eq!(rec.durability.last_checkpoint_seq(), 2);
+        assert_eq!(rec.durability.last_checkpoint_seq, 2);
         assert_eq!(rec.functions, functions());
         std::fs::remove_dir_all(&dir).ok();
     }

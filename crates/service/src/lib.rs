@@ -83,6 +83,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![cfg_attr(not(test), warn(unused_crate_dependencies))]
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
 mod cell;

@@ -566,7 +566,7 @@ mod tests {
         while shard.latest().version() == v1 {
             std::thread::yield_now();
         }
-        assert_eq!(shard.latest().num_pairs(), 2);
+        assert_eq!(shard.latest().view().len(), 2);
         shard.close();
         shard.join().unwrap();
     }

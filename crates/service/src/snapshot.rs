@@ -83,11 +83,6 @@ impl AssignmentSnapshot {
         &self.objects
     }
 
-    /// Number of matched pairs.
-    pub fn num_pairs(&self) -> usize {
-        self.view.len()
-    }
-
     /// Rebuilds the exact [`Problem`] this snapshot's matching answers for
     /// (allocates; meant for verification, diagnostics and restarts — not
     /// the read hot path). `None` when a population is empty.
@@ -140,7 +135,7 @@ mod tests {
     fn snapshot_answers_point_lookups_and_verifies() {
         let snap = snapshot();
         assert_eq!(snap.version(), 1);
-        assert_eq!(snap.num_pairs(), 2);
+        assert_eq!(snap.view().len(), 2);
         assert_eq!(snap.functions().len(), 2);
         assert_eq!(snap.objects().len(), 3);
         snap.verify().unwrap();

@@ -29,6 +29,7 @@
 //! the lowest id, and a naive oracle for the tests.
 
 #![warn(missing_docs)]
+#![cfg_attr(not(test), warn(unused_crate_dependencies))]
 
 mod bbs;
 mod deltasky;

@@ -42,9 +42,9 @@ impl SkylineObject {
 ///
 /// Alongside the object vector the skyline maintains a columnar
 /// [`SoaBlock`] mirror of the object points (kept index-aligned through
-/// every insert and swap-removal), so the dominance pruning scans —
-/// [`Skyline::dominates_point`] and [`Skyline::attach_to_dominator`] — run
-/// as contiguous-lane kernel scans instead of chasing per-point heap boxes,
+/// every insert and swap-removal), so the dominance pruning scans (is a
+/// point dominated, which object takes a pruned entry) run as
+/// contiguous-lane kernel scans instead of chasing per-point heap boxes,
 /// and a record → row index, so [`Skyline::contains`], [`Skyline::get`],
 /// [`Skyline::get_mut`] and [`Skyline::remove`] are O(1) in the skyline size.
 /// A dominance scan reads one cut-code word per row it passes, plus `D`
@@ -84,7 +84,7 @@ impl Skyline {
     }
 
     /// Iterates over the skyline data entries.
-    pub fn data_entries(&self) -> impl Iterator<Item = &DataEntry> {
+    pub(crate) fn data_entries(&self) -> impl Iterator<Item = &DataEntry> {
         self.objects.iter().map(|o| &o.data)
     }
 
@@ -167,7 +167,7 @@ impl Skyline {
     /// remaining skyline object dominates it. The dominator lookup is a
     /// columnar kernel scan over the point mirror; the first-match semantics
     /// (row order) are those of the scalar scan.
-    pub fn attach_to_dominator(&mut self, entry: NodeEntry) -> Result<usize, NodeEntry> {
+    pub(crate) fn attach_to_dominator(&mut self, entry: NodeEntry) -> Result<usize, NodeEntry> {
         self.attach_to_dominator_from(entry, 0)
     }
 
@@ -209,7 +209,7 @@ impl Skyline {
 
     /// `true` iff some skyline object dominates the given point (a columnar
     /// kernel scan — the skyline pruning hot path).
-    pub fn dominates_point(&self, point: &pref_geom::Point) -> bool {
+    pub(crate) fn dominates_point(&self, point: &pref_geom::Point) -> bool {
         kernel::first_dominator(&self.soa, point.coords()).is_some()
     }
 
@@ -300,7 +300,7 @@ impl Skyline {
     /// [`Skyline::patch_page_delete`] to apply the full report in order.
     ///
     /// Returns the number of dropped page references.
-    pub fn patch_pages_freed(
+    pub(crate) fn patch_pages_freed(
         &mut self,
         freed_pages: &[PageId],
         reanchor: Vec<NodeEntry>,

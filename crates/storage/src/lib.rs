@@ -30,6 +30,7 @@
 //! file-descriptor lifetimes and fsync ordering auditable in one spot.
 
 #![warn(missing_docs)]
+#![cfg_attr(not(test), warn(unused_crate_dependencies))]
 
 mod error;
 mod lru;

@@ -6,8 +6,6 @@
 //! `sync_calls` as its `storage.sync_calls` metric; both go with that
 //! metric.
 
-use serde::{Deserialize, Serialize};
-
 /// Counters describing the I/O behaviour of a [`crate::PagedStore`].
 ///
 /// * a *logical read* is any node/page access performed by an algorithm;
@@ -17,7 +15,7 @@ use serde::{Deserialize, Serialize};
 /// * *physical writes* count page allocations and updates flushed to the
 ///   simulated disk (structure modifications by insert/delete);
 /// * *page writes* and *sync calls* are always zero (see the module docs).
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct IoStats {
     /// Total page accesses requested by algorithms.
     pub logical_reads: u64,
@@ -38,11 +36,9 @@ pub struct IoStats {
     /// Always zero: nothing increments it. Kept beside `sync_calls` until
     /// the benchmark's `storage.sync_calls` metric goes (see the module
     /// docs).
-    #[serde(default)]
     pub page_writes: u64,
     /// Always zero: nothing increments it. Kept only because the benchmark's
     /// `engine-churn` workload reports it as `storage.sync_calls`.
-    #[serde(default)]
     pub sync_calls: u64,
 }
 

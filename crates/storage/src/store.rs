@@ -1,10 +1,9 @@
 //! The paged store: an in-memory page table with an accounting LRU buffer.
 
 use crate::{IoStats, LruBuffer};
-use serde::{Deserialize, Serialize};
 
 /// Identifier of a page in a [`PagedStore`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct PageId(u64);
 
 impl PageId {

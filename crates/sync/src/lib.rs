@@ -72,6 +72,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![cfg_attr(not(test), warn(unused_crate_dependencies))]
 
 pub use std::sync::atomic::Ordering;
 

@@ -159,7 +159,7 @@ impl AliveFunctions {
     /// Exhaustive best function for an object: a scalar pass over the alive
     /// functions in index order. The reference every search is tested against
     /// — deliberately not routed through the block kernels.
-    pub fn best_by_scan(&self, object: &Point) -> Option<(usize, f64)> {
+    pub(crate) fn best_by_scan(&self, object: &Point) -> Option<(usize, f64)> {
         let mut best: Option<(usize, f64)> = None;
         for function in 0..self.total() {
             if !self.is_alive(function) {

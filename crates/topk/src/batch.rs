@@ -64,13 +64,8 @@ impl DiskFunctionLists {
     }
 
     /// Total number of blocks per list.
-    pub fn blocks_per_list(&self) -> usize {
+    pub(crate) fn blocks_per_list(&self) -> usize {
         self.functions().total().div_ceil(self.entries_per_block)
-    }
-
-    /// Number of list entries held by one 4 KiB block.
-    pub fn entries_per_block(&self) -> usize {
-        self.entries_per_block
     }
 
     /// Reads one block of a list sequentially (charged through the buffer) and
@@ -341,9 +336,11 @@ mod tests {
 
     #[test]
     fn entries_per_block_matches_page_size() {
-        let functions = random_functions(10, 2, 111);
-        let disk = DiskFunctionLists::new(&functions, 1);
-        assert_eq!(disk.entries_per_block(), 256);
-        assert_eq!(disk.blocks_per_list(), 1);
+        // one 4 KiB block holds 256 list entries
+        for (functions, blocks) in [(10, 1), (256, 1), (257, 2)] {
+            let functions = random_functions(functions, 2, 111);
+            let disk = DiskFunctionLists::new(&functions, 1);
+            assert_eq!(disk.blocks_per_list(), blocks);
+        }
     }
 }

@@ -15,7 +15,7 @@ use pref_geom::Point;
 ///
 /// Sorts the dimensions on every call; [`crate::ReverseTopOne`], which asks
 /// repeatedly for one object, sorts once and calls the fill directly.
-pub fn tight_threshold(object: &Point, last_seen: &[f64], budget: f64) -> f64 {
+pub(crate) fn tight_threshold(object: &Point, last_seen: &[f64], budget: f64) -> f64 {
     debug_assert_eq!(object.dims(), last_seen.len());
     threshold_in_order(object, &fill_order(object), budget, |dim| last_seen[dim])
 }

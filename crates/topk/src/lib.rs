@@ -14,8 +14,8 @@
 //!   `D` sorted coefficient lists over the index and, for a given skyline
 //!   object, the best remaining function is found with a threshold-algorithm
 //!   scan whose termination threshold is tightened by a fractional-knapsack
-//!   bound ([`tight_threshold`]), biased list probing, and a resumable,
-//!   capped candidate queue (the Ω technique). The paper's figures run it;
+//!   bound, biased list probing, and a resumable, capped candidate queue
+//!   (the Ω technique). The paper's figures run it;
 //! * **reverse top-1 by scan** ([`ScanTopOne`]) — SB's default search: one
 //!   columnar pass over the [`AliveFunctions`] block, whose best few rows
 //!   answer the following calls until all of them have died. It needs no
@@ -28,6 +28,7 @@
 //!   as TA's do.
 
 #![warn(missing_docs)]
+#![cfg_attr(not(test), warn(unused_crate_dependencies))]
 
 mod alive;
 mod batch;
@@ -42,7 +43,6 @@ pub use alive::AliveFunctions;
 pub use batch::{batch_best_functions, DiskFunctionLists};
 pub use brs::{top_k, RankedSearch};
 pub use kept::{KeptRows, KEPT_ROWS};
-pub use knapsack::tight_threshold;
 pub use lists::FunctionLists;
 pub use reverse::{best_function_scan, ReverseTopOne};
 pub use scan::ScanTopOne;

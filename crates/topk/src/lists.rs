@@ -75,7 +75,7 @@ impl FunctionLists {
     /// Scans list `dim` starting at `cursor`, skipping removed functions, and
     /// returns `(next_cursor, coefficient, function)` for the first alive
     /// entry, or `None` if the list is exhausted.
-    pub fn next_alive(&self, dim: usize, mut cursor: usize) -> Option<(usize, f64, usize)> {
+    pub(crate) fn next_alive(&self, dim: usize, mut cursor: usize) -> Option<(usize, f64, usize)> {
         let list = &self.lists[dim];
         while cursor < list.len() {
             let (coeff, func) = list[cursor];
@@ -89,7 +89,7 @@ impl FunctionLists {
 
     /// The raw list for a dimension (including removed functions); used by the
     /// batch scanner, which performs its own skipping.
-    pub fn raw_list(&self, dim: usize) -> &[(f64, usize)] {
+    pub(crate) fn raw_list(&self, dim: usize) -> &[(f64, usize)] {
         &self.lists[dim]
     }
 }

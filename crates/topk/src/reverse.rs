@@ -2,7 +2,7 @@
 //!
 //! The search is the paper's adaptation of the threshold algorithm (Section
 //! 5.1): the roles of objects and functions are swapped, the termination
-//! threshold is the fractional-knapsack bound of [`crate::tight_threshold`],
+//! threshold is the fractional-knapsack bound of [`crate::knapsack::tight_threshold`],
 //! lists are probed in a biased order (largest `l_i · o_i` first), and the
 //! state is kept so it can *resume* when the object's best function is
 //! assigned to another object. The candidate queue is capped at `Ω = ω · |F|`;

@@ -45,8 +45,7 @@
 //! ```
 
 #![warn(missing_docs)]
-
-pub mod io;
+#![cfg_attr(not(test), warn(unused_crate_dependencies))]
 
 pub use pref_assign as assign;
 pub use pref_datagen as datagen;

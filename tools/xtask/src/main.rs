@@ -251,7 +251,7 @@ mod tests {
             "Cargo.toml",
             "crates/engine/Cargo.toml",
             "tools/xtask/Cargo.toml",
-            "src/io.rs",
+            "src/lib.rs",
             "tests/stable_matching.rs",
             "examples/quickstart.rs",
             "crates/service/tests/stress_service.rs",
