@@ -117,14 +117,6 @@ impl Node {
         }
     }
 
-    /// Creates a leaf node holding the given data entries.
-    pub fn leaf(entries: Vec<DataEntry>) -> Self {
-        Self {
-            level: 0,
-            entries: entries.into_iter().map(NodeEntry::Data).collect(),
-        }
-    }
-
     /// Number of entries.
     pub fn len(&self) -> usize {
         self.entries.len()
@@ -184,9 +176,10 @@ mod tests {
 
     #[test]
     fn node_mbr_covers_entries() {
-        let node = Node::leaf(vec![
-            DataEntry::new(RecordId(0), p(&[0.1, 0.9])),
-            DataEntry::new(RecordId(1), p(&[0.7, 0.3])),
+        let mut node = Node::new(0);
+        node.entries.extend([
+            NodeEntry::Data(DataEntry::new(RecordId(0), p(&[0.1, 0.9]))),
+            NodeEntry::Data(DataEntry::new(RecordId(1), p(&[0.7, 0.3]))),
         ]);
         assert_eq!(node.level, 0);
         assert_eq!(node.len(), 2);

@@ -1,8 +1,8 @@
-//! Queries: range search, point lookup, full scan, nearest-to-sky helpers.
+//! Queries: range search and full scan.
 
-use crate::entry::{DataEntry, NodeEntry, RecordId};
+use crate::entry::{DataEntry, NodeEntry};
 use crate::tree::RTree;
-use pref_geom::{Mbr, Point};
+use pref_geom::Mbr;
 
 impl RTree {
     /// Returns every data entry whose point lies inside `range`
@@ -31,19 +31,6 @@ impl RTree {
         out
     }
 
-    /// Looks up a specific record at a specific location; charges I/O.
-    pub fn lookup(&mut self, record: RecordId, point: &Point) -> Option<DataEntry> {
-        let range = Mbr::from_point(point);
-        self.range_query(&range)
-            .into_iter()
-            .find(|d| d.record == record)
-    }
-
-    /// `true` iff the record exists at `point`; charges I/O.
-    pub fn contains(&mut self, record: RecordId, point: &Point) -> bool {
-        self.lookup(record, point).is_some()
-    }
-
     /// Returns every data entry by scanning the whole tree; charges I/O.
     pub fn scan(&mut self) -> Vec<DataEntry> {
         let whole = Mbr::new(vec![f64::MIN; self.dims()], vec![f64::MAX; self.dims()])
@@ -55,7 +42,9 @@ impl RTree {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::entry::RecordId;
     use crate::tree::RTreeConfig;
+    use pref_geom::Point;
     use rand::{rngs::StdRng, Rng, SeedableRng};
 
     fn build(n: u64, dims: usize, seed: u64, fanout: usize) -> (RTree, Vec<(RecordId, Point)>) {
@@ -115,15 +104,6 @@ mod tests {
         let mut tree = RTree::with_dims(2);
         let range = Mbr::new(vec![0.0, 0.0], vec![1.0, 1.0]).unwrap();
         assert!(tree.range_query(&range).is_empty());
-    }
-
-    #[test]
-    fn lookup_and_contains() {
-        let (mut tree, recs) = build(300, 2, 14, 8);
-        let (r, p) = &recs[123];
-        assert!(tree.contains(*r, p));
-        assert_eq!(tree.lookup(*r, p).unwrap().record, *r);
-        assert!(!tree.contains(RecordId(999_999), p));
     }
 
     #[test]

@@ -41,11 +41,11 @@
 //! byte-identical canonical matching — see the `durability` module and the
 //! README's "Durability" section for the crash-consistency model.
 //!
-//! All synchronization goes through the [`pref_sync`] shim: zero-cost std
-//! passthroughs in normal builds, and — in test builds, which enable the
-//! shim's `model` feature — a deterministic model-checking scheduler that the
-//! `model_tests` module uses to systematically explore interleavings of the
-//! cell/queue/shard protocols and check happens-before invariants on each.
+//! All synchronization goes through the [`pref_sync`] shim: std primitives
+//! on ordinary threads, and inside a model run a deterministic
+//! model-checking scheduler that the `model_tests` module uses to
+//! systematically explore interleavings of the cell/queue/shard protocols
+//! and check happens-before invariants on each.
 //!
 //! # Quick start
 //!

@@ -1,8 +1,7 @@
 //! Model-checked scenario tests for the serving tier's concurrency protocols.
 //!
 //! Each test runs a small fixed scenario under `pref_sync`'s deterministic
-//! scheduler (`cargo test` builds enable the shim's `model` feature), which
-//! explores interleavings via seeded random walks or bounded-preemption DFS
+//! scheduler, which explores interleavings via seeded random walks or bounded-preemption DFS
 //! and checks happens-before invariants on every run. Set `MODEL_ITERS` /
 //! `MODEL_SEED` to widen a search or reproduce a reported failure; failing
 //! traces land in `target/model-traces` (override with `MODEL_TRACE_DIR`).

@@ -15,6 +15,14 @@ pub enum StorageError {
     /// A directory that must start empty already holds durable state (a log
     /// segment or a checkpoint of an earlier run). Nothing in it was touched.
     InUse(PathBuf),
+    /// A log record longer than the reader accepts was refused before a byte
+    /// of it was written.
+    RecordTooLarge {
+        /// The refused payload's length in bytes.
+        len: usize,
+        /// The longest payload a log record may carry.
+        max: usize,
+    },
 }
 
 impl fmt::Display for StorageError {
@@ -26,6 +34,10 @@ impl fmt::Display for StorageError {
                 f,
                 "{} already holds a log or checkpoint of an earlier run",
                 dir.display()
+            ),
+            StorageError::RecordTooLarge { len, max } => write!(
+                f,
+                "log record of {len} bytes refused: records carry at most {max}"
             ),
         }
     }

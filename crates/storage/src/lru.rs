@@ -51,21 +51,6 @@ impl LruBuffer {
         self.capacity
     }
 
-    /// Number of pages currently resident.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// `true` when no pages are resident.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-
-    /// `true` iff the page is currently resident (does not touch recency).
-    pub fn contains(&self, page: PageId) -> bool {
-        self.map.contains_key(&page)
-    }
-
     /// Records an access to `page`; returns `true` on a buffer hit and
     /// `false` on a miss (after which the page becomes resident, possibly
     /// evicting the least recently used page).
@@ -200,7 +185,7 @@ mod tests {
         let mut b = LruBuffer::new(0);
         assert!(!b.access(pid(1)));
         assert!(!b.access(pid(1)));
-        assert!(b.is_empty());
+        assert!(b.resident_mru_order().is_empty());
     }
 
     #[test]
@@ -208,9 +193,7 @@ mod tests {
         let mut b = LruBuffer::new(2);
         assert!(!b.access(pid(1)));
         assert!(b.access(pid(1)));
-        assert_eq!(b.len(), 1);
-        assert!(b.contains(pid(1)));
-        assert!(!b.contains(pid(2)));
+        assert_eq!(b.resident_mru_order(), vec![pid(1)]);
     }
 
     #[test]
@@ -221,9 +204,6 @@ mod tests {
         // touch 1 so 2 becomes the LRU victim
         assert!(b.access(pid(1)));
         assert!(!b.access(pid(3))); // evicts 2
-        assert!(b.contains(pid(1)));
-        assert!(!b.contains(pid(2)));
-        assert!(b.contains(pid(3)));
         assert_eq!(b.resident_mru_order(), vec![pid(3), pid(1)]);
     }
 
@@ -233,9 +213,9 @@ mod tests {
         b.access(pid(7));
         assert!(b.invalidate(pid(7)));
         assert!(!b.invalidate(pid(7)));
-        assert!(b.is_empty());
+        assert!(b.resident_mru_order().is_empty());
         assert!(!b.access(pid(8)));
-        assert!(b.contains(pid(8)));
+        assert_eq!(b.resident_mru_order(), vec![pid(8)]);
     }
 
     #[test]
@@ -245,10 +225,8 @@ mod tests {
             b.access(pid(i));
         }
         b.set_capacity(2);
-        assert_eq!(b.len(), 2);
         // the two most recently used remain
-        assert!(b.contains(pid(2)));
-        assert!(b.contains(pid(3)));
+        assert_eq!(b.resident_mru_order(), vec![pid(3), pid(2)]);
         assert_eq!(b.capacity(), 2);
     }
 

@@ -41,8 +41,9 @@ const CHECKPOINT_MAGIC: &[u8; 8] = b"FAIRCKP1";
 /// Size of a log record header: length (u32) + sequence (u64) + crc (u64).
 const RECORD_HEADER: usize = 4 + 8 + 8;
 
-/// Largest record payload accepted on read; guards recovery against a
-/// corrupted length field asking for gigabytes.
+/// Largest record payload: the reader stops at a longer length field (a
+/// guard against a corrupted one asking for gigabytes), so the writer
+/// refuses to append one.
 const MAX_RECORD_LEN: usize = 64 * 1024 * 1024;
 
 fn io_err(op: &str, path: &Path, e: &std::io::Error) -> StorageError {
@@ -196,7 +197,17 @@ impl WalWriter {
     /// Appends one record and returns its sequence number. The record is in
     /// the OS page cache after this call; it is durable only after
     /// [`WalWriter::sync`].
+    ///
+    /// A payload over the record limit fails with
+    /// [`StorageError::RecordTooLarge`] and writes nothing: recovery would
+    /// drop it and every record after it.
     pub fn append(&mut self, payload: &[u8]) -> Result<u64, StorageError> {
+        if payload.len() > MAX_RECORD_LEN {
+            return Err(StorageError::RecordTooLarge {
+                len: payload.len(),
+                max: MAX_RECORD_LEN,
+            });
+        }
         let seq = self.next_seq;
         let seq_bytes = seq.to_le_bytes();
         let mut crc_input = Vec::with_capacity(8 + payload.len());
@@ -584,6 +595,34 @@ mod tests {
                 (1, b"bbbb".to_vec()),
                 (2, b"cccc".to_vec())
             ]
+        );
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn an_oversized_record_is_refused_before_a_byte_is_written() {
+        let dir = temp_dir("oversized");
+        let mut w = WalWriter::create(&dir, 3).unwrap();
+        w.append(b"head").unwrap();
+        let path = segment_path(&dir, 3);
+        let len_before = fs::metadata(&path).unwrap().len();
+        let err = w.append(&vec![0; MAX_RECORD_LEN + 1]).unwrap_err();
+        assert_eq!(
+            err,
+            StorageError::RecordTooLarge {
+                len: MAX_RECORD_LEN + 1,
+                max: MAX_RECORD_LEN
+            }
+        );
+        assert_eq!(fs::metadata(&path).unwrap().len(), len_before);
+        assert_eq!(w.next_seq(), 4);
+        assert_eq!(w.append(b"tail").unwrap(), 4);
+        w.sync().unwrap();
+        let tail = read_segment(&dir, 3).unwrap();
+        assert!(!tail.torn_tail);
+        assert_eq!(
+            tail.records,
+            vec![(3, b"head".to_vec()), (4, b"tail".to_vec())]
         );
         fs::remove_dir_all(&dir).ok();
     }

@@ -8,22 +8,22 @@
 //! loom/TSan role in-repo, on the stable toolchain, with no dependencies and
 //! no `unsafe`:
 //!
-//! * **Passthrough (default).** [`AtomicU64`], [`Mutex`], [`Condvar`],
-//!   [`RaceCell`] and [`thread`] are thin wrappers over `std` with `#[inline]`
-//!   delegation — zero cost on the read hot path. One deliberate API
-//!   difference: [`Mutex::lock`] and [`Condvar::wait`] do not surface lock
-//!   poisoning (they recover the inner data). The service signals writer
-//!   panics explicitly (its `ExitNotice` pattern), so poison propagation
-//!   would only re-encode that signal as a panic in an unrelated thread.
-//! * **Model mode (`model` feature).** The same types additionally check a
-//!   thread-local for an active model run. Inside a run, every operation
-//!   becomes a *schedule point* of a deterministic cooperative scheduler:
-//!   only one thread runs at a time, and at every point the scheduler picks
-//!   the next thread — by a seeded random walk (`model::explore`) or by
-//!   systematic bounded-preemption DFS (`model::explore_dfs`). A failing
+//! * **Outside a model run.** [`AtomicU64`], [`Mutex`], [`Condvar`],
+//!   [`RaceCell`] and [`thread`] delegate straight to `std`: an object made
+//!   outside a run carries no registration, and each operation checks that
+//!   before anything else. One deliberate API difference: [`Mutex::lock`]
+//!   and [`Condvar::wait`] do not surface lock poisoning (they recover the
+//!   inner data). The service signals writer panics explicitly (its
+//!   `ExitNotice` pattern), so poison propagation would only re-encode that
+//!   signal as a panic in an unrelated thread.
+//! * **Inside a model run.** Objects created by a run's threads are
+//!   registered with its scheduler, and every operation on them becomes a
+//!   *schedule point* of a deterministic cooperative scheduler: only one
+//!   thread runs at a time, and at every point the scheduler picks the next
+//!   thread — by a seeded random walk ([`model::explore`]) or by systematic
+//!   bounded-preemption DFS ([`model::explore_dfs`]). A failing
 //!   interleaving is fully reproducible from its printed seed (or choice
-//!   schedule) via `model::replay` / `model::run_schedule`. (The `model`
-//!   module exists only with the feature, so these names are not links.)
+//!   schedule) via [`model::replay`] / [`model::run_schedule`].
 //!
 //! During a model run the scheduler maintains **vector clocks** and checks
 //! happens-before as the trace unfolds:
@@ -40,7 +40,7 @@
 //!   present;
 //! * scenario-level invariants (per-reader version monotonicity, flush
 //!   acknowledged only after publication, ...) are asserted with
-//!   `model::check`, which fails the run quietly and reports the seed and
+//!   [`model::check`], which fails the run quietly and reports the seed and
 //!   trace.
 //!
 //! Threads must be spawned through [`thread::spawn`] / [`thread::Builder`] to
@@ -52,12 +52,11 @@
 //!
 //! [`Mutex::new`] takes a [`LockRank`], and `LockRank`'s declaration order is
 //! the workspace's lock order: a thread takes locks in strictly increasing
-//! rank. Debug builds and every `model` build check it on each
-//! [`Mutex::lock`], which panics with the `file:line` of both acquisitions
-//! when a thread takes a rank ≤ one it holds — in a model run, on every
-//! interleaving explored. Release passthrough builds compile no check.
+//! rank. Every build checks it on each [`Mutex::lock`], which panics with
+//! the `file:line` of both acquisitions when a thread takes a rank ≤ one it
+//! holds — in a model run, on every interleaving explored.
 //!
-//! # Passthrough example (normal builds and normal threads)
+//! # Example (outside a model run)
 //!
 //! ```
 //! use pref_sync::{AtomicU64, LockRank, Mutex, Ordering};
@@ -65,7 +64,7 @@
 //! let visits = AtomicU64::new(0);
 //! // ordering: counter, no payload published through it
 //! visits.fetch_add(1, Ordering::Relaxed);
-//! let cell = Mutex::new(vec![1, 2, 3], LockRank::PoolResults);
+//! let cell = Mutex::new(vec![1, 2, 3], LockRank::UpdateQueue);
 //! assert_eq!(cell.lock().len(), 3);
 //! // ordering: counter read back on the same thread
 //! assert_eq!(visits.load(Ordering::Relaxed), 1);
@@ -79,17 +78,9 @@ pub use std::sync::atomic::Ordering;
 mod rank;
 pub use rank::LockRank;
 
-#[cfg(not(feature = "model"))]
-mod passthrough;
-#[cfg(not(feature = "model"))]
-pub use passthrough::{thread, AtomicU64, Condvar, Mutex, MutexGuard, RaceCell};
-
-#[cfg(feature = "model")]
 mod shim;
-#[cfg(feature = "model")]
 pub use shim::{thread, AtomicU64, Condvar, Mutex, MutexGuard, RaceCell};
 
-#[cfg(feature = "model")]
 pub mod model;
 
 pub mod pool;
@@ -97,9 +88,5 @@ pub use pool::{resolve_threads, WorkStealingPool};
 
 pub mod time;
 
-/// True when this build carries the model-checking scheduler (the `model`
-/// feature). Lets tests assert which flavor they exercise.
-pub const MODEL_CAPABLE: bool = cfg!(feature = "model");
-
-#[cfg(all(test, feature = "model"))]
+#[cfg(test)]
 mod tests;

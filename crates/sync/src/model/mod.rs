@@ -1,4 +1,4 @@
-//! Deterministic model-checking harness (compiled under the `model` feature).
+//! Deterministic model-checking harness.
 //!
 //! The entry points take a *scenario* — a plain closure that builds shim
 //! objects, spawns shim threads, and asserts invariants with [`check`] — and

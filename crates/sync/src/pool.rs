@@ -21,14 +21,10 @@
 //!   partition work deterministically and merge by slot index get answers
 //!   that are byte-identical at any thread count.
 //! * **Model-checkability.** The pool is built exclusively from the crate's
-//!   shim [`Mutex`]/[`Condvar`]/[`thread`] types, so under the `model`
-//!   feature every lock, wait, and yield is a schedule point and
-//!   `model::explore` can drive the pool through adversarial interleavings.
-//!   Solver-level code must therefore size pools with [`resolve_threads`],
-//!   which pins the width to 1 in model-capable builds — a model run only
-//!   explores threads it spawned itself, and implicit inner pools would
-//!   dilute the scenario under test. Tests that *want* to explore the pool
-//!   construct one explicitly with [`WorkStealingPool::with_threads`].
+//!   shim [`Mutex`]/[`Condvar`]/[`thread`] types, so inside a model run
+//!   every lock, wait, and yield is a schedule point and `model::explore` can
+//!   drive the pool through adversarial interleavings. Tests that explore the
+//!   pool construct one explicitly with [`WorkStealingPool::with_threads`].
 //!
 //! Worker panics do not strand the caller: a drop guard marks the job
 //! complete even on unwind, and the missing result is reported as a panic in
@@ -245,22 +241,12 @@ fn find_job(index: usize, shared: &Shared) -> Job {
 /// solver reads it; `SbOptions::threads` and `EngineOptions::threads` are
 /// ignored.
 ///
-/// Order of precedence: model-capable builds are pinned to 1 (implicit inner
-/// pools would pollute model scenarios — see the module docs); an explicit
-/// option wins next; then the `PREF_THREADS` environment variable; finally
-/// the machine's available parallelism, capped at 8 (the batch phases stop
-/// scaling well past the paper-scale working sets).
+/// An explicit option wins (clamped to at least 1); otherwise the machine's
+/// available parallelism, capped at 8 (the batch phases stop scaling well
+/// past the paper-scale working sets).
 pub fn resolve_threads(explicit: Option<usize>) -> usize {
-    if crate::MODEL_CAPABLE {
-        return 1;
-    }
     if let Some(n) = explicit {
         return n.max(1);
-    }
-    if let Ok(raw) = std::env::var("PREF_THREADS") {
-        if let Ok(n) = raw.trim().parse::<usize>() {
-            return n.max(1);
-        }
     }
     std::thread::available_parallelism()
         .map(|n| n.get().min(8))
@@ -333,15 +319,10 @@ mod tests {
     }
 
     #[test]
-    fn resolve_threads_prefers_explicit_over_env() {
-        // model-capable builds pin to 1 regardless
-        if crate::MODEL_CAPABLE {
-            assert_eq!(resolve_threads(Some(4)), 1);
-            assert_eq!(resolve_threads(None), 1);
-        } else {
-            assert_eq!(resolve_threads(Some(4)), 4);
-            assert_eq!(resolve_threads(Some(0)), 1);
-            assert!(resolve_threads(None) >= 1);
-        }
+    fn resolve_threads_clamps_explicit_and_caps_the_default() {
+        assert_eq!(resolve_threads(Some(4)), 4);
+        assert_eq!(resolve_threads(Some(0)), 1);
+        let machine = std::thread::available_parallelism().map_or(1, |n| n.get().min(8));
+        assert_eq!(resolve_threads(None), machine);
     }
 }

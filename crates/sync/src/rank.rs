@@ -1,6 +1,9 @@
 //! Lock ranks: the workspace's lock order, checked where locks are taken
 //! (see the crate docs).
 
+use std::cell::RefCell;
+use std::panic::Location;
+
 /// One rank per program lock. Declaration order is the lock order: a thread
 /// takes locks in strictly increasing rank, so two locks of one rank are
 /// never held together and no lock-order deadlock can form. Test mutexes
@@ -34,58 +37,48 @@ pub enum LockRank {
     PoolResults,
 }
 
-#[cfg(any(debug_assertions, feature = "model"))]
-pub(crate) use held::Held;
+type Site = &'static Location<'static>;
 
-#[cfg(any(debug_assertions, feature = "model"))]
-mod held {
-    use super::LockRank;
-    use std::cell::RefCell;
-    use std::panic::Location;
+thread_local! {
+    /// The ranks this thread holds with the sites that took them. Each
+    /// push outranks every entry, so the list is sorted ascending.
+    static HELD: RefCell<Vec<(LockRank, Site)>> = const { RefCell::new(Vec::new()) };
+}
 
-    type Site = &'static Location<'static>;
+/// This thread's claim on one rank; a guard carries it and drops it.
+#[derive(Debug)]
+pub(crate) struct Held(LockRank);
 
-    thread_local! {
-        /// The ranks this thread holds with the sites that took them. Each
-        /// push outranks every entry, so the list is sorted ascending.
-        static HELD: RefCell<Vec<(LockRank, Site)>> = const { RefCell::new(Vec::new()) };
+impl Held {
+    /// Records `rank` as held, taken at the caller's `#[track_caller]`
+    /// site. Panics naming both sites if this thread already holds a
+    /// rank ≥ `rank`.
+    #[track_caller]
+    pub(crate) fn new(rank: LockRank) -> Self {
+        let site = Location::caller();
+        HELD.with(|held| {
+            let mut held = held.borrow_mut();
+            if let Some(&(top, top_site)) = held.last().filter(|(top, _)| *top >= rank) {
+                panic!(
+                    "lock rank violation: taking {rank:?} at {site} while holding {top:?} \
+                     from {top_site} (locks must be taken in increasing LockRank order)"
+                );
+            }
+            held.push((rank, site));
+        });
+        Held(rank)
     }
+}
 
-    /// This thread's claim on one rank; a guard carries it and drops it.
-    #[derive(Debug)]
-    pub(crate) struct Held(LockRank);
-
-    impl Held {
-        /// Records `rank` as held, taken at the caller's `#[track_caller]`
-        /// site. Panics naming both sites if this thread already holds a
-        /// rank ≥ `rank`.
-        #[track_caller]
-        pub(crate) fn new(rank: LockRank) -> Self {
-            let site = Location::caller();
-            HELD.with(|held| {
-                let mut held = held.borrow_mut();
-                if let Some(&(top, top_site)) = held.last().filter(|(top, _)| *top >= rank) {
-                    panic!(
-                        "lock rank violation: taking {rank:?} at {site} while holding {top:?} \
-                         from {top_site} (locks must be taken in increasing LockRank order)"
-                    );
-                }
-                held.push((rank, site));
-            });
-            Held(rank)
-        }
-    }
-
-    impl Drop for Held {
-        fn drop(&mut self) {
-            // `try_with`: a guard dropped during thread teardown may outlive
-            // the list
-            let _ = HELD.try_with(|held| {
-                let mut held = held.borrow_mut();
-                if let Some(at) = held.iter().position(|(rank, _)| *rank == self.0) {
-                    held.remove(at);
-                }
-            });
-        }
+impl Drop for Held {
+    fn drop(&mut self) {
+        // `try_with`: a guard dropped during thread teardown may outlive
+        // the list
+        let _ = HELD.try_with(|held| {
+            let mut held = held.borrow_mut();
+            if let Some(at) = held.iter().position(|(rank, _)| *rank == self.0) {
+                held.remove(at);
+            }
+        });
     }
 }

@@ -1,12 +1,12 @@
-//! Runtime-dual primitives (compiled when the `model` feature is on).
+//! The primitives behind the crate's exports, one implementation for every
+//! build.
 //!
 //! Each type carries an optional registration made at construction time: if a
 //! model run was active on the constructing thread, operations from model
 //! threads route through the run's scheduler; otherwise (no run, or a foreign
-//! thread) they delegate straight to std, exactly like the passthrough
-//! build. That keeps `cargo test` with the feature unified able to run the
-//! wall-clock stress tests on real threads and the model scenarios under the
-//! scheduler, in the same binary.
+//! thread) they delegate straight to std after one check of that
+//! registration. So one binary runs the wall-clock stress tests and the
+//! benchmark on real threads and the model scenarios under the scheduler.
 
 use crate::model::{current, Scheduler};
 use crate::rank::{Held, LockRank};
@@ -29,6 +29,7 @@ fn register(f: impl FnOnce(&Scheduler) -> usize) -> Option<ObjRef> {
 
 /// An op routes through the scheduler iff the object is registered AND the
 /// calling thread belongs to the same run.
+#[inline]
 fn route(obj: &Option<ObjRef>) -> Option<(Arc<Scheduler>, usize, usize)> {
     let obj = obj.as_ref()?;
     let ctx = current()?;
@@ -58,6 +59,7 @@ impl AtomicU64 {
     }
 
     /// Atomic load with the given ordering.
+    #[inline]
     pub fn load(&self, order: Ordering) -> u64 {
         match route(&self.obj) {
             Some((sched, id, tid)) => sched.atomic_load(tid, id, &self.inner, order),
@@ -66,6 +68,7 @@ impl AtomicU64 {
     }
 
     /// Atomic store with the given ordering.
+    #[inline]
     pub fn store(&self, value: u64, order: Ordering) {
         match route(&self.obj) {
             Some((sched, id, tid)) => sched.atomic_store(tid, id, &self.inner, value, order),
@@ -74,6 +77,7 @@ impl AtomicU64 {
     }
 
     /// Atomic add; returns the previous value.
+    #[inline]
     pub fn fetch_add(&self, value: u64, order: Ordering) -> u64 {
         match route(&self.obj) {
             Some((sched, id, tid)) => sched.atomic_rmw(tid, id, &self.inner, value, false, order),
@@ -82,6 +86,7 @@ impl AtomicU64 {
     }
 
     /// Atomic subtract; returns the previous value.
+    #[inline]
     pub fn fetch_sub(&self, value: u64, order: Ordering) -> u64 {
         match route(&self.obj) {
             Some((sched, id, tid)) => sched.atomic_rmw(tid, id, &self.inner, value, true, order),
@@ -124,7 +129,8 @@ impl<T> Mutex<T> {
     ///
     /// # Panics
     /// If this thread holds a lock of this rank or a higher one (see
-    /// [`LockRank`]), on every schedule a model run explores.
+    /// [`LockRank`]); in a model run, on every schedule it explores.
+    #[inline]
     #[track_caller]
     pub fn lock(&self) -> MutexGuard<'_, T> {
         // the rank check runs before the thread can block
@@ -147,6 +153,7 @@ impl<T> Mutex<T> {
 impl<T> std::ops::Deref for MutexGuard<'_, T> {
     type Target = T;
 
+    #[inline]
     fn deref(&self) -> &T {
         match &self.inner {
             Some(guard) => guard,
@@ -156,6 +163,7 @@ impl<T> std::ops::Deref for MutexGuard<'_, T> {
 }
 
 impl<T> std::ops::DerefMut for MutexGuard<'_, T> {
+    #[inline]
     fn deref_mut(&mut self) -> &mut T {
         match &mut self.inner {
             Some(guard) => guard,
@@ -165,6 +173,7 @@ impl<T> std::ops::DerefMut for MutexGuard<'_, T> {
 }
 
 impl<T> Drop for MutexGuard<'_, T> {
+    #[inline]
     fn drop(&mut self) {
         // release the std lock before telling the scheduler, so the next
         // granted thread finds it free
@@ -246,6 +255,7 @@ impl Condvar {
     }
 
     /// Wakes one waiter (FIFO under the model scheduler).
+    #[inline]
     pub fn notify_one(&self) {
         match route(&self.obj) {
             Some((sched, id, tid)) => sched.condvar_notify(tid, id, false),
@@ -254,6 +264,7 @@ impl Condvar {
     }
 
     /// Wakes every waiter.
+    #[inline]
     pub fn notify_all(&self) {
         match route(&self.obj) {
             Some((sched, id, tid)) => sched.condvar_notify(tid, id, true),
@@ -264,9 +275,11 @@ impl Condvar {
 
 /// Shared plain data whose accesses the model checker race-checks.
 ///
-/// See the passthrough docs: in model runs every access is checked to be
-/// ordered (happens-before) after the last write; unordered access is
-/// reported as a data race with the publishing/reading thread names.
+/// Outside a model run this is a small mutex-backed cell (it is meant for
+/// test scenarios and mutation twins, not hot paths). In a model run every
+/// [`RaceCell::get`] / [`RaceCell::set`] is checked to be ordered
+/// (happens-before) after the last write; unordered access is reported as a
+/// data race with the publishing/reading thread names.
 #[derive(Debug)]
 pub struct RaceCell<T: Clone> {
     inner: std::sync::Mutex<T>,

@@ -1,8 +1,7 @@
 //! Self-tests for the model scheduler and the happens-before checker.
 //!
-//! These run only with the `model` feature (`cargo test --workspace` enables
-//! it through `pref_service`'s dev-dependency). Each test keeps iteration
-//! counts small — they validate the *detector*, not explore real code.
+//! Each test keeps iteration counts small — they validate the *detector*,
+//! not explore real code.
 
 use crate::model::{self, DfsConfig, ModelConfig, ViolationKind};
 use crate::{thread, AtomicU64, Condvar, LockRank, Mutex, Ordering, RaceCell};

@@ -1,11 +1,10 @@
-//! Passthrough-equivalence smoke test: outside a model run the shim types
-//! behave exactly like std on real OS threads — same API, same semantics —
-//! whether or not the `model` feature is compiled in. This is what keeps the
-//! service's hot path (and the benchmark's `serve-*` workloads) unaffected by
-//! the shim.
+//! Std-equivalence smoke test: outside a model run the shim types behave
+//! exactly like std on real OS threads — same API, same semantics. These are
+//! the primitives the service's hot path (and the benchmark's `serve-*`
+//! workloads) run on.
 //!
-//! The lock-rank tests at the end hold in debug builds and `model` builds,
-//! the ones that check ranks (see `LockRank`).
+//! The lock-rank tests at the end check the rank order (see `LockRank`),
+//! which every build enforces.
 
 use pref_sync::{thread, AtomicU64, Condvar, LockRank, Mutex, Ordering, RaceCell};
 use std::sync::Arc;
@@ -124,7 +123,6 @@ fn lock_and_release(lock: &Mutex<()>) {
 }
 
 #[test]
-#[cfg(any(debug_assertions, feature = "model"))]
 #[should_panic(
     expected = "lock rank violation: taking PoolQueue at crates/sync/tests/primitives.rs:"
 )]
@@ -147,7 +145,6 @@ fn an_inversion_split_across_a_helper_call_panics() {
 }
 
 #[test]
-#[cfg(any(debug_assertions, feature = "model"))]
 #[should_panic(expected = "while holding PoolQueue from crates/sync/tests/primitives.rs:")]
 fn two_locks_of_one_rank_are_never_held_together() {
     let mine = Mutex::new((), LockRank::PoolQueue);
@@ -168,7 +165,6 @@ fn guards_may_drop_out_of_order() {
     // the queue's entry is gone and the counter's stays: a higher rank
     // nests, and the gate, ranked between the two, is still refused
     *results.lock() += 1;
-    #[cfg(any(debug_assertions, feature = "model"))]
     {
         let taken = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| drop(gate.lock())));
         assert!(taken.is_err(), "the counter's entry left with the queue's");
@@ -210,7 +206,6 @@ fn a_condvar_wait_keeps_its_lock_held_for_a_nested_acquire() {
     // the gate is held again after the wait; a higher rank nests under it
     *remaining.lock() += 1;
     // and the wait kept the gate's entry: a lower rank is still refused
-    #[cfg(any(debug_assertions, feature = "model"))]
     {
         let queue = Mutex::new((), LockRank::PoolQueue);
         let taken = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| drop(queue.lock())));
