@@ -395,10 +395,11 @@ impl ShardDurability {
     }
 
     /// Rotates to a new generation when enough batches accumulated since the
-    /// last checkpoint: fsync the log, create the next segment, write the
-    /// checkpoint, collect generations older than the previous one. Skipped
-    /// while a population is empty (an engine cannot restore from an empty
-    /// problem; the log keeps the full history until the populations refill).
+    /// last checkpoint: trim and fsync the log, create the next segment,
+    /// write the checkpoint, collect generations older than the previous
+    /// one. Skipped while a population is empty (an engine cannot restore
+    /// from an empty problem; the log keeps the full history until the
+    /// populations refill).
     /// Returns the new checkpoint's sequence when one was written.
     pub(crate) fn maybe_checkpoint(
         &mut self,
@@ -412,8 +413,12 @@ impl ShardDurability {
         if functions.is_empty() || objects.is_empty() {
             return Ok(None);
         }
-        // every record the new checkpoint subsumes must be durable before
-        // the old generation becomes collectible
+        // the closing segment keeps exactly its records, and the sync makes
+        // the trim durable (a failed one leaves the zero remainder a crash
+        // would, which reads as the clean end). Every record the new
+        // checkpoint subsumes must be durable before the old generation
+        // becomes collectible.
+        let _ = self.writer.trim();
         self.writer.sync()?;
         self.unsynced = false;
         let previous = self.last_checkpoint_seq;
@@ -422,6 +427,15 @@ impl ShardDurability {
         wal::remove_generations_before(&self.dir, previous);
         self.last_checkpoint_seq = next_seq;
         Ok(Some(next_seq))
+    }
+
+    /// The writer's clean exit: trims the active segment to its records, so
+    /// only a crashed writer leaves a zero-filled remainder behind. A failed
+    /// trim is ignored, as a failed collection is: every acknowledged record
+    /// is already durable, and the reader takes the remainder as the clean
+    /// end.
+    pub(crate) fn close(mut self) {
+        let _ = self.writer.trim();
     }
 
     /// Sequence number the next logged batch will get.

@@ -338,7 +338,8 @@ impl Drop for ShardHandle {
 }
 
 /// The shard's writer loop: drain → log → fsync → apply → export →
-/// checkpoint (when due) → publish → acknowledge.
+/// checkpoint (when due) → publish → acknowledge. Once the queue is closed
+/// and drained, the log's active segment is trimmed to its records.
 ///
 /// The log-before-apply order is the durability contract: a batch reaches
 /// the engine only after its WAL record exists and is fsynced, so an
@@ -427,12 +428,16 @@ fn writer_loop(
         }
         progress.advanced.notify_all();
     }
+    // the queue is closed and drained: a clean exit
+    if let Some(dur) = durability {
+        dur.close();
+    }
 }
 
 #[cfg(test)]
 #[allow(
     clippy::disallowed_methods,
-    reason = "tests drive real OS threads on purpose"
+    reason = "tests drive real OS threads and read the log's files on purpose"
 )]
 mod tests {
     use super::*;
@@ -554,6 +559,50 @@ mod tests {
             shard.submit(UpdateOp::RemoveFunction(FunctionId(0))),
             Err(ServiceError::Stopped)
         );
+    }
+
+    /// A clean exit leaves the active log segment holding exactly its
+    /// records: only a crashed writer leaves the zero-filled remainder.
+    #[test]
+    fn a_clean_exit_trims_the_log_to_its_records() {
+        let dir = std::env::temp_dir().join(format!(
+            "pref_service_shard_{}_clean_exit",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let engine = AssignmentEngine::new(&problem(), &EngineOptions::default()).unwrap();
+        let initial = engine.export_snapshot();
+        let durability = ShardDurability::create(
+            &dir,
+            crate::FsyncPolicy::Always,
+            100,
+            &initial.functions,
+            &initial.objects,
+        )
+        .unwrap();
+        let mut shard = ShardHandle::spawn(engine, Some(durability), 64, 0, None).unwrap();
+        for id in 10..13 {
+            shard
+                .submit(UpdateOp::InsertObject(ObjectRecord::new(
+                    id,
+                    Point::from_slice(&[0.3, 0.4]),
+                )))
+                .unwrap();
+            shard.flush().unwrap();
+        }
+        let segment = pref_storage::wal::segment_path(&dir, 0);
+        let open_len = std::fs::metadata(&segment).unwrap().len();
+        shard.close();
+        shard.join().unwrap();
+        let tail = pref_storage::wal::read_segment(&dir, 0).unwrap();
+        assert_eq!(tail.records.len(), 3);
+        assert!(open_len > tail.valid_len, "the running writer preallocates");
+        assert_eq!(
+            std::fs::metadata(&segment).unwrap().len(),
+            tail.valid_len,
+            "the clean exit trims the zero remainder"
+        );
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

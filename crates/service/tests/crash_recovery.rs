@@ -249,6 +249,80 @@ fn writer_killed_right_after_a_checkpoint_recovers_identically() {
     fs::remove_dir_all(&dir).ok();
 }
 
+/// Length of the segment file starting at `start_seq`, and the end of its
+/// whole records.
+fn segment_lengths(dir: &Path, start_seq: u64) -> (u64, u64) {
+    let file = fs::metadata(wal::segment_path(dir, start_seq))
+        .unwrap()
+        .len();
+    (file, wal::read_segment(dir, start_seq).unwrap().valid_len)
+}
+
+#[test]
+fn a_killed_writer_leaves_a_zero_tail_that_recovers_exactly() {
+    let options = EngineOptions::default();
+    let all = batches();
+    let canon = oracle(&base_problem(), &all, &options);
+    for logged in [1usize, 3, 6] {
+        let dir = temp_dir(&format!("zero_tail_{logged}"));
+        let kill_at = logged as u64 + 1;
+        let fault: WriterFault = Box::new(move |event| {
+            if event == (FaultEvent::PrePublish { version: kill_at }) {
+                crash();
+            }
+        });
+        run_durable(&dir, &options, 100, Some(fault));
+        let (file, records) = segment_lengths(&dir, 0);
+        assert!(
+            file > records,
+            "after {logged} batches the crashed writer's segment keeps its zero tail"
+        );
+        assert!(!wal::read_segment(&dir, 0).unwrap().torn_tail);
+
+        // recovery lands on the logged boundary, and the recovered writer
+        // appends the remaining batches after the records, not after the zeros
+        let (engine, durability) = ShardDurability::recover(&dir, 100)
+            .unwrap()
+            .replay(&options)
+            .unwrap();
+        let shard = ShardHandle::spawn(engine, Some(durability), 64, 0, None).unwrap();
+        assert_eq!(canonical(&shard.latest()), canon[logged], "after {logged}");
+        for batch in &all[logged..] {
+            shard.submit_batch(batch.clone()).unwrap();
+            shard.flush().unwrap();
+        }
+        drop(shard);
+        assert_eq!(
+            recover_canonical(&dir, &options, 100),
+            canon[all.len()],
+            "second recovery after {logged}"
+        );
+        fs::remove_dir_all(&dir).ok();
+    }
+}
+
+#[test]
+fn a_rotated_segment_holds_exactly_its_records() {
+    let options = EngineOptions::default();
+    let canon = oracle(&base_problem(), &batches(), &options);
+    let dir = temp_dir("rotated_trim");
+    // checkpoint every 3 batches: the first rotation closes wal-0 after
+    // batch 3; die before publishing batch 5, with wal-3 still open
+    let fault: WriterFault = Box::new(|event| {
+        if event == (FaultEvent::PrePublish { version: 6 }) {
+            crash();
+        }
+    });
+    assert_eq!(run_durable(&dir, &options, 3, Some(fault)), 4);
+    let (file, records) = segment_lengths(&dir, 0);
+    assert_eq!(file, records, "rotation trims the closed segment");
+    assert_eq!(wal::read_segment(&dir, 0).unwrap().records.len(), 3);
+    let (file, records) = segment_lengths(&dir, 3);
+    assert!(file > records, "the active segment keeps its zero tail");
+    assert_eq!(recover_canonical(&dir, &options, 3), canon[5]);
+    fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn log_truncated_at_every_byte_offset_recovers_a_batch_prefix() {
     let options = EngineOptions::default();

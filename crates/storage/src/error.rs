@@ -66,6 +66,18 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
     hash
 }
 
+/// Continues a 64-bit FNV-1a hash over `bytes`: hashing `a` and then
+/// continuing over `b` equals [`fnv1a64`] of `a ++ b`, so a record's checksum
+/// covers its header fields and its payload without copying them together.
+pub(crate) fn fnv1a64_continue(mut hash: u64, bytes: &[u8]) -> u64 {
+    const PRIME: u64 = 0x0000_0100_0000_01b3;
+    for &b in bytes {
+        hash ^= u64::from(b);
+        hash = hash.wrapping_mul(PRIME);
+    }
+    hash
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -76,5 +88,19 @@ mod tests {
         assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
         assert_eq!(fnv1a64(b"foobar"), 0x85944171f73967e8);
+    }
+
+    #[test]
+    fn hashing_in_two_parts_equals_hashing_the_concatenation() {
+        for whole in [&b""[..], b"a", b"foobar", &7u64.to_le_bytes()] {
+            for cut in 0..=whole.len() {
+                let (head, tail) = whole.split_at(cut);
+                assert_eq!(
+                    fnv1a64_continue(fnv1a64(head), tail),
+                    fnv1a64(whole),
+                    "{whole:?} cut at {cut}"
+                );
+            }
+        }
     }
 }

@@ -16,6 +16,16 @@
 //! so a record torn by a crash (or truncated by fault injection) is never
 //! half-applied.
 //!
+//! A live segment is its records followed by a zero-filled remainder: the
+//! writer grows the file in 64 KiB chunks of zeros, ahead of the appends.
+//! An append then overwrites blocks the file already has, and its
+//! `fdatasync` skips the journal commit of a new file size that an append
+//! at the end of the file pays. The reader takes a remainder of zero bytes
+//! as the clean end of the segment, not as a torn tail. The writer trims
+//! the remainder when a segment is closed (at rotation and at a clean
+//! shutdown), so only the active segment of a running or crashed writer
+//! carries one.
+//!
 //! Checkpoints are written to a temporary file, fsynced, and renamed into
 //! place; a reader validates magic, length and checksum and falls back to the
 //! previous generation if the newest checkpoint is unreadable. Rotation order
@@ -30,7 +40,7 @@
     reason = "the WAL and checkpoint files are the durable layer's own std::fs use"
 )]
 
-use crate::error::{fnv1a64, StorageError};
+use crate::error::{fnv1a64, fnv1a64_continue, StorageError};
 use std::fs::{self, File};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -45,6 +55,15 @@ const RECORD_HEADER: usize = 4 + 8 + 8;
 /// guard against a corrupted one asking for gigabytes), so the writer
 /// refuses to append one.
 const MAX_RECORD_LEN: usize = 64 * 1024 * 1024;
+
+/// The step a segment file grows by: an append that would pass the end of
+/// the file also writes zeros up to the next multiple of this size.
+const SEGMENT_CHUNK: u64 = 64 * 1024;
+
+/// A record's checksum: FNV-1a over its sequence number, then its payload.
+fn record_crc(seq: u64, payload: &[u8]) -> u64 {
+    fnv1a64_continue(fnv1a64(&seq.to_le_bytes()), payload)
+}
 
 fn io_err(op: &str, path: &Path, e: &std::io::Error) -> StorageError {
     StorageError::Io(format!("{op} {}: {e}", path.display()))
@@ -133,11 +152,16 @@ pub struct WalWriter {
     file: File,
     path: PathBuf,
     next_seq: u64,
+    /// End of the last record: the file position between appends.
+    written: u64,
+    /// File length: `written` plus the zero-filled remainder.
+    allocated: u64,
     scratch: Vec<u8>,
 }
 
 impl WalWriter {
     /// Creates (truncating) the segment for records starting at `start_seq`.
+    /// The file starts empty; the first append grows it.
     pub fn create(dir: &Path, start_seq: u64) -> Result<Self, StorageError> {
         let path = segment_path(dir, start_seq);
         let file = File::options()
@@ -150,13 +174,16 @@ impl WalWriter {
             file,
             path,
             next_seq: start_seq,
+            written: 0,
+            allocated: 0,
             scratch: Vec::new(),
         })
     }
 
     /// Opens an existing segment for appending after `records` whole records
     /// were recovered from it (the file is truncated to `valid_len` first, so
-    /// a torn tail can never precede fresh appends).
+    /// neither a torn tail nor a zero-filled remainder precedes fresh
+    /// appends; the next append grows the file again).
     pub fn open_after_recovery(
         dir: &Path,
         start_seq: u64,
@@ -173,6 +200,8 @@ impl WalWriter {
             file,
             path,
             next_seq: start_seq + tail.records.len() as u64,
+            written: tail.valid_len,
+            allocated: tail.valid_len,
             scratch: Vec::new(),
         };
         writer
@@ -198,6 +227,11 @@ impl WalWriter {
     /// the OS page cache after this call; it is durable only after
     /// [`WalWriter::sync`].
     ///
+    /// A record that would pass the end of the file is written together with
+    /// zeros up to the next multiple of 64 KiB, in one write, and the file
+    /// position then returns to the record's end. So one append per chunk
+    /// grows the file, and the appends between overwrite zeros.
+    ///
     /// A payload over the record limit fails with
     /// [`StorageError::RecordTooLarge`] and writes nothing: recovery would
     /// drop it and every record after it.
@@ -209,29 +243,59 @@ impl WalWriter {
             });
         }
         let seq = self.next_seq;
-        let seq_bytes = seq.to_le_bytes();
-        let mut crc_input = Vec::with_capacity(8 + payload.len());
-        crc_input.extend_from_slice(&seq_bytes);
-        crc_input.extend_from_slice(payload);
-        let crc = fnv1a64(&crc_input);
         self.scratch.clear();
         self.scratch
             .extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        self.scratch.extend_from_slice(&seq_bytes);
-        self.scratch.extend_from_slice(&crc.to_le_bytes());
+        self.scratch.extend_from_slice(&seq.to_le_bytes());
+        self.scratch
+            .extend_from_slice(&record_crc(seq, payload).to_le_bytes());
         self.scratch.extend_from_slice(payload);
-        self.file
-            .write_all(&self.scratch)
-            .map_err(|e| io_err("append to log segment", &self.path, &e))?;
+        let end = self.written + self.scratch.len() as u64;
+        let allocated = if end > self.allocated {
+            let grown = end.next_multiple_of(SEGMENT_CHUNK);
+            self.scratch.resize((grown - self.written) as usize, 0);
+            grown
+        } else {
+            self.allocated
+        };
+        let wrote = self.file.write_all(&self.scratch).and_then(|()| {
+            if allocated > end {
+                // zeros followed the record: the next append starts at its end
+                self.file.seek(SeekFrom::Start(end)).map(drop)
+            } else {
+                Ok(())
+            }
+        });
+        if let Err(e) = wrote {
+            // a later append must start where this record would have
+            let _ = self.file.seek(SeekFrom::Start(self.written));
+            return Err(io_err("append to log segment", &self.path, &e));
+        }
+        self.written = end;
+        self.allocated = allocated;
         self.next_seq += 1;
         Ok(seq)
     }
 
-    /// Makes all appended records durable (fsync).
+    /// Makes all appended records durable (`fdatasync`). Between two growths
+    /// of the file this writes only data blocks the file already has, so the
+    /// file system commits no new file size.
     pub fn sync(&mut self) -> Result<(), StorageError> {
         self.file
             .sync_data()
             .map_err(|e| io_err("sync log segment", &self.path, &e))
+    }
+
+    /// Cuts the zero-filled remainder off the file, leaving exactly its
+    /// records; an append after this grows the file again. Durable after the
+    /// next [`WalWriter::sync`]; the reader takes a remainder that survives a
+    /// crash as the clean end anyway.
+    pub fn trim(&mut self) -> Result<(), StorageError> {
+        self.file
+            .set_len(self.written)
+            .map_err(|e| io_err("trim log segment", &self.path, &e))?;
+        self.allocated = self.written;
+        Ok(())
     }
 }
 
@@ -240,16 +304,20 @@ impl WalWriter {
 pub struct SegmentTail {
     /// Whole, checksum-valid, consecutively numbered records: `(seq, payload)`.
     pub records: Vec<(u64, Vec<u8>)>,
-    /// Byte length of the valid prefix (everything after it is torn/garbage).
+    /// Byte length of the valid prefix: the end of the last whole record.
     pub valid_len: u64,
-    /// `true` when bytes beyond `valid_len` existed (a torn tail was cut).
+    /// `true` when bytes beyond `valid_len` hold anything but zeros (a torn
+    /// or corrupt record was cut). A remainder of zero bytes is the writer's
+    /// preallocated tail: the clean end of the segment, not a torn one.
     pub torn_tail: bool,
 }
 
 /// Reads a log segment, accepting the longest valid prefix of records. The
 /// first record must carry `start_seq` and numbering must be consecutive;
 /// anything after the first violation (short read, bad checksum, wrong
-/// sequence) is reported as a torn tail, never surfaced as data.
+/// sequence) is reported as a torn tail, never surfaced as data. The reader
+/// stops at a header whose length and checksum are both zero, and a
+/// remainder of zero bytes is the clean end (see [`SegmentTail::torn_tail`]).
 pub fn read_segment(dir: &Path, start_seq: u64) -> Result<SegmentTail, StorageError> {
     let path = segment_path(dir, start_seq);
     let mut file = File::open(&path).map_err(|e| io_err("open log segment", &path, &e))?;
@@ -272,17 +340,15 @@ pub fn read_segment(dir: &Path, start_seq: u64) -> Result<SegmentTail, StorageEr
             header[12], header[13], header[14], header[15], header[16], header[17], header[18],
             header[19],
         ]);
-        if seq != expect_seq {
+        if (len == 0 && want_crc == 0) || seq != expect_seq {
+            // an all-zero header is the preallocated remainder, never a record
             break;
         }
         let body_start = offset + RECORD_HEADER;
         let Some(payload) = bytes.get(body_start..body_start + len) else {
             break;
         };
-        let mut crc_input = Vec::with_capacity(8 + len);
-        crc_input.extend_from_slice(&seq.to_le_bytes());
-        crc_input.extend_from_slice(payload);
-        if fnv1a64(&crc_input) != want_crc {
+        if record_crc(seq, payload) != want_crc {
             break;
         }
         records.push((seq, payload.to_vec()));
@@ -292,7 +358,7 @@ pub fn read_segment(dir: &Path, start_seq: u64) -> Result<SegmentTail, StorageEr
     Ok(SegmentTail {
         records,
         valid_len: offset as u64,
-        torn_tail: offset < bytes.len(),
+        torn_tail: bytes[offset..].iter().any(|&b| b != 0),
     })
 }
 
@@ -526,7 +592,9 @@ mod tests {
             boundaries.push((RECORD_HEADER + p.len()) as u64 + boundaries.last().unwrap());
         }
         w.sync().unwrap();
-        let full = fs::read(segment_path(&dir, 0)).unwrap();
+        let mut full = fs::read(segment_path(&dir, 0)).unwrap();
+        // the open writer's zero-filled remainder is cut in its own test
+        full.truncate(*boundaries.last().unwrap() as usize);
         for cut in 0..=full.len() {
             fs::write(segment_path(&dir, 0), &full[..cut]).unwrap();
             let tail = read_segment(&dir, 0).unwrap();
@@ -540,6 +608,89 @@ mod tests {
                 assert_eq!(payload, &payloads[i]);
             }
         }
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Appends `count` records of `len` bytes each to a new segment at
+    /// `start_seq`; returns the open writer and the end of the records.
+    fn segment_of(dir: &Path, start_seq: u64, count: u64, len: usize) -> (WalWriter, u64) {
+        let mut w = WalWriter::create(dir, start_seq).unwrap();
+        for i in 0..count {
+            w.append(&vec![i as u8 | 1; len]).unwrap();
+        }
+        w.sync().unwrap();
+        (w, count * (RECORD_HEADER + len) as u64)
+    }
+
+    #[test]
+    fn an_open_segment_past_two_chunks_reads_back_every_record() {
+        let dir = temp_dir("chunks");
+        let (w, records_end) = segment_of(&dir, 0, 150, 1000);
+        assert!(records_end > 2 * SEGMENT_CHUNK);
+        let file_len = fs::metadata(w.path()).unwrap().len();
+        assert_eq!(
+            file_len % SEGMENT_CHUNK,
+            0,
+            "the file grows in whole chunks"
+        );
+        assert!(file_len > records_end, "the open segment is preallocated");
+        let tail = read_segment(&dir, 0).unwrap();
+        assert_eq!(tail.records.len(), 150);
+        for (i, (seq, payload)) in tail.records.iter().enumerate() {
+            assert_eq!((*seq, payload), (i as u64, &vec![i as u8 | 1; 1000]));
+        }
+        assert_eq!(tail.valid_len, records_end);
+        assert!(!tail.torn_tail, "a zero remainder is the clean end");
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_zero_remainder_is_the_clean_end_and_a_nonzero_byte_in_it_is_torn() {
+        let dir = temp_dir("zero_tail");
+        let (w, records_end) = segment_of(&dir, 0, 4, 10);
+        let path = w.path().to_path_buf();
+        drop(w);
+        let mut records = fs::read(&path).unwrap();
+        records.truncate(records_end as usize);
+        for extra in [1, 7, SEGMENT_CHUNK as usize - 1] {
+            let mut bytes = records.clone();
+            bytes.resize(records.len() + extra, 0);
+            fs::write(&path, &bytes).unwrap();
+            let tail = read_segment(&dir, 0).unwrap();
+            assert_eq!(tail.records.len(), 4, "{extra} zeros");
+            assert_eq!(tail.valid_len, records_end, "{extra} zeros");
+            assert!(!tail.torn_tail, "{extra} zeros are the clean end");
+            let step = if extra > 64 { 4093 } else { 1 };
+            for at in (0..extra).step_by(step).chain([extra - 1]) {
+                let mut bad = bytes.clone();
+                bad[records.len() + at] = 0x01;
+                fs::write(&path, &bad).unwrap();
+                let tail = read_segment(&dir, 0).unwrap();
+                assert_eq!(tail.records.len(), 4, "byte {at} of {extra} set");
+                assert_eq!(tail.valid_len, records_end, "byte {at} of {extra} set");
+                assert!(tail.torn_tail, "byte {at} of {extra} set is torn");
+            }
+        }
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn recover_dir_replays_past_an_untrimmed_zero_tail() {
+        let dir = temp_dir("untrimmed");
+        write_checkpoint(&dir, 0, b"gen0").unwrap();
+        let (first, first_end) = segment_of(&dir, 0, 3, 5);
+        assert!(fs::metadata(first.path()).unwrap().len() > first_end);
+        let _second = segment_of(&dir, 3, 2, 5);
+        let rec = recover_dir(&dir).unwrap();
+        assert_eq!(rec.checkpoint_seq, 0);
+        assert_eq!(
+            rec.records.iter().map(|r| r.0).collect::<Vec<_>>(),
+            vec![0, 1, 2, 3, 4],
+            "the zero tail of the first segment does not end the replay"
+        );
+        assert_eq!(rec.next_seq, 5);
+        assert_eq!(rec.active_start_seq, 3);
+        assert!(!rec.active_tail.torn_tail);
         fs::remove_dir_all(&dir).ok();
     }
 
