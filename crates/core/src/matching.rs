@@ -133,6 +133,14 @@ pub enum StabilityViolation {
     },
     /// A pair references an unknown function or object.
     UnknownId(String),
+    /// A function scores an object with NaN or an infinity, which no
+    /// comparison can rank.
+    NonFiniteScore {
+        /// The function side of the pair.
+        function: FunctionId,
+        /// The object side of the pair.
+        object: RecordId,
+    },
 }
 
 impl std::fmt::Display for StabilityViolation {
@@ -153,6 +161,9 @@ impl std::fmt::Display for StabilityViolation {
                 write!(f, "incomplete matching: {got} pairs, expected {expected}")
             }
             StabilityViolation::UnknownId(msg) => write!(f, "unknown id: {msg}"),
+            StabilityViolation::NonFiniteScore { function, object } => {
+                write!(f, "{function} scores {object} with a non-finite number")
+            }
         }
     }
 }
@@ -166,8 +177,9 @@ impl std::fmt::Display for StabilityViolation {
 /// has unused capacity or is matched to some function that scores it strictly
 /// lower than `f` does. The check is exact: every solver scores with
 /// [`pref_geom::LinearFunction::score`]'s bits, so a recorded score must have
-/// exactly those bits, and "strictly" allows no slack. It is quadratic and
-/// intended for tests and examples.
+/// exactly those bits, and "strictly" allows no slack. A score that is NaN
+/// or infinite is itself a violation, since every comparison with NaN is
+/// false. It is quadratic and intended for tests and examples.
 pub fn verify_stable(problem: &Problem, assignment: &Assignment) -> Result<(), StabilityViolation> {
     // capacity bookkeeping and score validation
     let mut f_used: HashMap<FunctionId, u32> = HashMap::new();
@@ -232,6 +244,12 @@ pub fn verify_stable(problem: &Problem, assignment: &Assignment) -> Result<(), S
         let f_saturated = f_used.get(&function.id).copied().unwrap_or(0) >= function.capacity;
         for object in problem.objects() {
             let score = function.function.score(&object.point);
+            if !score.is_finite() {
+                return Err(StabilityViolation::NonFiniteScore {
+                    function: function.id,
+                    object: object.id,
+                });
+            }
             let o_saturated = o_used.get(&object.id).copied().unwrap_or(0) >= object.capacity;
             let f_wants = if f_saturated {
                 score > f_worst.get(&function.id).copied().unwrap_or(f64::MIN)
@@ -465,5 +483,45 @@ mod tests {
             p.score(FunctionId(0), RecordId(2)).unwrap(),
         );
         assert!(verify_stable(&p, &bad).is_err());
+    }
+
+    /// Finite inputs whose score overflows: f0 = (½, ½) with γ = 4 scores
+    /// o0 = (1e308, −1e308) as `inf − inf`, NaN. Every comparison with NaN
+    /// is false, so the blocking-pair scan used to accept `oracle`'s
+    /// matching, which pairs f0 with o0 at that NaN.
+    #[test]
+    fn a_non_finite_score_is_a_violation() {
+        let p = Problem::new(
+            vec![
+                PreferenceFunction::new(
+                    0,
+                    LinearFunction::new(vec![0.5, 0.5])
+                        .unwrap()
+                        .prioritized(4.0)
+                        .unwrap(),
+                ),
+                PreferenceFunction::new(1, LinearFunction::new(vec![0.9, 0.1]).unwrap()),
+            ],
+            vec![
+                ObjectRecord::new(0, Point::new(vec![1e308, -1e308]).unwrap()),
+                ObjectRecord::new(1, Point::from_slice(&[0.5, 0.5])),
+                ObjectRecord::new(2, Point::from_slice(&[0.2, 0.9])),
+            ],
+        )
+        .unwrap();
+        assert!(p.score(FunctionId(0), RecordId(0)).unwrap().is_nan());
+        let matched = crate::oracle::oracle(&p);
+        assert_eq!(
+            verify_stable(&p, &matched),
+            Err(StabilityViolation::NonFiniteScore {
+                function: FunctionId(0),
+                object: RecordId(0),
+            })
+        );
+        let v = StabilityViolation::NonFiniteScore {
+            function: FunctionId(0),
+            object: RecordId(0),
+        };
+        assert!(v.to_string().contains("f0") && v.to_string().contains("r0"));
     }
 }

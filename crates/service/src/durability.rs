@@ -1,19 +1,28 @@
-//! Per-shard durability: a write-ahead log of update batches plus periodic
-//! checkpoints, built on the file primitives of [`pref_storage::wal`].
+//! Per-shard durability: a write-ahead log of update batches whose every
+//! segment opens with a snapshot of the shard, built on the file primitives
+//! of [`pref_storage::wal`].
 //!
 //! The crash-consistency model mirrors the serving layer's atomicity unit —
 //! the batch. The writer appends one WAL record per submitted batch, fsyncs
 //! once per drain, and only then applies and publishes it; an acknowledged
 //! (flushed) batch is therefore always recoverable. Recovery
-//! ([`RecoveredShard::replay`]) loads the newest valid checkpoint and replays
-//! the log tail through a fresh engine; because the engine re-solves
-//! deterministically from any coherent population, the recovered shard
-//! publishes the same canonical matching the pre-crash shard had at that
-//! batch boundary.
+//! ([`RecoveredShard::replay`]) loads the newest generation's snapshot and
+//! replays the batches logged after it through a fresh engine; because the
+//! engine re-solves deterministically from any coherent population, the
+//! recovered shard publishes the same canonical matching the pre-crash
+//! shard had at that batch boundary.
+//!
+//! A generation is one log segment. Its first record is the snapshot: an
+//! 8-byte magic naming the format and its version, then the live
+//! populations. Every `checkpoint_every` batches the writer closes the
+//! segment and starts the next generation with a fresh snapshot. A payload
+//! without the magic, such as a batch that opened a segment of the earlier
+//! layout with separate checkpoint files, is refused, and the directory is
+//! left as it was.
 //!
 //! A shard directory starts empty: [`ShardDurability::create`] refuses one
-//! that already holds a log segment or a checkpoint, because recovery would
-//! otherwise pick the earlier run's newer generation over the fresh start.
+//! that already holds a log segment, because recovery would otherwise pick
+//! the earlier run's newer generation over the fresh start.
 //!
 //! All file access goes through [`pref_storage::wal`] — this module encodes
 //! and decodes payloads but never opens a file itself, keeping raw
@@ -25,7 +34,7 @@ use pref_assign::{FunctionId, ObjectRecord, PreferenceFunction, Problem};
 use pref_engine::{AssignmentEngine, EngineOptions};
 use pref_geom::{LinearFunction, Point};
 use pref_rtree::RecordId;
-use pref_storage::wal::{self, SegmentTail, WalWriter};
+use pref_storage::wal::{self, WalWriter};
 use pref_storage::{ByteReader, StorageError};
 use std::path::{Path, PathBuf};
 
@@ -41,7 +50,8 @@ pub enum FsyncPolicy {
 }
 
 /// Durability configuration of a [`crate::ShardedService`]. The writer
-/// fsyncs once per drain and checkpoints every 256 logged batches.
+/// fsyncs once per drain and starts a new generation every 256 logged
+/// batches.
 #[derive(Debug, Clone)]
 pub struct DurabilityConfig {
     /// Root directory of the service's durable state; shard `i` owns the
@@ -222,14 +232,19 @@ pub fn decode_batch(bytes: &[u8]) -> Result<Vec<UpdateOp>, StorageError> {
     Ok(out)
 }
 
-/// Encodes a checkpoint payload: the live populations, from which the engine
-/// re-solves the identical canonical matching on restore. The pairs are
-/// deliberately not stored — restart equivalence is a tested engine property.
+/// Opens every snapshot payload: the format's name and version.
+const SNAPSHOT_MAGIC: &[u8; 8] = b"FAIRSNP2";
+
+/// Encodes a snapshot payload: [`SNAPSHOT_MAGIC`], then the live
+/// populations, from which the engine re-solves the identical canonical
+/// matching on restore. The pairs are deliberately not stored — restart
+/// equivalence is a tested engine property.
 pub(crate) fn encode_checkpoint(
     functions: &[PreferenceFunction],
     objects: &[ObjectRecord],
 ) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(8 + functions.len() * 32 + objects.len() * 32);
+    let mut buf = Vec::with_capacity(16 + functions.len() * 32 + objects.len() * 32);
+    buf.extend_from_slice(SNAPSHOT_MAGIC);
     buf.extend_from_slice(&(functions.len() as u32).to_le_bytes());
     for f in functions {
         encode_function(f, &mut buf);
@@ -241,11 +256,15 @@ pub(crate) fn encode_checkpoint(
     buf
 }
 
-/// Decodes a checkpoint payload back into its populations.
+/// Decodes a snapshot payload back into its populations. A payload that
+/// does not open with [`SNAPSHOT_MAGIC`] is refused.
 pub(crate) fn decode_checkpoint(
     bytes: &[u8],
 ) -> Result<(Vec<PreferenceFunction>, Vec<ObjectRecord>), StorageError> {
-    let mut r = ByteReader::new(bytes, "durability payload");
+    let body = bytes.strip_prefix(&SNAPSHOT_MAGIC[..]).ok_or_else(|| {
+        StorageError::Corrupt("a segment's first record is not a FAIRSNP2 snapshot".into())
+    })?;
+    let mut r = ByteReader::new(body, "durability payload");
     let nfun = r.count(SMALLEST_FUNCTION)?;
     let mut functions = Vec::with_capacity(nfun);
     for _ in 0..nfun {
@@ -279,28 +298,30 @@ impl Durable {
     }
 }
 
-/// One shard's durable state: the active WAL segment plus the checkpoint
+/// One shard's durable state: the active generation's log segment plus the
 /// rotation bookkeeping. Owned by the shard's writer thread.
 #[derive(Debug)]
 pub struct ShardDurability {
     dir: PathBuf,
     writer: WalWriter,
     checkpoint_every: u64,
-    /// Sequence the newest checkpoint was taken at (= its segment's start).
-    last_checkpoint_seq: u64,
+    /// Start sequence of the active generation: its snapshot's sequence.
+    generation: u64,
+    /// The sequence from which a rotation is due: `checkpoint_every`
+    /// batches after the snapshot, or after a snapshot too large for a
+    /// record was refused.
+    rotate_at: u64,
     /// A batch was appended since the last fsync.
     unsynced: bool,
 }
 
 impl ShardDurability {
     /// Initializes an empty shard directory (created if missing): the
-    /// `wal-0` segment first, then `checkpoint-0` holding the initial
-    /// populations (the same crash-safe segment-before-checkpoint order
-    /// rotation uses, so recovery always finds a checkpoint's segment).
+    /// `wal-0` generation, whose snapshot holds the initial populations.
     ///
     /// Fails with [`StorageError::InUse`], touching nothing, when `dir`
-    /// already holds a log segment or a checkpoint. `FsyncPolicy` has one
-    /// value; the parameter stays for the benchmark's sake.
+    /// already holds a log segment. `FsyncPolicy` has one value; the
+    /// parameter stays for the benchmark's sake.
     pub fn create(
         dir: &Path,
         _fsync: FsyncPolicy,
@@ -309,53 +330,45 @@ impl ShardDurability {
         objects: &[ObjectRecord],
     ) -> Result<Self, StorageError> {
         wal::ensure_dir(dir)?;
-        if !wal::list_segments(dir)?.is_empty() || !wal::list_checkpoints(dir)?.is_empty() {
+        if !wal::list_segments(dir)?.is_empty() {
             return Err(StorageError::InUse(dir.to_path_buf()));
         }
-        let writer = WalWriter::create(dir, 0)?;
-        wal::write_checkpoint(dir, 0, &encode_checkpoint(functions, objects))?;
-        Ok(Self {
+        let writer = wal::write_checkpoint(dir, 0, &encode_checkpoint(functions, objects))?;
+        Ok(Self::resume(dir, writer, checkpoint_every, 0))
+    }
+
+    /// Logs into `writer`, the segment of the generation starting at `generation`.
+    fn resume(dir: &Path, writer: WalWriter, checkpoint_every: u64, generation: u64) -> Self {
+        Self {
             dir: dir.to_path_buf(),
             writer,
             checkpoint_every,
-            last_checkpoint_seq: 0,
+            generation,
+            rotate_at: generation + 1 + checkpoint_every,
             unsynced: false,
-        })
+        }
     }
 
-    /// Recovers a shard directory: returns the checkpoint populations, the
-    /// replayable batches logged after it, and a `ShardDurability` positioned
-    /// to append right after the last whole record (any torn tail truncated,
-    /// unreachable newer generations collected).
+    /// Recovers a shard directory: returns the snapshot's populations, the
+    /// batches logged after it, and a `ShardDurability` positioned to
+    /// append right after the last whole record (any torn tail truncated,
+    /// bypassed newer segments collected). Everything is decoded before a
+    /// byte of the directory changes, so a refused directory is left as it
+    /// was.
     pub fn recover(dir: &Path, checkpoint_every: u64) -> Result<RecoveredShard, StorageError> {
         let state = wal::recover_dir(dir)?;
-        let (functions, objects) = decode_checkpoint(&state.checkpoint)?;
-        let mut batches = Vec::with_capacity(state.records.len());
-        for (_seq, payload) in &state.records {
-            batches.push(decode_batch(payload)?);
-        }
-        let writer = Self::reopen_active(dir, &state)?;
-        // recovery re-declares the durable truth: newer files it deliberately
-        // bypassed (corrupt checkpoints, segments beyond a torn tail) must
-        // not stop a later replay at a stale boundary
-        wal::remove_unreachable_generations(dir, state.checkpoint_seq, state.active_start_seq);
+        let mut payloads = state.active_tail.records.iter().map(|(_, p)| p.as_slice());
+        let (functions, objects) = decode_checkpoint(payloads.next().unwrap_or_default())?;
+        let batches = payloads.map(decode_batch).collect::<Result<_, _>>()?;
+        let start = state.active_start_seq;
+        let writer = WalWriter::open_after_recovery(dir, start, &state.active_tail)?;
+        wal::remove_unreachable_generations(dir, start);
         Ok(RecoveredShard {
             functions,
             objects,
             batches,
-            durability: Self {
-                dir: dir.to_path_buf(),
-                writer,
-                checkpoint_every,
-                last_checkpoint_seq: state.checkpoint_seq,
-                unsynced: false,
-            },
+            durability: Self::resume(dir, writer, checkpoint_every, start),
         })
-    }
-
-    fn reopen_active(dir: &Path, state: &wal::RecoveredState) -> Result<WalWriter, StorageError> {
-        let tail: &SegmentTail = &state.active_tail;
-        WalWriter::open_after_recovery(dir, state.active_start_seq, tail)
     }
 
     /// Appends one batch to the WAL (durable only after
@@ -394,38 +407,43 @@ impl ShardDurability {
         Ok(Durable(()))
     }
 
-    /// Rotates to a new generation when enough batches accumulated since the
-    /// last checkpoint: trim and fsync the log, create the next segment,
-    /// write the checkpoint, collect generations older than the previous
-    /// one. Skipped while a population is empty (an engine cannot restore
-    /// from an empty problem; the log keeps the full history until the
-    /// populations refill).
-    /// Returns the new checkpoint's sequence when one was written.
+    /// Rotates to a new generation when `checkpoint_every` batches were
+    /// logged after the snapshot: trim and fsync the log, start the next
+    /// segment with a snapshot of the populations, collect the generations
+    /// older than the one closed. Skipped while a population is empty (an
+    /// engine cannot restore from an empty problem; the log keeps the full
+    /// history until the populations refill), and put off by another
+    /// `checkpoint_every` batches when the snapshot is too large for a
+    /// record. Returns the new generation's sequence when one was started.
     pub(crate) fn maybe_checkpoint(
         &mut self,
         functions: &[PreferenceFunction],
         objects: &[ObjectRecord],
     ) -> Result<Option<u64>, StorageError> {
         let next_seq = self.writer.next_seq();
-        if next_seq - self.last_checkpoint_seq < self.checkpoint_every {
-            return Ok(None);
-        }
-        if functions.is_empty() || objects.is_empty() {
+        if next_seq < self.rotate_at || functions.is_empty() || objects.is_empty() {
             return Ok(None);
         }
         // the closing segment keeps exactly its records, and the sync makes
         // the trim durable (a failed one leaves the zero remainder a crash
         // would, which reads as the clean end). Every record the new
-        // checkpoint subsumes must be durable before the old generation
+        // snapshot subsumes must be durable before the old generation
         // becomes collectible.
         let _ = self.writer.trim();
         self.writer.sync()?;
         self.unsynced = false;
-        let previous = self.last_checkpoint_seq;
-        self.writer = WalWriter::create(&self.dir, next_seq)?;
-        wal::write_checkpoint(&self.dir, next_seq, &encode_checkpoint(functions, objects))?;
-        wal::remove_generations_before(&self.dir, previous);
-        self.last_checkpoint_seq = next_seq;
+        let snapshot = encode_checkpoint(functions, objects);
+        self.writer = match wal::write_checkpoint(&self.dir, next_seq, &snapshot) {
+            Ok(writer) => writer,
+            Err(StorageError::RecordTooLarge { .. }) => {
+                self.rotate_at = next_seq + self.checkpoint_every;
+                return Ok(None);
+            }
+            Err(e) => return Err(e),
+        };
+        wal::remove_generations_before(&self.dir, self.generation);
+        self.generation = next_seq;
+        self.rotate_at = next_seq + 1 + self.checkpoint_every;
         Ok(Some(next_seq))
     }
 
@@ -452,18 +470,18 @@ impl ShardDurability {
 /// What [`ShardDurability::recover`] reconstructs from a shard directory.
 #[derive(Debug)]
 pub struct RecoveredShard {
-    /// Functions of the recovered checkpoint.
+    /// Functions of the recovered snapshot.
     pub functions: Vec<PreferenceFunction>,
-    /// Objects of the recovered checkpoint.
+    /// Objects of the recovered snapshot.
     pub objects: Vec<ObjectRecord>,
-    /// Whole batches logged after the checkpoint, in log order.
+    /// Whole batches logged after the snapshot, in log order.
     pub batches: Vec<Vec<UpdateOp>>,
     /// The durability state, positioned to append after the recovered tail.
     pub durability: ShardDurability,
 }
 
 impl RecoveredShard {
-    /// Rebuilds the shard's engine: the checkpoint's populations form the
+    /// Rebuilds the shard's engine: the snapshot's populations form the
     /// initial problem, then every logged batch replays in log order. An
     /// op the engine rejects (duplicate or unknown id) was counted, not
     /// fatal, when first applied, and replay treats it the same.
@@ -473,7 +491,7 @@ impl RecoveredShard {
     ) -> Result<(AssignmentEngine, ShardDurability), ServiceError> {
         let problem = Problem::new(self.functions, self.objects).map_err(|e| {
             ServiceError::Durability(format!(
-                "checkpoint in {} does not form a valid problem: {e}",
+                "snapshot in {} does not form a valid problem: {e}",
                 self.durability.dir().display()
             ))
         })?;
@@ -659,10 +677,12 @@ mod tests {
     #[test]
     fn lying_counts_are_refused_before_allocating() {
         let lying = u32::MAX.to_le_bytes().to_vec();
-        let mut lying_objects = 0u32.to_le_bytes().to_vec();
+        let lying_functions = [&SNAPSHOT_MAGIC[..], &lying].concat();
+        let mut lying_objects = SNAPSHOT_MAGIC.to_vec();
+        lying_objects.extend(0u32.to_le_bytes());
         lying_objects.extend(u32::MAX.to_le_bytes());
         for err in [
-            decode_checkpoint(&lying).unwrap_err(),
+            decode_checkpoint(&lying_functions).unwrap_err(),
             decode_checkpoint(&lying_objects).unwrap_err(),
             decode_batch(&lying).unwrap_err(),
         ] {
@@ -683,13 +703,23 @@ mod tests {
     }
 
     #[test]
+    fn a_snapshot_without_its_magic_is_refused() {
+        let mut payload = encode_checkpoint(&functions(), &objects());
+        payload[7] ^= 1; // another format version
+        for bytes in [&payload[..], &encode_batch(&batch()), &[]] {
+            let err = decode_checkpoint(bytes).unwrap_err();
+            assert!(matches!(err, StorageError::Corrupt(_)), "{err:?}");
+        }
+    }
+
+    #[test]
     fn create_log_recover_roundtrips() {
         let dir = temp_dir("roundtrip");
         let mut d =
             ShardDurability::create(&dir, FsyncPolicy::Always, 100, &functions(), &objects())
                 .unwrap();
-        assert_eq!(d.log_batch(&batch()).unwrap(), 0);
-        assert_eq!(d.log_batch(&[]).unwrap(), 1);
+        assert_eq!(d.log_batch(&batch()).unwrap(), 1);
+        assert_eq!(d.log_batch(&[]).unwrap(), 2);
         d.sync_for_ack().unwrap();
         drop(d);
 
@@ -697,8 +727,8 @@ mod tests {
         assert_eq!(rec.functions, functions());
         assert_eq!(rec.objects, objects());
         assert_eq!(rec.batches, vec![batch(), vec![]]);
-        assert_eq!(rec.durability.next_seq(), 2);
-        assert_eq!(rec.durability.last_checkpoint_seq, 0);
+        assert_eq!(rec.durability.next_seq(), 3);
+        assert_eq!(rec.durability.generation, 0);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -713,7 +743,7 @@ mod tests {
         }
         assert_eq!(
             d.maybe_checkpoint(&functions(), &objects()).unwrap(),
-            Some(2)
+            Some(3)
         );
         for _ in 0..2 {
             d.log_batch(&batch()).unwrap();
@@ -721,22 +751,22 @@ mod tests {
         }
         assert_eq!(
             d.maybe_checkpoint(&functions(), &objects()).unwrap(),
-            Some(4)
+            Some(6)
         );
-        // generation 0 was collected, generation 2 kept as fallback
-        let ckpts: Vec<u64> = wal::list_checkpoints(&dir)
+        // generation 0 was collected, generation 3 kept as fallback
+        let generations: Vec<u64> = wal::list_segments(&dir)
             .unwrap()
             .into_iter()
             .map(|(s, _)| s)
             .collect();
-        assert_eq!(ckpts, vec![2, 4]);
+        assert_eq!(generations, vec![3, 6]);
         d.log_batch(&batch()).unwrap();
         d.sync_for_ack().unwrap();
         drop(d);
         let rec = ShardDurability::recover(&dir, 2).unwrap();
-        assert_eq!(rec.durability.last_checkpoint_seq, 4);
+        assert_eq!(rec.durability.generation, 6);
         assert_eq!(rec.batches.len(), 1);
-        assert_eq!(rec.durability.next_seq(), 5);
+        assert_eq!(rec.durability.next_seq(), 8);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -751,14 +781,14 @@ mod tests {
         // not due yet counts before emptiness: nothing logged since
         assert_eq!(
             d.maybe_checkpoint(&functions(), &objects()).unwrap(),
-            Some(1)
+            Some(2)
         );
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// A second `create` used to truncate `wal-0` and rewrite
-    /// `checkpoint-0` but leave the earlier run's `checkpoint-2`, which
-    /// recovery then preferred: the old population came back.
+    /// A second `create` used to rewrite generation 0 but leave the earlier
+    /// run's newer generation, which recovery then preferred: the old
+    /// population came back.
     #[test]
     fn create_refuses_a_directory_an_earlier_run_used() {
         let dir = temp_dir("reused");
@@ -770,7 +800,7 @@ mod tests {
         }
         assert_eq!(
             d.maybe_checkpoint(&functions(), &objects()).unwrap(),
-            Some(2)
+            Some(3)
         );
         drop(d);
         let err = ShardDurability::create(
@@ -784,7 +814,7 @@ mod tests {
         assert_eq!(err, StorageError::InUse(dir.clone()));
         // nothing was touched: the earlier run still recovers whole
         let rec = ShardDurability::recover(&dir, 2).unwrap();
-        assert_eq!(rec.durability.last_checkpoint_seq, 2);
+        assert_eq!(rec.durability.generation, 3);
         assert_eq!(rec.functions, functions());
         std::fs::remove_dir_all(&dir).ok();
     }

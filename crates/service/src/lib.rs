@@ -31,13 +31,13 @@
 //! published, giving producers read-your-writes on their own shard.
 //!
 //! With a [`DurabilityConfig`] — a root directory, nothing else — each shard
-//! additionally keeps a write-ahead log and a checkpoint every 256 logged
-//! batches on disk (via `pref_storage`'s WAL): every non-empty batch is
+//! additionally keeps a write-ahead log on disk, opening a new segment with
+//! a snapshot every 256 logged batches (via `pref_storage`'s WAL): every non-empty batch is
 //! logged and fsynced *before* it is applied and acked, so the batch is the
 //! durability unit exactly as it is the isolation unit. A durable
 //! [`ShardedService::start`] refuses a root an earlier run left shard
 //! directories in; [`ShardedService::recover`] rebuilds every shard from
-//! its newest readable checkpoint plus the log tail and lands on the
+//! its newest readable snapshot plus the batches after it and lands on the
 //! byte-identical canonical matching — see the `durability` module and the
 //! README's "Durability" section for the crash-consistency model.
 //!
@@ -129,7 +129,7 @@ pub enum ServiceError {
     InvalidConfig(String),
     /// Building a shard's engine failed.
     Engine(EngineError),
-    /// A durability operation (WAL append/fsync, checkpoint, recovery)
+    /// A durability operation (WAL append/fsync, rotation, recovery)
     /// failed; the message carries the storage-level cause.
     Durability(String),
 }

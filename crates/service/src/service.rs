@@ -8,8 +8,8 @@ use crate::{ServiceError, UpdateOp};
 use pref_assign::Problem;
 use pref_engine::{AssignmentEngine, EngineOptions};
 
-/// A durable shard checkpoints (and rotates its log) every this many logged
-/// batches, which bounds what recovery replays.
+/// A durable shard starts a new log segment, opened by a snapshot, every
+/// this many logged batches, which bounds what recovery replays.
 const CHECKPOINT_EVERY: u64 = 256;
 
 /// Configuration of a [`ShardedService`] (applies to every shard).
@@ -20,7 +20,7 @@ pub struct ServiceConfig {
     pub queue_capacity: usize,
     /// Engine options for every shard's engine.
     pub engine: EngineOptions,
-    /// Per-shard durability (WAL + checkpoints under a root directory).
+    /// Per-shard durability (a WAL under a root directory).
     /// `None` (the default) serves purely in memory, exactly as before.
     pub durability: Option<DurabilityConfig>,
 }
@@ -149,7 +149,7 @@ impl ShardedService {
 
     /// Recovers a durable service from `config.durability.dir`: rediscovers
     /// the `shard-<i>` subdirectories, restores each shard from its newest
-    /// valid checkpoint plus log tail, and resumes serving. The recovered
+    /// readable snapshot plus the batches after it, and resumes serving. The recovered
     /// state of every shard equals its pre-crash state at some batch
     /// boundary at or after the last acknowledged flush — never a torn
     /// batch. Versions restart at 1 (readers re-pin on the new cells).

@@ -94,10 +94,10 @@ pub enum FaultEvent {
         /// The version about to be published.
         version: u64,
     },
-    /// A checkpoint was written at log sequence `seq` and older generations
-    /// were collected.
+    /// A new generation was started with its snapshot at log sequence
+    /// `seq`, and older generations were collected.
     CheckpointWritten {
-        /// Log sequence the checkpoint was taken at.
+        /// Log sequence of the new generation's snapshot.
         seq: u64,
     },
 }
@@ -338,7 +338,7 @@ impl Drop for ShardHandle {
 }
 
 /// The shard's writer loop: drain → log → fsync → apply → export →
-/// checkpoint (when due) → publish → acknowledge. Once the queue is closed
+/// rotate (when due) → publish → acknowledge. Once the queue is closed
 /// and drained, the log's active segment is trimmed to its records.
 ///
 /// The log-before-apply order is the durability contract: a batch reaches
@@ -595,7 +595,7 @@ mod tests {
         shard.close();
         shard.join().unwrap();
         let tail = pref_storage::wal::read_segment(&dir, 0).unwrap();
-        assert_eq!(tail.records.len(), 3);
+        assert_eq!(tail.records.len(), 1 + 3, "the snapshot and three batches");
         assert!(open_len > tail.valid_len, "the running writer preallocates");
         assert_eq!(
             std::fs::metadata(&segment).unwrap().len(),

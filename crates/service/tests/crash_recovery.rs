@@ -5,8 +5,9 @@
 //! must equal — canonically, pair for pair and score bit for score bit —
 //! the pre-crash matching at some batch boundary at or after the last
 //! acknowledged flush. The battery kills writers at every fault milestone,
-//! truncates the log at every byte offset, corrupts records and
-//! checkpoints, and crashes the writer right after it compacted.
+//! truncates the log at every byte offset, corrupts batch and snapshot
+//! records, tears a rotation's snapshot, and crashes the writer right after
+//! it compacted.
 
 #![allow(
     clippy::disallowed_methods,
@@ -21,7 +22,7 @@ use pref_service::{
     AssignmentSnapshot, DurabilityConfig, FaultEvent, FsyncPolicy, ServiceConfig, ServiceError,
     ShardDurability, ShardHandle, ShardedService, UpdateOp, WriterFault,
 };
-use pref_storage::wal;
+use pref_storage::{wal, StorageError};
 use proptest::prelude::*;
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -236,8 +237,8 @@ fn writer_killed_right_after_a_checkpoint_recovers_identically() {
     let options = EngineOptions::default();
     let canon = oracle(&base_problem(), &batches(), &options);
     let dir = temp_dir("kill_after_ckpt");
-    // checkpoint every 3 batches; die the instant the first rotation ends
-    // (new segment + checkpoint written, old generation collected)
+    // a new generation every 3 batches; die the instant the first rotation
+    // ends (new segment and its snapshot written, old generation collected)
     let fault: WriterFault = Box::new(|event| {
         if matches!(event, FaultEvent::CheckpointWritten { .. }) {
             crash();
@@ -306,8 +307,8 @@ fn a_rotated_segment_holds_exactly_its_records() {
     let options = EngineOptions::default();
     let canon = oracle(&base_problem(), &batches(), &options);
     let dir = temp_dir("rotated_trim");
-    // checkpoint every 3 batches: the first rotation closes wal-0 after
-    // batch 3; die before publishing batch 5, with wal-3 still open
+    // a new generation every 3 batches: the first rotation closes wal-0
+    // after batch 3; die before publishing batch 5, with wal-4 still open
     let fault: WriterFault = Box::new(|event| {
         if event == (FaultEvent::PrePublish { version: 6 }) {
             crash();
@@ -316,8 +317,8 @@ fn a_rotated_segment_holds_exactly_its_records() {
     assert_eq!(run_durable(&dir, &options, 3, Some(fault)), 4);
     let (file, records) = segment_lengths(&dir, 0);
     assert_eq!(file, records, "rotation trims the closed segment");
-    assert_eq!(wal::read_segment(&dir, 0).unwrap().records.len(), 3);
-    let (file, records) = segment_lengths(&dir, 3);
+    assert_eq!(wal::read_segment(&dir, 0).unwrap().records.len(), 1 + 3);
+    let (file, records) = segment_lengths(&dir, 4);
     assert!(file > records, "the active segment keeps its zero tail");
     assert_eq!(recover_canonical(&dir, &options, 3), canon[5]);
     fs::remove_dir_all(&dir).ok();
@@ -332,7 +333,8 @@ fn log_truncated_at_every_byte_offset_recovers_a_batch_prefix() {
     assert_eq!(acked, 6);
 
     let full = fs::read(wal::segment_path(&dir, 0)).unwrap();
-    // batch boundaries within the segment: record b ends batch b + 1
+    // record boundaries within the segment: record 0 is the snapshot, and
+    // record b ends batch b
     let mut boundaries = vec![0usize];
     for (_, payload) in wal::read_segment(&dir, 0).unwrap().records {
         boundaries.push(boundaries.last().unwrap() + RECORD_HEADER + payload.len());
@@ -342,18 +344,26 @@ fn log_truncated_at_every_byte_offset_recovers_a_batch_prefix() {
     let work = temp_dir("truncate_work");
     for cut in 0..=full.len() {
         fs::create_dir_all(&work).unwrap();
-        fs::copy(
-            wal::checkpoint_path(&dir, 0),
-            wal::checkpoint_path(&work, 0),
-        )
-        .unwrap();
         fs::write(wal::segment_path(&work, 0), &full[..cut]).unwrap();
-        let whole = boundaries[1..].iter().filter(|&&b| b <= cut).count();
-        let recovered = recover_canonical(&work, &options, 100);
-        assert_eq!(
-            recovered, canon[whole],
-            "cut at byte {cut}: exactly {whole} whole batches must replay"
-        );
+        if cut < boundaries[1] {
+            // the only generation lost its snapshot: a typed refusal that
+            // leaves the segment as it was
+            assert!(
+                matches!(
+                    ShardDurability::recover(&work, 100),
+                    Err(StorageError::Corrupt(_))
+                ),
+                "cut at byte {cut}, inside the snapshot"
+            );
+            assert_eq!(fs::read(wal::segment_path(&work, 0)).unwrap(), &full[..cut]);
+        } else {
+            let whole = boundaries[2..].iter().filter(|&&b| b <= cut).count();
+            let recovered = recover_canonical(&work, &options, 100);
+            assert_eq!(
+                recovered, canon[whole],
+                "cut at byte {cut}: exactly {whole} whole batches must replay"
+            );
+        }
         fs::remove_dir_all(&work).ok();
     }
     fs::remove_dir_all(&dir).ok();
@@ -375,24 +385,38 @@ fn corrupted_record_stops_replay_at_the_previous_boundary() {
     let work = temp_dir("corrupt_work");
     for (k, window) in offsets.windows(2).enumerate() {
         fs::create_dir_all(&work).unwrap();
-        fs::copy(
-            wal::checkpoint_path(&dir, 0),
-            wal::checkpoint_path(&work, 0),
-        )
-        .unwrap();
         let mut bad = full.clone();
         // flip one payload byte of record k: its checksum must reject the
         // record and everything after it
         bad[window[0] + RECORD_HEADER] ^= 0x40;
         fs::write(wal::segment_path(&work, 0), &bad).unwrap();
-        let recovered = recover_canonical(&work, &options, 100);
-        assert_eq!(
-            recovered, canon[k],
-            "corruption in record {k} must truncate replay to {k} batches"
-        );
+        if k == 0 {
+            // the only generation's snapshot: a typed refusal
+            assert!(matches!(
+                ShardDurability::recover(&work, 100),
+                Err(StorageError::Corrupt(_))
+            ));
+        } else {
+            let recovered = recover_canonical(&work, &options, 100);
+            assert_eq!(
+                recovered,
+                canon[k - 1],
+                "corruption in batch record {k} must truncate replay to {} batches",
+                k - 1
+            );
+        }
         fs::remove_dir_all(&work).ok();
     }
     fs::remove_dir_all(&dir).ok();
+}
+
+/// Start sequences of the generations (log segments) in `dir`.
+fn generations(dir: &Path) -> Vec<u64> {
+    wal::list_segments(dir)
+        .unwrap()
+        .into_iter()
+        .map(|(s, _)| s)
+        .collect()
 }
 
 #[test]
@@ -400,26 +424,22 @@ fn corrupt_newest_checkpoint_falls_back_to_the_previous_generation() {
     let options = EngineOptions::default();
     let canon = oracle(&base_problem(), &batches(), &options);
     let dir = temp_dir("ckpt_fallback");
-    // checkpoint_every=2 over 6 batches: rotations at sequences 2, 4 and 6;
-    // generation 4 is kept as fallback behind generation 6
+    // checkpoint_every=2 over 6 batches: rotations at sequences 3, 6 and 9;
+    // generation 6 is kept as fallback behind generation 9
     run_durable(&dir, &options, 2, None);
-    let ckpts: Vec<u64> = wal::list_checkpoints(&dir)
-        .unwrap()
-        .into_iter()
-        .map(|(s, _)| s)
-        .collect();
     assert_eq!(
-        ckpts,
-        vec![4, 6],
+        generations(&dir),
+        vec![6, 9],
         "GC keeps exactly one fallback generation"
     );
 
     // sanity: the pristine directory recovers to the final state
     assert_eq!(recover_canonical(&dir, &options, 2), canon[6]);
 
-    // corrupt the newest checkpoint: recovery must fall back to generation
-    // 4 and replay across both remaining segments to the same final state
-    let path = wal::checkpoint_path(&dir, 6);
+    // corrupt the newest snapshot, which has no batch after it: recovery
+    // must fall back to generation 6 and replay its batches to the same
+    // final state
+    let path = wal::segment_path(&dir, 9);
     let mut bytes = fs::read(&path).unwrap();
     let mid = bytes.len() / 2;
     bytes[mid] ^= 0xFF;
@@ -429,6 +449,71 @@ fn corrupt_newest_checkpoint_falls_back_to_the_previous_generation() {
         canon[6],
         "fallback recovery must reach the identical final matching"
     );
+    fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_rotation_torn_inside_its_snapshot_resumes_the_previous_generation() {
+    let options = EngineOptions::default();
+    let canon = oracle(&base_problem(), &batches(), &options);
+    let dir = temp_dir("torn_snapshot_src");
+    // a new generation every 3 batches over 6: rotations at sequences 4 and
+    // 8, and wal-8 holds only its snapshot
+    run_durable(&dir, &options, 3, None);
+    assert_eq!(generations(&dir), vec![4, 8]);
+    let previous = fs::read(wal::segment_path(&dir, 4)).unwrap();
+    let snapshot = fs::read(wal::segment_path(&dir, 8)).unwrap();
+    let extra = vec![UpdateOp::InsertObject(ObjectRecord::new(
+        900,
+        Point::from_slice(&[0.3, 0.6]),
+    ))];
+
+    // a crash inside the rotation leaves any prefix of the snapshot record
+    let work = temp_dir("torn_snapshot_work");
+    for cut in 0..snapshot.len() {
+        fs::create_dir_all(&work).unwrap();
+        fs::write(wal::segment_path(&work, 4), &previous).unwrap();
+        fs::write(wal::segment_path(&work, 8), &snapshot[..cut]).unwrap();
+        let (engine, durability) = ShardDurability::recover(&work, 100)
+            .unwrap()
+            .replay(&options)
+            .unwrap();
+        assert_eq!(generations(&work), vec![4], "cut at byte {cut}");
+        let shard = ShardHandle::spawn(engine, Some(durability), 64, 0, None).unwrap();
+        assert_eq!(canonical(&shard.latest()), canon[6], "cut at byte {cut}");
+        shard.submit_batch(extra.clone()).unwrap();
+        shard.flush().unwrap();
+        let appended = canonical(&shard.latest());
+        drop(shard);
+        assert_eq!(
+            recover_canonical(&work, &options, 100),
+            appended,
+            "second recovery after a cut at byte {cut}"
+        );
+        fs::remove_dir_all(&work).ok();
+    }
+    fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_damaged_snapshot_costs_the_batches_logged_after_it() {
+    let options = EngineOptions::default();
+    let canon = oracle(&base_problem(), &batches(), &options);
+    let dir = temp_dir("damaged_snapshot");
+    // a new generation every 4 batches over 6: wal-5 holds its snapshot,
+    // then batches 5 and 6
+    run_durable(&dir, &options, 4, None);
+    assert_eq!(generations(&dir), vec![0, 5]);
+    assert_eq!(wal::read_segment(&dir, 5).unwrap().records.len(), 3);
+    let path = wal::segment_path(&dir, 5);
+    let mut bytes = fs::read(&path).unwrap();
+    bytes[RECORD_HEADER + 20] ^= 0x01;
+    fs::write(&path, &bytes).unwrap();
+    // media damage alone can do this: a crash cannot, because the snapshot
+    // is fsynced before any batch after it is appended. Recovery lands on
+    // the rotation boundary and the damaged generation is collected.
+    assert_eq!(recover_canonical(&dir, &options, 4), canon[4]);
+    assert_eq!(generations(&dir), vec![0]);
     fs::remove_dir_all(&dir).ok();
 }
 

@@ -3,7 +3,7 @@
 use std::fmt;
 use std::path::PathBuf;
 
-/// Errors surfaced by the WAL and checkpoint machinery and by decoders of
+/// Errors surfaced by the WAL machinery and by decoders of
 /// stored or received bytes.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum StorageError {
@@ -13,7 +13,7 @@ pub enum StorageError {
     /// Stored bytes failed validation (bad length, checksum or structure).
     Corrupt(String),
     /// A directory that must start empty already holds durable state (a log
-    /// segment or a checkpoint of an earlier run). Nothing in it was touched.
+    /// segment of an earlier run). Nothing in it was touched.
     InUse(PathBuf),
     /// A log record longer than the reader accepts was refused before a byte
     /// of it was written.
@@ -30,11 +30,9 @@ impl fmt::Display for StorageError {
         match self {
             StorageError::Io(msg) => write!(f, "storage I/O error: {msg}"),
             StorageError::Corrupt(msg) => write!(f, "corrupt stored data: {msg}"),
-            StorageError::InUse(dir) => write!(
-                f,
-                "{} already holds a log or checkpoint of an earlier run",
-                dir.display()
-            ),
+            StorageError::InUse(dir) => {
+                write!(f, "{} already holds a log of an earlier run", dir.display())
+            }
             StorageError::RecordTooLarge { len, max } => write!(
                 f,
                 "log record of {len} bytes refused: records carry at most {max}"

@@ -12,11 +12,11 @@
 //! * [`LruBuffer`] — an LRU buffer pool over page identifiers,
 //! * [`IoStats`] — logical/physical read and write counters,
 //! * [`ByteReader`] — the bounds-checked little-endian reader every decoder
-//!   of stored or received bytes goes through (WAL batches, checkpoints, wire
+//!   of stored or received bytes goes through (WAL batches, snapshots, wire
 //!   replies): a short read, a count the bytes cannot hold or trailing bytes
 //!   are a [`StorageError::Corrupt`], never a panic or an allocation,
-//! * [`wal`] — write-ahead-log and checkpoint file primitives used by the
-//!   service tier's per-shard durability.
+//! * [`wal`] — the write-ahead-log file primitives of the service tier's
+//!   per-shard durability, where a snapshot is a segment's first record.
 //!
 //! The store is generic over the page payload so the R-tree crate can store
 //! its node type directly; the accounting only needs to know *which* page is

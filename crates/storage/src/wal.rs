@@ -1,20 +1,18 @@
-//! Write-ahead-log and checkpoint file primitives.
+//! Write-ahead-log file primitives.
 //!
-//! The service tier gives every shard a directory holding *generations* of
-//! durable state:
-//!
-//! * `checkpoint-<S>.ckpt` — a full snapshot of the shard taken when the next
-//!   log record would have had sequence number `S`;
-//! * `wal-<S>.log` — the log segment holding records `S, S+1, …` appended
-//!   after that checkpoint.
+//! The service tier gives every shard a directory of *generations*, one log
+//! segment each. Record `S` of `wal-<S>.log` is a snapshot of the shard
+//! taken when the next record would have had sequence number `S`, and the
+//! records after it, `S+1, S+2, …`, are the batches logged since. To this
+//! crate both are opaque payloads: the snapshot is the segment's first
+//! record, framed and checksummed like every other.
 //!
 //! A log record is `[len: u32 LE][seq: u64 LE][crc: u64 LE][payload]` where
-//! `crc = fnv1a64(seq_le ++ payload)`. The payload is opaque bytes — the
-//! service encodes its `UpdateOp` batches one record per batch, making the
-//! batch the atomicity unit end to end. Readers accept the longest prefix of
-//! whole, checksum-valid, consecutively-numbered records and ignore the rest,
-//! so a record torn by a crash (or truncated by fault injection) is never
-//! half-applied.
+//! `crc = fnv1a64(seq_le ++ payload)`. The service encodes its `UpdateOp`
+//! batches one record per batch, making the batch the atomicity unit end to
+//! end. Readers accept the longest prefix of whole, checksum-valid,
+//! consecutively-numbered records and ignore the rest, so a record torn by
+//! a crash (or truncated by fault injection) is never half-applied.
 //!
 //! A live segment is its records followed by a zero-filled remainder: the
 //! writer grows the file in 64 KiB chunks of zeros, ahead of the appends.
@@ -26,27 +24,25 @@
 //! shutdown), so only the active segment of a running or crashed writer
 //! carries one.
 //!
-//! Checkpoints are written to a temporary file, fsynced, and renamed into
-//! place; a reader validates magic, length and checksum and falls back to the
-//! previous generation if the newest checkpoint is unreadable. Rotation order
-//! is crash-safe: first the new log segment is created, then the checkpoint
-//! is written, then generations older than the *previous* one are removed
-//! (the previous generation is kept so a later corruption of the newest
-//! checkpoint still leaves a recoverable chain).
+//! [`write_checkpoint`] starts a generation: it creates the segment,
+//! appends the snapshot, and fsyncs the file and then the directory, all
+//! before a batch can follow. Rotation collects only the generations older
+//! than the one it closed, so the previous generation is always on disk.
+//! [`recover_dir`] resumes the newest segment that holds a whole record. A
+//! newest segment without one is a rotation that crashed before its
+//! snapshot was durable, so no batch after it was acknowledged, and the
+//! previous generation is the state to resume.
 
 #![expect(
     clippy::disallowed_methods,
     clippy::disallowed_types,
-    reason = "the WAL and checkpoint files are the durable layer's own std::fs use"
+    reason = "the log segments are the durable layer's own std::fs use"
 )]
 
 use crate::error::{fnv1a64, fnv1a64_continue, StorageError};
 use std::fs::{self, File};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
-
-/// Magic bytes opening every checkpoint file.
-const CHECKPOINT_MAGIC: &[u8; 8] = b"FAIRCKP1";
 
 /// Size of a log record header: length (u32) + sequence (u64) + crc (u64).
 const RECORD_HEADER: usize = 4 + 8 + 8;
@@ -65,6 +61,18 @@ fn record_crc(seq: u64, payload: &[u8]) -> u64 {
     fnv1a64_continue(fnv1a64(&seq.to_le_bytes()), payload)
 }
 
+/// Refuses a payload the reader would not accept: recovery would drop it
+/// and every record after it.
+fn check_record_len(len: usize) -> Result<(), StorageError> {
+    if len > MAX_RECORD_LEN {
+        return Err(StorageError::RecordTooLarge {
+            len,
+            max: MAX_RECORD_LEN,
+        });
+    }
+    Ok(())
+}
+
 fn io_err(op: &str, path: &Path, e: &std::io::Error) -> StorageError {
     StorageError::Io(format!("{op} {}: {e}", path.display()))
 }
@@ -74,22 +82,18 @@ pub fn segment_path(dir: &Path, seq: u64) -> PathBuf {
     dir.join(format!("wal-{seq:020}.log"))
 }
 
-/// Returns the path of the checkpoint taken at sequence `seq`.
-pub fn checkpoint_path(dir: &Path, seq: u64) -> PathBuf {
-    dir.join(format!("checkpoint-{seq:020}.ckpt"))
-}
-
 /// Creates `dir` (and parents) if missing.
 pub fn ensure_dir(dir: &Path) -> Result<(), StorageError> {
     fs::create_dir_all(dir).map_err(|e| io_err("create directory", dir, &e))
 }
 
-/// Lists `(start_seq, path)` of files in `dir` matching `prefix<seq>suffix`,
-/// ascending by sequence number.
+/// Lists `(n, path)` of the entries of `dir` named `prefix<n>suffix` that
+/// are directories when `dirs` is set and files otherwise, ascending by `n`.
 fn list_numbered(
     dir: &Path,
     prefix: &str,
     suffix: &str,
+    dirs: bool,
 ) -> Result<Vec<(u64, PathBuf)>, StorageError> {
     let mut out = Vec::new();
     let entries = fs::read_dir(dir).map_err(|e| io_err("list directory", dir, &e))?;
@@ -103,47 +107,26 @@ fn list_numbered(
         let Some(digits) = rest.strip_suffix(suffix) else {
             continue;
         };
-        let Ok(seq) = digits.parse::<u64>() else {
+        let Ok(n) = digits.parse::<u64>() else {
             continue;
         };
-        out.push((seq, entry.path()));
+        if entry.path().is_dir() == dirs {
+            out.push((n, entry.path()));
+        }
     }
-    out.sort_by_key(|&(seq, _)| seq);
+    out.sort_by_key(|&(n, _)| n);
     Ok(out)
 }
 
 /// Log segments in `dir`, ascending by start sequence.
 pub fn list_segments(dir: &Path) -> Result<Vec<(u64, PathBuf)>, StorageError> {
-    list_numbered(dir, "wal-", ".log")
-}
-
-/// Checkpoints in `dir`, ascending by sequence.
-pub fn list_checkpoints(dir: &Path) -> Result<Vec<(u64, PathBuf)>, StorageError> {
-    list_numbered(dir, "checkpoint-", ".ckpt")
+    list_numbered(dir, "wal-", ".log", false)
 }
 
 /// Numbered subdirectories `<prefix><n>` of `root`, ascending by `n`. Used by
 /// the service to rediscover its shard directories on recovery.
 pub fn list_numbered_dirs(root: &Path, prefix: &str) -> Result<Vec<(u64, PathBuf)>, StorageError> {
-    let mut out = Vec::new();
-    let entries = fs::read_dir(root).map_err(|e| io_err("list directory", root, &e))?;
-    for entry in entries {
-        let entry = entry.map_err(|e| io_err("list directory", root, &e))?;
-        if !entry.path().is_dir() {
-            continue;
-        }
-        let name = entry.file_name();
-        let Some(name) = name.to_str() else { continue };
-        let Some(digits) = name.strip_prefix(prefix) else {
-            continue;
-        };
-        let Ok(n) = digits.parse::<u64>() else {
-            continue;
-        };
-        out.push((n, entry.path()));
-    }
-    out.sort_by_key(|&(n, _)| n);
-    Ok(out)
+    list_numbered(root, prefix, "", true)
 }
 
 /// An append-only writer for one log segment.
@@ -233,15 +216,9 @@ impl WalWriter {
     /// grows the file, and the appends between overwrite zeros.
     ///
     /// A payload over the record limit fails with
-    /// [`StorageError::RecordTooLarge`] and writes nothing: recovery would
-    /// drop it and every record after it.
+    /// [`StorageError::RecordTooLarge`] and writes nothing.
     pub fn append(&mut self, payload: &[u8]) -> Result<u64, StorageError> {
-        if payload.len() > MAX_RECORD_LEN {
-            return Err(StorageError::RecordTooLarge {
-                len: payload.len(),
-                max: MAX_RECORD_LEN,
-            });
-        }
+        check_record_len(payload.len())?;
         let seq = self.next_seq;
         self.scratch.clear();
         self.scratch
@@ -362,194 +339,79 @@ pub fn read_segment(dir: &Path, start_seq: u64) -> Result<SegmentTail, StorageEr
     })
 }
 
-/// Atomically writes a checkpoint taken at sequence `seq`: the payload goes
-/// to a temporary file which is fsynced and renamed into place, then the
-/// directory entry is fsynced. A crash at any point leaves either the old
-/// state or the complete new checkpoint, never a half-written one with the
-/// final name.
-pub fn write_checkpoint(dir: &Path, seq: u64, payload: &[u8]) -> Result<(), StorageError> {
-    let final_path = checkpoint_path(dir, seq);
-    let tmp_path = dir.join(format!("checkpoint-{seq:020}.tmp"));
-    let mut bytes = Vec::with_capacity(CHECKPOINT_MAGIC.len() + 12 + payload.len());
-    bytes.extend_from_slice(CHECKPOINT_MAGIC);
-    bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    bytes.extend_from_slice(&fnv1a64(payload).to_le_bytes());
-    bytes.extend_from_slice(payload);
-    {
-        let mut tmp = File::create(&tmp_path).map_err(|e| io_err("create", &tmp_path, &e))?;
-        tmp.write_all(&bytes)
-            .map_err(|e| io_err("write", &tmp_path, &e))?;
-        tmp.sync_data().map_err(|e| io_err("sync", &tmp_path, &e))?;
-    }
-    fs::rename(&tmp_path, &final_path)
-        .map_err(|e| io_err("rename checkpoint into", &final_path, &e))?;
-    // make the rename itself durable
-    let dir_handle = File::open(dir).map_err(|e| io_err("open", dir, &e))?;
-    dir_handle
-        .sync_all()
+/// Starts the generation at sequence `seq`: creates `wal-<seq>.log`,
+/// appends `snapshot` as its first record, and fsyncs the file and then the
+/// directory. Returns the segment's writer, positioned for record `seq + 1`.
+///
+/// A snapshot over the record limit fails with
+/// [`StorageError::RecordTooLarge`] before any file is created.
+pub fn write_checkpoint(dir: &Path, seq: u64, snapshot: &[u8]) -> Result<WalWriter, StorageError> {
+    check_record_len(snapshot.len())?;
+    let mut writer = WalWriter::create(dir, seq)?;
+    writer.append(snapshot)?;
+    writer.sync()?;
+    // make the new segment's directory entry durable
+    File::open(dir)
+        .and_then(|handle| handle.sync_all())
         .map_err(|e| io_err("sync directory", dir, &e))?;
-    Ok(())
+    Ok(writer)
 }
 
-/// Reads and validates the checkpoint taken at sequence `seq`. Returns
-/// `Err(StorageError::Corrupt)` when the file exists but fails validation.
-pub(crate) fn read_checkpoint(dir: &Path, seq: u64) -> Result<Vec<u8>, StorageError> {
-    let path = checkpoint_path(dir, seq);
-    let mut bytes = Vec::new();
-    File::open(&path)
-        .and_then(|mut f| f.read_to_end(&mut bytes))
-        .map_err(|e| io_err("read checkpoint", &path, &e))?;
-    let header_len = CHECKPOINT_MAGIC.len() + 12;
-    if bytes.len() < header_len || &bytes[..8] != CHECKPOINT_MAGIC {
-        return Err(StorageError::Corrupt(format!(
-            "checkpoint {} has a bad header",
-            path.display()
-        )));
-    }
-    let len = u32::from_le_bytes([bytes[8], bytes[9], bytes[10], bytes[11]]) as usize;
-    let want_crc = u64::from_le_bytes([
-        bytes[12], bytes[13], bytes[14], bytes[15], bytes[16], bytes[17], bytes[18], bytes[19],
-    ]);
-    let payload = &bytes[header_len..];
-    if payload.len() != len || fnv1a64(payload) != want_crc {
-        return Err(StorageError::Corrupt(format!(
-            "checkpoint {} failed length/checksum validation",
-            path.display()
-        )));
-    }
-    Ok(payload.to_vec())
-}
-
-/// Removes checkpoints and log segments strictly older than `keep_from_seq`.
-/// Callers pass the *previous* checkpoint's sequence, keeping one fallback
-/// generation behind the newest. Removal failures are ignored: garbage
-/// collection must never take down a healthy writer, and a leftover file is
-/// re-collected on the next rotation.
-pub fn remove_generations_before(dir: &Path, keep_from_seq: u64) {
-    let doomed = |items: Result<Vec<(u64, PathBuf)>, StorageError>| {
-        items
-            .unwrap_or_default()
-            .into_iter()
-            .filter(|&(seq, _)| seq < keep_from_seq)
-    };
-    for (_, path) in doomed(list_checkpoints(dir)).chain(doomed(list_segments(dir))) {
-        let _ = fs::remove_file(path);
-    }
-}
-
-/// Removes checkpoints newer than `checkpoint_seq` and segments newer than
-/// `active_start_seq` — files a completed recovery deliberately bypassed
-/// (corrupt newer checkpoints, segments stranded beyond a torn tail or a
-/// sequence gap). A recovery that truncates the tail and resumes appending
-/// re-declares the durable truth; bypassed newer files would otherwise make
-/// a *later* replay stop at a stale segment boundary. Removal failures are
-/// ignored for the same reason as in [`remove_generations_before`].
-pub fn remove_unreachable_generations(dir: &Path, checkpoint_seq: u64, active_start_seq: u64) {
-    for (seq, path) in list_checkpoints(dir).unwrap_or_default() {
-        if seq > checkpoint_seq {
-            let _ = fs::remove_file(path);
-        }
-    }
+/// Removes the segments `doomed` names by start sequence. Removal failures
+/// are ignored: garbage collection must never take down a healthy writer,
+/// and a leftover segment is collected again by a later call.
+fn remove_segments(dir: &Path, doomed: impl Fn(u64) -> bool) {
     for (seq, path) in list_segments(dir).unwrap_or_default() {
-        if seq > active_start_seq {
+        if doomed(seq) {
             let _ = fs::remove_file(path);
         }
     }
 }
 
-/// A shard's recovered durable state: the newest readable checkpoint plus
-/// every whole log record appended after it.
+/// Removes the generations older than `keep_from_seq`. Rotation passes the
+/// generation it just closed, which stays behind the new one as the
+/// fallback for a snapshot that does not read back.
+pub fn remove_generations_before(dir: &Path, keep_from_seq: u64) {
+    remove_segments(dir, |seq| seq < keep_from_seq);
+}
+
+/// Removes the segments newer than `active_start_seq`: ones a completed
+/// recovery bypassed because they held no whole record. A recovery that
+/// resumes appending re-declares the durable truth, and a bypassed segment
+/// would otherwise win a later recovery once the resumed one grows past it.
+pub fn remove_unreachable_generations(dir: &Path, active_start_seq: u64) {
+    remove_segments(dir, |seq| seq > active_start_seq);
+}
+
+/// A shard's recovered generation: one segment and its readable records.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RecoveredState {
-    /// Sequence number of the checkpoint the recovery started from.
-    pub checkpoint_seq: u64,
-    /// The checkpoint payload (opaque to this crate).
-    pub checkpoint: Vec<u8>,
-    /// Whole records after the checkpoint, ascending: `(seq, payload)`.
-    pub records: Vec<(u64, Vec<u8>)>,
-    /// Sequence number the next appended record must get.
-    pub next_seq: u64,
-    /// The segment tail of the *active* (last) segment, for reopening.
-    pub active_tail: SegmentTail,
-    /// Start sequence of the active segment.
+    /// Start sequence of the segment, which is its snapshot's sequence.
     pub active_start_seq: u64,
+    /// The segment's contents, for replay and for reopening: `records[0]`
+    /// is the snapshot, and the records after it are the batches logged
+    /// since.
+    pub active_tail: SegmentTail,
 }
 
-/// Recovers a shard directory: picks the newest checkpoint that validates,
-/// then replays every whole record from the log segments at or after it.
-/// Falls back to older checkpoints when the newest is corrupt (the GC policy
-/// keeps one previous generation for exactly this case).
+/// Recovers a shard directory: the newest segment that holds at least one
+/// whole record is the generation to resume. Newer segments without one
+/// are skipped; see the module docs. Fails with
+/// [`StorageError::Corrupt`] when no segment holds a record.
 pub fn recover_dir(dir: &Path) -> Result<RecoveredState, StorageError> {
-    let checkpoints = list_checkpoints(dir)?;
-    if checkpoints.is_empty() {
-        return Err(StorageError::Corrupt(format!(
-            "no checkpoint found in {}",
-            dir.display()
-        )));
-    }
-    let segments = list_segments(dir)?;
-    let mut last_err: Option<StorageError> = None;
-    for &(ckpt_seq, _) in checkpoints.iter().rev() {
-        let checkpoint = match read_checkpoint(dir, ckpt_seq) {
-            Ok(payload) => payload,
-            Err(e) => {
-                last_err = Some(e);
-                continue;
-            }
-        };
-        // replay segments starting at or after the checkpoint, in order,
-        // requiring seamless sequence numbering across segment boundaries
-        let mut records: Vec<(u64, Vec<u8>)> = Vec::new();
-        let mut next_seq = ckpt_seq;
-        let mut active_tail = SegmentTail {
-            records: Vec::new(),
-            valid_len: 0,
-            torn_tail: false,
-        };
-        let mut active_start_seq = ckpt_seq;
-        let mut have_active = false;
-        for &(start_seq, _) in segments.iter() {
-            if start_seq < ckpt_seq {
-                continue;
-            }
-            if start_seq != next_seq {
-                // a gap means the later segments belong to a future this
-                // recovery never reached; stop at the gap
-                break;
-            }
-            let tail = read_segment(dir, start_seq)?;
-            next_seq = start_seq + tail.records.len() as u64;
-            records.extend(tail.records.iter().cloned());
-            active_tail = tail.clone();
-            active_start_seq = start_seq;
-            have_active = true;
-            if tail.torn_tail {
-                // nothing after a torn tail can be consecutive
-                break;
-            }
+    for (start_seq, _) in list_segments(dir)?.into_iter().rev() {
+        let tail = read_segment(dir, start_seq)?;
+        if !tail.records.is_empty() {
+            return Ok(RecoveredState {
+                active_start_seq: start_seq,
+                active_tail: tail,
+            });
         }
-        if !have_active {
-            // checkpoint without its segment: only acceptable when rotation
-            // crashed between checkpoint write and segment creation — fall
-            // back to an older generation that still has its log
-            last_err = Some(StorageError::Corrupt(format!(
-                "checkpoint {ckpt_seq} in {} has no log segment",
-                dir.display()
-            )));
-            continue;
-        }
-        return Ok(RecoveredState {
-            checkpoint_seq: ckpt_seq,
-            checkpoint,
-            records,
-            next_seq,
-            active_tail,
-            active_start_seq,
-        });
     }
-    Err(last_err.unwrap_or_else(|| {
-        StorageError::Corrupt(format!("no recoverable generation in {}", dir.display()))
-    }))
+    Err(StorageError::Corrupt(format!(
+        "no log segment in {} holds a snapshot",
+        dir.display()
+    )))
 }
 
 #[cfg(test)]
@@ -677,19 +539,25 @@ mod tests {
     #[test]
     fn recover_dir_replays_past_an_untrimmed_zero_tail() {
         let dir = temp_dir("untrimmed");
-        write_checkpoint(&dir, 0, b"gen0").unwrap();
-        let (first, first_end) = segment_of(&dir, 0, 3, 5);
-        assert!(fs::metadata(first.path()).unwrap().len() > first_end);
-        let _second = segment_of(&dir, 3, 2, 5);
+        let mut w = write_checkpoint(&dir, 0, b"gen0").unwrap();
+        for i in 1..4u8 {
+            w.append(&[i; 5]).unwrap();
+        }
+        w.sync().unwrap();
+        let records_end = (4 * RECORD_HEADER + 4 + 3 * 5) as u64;
+        assert!(fs::metadata(w.path()).unwrap().len() > records_end);
         let rec = recover_dir(&dir).unwrap();
-        assert_eq!(rec.checkpoint_seq, 0);
+        assert_eq!(rec.active_start_seq, 0);
         assert_eq!(
-            rec.records.iter().map(|r| r.0).collect::<Vec<_>>(),
-            vec![0, 1, 2, 3, 4],
-            "the zero tail of the first segment does not end the replay"
+            rec.active_tail
+                .records
+                .iter()
+                .map(|r| r.0)
+                .collect::<Vec<_>>(),
+            vec![0, 1, 2, 3],
+            "the snapshot and every batch before the zero tail replay"
         );
-        assert_eq!(rec.next_seq, 5);
-        assert_eq!(rec.active_start_seq, 3);
+        assert_eq!(rec.active_tail.valid_len, records_end);
         assert!(!rec.active_tail.torn_tail);
         fs::remove_dir_all(&dir).ok();
     }
@@ -781,88 +649,113 @@ mod tests {
     #[test]
     fn checkpoint_roundtrip_and_validation() {
         let dir = temp_dir("ckpt");
-        write_checkpoint(&dir, 42, b"snapshot-bytes").unwrap();
-        assert_eq!(read_checkpoint(&dir, 42).unwrap(), b"snapshot-bytes");
-        // corrupt it: validation must fail, not return garbage
-        let path = checkpoint_path(&dir, 42);
+        let mut w = write_checkpoint(&dir, 42, b"snapshot-bytes").unwrap();
+        assert_eq!(w.next_seq(), 43);
+        assert_eq!(
+            fs::metadata(w.path()).unwrap().len(),
+            SEGMENT_CHUNK,
+            "the snapshot's append grows the first chunk"
+        );
+        assert_eq!(w.append(b"batch").unwrap(), 43);
+        w.sync().unwrap();
+        assert_eq!(
+            read_segment(&dir, 42).unwrap().records,
+            vec![(42, b"snapshot-bytes".to_vec()), (43, b"batch".to_vec())]
+        );
+        // corrupt the snapshot: the segment then holds no record, never a
+        // damaged snapshot or a batch without its snapshot
+        let path = segment_path(&dir, 42);
         let mut bytes = fs::read(&path).unwrap();
-        let last = bytes.len() - 1;
-        bytes[last] ^= 0x01;
+        bytes[RECORD_HEADER + 3] ^= 0x01;
         fs::write(&path, &bytes).unwrap();
-        assert!(matches!(
-            read_checkpoint(&dir, 42),
-            Err(StorageError::Corrupt(_))
-        ));
+        let tail = read_segment(&dir, 42).unwrap();
+        assert!(tail.records.is_empty() && tail.torn_tail);
+        assert!(matches!(recover_dir(&dir), Err(StorageError::Corrupt(_))));
         fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
-    fn recover_dir_prefers_newest_checkpoint_and_replays_segments() {
+    fn an_oversized_checkpoint_is_refused_before_a_file_is_created() {
+        let dir = temp_dir("oversized_ckpt");
+        let err = write_checkpoint(&dir, 7, &vec![0; MAX_RECORD_LEN + 1]).unwrap_err();
+        assert_eq!(
+            err,
+            StorageError::RecordTooLarge {
+                len: MAX_RECORD_LEN + 1,
+                max: MAX_RECORD_LEN
+            }
+        );
+        assert_eq!(fs::read_dir(&dir).unwrap().count(), 0);
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Seqs of the segments in `dir`.
+    fn segment_seqs(dir: &Path) -> Vec<u64> {
+        list_segments(dir)
+            .unwrap()
+            .into_iter()
+            .map(|(s, _)| s)
+            .collect()
+    }
+
+    #[test]
+    fn recover_dir_takes_the_newest_segment_holding_a_record() {
         let dir = temp_dir("recover");
-        // generation 0: checkpoint at 0, records 0..3
-        write_checkpoint(&dir, 0, b"gen0").unwrap();
-        let mut w = WalWriter::create(&dir, 0).unwrap();
-        for i in 0..3u8 {
-            w.append(&[i]).unwrap();
-        }
+        // generation 0: snapshot at 0, batches 1 and 2, closed by rotation
+        let mut w = write_checkpoint(&dir, 0, b"gen0").unwrap();
+        w.append(&[1]).unwrap();
+        w.append(&[2]).unwrap();
+        w.trim().unwrap();
         w.sync().unwrap();
-        // rotation: segment first, then checkpoint at 3, records 3..5
-        let mut w = WalWriter::create(&dir, 3).unwrap();
-        write_checkpoint(&dir, 3, b"gen1").unwrap();
-        for i in 3..5u8 {
-            w.append(&[i]).unwrap();
-        }
+        // generation 3: snapshot at 3, batch 4
+        let mut w = write_checkpoint(&dir, 3, b"gen1").unwrap();
+        w.append(&[4]).unwrap();
         w.sync().unwrap();
         let rec = recover_dir(&dir).unwrap();
-        assert_eq!(rec.checkpoint_seq, 3);
-        assert_eq!(rec.checkpoint, b"gen1");
-        assert_eq!(rec.records.len(), 2);
-        assert_eq!(rec.next_seq, 5);
         assert_eq!(rec.active_start_seq, 3);
-        // corrupt the newest checkpoint: recovery falls back to gen 0 and
-        // replays *both* segments
-        let path = checkpoint_path(&dir, 3);
+        assert_eq!(
+            rec.active_tail.records,
+            vec![(3, b"gen1".to_vec()), (4, vec![4])]
+        );
+        // a rotation that crashed before its snapshot was whole leaves a
+        // newer segment without a record: recovery resumes the one before
+        for torn in [&[][..], &[0x11; 7][..]] {
+            fs::write(segment_path(&dir, 5), torn).unwrap();
+            assert_eq!(recover_dir(&dir).unwrap().active_start_seq, 3);
+        }
+        // a damaged snapshot takes its generation's batches with it
+        let path = segment_path(&dir, 3);
         let mut bytes = fs::read(&path).unwrap();
-        bytes[10] ^= 0xFF;
+        bytes[RECORD_HEADER] ^= 0xFF;
         fs::write(&path, &bytes).unwrap();
         let rec = recover_dir(&dir).unwrap();
-        assert_eq!(rec.checkpoint_seq, 0);
-        assert_eq!(rec.checkpoint, b"gen0");
-        assert_eq!(rec.records.len(), 5);
-        assert_eq!(rec.next_seq, 5);
+        assert_eq!(rec.active_start_seq, 0);
+        assert_eq!(rec.active_tail.records.len(), 3);
+        assert_eq!(rec.active_tail.records[0], (0, b"gen0".to_vec()));
         fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn gc_keeps_the_previous_generation() {
         let dir = temp_dir("gc");
-        write_checkpoint(&dir, 0, b"g0").unwrap();
-        let _ = WalWriter::create(&dir, 0).unwrap();
-        write_checkpoint(&dir, 4, b"g1").unwrap();
-        let _ = WalWriter::create(&dir, 4).unwrap();
-        write_checkpoint(&dir, 9, b"g2").unwrap();
-        let _ = WalWriter::create(&dir, 9).unwrap();
-        // keep from the previous checkpoint (4): generation 0 goes away
+        for seq in [0, 4, 9] {
+            write_checkpoint(&dir, seq, b"g").unwrap();
+        }
+        // keep from the previous generation (4): generation 0 goes away
         remove_generations_before(&dir, 4);
-        let ckpts: Vec<u64> = list_checkpoints(&dir)
-            .unwrap()
-            .into_iter()
-            .map(|(s, _)| s)
-            .collect();
-        let segs: Vec<u64> = list_segments(&dir)
-            .unwrap()
-            .into_iter()
-            .map(|(s, _)| s)
-            .collect();
-        assert_eq!(ckpts, vec![4, 9]);
-        assert_eq!(segs, vec![4, 9]);
+        assert_eq!(segment_seqs(&dir), vec![4, 9]);
+        // a recovery that resumed generation 4 removes what is newer
+        remove_unreachable_generations(&dir, 4);
+        assert_eq!(segment_seqs(&dir), vec![4]);
         fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn recover_dir_without_checkpoint_is_an_error() {
         let dir = temp_dir("empty");
-        assert!(recover_dir(&dir).is_err());
+        assert!(matches!(recover_dir(&dir), Err(StorageError::Corrupt(_))));
+        let _empty = WalWriter::create(&dir, 0).unwrap();
+        assert!(matches!(recover_dir(&dir), Err(StorageError::Corrupt(_))));
         fs::remove_dir_all(&dir).ok();
     }
 }
